@@ -388,9 +388,7 @@ int main() {
 
   // ---- Part 4: batched wave executor — wave-on vs wave-off ablation on a
   // repeated-operand batch (the traffic shape waves exist for). Both runs
-  // drop sticky residency so every request pays its upload in the off run;
-  // the workspace pool is off so report JSON is byte-comparable on replay
-  // (pool reuse counts depend on host thread timing, not the schedule).
+  // drop sticky residency so every request pays its upload in the off run.
   const std::size_t wave_requests = static_cast<std::size_t>(
       env_double("HH_WAVE_REQUESTS", 256));
   std::printf("\n== wave executor: %zu repeated-operand requests over %zu "
@@ -424,7 +422,6 @@ int main() {
 
   SpgemmService::Config woff;
   woff.keep_inputs_resident = false;
-  woff.use_workspace_pool = false;
   SpgemmService::Config won = woff;
   won.wave.enabled = true;
 

@@ -1,22 +1,11 @@
 #include "core/report.hpp"
 
-#include <cstdio>
 #include <sstream>
+
+#include "util/format.hpp"
 
 namespace hh {
 namespace {
-
-std::string ms(double seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f ms", seconds * 1e3);
-  return buf;
-}
-
-std::string jnum(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", x);
-  return buf;
-}
 
 // Algorithm names are plain ASCII, but escape the JSON specials anyway.
 std::string jstr(const std::string& s) {
@@ -39,19 +28,19 @@ std::string jstr(const std::string& s) {
 
 std::string RunReport::to_string() const {
   std::ostringstream os;
-  os << algorithm << ": total " << ms(total_s) << "\n";
-  os << "  phase I   " << ms(phase1_s) << "  (t_A=" << threshold_a
+  os << algorithm << ": total " << fmt_ms(total_s) << "\n";
+  os << "  phase I   " << fmt_ms(phase1_s) << "  (t_A=" << threshold_a
      << ", t_B=" << threshold_b << ", |A_H|=" << high_rows_a
      << ", |B_H|=" << high_rows_b << ")\n";
-  os << "  phase II  " << ms(phase2_s) << "  (cpu " << ms(phase2_cpu_s)
-     << ", gpu " << ms(phase2_gpu_s) << ")\n";
-  os << "  phase III " << ms(phase3_s) << "  (cpu " << ms(phase3_cpu_s)
-     << ", gpu " << ms(phase3_gpu_s) << ", units " << queue_cpu_units << "/"
+  os << "  phase II  " << fmt_ms(phase2_s) << "  (cpu " << fmt_ms(phase2_cpu_s)
+     << ", gpu " << fmt_ms(phase2_gpu_s) << ")\n";
+  os << "  phase III " << fmt_ms(phase3_s) << "  (cpu " << fmt_ms(phase3_cpu_s)
+     << ", gpu " << fmt_ms(phase3_gpu_s) << ", units " << queue_cpu_units << "/"
      << queue_gpu_units << ")\n";
-  os << "  phase IV  " << ms(phase4_s) << "  (" << merge.tuples_in
+  os << "  phase IV  " << fmt_ms(phase4_s) << "  (" << merge.tuples_in
      << " tuples -> " << merge.tuples_out << ")\n";
-  os << "  transfers in " << ms(transfer_in_s) << ", out "
-     << ms(transfer_out_s) << "\n";
+  os << "  transfers in " << fmt_ms(transfer_in_s) << ", out "
+     << fmt_ms(transfer_out_s) << "\n";
   os << "  flops " << flops << ", output nnz " << output_nnz << "\n";
   return os.str();
 }
@@ -59,17 +48,17 @@ std::string RunReport::to_string() const {
 std::string RunReport::to_json() const {
   std::ostringstream os;
   os << "{\"algorithm\":" << jstr(algorithm)
-     << ",\"total_s\":" << jnum(total_s)
-     << ",\"phase1_s\":" << jnum(phase1_s)
-     << ",\"phase2_s\":" << jnum(phase2_s)
-     << ",\"phase3_s\":" << jnum(phase3_s)
-     << ",\"phase4_s\":" << jnum(phase4_s)
-     << ",\"transfer_in_s\":" << jnum(transfer_in_s)
-     << ",\"transfer_out_s\":" << jnum(transfer_out_s)
-     << ",\"phase2_cpu_s\":" << jnum(phase2_cpu_s)
-     << ",\"phase2_gpu_s\":" << jnum(phase2_gpu_s)
-     << ",\"phase3_cpu_s\":" << jnum(phase3_cpu_s)
-     << ",\"phase3_gpu_s\":" << jnum(phase3_gpu_s)
+     << ",\"total_s\":" << fmt_num(total_s)
+     << ",\"phase1_s\":" << fmt_num(phase1_s)
+     << ",\"phase2_s\":" << fmt_num(phase2_s)
+     << ",\"phase3_s\":" << fmt_num(phase3_s)
+     << ",\"phase4_s\":" << fmt_num(phase4_s)
+     << ",\"transfer_in_s\":" << fmt_num(transfer_in_s)
+     << ",\"transfer_out_s\":" << fmt_num(transfer_out_s)
+     << ",\"phase2_cpu_s\":" << fmt_num(phase2_cpu_s)
+     << ",\"phase2_gpu_s\":" << fmt_num(phase2_gpu_s)
+     << ",\"phase3_cpu_s\":" << fmt_num(phase3_cpu_s)
+     << ",\"phase3_gpu_s\":" << fmt_num(phase3_gpu_s)
      << ",\"threshold_a\":" << threshold_a
      << ",\"threshold_b\":" << threshold_b
      << ",\"high_rows_a\":" << high_rows_a

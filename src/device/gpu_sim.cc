@@ -32,30 +32,14 @@ double GpuSim::kernel_time(const ProductStats& s) const {
   return cm_.derate * body + cm_.kernel_launch_s;
 }
 
-DeviceAttempt GpuSim::kernel_attempt(const ProductStats& s,
-                                     FaultInjector* fi) const {
-  const double t = kernel_time(s);
-  if (t <= 0) return {true, false, 0, kNoDeviceOp};
-  if (fi != nullptr) {
-    const FaultDecision d = fi->next(FaultSite::kGpuKernel);
-    if (d.fault) {
-      return {false, false, std::max(cm_.kernel_launch_s, d.fraction * t),
-              d.op};
-    }
-    return {true, false, t, d.op};
-  }
-  return {true, false, t, kNoDeviceOp};
-}
-
 double GpuSim::kernel_time_batched(const ProductStats& s, bool lead) const {
   const double t = kernel_time(s);
   if (t <= 0 || lead) return t;
   return std::max(0.0, t - cm_.kernel_launch_s);
 }
 
-DeviceAttempt GpuSim::kernel_attempt_batched(const ProductStats& s,
-                                             FaultInjector* fi,
-                                             bool lead) const {
+DeviceAttempt GpuSim::kernel_attempt(const ProductStats& s, FaultInjector* fi,
+                                     bool lead) const {
   const double t = kernel_time_batched(s, lead);
   if (t <= 0) return {true, false, 0, kNoDeviceOp};
   if (fi != nullptr) {

@@ -28,22 +28,21 @@ class GpuSim {
   /// Phase IV share when the GPU pre-sorts its own tuples before transfer.
   double tuple_sort_time(std::int64_t tuples) const;
 
-  /// One launch under fault injection (pass nullptr for a guaranteed-healthy
-  /// attempt). A transient abort occupies the device for part of the launch
-  /// (never less than the launch overhead) and produces no usable result —
-  /// the caller re-launches or degrades to the CPU path. Launches with no
-  /// work (kernel_time == 0) never consume an injector op, so the fault
-  /// schedule is stable across degenerate partitions.
-  DeviceAttempt kernel_attempt(const ProductStats& s, FaultInjector* fi) const;
-
   /// Batched (wave) costing: the first healthy launch of a wave pays the
   /// kernel-launch overhead, followers ride the already-hot dispatch queue
-  /// and skip it. `lead == true` is exactly kernel_time. An abort still
-  /// occupies the device for at least the launch overhead — a re-launch is
-  /// a fresh dispatch.
+  /// and skip it. `lead == true` is exactly kernel_time.
   double kernel_time_batched(const ProductStats& s, bool lead) const;
-  DeviceAttempt kernel_attempt_batched(const ProductStats& s,
-                                       FaultInjector* fi, bool lead) const;
+
+  /// One launch under fault injection (pass nullptr for a guaranteed-healthy
+  /// attempt), costed as kernel_time_batched(s, lead) — the default is a
+  /// standalone launch. A transient abort occupies the device for part of
+  /// the launch (never less than the launch overhead: a re-launch is a
+  /// fresh dispatch) and produces no usable result — the caller re-launches
+  /// or degrades to the CPU path. Launches with no work never consume an
+  /// injector op, so the fault schedule is stable across degenerate
+  /// partitions.
+  DeviceAttempt kernel_attempt(const ProductStats& s, FaultInjector* fi,
+                               bool lead = true) const;
 
   const GpuCostModel& model() const { return cm_; }
 

@@ -34,28 +34,24 @@ class PcieChannel {
   /// Shipping n tuples of ⟨r, c, v⟩ (4 + 4 + 8 bytes).
   double tuple_transfer_time(std::int64_t n) const;
 
-  /// Fault-aware variants: one transfer attempt under the injector's
-  /// schedule (pass nullptr for a guaranteed-healthy attempt). A hard
-  /// failure aborts partway through and wastes `elapsed_s`; a corruption
-  /// runs to completion but the payload fails checksum verification — the
-  /// caller must re-send (and, for uploads, drop device residency).
-  DeviceAttempt transfer_attempt(double bytes, FaultInjector* fi) const;
-  DeviceAttempt matrix_transfer_attempt(const CsrMatrix& m,
-                                        FaultInjector* fi) const;
-  DeviceAttempt tuple_transfer_attempt(std::int64_t n, FaultInjector* fi) const;
-
   /// Batched (wave-coalesced) costing: the lead transfer of a block pays
   /// the link latency that opens the shared reservation; followers stream
   /// back-to-back behind it and pay bytes only. `lead == true` is exactly
-  /// transfer_time. A failed attempt still keeps the latency floor on its
-  /// elapsed time — the retry re-arbitrates the link.
+  /// transfer_time.
   double transfer_time_batched(double bytes, bool lead) const;
-  double matrix_transfer_time_batched(const CsrMatrix& m, bool lead) const;
-  DeviceAttempt transfer_attempt_batched(double bytes, FaultInjector* fi,
-                                         bool lead) const;
-  DeviceAttempt matrix_transfer_attempt_batched(const CsrMatrix& m,
-                                                FaultInjector* fi,
-                                                bool lead) const;
+
+  /// Fault-aware variants: one transfer attempt under the injector's
+  /// schedule (pass nullptr for a guaranteed-healthy attempt), costed as
+  /// transfer_time_batched(bytes, lead) — the default is a standalone
+  /// transfer. A hard failure aborts partway through and wastes
+  /// `elapsed_s`, never less than the link latency (a retry re-arbitrates
+  /// the link); a corruption runs to completion but the payload fails
+  /// checksum verification — the caller must re-send.
+  DeviceAttempt transfer_attempt(double bytes, FaultInjector* fi,
+                                 bool lead = true) const;
+  DeviceAttempt matrix_transfer_attempt(const CsrMatrix& m, FaultInjector* fi,
+                                        bool lead = true) const;
+  DeviceAttempt tuple_transfer_attempt(std::int64_t n, FaultInjector* fi) const;
 
   PcieDir direction() const { return dir_; }
   const PcieCostModel& model() const { return cm_; }

@@ -7,21 +7,15 @@
 #include <unordered_map>
 
 #include "util/check.hpp"
+#include "util/format.hpp"
 
 namespace hh {
 
 namespace {
 
-// %.9g matches every other deterministic report rendering in the repo.
-std::string jnum(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
 std::string pct(double num, double den) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.1f%%", den > 0 ? 100.0 * num / den : 0.0);
+  std::snprintf(buf, sizeof(buf), "%.1f%%", den > 0 ? 100.0 * num / den : 0.0);
   return buf;
 }
 
@@ -78,16 +72,16 @@ std::string RequestCostBreakdown::explain() const {
   std::ostringstream os;
   os << "request " << req_json_id(request_id);
   if (!label.empty()) os << " (" << label << ")";
-  os << ": latency " << jnum(latency_s) << " s; bottleneck ";
+  os << ": latency " << fmt_num(latency_s) << " s; bottleneck ";
   if (lane == kIdleLane) {
-    os << "admission-wait (" << jnum(queue_wait_s) << " s in queue)";
+    os << "admission-wait (" << fmt_num(queue_wait_s) << " s in queue)";
   } else {
-    os << crit_lane_name(lane) << " (service " << jnum(service_s[lane])
-       << " s, queueing " << jnum(queueing_s[lane]) << " s)";
+    os << crit_lane_name(lane) << " (service " << fmt_num(service_s[lane])
+       << " s, queueing " << fmt_num(queueing_s[lane]) << " s)";
   }
-  os << "; queue wait " << jnum(queue_wait_s) << " s; fault overhead "
-     << jnum(fault_s) << " s; backoff " << jnum(backoff_s)
-     << " s; on batch critical path " << jnum(crit_path_s) << " s";
+  os << "; queue wait " << fmt_num(queue_wait_s) << " s; fault overhead "
+     << fmt_num(fault_s) << " s; backoff " << fmt_num(backoff_s)
+     << " s; on batch critical path " << fmt_num(crit_path_s) << " s";
   return os.str();
 }
 
@@ -106,15 +100,15 @@ std::string CritPathSummary::to_string() const {
   for (int i = 0; i < kCritLaneCount; ++i) {
     os << " " << crit_lane_name(i) << " " << pct(attributed_s[i], makespan_s);
   }
-  os << " of " << jnum(makespan_s) << " s";
+  os << " of " << fmt_num(makespan_s) << " s";
   return os.str();
 }
 
 std::string CritPathSummary::to_json() const {
   std::ostringstream os;
-  os << "{\"makespan_s\":" << jnum(makespan_s);
+  os << "{\"makespan_s\":" << fmt_num(makespan_s);
   for (int i = 0; i < kCritLaneCount; ++i) {
-    os << ",\"" << crit_lane_name(i) << "\":" << jnum(attributed_s[i]);
+    os << ",\"" << crit_lane_name(i) << "\":" << fmt_num(attributed_s[i]);
   }
   os << ",\"bottleneck\":\"" << crit_lane_name(bottleneck_lane()) << "\"}";
   return os.str();
@@ -142,17 +136,17 @@ std::string CritPathReport::to_string() const {
   for (int i = 0; i < kCritLaneCount; ++i) {
     os << " " << crit_lane_name(i) << " " << pct(attributed_s[i], makespan_s);
   }
-  os << " of " << jnum(makespan_s) << " s makespan; chain " << steps.size()
+  os << " of " << fmt_num(makespan_s) << " s makespan; chain " << steps.size()
      << " steps";
   return os.str();
 }
 
 std::string CritPathReport::to_json() const {
   std::ostringstream os;
-  os << "{\"makespan_s\":" << jnum(makespan_s) << ",\"attributed_s\":{";
+  os << "{\"makespan_s\":" << fmt_num(makespan_s) << ",\"attributed_s\":{";
   for (int i = 0; i < kCritLaneCount; ++i) {
     os << (i ? "," : "") << "\"" << crit_lane_name(i)
-       << "\":" << jnum(attributed_s[i]);
+       << "\":" << fmt_num(attributed_s[i]);
   }
   os << "},\"bottleneck\":\"" << crit_lane_name(bottleneck_lane())
      << "\",\"steps\":[";
@@ -160,10 +154,10 @@ std::string CritPathReport::to_json() const {
     const CritPathStep& s = steps[i];
     os << (i ? "," : "") << "{\"stage\":\"" << s.stage << "\",\"lane\":\""
        << crit_lane_name(s.lane) << "\",\"request\":" << req_json_id(s.request_id)
-       << ",\"wave_index\":" << s.wave << ",\"start_s\":" << jnum(s.start_s)
-       << ",\"end_s\":" << jnum(s.end_s)
-       << ",\"attributed_s\":" << jnum(s.attributed_s)
-       << ",\"queue_delay_s\":" << jnum(s.queue_delay_s) << "}";
+       << ",\"wave_index\":" << s.wave << ",\"start_s\":" << fmt_num(s.start_s)
+       << ",\"end_s\":" << fmt_num(s.end_s)
+       << ",\"attributed_s\":" << fmt_num(s.attributed_s)
+       << ",\"queue_delay_s\":" << fmt_num(s.queue_delay_s) << "}";
   }
   os << "],\"requests\":[";
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -172,15 +166,16 @@ std::string CritPathReport::to_json() const {
     os << (i ? "," : "") << "{\"request_id\":" << req_json_id(b.request_id)
        << ",\"label\":\"" << b.label << "\",\"bottleneck\":\""
        << (lane == kIdleLane ? "wait" : crit_lane_name(lane))
-       << "\",\"queue_wait_s\":" << jnum(b.queue_wait_s)
-       << ",\"latency_s\":" << jnum(b.latency_s)
-       << ",\"backoff_s\":" << jnum(b.backoff_s)
-       << ",\"fault_s\":" << jnum(b.fault_s)
-       << ",\"crit_path_s\":" << jnum(b.crit_path_s);
+       << "\",\"queue_wait_s\":" << fmt_num(b.queue_wait_s)
+       << ",\"latency_s\":" << fmt_num(b.latency_s)
+       << ",\"backoff_s\":" << fmt_num(b.backoff_s)
+       << ",\"fault_s\":" << fmt_num(b.fault_s)
+       << ",\"crit_path_s\":" << fmt_num(b.crit_path_s);
     for (int r = 0; r < kResourceCount; ++r) {
-      os << ",\"" << crit_lane_name(r) << "_service_s\":" << jnum(b.service_s[r])
-         << ",\"" << crit_lane_name(r)
-         << "_queueing_s\":" << jnum(b.queueing_s[r]);
+      os << ",\"" << crit_lane_name(r)
+         << "_service_s\":" << fmt_num(b.service_s[r]) << ",\""
+         << crit_lane_name(r)
+         << "_queueing_s\":" << fmt_num(b.queueing_s[r]);
     }
     os << "}";
   }
@@ -189,7 +184,7 @@ std::string CritPathReport::to_json() const {
     const CritPathWaveSlice& w = waves[i];
     os << (i ? "," : "") << "{\"wave_index\":" << w.wave_index;
     for (int r = 0; r < kCritLaneCount; ++r) {
-      os << ",\"" << crit_lane_name(r) << "\":" << jnum(w.attributed_s[r]);
+      os << ",\"" << crit_lane_name(r) << "\":" << fmt_num(w.attributed_s[r]);
     }
     os << "}";
   }

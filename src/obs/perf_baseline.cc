@@ -7,21 +7,16 @@
 #include <sstream>
 
 #include "runtime/service.hpp"
+#include "util/format.hpp"
 #include "util/status.hpp"
 
 namespace hh {
 
 namespace {
 
-std::string jexact(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 std::string jpct(double v) {
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%+.2f%%", v * 100.0);
+  std::snprintf(buf, sizeof(buf), "%+.2f%%", v * 100.0);
   return buf;
 }
 
@@ -189,15 +184,16 @@ PerfBaseline parse_record(JsonCursor& c) {
 
 std::string PerfBaseline::to_json() const {
   std::ostringstream os;
-  os << "{\"bench\":\"" << bench << "\",\"scale\":" << jexact(scale)
+  os << "{\"bench\":\"" << bench << "\",\"scale\":" << fmt_exact(scale)
      << ",\"requests\":" << requests
-     << ",\"makespan_s\":" << jexact(makespan_s)
-     << ",\"p50_latency_s\":" << jexact(p50_latency_s)
-     << ",\"p95_latency_s\":" << jexact(p95_latency_s)
-     << ",\"p99_latency_s\":" << jexact(p99_latency_s) << ",\"attributed_s\":{";
+     << ",\"makespan_s\":" << fmt_exact(makespan_s)
+     << ",\"p50_latency_s\":" << fmt_exact(p50_latency_s)
+     << ",\"p95_latency_s\":" << fmt_exact(p95_latency_s)
+     << ",\"p99_latency_s\":" << fmt_exact(p99_latency_s)
+     << ",\"attributed_s\":{";
   for (int i = 0; i < kCritLaneCount; ++i) {
     os << (i ? "," : "") << "\"" << crit_lane_name(i)
-       << "\":" << jexact(attributed_s[i]);
+       << "\":" << fmt_exact(attributed_s[i]);
   }
   os << "}}";
   return os.str();
@@ -270,7 +266,7 @@ std::string PerfDiff::to_json() const {
     return os.str();
   };
   std::ostringstream os;
-  os << "{\"regressed\":" << (regressed ? "true" : "false")
+  os << "{\"regressed\":" << fmt_bool(regressed)
      << ",\"findings\":" << arr(findings)
      << ",\"improvements\":" << arr(improvements) << ",\"notes\":" << arr(notes)
      << "}";
@@ -318,8 +314,8 @@ PerfDiff compare_perf_baselines(const std::vector<PerfBaseline>& baseline,
     for (const auto& band : bands) {
       const double delta = rel(band.now, band.was);
       std::ostringstream os;
-      os << old.bench << ": " << band.what << " " << jexact(band.was) << " -> "
-         << jexact(band.now) << " (" << jpct(delta) << ", band "
+      os << old.bench << ": " << band.what << " " << fmt_exact(band.was)
+         << " -> " << fmt_exact(band.now) << " (" << jpct(delta) << ", band "
          << jpct(band.tol) << ")";
       if (delta > band.tol) {
         d.findings.push_back(os.str());

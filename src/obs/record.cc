@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "fault/checksum.hpp"
+#include "util/format.hpp"
 #include "util/status.hpp"
 
 namespace hh {
@@ -14,12 +15,6 @@ namespace {
 
 // %.17g round-trips every double bit-for-bit through strtod, which is what
 // makes parse-then-reverify reproduce the writer's checksums exactly.
-std::string jexact(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", x);
-  return buf;
-}
-
 void append_escaped(std::ostringstream& os, const std::string& s) {
   for (const char c : s) {
     const auto u = static_cast<unsigned char>(c);
@@ -280,22 +275,22 @@ std::string WorkloadRecord::to_jsonl() const {
   append_sig(os, "a", a);
   os << ",";
   append_sig(os, "b", b);
-  os << ",\"submit_s\":" << jexact(submit_s)
-     << ",\"deadline_s\":" << jexact(deadline_s) << ",\"pin_ta\":" << pin_ta
+  os << ",\"submit_s\":" << fmt_exact(submit_s)
+     << ",\"deadline_s\":" << fmt_exact(deadline_s) << ",\"pin_ta\":" << pin_ta
      << ",\"pin_tb\":" << pin_tb << ",\"ta\":" << ta << ",\"tb\":" << tb
      << ",\"status\":\"";
   append_escaped(os, status);
-  os << "\",\"cache_hit\":" << (cache_hit ? "true" : "false")
-     << ",\"degraded\":" << (degraded ? "true" : "false")
-     << ",\"deadline_missed\":" << (deadline_missed ? "true" : "false")
-     << ",\"latency_s\":" << jexact(latency_s)
-     << ",\"queue_wait_s\":" << jexact(queue_wait_s)
-     << ",\"phase1_s\":" << jexact(phase1_s)
-     << ",\"phase2_s\":" << jexact(phase2_s)
-     << ",\"phase3_s\":" << jexact(phase3_s)
-     << ",\"phase4_s\":" << jexact(phase4_s)
-     << ",\"tx_in_s\":" << jexact(tx_in_s)
-     << ",\"tx_out_s\":" << jexact(tx_out_s)
+  os << "\",\"cache_hit\":" << fmt_bool(cache_hit)
+     << ",\"degraded\":" << fmt_bool(degraded)
+     << ",\"deadline_missed\":" << fmt_bool(deadline_missed)
+     << ",\"latency_s\":" << fmt_exact(latency_s)
+     << ",\"queue_wait_s\":" << fmt_exact(queue_wait_s)
+     << ",\"phase1_s\":" << fmt_exact(phase1_s)
+     << ",\"phase2_s\":" << fmt_exact(phase2_s)
+     << ",\"phase3_s\":" << fmt_exact(phase3_s)
+     << ",\"phase4_s\":" << fmt_exact(phase4_s)
+     << ",\"tx_in_s\":" << fmt_exact(tx_in_s)
+     << ",\"tx_out_s\":" << fmt_exact(tx_out_s)
      << ",\"output_nnz\":" << output_nnz << ",\"faults\":" << faults
      << ",\"retries\":" << retries << ",\"checksum\":" << checksum << "}";
   return os.str();

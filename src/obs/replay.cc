@@ -1,7 +1,6 @@
 #include "obs/replay.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -9,23 +8,12 @@
 #include "fault/checksum.hpp"
 #include "obs/critpath.hpp"
 #include "obs/timeseries.hpp"
+#include "util/format.hpp"
 #include "util/stats.hpp"
 #include "util/status.hpp"
 
 namespace hh {
 namespace {
-
-std::string jexact(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", x);
-  return buf;
-}
-
-std::string ms(double seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f ms", seconds * 1e3);
-  return buf;
-}
 
 bool bit_identical(const CsrMatrix& x, const CsrMatrix& y) {
   return x.rows == y.rows && x.cols == y.cols && x.indptr == y.indptr &&
@@ -57,12 +45,12 @@ std::string ReplayRunReport::to_json() const {
      << ",\"outcome_divergence\":" << outcome_divergence
      << ",\"identity_mismatches\":" << identity_mismatches
      << ",\"promotions\":" << promotions
-     << ",\"makespan_s\":" << jexact(makespan_s)
-     << ",\"p50_latency_s\":" << jexact(p50_latency_s)
-     << ",\"p95_latency_s\":" << jexact(p95_latency_s)
-     << ",\"p99_latency_s\":" << jexact(p99_latency_s)
+     << ",\"makespan_s\":" << fmt_exact(makespan_s)
+     << ",\"p50_latency_s\":" << fmt_exact(p50_latency_s)
+     << ",\"p95_latency_s\":" << fmt_exact(p95_latency_s)
+     << ",\"p99_latency_s\":" << fmt_exact(p99_latency_s)
      << ",\"output_digest\":" << output_digest
-     << ",\"slo_reconciled\":" << (slo_reconciled ? "true" : "false")
+     << ",\"slo_reconciled\":" << fmt_bool(slo_reconciled)
      << ",\"slo\":" << (slo_json.empty() ? "null" : slo_json)
      << ",\"timeline\":" << (timeline_json.empty() ? "null" : timeline_json)
      << ",\"slowest\":";
@@ -83,10 +71,11 @@ std::string ReplayReport::to_string() const {
   if (shards > 0) os << ", " << shards << " shards";
   os << "\n";
   const auto row = [&](const ReplayRunReport& r) {
-    os << "  " << r.name << ": makespan " << ms(r.makespan_s) << ", p50 "
-       << ms(r.p50_latency_s) << ", p95 " << ms(r.p95_latency_s) << ", p99 "
-       << ms(r.p99_latency_s) << "; " << r.completed << " completed, "
-       << r.deadline_missed << " missed, " << r.lost << " lost, "
+    os << "  " << r.name << ": makespan " << fmt_ms(r.makespan_s) << ", p50 "
+       << fmt_ms(r.p50_latency_s) << ", p95 " << fmt_ms(r.p95_latency_s)
+       << ", p99 " << fmt_ms(r.p99_latency_s) << "; " << r.completed
+       << " completed, " << r.deadline_missed << " missed, " << r.lost
+       << " lost, "
        << r.identity_mismatches << " identity mismatch(es), " << r.promotions
        << " promotion(s)" << (r.slo_reconciled ? "" : " [SLO MISMATCH]")
        << "\n";
@@ -102,14 +91,14 @@ std::string ReplayReport::to_string() const {
 std::string ReplayReport::to_json() const {
   std::ostringstream os;
   os << "{\"records\":" << records << ",\"waves\":" << waves
-     << ",\"open_loop\":" << (open_loop ? "true" : "false")
-     << ",\"speed\":" << jexact(speed) << ",\"shards\":" << shards
+     << ",\"open_loop\":" << fmt_bool(open_loop)
+     << ",\"speed\":" << fmt_exact(speed) << ",\"shards\":" << shards
      << ",\"untuned\":" << untuned.to_json()
      << ",\"tuned\":" << tuned.to_json()
-     << ",\"makespan_speedup\":" << jexact(makespan_speedup)
-     << ",\"p50_speedup\":" << jexact(p50_speedup)
-     << ",\"p95_speedup\":" << jexact(p95_speedup)
-     << ",\"p99_speedup\":" << jexact(p99_speedup) << "}";
+     << ",\"makespan_speedup\":" << fmt_exact(makespan_speedup)
+     << ",\"p50_speedup\":" << fmt_exact(p50_speedup)
+     << ",\"p95_speedup\":" << fmt_exact(p95_speedup)
+     << ",\"p99_speedup\":" << fmt_exact(p99_speedup) << "}";
   return os.str();
 }
 

@@ -1,22 +1,12 @@
 #include "obs/slo.hpp"
 
-#include <cstdio>
 #include <sstream>
 #include <unordered_set>
 
+#include "util/format.hpp"
 #include "util/status.hpp"
 
 namespace hh {
-namespace {
-
-std::string num(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", x);
-  return buf;
-}
-
-}  // namespace
-
 SloMonitor::SloMonitor(std::vector<SloObjective> objectives)
     : objectives_(std::move(objectives)) {
   std::unordered_set<std::string> seen;
@@ -115,14 +105,14 @@ std::string SloMonitor::to_string() const {
   for (std::size_t i = 0; i < objectives_.size(); ++i) {
     const SloObjective& o = objectives_[i];
     const State& st = states_[i];
-    os << "  " << o.name << " (target " << num(o.target);
+    os << "  " << o.name << " (target " << fmt_num(o.target);
     if (o.latency_threshold_s > 0) {
-      os << ", latency <= " << num(o.latency_threshold_s) << " s";
+      os << ", latency <= " << fmt_num(o.latency_threshold_s) << " s";
     } else {
       os << ", deadline-hit";
     }
     os << "): " << st.good << " good / " << st.bad << " bad, burn "
-       << num(burn_rate(i)) << ", budget " << num(budget_remaining(i))
+       << fmt_num(burn_rate(i)) << ", budget " << fmt_num(budget_remaining(i))
        << (st.alerting ? " [ALERTING]" : "") << ", " << st.alerts
        << " alert(s)\n";
   }
@@ -136,15 +126,15 @@ std::string SloMonitor::to_json() const {
     const SloObjective& o = objectives_[i];
     const State& st = states_[i];
     if (i > 0) os << ",";
-    os << "{\"name\":\"" << o.name << "\",\"target\":" << num(o.target)
+    os << "{\"name\":\"" << o.name << "\",\"target\":" << fmt_num(o.target)
        << ",\"window\":" << o.window
-       << ",\"latency_threshold_s\":" << num(o.latency_threshold_s)
-       << ",\"burn_alert\":" << num(o.burn_alert) << ",\"good\":" << st.good
+       << ",\"latency_threshold_s\":" << fmt_num(o.latency_threshold_s)
+       << ",\"burn_alert\":" << fmt_num(o.burn_alert) << ",\"good\":" << st.good
        << ",\"bad\":" << st.bad
-       << ",\"window_bad_fraction\":" << num(window_bad_fraction(i))
-       << ",\"burn_rate\":" << num(burn_rate(i))
-       << ",\"budget_remaining\":" << num(budget_remaining(i))
-       << ",\"alerting\":" << (st.alerting ? "true" : "false")
+       << ",\"window_bad_fraction\":" << fmt_num(window_bad_fraction(i))
+       << ",\"burn_rate\":" << fmt_num(burn_rate(i))
+       << ",\"budget_remaining\":" << fmt_num(budget_remaining(i))
+       << ",\"alerting\":" << fmt_bool(st.alerting)
        << ",\"alerts\":" << st.alerts << "}";
   }
   os << "]}";

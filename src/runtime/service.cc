@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -15,40 +14,37 @@
 #include "obs/slo.hpp"
 #include "trace/flame.hpp"
 #include "util/check.hpp"
+#include "util/format.hpp"
 #include "util/stats.hpp"
 
 namespace hh {
 namespace {
 
-std::string ms(double seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f ms", seconds * 1e3);
-  return buf;
-}
-
-std::string jnum(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", x);
-  return buf;
-}
-
-std::string jbool(bool b) { return b ? "true" : "false"; }
-
-std::string faults_json(const FaultRecoveryStats& f) {
-  std::ostringstream os;
-  os << "{\"gpu_aborts\":" << f.gpu_aborts
-     << ",\"h2d_faults\":" << f.h2d_faults
-     << ",\"d2h_faults\":" << f.d2h_faults
-     << ",\"corruptions\":" << f.corruptions
-     << ",\"cpu_stalls\":" << f.cpu_stalls << ",\"retries\":" << f.retries
-     << ",\"backoff_s\":" << jnum(f.backoff_s) << "}";
-  return os.str();
-}
-
 // A GPU "join time" no request can ever reach: passing it as the queue's
 // gpu_start makes run_phase3 assign every unit to the CPU end — the
 // CPU-only re-plan of a degraded request.
 constexpr double kGpuNeverJoins = 1e300;
+
+// Span names of one retried operation's healthy, failed and corrupted
+// attempts.
+struct StageNames {
+  const char* ok;
+  const char* fault;
+  const char* corrupt;
+};
+constexpr StageNames kUploadStage{"h2d-input", "h2d-input-fault",
+                                  "h2d-input-corrupt"};
+constexpr StageNames kPhase2GpuStage{"phase2-gpu", "phase2-gpu-abort",
+                                     "phase2-gpu-abort"};
+constexpr StageNames kPhase3GpuStage{"phase3-gpu", "phase3-gpu-abort",
+                                     "phase3-gpu-abort"};
+constexpr StageNames kD2hStage{"d2h-tuples", "d2h-tuples-fault",
+                               "d2h-tuples-corrupt"};
+
+// A request's distinct device operands: B is nullptr for a self product.
+std::array<const CsrMatrix*, 2> operands_of(const SpgemmRequest& q) {
+  return {q.a, q.b != nullptr && q.b != q.a ? q.b : nullptr};
+}
 
 }  // namespace
 
@@ -62,12 +58,22 @@ void FaultRecoveryStats::accumulate(const FaultRecoveryStats& o) {
   backoff_s += o.backoff_s;
 }
 
+std::string FaultRecoveryStats::to_json() const {
+  std::ostringstream os;
+  os << "{\"gpu_aborts\":" << gpu_aborts << ",\"h2d_faults\":" << h2d_faults
+     << ",\"d2h_faults\":" << d2h_faults
+     << ",\"corruptions\":" << corruptions
+     << ",\"cpu_stalls\":" << cpu_stalls << ",\"retries\":" << retries
+     << ",\"backoff_s\":" << fmt_num(backoff_s) << "}";
+  return os.str();
+}
+
 std::string RequestReport::to_string() const {
   std::ostringstream os;
   os << "request #" << request_id;
   if (!label.empty()) os << " [" << label << "]";
-  os << ": latency " << ms(latency_s) << " (wait " << ms(queue_wait_s)
-     << "), finish at " << ms(finish_s);
+  os << ": latency " << fmt_ms(latency_s) << " (wait " << fmt_ms(queue_wait_s)
+     << "), finish at " << fmt_ms(finish_s);
   if (plan_cache_hit) os << ", plan cached";
   if (inputs_resident) os << ", inputs resident";
   if (degraded_to_cpu) os << ", DEGRADED to CPU-only";
@@ -80,7 +86,7 @@ std::string RequestReport::to_string() const {
   if (!flame.empty()) os << "    |" << flame << "|\n";
   for (const StageSpan& s : spans) {
     os << "    " << hh::to_string(s.resource) << "  " << s.stage << "  ["
-       << ms(s.start_s) << " .. " << ms(s.end_s) << "]\n";
+       << fmt_ms(s.start_s) << " .. " << fmt_ms(s.end_s) << "]\n";
   }
   return os.str();
 }
@@ -89,22 +95,23 @@ std::string RequestReport::to_json() const {
   std::ostringstream os;
   os << "{\"request_id\":" << request_id << ",\"label\":\"" << label
      << "\",\"status\":\"" << hh::to_string(status.code)
-     << "\",\"plan_cache_hit\":" << jbool(plan_cache_hit)
-     << ",\"inputs_resident\":" << jbool(inputs_resident)
-     << ",\"degraded_to_cpu\":" << jbool(degraded_to_cpu)
-     << ",\"deadline_missed\":" << jbool(deadline_missed)
-     << ",\"deadline_s\":" << jnum(deadline_s)
-     << ",\"faults\":" << faults_json(faults)
-     << ",\"submit_s\":" << jnum(submit_s) << ",\"start_s\":" << jnum(start_s)
-     << ",\"finish_s\":" << jnum(finish_s)
-     << ",\"queue_wait_s\":" << jnum(queue_wait_s)
-     << ",\"latency_s\":" << jnum(latency_s) << ",\"stages\":[";
+     << "\",\"plan_cache_hit\":" << fmt_bool(plan_cache_hit)
+     << ",\"inputs_resident\":" << fmt_bool(inputs_resident)
+     << ",\"degraded_to_cpu\":" << fmt_bool(degraded_to_cpu)
+     << ",\"deadline_missed\":" << fmt_bool(deadline_missed)
+     << ",\"deadline_s\":" << fmt_num(deadline_s)
+     << ",\"faults\":" << faults.to_json()
+     << ",\"submit_s\":" << fmt_num(submit_s)
+     << ",\"start_s\":" << fmt_num(start_s)
+     << ",\"finish_s\":" << fmt_num(finish_s)
+     << ",\"queue_wait_s\":" << fmt_num(queue_wait_s)
+     << ",\"latency_s\":" << fmt_num(latency_s) << ",\"stages\":[";
   for (std::size_t i = 0; i < spans.size(); ++i) {
     if (i > 0) os << ",";
     os << "{\"stage\":\"" << spans[i].stage << "\",\"resource\":\""
        << hh::to_string(spans[i].resource)
-       << "\",\"start_s\":" << jnum(spans[i].start_s)
-       << ",\"end_s\":" << jnum(spans[i].end_s) << "}";
+       << "\",\"start_s\":" << fmt_num(spans[i].start_s)
+       << ",\"end_s\":" << fmt_num(spans[i].end_s) << "}";
   }
   os << "],\"run\":" << run.to_json() << "}";
   return os.str();
@@ -112,39 +119,35 @@ std::string RequestReport::to_json() const {
 
 std::string BatchReport::to_string() const {
   std::ostringstream os;
-  os << "batch: " << requests << " requests, makespan " << ms(makespan_s)
-     << " (serial estimate " << ms(sequential_estimate_s) << ", "
+  os << "batch: " << requests << " requests, makespan " << fmt_ms(makespan_s)
+     << " (serial estimate " << fmt_ms(sequential_estimate_s) << ", "
      << (sequential_estimate_s > 0
-             ? jnum(sequential_estimate_s / std::max(makespan_s, 1e-300))
+             ? fmt_num(sequential_estimate_s / std::max(makespan_s, 1e-300))
              : "n/a")
      << "x)\n";
-  os << "  latency p50 " << ms(p50_latency_s) << ", p95 " << ms(p95_latency_s)
-     << ", p99 " << ms(p99_latency_s) << "\n";
+  os << "  latency p50 " << fmt_ms(p50_latency_s) << ", p95 "
+     << fmt_ms(p95_latency_s) << ", p99 " << fmt_ms(p99_latency_s) << "\n";
   os << "  outcome: " << completed << " completed, " << degraded
      << " degraded to CPU, " << deadline_missed << " deadline-missed, "
      << shed << " shed\n";
   os << "  faults: gpu " << faults.gpu_aborts << ", h2d " << faults.h2d_faults
      << ", d2h " << faults.d2h_faults << " (" << faults.corruptions
      << " corrupt), cpu stalls " << faults.cpu_stalls << "; retries "
-     << faults.retries << ", backoff " << ms(faults.backoff_s)
+     << faults.retries << ", backoff " << fmt_ms(faults.backoff_s)
      << (backoff_jitter ? " (decorrelated jitter)" : "") << "\n";
-  os << "  busy: cpu " << ms(cpu_busy_s) << ", gpu " << ms(gpu_busy_s)
-     << ", h2d " << ms(h2d_busy_s) << ", d2h " << ms(d2h_busy_s) << "\n";
+  os << "  busy: cpu " << fmt_ms(cpu_busy_s) << ", gpu " << fmt_ms(gpu_busy_s)
+     << ", h2d " << fmt_ms(h2d_busy_s) << ", d2h " << fmt_ms(d2h_busy_s)
+     << "\n";
   os << "  plan cache: " << plan_cache.hits << " hits, " << plan_cache.misses
      << " misses, " << plan_cache.evictions << " evictions, "
      << plan_cache.overwrites << " overwrites, " << plan_cache.quarantines
      << " quarantines\n";
-  os << "  workspace pool: " << workspace.spa_reuses << "/"
-     << workspace.spa_acquires << " SPA reuses, " << workspace.coo_reuses
-     << "/" << workspace.coo_acquires << " tuple-buffer reuses\n";
-  if (wave_enabled) {
-    os << "  waves: " << wave.waves << " over " << wave.wave_requests
-       << " requests; " << wave.uploads << " uploads ("
-       << wave.coalesced_uploads << " coalesced, " << wave.deduped_uploads
-       << " deduped, " << wave.h2d_bytes << " bytes), "
-       << wave.batched_launches << " batched launches, " << wave.evictions
-       << " evictions\n";
-  }
+  os << "  waves: " << wave.waves << " over " << wave.wave_requests
+     << " requests; " << wave.uploads << " uploads ("
+     << wave.coalesced_uploads << " coalesced, " << wave.deduped_uploads
+     << " deduped, " << wave.h2d_bytes << " bytes), "
+     << wave.batched_launches << " batched launches, " << wave.evictions
+     << " evictions\n";
   if (critpath_enabled) os << "  critpath: " << critpath.to_string() << "\n";
   if (!flame.empty()) os << "  schedule (glyph = request id, '.' = idle):\n"
                          << flame;
@@ -156,29 +159,24 @@ std::string BatchReport::to_json() const {
   os << "{\"requests\":" << requests << ",\"completed\":" << completed
      << ",\"degraded\":" << degraded
      << ",\"deadline_missed\":" << deadline_missed << ",\"shed\":" << shed
-     << ",\"faults\":" << faults_json(faults)
-     << ",\"backoff_jitter\":" << jbool(backoff_jitter)
-     << ",\"makespan_s\":" << jnum(makespan_s)
-     << ",\"sequential_estimate_s\":" << jnum(sequential_estimate_s)
-     << ",\"p50_latency_s\":" << jnum(p50_latency_s)
-     << ",\"p95_latency_s\":" << jnum(p95_latency_s)
-     << ",\"p99_latency_s\":" << jnum(p99_latency_s)
-     << ",\"cpu_busy_s\":" << jnum(cpu_busy_s)
-     << ",\"gpu_busy_s\":" << jnum(gpu_busy_s)
-     << ",\"h2d_busy_s\":" << jnum(h2d_busy_s)
-     << ",\"d2h_busy_s\":" << jnum(d2h_busy_s) << ",\"plan_cache\":{\"hits\":"
-     << plan_cache.hits << ",\"misses\":" << plan_cache.misses
+     << ",\"faults\":" << faults.to_json()
+     << ",\"backoff_jitter\":" << fmt_bool(backoff_jitter)
+     << ",\"makespan_s\":" << fmt_num(makespan_s)
+     << ",\"sequential_estimate_s\":" << fmt_num(sequential_estimate_s)
+     << ",\"p50_latency_s\":" << fmt_num(p50_latency_s)
+     << ",\"p95_latency_s\":" << fmt_num(p95_latency_s)
+     << ",\"p99_latency_s\":" << fmt_num(p99_latency_s)
+     << ",\"cpu_busy_s\":" << fmt_num(cpu_busy_s)
+     << ",\"gpu_busy_s\":" << fmt_num(gpu_busy_s)
+     << ",\"h2d_busy_s\":" << fmt_num(h2d_busy_s)
+     << ",\"d2h_busy_s\":" << fmt_num(d2h_busy_s)
+     << ",\"plan_cache\":{\"hits\":" << plan_cache.hits
+     << ",\"misses\":" << plan_cache.misses
      << ",\"evictions\":" << plan_cache.evictions
      << ",\"overwrites\":" << plan_cache.overwrites
      << ",\"quarantines\":" << plan_cache.quarantines
-     << "},\"workspace\":{\"spa_acquires\":" << workspace.spa_acquires
-     << ",\"spa_reuses\":" << workspace.spa_reuses
-     << ",\"coo_acquires\":" << workspace.coo_acquires
-     << ",\"coo_reuses\":" << workspace.coo_reuses << "}";
-  // Emitted only when the executor is on: a disabled service's JSON stays
-  // byte-identical to before the wave executor existed.
-  if (wave_enabled) os << ",\"wave\":" << wave.to_json();
-  // Same contract for the critical-path profiler (on by default).
+     << "},\"wave\":" << wave.to_json();
+  // Emitted only when the critical-path profiler is on (the default).
   if (critpath_enabled) os << ",\"critpath\":" << critpath.to_json();
   os << "}";
   return os.str();
@@ -272,8 +270,8 @@ std::size_t SpgemmService::submit(SpgemmRequest request) {
 
 void SpgemmService::invalidate_inputs() {
   signatures_.clear();
-  resident_.clear();
-  wave_resident_.clear();
+  checksums_.clear();
+  residency_.clear();
 }
 
 const MatrixSignature& SpgemmService::signature_of(const CsrMatrix* m) {
@@ -284,76 +282,31 @@ const MatrixSignature& SpgemmService::signature_of(const CsrMatrix* m) {
   return it->second;
 }
 
-BatchResult SpgemmService::drain() {
-  BatchResult out;
-  out.results.reserve(queue_.size());
-  out.requests.reserve(queue_.size());
-
-  // Fresh timelines per drain: the batch clock starts at 0. When a recorder
-  // is attached and enabled, every placement the timelines make is traced;
-  // `tr` is nullptr otherwise so instrumentation below is one branch.
-  TraceRecorder* tr = config_.trace != nullptr && config_.trace->enabled()
-                          ? config_.trace
-                          : nullptr;
-  ResourceTimeline cpu(Resource::kCpu, tr);
-  ResourceTimeline gpu(Resource::kGpu, tr);
-  ResourceTimeline h2d(Resource::kH2D, tr);
-  ResourceTimeline d2h(Resource::kD2H, tr);
-  // Placement provenance for the critical-path profiler (obs/critpath.hpp):
-  // when enabled, every positive-duration reservation below lands in `plog`
-  // with the request/wave context current at reservation time — the same
-  // scopes that set trace identity, but independent of tracing.
-  PlacementLog plog;
-  PlacementLog* pl = config_.critpath ? &plog : nullptr;
-  if (pl != nullptr) {
-    cpu.attach_placements(pl);
-    gpu.attach_placements(pl);
-    h2d.attach_placements(pl);
-    d2h.attach_placements(pl);
+std::uint64_t SpgemmService::content_key(const CsrMatrix* m) {
+  auto it = checksums_.find(m);
+  if (it == checksums_.end()) {
+    it = checksums_.emplace(m, matrix_checksum(*m)).first;
   }
-  WorkspacePool* ws = config_.use_workspace_pool ? &workspace_ : nullptr;
-  FaultInjector* fi = config_.fault_plan.enabled() ? &injector_ : nullptr;
-  const RecoveryPolicy& rp = config_.recovery;
-  const std::size_t first_id = next_id_ - queue_.size();
+  return it->second;
+}
 
-  std::vector<double> latencies;
-  latencies.reserve(queue_.size());
-  double makespan = 0;
-  double seq_estimate = 0;
+// One drain() pass. The queue is cut into waves (runtime/wave.hpp); each
+// wave uploads its distinct operands once, then every member request runs
+// the same stages — plan, upload gate, Phase II, Phase III (with the D2H
+// shipment or the CPU-only degrade), merge, accounting — on four
+// independently-clocked timelines. Every retried device operation goes
+// through attempt_with_retry.
+class SpgemmService::Drain {
+ public:
+  explicit Drain(SpgemmService& s);
+  BatchResult run();
 
-  // ---- Wave formation (Config::wave, runtime/wave.hpp): group the queue,
-  // in submit order, into waves of requests that share operands by content
-  // signature. Disabled, none of the wave code below runs and the drain is
-  // the legacy per-request loop, byte for byte.
-  const bool wave_on = config_.wave.enabled;
-  std::vector<WaveBounds> wave_bounds;
-  if (wave_on && !queue_.empty()) {
-    std::unordered_map<MatrixSignature, std::uint32_t, MatrixSignatureHash>
-        dense_ids;
-    std::vector<std::array<std::uint32_t, 2>> operand_ids;
-    operand_ids.reserve(queue_.size());
-    for (const SpgemmRequest& wr : queue_) {
-      const auto id_of = [&](const CsrMatrix* m) {
-        return dense_ids
-            .emplace(signature_of(m),
-                     static_cast<std::uint32_t>(dense_ids.size()))
-            .first->second;
-      };
-      const CsrMatrix* pb = wr.b != nullptr ? wr.b : wr.a;
-      const std::uint32_t ia = id_of(wr.a);
-      operand_ids.push_back({ia, pb != wr.a ? id_of(pb) : ia});
-    }
-    wave_bounds = form_waves(operand_ids, config_.wave.max_requests,
-                             config_.wave.max_operands);
-  }
-  WaveStats wstats;
-
-  // Per-wave operand table: distinct operands in first-use order, each with
-  // its refcount over the wave's requests, its upload outcome, and the
-  // spans/faults attributed to its first user.
+ private:
+  // One distinct operand of the wave in flight: its users, its upload
+  // outcome, and the spans/faults attributed to its first user.
   struct WaveOperand {
     const CsrMatrix* m = nullptr;
-    MatrixSignature sig;
+    std::uint64_t key = 0;      // content checksum: the residency key
     std::size_t first_req = 0;  // queue index of the first user
     int refs = 0;               // users among the wave's requests
     double ready_s = 0;         // device copy usable from here on
@@ -363,989 +316,880 @@ BatchResult SpgemmService::drain() {
     std::vector<StageSpan> spans;
     FaultRecoveryStats faults;
   };
-  std::vector<WaveOperand> wave_ops;
-  std::unordered_map<MatrixSignature, std::size_t, MatrixSignatureHash>
-      wave_op_index;
-  bool wave_gpu_lead_done = false;  // first healthy launch pays the overhead
-  std::size_t wave_idx = 0;
 
-  // Wave preamble: collect the wave's distinct operands, refcount their
-  // users, and upload each one exactly once. The happy path (every first
-  // attempt healthy) coalesces the uploads into one contiguous H2D block
-  // placed from ResourceTimeline::block_start — the lead transfer pays the
-  // link latency, followers stream back-to-back behind it (device/pcie.hpp
-  // batched costing). Under faults the pending operands fall back to
-  // per-operand retry loops mirroring the legacy upload path. Spans and
-  // fault counters are attributed to each operand's first user.
-  const auto begin_wave = [&](const WaveBounds& wb) {
-    wave_ops.clear();
-    wave_op_index.clear();
-    wave_gpu_lead_done = false;
-    wstats.waves++;
-    wstats.wave_requests += static_cast<std::int64_t>(wb.end - wb.begin);
-    if (tr != nullptr) {
-      tr->instant(TraceCategory::kWave, "wave-begin",
-                  std::max({cpu.now(), gpu.now(), h2d.now(), d2h.now()}));
-    }
-    for (std::size_t r = wb.begin; r < wb.end; ++r) {
-      const SpgemmRequest& rq = queue_[r];
-      if (rq.options.matrices_already_on_gpu) continue;
-      const CsrMatrix* prb = rq.b != nullptr ? rq.b : rq.a;
-      const CsrMatrix* operands[2] = {rq.a, prb != rq.a ? prb : nullptr};
-      for (const CsrMatrix* m : operands) {
-        if (m == nullptr) continue;
-        const MatrixSignature& sig = signature_of(m);
-        const auto [it, fresh] = wave_op_index.emplace(sig, wave_ops.size());
-        if (fresh) {
-          WaveOperand op;
-          op.m = m;
-          op.sig = sig;
-          op.first_req = r;
-          wave_ops.push_back(std::move(op));
-        }
-        wave_ops[it->second].refs++;
-      }
-    }
-    std::vector<std::size_t> pending;
-    for (std::size_t k = 0; k < wave_ops.size(); ++k) {
-      const auto rit = wave_resident_.find(wave_ops[k].sig);
-      if (rit != wave_resident_.end()) {
-        rit->second.refs += wave_ops[k].refs;  // already on device: reuse
-      } else {
-        pending.push_back(k);
-      }
-    }
-    if (pending.empty()) return;
-    const auto complete_upload = [&](WaveOperand& op, double ready) {
-      op.ready_s = ready;
-      wave_resident_.emplace(op.sig,
-                             WaveResident{matrix_checksum(*op.m), op.refs});
-      wstats.uploads++;
-      wstats.deduped_uploads += op.refs - 1;
-      wstats.h2d_bytes += static_cast<std::int64_t>(op.m->byte_size());
-    };
-    std::vector<DeviceAttempt> first;
-    first.reserve(pending.size());
-    bool any_fault = false;
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      first.push_back(platform_.link().h2d().matrix_transfer_attempt_batched(
-          *wave_ops[pending[k]].m, fi, /*lead=*/k == 0));
-      any_fault |= !first.back().ok;
-    }
-    if (!any_fault) {
-      double total = 0;
-      for (const DeviceAttempt& at : first) total += at.elapsed_s;
-      double cursor = h2d.block_start(0.0, total);
-      for (std::size_t k = 0; k < pending.size(); ++k) {
-        WaveOperand& op = wave_ops[pending[k]];
-        if (tr != nullptr) tr->begin_request(first_id + op.first_req);
-        if (pl != nullptr) pl->begin_request(first_id + op.first_req);
-        const StageSpan s =
-            h2d.reserve("wave-h2d-input", cursor, first[k].elapsed_s);
-        cursor = s.end_s;
-        op.spans.push_back(s);
-        op.attributed_s = first[k].elapsed_s;
-        complete_upload(op, s.end_s);
-        if (k > 0) wstats.coalesced_uploads++;
-      }
-      if (pl != nullptr) pl->end_request();
-      if (tr != nullptr) {
-        tr->end_request();
-        tr->instant_on(TraceCategory::kWave, "wave-h2d-coalesced",
-                       Resource::kH2D, cursor);
-      }
-      return;
-    }
-    // Fault fallback: sequential per-operand retry loops. Every attempt
-    // re-arbitrates the link, so every retry pays lead (full-latency)
-    // costing, exactly like the legacy path.
-    double chain = 0;
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      WaveOperand& op = wave_ops[pending[k]];
-      if (tr != nullptr) tr->begin_request(first_id + op.first_req);
-      if (pl != nullptr) pl->begin_request(first_id + op.first_req);
-      double prev_backoff_s = rp.backoff_base_s;
-      int failures = 0;
-      DeviceAttempt at = first[k];
-      for (;;) {
-        const char* name = at.ok        ? "wave-h2d-input"
-                           : at.corrupt ? "wave-h2d-input-corrupt"
-                                        : "wave-h2d-input-fault";
-        const StageSpan s = h2d.reserve(name, chain, at.elapsed_s);
-        op.spans.push_back(s);
-        op.attributed_s += at.elapsed_s;
-        chain = s.end_s;
-        if (at.ok) {
-          complete_upload(op, s.end_s);
-          break;
-        }
-        op.faults.h2d_faults++;
-        if (tr != nullptr) {
-          tr->instant_on(TraceCategory::kFault,
-                         at.corrupt ? "h2d-corrupt" : "h2d-fault",
-                         Resource::kH2D, s.end_s, at.op);
-        }
-        if (at.corrupt) {
-          op.faults.corruptions++;
-          // Never reuse a damaged device copy: any resident entry under
-          // this signature is evicted mid-wave before the re-upload.
-          if (wave_resident_.erase(op.sig) > 0) {
-            wstats.evictions++;
-            if (tr != nullptr) {
-              tr->instant_on(TraceCategory::kWave, "wave-evict-corrupt",
-                             Resource::kH2D, s.end_s, at.op);
-            }
-          }
-        }
-        ++failures;
-        if (failures >= rp.max_attempts) {
-          op.failed = true;
-          op.failed_at = s.end_s;
-          break;
-        }
-        op.faults.retries++;
-        if (tr != nullptr) {
-          tr->instant_on(TraceCategory::kRetry, "retry-h2d", Resource::kH2D,
-                         s.end_s, at.op);
-        }
-        double wait;
-        if (!rp.decorrelated_jitter) {
-          wait =
-              rp.backoff_base_s * std::pow(rp.backoff_multiplier, failures - 1);
-        } else {
-          const double u = jitter_rng_.uniform();
-          wait = rp.backoff_base_s +
-                 u * (3.0 * prev_backoff_s - rp.backoff_base_s);
-          if (rp.backoff_cap_s > 0 && wait > rp.backoff_cap_s) {
-            wait = rp.backoff_cap_s;
-          }
-          prev_backoff_s = wait;
-        }
-        op.faults.backoff_s += wait;
-        chain = s.end_s + wait;
-        at = platform_.link().h2d().matrix_transfer_attempt_batched(
-            *op.m, fi, /*lead=*/true);
-      }
-    }
-    if (tr != nullptr) tr->end_request();
-    if (pl != nullptr) pl->end_request();
-  };
+  // One request's state as it moves through the stages.
+  struct Request {
+    Request(std::size_t i, const SpgemmRequest& q)
+        : index(i), req(q), a(*q.a), b(q.b != nullptr ? *q.b : *q.a) {}
 
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (wave_on && wave_idx < wave_bounds.size() &&
-        i == wave_bounds[wave_idx].begin) {
-      // Placements from here to the next wave boundary (the preamble uploads
-      // and every member request's stages) carry this wave's index.
-      if (pl != nullptr) pl->set_wave(static_cast<int>(wave_idx));
-      begin_wave(wave_bounds[wave_idx]);
-      ++wave_idx;
-    }
-    const SpgemmRequest& req = queue_[i];
-    const CsrMatrix& a = *req.a;
-    const CsrMatrix& b = req.b != nullptr ? *req.b : a;
-    const CsrMatrix* pb = req.b != nullptr ? req.b : req.a;
-
+    std::size_t index;  // queue position
+    const SpgemmRequest& req;
+    const CsrMatrix& a;
+    const CsrMatrix& b;  // A for a self product
     RequestReport rr;
-    rr.request_id = first_id + i;
-    if (tr != nullptr) tr->begin_request(rr.request_id);
-    if (pl != nullptr) pl->begin_request(rr.request_id);
-    rr.label = req.label;
-    rr.submit_s = 0;
-    rr.deadline_s =
-        req.deadline_s > 0 ? req.deadline_s : config_.default_deadline_s;
-    RunReport& rep = rr.run;
-    rep.algorithm = "HH-CPU (pipelined)";
-
+    // Phase I.
+    bool cacheable = false;
+    bool tunable = false;
+    offset_t tuned_t = 0;  // the variant this request measures (0 = none)
+    PlanKey cache_key;
+    PartitionPlan plan;
+    // Outcome so far.
     bool cancelled = false;
     bool degraded = false;
     double degrade_at = 0;  // clock where the degrade decision landed
-
-    const auto past_deadline = [&](double t) {
-      return rr.deadline_s > 0 && t - rr.submit_s > rr.deadline_s + 1e-15;
-    };
-    // Decorrelated jitter carries the previous wait forward within one
-    // request; the legacy ladder is a pure function of the failure count.
-    double prev_backoff_s = rp.backoff_base_s;
-    const auto backoff_for = [&](int failures) {
-      if (!rp.decorrelated_jitter) {
-        return rp.backoff_base_s *
-               std::pow(rp.backoff_multiplier, failures - 1);
-      }
-      const double u = jitter_rng_.uniform();
-      double wait =
-          rp.backoff_base_s + u * (3.0 * prev_backoff_s - rp.backoff_base_s);
-      if (rp.backoff_cap_s > 0 && wait > rp.backoff_cap_s) {
-        wait = rp.backoff_cap_s;
-      }
-      prev_backoff_s = wait;
-      return wait;
-    };
-    // A CPU stage's duration plus any injected worker stall (stalls delay,
-    // never fail). Zero-duration stages consume no injector op so the fault
-    // schedule is stable across degenerate partitions. The stall is decided
-    // before the stage is placed, so its trace instant is deferred until the
-    // placed span is known — call note_stall(span) after the reserve.
-    double pending_stall_s = 0;
-    std::uint64_t pending_stall_op = kNoDeviceOp;
-    const auto stalled = [&](double base) {
-      pending_stall_s = 0;
-      pending_stall_op = kNoDeviceOp;
-      if (base <= 0) return base;
-      const DeviceAttempt at = platform_.cpu().stall_attempt(fi);
-      if (at.elapsed_s > 0) {
-        rr.faults.cpu_stalls++;
-        pending_stall_s = at.elapsed_s;
-        pending_stall_op = at.op;
-      }
-      return base + at.elapsed_s;
-    };
-    const auto note_stall = [&](const StageSpan& s) {
-      if (pending_stall_s > 0 && tr != nullptr) {
-        tr->instant_on(TraceCategory::kFault, "cpu-stall", Resource::kCpu,
-                       s.end_s, pending_stall_op);
-      }
-      pending_stall_s = 0;
-    };
-
-    // ---- Phase I: plan, through the cache when thresholds are not pinned.
-    offset_t t_a = req.options.threshold_a;
-    offset_t t_b = req.options.threshold_b;
-    const bool cacheable = t_a <= 0 || t_b <= 0;
-    // The autotuner engages only for fully-unpinned requests: a pinned
-    // threshold is the caller's explicit choice, never second-guessed.
-    const bool tunable = config_.tune.enabled && t_a <= 0 && t_b <= 0;
-    offset_t tuned_t = 0;  // the variant this request measures (0 = none)
-    PlanKey cache_key;
-    if (cacheable) {
-      cache_key = PlanKey{signature_of(req.a), signature_of(pb)};
-      if (const auto cached = plan_cache_.lookup(cache_key)) {
-        t_a = cached->threshold_a;
-        t_b = cached->threshold_b;
-        rr.plan_cache_hit = true;
-        if (tunable) {
-          if (!tuner_.has_entry(cache_key)) {
-            // Plan cached before tuning was enabled: one sweep adopts it.
-            tuner_.admit(cache_key, sweep_thresholds(a, b, platform_,
-                                                     calib_.corrections()));
-          }
-          const ThresholdTuner::Decision d = tuner_.decide(cache_key);
-          metrics_.counter("tune.decisions").inc();
-          tuned_t = d.t;
-          t_a = t_b = d.t;
-          if (d.explore) {
-            metrics_.counter("tune.explorations").inc();
-            if (tr != nullptr) {
-              tr->instant(TraceCategory::kTune, "tune-explore", rr.submit_s);
-            }
-          }
-        }
-      }
-    }
-    if (cacheable && tr != nullptr) {
-      tr->instant(TraceCategory::kScheduler,
-                  rr.plan_cache_hit ? "plan-cache-hit" : "plan-cache-miss",
-                  rr.submit_s);
-    }
-    if (tunable && !rr.plan_cache_hit) {
-      // Cold signature pair: run the analytic sweep once (with the current
-      // calibration corrections), remember the full ranking for later
-      // exploration, and serve its best. With an uncalibrated store this is
-      // exactly the pick make_partition_plan would have made on its own.
-      tuner_.admit(cache_key,
-                   sweep_thresholds(a, b, platform_, calib_.corrections()));
-      t_a = t_b = tuner_.incumbent(cache_key);
-      tuned_t = t_a;
-    }
-    const PartitionPlan plan = make_partition_plan(a, b, t_a, t_b, platform_);
-    if (cacheable && !rr.plan_cache_hit) {
-      CachedPlan fresh;
-      fresh.threshold_a = plan.a.threshold;
-      fresh.threshold_b = plan.b.threshold;
-      plan_cache_.insert(cache_key, fresh);
-    }
-    rep.threshold_a = plan.a.threshold;
-    rep.threshold_b = plan.b.threshold;
-    rep.high_rows_a = plan.a.high_count();
-    rep.high_rows_b = plan.b.high_count();
-
-    // A cache hit skips the identification pass but still classifies.
-    rep.phase1_s = rr.plan_cache_hit ? plan.classify_s : plan.phase1_s;
-    const StageSpan analyze =
-        cpu.reserve(rr.plan_cache_hit ? "analyze(cached-plan)" : "analyze",
-                    rr.submit_s, stalled(rep.phase1_s));
-    note_stall(analyze);
-    rr.spans.push_back(analyze);
-    if (past_deadline(analyze.end_s)) cancelled = true;
-
-    // ---- Input transfer on the H2D channel; resident operands skip it.
-    // Each non-resident operand is uploaded with bounded retries: a hard
-    // failure wastes part of the transfer, a corruption spends the whole
-    // transfer and is caught by checksum verification (the damaged device
-    // copy is never memoized as resident). Retry exhaustion flips the
-    // request to the CPU-only path — no GPU, no PCIe.
-    const bool on_gpu = req.options.matrices_already_on_gpu;
-    double tx_in_total = 0;
-    // When this request's operands are all usable on the device (uploads
-    // done, or nothing to ship). Gates the GPU-side stages below.
-    double tx_gate = rr.submit_s;
-    StageSpan tx_in_last{"h2d-input", Resource::kH2D, rr.submit_s,
-                         rr.submit_s};
-    if (wave_on) {
-      // Wave mode: the uploads already ran in the wave preamble. Collect
-      // this request's readiness gate, attribute each operand's upload
-      // spans/faults to its first user, and degrade every user of an
-      // operand whose upload retries were exhausted.
-      if (!on_gpu) {
-        const CsrMatrix* operands[2] = {req.a, pb != req.a ? pb : nullptr};
-        for (const CsrMatrix* m : operands) {
-          if (m == nullptr) continue;
-          WaveOperand& op = wave_ops[wave_op_index.at(signature_of(m))];
-          tx_gate = std::max(tx_gate, op.ready_s);
-          if (op.first_req == i) {
-            for (const StageSpan& s : op.spans) rr.spans.push_back(s);
-            rr.faults.accumulate(op.faults);
-            tx_in_total += op.attributed_s;
-          }
-          if (op.failed && !degraded) {
-            degraded = true;
-            degrade_at = std::max(degrade_at, op.failed_at);
-            if (tr != nullptr) {
-              tr->instant(TraceCategory::kDegrade, "degrade-to-cpu",
-                          op.failed_at);
-            }
-          }
-        }
-        if (!cancelled && past_deadline(tx_gate)) cancelled = true;
-      }
-    } else if (!cancelled && !on_gpu) {
-      const CsrMatrix* operands[2] = {req.a, pb != req.a ? pb : nullptr};
-      for (const CsrMatrix* m : operands) {
-        if (m == nullptr || resident_.count(m) != 0) continue;
-        int failures = 0;
-        double earliest = rr.submit_s;
-        for (;;) {
-          const DeviceAttempt at =
-              platform_.link().h2d().matrix_transfer_attempt(*m, fi);
-          const char* name = at.ok               ? "h2d-input"
-                             : at.corrupt        ? "h2d-input-corrupt"
-                                                 : "h2d-input-fault";
-          const StageSpan s = h2d.reserve(name, earliest, at.elapsed_s);
-          rr.spans.push_back(s);
-          tx_in_total += at.elapsed_s;
-          if (s.end_s > tx_in_last.end_s) tx_in_last = s;
-          if (at.ok) {
-            if (config_.keep_inputs_resident) {
-              resident_.emplace(m, matrix_checksum(*m));
-            }
-            if (past_deadline(s.end_s)) cancelled = true;
-            break;
-          }
-          rr.faults.h2d_faults++;
-          if (tr != nullptr) {
-            tr->instant_on(TraceCategory::kFault,
-                           at.corrupt ? "h2d-corrupt" : "h2d-fault",
-                           Resource::kH2D, s.end_s, at.op);
-          }
-          if (at.corrupt) {
-            rr.faults.corruptions++;
-            resident_.erase(m);  // never reuse a damaged device copy
-          }
-          ++failures;
-          if (past_deadline(s.end_s)) {
-            cancelled = true;
-            break;
-          }
-          if (failures >= rp.max_attempts) {
-            degraded = true;
-            degrade_at = std::max(degrade_at, s.end_s);
-            if (tr != nullptr) {
-              tr->instant(TraceCategory::kDegrade, "degrade-to-cpu", s.end_s);
-            }
-            break;
-          }
-          rr.faults.retries++;
-          if (tr != nullptr) {
-            tr->instant_on(TraceCategory::kRetry, "retry-h2d", Resource::kH2D,
-                           s.end_s, at.op);
-          }
-          const double wait = backoff_for(failures);
-          rr.faults.backoff_s += wait;
-          earliest = s.end_s + wait;
-        }
-        if (cancelled || degraded) break;
-      }
-    }
-    if (!wave_on) tx_gate = tx_in_last.end_s;
-    rr.inputs_resident = tx_in_total == 0;
-    rep.transfer_in_s = tx_in_total;
-
-    // ---- Phase II numerics + scheduling. The numeric work always executes
-    // host-side with the same decomposition, so retries and degradation
-    // cannot change the output bits.
+    double tx_gate = 0;     // operands usable on the device from here on
     Phase2Result p2;
-    bool p2_live = false;
+    bool p2_live = false;  // p2's tuple buffers not yet consumed
     WorkQueueResult q;
+    bool q_ran = false;
     MergeResult merged;
     bool have_output = false;
-    StageSpan cpu2{}, gpu2{}, q_cpu{}, tx_out{}, deg{}, merge{};
+    StageSpan analyze{}, cpu2{}, gpu2{}, q_cpu{}, q_gpu{}, tx_out{}, deg{};
 
-    if (!cancelled) {
-      p2 = run_phase2(a, b, plan, platform_, pool_, ws);
-      p2_live = true;
-      rep.phase2_cpu_s = p2.cpu_s;
-      rep.phase2_gpu_s = p2.gpu_s;
-      rep.phase2_s = HeteroPlatform::overlap(p2.cpu_s, p2.gpu_s);
-      cpu2 = cpu.reserve("phase2-cpu", analyze.end_s, stalled(p2.cpu_s));
-      note_stall(cpu2);
-      rr.spans.push_back(cpu2);
-      if (past_deadline(cpu2.end_s)) cancelled = true;
-
-      // GPU side of Phase II: re-launch on transient aborts, degrade after
-      // the request's N-th GPU failure.
-      gpu2 = StageSpan{"phase2-gpu", Resource::kGpu, analyze.end_s,
-                       analyze.end_s};
-      if (!cancelled && !degraded && p2.gpu_s > 0) {
-        double earliest = std::max(analyze.end_s, tx_gate);
-        for (;;) {
-          // In a wave, the first healthy Phase II launch is the lead and
-          // pays the kernel-launch overhead; same-wave followers skip it
-          // (batched costing). rep.phase2_* stay the model times from
-          // run_phase2, so tuner feedback is identical wave-on and -off.
-          const DeviceAttempt at =
-              wave_on ? platform_.gpu().kernel_attempt_batched(
-                            p2.ll_stats, fi, /*lead=*/!wave_gpu_lead_done)
-                      : platform_.gpu().kernel_attempt(p2.ll_stats, fi);
-          const StageSpan s = gpu.reserve(
-              at.ok ? "phase2-gpu" : "phase2-gpu-abort", earliest,
-              at.elapsed_s);
-          rr.spans.push_back(s);
-          if (at.ok) {
-            gpu2 = s;
-            if (wave_on && at.elapsed_s > 0) {
-              if (wave_gpu_lead_done) wstats.batched_launches++;
-              wave_gpu_lead_done = true;
-            }
-            if (past_deadline(s.end_s)) cancelled = true;
-            break;
-          }
-          rr.faults.gpu_aborts++;
-          if (tr != nullptr) {
-            tr->instant_on(TraceCategory::kFault, "gpu-abort", Resource::kGpu,
-                           s.end_s, at.op);
-          }
-          if (past_deadline(s.end_s)) {
-            cancelled = true;
-            break;
-          }
-          if (rr.faults.gpu_aborts >= rp.gpu_failures_before_degrade) {
-            degraded = true;
-            degrade_at = std::max(degrade_at, s.end_s);
-            if (tr != nullptr) {
-              tr->instant(TraceCategory::kDegrade, "degrade-to-cpu", s.end_s);
-            }
-            break;
-          }
-          rr.faults.retries++;
-          if (tr != nullptr) {
-            tr->instant_on(TraceCategory::kRetry, "retry-gpu", Resource::kGpu,
-                           s.end_s, at.op);
-          }
-          const double wait = backoff_for(rr.faults.gpu_aborts);
-          rr.faults.backoff_s += wait;
-          earliest = s.end_s + wait;
-        }
-      }
+    bool past_deadline(double t) const {
+      return rr.deadline_s > 0 && t - rr.submit_s > rr.deadline_s + 1e-15;
     }
-
-    // ---- Phase III: the double-ended queue occupies both devices from
-    // their current frontiers. A degraded request re-plans the queue with
-    // the GPU never joining: every unit runs on the CPU end — the CPU-only
-    // Gustavson path — and the tuple stream (hence the output) is unchanged.
-    bool q_ran = false;
-    if (!cancelled) {
-      const double cpu_q_start =
-          std::max({cpu.now(), analyze.end_s, cpu2.end_s});
-      const double gpu_q_start =
-          degraded ? kGpuNeverJoins
-                   : std::max({gpu.now(), analyze.end_s, tx_gate,
-                               gpu2.end_s});
-      q = run_phase3(a, b, plan, req.options.queue, cpu_q_start, gpu_q_start,
-                     platform_, pool_, ws);
-      q_ran = true;
-      rep.phase3_cpu_s = q.cpu_busy;
-      rep.phase3_gpu_s = q.gpu_busy;
-      rep.phase3_s = HeteroPlatform::overlap(q.cpu_busy, q.gpu_busy);
-      rep.queue_cpu_units = q.cpu_units;
-      rep.queue_gpu_units = q.gpu_units;
-      q_cpu = cpu.reserve("phase3-cpu", cpu_q_start, stalled(q.cpu_busy));
-      note_stall(q_cpu);
-      rr.spans.push_back(q_cpu);
-      if (past_deadline(q_cpu.end_s)) cancelled = true;
-
-      StageSpan q_gpu{"phase3-gpu", Resource::kGpu, gpu2.end_s, gpu2.end_s};
-      if (!cancelled && !degraded && q.gpu_busy > 0) {
-        double earliest = gpu_q_start;
-        for (;;) {
-          const DeviceAttempt at =
-              platform_.gpu().kernel_attempt(q.gpu_stats, fi);
-          // The queue's GPU share executes as one fault domain: an abort
-          // re-runs the whole share (its units were a single stream of
-          // back-to-back launches feeding one tuple buffer).
-          const double dur = at.ok ? q.gpu_busy : at.elapsed_s;
-          const StageSpan s = gpu.reserve(
-              at.ok ? "phase3-gpu" : "phase3-gpu-abort", earliest, dur);
-          rr.spans.push_back(s);
-          if (at.ok) {
-            q_gpu = s;
-            if (past_deadline(s.end_s)) cancelled = true;
-            break;
-          }
-          rr.faults.gpu_aborts++;
-          if (tr != nullptr) {
-            tr->instant_on(TraceCategory::kFault, "gpu-abort", Resource::kGpu,
-                           s.end_s, at.op);
-          }
-          if (past_deadline(s.end_s)) {
-            cancelled = true;
-            break;
-          }
-          if (rr.faults.gpu_aborts >= rp.gpu_failures_before_degrade) {
-            degraded = true;
-            degrade_at = std::max(degrade_at, s.end_s);
-            if (tr != nullptr) {
-              tr->instant(TraceCategory::kDegrade, "degrade-to-cpu", s.end_s);
-            }
-            break;
-          }
-          rr.faults.retries++;
-          if (tr != nullptr) {
-            tr->instant_on(TraceCategory::kRetry, "retry-gpu", Resource::kGpu,
-                           s.end_s, at.op);
-          }
-          const double wait = backoff_for(rr.faults.gpu_aborts);
-          rr.faults.backoff_s += wait;
-          earliest = s.end_s + wait;
-        }
-      }
-
-      // ---- D2H shipment of the GPU tuples (skipped when degraded: the CPU
-      // recomputes the GPU share locally, nothing crosses the link).
-      if (!cancelled && !degraded) {
-        const std::int64_t gpu_tuples =
-            p2.ll_stats.tuples + q.gpu_stats.tuples;
-        if (gpu_tuples > 0) {
-          int failures = 0;
-          double earliest = std::max(gpu2.end_s, q_gpu.end_s);
-          for (;;) {
-            const DeviceAttempt at =
-                platform_.link().d2h().tuple_transfer_attempt(gpu_tuples, fi);
-            const char* name = at.ok               ? "d2h-tuples"
-                               : at.corrupt        ? "d2h-tuples-corrupt"
-                                                   : "d2h-tuples-fault";
-            const StageSpan s = d2h.reserve(name, earliest, at.elapsed_s);
-            rr.spans.push_back(s);
-            rep.transfer_out_s += at.elapsed_s;
-            if (at.ok) {
-              tx_out = s;
-              if (past_deadline(s.end_s)) cancelled = true;
-              break;
-            }
-            rr.faults.d2h_faults++;
-            if (tr != nullptr) {
-              tr->instant_on(TraceCategory::kFault,
-                             at.corrupt ? "d2h-corrupt" : "d2h-fault",
-                             Resource::kD2H, s.end_s, at.op);
-            }
-            if (at.corrupt) rr.faults.corruptions++;
-            ++failures;
-            if (past_deadline(s.end_s)) {
-              cancelled = true;
-              break;
-            }
-            if (failures >= rp.max_attempts) {
-              degraded = true;
-              degrade_at = std::max(degrade_at, s.end_s);
-              if (tr != nullptr) {
-                tr->instant(TraceCategory::kDegrade, "degrade-to-cpu",
-                            s.end_s);
-              }
-              break;
-            }
-            rr.faults.retries++;
-            if (tr != nullptr) {
-              tr->instant_on(TraceCategory::kRetry, "retry-d2h",
-                             Resource::kD2H, s.end_s, at.op);
-            }
-            const double wait = backoff_for(failures);
-            rr.faults.backoff_s += wait;
-            earliest = s.end_s + wait;
-          }
-        }
-      }
-
-      // ---- Degraded re-plan: the CPU redoes the GPU's share (Phase II
-      // A_L×B_L and whatever the queue had assigned to the GPU) with its
-      // own cost model. Numerically this is the same host-side Gustavson
-      // work that produced the tuples, so the output bits are unchanged.
-      if (!cancelled && degraded) {
-        const double extra =
-            platform_.cpu().kernel_time(p2.ll_stats, plan.ws_bl_bytes,
-                                        /*rewritten=*/true,
-                                        /*blockable=*/false) +
-            platform_.cpu().kernel_time(q.gpu_stats, plan.ws_bl_bytes,
-                                        /*rewritten=*/true,
-                                        /*blockable=*/false);
-        if (extra > 0) {
-          deg = cpu.reserve("degraded-cpu-replan",
-                            std::max({q_cpu.end_s, cpu2.end_s, degrade_at}),
-                            extra);
-          rr.spans.push_back(deg);
-          if (past_deadline(deg.end_s)) cancelled = true;
-        }
-      }
+    void check_deadline(double t) {
+      if (past_deadline(t)) cancelled = true;
     }
+  };
 
-    rep.flops = p2.hh_stats.flops + p2.ll_stats.flops + q.cpu_stats.flops +
-                q.gpu_stats.flops;
-    const double seq_tx_in =
-        platform_.link().h2d().matrix_transfer_time(a) +
-        (&b != &a ? platform_.link().h2d().matrix_transfer_time(b) : 0.0);
+  // How one retried operation ended: ok, or failed (retries exhausted, or
+  // the owning request's deadline passed). `last` is the final attempt.
+  struct Retried {
+    bool ok = false;
+    StageSpan last{};
+    DeviceAttempt attempt;
+    double elapsed_s = 0;  // summed over every attempt
+  };
 
-    // ---- Phase IV merge (consumes the tuple buffers, releasing pooled
-    // ones, so it runs whenever Phase III did — even for a request that is
-    // already past its deadline, so cancellation never leaks a pooled
-    // buffer). A request cancelled before Phase III releases the Phase II
-    // buffers directly.
-    if (p2_live && !q_ran) {
-      if (ws != nullptr) {
-        ws->release_coo(std::move(p2.hh_tuples));
-        ws->release_coo(std::move(p2.ll_tuples));
-      }
-      p2_live = false;
-    } else if (p2_live) {
-      merged = run_phase4(std::move(p2), std::move(q), platform_, pool_, ws);
-      p2_live = false;
-      rep.merge = merged.merge;
-      rep.phase4_s = merged.cpu_s;
-      if (!cancelled) {
-        merge = cpu.reserve(
-            "merge",
-            std::max({q_cpu.end_s, tx_out.end_s, deg.end_s, cpu2.end_s}),
-            stalled(merged.cpu_s));
-        note_stall(merge);
-        rr.spans.push_back(merge);
-        if (past_deadline(merge.end_s)) {
-          cancelled = true;
-        } else {
-          have_output = true;
-        }
-      }
-    }
+  std::vector<WaveBounds> form_waves_for_queue();
+  void begin_wave(const WaveBounds& wb);
+  void upload(const std::vector<std::size_t>& pending);
+  void uploaded(WaveOperand& op, double ready_s);
+  template <typename Attempt>
+  Retried attempt_with_retry(ResourceTimeline& lane, const StageNames& names,
+                             double ready, double earliest, Attempt&& attempt,
+                             FaultRecoveryStats& faults,
+                             std::vector<StageSpan>& spans, Request* owner);
+  StageSpan cpu_stage(Request& r, const char* name, double earliest,
+                      double base);
+  void degrade(Request& r, double at);
+  void scope(std::size_t queue_index);
+  void unscope();
+  double lanes_now() const;
 
-    // ---- Request accounting.
-    std::erase_if(rr.spans,
-                  [](const StageSpan& s) { return s.duration_s() <= 0; });
-    rr.start_s = rr.submit_s;
-    rr.finish_s = rr.submit_s;
-    for (std::size_t k = 0; k < rr.spans.size(); ++k) {
-      rr.start_s = k == 0 ? rr.spans[k].start_s
-                          : std::min(rr.start_s, rr.spans[k].start_s);
-      rr.finish_s = std::max(rr.finish_s, rr.spans[k].end_s);
-    }
-    rr.queue_wait_s = rr.start_s - rr.submit_s;
-    rr.latency_s = rr.finish_s - rr.submit_s;
-    rr.degraded_to_cpu = degraded;
-    if (cancelled) {
-      rr.deadline_missed = true;
-      std::ostringstream os;
-      os << "deadline of " << rr.deadline_s << " s exceeded at "
-         << rr.finish_s << " s; request cancelled";
-      rr.status = Status{StatusCode::kDeadlineExceeded, os.str()};
-      if (tr != nullptr) {
-        tr->instant(TraceCategory::kCancel, "deadline-cancel", rr.finish_s);
-      }
-      // The plan this request rode on is suspect until re-identified.
-      if (cacheable && rr.plan_cache_hit) plan_cache_.quarantine(cache_key);
-    }
-    rep.output_nnz = have_output ? merged.c.nnz() : 0;
-    rep.total_s = rr.latency_s;
+  void run_request(std::size_t i);
+  void plan(Request& r);
+  void gate_uploads(Request& r);
+  void phase2(Request& r);
+  void phase3(Request& r);
+  void ship_tuples(Request& r);
+  void replan_degraded(Request& r);
+  void merge(Request& r);
+  void settle(Request& r);
+  void feed_tuner(Request& r);
+  void record(Request& r);
+  void release_operands(const Request& r);
 
-    // ---- Feed the tuner: only clean requests observe. A faulted, degraded
-    // or cancelled request's timings measure the fault plan, not the plan
-    // quality, and would poison both the variant table and the calibration.
-    if (tunable && tuned_t > 0 && !cancelled && !degraded &&
-        rr.faults.total_faults() == 0) {
-      // What the threshold choice actually controls: compute + merge +
-      // output shipment. Queue wait and input transfer are workload state.
-      const double measured =
-          rep.phase2_s + rep.phase3_s + rep.phase4_s + rep.transfer_out_s;
-      metrics_.counter("tune.measurements").inc();
-      if (const auto promo = tuner_.observe(cache_key, tuned_t, measured)) {
-        CachedPlan promoted;
-        promoted.threshold_a = promo->to_t;
-        promoted.threshold_b = promo->to_t;
-        promoted.version = promo->version;
-        promoted.measured_s = promo->to_best_s;
-        plan_cache_.insert(cache_key, promoted);
-        metrics_.counter("tune.promotions").inc();
-        if (tr != nullptr) {
-          tr->instant(TraceCategory::kTune, "tune-promote", rr.finish_s);
-        }
-      }
-      // Calibrate the cost model against this request's observed stage
-      // times (per device; transfers only when bytes actually moved).
-      const PredictedBreakdown pred =
-          predict_breakdown(a, b, tuned_t, platform_);
-      const double obs_cpu = rep.phase2_cpu_s + rep.phase3_cpu_s + rep.phase4_s;
-      const double obs_gpu = rep.phase2_gpu_s + rep.phase3_gpu_s;
-      bool drift = false;
-      drift |= calib_.record(CalibrationStore::Device::kCpu, pred.cpu_s,
-                             obs_cpu);
-      drift |= calib_.record(CalibrationStore::Device::kGpu, pred.gpu_s,
-                             obs_gpu);
-      if (rep.transfer_in_s > 0) {
-        drift |= calib_.record(CalibrationStore::Device::kH2D, pred.h2d_s,
-                               rep.transfer_in_s);
-      }
-      if (rep.transfer_out_s > 0) {
-        drift |= calib_.record(CalibrationStore::Device::kD2H, pred.d2h_s,
-                               rep.transfer_out_s);
-      }
-      if (drift) {
-        metrics_.counter("tune.drift_events").inc();
-        if (tr != nullptr) {
-          tr->instant(TraceCategory::kTune, "tune-drift", rr.finish_s);
-        }
-      }
-    }
+  void finish_batch();
+  void profile_critical_path(BatchReport& batch);
+  void publish_metrics(BatchReport& batch);
 
-    makespan = std::max(makespan, rr.finish_s);
-    latencies.push_back(rr.latency_s);
+  SpgemmService& s_;
+  const HeteroPlatform& platform_;
+  const RecoveryPolicy& rp_;
+  // Fresh timelines per drain: the batch clock starts at 0. When a recorder
+  // is attached and enabled, every placement the timelines make is traced;
+  // tr_ is nullptr otherwise so instrumentation is one branch.
+  TraceRecorder* tr_;
+  ResourceTimeline cpu_, gpu_, h2d_, d2h_;
+  // Placement provenance for the critical-path profiler: every
+  // positive-duration reservation lands in plog_ with the request/wave
+  // context current at reservation time.
+  PlacementLog plog_;
+  PlacementLog* pl_;
+  WorkspacePool* ws_;
+  FaultInjector* fi_;
+  std::size_t first_id_;
+  WaveStats wstats_;
+  std::vector<WaveOperand> wave_ops_;
+  std::unordered_map<std::uint64_t, std::size_t> wave_op_index_;
+  bool gpu_lead_done_ = false;  // the wave's first healthy launch happened
+  std::vector<double> latencies_;
+  double makespan_ = 0;
+  double seq_estimate_ = 0;
+  BatchResult out_;
+};
 
-    // First-order cost of the same request under the serial driver: cold
-    // transfers, cold identification, single-clock overlap accounting.
-    const double seq_cpu_end = plan.phase1_s + rep.phase2_cpu_s + q.cpu_busy;
-    const double seq_gpu_end =
-        plan.phase1_s + seq_tx_in + rep.phase2_gpu_s + q.gpu_busy;
-    seq_estimate += std::max(seq_cpu_end, seq_gpu_end) + rep.transfer_out_s +
-                    rep.phase4_s;
-
-    // ---- Flight recorder + SLO feed: the record carries everything the
-    // replay harness needs to re-drive the request (signatures, arrival on
-    // the recorder's accumulated clock, deadline, pinned thresholds) and to
-    // judge the replay (outcome, chosen thresholds, stage totals).
-    if (config_.recorder != nullptr) {
-      WorkloadRecord w;
-      w.id = rr.request_id;
-      w.label = rr.label;
-      w.a = signature_of(req.a);
-      w.b = signature_of(pb);
-      w.submit_s = config_.recorder->clock() + rr.submit_s;
-      w.deadline_s = rr.deadline_s;
-      w.pin_ta = req.options.threshold_a;
-      w.pin_tb = req.options.threshold_b;
-      w.ta = rep.threshold_a;
-      w.tb = rep.threshold_b;
-      w.status = hh::to_string(rr.status.code);
-      w.cache_hit = rr.plan_cache_hit;
-      w.degraded = rr.degraded_to_cpu;
-      w.deadline_missed = rr.deadline_missed;
-      w.latency_s = rr.latency_s;
-      w.queue_wait_s = rr.queue_wait_s;
-      w.phase1_s = rep.phase1_s;
-      w.phase2_s = rep.phase2_s;
-      w.phase3_s = rep.phase3_s;
-      w.phase4_s = rep.phase4_s;
-      w.tx_in_s = rep.transfer_in_s;
-      w.tx_out_s = rep.transfer_out_s;
-      w.output_nnz = rep.output_nnz;
-      w.faults = rr.faults.total_faults();
-      w.retries = rr.faults.retries;
-      config_.recorder->append(std::move(w));
-    }
-    if (config_.slo != nullptr) {
-      config_.slo->observe(rr.latency_s, rr.status.ok(), rr.deadline_missed,
-                           rr.finish_s);
-    }
-
-    // ---- Wave residency refcounts: this request no longer needs its
-    // operands. With keep_inputs_resident == false the last user's finish
-    // evicts the device copy — mid-wave, when an operand's users all sit
-    // early in the wave.
-    if (wave_on && !on_gpu) {
-      const CsrMatrix* operands[2] = {req.a, pb != req.a ? pb : nullptr};
-      for (const CsrMatrix* m : operands) {
-        if (m == nullptr) continue;
-        const auto rit = wave_resident_.find(signature_of(m));
-        if (rit == wave_resident_.end()) continue;
-        if (--rit->second.refs <= 0 && !config_.keep_inputs_resident) {
-          wave_resident_.erase(rit);
-          wstats.evictions++;
-          if (tr != nullptr) {
-            tr->instant(TraceCategory::kWave, "wave-evict", rr.finish_s);
-          }
-        }
-      }
-    }
-
-    RunResult res;
-    if (have_output) res.c = std::move(merged.c);
-    res.report = rep;
-    out.results.push_back(std::move(res));
-    out.requests.push_back(std::move(rr));
-    if (tr != nullptr) tr->end_request();
-    if (pl != nullptr) pl->end_request();
-    if (wave_on && tr != nullptr && wave_idx > 0 &&
-        i + 1 == wave_bounds[wave_idx - 1].end) {
-      tr->instant(TraceCategory::kWave, "wave-end",
-                  std::max({cpu.now(), gpu.now(), h2d.now(), d2h.now()}));
+SpgemmService::Drain::Drain(SpgemmService& s)
+    : s_(s),
+      platform_(s.platform_),
+      rp_(s.config_.recovery),
+      tr_(s.config_.trace != nullptr && s.config_.trace->enabled()
+              ? s.config_.trace
+              : nullptr),
+      cpu_(Resource::kCpu, tr_),
+      gpu_(Resource::kGpu, tr_),
+      h2d_(Resource::kH2D, tr_),
+      d2h_(Resource::kD2H, tr_),
+      pl_(s.config_.critpath ? &plog_ : nullptr),
+      ws_(s.config_.use_workspace_pool ? &s.workspace_ : nullptr),
+      fi_(s.config_.fault_plan.enabled() ? &s.injector_ : nullptr),
+      first_id_(s.next_id_ - s.queue_.size()) {
+  if (pl_ != nullptr) {
+    for (ResourceTimeline* t : {&cpu_, &gpu_, &h2d_, &d2h_}) {
+      t->attach_placements(pl_);
     }
   }
-  queue_.clear();
+}
 
-  BatchReport& batch = out.batch;
-  batch.requests = out.requests.size();
-  batch.makespan_s = makespan;
-  batch.sequential_estimate_s = seq_estimate;
-  batch.p50_latency_s = percentile(latencies, 0.50);
-  batch.p95_latency_s = percentile(latencies, 0.95);
-  batch.p99_latency_s = percentile(latencies, 0.99);
-  batch.cpu_busy_s = cpu.busy();
-  batch.gpu_busy_s = gpu.busy();
-  batch.h2d_busy_s = h2d.busy();
-  batch.d2h_busy_s = d2h.busy();
-  batch.plan_cache = plan_cache_.stats();
-  batch.workspace = workspace_.stats();
-  batch.backoff_jitter = rp.decorrelated_jitter;
-  batch.wave_enabled = wave_on;
-  if (wave_on) {
-    batch.wave = wstats;
-    metrics_.counter("wave.waves").inc(wstats.waves);
-    metrics_.counter("wave.requests").inc(wstats.wave_requests);
-    metrics_.counter("wave.uploads").inc(wstats.uploads);
-    metrics_.counter("wave.deduped_uploads").inc(wstats.deduped_uploads);
-    metrics_.counter("wave.coalesced_uploads").inc(wstats.coalesced_uploads);
-    metrics_.counter("wave.batched_launches").inc(wstats.batched_launches);
-    metrics_.counter("wave.evictions").inc(wstats.evictions);
-    metrics_.counter("wave.h2d_bytes").inc(wstats.h2d_bytes);
+BatchResult SpgemmService::drain() { return Drain(*this).run(); }
+
+BatchResult SpgemmService::Drain::run() {
+  const std::size_t n = s_.queue_.size();
+  out_.results.reserve(n);
+  out_.requests.reserve(n);
+  latencies_.reserve(n);
+  const std::vector<WaveBounds> waves = form_waves_for_queue();
+  for (std::size_t w = 0; w < waves.size(); ++w) {
+    // Placements from here to the next wave boundary (the preamble uploads
+    // and every member request's stages) carry this wave's index.
+    if (pl_ != nullptr) pl_->set_wave(static_cast<int>(w));
+    begin_wave(waves[w]);
+    for (std::size_t i = waves[w].begin; i < waves[w].end; ++i) {
+      run_request(i);
+    }
+    if (tr_ != nullptr) {
+      tr_->instant(TraceCategory::kWave, "wave-end", lanes_now());
+    }
   }
+  s_.queue_.clear();
+  finish_batch();
+  return std::move(out_);
+}
 
-  // ---- Critical-path profile (obs/critpath.hpp): attribute the makespan.
-  batch.critpath_enabled = pl != nullptr;
-  if (pl != nullptr) {
-    // Invariant: the provenance log is attribution-complete — per resource,
-    // the sum of logged placement durations equals the timeline's busy time
-    // (both only ever grow by positive-duration reservations).
-    const double busy[kResourceCount] = {cpu.busy(), gpu.busy(), h2d.busy(),
-                                         d2h.busy()};
-    for (int r = 0; r < kResourceCount; ++r) {
-      const double attributed =
-          pl->attributed_busy_s(static_cast<Resource>(r));
-      HH_CHECK_MSG(std::abs(attributed - busy[r]) <=
-                       1e-9 * std::max(1.0, busy[r]),
-                   "placement log does not cover the timeline's busy time");
-    }
-    std::vector<CritPathRequestInfo> infos;
-    infos.reserve(out.requests.size());
-    for (const RequestReport& r : out.requests) {
-      CritPathRequestInfo info;
-      info.request_id = r.request_id;
-      info.label = r.label;
-      info.queue_wait_s = r.queue_wait_s;
-      info.latency_s = r.latency_s;
-      info.backoff_s = r.faults.backoff_s;
-      infos.push_back(std::move(info));
-    }
-    batch.critpath = compute_critical_path(pl->placements(), makespan, infos);
-    const CritPathReport& cp = batch.critpath;
-    const double denom = std::max(cp.makespan_s, 1e-300);
-    for (int r = 0; r < kResourceCount; ++r) {
-      const char* lane = crit_lane_name(r);
-      double queueing = 0;
-      Histogram& qd = metrics_.histogram(
-          std::string("critpath.queue_delay_s.") + lane, latency_buckets_s());
-      for (const Placement& p : pl->placements()) {
-        if (static_cast<int>(p.resource) != r) continue;
-        const double delay = std::max(0.0, p.queue_delay_s());
-        queueing += delay;
-        qd.observe(delay);
+// ---- Waves.
+
+// Waves group the queue, in submit order, by operand content; with the
+// wave executor disabled every wave holds one request.
+std::vector<WaveBounds> SpgemmService::Drain::form_waves_for_queue() {
+  std::unordered_map<std::uint64_t, std::uint32_t> dense_ids;
+  std::vector<std::array<std::uint32_t, 2>> operand_ids;
+  operand_ids.reserve(s_.queue_.size());
+  const auto id_of = [&](const CsrMatrix* m) {
+    return dense_ids
+        .emplace(s_.content_key(m),
+                 static_cast<std::uint32_t>(dense_ids.size()))
+        .first->second;
+  };
+  for (const SpgemmRequest& q : s_.queue_) {
+    const auto [a, b] = operands_of(q);
+    const std::uint32_t ia = id_of(a);
+    operand_ids.push_back({ia, b != nullptr ? id_of(b) : ia});
+  }
+  const WaveConfig& wc = s_.config_.wave;
+  return form_waves(operand_ids, wc.enabled ? wc.max_requests : 1,
+                    wc.max_operands);
+}
+
+// Wave preamble: collect the wave's distinct operands, refcount their users,
+// and upload each one not already resident exactly once.
+void SpgemmService::Drain::begin_wave(const WaveBounds& wb) {
+  wave_ops_.clear();
+  wave_op_index_.clear();
+  gpu_lead_done_ = false;
+  wstats_.waves++;
+  wstats_.wave_requests += static_cast<std::int64_t>(wb.end - wb.begin);
+  if (tr_ != nullptr) {
+    tr_->instant(TraceCategory::kWave, "wave-begin", lanes_now());
+  }
+  for (std::size_t r = wb.begin; r < wb.end; ++r) {
+    const SpgemmRequest& q = s_.queue_[r];
+    if (q.options.matrices_already_on_gpu) continue;
+    for (const CsrMatrix* m : operands_of(q)) {
+      if (m == nullptr) continue;
+      const std::uint64_t key = s_.content_key(m);
+      const auto [it, fresh] = wave_op_index_.emplace(key, wave_ops_.size());
+      if (fresh) {
+        WaveOperand op;
+        op.m = m;
+        op.key = key;
+        op.first_req = r;
+        wave_ops_.push_back(std::move(op));
       }
-      metrics_.gauge(std::string("critpath.") + lane + ".busy_frac")
-          .set(cp.makespan_s > 0 ? busy[r] / denom : 0.0);
-      metrics_.gauge(std::string("critpath.") + lane + ".blocked_frac")
-          .set(cp.makespan_s > 0 ? queueing / denom : 0.0);
-      metrics_.gauge(std::string("critpath.") + lane + ".idle_frac")
-          .set(cp.makespan_s > 0 ? 1.0 - busy[r] / denom : 0.0);
-      metrics_.gauge(std::string("critpath.") + lane + ".crit_s")
-          .set(cp.attributed_s[r]);
+      wave_ops_[it->second].refs++;
     }
-    metrics_.gauge("critpath.idle.crit_s").set(cp.attributed_s[kIdleLane]);
-    metrics_.gauge("critpath.bottleneck")
-        .set(static_cast<double>(cp.bottleneck_lane()));
-    if (tr != nullptr) {
-      // One instant per chain step; the Perfetto exporter links them with
-      // flow arrows so the critical chain reads as one thread of causality.
-      for (const CritPathStep& s : cp.steps) {
-        if (s.lane < kResourceCount) {
-          tr->instant_on(TraceCategory::kCritPath, "crit-step",
-                         static_cast<Resource>(s.lane), s.start_s);
-        } else {
-          tr->instant(TraceCategory::kCritPath, "crit-idle", s.start_s);
+  }
+  std::vector<std::size_t> pending;
+  for (std::size_t k = 0; k < wave_ops_.size(); ++k) {
+    const auto rit = s_.residency_.find(wave_ops_[k].key);
+    if (rit != s_.residency_.end()) {
+      rit->second += wave_ops_[k].refs;  // already on the device: reuse
+    } else {
+      pending.push_back(k);
+    }
+  }
+  if (!pending.empty()) upload(pending);
+}
+
+// Every upload is runnable at the wave's start. When every first attempt
+// is healthy the uploads stream as one contiguous H2D block placed from
+// ResourceTimeline::block_start — the lead transfer pays the link latency,
+// followers ride back-to-back behind it (device/pcie.hpp batched costing).
+// Otherwise each operand retries on its own from where the previous one
+// ended, every retry re-arbitrating the link. Spans and fault counters go
+// to each operand's first user.
+void SpgemmService::Drain::upload(const std::vector<std::size_t>& pending) {
+  const PcieChannel& link = platform_.link().h2d();
+  std::vector<DeviceAttempt> first;
+  first.reserve(pending.size());
+  bool healthy = true;
+  double total = 0;
+  for (std::size_t k = 0; k < pending.size(); ++k) {
+    first.push_back(link.matrix_transfer_attempt(*wave_ops_[pending[k]].m, fi_,
+                                                 /*lead=*/k == 0));
+    healthy &= first.back().ok;
+    total += first.back().elapsed_s;
+  }
+  double cursor = healthy ? h2d_.block_start(0.0, total) : 0.0;
+  for (std::size_t k = 0; k < pending.size(); ++k) {
+    WaveOperand& op = wave_ops_[pending[k]];
+    scope(op.first_req);
+    bool fresh = true;  // the first attempt was already drawn above
+    const Retried r = attempt_with_retry(
+        h2d_, kUploadStage, /*ready=*/0.0, cursor,
+        [&] {
+          if (std::exchange(fresh, false)) return first[k];
+          return link.matrix_transfer_attempt(*op.m, fi_);
+        },
+        op.faults, op.spans, /*owner=*/nullptr);
+    unscope();
+    op.attributed_s = r.elapsed_s;
+    cursor = r.last.end_s;
+    if (r.ok) {
+      uploaded(op, cursor);
+    } else {
+      op.failed = true;
+      op.failed_at = cursor;
+    }
+  }
+  if (healthy) {
+    wstats_.coalesced_uploads += static_cast<std::int64_t>(pending.size()) - 1;
+    if (tr_ != nullptr) {
+      tr_->instant_on(TraceCategory::kWave, "wave-h2d-coalesced",
+                      Resource::kH2D, cursor);
+    }
+  }
+}
+
+void SpgemmService::Drain::uploaded(WaveOperand& op, double ready_s) {
+  op.ready_s = ready_s;
+  s_.residency_.emplace(op.key, op.refs);
+  wstats_.uploads++;
+  wstats_.deduped_uploads += op.refs - 1;
+  wstats_.h2d_bytes += static_cast<std::int64_t>(op.m->byte_size());
+}
+
+// ---- The retry rule (docs/robustness.md). Each attempt is placed on
+// `lane`; a failed attempt counts a fault, and then, in order: a request
+// past its deadline is cancelled; an operation out of attempts fails (its
+// request degrades to the CPU-only path); otherwise it retries after a
+// backoff wait. GPU kernels count aborts request-wide — the degrade limit
+// and the backoff exponent are the request's GPU abort count, across
+// Phase II and Phase III — while transfers count per operation against
+// max_attempts. The first attempt is runnable at `ready` and placed no
+// earlier than `earliest`; a retry is runnable when its backoff ends.
+// `owner` is the request the operation belongs to (nullptr for a wave
+// upload, which no single deadline governs).
+template <typename Attempt>
+SpgemmService::Drain::Retried SpgemmService::Drain::attempt_with_retry(
+    ResourceTimeline& lane, const StageNames& names, double ready,
+    double earliest, Attempt&& attempt, FaultRecoveryStats& faults,
+    std::vector<StageSpan>& spans, Request* owner) {
+  const Resource res = lane.resource();
+  const bool gpu = res == Resource::kGpu;
+  const bool h2d = res == Resource::kH2D;
+  int failures = 0;
+  double prev_wait = rp_.backoff_base_s;  // decorrelated-jitter chain
+  Retried r;
+  for (;;) {
+    const DeviceAttempt at = attempt();
+    const StageSpan s = lane.reserve(
+        at.ok ? names.ok : at.corrupt ? names.corrupt : names.fault, earliest,
+        at.elapsed_s, ready);
+    spans.push_back(s);
+    r.elapsed_s += at.elapsed_s;
+    r.last = s;
+    r.attempt = at;
+    if (at.ok) {
+      r.ok = true;
+      if (owner != nullptr) owner->check_deadline(s.end_s);
+      return r;
+    }
+    int& site_faults =
+        gpu ? faults.gpu_aborts : h2d ? faults.h2d_faults : faults.d2h_faults;
+    ++site_faults;
+    if (tr_ != nullptr) {
+      const char* fault = gpu ? "gpu-abort"
+                          : h2d ? (at.corrupt ? "h2d-corrupt" : "h2d-fault")
+                                : (at.corrupt ? "d2h-corrupt" : "d2h-fault");
+      tr_->instant_on(TraceCategory::kFault, fault, res, s.end_s, at.op);
+    }
+    if (at.corrupt) faults.corruptions++;
+    failures = gpu ? faults.gpu_aborts : failures + 1;
+    if (owner != nullptr && owner->past_deadline(s.end_s)) {
+      owner->cancelled = true;
+      return r;
+    }
+    if (failures >=
+        (gpu ? rp_.gpu_failures_before_degrade : rp_.max_attempts)) {
+      if (owner != nullptr) degrade(*owner, s.end_s);
+      return r;
+    }
+    faults.retries++;
+    if (tr_ != nullptr) {
+      tr_->instant_on(TraceCategory::kRetry,
+                      gpu ? "retry-gpu" : h2d ? "retry-h2d" : "retry-d2h", res,
+                      s.end_s, at.op);
+    }
+    double wait;
+    if (!rp_.decorrelated_jitter) {
+      wait =
+          rp_.backoff_base_s * std::pow(rp_.backoff_multiplier, failures - 1);
+    } else {
+      const double u = s_.jitter_rng_.uniform();
+      wait = rp_.backoff_base_s + u * (3.0 * prev_wait - rp_.backoff_base_s);
+      if (rp_.backoff_cap_s > 0 && wait > rp_.backoff_cap_s) {
+        wait = rp_.backoff_cap_s;
+      }
+      prev_wait = wait;
+    }
+    faults.backoff_s += wait;
+    ready = earliest = s.end_s + wait;
+  }
+}
+
+// A CPU stage: its duration plus any injected worker stall (stalls delay,
+// never fail). Zero-duration stages consume no injector op so the fault
+// schedule is stable across degenerate partitions.
+StageSpan SpgemmService::Drain::cpu_stage(Request& r, const char* name,
+                                          double earliest, double base) {
+  DeviceAttempt stall;
+  if (base > 0) {
+    stall = platform_.cpu().stall_attempt(fi_);
+    if (stall.elapsed_s > 0) r.rr.faults.cpu_stalls++;
+  }
+  const StageSpan s = cpu_.reserve(name, earliest, base + stall.elapsed_s);
+  if (stall.elapsed_s > 0 && tr_ != nullptr) {
+    tr_->instant_on(TraceCategory::kFault, "cpu-stall", Resource::kCpu,
+                    s.end_s, stall.op);
+  }
+  r.rr.spans.push_back(s);
+  r.check_deadline(s.end_s);
+  return s;
+}
+
+void SpgemmService::Drain::degrade(Request& r, double at) {
+  r.degraded = true;
+  r.degrade_at = std::max(r.degrade_at, at);
+  if (tr_ != nullptr) {
+    tr_->instant(TraceCategory::kDegrade, "degrade-to-cpu", at);
+  }
+}
+
+// Trace and placement identity of the request at `queue_index`.
+void SpgemmService::Drain::scope(std::size_t queue_index) {
+  if (tr_ != nullptr) tr_->begin_request(first_id_ + queue_index);
+  if (pl_ != nullptr) pl_->begin_request(first_id_ + queue_index);
+}
+
+void SpgemmService::Drain::unscope() {
+  if (tr_ != nullptr) tr_->end_request();
+  if (pl_ != nullptr) pl_->end_request();
+}
+
+double SpgemmService::Drain::lanes_now() const {
+  return std::max({cpu_.now(), gpu_.now(), h2d_.now(), d2h_.now()});
+}
+
+// ---- Per-request stages.
+
+void SpgemmService::Drain::run_request(std::size_t i) {
+  Request r(i, s_.queue_[i]);
+  r.rr.request_id = first_id_ + i;
+  scope(i);
+  r.rr.label = r.req.label;
+  r.rr.submit_s = 0;
+  r.rr.deadline_s =
+      r.req.deadline_s > 0 ? r.req.deadline_s : s_.config_.default_deadline_s;
+  r.rr.run.algorithm = "HH-CPU (pipelined)";
+
+  plan(r);
+  gate_uploads(r);
+  phase2(r);
+  phase3(r);
+  merge(r);
+  settle(r);
+  feed_tuner(r);
+  record(r);
+  release_operands(r);
+
+  RunResult res;
+  if (r.have_output) res.c = std::move(r.merged.c);
+  res.report = r.rr.run;
+  out_.results.push_back(std::move(res));
+  out_.requests.push_back(std::move(r.rr));
+  unscope();
+}
+
+// Phase I: plan through the cache when thresholds are not pinned.
+void SpgemmService::Drain::plan(Request& r) {
+  RequestReport& rr = r.rr;
+  RunReport& rep = rr.run;
+  offset_t t_a = r.req.options.threshold_a;
+  offset_t t_b = r.req.options.threshold_b;
+  r.cacheable = t_a <= 0 || t_b <= 0;
+  // The autotuner engages only for fully-unpinned requests: a pinned
+  // threshold is the caller's explicit choice, never second-guessed.
+  r.tunable = s_.config_.tune.enabled && t_a <= 0 && t_b <= 0;
+  ThresholdTuner& tuner = s_.tuner_;
+  if (r.cacheable) {
+    r.cache_key = PlanKey{s_.signature_of(&r.a), s_.signature_of(&r.b)};
+    if (const auto cached = s_.plan_cache_.lookup(r.cache_key)) {
+      t_a = cached->threshold_a;
+      t_b = cached->threshold_b;
+      rr.plan_cache_hit = true;
+      if (r.tunable) {
+        if (!tuner.has_entry(r.cache_key)) {
+          // Plan cached before tuning was enabled: one sweep adopts it.
+          tuner.admit(r.cache_key, sweep_thresholds(r.a, r.b, platform_,
+                                                    s_.calib_.corrections()));
+        }
+        const ThresholdTuner::Decision d = tuner.decide(r.cache_key);
+        s_.metrics_.counter("tune.decisions").inc();
+        r.tuned_t = d.t;
+        t_a = t_b = d.t;
+        if (d.explore) {
+          s_.metrics_.counter("tune.explorations").inc();
+          if (tr_ != nullptr) {
+            tr_->instant(TraceCategory::kTune, "tune-explore", rr.submit_s);
+          }
         }
       }
     }
   }
+  if (r.cacheable && tr_ != nullptr) {
+    tr_->instant(TraceCategory::kScheduler,
+                 rr.plan_cache_hit ? "plan-cache-hit" : "plan-cache-miss",
+                 rr.submit_s);
+  }
+  if (r.tunable && !rr.plan_cache_hit) {
+    // Cold signature pair: run the analytic sweep once (with the current
+    // calibration corrections), remember the full ranking for later
+    // exploration, and serve its best. With an uncalibrated store this is
+    // exactly the pick make_partition_plan would have made on its own.
+    tuner.admit(r.cache_key, sweep_thresholds(r.a, r.b, platform_,
+                                              s_.calib_.corrections()));
+    t_a = t_b = tuner.incumbent(r.cache_key);
+    r.tuned_t = t_a;
+  }
+  r.plan = make_partition_plan(r.a, r.b, t_a, t_b, platform_);
+  if (r.cacheable && !rr.plan_cache_hit) {
+    CachedPlan fresh;
+    fresh.threshold_a = r.plan.a.threshold;
+    fresh.threshold_b = r.plan.b.threshold;
+    s_.plan_cache_.insert(r.cache_key, fresh);
+  }
+  rep.threshold_a = r.plan.a.threshold;
+  rep.threshold_b = r.plan.b.threshold;
+  rep.high_rows_a = r.plan.a.high_count();
+  rep.high_rows_b = r.plan.b.high_count();
 
-  const std::int64_t shed_total = metrics_.counter("service.shed").value();
-  batch.shed = static_cast<std::size_t>(shed_total - shed_at_last_drain_);
-  shed_at_last_drain_ = shed_total;
+  // A cache hit skips the identification pass but still classifies.
+  rep.phase1_s = rr.plan_cache_hit ? r.plan.classify_s : r.plan.phase1_s;
+  r.analyze =
+      cpu_stage(r, rr.plan_cache_hit ? "analyze(cached-plan)" : "analyze",
+                rr.submit_s, rep.phase1_s);
+}
 
-  Histogram& latency_hist =
-      metrics_.histogram("service.latency_s", latency_buckets_s());
-  for (RequestReport& r : out.requests) {
+// The uploads ran in the wave preamble. Collect this request's readiness
+// gate, attribute each operand's upload spans/faults to its first user, and
+// degrade every user of an operand whose upload retries were exhausted.
+void SpgemmService::Drain::gate_uploads(Request& r) {
+  r.tx_gate = r.rr.submit_s;
+  double tx_in_total = 0;
+  if (!r.req.options.matrices_already_on_gpu) {
+    for (const CsrMatrix* m : operands_of(r.req)) {
+      if (m == nullptr) continue;
+      const WaveOperand& op = wave_ops_[wave_op_index_.at(s_.content_key(m))];
+      r.tx_gate = std::max(r.tx_gate, op.ready_s);
+      if (op.first_req == r.index) {
+        r.rr.spans.insert(r.rr.spans.end(), op.spans.begin(), op.spans.end());
+        r.rr.faults.accumulate(op.faults);
+        tx_in_total += op.attributed_s;
+      }
+      if (op.failed && !r.degraded) degrade(r, op.failed_at);
+    }
+    r.check_deadline(r.tx_gate);
+  }
+  r.rr.inputs_resident = tx_in_total == 0;
+  r.rr.run.transfer_in_s = tx_in_total;
+}
+
+// Phase II numerics + scheduling. The numeric work always executes
+// host-side with the same decomposition, so retries and degradation cannot
+// change the output bits.
+void SpgemmService::Drain::phase2(Request& r) {
+  if (r.cancelled) return;
+  RunReport& rep = r.rr.run;
+  r.p2 = run_phase2(r.a, r.b, r.plan, platform_, s_.pool_, ws_);
+  r.p2_live = true;
+  rep.phase2_cpu_s = r.p2.cpu_s;
+  rep.phase2_gpu_s = r.p2.gpu_s;
+  rep.phase2_s = HeteroPlatform::overlap(r.p2.cpu_s, r.p2.gpu_s);
+  r.cpu2 = cpu_stage(r, "phase2-cpu", r.analyze.end_s, r.p2.cpu_s);
+
+  r.gpu2 = StageSpan{"phase2-gpu", Resource::kGpu, r.analyze.end_s,
+                     r.analyze.end_s};
+  if (r.cancelled || r.degraded || r.p2.gpu_s <= 0) return;
+  // The wave's first healthy Phase II launch is the lead and pays the
+  // kernel-launch overhead; same-wave followers skip it (batched costing).
+  // rep.phase2_* stay the model times from run_phase2, so tuner feedback
+  // does not depend on the wave shape.
+  const double ready = std::max(r.analyze.end_s, r.tx_gate);
+  const Retried t = attempt_with_retry(
+      gpu_, kPhase2GpuStage, ready, ready,
+      [&] {
+        return platform_.gpu().kernel_attempt(r.p2.ll_stats, fi_,
+                                              /*lead=*/!gpu_lead_done_);
+      },
+      r.rr.faults, r.rr.spans, &r);
+  if (!t.ok) return;
+  r.gpu2 = t.last;
+  if (t.attempt.elapsed_s > 0) {
+    if (gpu_lead_done_) wstats_.batched_launches++;
+    gpu_lead_done_ = true;
+  }
+}
+
+// Phase III: the double-ended queue occupies both devices from their
+// current frontiers. A degraded request re-plans the queue with the GPU
+// never joining: every unit runs on the CPU end — the CPU-only Gustavson
+// path — and the tuple stream (hence the output) is unchanged.
+void SpgemmService::Drain::phase3(Request& r) {
+  if (r.cancelled) return;
+  RunReport& rep = r.rr.run;
+  const double cpu_q_start =
+      std::max({cpu_.now(), r.analyze.end_s, r.cpu2.end_s});
+  const double gpu_q_start =
+      r.degraded ? kGpuNeverJoins
+                 : std::max({gpu_.now(), r.analyze.end_s, r.tx_gate,
+                             r.gpu2.end_s});
+  r.q = run_phase3(r.a, r.b, r.plan, r.req.options.queue, cpu_q_start,
+                   gpu_q_start, platform_, s_.pool_, ws_);
+  r.q_ran = true;
+  rep.phase3_cpu_s = r.q.cpu_busy;
+  rep.phase3_gpu_s = r.q.gpu_busy;
+  rep.phase3_s = HeteroPlatform::overlap(r.q.cpu_busy, r.q.gpu_busy);
+  rep.queue_cpu_units = r.q.cpu_units;
+  rep.queue_gpu_units = r.q.gpu_units;
+  r.q_cpu = cpu_stage(r, "phase3-cpu", cpu_q_start, r.q.cpu_busy);
+
+  r.q_gpu = StageSpan{"phase3-gpu", Resource::kGpu, r.gpu2.end_s,
+                      r.gpu2.end_s};
+  if (!r.cancelled && !r.degraded && r.q.gpu_busy > 0) {
+    // The queue's GPU share executes as one fault domain: an abort re-runs
+    // the whole share (its units were a single stream of back-to-back
+    // launches feeding one tuple buffer).
+    const Retried t = attempt_with_retry(
+        gpu_, kPhase3GpuStage, gpu_q_start, gpu_q_start,
+        [&] {
+          DeviceAttempt at = platform_.gpu().kernel_attempt(r.q.gpu_stats, fi_);
+          if (at.ok) at.elapsed_s = r.q.gpu_busy;
+          return at;
+        },
+        r.rr.faults, r.rr.spans, &r);
+    if (t.ok) r.q_gpu = t.last;
+  }
+  ship_tuples(r);
+  replan_degraded(r);
+}
+
+// D2H shipment of the GPU tuples (skipped when degraded: the CPU recomputes
+// the GPU share locally, nothing crosses the link).
+void SpgemmService::Drain::ship_tuples(Request& r) {
+  if (r.cancelled || r.degraded) return;
+  const std::int64_t gpu_tuples =
+      r.p2.ll_stats.tuples + r.q.gpu_stats.tuples;
+  if (gpu_tuples <= 0) return;
+  const double ready = std::max(r.gpu2.end_s, r.q_gpu.end_s);
+  const Retried t = attempt_with_retry(
+      d2h_, kD2hStage, ready, ready,
+      [&] {
+        return platform_.link().d2h().tuple_transfer_attempt(gpu_tuples, fi_);
+      },
+      r.rr.faults, r.rr.spans, &r);
+  r.rr.run.transfer_out_s += t.elapsed_s;
+  if (t.ok) r.tx_out = t.last;
+}
+
+// Degraded re-plan: the CPU redoes the GPU's share (Phase II A_L×B_L and
+// whatever the queue had assigned to the GPU) with its own cost model.
+// Numerically this is the same host-side Gustavson work that produced the
+// tuples, so the output bits are unchanged.
+void SpgemmService::Drain::replan_degraded(Request& r) {
+  if (r.cancelled || !r.degraded) return;
+  const CpuSim& cpu = platform_.cpu();
+  const double extra =
+      cpu.kernel_time(r.p2.ll_stats, r.plan.ws_bl_bytes, /*rewritten=*/true,
+                      /*blockable=*/false) +
+      cpu.kernel_time(r.q.gpu_stats, r.plan.ws_bl_bytes, /*rewritten=*/true,
+                      /*blockable=*/false);
+  if (extra <= 0) return;
+  r.deg = cpu_.reserve("degraded-cpu-replan",
+                       std::max({r.q_cpu.end_s, r.cpu2.end_s, r.degrade_at}),
+                       extra);
+  r.rr.spans.push_back(r.deg);
+  r.check_deadline(r.deg.end_s);
+}
+
+// Phase IV merge. It consumes the tuple buffers, releasing pooled ones, so
+// it runs whenever Phase III did — even for a request already past its
+// deadline, so cancellation never leaks a pooled buffer. A request
+// cancelled before Phase III releases the Phase II buffers directly.
+void SpgemmService::Drain::merge(Request& r) {
+  RunReport& rep = r.rr.run;
+  rep.flops = r.p2.hh_stats.flops + r.p2.ll_stats.flops +
+              r.q.cpu_stats.flops + r.q.gpu_stats.flops;
+  if (!r.p2_live) return;
+  r.p2_live = false;
+  if (!r.q_ran) {
+    if (ws_ != nullptr) {
+      ws_->release_coo(std::move(r.p2.hh_tuples));
+      ws_->release_coo(std::move(r.p2.ll_tuples));
+    }
+    return;
+  }
+  r.merged = run_phase4(std::move(r.p2), std::move(r.q), platform_, s_.pool_,
+                        ws_);
+  rep.merge = r.merged.merge;
+  rep.phase4_s = r.merged.cpu_s;
+  if (r.cancelled) return;
+  const double ready =
+      std::max({r.q_cpu.end_s, r.tx_out.end_s, r.deg.end_s, r.cpu2.end_s});
+  cpu_stage(r, "merge", ready, r.merged.cpu_s);
+  r.have_output = !r.cancelled;
+}
+
+// Request accounting: span envelope, status, and the batch aggregates.
+void SpgemmService::Drain::settle(Request& r) {
+  RequestReport& rr = r.rr;
+  RunReport& rep = rr.run;
+  std::erase_if(rr.spans,
+                [](const StageSpan& s) { return s.duration_s() <= 0; });
+  rr.start_s = rr.submit_s;
+  rr.finish_s = rr.submit_s;
+  for (std::size_t k = 0; k < rr.spans.size(); ++k) {
+    rr.start_s = k == 0 ? rr.spans[k].start_s
+                        : std::min(rr.start_s, rr.spans[k].start_s);
+    rr.finish_s = std::max(rr.finish_s, rr.spans[k].end_s);
+  }
+  rr.queue_wait_s = rr.start_s - rr.submit_s;
+  rr.latency_s = rr.finish_s - rr.submit_s;
+  rr.degraded_to_cpu = r.degraded;
+  if (r.cancelled) {
+    rr.deadline_missed = true;
+    std::ostringstream os;
+    os << "deadline of " << rr.deadline_s << " s exceeded at " << rr.finish_s
+       << " s; request cancelled";
+    rr.status = Status{StatusCode::kDeadlineExceeded, os.str()};
+    if (tr_ != nullptr) {
+      tr_->instant(TraceCategory::kCancel, "deadline-cancel", rr.finish_s);
+    }
+    // The plan this request rode on is suspect until re-identified.
+    if (r.cacheable && rr.plan_cache_hit) {
+      s_.plan_cache_.quarantine(r.cache_key);
+    }
+  }
+  rep.output_nnz = r.have_output ? r.merged.c.nnz() : 0;
+  rep.total_s = rr.latency_s;
+
+  makespan_ = std::max(makespan_, rr.finish_s);
+  latencies_.push_back(rr.latency_s);
+  // First-order cost of the same request run serially (run_hh_cpu): cold
+  // transfers, cold identification, single-clock overlap accounting.
+  const PcieChannel& link = platform_.link().h2d();
+  const double seq_tx_in =
+      link.matrix_transfer_time(r.a) +
+      (&r.b != &r.a ? link.matrix_transfer_time(r.b) : 0.0);
+  const double seq_cpu_end =
+      r.plan.phase1_s + rep.phase2_cpu_s + rep.phase3_cpu_s;
+  const double seq_gpu_end =
+      r.plan.phase1_s + seq_tx_in + rep.phase2_gpu_s + rep.phase3_gpu_s;
+  seq_estimate_ += std::max(seq_cpu_end, seq_gpu_end) + rep.transfer_out_s +
+                   rep.phase4_s;
+}
+
+// Feed the tuner: only clean requests observe. A faulted, degraded or
+// cancelled request's timings measure the fault plan, not the plan quality,
+// and would poison both the variant table and the calibration.
+void SpgemmService::Drain::feed_tuner(Request& r) {
+  const RequestReport& rr = r.rr;
+  const RunReport& rep = rr.run;
+  if (!r.tunable || r.tuned_t <= 0 || r.cancelled || r.degraded ||
+      rr.faults.total_faults() > 0) {
+    return;
+  }
+  // What the threshold choice actually controls: compute + merge + output
+  // shipment. Queue wait and input transfer are workload state.
+  const double measured =
+      rep.phase2_s + rep.phase3_s + rep.phase4_s + rep.transfer_out_s;
+  s_.metrics_.counter("tune.measurements").inc();
+  if (const auto promo = s_.tuner_.observe(r.cache_key, r.tuned_t, measured)) {
+    CachedPlan promoted;
+    promoted.threshold_a = promo->to_t;
+    promoted.threshold_b = promo->to_t;
+    promoted.version = promo->version;
+    promoted.measured_s = promo->to_best_s;
+    s_.plan_cache_.insert(r.cache_key, promoted);
+    s_.metrics_.counter("tune.promotions").inc();
+    if (tr_ != nullptr) {
+      tr_->instant(TraceCategory::kTune, "tune-promote", rr.finish_s);
+    }
+  }
+  // Calibrate the cost model against this request's observed stage times
+  // (per device; transfers only when bytes actually moved).
+  const PredictedBreakdown pred =
+      predict_breakdown(r.a, r.b, r.tuned_t, platform_);
+  CalibrationStore& calib = s_.calib_;
+  using Device = CalibrationStore::Device;
+  bool drift = false;
+  drift |= calib.record(Device::kCpu, pred.cpu_s,
+                        rep.phase2_cpu_s + rep.phase3_cpu_s + rep.phase4_s);
+  drift |= calib.record(Device::kGpu, pred.gpu_s,
+                        rep.phase2_gpu_s + rep.phase3_gpu_s);
+  if (rep.transfer_in_s > 0) {
+    drift |= calib.record(Device::kH2D, pred.h2d_s, rep.transfer_in_s);
+  }
+  if (rep.transfer_out_s > 0) {
+    drift |= calib.record(Device::kD2H, pred.d2h_s, rep.transfer_out_s);
+  }
+  if (drift) {
+    s_.metrics_.counter("tune.drift_events").inc();
+    if (tr_ != nullptr) {
+      tr_->instant(TraceCategory::kTune, "tune-drift", rr.finish_s);
+    }
+  }
+}
+
+// Flight recorder + SLO feed: the record carries everything the replay
+// harness needs to re-drive the request (signatures, arrival on the
+// recorder's accumulated clock, deadline, pinned thresholds) and to judge
+// the replay (outcome, chosen thresholds, stage totals).
+void SpgemmService::Drain::record(Request& r) {
+  const RequestReport& rr = r.rr;
+  const RunReport& rep = rr.run;
+  if (WorkloadRecorder* recorder = s_.config_.recorder) {
+    WorkloadRecord w;
+    w.id = rr.request_id;
+    w.label = rr.label;
+    w.a = s_.signature_of(&r.a);
+    w.b = s_.signature_of(&r.b);
+    w.submit_s = recorder->clock() + rr.submit_s;
+    w.deadline_s = rr.deadline_s;
+    w.pin_ta = r.req.options.threshold_a;
+    w.pin_tb = r.req.options.threshold_b;
+    w.ta = rep.threshold_a;
+    w.tb = rep.threshold_b;
+    w.status = hh::to_string(rr.status.code);
+    w.cache_hit = rr.plan_cache_hit;
+    w.degraded = rr.degraded_to_cpu;
+    w.deadline_missed = rr.deadline_missed;
+    w.latency_s = rr.latency_s;
+    w.queue_wait_s = rr.queue_wait_s;
+    w.phase1_s = rep.phase1_s;
+    w.phase2_s = rep.phase2_s;
+    w.phase3_s = rep.phase3_s;
+    w.phase4_s = rep.phase4_s;
+    w.tx_in_s = rep.transfer_in_s;
+    w.tx_out_s = rep.transfer_out_s;
+    w.output_nnz = rep.output_nnz;
+    w.faults = rr.faults.total_faults();
+    w.retries = rr.faults.retries;
+    recorder->append(std::move(w));
+  }
+  if (s_.config_.slo != nullptr) {
+    s_.config_.slo->observe(rr.latency_s, rr.status.ok(), rr.deadline_missed,
+                            rr.finish_s);
+  }
+}
+
+// This request no longer needs its operands. With keep_inputs_resident ==
+// false the last user's finish evicts the device copy — mid-wave, when an
+// operand's users all sit early in the wave.
+void SpgemmService::Drain::release_operands(const Request& r) {
+  if (r.req.options.matrices_already_on_gpu) return;
+  for (const CsrMatrix* m : operands_of(r.req)) {
+    if (m == nullptr) continue;
+    const auto rit = s_.residency_.find(s_.content_key(m));
+    if (rit == s_.residency_.end()) continue;
+    if (--rit->second <= 0 && !s_.config_.keep_inputs_resident) {
+      s_.residency_.erase(rit);
+      wstats_.evictions++;
+      if (tr_ != nullptr) {
+        tr_->instant(TraceCategory::kWave, "wave-evict", r.rr.finish_s);
+      }
+    }
+  }
+}
+
+// ---- Batch epilogue.
+
+void SpgemmService::Drain::finish_batch() {
+  BatchReport& batch = out_.batch;
+  batch.requests = out_.requests.size();
+  batch.makespan_s = makespan_;
+  batch.sequential_estimate_s = seq_estimate_;
+  batch.p50_latency_s = percentile(latencies_, 0.50);
+  batch.p95_latency_s = percentile(latencies_, 0.95);
+  batch.p99_latency_s = percentile(latencies_, 0.99);
+  batch.cpu_busy_s = cpu_.busy();
+  batch.gpu_busy_s = gpu_.busy();
+  batch.h2d_busy_s = h2d_.busy();
+  batch.d2h_busy_s = d2h_.busy();
+  batch.plan_cache = s_.plan_cache_.stats();
+  batch.backoff_jitter = rp_.decorrelated_jitter;
+  batch.wave_enabled = s_.config_.wave.enabled;
+  batch.wave = wstats_;
+  MetricsRegistry& m = s_.metrics_;
+  m.counter("wave.waves").inc(wstats_.waves);
+  m.counter("wave.requests").inc(wstats_.wave_requests);
+  m.counter("wave.uploads").inc(wstats_.uploads);
+  m.counter("wave.deduped_uploads").inc(wstats_.deduped_uploads);
+  m.counter("wave.coalesced_uploads").inc(wstats_.coalesced_uploads);
+  m.counter("wave.batched_launches").inc(wstats_.batched_launches);
+  m.counter("wave.evictions").inc(wstats_.evictions);
+  m.counter("wave.h2d_bytes").inc(wstats_.h2d_bytes);
+  batch.critpath_enabled = pl_ != nullptr;
+  if (pl_ != nullptr) profile_critical_path(batch);
+
+  const std::int64_t shed_total = m.counter("service.shed").value();
+  batch.shed = static_cast<std::size_t>(shed_total - s_.shed_at_last_drain_);
+  s_.shed_at_last_drain_ = shed_total;
+  for (RequestReport& r : out_.requests) {
     batch.faults.accumulate(r.faults);
     if (r.status.ok()) batch.completed++;
     if (r.degraded_to_cpu) batch.degraded++;
     if (r.deadline_missed) batch.deadline_missed++;
-    r.flame = flame_row(r.spans, 0, makespan);
-    metrics_.counter("service.requests").inc();
-    if (!r.deadline_missed) latency_hist.observe(r.latency_s);
+    r.flame = flame_row(r.spans, 0, makespan_);
   }
-  metrics_.counter("service.completed").inc(
-      static_cast<std::int64_t>(batch.completed));
-  metrics_.counter("service.degraded").inc(
-      static_cast<std::int64_t>(batch.degraded));
-  metrics_.counter("service.deadline_missed").inc(
-      static_cast<std::int64_t>(batch.deadline_missed));
-  metrics_.counter("service.faults.gpu_aborts").inc(batch.faults.gpu_aborts);
-  metrics_.counter("service.faults.h2d").inc(batch.faults.h2d_faults);
-  metrics_.counter("service.faults.d2h").inc(batch.faults.d2h_faults);
-  metrics_.counter("service.faults.corruptions").inc(batch.faults.corruptions);
-  metrics_.counter("service.faults.cpu_stalls").inc(batch.faults.cpu_stalls);
-  metrics_.counter("service.retries").inc(batch.faults.retries);
-  metrics_.gauge("service.makespan_s").set(batch.makespan_s);
-  metrics_.gauge("service.cpu_busy_s").set(batch.cpu_busy_s);
-  metrics_.gauge("service.gpu_busy_s").set(batch.gpu_busy_s);
-  metrics_.gauge("service.h2d_busy_s").set(batch.h2d_busy_s);
-  metrics_.gauge("service.d2h_busy_s").set(batch.d2h_busy_s);
-  if (config_.tune.enabled) {
-    metrics_.gauge("tune.entries").set(static_cast<double>(tuner_.entries()));
-    metrics_.gauge("tune.converged").set(
-        static_cast<double>(tuner_.converged()));
-    metrics_.gauge("tune.calibration.cpu")
-        .set(calib_.correction(CalibrationStore::Device::kCpu));
-    metrics_.gauge("tune.calibration.gpu")
-        .set(calib_.correction(CalibrationStore::Device::kGpu));
-    metrics_.gauge("tune.calibration.h2d")
-        .set(calib_.correction(CalibrationStore::Device::kH2D));
-    metrics_.gauge("tune.calibration.d2h")
-        .set(calib_.correction(CalibrationStore::Device::kD2H));
-  }
+  publish_metrics(batch);
 
   // The batch flame is built from the per-request spans (not the recorder),
   // so the text view works even with tracing compiled out or disabled.
   std::vector<TraceEvent> flame_events;
-  for (const RequestReport& r : out.requests) {
+  for (const RequestReport& r : out_.requests) {
     for (const StageSpan& s : r.spans) {
       flame_events.push_back({TraceEventKind::kSpan, TraceCategory::kCompute,
                               s.stage, /*has_resource=*/true, s.resource,
@@ -1355,12 +1199,114 @@ BatchResult SpgemmService::drain() {
   }
   batch.flame = flame_view(flame_events);
 
-  // Close the wave: the recorder's clock absorbs this drain's makespan so
+  // Close the drain: the recorder's clock absorbs this drain's makespan so
   // the next drain's records arrive later on the accumulated clock.
-  if (config_.recorder != nullptr) {
-    config_.recorder->advance_clock(batch.makespan_s);
+  if (s_.config_.recorder != nullptr) {
+    s_.config_.recorder->advance_clock(batch.makespan_s);
   }
-  return out;
+}
+
+// Critical-path profile (obs/critpath.hpp): attribute the makespan.
+void SpgemmService::Drain::profile_critical_path(BatchReport& batch) {
+  // Invariant: the provenance log is attribution-complete — per resource,
+  // the sum of logged placement durations equals the timeline's busy time
+  // (both only ever grow by positive-duration reservations).
+  const double busy[kResourceCount] = {cpu_.busy(), gpu_.busy(), h2d_.busy(),
+                                       d2h_.busy()};
+  for (int r = 0; r < kResourceCount; ++r) {
+    const double attributed = pl_->attributed_busy_s(static_cast<Resource>(r));
+    HH_CHECK_MSG(std::abs(attributed - busy[r]) <=
+                     1e-9 * std::max(1.0, busy[r]),
+                 "placement log does not cover the timeline's busy time");
+  }
+  std::vector<CritPathRequestInfo> infos;
+  infos.reserve(out_.requests.size());
+  for (const RequestReport& r : out_.requests) {
+    CritPathRequestInfo info;
+    info.request_id = r.request_id;
+    info.label = r.label;
+    info.queue_wait_s = r.queue_wait_s;
+    info.latency_s = r.latency_s;
+    info.backoff_s = r.faults.backoff_s;
+    infos.push_back(std::move(info));
+  }
+  batch.critpath = compute_critical_path(pl_->placements(), makespan_, infos);
+  const CritPathReport& cp = batch.critpath;
+  MetricsRegistry& m = s_.metrics_;
+  const double denom = std::max(cp.makespan_s, 1e-300);
+  for (int r = 0; r < kResourceCount; ++r) {
+    const std::string lane = std::string("critpath.") + crit_lane_name(r);
+    double queueing = 0;
+    Histogram& qd =
+        m.histogram(std::string("critpath.queue_delay_s.") + crit_lane_name(r),
+                    latency_buckets_s());
+    for (const Placement& p : pl_->placements()) {
+      if (static_cast<int>(p.resource) != r) continue;
+      const double delay = std::max(0.0, p.queue_delay_s());
+      queueing += delay;
+      qd.observe(delay);
+    }
+    m.gauge(lane + ".busy_frac")
+        .set(cp.makespan_s > 0 ? busy[r] / denom : 0.0);
+    m.gauge(lane + ".blocked_frac")
+        .set(cp.makespan_s > 0 ? queueing / denom : 0.0);
+    m.gauge(lane + ".idle_frac")
+        .set(cp.makespan_s > 0 ? 1.0 - busy[r] / denom : 0.0);
+    m.gauge(lane + ".crit_s").set(cp.attributed_s[r]);
+  }
+  m.gauge("critpath.idle.crit_s").set(cp.attributed_s[kIdleLane]);
+  m.gauge("critpath.bottleneck")
+      .set(static_cast<double>(cp.bottleneck_lane()));
+  if (tr_ != nullptr) {
+    // One instant per chain step; the Perfetto exporter links them with
+    // flow arrows so the critical chain reads as one thread of causality.
+    for (const CritPathStep& s : cp.steps) {
+      if (s.lane < kResourceCount) {
+        tr_->instant_on(TraceCategory::kCritPath, "crit-step",
+                        static_cast<Resource>(s.lane), s.start_s);
+      } else {
+        tr_->instant(TraceCategory::kCritPath, "crit-idle", s.start_s);
+      }
+    }
+  }
+}
+
+// Lifetime-cumulative instruments: outcome and fault counters, the latency
+// histogram, last-drain busy gauges, tuner gauges.
+void SpgemmService::Drain::publish_metrics(BatchReport& batch) {
+  MetricsRegistry& m = s_.metrics_;
+  Histogram& latency_hist =
+      m.histogram("service.latency_s", latency_buckets_s());
+  for (const RequestReport& r : out_.requests) {
+    m.counter("service.requests").inc();
+    if (!r.deadline_missed) latency_hist.observe(r.latency_s);
+  }
+  m.counter("service.completed")
+      .inc(static_cast<std::int64_t>(batch.completed));
+  m.counter("service.degraded").inc(static_cast<std::int64_t>(batch.degraded));
+  m.counter("service.deadline_missed")
+      .inc(static_cast<std::int64_t>(batch.deadline_missed));
+  m.counter("service.faults.gpu_aborts").inc(batch.faults.gpu_aborts);
+  m.counter("service.faults.h2d").inc(batch.faults.h2d_faults);
+  m.counter("service.faults.d2h").inc(batch.faults.d2h_faults);
+  m.counter("service.faults.corruptions").inc(batch.faults.corruptions);
+  m.counter("service.faults.cpu_stalls").inc(batch.faults.cpu_stalls);
+  m.counter("service.retries").inc(batch.faults.retries);
+  m.gauge("service.makespan_s").set(batch.makespan_s);
+  m.gauge("service.cpu_busy_s").set(batch.cpu_busy_s);
+  m.gauge("service.gpu_busy_s").set(batch.gpu_busy_s);
+  m.gauge("service.h2d_busy_s").set(batch.h2d_busy_s);
+  m.gauge("service.d2h_busy_s").set(batch.d2h_busy_s);
+  if (s_.config_.tune.enabled) {
+    using Device = CalibrationStore::Device;
+    const CalibrationStore& calib = s_.calib_;
+    m.gauge("tune.entries").set(static_cast<double>(s_.tuner_.entries()));
+    m.gauge("tune.converged").set(static_cast<double>(s_.tuner_.converged()));
+    m.gauge("tune.calibration.cpu").set(calib.correction(Device::kCpu));
+    m.gauge("tune.calibration.gpu").set(calib.correction(Device::kGpu));
+    m.gauge("tune.calibration.h2d").set(calib.correction(Device::kH2D));
+    m.gauge("tune.calibration.d2h").set(calib.correction(Device::kD2H));
+  }
 }
 
 }  // namespace hh

@@ -9,21 +9,25 @@
 // independently-clocked resource timelines — CPU, GPU, H2D, D2H — with
 // dependence-respecting insertion scheduling (runtime/timeline.hpp).
 //
-// Steady-state accelerators, all optional and all output-preserving:
+// Every request runs the same stage sequence inside a wave (runtime/wave.hpp):
+// the wave uploads its distinct operands once, then each member request
+// plans (Phase I), waits on its uploads, runs Phase II and the Phase III
+// queue (shipping GPU tuples back, or degrading to the CPU), and merges.
+//
+// Steady-state accelerators, all output-preserving:
 //  - partition-plan cache keyed by sparsity signatures (runtime/plan_cache)
 //    — a hit skips threshold identification;
-//  - operand residency — a matrix already uploaded in this service's
-//    lifetime is not re-shipped (device memory is retained across requests,
-//    and each resident copy carries a checksum from fault/checksum.hpp);
+//  - operand residency keyed by content (fault/checksum.hpp) — an operand
+//    already on the device is not re-shipped, whichever pointer submits it;
 //  - workspace pooling (spgemm/workspace.hpp) — SPA accumulators and tuple
 //    buffers are recycled instead of reallocated per request.
 //
 // Fault tolerance (docs/robustness.md): when Config::fault_plan injects
 // faults (fault/fault.hpp), the service recovers per request —
 //  - transient GPU kernel aborts and PCIe failures are retried with
-//    exponential backoff and bounded attempts;
-//  - corrupted transfers are detected by checksum, the residency entry is
-//    invalidated, and the operand is re-uploaded;
+//    exponential backoff and bounded attempts, under one retry rule;
+//  - corrupted transfers are detected by checksum and re-sent; a damaged
+//    upload never becomes resident;
 //  - after RecoveryPolicy::gpu_failures_before_degrade GPU-side failures
 //    (or transfer-retry exhaustion) the request degrades to the CPU-only
 //    Gustavson path: the GPU's share is re-charged on the CPU timeline and
@@ -94,6 +98,7 @@ struct FaultRecoveryStats {
     return gpu_aborts + h2d_faults + d2h_faults + cpu_stalls;
   }
   void accumulate(const FaultRecoveryStats& o);
+  std::string to_json() const;
 };
 
 /// Per-request accounting: the familiar RunReport (phase durations) plus the
@@ -143,11 +148,8 @@ struct BatchReport {
   double h2d_busy_s = 0;
   double d2h_busy_s = 0;
   PlanCache::Stats plan_cache;
-  WorkspacePool::Stats workspace;
-  // Wave-executor accounting (runtime/wave.hpp). wave_enabled echoes
-  // Config::wave.enabled; when false the stats stay zero and to_string /
-  // to_json omit them entirely, keeping disabled reports byte-identical to
-  // before the executor existed.
+  // Wave accounting (runtime/wave.hpp). wave_enabled echoes
+  // Config::wave.enabled: false means every wave held one request.
   bool wave_enabled = false;
   WaveStats wave;
   // Critical-path profile (obs/critpath.hpp). critpath_enabled echoes
@@ -177,12 +179,12 @@ struct RecoveryPolicy {
   double backoff_base_s = 1e-4;   // wait before the 2nd attempt...
   double backoff_multiplier = 2;  // ...growing geometrically
   int gpu_failures_before_degrade = 3;  // per request, across all GPU stages
-  // Decorrelated-jitter backoff (wait = base + u·(3·prev − base), capped):
-  // spreads retries of correlated faults apart instead of synchronizing them
-  // on the geometric ladder. Off by default — disabled, the service draws
-  // nothing from the jitter stream and behaves byte-identically to before
-  // the knob existed. The draws come from a dedicated deterministic PRNG
-  // (jitter_seed), so same-seed replays stay bit-identical.
+  // Decorrelated-jitter backoff (wait = base + u·(3·prev − base), capped,
+  // with prev restarting at base for each operation): spreads retries of
+  // correlated faults apart instead of synchronizing them on the geometric
+  // ladder. Off by default, and then the jitter stream is never drawn. The
+  // draws come from a dedicated deterministic PRNG (jitter_seed), so
+  // same-seed replays stay bit-identical.
   bool decorrelated_jitter = false;
   double backoff_cap_s = 5e-2;        // ceiling on one jittered wait
   std::uint64_t jitter_seed = 0x6a17ULL;
@@ -198,13 +200,12 @@ class SpgemmService {
     RecoveryPolicy recovery;
     std::size_t admission_capacity = 0;  // max pending; 0 = unbounded
     double default_deadline_s = 0;       // per-request default; 0 = none
-    // Batched wave executor (runtime/wave.hpp, docs/runtime.md): drain()
-    // groups requests sharing operands (by content signature) into waves,
-    // uploads each distinct operand once per wave under a refcount,
-    // coalesces the wave's H2D transfers into one block reservation, and
-    // batches same-wave Phase II GPU launches. Output bits are unchanged;
-    // disabled (the default), the service behaves — reports included —
-    // byte-identically to before the executor existed.
+    // Wave shape (runtime/wave.hpp, docs/runtime.md): drain() groups
+    // requests sharing operands (by content) into waves, uploads each
+    // distinct operand once per wave under a refcount, coalesces the
+    // wave's H2D transfers into one block reservation, and batches
+    // same-wave Phase II GPU launches. Disabled (the default), every wave
+    // holds one request. Output bits are the same either way.
     WaveConfig wave;
     // Critical-path profiler (obs/critpath.hpp, docs/observability.md): every
     // drain records placement provenance (runtime/placement.hpp), checks that
@@ -283,12 +284,15 @@ class SpgemmService {
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Drop device residency and cached host-side signatures (e.g. after the
-  /// caller mutated or freed previously-submitted matrices).
+  /// Drop device residency and cached host-side signatures and checksums
+  /// (e.g. after the caller mutated or freed previously-submitted matrices).
   void invalidate_inputs();
 
  private:
+  class Drain;  // one drain() pass: stages, retry loop, batch epilogue
+
   const MatrixSignature& signature_of(const CsrMatrix* m);
+  std::uint64_t content_key(const CsrMatrix* m);
 
   const HeteroPlatform& platform_;
   ThreadPool& pool_;
@@ -305,22 +309,17 @@ class SpgemmService {
   // BatchReport::shed is the per-drain delta of the lifetime-cumulative
   // "service.shed" counter; this is the counter's value at the last drain.
   std::int64_t shed_at_last_drain_ = 0;
-  // Host-side memos, keyed by operand identity (see submit() contract).
+  // Host-side memos, keyed by operand identity (see submit() contract):
+  // the sparsity signature (plan-cache key) and the content checksum
+  // (residency key) of each submitted matrix.
   std::unordered_map<const CsrMatrix*, MatrixSignature> signatures_;
-  // Device residency: operand → checksum of the uploaded copy.
-  std::unordered_map<const CsrMatrix*, std::uint64_t> resident_;
-  // Wave-mode residency, keyed by content signature so pointer-distinct but
-  // bit-identical operands share one device copy. `refs` counts the
-  // not-yet-finished users in the current drain; with
-  // keep_inputs_resident == false an entry is evicted when refs reaches
-  // zero. Kept separate from the pointer-keyed map above so enabling the
-  // wave flag cannot change the legacy path's residency decisions.
-  struct WaveResident {
-    std::uint64_t checksum = 0;
-    int refs = 0;
-  };
-  std::unordered_map<MatrixSignature, WaveResident, MatrixSignatureHash>
-      wave_resident_;
+  std::unordered_map<const CsrMatrix*, std::uint64_t> checksums_;
+  // Device residency keyed by operand content, so pointer-distinct but
+  // bit-identical operands share one device copy and operands that merely
+  // share a signature do not. The value counts the current drain's users
+  // that have not finished; with keep_inputs_resident == false an entry is
+  // evicted when it reaches zero.
+  std::unordered_map<std::uint64_t, int> residency_;
 };
 
 }  // namespace hh

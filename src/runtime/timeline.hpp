@@ -39,6 +39,8 @@ class ResourceTimeline {
   /// (obs/critpath.* consumes it for latency attribution).
   void attach_placements(PlacementLog* log) { placements_ = log; }
 
+  Resource resource() const { return resource_; }
+
   /// Clock after the last scheduled stage.
   double now() const { return now_; }
 
@@ -63,6 +65,15 @@ class ResourceTimeline {
   /// clamped to the resource's true availability — never inside an occupied
   /// window — so traces stay ordered.
   StageSpan reserve(const char* stage, double earliest, double duration) {
+    return reserve(stage, earliest, duration, earliest);
+  }
+
+  /// reserve() recording `requested` (<= earliest) as the dependence-allowed
+  /// start in the trace and placement log: a segment of a block placed from
+  /// block_start was runnable at the block's own earliest, not only from
+  /// the slot it was granted, so the wait counts as queueing.
+  StageSpan reserve(const char* stage, double earliest, double duration,
+                    double requested) {
     if (duration <= 0) {
       const double at = available_at(earliest);
       return {stage, resource_, at, at};
@@ -82,14 +93,14 @@ class ResourceTimeline {
                        Gap{start + duration, g.end});
         }
         busy_ += duration;
-        return record(stage, earliest, start, start + duration);
+        return record(stage, requested, start, start + duration);
       }
     }
     const double start = std::max(now_, earliest);
     if (start > now_) gaps_.push_back({now_, start});
     now_ = start + duration;
     busy_ += duration;
-    return record(stage, earliest, start, now_);
+    return record(stage, requested, start, now_);
   }
 
   /// The earliest instant >= `earliest` at which `total` contiguous seconds
@@ -106,38 +117,6 @@ class ResourceTimeline {
       if (start + total <= g.end) return start;
     }
     return std::max(now_, earliest);
-  }
-
-  /// One named segment of a wave-scoped block reservation.
-  struct BlockSegment {
-    const char* stage;
-    double duration;
-  };
-
-  /// Wave-scoped reservation: place `segments` contiguously, in order, as
-  /// one block starting no earlier than `earliest` — the insertion
-  /// scheduler treats the block as a unit (a wave's coalesced H2D uploads
-  /// stream back-to-back on one PCIe arbitration). Non-positive segments
-  /// occupy nothing and pin a zero-length span at the running cursor.
-  std::vector<StageSpan> reserve_block(const std::vector<BlockSegment>& segments,
-                                       double earliest) {
-    double total = 0;
-    for (const BlockSegment& s : segments) {
-      if (s.duration > 0) total += s.duration;
-    }
-    std::vector<StageSpan> spans;
-    spans.reserve(segments.size());
-    double cursor = block_start(earliest, total);
-    for (const BlockSegment& s : segments) {
-      if (s.duration <= 0) {
-        spans.push_back({s.stage, resource_, cursor, cursor});
-        continue;
-      }
-      const StageSpan placed = reserve(s.stage, cursor, s.duration);
-      cursor = placed.end_s;
-      spans.push_back(placed);
-    }
-    return spans;
   }
 
  private:

@@ -1,24 +1,23 @@
-// Batched wave executor support: wave formation and wave accounting.
+// Waves: how SpgemmService::drain() cuts its queue, and what it counts.
 //
-// A service under repeated-operand traffic (the dominant pattern the shard
-// ring's signature affinity creates) pays redundant PCIe traffic and
-// per-request kernel-launch overhead when every request is scheduled
-// independently. The wave executor (SpgemmService::Config::wave,
-// docs/runtime.md) groups drained requests that share an operand — by
-// content signature, not pointer identity — into waves:
+// Every drained request runs inside a wave (docs/runtime.md). A wave groups
+// consecutive requests that share an operand — by content, not pointer
+// identity — so that under repeated-operand traffic (the dominant pattern
+// the shard ring's signature affinity creates) the service does not pay
+// redundant PCIe traffic and per-request kernel-launch overhead:
 //   - each distinct operand is uploaded once per wave and held under a
 //     refcount until its last user finishes (cross-request residency dedup
 //     with refcounted eviction);
-//   - the wave's uploads coalesce into one contiguous H2D block reservation
-//     (ResourceTimeline::reserve_block): the link latency is paid by the
-//     lead transfer only (PcieChannel::*_batched);
+//   - the wave's uploads coalesce into one contiguous H2D block
+//     (ResourceTimeline::block_start): the link latency is paid by the lead
+//     transfer only (PcieChannel::transfer_time_batched);
 //   - same-wave Phase II GPU kernels are batched: the first healthy launch
 //     pays the kernel-launch overhead, followers skip it
-//     (GpuSim::kernel_attempt_batched).
+//     (GpuSim::kernel_time_batched).
 // Output bits never change: numeric work still executes host-side with the
 // same decomposition, so every request stays bit-identical to the serial
-// reference. With `enabled == false` none of this code runs and the service
-// behaves — reports included — byte-identically to before the knob existed.
+// reference. With `enabled == false` every wave holds one request, which is
+// the plain per-request pipeline.
 #pragma once
 
 #include <array>
@@ -29,21 +28,20 @@
 
 namespace hh {
 
-/// Knobs of the batched wave executor (off by default).
+/// Wave shape. Multi-request waves are off by default.
 struct WaveConfig {
-  bool enabled = false;
-  // Requests per wave. The cap is strict — max_requests == 1 degenerates to
-  // single-request waves (the legacy schedule plus wave bookkeeping).
-  // 0 = unbounded.
+  bool enabled = false;  // false = one request per wave (caps below unused)
+  // Requests per wave. The cap is strict — max_requests == 1 is the same
+  // schedule as enabled == false. 0 = unbounded.
   std::size_t max_requests = 16;
-  // Distinct operands (by content signature) per wave: bounds the device
+  // Distinct operands (by content) per wave: bounds the device
   // memory a wave pins. A request whose operands are all already in the
   // wave adds no pressure and joins past this cap. 0 = unbounded.
   std::size_t max_operands = 8;
 };
 
 /// Per-drain wave accounting, reported in BatchReport (and aggregated per
-/// shard) only when the executor is enabled.
+/// shard).
 struct WaveStats {
   std::int64_t waves = 0;
   std::int64_t wave_requests = 0;      // requests executed through waves

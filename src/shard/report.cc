@@ -1,37 +1,10 @@
 #include "shard/report.hpp"
 
-#include <cstdio>
 #include <sstream>
 
+#include "util/format.hpp"
+
 namespace hh {
-namespace {
-
-std::string ms(double seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f ms", seconds * 1e3);
-  return buf;
-}
-
-std::string jnum(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", x);
-  return buf;
-}
-
-std::string jbool(bool b) { return b ? "true" : "false"; }
-
-std::string faults_json(const FaultRecoveryStats& f) {
-  std::ostringstream os;
-  os << "{\"gpu_aborts\":" << f.gpu_aborts
-     << ",\"h2d_faults\":" << f.h2d_faults
-     << ",\"d2h_faults\":" << f.d2h_faults
-     << ",\"corruptions\":" << f.corruptions
-     << ",\"cpu_stalls\":" << f.cpu_stalls << ",\"retries\":" << f.retries
-     << ",\"backoff_s\":" << jnum(f.backoff_s) << "}";
-  return os.str();
-}
-
-}  // namespace
 
 const char* to_string(BreakerState s) {
   switch (s) {
@@ -45,9 +18,9 @@ const char* to_string(BreakerState s) {
 std::string GroupBatchReport::to_string() const {
   std::ostringstream os;
   os << "group: " << requests << " requests over " << shards << " shards, "
-     << rounds << " rounds, makespan " << ms(makespan_s) << "\n";
-  os << "  latency p50 " << ms(p50_latency_s) << ", p95 " << ms(p95_latency_s)
-     << ", p99 " << ms(p99_latency_s) << "\n";
+     << rounds << " rounds, makespan " << fmt_ms(makespan_s) << "\n";
+  os << "  latency p50 " << fmt_ms(p50_latency_s) << ", p95 "
+     << fmt_ms(p95_latency_s) << ", p99 " << fmt_ms(p99_latency_s) << "\n";
   os << "  outcome: " << completed << " completed, " << degraded
      << " degraded, " << deadline_missed << " deadline-missed, " << shed
      << " shed\n";
@@ -56,16 +29,14 @@ std::string GroupBatchReport::to_string() const {
   os << "  faults: gpu " << faults.gpu_aborts << ", h2d " << faults.h2d_faults
      << ", d2h " << faults.d2h_faults << " (" << faults.corruptions
      << " corrupt), cpu stalls " << faults.cpu_stalls << "; retries "
-     << faults.retries << ", backoff " << ms(faults.backoff_s)
+     << faults.retries << ", backoff " << fmt_ms(faults.backoff_s)
      << (backoff_jitter ? " (decorrelated jitter)" : "") << "\n";
-  if (wave_enabled) {
-    os << "  waves: " << wave.waves << " over " << wave.wave_requests
-       << " requests; " << wave.uploads << " uploads ("
-       << wave.coalesced_uploads << " coalesced, " << wave.deduped_uploads
-       << " deduped, " << wave.h2d_bytes << " bytes), "
-       << wave.batched_launches << " batched launches, " << wave.evictions
-       << " evictions\n";
-  }
+  os << "  waves: " << wave.waves << " over " << wave.wave_requests
+     << " requests; " << wave.uploads << " uploads ("
+     << wave.coalesced_uploads << " coalesced, " << wave.deduped_uploads
+     << " deduped, " << wave.h2d_bytes << " bytes), "
+     << wave.batched_launches << " batched launches, " << wave.evictions
+     << " evictions\n";
   if (critpath_enabled) os << "  critpath: " << critpath.to_string() << "\n";
   for (const ShardReport& s : shard_reports) {
     os << "  shard " << s.shard << " [" << s.breaker << "]: " << s.assigned
@@ -90,17 +61,15 @@ std::string GroupBatchReport::to_json() const {
      << ",\"deadline_missed\":" << deadline_missed << ",\"shed\":" << shed
      << ",\"failovers\":" << failovers << ",\"deferrals\":" << deferrals
      << ",\"kills\":" << kills << ",\"restarts\":" << restarts
-     << ",\"rounds\":" << rounds << ",\"makespan_s\":" << jnum(makespan_s)
-     << ",\"p50_latency_s\":" << jnum(p50_latency_s)
-     << ",\"p95_latency_s\":" << jnum(p95_latency_s)
-     << ",\"p99_latency_s\":" << jnum(p99_latency_s)
-     << ",\"faults\":" << faults_json(faults);
-  // Wave fields appear only when the executor is on, keeping disabled
-  // groups' JSON byte-identical to before the executor existed.
-  if (wave_enabled) os << ",\"wave\":" << wave.to_json();
-  // Same contract for the critical-path profiler (on by default).
+     << ",\"rounds\":" << rounds << ",\"makespan_s\":" << fmt_num(makespan_s)
+     << ",\"p50_latency_s\":" << fmt_num(p50_latency_s)
+     << ",\"p95_latency_s\":" << fmt_num(p95_latency_s)
+     << ",\"p99_latency_s\":" << fmt_num(p99_latency_s)
+     << ",\"faults\":" << faults.to_json()
+     << ",\"wave\":" << wave.to_json();
+  // Emitted only when the critical-path profiler is on (the default).
   if (critpath_enabled) os << ",\"critpath\":" << critpath.to_json();
-  os << ",\"backoff_jitter\":" << jbool(backoff_jitter)
+  os << ",\"backoff_jitter\":" << fmt_bool(backoff_jitter)
      << ",\"shard_reports\":[";
   for (std::size_t i = 0; i < shard_reports.size(); ++i) {
     const ShardReport& s = shard_reports[i];
@@ -112,15 +81,15 @@ std::string GroupBatchReport::to_json() const {
        << ",\"failovers_out\":" << s.failovers_out << ",\"kills\":" << s.kills
        << ",\"restarts\":" << s.restarts
        << ",\"breaker_opens\":" << s.breaker_opens
-       << ",\"rehydrated\":" << jbool(s.rehydrated)
-       << ",\"snapshot_rejected\":" << jbool(s.snapshot_rejected)
-       << ",\"faults\":" << faults_json(s.faults)
+       << ",\"rehydrated\":" << fmt_bool(s.rehydrated)
+       << ",\"snapshot_rejected\":" << fmt_bool(s.snapshot_rejected)
+       << ",\"faults\":" << s.faults.to_json()
        << ",\"plan_cache\":{\"hits\":" << s.plan_cache.hits
        << ",\"misses\":" << s.plan_cache.misses
        << ",\"evictions\":" << s.plan_cache.evictions
        << ",\"overwrites\":" << s.plan_cache.overwrites
-       << ",\"quarantines\":" << s.plan_cache.quarantines << "}";
-    if (wave_enabled) os << ",\"wave\":" << s.wave.to_json();
+       << ",\"quarantines\":" << s.plan_cache.quarantines
+       << "},\"wave\":" << s.wave.to_json();
     if (critpath_enabled) os << ",\"critpath\":" << s.critpath.to_json();
     os << "}";
   }

@@ -44,9 +44,7 @@ struct ShardReport {
   bool snapshot_rejected = false;   // checksum verification failed
   FaultRecoveryStats faults;        // device-level faults seen by this shard
   PlanCache::Stats plan_cache;      // lifetime stats of the current service
-  WaveStats wave;                   // per-shard wave accounting; reported
-                                    // only when the group's wave executor
-                                    // is enabled
+  WaveStats wave;                   // per-shard wave accounting
   CritPathSummary critpath;         // per-shard critical-path attribution
                                     // accumulated over the shard's drains
                                     // (makespan_s sums round makespans);
@@ -73,15 +71,12 @@ struct GroupBatchReport {
   double p99_latency_s = 0;
   FaultRecoveryStats faults;  // aggregated over all shards
   // Wave accounting aggregated over all shards (runtime/wave.hpp): each
-  // shard runs its own waves over the requests routed to it. Omitted from
-  // to_string/to_json unless wave_enabled, so a wave-disabled group renders
-  // byte-identically to before the executor existed.
-  bool wave_enabled = false;
+  // shard runs its own waves over the requests routed to it.
   WaveStats wave;
   // Critical-path attribution summed over all shards' drains
   // (obs/critpath.hpp): "critical seconds" per lane across the group, not
   // wall time — shards drain on independent clocks. Omitted unless
-  // critpath_enabled, following the wave contract.
+  // critpath_enabled.
   bool critpath_enabled = false;
   CritPathSummary critpath;
   bool backoff_jitter = false;

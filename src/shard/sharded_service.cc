@@ -446,7 +446,6 @@ GroupResult ShardedSpgemmService::drain() {
   g.p95_latency_s = percentile(latencies, 0.95);
   g.p99_latency_s = percentile(latencies, 0.99);
   g.backoff_jitter = config_.shard.recovery.decorrelated_jitter;
-  g.wave_enabled = config_.shard.wave.enabled;
   g.critpath_enabled = config_.shard.critpath;
   g.shard_reports.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {

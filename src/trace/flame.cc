@@ -1,9 +1,10 @@
 #include "trace/flame.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
+
+#include "util/format.hpp"
 
 namespace hh {
 namespace {
@@ -33,12 +34,6 @@ void paint(std::string& row, double t0, double t1, double start, double end,
   for (int i = lo; i < hi; ++i) row[static_cast<std::size_t>(i)] = glyph;
 }
 
-std::string ms(double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f ms", seconds * 1e3);
-  return buf;
-}
-
 }  // namespace
 
 std::string flame_view(const std::vector<TraceEvent>& events, int width) {
@@ -65,7 +60,7 @@ std::string flame_view(const std::vector<TraceEvent>& events, int width) {
   std::ostringstream os;
   for (int r = 0; r < kResourceCount; ++r) {
     os << "  " << to_string(static_cast<Resource>(r)) << "  |" << rows[r]
-       << "| busy " << ms(busy[r]) << " / " << ms(t_max) << "\n";
+       << "| busy " << fmt_ms(busy[r]) << " / " << fmt_ms(t_max) << "\n";
   }
   return os.str();
 }

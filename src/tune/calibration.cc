@@ -1,20 +1,11 @@
 #include "tune/calibration.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
+#include "util/format.hpp"
+
 namespace hh {
-
-namespace {
-
-std::string jnum(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", x);
-  return buf;
-}
-
-}  // namespace
 
 bool CalibrationStore::record(Device d, double predicted_s,
                               double observed_s) {
@@ -96,9 +87,9 @@ std::string CalibrationStore::to_json() const {
     const DeviceState& s = state_[i];
     if (i > 0) os << ",";
     os << "\"" << name(d) << "\":{\"samples\":" << s.samples
-       << ",\"ratio\":" << jnum(std::exp(s.mean_log_ratio))
-       << ",\"correction\":" << jnum(correction(d))
-       << ",\"drift\":" << (s.drift ? "true" : "false") << "}";
+       << ",\"ratio\":" << fmt_exact(std::exp(s.mean_log_ratio))
+       << ",\"correction\":" << fmt_exact(correction(d))
+       << ",\"drift\":" << fmt_bool(s.drift) << "}";
   }
   os << ",\"drift_events\":" << drift_events_ << "}";
   return os.str();

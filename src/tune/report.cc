@@ -3,25 +3,9 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/format.hpp"
+
 namespace hh {
-
-namespace {
-
-std::string jnum(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", x);
-  return buf;
-}
-
-std::string ms(double seconds) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.3f ms", seconds * 1e3);
-  return buf;
-}
-
-const char* jbool(bool b) { return b ? "true" : "false"; }
-
-}  // namespace
 
 std::string TuneReport::to_string() const {
   std::ostringstream os;
@@ -45,8 +29,8 @@ std::string TuneReport::to_string() const {
        << e.explorations << " explored, " << e.promotions << " promoted"
        << (e.converged ? ", converged" : "") << "\n";
     for (const TuneVariantReport& v : e.variants) {
-      os << "    t=" << v.t << ": best " << ms(v.best_s) << " over "
-         << v.trials << " trial(s), predicted " << ms(v.predicted_s)
+      os << "    t=" << v.t << ": best " << fmt_ms(v.best_s) << " over "
+         << v.trials << " trial(s), predicted " << fmt_ms(v.predicted_s)
          << (v.t == e.incumbent_t ? "  <- incumbent" : "") << "\n";
     }
   }
@@ -55,7 +39,7 @@ std::string TuneReport::to_string() const {
 
 std::string TuneReport::to_json() const {
   std::ostringstream os;
-  os << "{\"enabled\":" << jbool(enabled) << ",\"decisions\":" << decisions
+  os << "{\"enabled\":" << fmt_bool(enabled) << ",\"decisions\":" << decisions
      << ",\"explorations\":" << explorations
      << ",\"measurements\":" << measurements
      << ",\"promotions\":" << promotions
@@ -68,13 +52,13 @@ std::string TuneReport::to_json() const {
        << ",\"incumbent_t\":" << e.incumbent_t << ",\"version\":" << e.version
        << ",\"hits\":" << e.hits << ",\"explorations\":" << e.explorations
        << ",\"promotions\":" << e.promotions
-       << ",\"converged\":" << jbool(e.converged) << ",\"variants\":[";
+       << ",\"converged\":" << fmt_bool(e.converged) << ",\"variants\":[";
     for (std::size_t k = 0; k < e.variants.size(); ++k) {
       const TuneVariantReport& v = e.variants[k];
       if (k > 0) os << ",";
       os << "{\"t\":" << v.t << ",\"trials\":" << v.trials
-         << ",\"best_s\":" << jnum(v.best_s)
-         << ",\"predicted_s\":" << jnum(v.predicted_s) << "}";
+         << ",\"best_s\":" << fmt_exact(v.best_s)
+         << ",\"predicted_s\":" << fmt_exact(v.predicted_s) << "}";
     }
     os << "]}";
   }
@@ -83,9 +67,9 @@ std::string TuneReport::to_json() const {
     const TuneCalibrationReport& c = calibration[i];
     if (i > 0) os << ",";
     os << "\"" << c.device << "\":{\"samples\":" << c.samples
-       << ",\"ratio\":" << jnum(c.ratio)
-       << ",\"correction\":" << jnum(c.correction)
-       << ",\"drift\":" << jbool(c.drift) << "}";
+       << ",\"ratio\":" << fmt_exact(c.ratio)
+       << ",\"correction\":" << fmt_exact(c.correction)
+       << ",\"drift\":" << fmt_bool(c.drift) << "}";
   }
   os << "}}";
   return os.str();

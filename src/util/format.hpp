@@ -1,0 +1,24 @@
+// Number and bool formatting shared by every report's to_string / to_json.
+//
+// Two precisions exist on purpose: reports render nine significant digits
+// (stable, readable, enough to compare runs), while logs and baselines that
+// are parsed back render seventeen, which round-trips every double exactly.
+#pragma once
+
+#include <string>
+
+namespace hh {
+
+/// "%.9g": report numbers.
+std::string fmt_num(double x);
+
+/// "%.17g": exact round-trip numbers for logs and baselines.
+std::string fmt_exact(double x);
+
+/// "%.3f ms" of a duration given in seconds.
+std::string fmt_ms(double seconds);
+
+/// JSON literal of a bool.
+inline const char* fmt_bool(bool b) { return b ? "true" : "false"; }
+
+}  // namespace hh

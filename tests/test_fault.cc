@@ -511,15 +511,7 @@ TEST_F(FaultRecoveryTest, SameSeedReplaysIdenticalScheduleAndReports) {
 
   // Deterministic replay: identical fault schedule, identical recovery
   // decisions, identical spans and timings — down to the rendered JSON.
-  // Workspace-pool reuse counts are the one exception: they reflect how
-  // many host threads held a buffer simultaneously (workers plus the
-  // work-helping parallel_for caller), not the simulated schedule, so they
-  // are zeroed out of the comparison.
-  BatchReport fb = first.batch;
-  BatchReport sb = second.batch;
-  fb.workspace = {};
-  sb.workspace = {};
-  EXPECT_EQ(fb.to_json(), sb.to_json());
+  EXPECT_EQ(first.batch.to_json(), second.batch.to_json());
   ASSERT_EQ(first.requests.size(), second.requests.size());
   for (std::size_t i = 0; i < first.requests.size(); ++i) {
     EXPECT_EQ(first.requests[i].to_json(), second.requests[i].to_json());
@@ -549,12 +541,8 @@ TEST_F(FaultRecoveryTest, DecorrelatedJitterIsDeterministicAndCapped) {
   const BatchResult b = run_once();
 
   // The jitter stream is seeded, not wall-clock: same-seed replays render
-  // byte-identical reports (workspace reuse excluded, as elsewhere).
-  BatchReport ab = a.batch;
-  BatchReport bb = b.batch;
-  ab.workspace = {};
-  bb.workspace = {};
-  EXPECT_EQ(ab.to_json(), bb.to_json());
+  // byte-identical reports.
+  EXPECT_EQ(a.batch.to_json(), b.batch.to_json());
 
   // Retries happened, every wait respected the cap, the knob is echoed.
   EXPECT_GT(a.batch.faults.retries, 0);
@@ -587,10 +575,8 @@ TEST_F(FaultRecoveryTest, JitterKnobOffPreservesLegacyBackoffExactly) {
   // differs only in the (unused) jitter seed behaves byte-identically.
   SpgemmService::Config off = base;
   off.recovery.jitter_seed = 0x123456789abcdefULL;
-  BatchReport base_b = run_with(base).batch;
-  BatchReport off_b = run_with(off).batch;
-  base_b.workspace = {};
-  off_b.workspace = {};
+  const BatchReport base_b = run_with(base).batch;
+  const BatchReport off_b = run_with(off).batch;
   EXPECT_EQ(base_b.to_json(), off_b.to_json());
   EXPECT_FALSE(base_b.backoff_jitter);
 
@@ -614,13 +600,7 @@ TEST_F(FaultRecoveryTest, FaultFreePlanIsUnperturbedByTheFaultMachinery) {
   }
   const BatchResult a = plain.drain();
   const BatchResult b = faultless.drain();
-  // Workspace-pool reuse counts depend on host thread timing, not on the
-  // schedule (see the replay test above) — zero them out of the comparison.
-  BatchReport ab = a.batch;
-  BatchReport bb = b.batch;
-  ab.workspace = {};
-  bb.workspace = {};
-  EXPECT_EQ(ab.to_json(), bb.to_json());
+  EXPECT_EQ(a.batch.to_json(), b.batch.to_json());
   EXPECT_EQ(a.requests[0].to_json(), b.requests[0].to_json());
   EXPECT_EQ(faultless.fault_injector().counters(FaultSite::kGpuKernel).ops,
             0u);

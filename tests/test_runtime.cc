@@ -7,6 +7,7 @@
 
 #include "core/hh_cpu.hpp"
 #include "gen/datasets.hpp"
+#include "runtime/signature.hpp"
 #include "runtime/timeline.hpp"
 #include "runtime/wave.hpp"
 #include "test_util.hpp"
@@ -92,22 +93,28 @@ TEST(ResourceTimeline, BlockStartFindsFirstWindowThatFitsWholeBlock) {
   EXPECT_DOUBLE_EQ(t.block_start(0.0, 0.0), 0.0);   // degenerate block
 }
 
-TEST(ResourceTimeline, ReserveBlockIsContiguousAndSkipsShortGaps) {
+TEST(ResourceTimeline, BlockStartSegmentsAreContiguousAndSkipShortGaps) {
+  // The service's coalesced upload: find the block's start once, then
+  // reserve each segment from the previous segment's end.
   ResourceTimeline t;
+  PlacementLog log;
+  t.attach_placements(&log);
   t.reserve("early", 1.0, 1.0);  // idle window [0, 1) — too short for the
   t.reserve("late", 5.0, 1.0);   // block; window [2, 5) fits it whole
-  const std::vector<StageSpan> spans = t.reserve_block(
-      {{"seg0", 1.0}, {"seg1", 0.0}, {"seg2", 1.5}}, 0.0);
-  ASSERT_EQ(spans.size(), 3u);
+  const double cursor = t.block_start(0.0, 2.5);
+  // Both segments were runnable at the block's earliest (0).
+  const StageSpan s0 = t.reserve("seg0", cursor, 1.0, /*requested=*/0.0);
+  const StageSpan s1 = t.reserve("seg1", s0.end_s, 1.5, /*requested=*/0.0);
   // The whole block lands in [2, 5): no segment leaks into the [0, 1) gap.
-  EXPECT_DOUBLE_EQ(spans[0].start_s, 2.0);
-  EXPECT_DOUBLE_EQ(spans[0].end_s, 3.0);
-  // Zero-duration segments pin at the running cursor, occupying nothing.
-  EXPECT_DOUBLE_EQ(spans[1].start_s, 3.0);
-  EXPECT_DOUBLE_EQ(spans[1].end_s, 3.0);
+  EXPECT_DOUBLE_EQ(s0.start_s, 2.0);
+  EXPECT_DOUBLE_EQ(s0.end_s, 3.0);
   // Segments are back-to-back: no idle time inside the block.
-  EXPECT_DOUBLE_EQ(spans[2].start_s, 3.0);
-  EXPECT_DOUBLE_EQ(spans[2].end_s, 4.5);
+  EXPECT_DOUBLE_EQ(s1.start_s, 3.0);
+  EXPECT_DOUBLE_EQ(s1.end_s, 4.5);
+  // The provenance log counts the wait for the slot as queueing.
+  ASSERT_EQ(log.placements().size(), 4u);
+  EXPECT_DOUBLE_EQ(log.placements()[2].queue_delay_s(), 2.0);
+  EXPECT_DOUBLE_EQ(log.placements()[3].queue_delay_s(), 3.0);
   // The short head gap survives for later independent work.
   EXPECT_DOUBLE_EQ(t.reserve("backfill", 0.0, 0.5).start_s, 0.0);
 }
@@ -424,33 +431,38 @@ TEST_F(ServiceTest, WaveOutputsBitIdenticalAndUploadsDeduped) {
   EXPECT_NE(w.batch.to_json().find("\"wave\":{"), std::string::npos);
 }
 
-TEST_F(ServiceTest, WaveDisabledReportsByteIdenticalToLegacy) {
-  // The wave knob present-but-disabled must not perturb a single byte of
-  // the reports — including caps differing from the defaults. Workspace
-  // pooling is off in both: its reuse counts depend on worker-thread
-  // timing, not on anything the wave knob controls.
-  SpgemmService::Config base;
-  base.use_workspace_pool = false;
-  SpgemmService::Config off = base;
-  off.wave.enabled = false;
-  off.wave.max_requests = 3;
-  SpgemmService legacy(plat_, pool_, base);
-  SpgemmService gated(plat_, pool_, off);
-  for (SpgemmService* s : {&legacy, &gated}) {
-    s->submit({&wiki_, nullptr, {}, "a"});
-    s->submit({&enron_, nullptr, {}, "b"});
-    s->submit({&wiki_, nullptr, {}, "c"});
-  }
-  const BatchResult l = legacy.drain();
-  const BatchResult g = gated.drain();
-  EXPECT_FALSE(g.batch.wave_enabled);
-  EXPECT_EQ(l.batch.to_json(), g.batch.to_json());
-  EXPECT_EQ(l.batch.to_string(), g.batch.to_string());
-  EXPECT_EQ(g.batch.to_json().find("\"wave\""), std::string::npos);
-  ASSERT_EQ(l.requests.size(), g.requests.size());
-  for (std::size_t i = 0; i < l.requests.size(); ++i) {
-    EXPECT_EQ(l.requests[i].to_json(), g.requests[i].to_json());
-  }
+TEST_F(ServiceTest, WaveResidencyIsKeyedByContent) {
+  // Same shape, nnz and row-size histogram — hence the same signature —
+  // but different values: two uploads, no dedup, and each request computes
+  // on its own operand.
+  CsrMatrix doubled = wiki_;
+  for (value_t& v : doubled.values) v *= 2;
+  ASSERT_EQ(matrix_signature(wiki_), matrix_signature(doubled));
+  SpgemmService::Config cfg;
+  cfg.wave.enabled = true;
+  SpgemmService service(plat_, pool_, cfg);
+  service.submit({&wiki_, nullptr, {}, "a"});
+  service.submit({&doubled, nullptr, {}, "2a"});
+  const BatchResult r = service.drain();
+  EXPECT_EQ(r.batch.wave.waves, 1);
+  EXPECT_EQ(r.batch.wave.uploads, 2);
+  EXPECT_EQ(r.batch.wave.deduped_uploads, 0);
+  EXPECT_EQ(r.batch.wave.h2d_bytes,
+            static_cast<std::int64_t>(wiki_.byte_size() + doubled.byte_size()));
+  EXPECT_FALSE(r.requests[1].inputs_resident);
+  // Planning depends only on the distribution: the plan is shared.
+  EXPECT_TRUE(r.requests[1].plan_cache_hit);
+  expect_bit_identical(
+      run_hh_cpu(doubled, doubled, HhCpuOptions{}, plat_, pool_).c,
+      r.results[1].c, "doubled");
+
+  // A pointer-distinct, bit-identical copy finds the resident device copy.
+  const CsrMatrix copy = wiki_;
+  service.submit({&copy, nullptr, {}, "copy"});
+  const BatchResult again = service.drain();
+  EXPECT_EQ(again.batch.wave.uploads, 0);
+  EXPECT_TRUE(again.requests[0].inputs_resident);
+  expect_bit_identical(r.results[0].c, again.results[0].c, "copy");
 }
 
 TEST_F(ServiceTest, WaveAllDistinctOperandsDedupIsNoOp) {
@@ -494,25 +506,32 @@ TEST_F(ServiceTest, WaveRefcountEvictionFiresWithoutStickyResidency) {
   EXPECT_EQ(keeper.drain().batch.wave.evictions, 0);
 }
 
-TEST_F(ServiceTest, WaveSingleRequestWavesMatchPlainSchedule) {
-  // max_requests == 1 exercises the smallest wave shape: every wave holds
-  // one request, so batching never fires but accounting must still balance.
-  SpgemmService::Config cfg;
-  cfg.wave.enabled = true;
-  cfg.wave.max_requests = 1;
-  SpgemmService service(plat_, pool_, cfg);
-  SpgemmService plain(plat_, pool_);
-  for (SpgemmService* s : {&service, &plain}) {
-    s->submit({&wiki_, nullptr, {}, ""});
-    s->submit({&enron_, nullptr, {}, ""});
-    s->submit({&wiki_, nullptr, {}, ""});
+TEST_F(ServiceTest, WaveDisabledRunsOneRequestPerWave) {
+  // A disabled wave executor is the one-request wave: the same schedule and
+  // the same reports as max_requests == 1, whatever the other caps say.
+  SpgemmService::Config single;
+  single.wave.enabled = true;
+  single.wave.max_requests = 1;
+  SpgemmService::Config off;
+  off.wave.max_requests = 3;
+  SpgemmService waved(plat_, pool_, single);
+  SpgemmService plain(plat_, pool_, off);
+  for (SpgemmService* s : {&waved, &plain}) {
+    s->submit({&wiki_, nullptr, {}, "a"});
+    s->submit({&enron_, nullptr, {}, "b"});
+    s->submit({&wiki_, nullptr, {}, "c"});
   }
-  const BatchResult w = service.drain();
+  const BatchResult w = waved.drain();
   const BatchResult p = plain.drain();
-  EXPECT_EQ(w.batch.wave.waves, 3);
-  EXPECT_EQ(w.batch.wave.coalesced_uploads, 0);
-  EXPECT_EQ(w.batch.wave.deduped_uploads, 0);
-  for (std::size_t i = 0; i < 3; ++i) {
+  EXPECT_FALSE(p.batch.wave_enabled);
+  EXPECT_EQ(p.batch.wave.waves, 3);
+  EXPECT_EQ(p.batch.wave.coalesced_uploads, 0);
+  EXPECT_EQ(p.batch.wave.deduped_uploads, 0);
+  EXPECT_EQ(w.batch.to_json(), p.batch.to_json());
+  EXPECT_EQ(w.batch.to_string(), p.batch.to_string());
+  ASSERT_EQ(w.requests.size(), p.requests.size());
+  for (std::size_t i = 0; i < w.requests.size(); ++i) {
+    EXPECT_EQ(w.requests[i].to_json(), p.requests[i].to_json());
     expect_bit_identical(p.results[i].c, w.results[i].c,
                          "single-wave " + std::to_string(i));
   }
@@ -524,9 +543,6 @@ TEST_F(ServiceTest, WaveReportsAreReplayDeterministic) {
   const auto run = [&] {
     SpgemmService::Config cfg;
     cfg.wave.enabled = true;
-    // Workspace-pool reuse counts depend on worker-thread timing (they
-    // pre-date waves and are not part of the replay contract): pool off.
-    cfg.use_workspace_pool = false;
     SpgemmService service(plat_, pool_, cfg);
     service.submit({&wiki_, nullptr, {}, "a"});
     service.submit({&wiki_, nullptr, {}, "b"});
