@@ -19,9 +19,8 @@
 //   HH_SCALE=0.05 ./bench_trace_replay        (defaults shown)
 //
 // Artifacts: the recorded log to HH_OBS_LOG (default replay_workload.jsonl),
-// the Perfetto trace to HH_TRACE_OUT (default replay_trace.json, skipped
-// when tracing is compiled out), and the machine-readable record to
-// HH_BENCH_OUT (default BENCH_trace_replay.json).
+// the Perfetto trace to HH_TRACE_OUT (default replay_trace.json), and the
+// machine-readable record to HH_BENCH_OUT (default BENCH_trace_replay.json).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -250,7 +249,7 @@ int main() {
         "wave-enabled outputs differ from the wave-disabled replay");
 
   // ---- Artifacts + summary.
-  if (TraceRecorder::compiled_in()) {
+  {
     std::ofstream out(trace_path, std::ios::binary);
     out << chrome_trace_json(trace);
     check(static_cast<bool>(out), "could not write the Perfetto trace");

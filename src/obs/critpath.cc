@@ -26,14 +26,14 @@ bool ends_with(const char* s, const char* suffix) {
 }
 
 // A placement whose span was burnt by an injected fault: failed transfer
-// attempts ("h2d-input-fault", "wave-h2d-input-fault", "d2h-tuples-fault")
-// and aborted kernels ("phase2-gpu-abort", "phase3-gpu-abort").
+// attempts ("h2d-input-fault", "d2h-tuples-fault") and aborted kernels
+// ("phase2-gpu-abort", "phase3-gpu-abort").
 bool is_fault_stage(const char* stage) {
   return ends_with(stage, "-fault") || ends_with(stage, "-abort");
 }
 
 long long req_json_id(std::size_t id) {
-  return id == kNoPlacementRequest ? -1 : static_cast<long long>(id);
+  return id == kNoRequest ? -1 : static_cast<long long>(id);
 }
 
 int argmax_lane(const double (&v)[kCritLaneCount]) {
@@ -164,7 +164,7 @@ std::string CritPathReport::to_json() const {
     const RequestCostBreakdown& b = requests[i];
     const int lane = b.bottleneck_lane();
     os << (i ? "," : "") << "{\"request_id\":" << req_json_id(b.request_id)
-       << ",\"label\":\"" << b.label << "\",\"bottleneck\":\""
+       << ",\"label\":" << fmt_json_str(b.label) << ",\"bottleneck\":\""
        << (lane == kIdleLane ? "wait" : crit_lane_name(lane))
        << "\",\"queue_wait_s\":" << fmt_num(b.queue_wait_s)
        << ",\"latency_s\":" << fmt_num(b.latency_s)
@@ -193,10 +193,16 @@ std::string CritPathReport::to_json() const {
 }
 
 CritPathReport compute_critical_path(
-    const std::vector<Placement>& placements, double makespan_s,
+    std::span<const TraceEvent> events, double makespan_s,
     const std::vector<CritPathRequestInfo>& request_infos) {
   CritPathReport r;
   r.makespan_s = makespan_s;
+  std::vector<const TraceEvent*> placements;
+  for (const TraceEvent& e : events) {
+    if (e.kind == TraceEventKind::kSpan && e.has_resource) {
+      placements.push_back(&e);
+    }
+  }
 
   // ---- Per-request decomposition: placement occupancy and queueing delay
   // folded onto the service-side accounting (queue wait, latency, backoff).
@@ -212,14 +218,14 @@ CritPathReport compute_critical_path(
     breakdown_of.emplace(info.request_id, r.requests.size());
     r.requests.push_back(std::move(b));
   }
-  for (const Placement& p : placements) {
-    const auto it = breakdown_of.find(p.request_id);
+  for (const TraceEvent* p : placements) {
+    const auto it = breakdown_of.find(p->request_id);
     if (it == breakdown_of.end()) continue;
     RequestCostBreakdown& b = r.requests[it->second];
-    const int lane = static_cast<int>(p.resource);
-    b.service_s[lane] += p.duration_s();
-    b.queueing_s[lane] += std::max(0.0, p.queue_delay_s());
-    if (is_fault_stage(p.stage)) b.fault_s += p.duration_s();
+    const int lane = static_cast<int>(p->resource);
+    b.service_s[lane] += p->end_s - p->start_s;
+    b.queueing_s[lane] += std::max(0.0, p->start_s - p->requested_s);
+    if (is_fault_stage(p->name)) b.fault_s += p->end_s - p->start_s;
   }
 
   if (makespan_s <= 0 || placements.empty()) return r;
@@ -242,13 +248,13 @@ CritPathReport compute_critical_path(
     std::size_t best = kNpos;
     int best_rank = 3;
     for (std::size_t i = 0; i < placements.size(); ++i) {
-      const Placement& p = placements[i];
+      const TraceEvent& p = *placements[i];
       if (p.end_s < t - eps || p.end_s > t + eps) continue;
       if (p.start_s >= t) continue;  // must make progress
       int rank = 2;
       if (prefer_resource >= 0 && static_cast<int>(p.resource) == prefer_resource) {
         rank = 0;
-      } else if (prefer_request != kNoPlacementRequest &&
+      } else if (prefer_request != kNoRequest &&
                  p.request_id == prefer_request) {
         rank = 1;
       }
@@ -262,7 +268,7 @@ CritPathReport compute_critical_path(
 
   double cursor = makespan_s;
   int prefer_resource = -1;
-  std::size_t prefer_request = kNoPlacementRequest;
+  std::size_t prefer_request = kNoRequest;
   std::vector<CritPathStep> chain;  // built backward, reversed below
   const std::size_t max_steps = 4 * placements.size() + 16;
   while (cursor > eps) {
@@ -275,8 +281,8 @@ CritPathReport compute_critical_path(
       // work waited on was running — admission gap or retry backoff. Cross
       // down to the latest earlier placement end.
       double lo = 0;
-      for (const Placement& p : placements) {
-        if (p.end_s < cursor - eps) lo = std::max(lo, p.end_s);
+      for (const TraceEvent* p : placements) {
+        if (p->end_s < cursor - eps) lo = std::max(lo, p->end_s);
       }
       CritPathStep st;
       st.start_s = lo;
@@ -285,26 +291,28 @@ CritPathReport compute_critical_path(
       chain.push_back(st);
       cursor = lo;
       prefer_resource = -1;
-      prefer_request = kNoPlacementRequest;
+      prefer_request = kNoRequest;
       continue;
     }
-    const Placement& p = placements[idx];
+    const TraceEvent& p = *placements[idx];
+    const auto owner = breakdown_of.find(p.request_id);
     CritPathStep st;
-    st.stage = p.stage;
+    st.stage = p.name;
     st.lane = static_cast<int>(p.resource);
     st.request_id = p.request_id;
-    st.wave = p.wave;
+    st.wave = owner != breakdown_of.end() ? request_infos[owner->second].wave
+                                          : kNoWave;
     st.start_s = p.start_s;
     st.end_s = cursor;
     st.attributed_s = cursor - p.start_s;
-    st.queue_delay_s = std::max(0.0, p.queue_delay_s());
+    st.queue_delay_s = std::max(0.0, p.start_s - p.requested_s);
     chain.push_back(st);
     cursor = p.start_s;
     if (p.start_s > p.requested_s + eps) {
       // The stage was runnable earlier but its resource was occupied: the
       // chain continues through whoever held the resource.
       prefer_resource = static_cast<int>(p.resource);
-      prefer_request = kNoPlacementRequest;
+      prefer_request = kNoRequest;
     } else {
       prefer_resource = -1;
       prefer_request = p.request_id;

@@ -26,20 +26,28 @@
 //     exactly, so per-lane seconds sum to the makespan by construction
 //     (the acceptance bound is 1e-9).
 //
-// Inputs come from runtime/placement.hpp provenance records — no trace-span
-// re-parsing — so the profiler works even when tracing is compiled out.
+// Inputs are one drain's span events (trace/trace.hpp): the service's
+// timelines record every positive-duration placement exactly once, with its
+// stage name, resource, dependence-allowed and granted start, end and
+// request id. A placement's wave is its request's wave (each request runs in
+// exactly one), which the service passes in CritPathRequestInfo.
 // Everything is deterministic: ties break on (earlier log order), and both
 // renderings use fixed field order with %.9g numbers.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "runtime/placement.hpp"
 #include "runtime/resource.hpp"
+#include "trace/trace.hpp"
 
 namespace hh {
+
+/// Sentinel wave index for steps outside any known request's wave (idle
+/// gaps, placements of requests the caller passed no info for).
+inline constexpr int kNoWave = -1;
 
 /// Attribution lanes: the four resources plus "idle" (no placement anywhere
 /// covered this part of the makespan — admission gap or retry backoff).
@@ -53,7 +61,7 @@ const char* crit_lane_name(int lane);
 struct CritPathStep {
   const char* stage = "idle";  // placement stage name; "idle" for gaps
   int lane = kIdleLane;        // Resource index, or kIdleLane
-  std::size_t request_id = kNoPlacementRequest;
+  std::size_t request_id = kNoRequest;
   int wave = kNoWave;
   double start_s = 0;          // covered segment of the makespan
   double end_s = 0;
@@ -64,7 +72,7 @@ struct CritPathStep {
 
 /// Per-request latency decomposition.
 struct RequestCostBreakdown {
-  std::size_t request_id = kNoPlacementRequest;
+  std::size_t request_id = kNoRequest;
   std::string label;
   double queue_wait_s = 0;   // admission: first placement start - submit
   double latency_s = 0;      // finish - submit (RequestReport)
@@ -82,8 +90,8 @@ struct RequestCostBreakdown {
   std::string explain() const;
 };
 
-/// Per-wave rollup of critical-chain attribution (wave executor only; empty
-/// when the batch ran without waves — placements then carry kNoWave).
+/// Per-wave rollup of critical-chain attribution: one slice per wave that
+/// the chain passes through.
 struct CritPathWaveSlice {
   int wave_index = kNoWave;
   double attributed_s[kCritLaneCount] = {0, 0, 0, 0, 0};
@@ -121,20 +129,22 @@ struct CritPathReport {
   std::string to_json() const;
 };
 
-/// Per-request metadata the placement log cannot know (service accounting).
+/// Per-request metadata the span events do not carry (service accounting).
 struct CritPathRequestInfo {
-  std::size_t request_id = kNoPlacementRequest;
+  std::size_t request_id = kNoRequest;
   std::string label;
+  int wave = kNoWave;  // the wave the request (and its uploads) ran in
   double queue_wait_s = 0;
   double latency_s = 0;
   double backoff_s = 0;
 };
 
 /// Extract the critical chain and per-request decomposition from one drain's
-/// placement provenance. `makespan_s` is the drain makespan (max placement
-/// end); placements may arrive in any order. Deterministic.
+/// events: its kSpan events are the placements (instants are skipped).
+/// `makespan_s` is the drain makespan (max placement end); placements may
+/// arrive in any order. Deterministic.
 CritPathReport compute_critical_path(
-    const std::vector<Placement>& placements, double makespan_s,
+    std::span<const TraceEvent> events, double makespan_s,
     const std::vector<CritPathRequestInfo>& request_infos);
 
 }  // namespace hh

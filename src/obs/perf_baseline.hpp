@@ -41,8 +41,7 @@ struct PerfBaseline {
   std::string to_json() const;
 };
 
-/// Derive a baseline record from one drain's BatchReport (requires the
-/// drain to have run with Config::critpath enabled).
+/// Derive a baseline record from one drain's BatchReport.
 PerfBaseline baseline_from_batch(const std::string& bench, double scale,
                                  const BatchReport& batch);
 

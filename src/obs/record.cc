@@ -1,7 +1,6 @@
 #include "obs/record.hpp"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <sstream>
@@ -12,23 +11,6 @@
 
 namespace hh {
 namespace {
-
-// %.17g round-trips every double bit-for-bit through strtod, which is what
-// makes parse-then-reverify reproduce the writer's checksums exactly.
-void append_escaped(std::ostringstream& os, const std::string& s) {
-  for (const char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (u < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-      os << buf;
-    } else {
-      os << c;
-    }
-  }
-}
 
 void mix_str(std::uint64_t& h, const std::string& s) {
   checksum_mix(h, s.size());
@@ -269,18 +251,15 @@ std::uint64_t WorkloadRecord::payload_checksum(std::uint64_t seed) const {
 std::string WorkloadRecord::to_jsonl() const {
   std::ostringstream os;
   os << "{\"id\":" << id << ",\"drain\":" << drain << ",\"shard\":" << shard
-     << ",\"label\":\"";
-  append_escaped(os, label);
-  os << "\",";
+     << ",\"label\":" << fmt_json_str(label) << ",";
   append_sig(os, "a", a);
   os << ",";
   append_sig(os, "b", b);
   os << ",\"submit_s\":" << fmt_exact(submit_s)
      << ",\"deadline_s\":" << fmt_exact(deadline_s) << ",\"pin_ta\":" << pin_ta
      << ",\"pin_tb\":" << pin_tb << ",\"ta\":" << ta << ",\"tb\":" << tb
-     << ",\"status\":\"";
-  append_escaped(os, status);
-  os << "\",\"cache_hit\":" << fmt_bool(cache_hit)
+     << ",\"status\":" << fmt_json_str(status)
+     << ",\"cache_hit\":" << fmt_bool(cache_hit)
      << ",\"degraded\":" << fmt_bool(degraded)
      << ",\"deadline_missed\":" << fmt_bool(deadline_missed)
      << ",\"latency_s\":" << fmt_exact(latency_s)

@@ -53,13 +53,8 @@ std::string ReplayRunReport::to_json() const {
      << ",\"slo_reconciled\":" << fmt_bool(slo_reconciled)
      << ",\"slo\":" << (slo_json.empty() ? "null" : slo_json)
      << ",\"timeline\":" << (timeline_json.empty() ? "null" : timeline_json)
-     << ",\"slowest\":";
-  if (slowest.empty()) {
-    os << "null";
-  } else {
-    os << "\"" << slowest << "\"";
-  }
-  os << "}";
+     << ",\"slowest\":" << (slowest.empty() ? "null" : fmt_json_str(slowest))
+     << "}";
   return os.str();
 }
 
@@ -216,8 +211,7 @@ ReplayRunReport ReplayHarness::run_pass(const WorkloadLog& log,
     std::vector<RunResult> results;
     std::vector<RequestReport> requests;
     double wave_makespan = 0;
-    bool crit_enabled = false;  // this wave carries per-request breakdowns
-    CritPathReport crit;
+    CritPathReport crit;  // stays empty for a group drain
     if (svc) {
       BatchResult br = svc->drain();
       results = std::move(br.results);
@@ -226,7 +220,6 @@ ReplayRunReport ReplayHarness::run_pass(const WorkloadLog& log,
       batch_completed += br.batch.completed;
       batch_degraded += br.batch.degraded;
       batch_missed += br.batch.deadline_missed;
-      crit_enabled = br.batch.critpath_enabled;
       crit = std::move(br.batch.critpath);
     } else {
       GroupResult gr = group->drain();
@@ -249,7 +242,7 @@ ReplayRunReport ReplayHarness::run_pass(const WorkloadLog& log,
       if (rr.deadline_missed) r.deadline_missed++;
       if (rr.deadline_missed != rec.deadline_missed) r.outcome_divergence++;
       latencies.push_back((wave_begin - target) + rr.latency_s);
-      if (crit_enabled && latencies.back() > worst_latency) {
+      if (latencies.back() > worst_latency) {
         if (const RequestCostBreakdown* why =
                 crit.find_request(rr.request_id)) {
           worst_latency = latencies.back();

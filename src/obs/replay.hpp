@@ -79,8 +79,8 @@ struct ReplayRunReport {
   std::string timeline_json;   // metrics time series ("" when disabled)
   // "Why was this request slow": the critical-path explainer for the pass's
   // highest-latency request (obs/critpath.hpp RequestCostBreakdown::explain).
-  // "" when the service's critpath profiler is off or the pass is sharded
-  // (group drains do not carry per-request breakdowns).
+  // "" when the pass is sharded (group drains do not carry per-request
+  // breakdowns).
   std::string slowest;
 
   std::string to_json() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -44,6 +45,14 @@ constexpr StageNames kD2hStage{"d2h-tuples", "d2h-tuples-fault",
 // A request's distinct device operands: B is nullptr for a self product.
 std::array<const CsrMatrix*, 2> operands_of(const SpgemmRequest& q) {
   return {q.a, q.b != nullptr && q.b != q.a ? q.b : nullptr};
+}
+
+// A drain's event log: the caller's recorder when attached and enabled,
+// else `own`, switched on.
+TraceRecorder& event_log(TraceRecorder* user, TraceRecorder& own) {
+  if (user != nullptr && user->enabled()) return *user;
+  own.enable();
+  return own;
 }
 
 }  // namespace
@@ -93,8 +102,8 @@ std::string RequestReport::to_string() const {
 
 std::string RequestReport::to_json() const {
   std::ostringstream os;
-  os << "{\"request_id\":" << request_id << ",\"label\":\"" << label
-     << "\",\"status\":\"" << hh::to_string(status.code)
+  os << "{\"request_id\":" << request_id << ",\"label\":" << fmt_json_str(label)
+     << ",\"status\":\"" << hh::to_string(status.code)
      << "\",\"plan_cache_hit\":" << fmt_bool(plan_cache_hit)
      << ",\"inputs_resident\":" << fmt_bool(inputs_resident)
      << ",\"degraded_to_cpu\":" << fmt_bool(degraded_to_cpu)
@@ -148,7 +157,7 @@ std::string BatchReport::to_string() const {
      << " deduped, " << wave.h2d_bytes << " bytes), "
      << wave.batched_launches << " batched launches, " << wave.evictions
      << " evictions\n";
-  if (critpath_enabled) os << "  critpath: " << critpath.to_string() << "\n";
+  os << "  critpath: " << critpath.to_string() << "\n";
   if (!flame.empty()) os << "  schedule (glyph = request id, '.' = idle):\n"
                          << flame;
   return os.str();
@@ -175,11 +184,43 @@ std::string BatchReport::to_json() const {
      << ",\"evictions\":" << plan_cache.evictions
      << ",\"overwrites\":" << plan_cache.overwrites
      << ",\"quarantines\":" << plan_cache.quarantines
-     << "},\"wave\":" << wave.to_json();
-  // Emitted only when the critical-path profiler is on (the default).
-  if (critpath_enabled) os << ",\"critpath\":" << critpath.to_json();
-  os << "}";
+     << "},\"wave\":" << wave.to_json()
+     << ",\"critpath\":" << critpath.to_json() << "}";
   return os.str();
+}
+
+WorkloadRecord workload_record(const SpgemmRequest& request,
+                               const RequestReport& report,
+                               const MatrixSignature& a,
+                               const MatrixSignature& b, double clock_s) {
+  const RunReport& rep = report.run;
+  WorkloadRecord w;
+  w.id = report.request_id;
+  w.label = report.label;
+  w.a = a;
+  w.b = b;
+  w.submit_s = clock_s + report.submit_s;
+  w.deadline_s = report.deadline_s;
+  w.pin_ta = request.options.threshold_a;
+  w.pin_tb = request.options.threshold_b;
+  w.ta = rep.threshold_a;
+  w.tb = rep.threshold_b;
+  w.status = hh::to_string(report.status.code);
+  w.cache_hit = report.plan_cache_hit;
+  w.degraded = report.degraded_to_cpu;
+  w.deadline_missed = report.deadline_missed;
+  w.latency_s = report.latency_s;
+  w.queue_wait_s = report.queue_wait_s;
+  w.phase1_s = rep.phase1_s;
+  w.phase2_s = rep.phase2_s;
+  w.phase3_s = rep.phase3_s;
+  w.phase4_s = rep.phase4_s;
+  w.tx_in_s = rep.transfer_in_s;
+  w.tx_out_s = rep.transfer_out_s;
+  w.output_nnz = rep.output_nnz;
+  w.faults = report.faults.total_faults();
+  w.retries = report.faults.retries;
+  return w;
 }
 
 SpgemmService::SpgemmService(const HeteroPlatform& platform, ThreadPool& pool,
@@ -295,7 +336,8 @@ std::uint64_t SpgemmService::content_key(const CsrMatrix* m) {
 // the same stages — plan, upload gate, Phase II, Phase III (with the D2H
 // shipment or the CPU-only degrade), merge, accounting — on four
 // independently-clocked timelines. Every retried device operation goes
-// through attempt_with_retry.
+// through attempt_with_retry. Every placement is recorded once, in the
+// drain's event log; request spans, critpath and flame read it back.
 class SpgemmService::Drain {
  public:
   explicit Drain(SpgemmService& s);
@@ -303,7 +345,7 @@ class SpgemmService::Drain {
 
  private:
   // One distinct operand of the wave in flight: its users, its upload
-  // outcome, and the spans/faults attributed to its first user.
+  // outcome, and the faults attributed to its first user.
   struct WaveOperand {
     const CsrMatrix* m = nullptr;
     std::uint64_t key = 0;      // content checksum: the residency key
@@ -313,7 +355,6 @@ class SpgemmService::Drain {
     double attributed_s = 0;    // upload time charged to first_req
     double failed_at = 0;
     bool failed = false;  // retries exhausted: every user degrades
-    std::vector<StageSpan> spans;
     FaultRecoveryStats faults;
   };
 
@@ -370,14 +411,14 @@ class SpgemmService::Drain {
   template <typename Attempt>
   Retried attempt_with_retry(ResourceTimeline& lane, const StageNames& names,
                              double ready, double earliest, Attempt&& attempt,
-                             FaultRecoveryStats& faults,
-                             std::vector<StageSpan>& spans, Request* owner);
+                             FaultRecoveryStats& faults, Request* owner);
   StageSpan cpu_stage(Request& r, const char* name, double earliest,
                       double base);
   void degrade(Request& r, double at);
   void scope(std::size_t queue_index);
   void unscope();
   double lanes_now() const;
+  std::span<const TraceEvent> events_from(std::size_t log_index) const;
 
   void run_request(std::size_t i);
   void plan(Request& r);
@@ -399,20 +440,20 @@ class SpgemmService::Drain {
   SpgemmService& s_;
   const HeteroPlatform& platform_;
   const RecoveryPolicy& rp_;
-  // Fresh timelines per drain: the batch clock starts at 0. When a recorder
-  // is attached and enabled, every placement the timelines make is traced;
-  // tr_ is nullptr otherwise so instrumentation is one branch.
-  TraceRecorder* tr_;
+  // The drain's one event log: Config::trace when attached and enabled,
+  // else own_log_. The timelines record every placement into it; this
+  // drain's events start at log_begin_ (a caller's recorder may hold
+  // earlier drains'), the current wave's at wave_log_begin_.
+  TraceRecorder own_log_;
+  TraceRecorder& log_;
+  std::size_t log_begin_;
+  std::size_t wave_log_begin_ = 0;
+  // Fresh timelines per drain: the batch clock starts at 0.
   ResourceTimeline cpu_, gpu_, h2d_, d2h_;
-  // Placement provenance for the critical-path profiler: every
-  // positive-duration reservation lands in plog_ with the request/wave
-  // context current at reservation time.
-  PlacementLog plog_;
-  PlacementLog* pl_;
-  WorkspacePool* ws_;
   FaultInjector* fi_;
   std::size_t first_id_;
   WaveStats wstats_;
+  std::vector<int> wave_of_;  // wave index of each request, queue order
   std::vector<WaveOperand> wave_ops_;
   std::unordered_map<std::uint64_t, std::size_t> wave_op_index_;
   bool gpu_lead_done_ = false;  // the wave's first healthy launch happened
@@ -426,23 +467,14 @@ SpgemmService::Drain::Drain(SpgemmService& s)
     : s_(s),
       platform_(s.platform_),
       rp_(s.config_.recovery),
-      tr_(s.config_.trace != nullptr && s.config_.trace->enabled()
-              ? s.config_.trace
-              : nullptr),
-      cpu_(Resource::kCpu, tr_),
-      gpu_(Resource::kGpu, tr_),
-      h2d_(Resource::kH2D, tr_),
-      d2h_(Resource::kD2H, tr_),
-      pl_(s.config_.critpath ? &plog_ : nullptr),
-      ws_(s.config_.use_workspace_pool ? &s.workspace_ : nullptr),
+      log_(event_log(s.config_.trace, own_log_)),
+      log_begin_(log_.events().size()),
+      cpu_(Resource::kCpu, &log_),
+      gpu_(Resource::kGpu, &log_),
+      h2d_(Resource::kH2D, &log_),
+      d2h_(Resource::kD2H, &log_),
       fi_(s.config_.fault_plan.enabled() ? &s.injector_ : nullptr),
-      first_id_(s.next_id_ - s.queue_.size()) {
-  if (pl_ != nullptr) {
-    for (ResourceTimeline* t : {&cpu_, &gpu_, &h2d_, &d2h_}) {
-      t->attach_placements(pl_);
-    }
-  }
-}
+      first_id_(s.next_id_ - s.queue_.size()) {}
 
 BatchResult SpgemmService::drain() { return Drain(*this).run(); }
 
@@ -453,16 +485,12 @@ BatchResult SpgemmService::Drain::run() {
   latencies_.reserve(n);
   const std::vector<WaveBounds> waves = form_waves_for_queue();
   for (std::size_t w = 0; w < waves.size(); ++w) {
-    // Placements from here to the next wave boundary (the preamble uploads
-    // and every member request's stages) carry this wave's index.
-    if (pl_ != nullptr) pl_->set_wave(static_cast<int>(w));
+    wave_of_.resize(waves[w].end, static_cast<int>(w));  // waves are contiguous
     begin_wave(waves[w]);
     for (std::size_t i = waves[w].begin; i < waves[w].end; ++i) {
       run_request(i);
     }
-    if (tr_ != nullptr) {
-      tr_->instant(TraceCategory::kWave, "wave-end", lanes_now());
-    }
+    log_.instant(TraceCategory::kWave, "wave-end", lanes_now());
   }
   s_.queue_.clear();
   finish_batch();
@@ -499,11 +527,10 @@ void SpgemmService::Drain::begin_wave(const WaveBounds& wb) {
   wave_ops_.clear();
   wave_op_index_.clear();
   gpu_lead_done_ = false;
+  wave_log_begin_ = log_.events().size();
   wstats_.waves++;
   wstats_.wave_requests += static_cast<std::int64_t>(wb.end - wb.begin);
-  if (tr_ != nullptr) {
-    tr_->instant(TraceCategory::kWave, "wave-begin", lanes_now());
-  }
+  log_.instant(TraceCategory::kWave, "wave-begin", lanes_now());
   for (std::size_t r = wb.begin; r < wb.end; ++r) {
     const SpgemmRequest& q = s_.queue_[r];
     if (q.options.matrices_already_on_gpu) continue;
@@ -538,8 +565,8 @@ void SpgemmService::Drain::begin_wave(const WaveBounds& wb) {
 // ResourceTimeline::block_start — the lead transfer pays the link latency,
 // followers ride back-to-back behind it (device/pcie.hpp batched costing).
 // Otherwise each operand retries on its own from where the previous one
-// ended, every retry re-arbitrating the link. Spans and fault counters go
-// to each operand's first user.
+// ended, every retry re-arbitrating the link. Each operand's upload is
+// placed (and its faults counted) under its first user.
 void SpgemmService::Drain::upload(const std::vector<std::size_t>& pending) {
   const PcieChannel& link = platform_.link().h2d();
   std::vector<DeviceAttempt> first;
@@ -563,7 +590,7 @@ void SpgemmService::Drain::upload(const std::vector<std::size_t>& pending) {
           if (std::exchange(fresh, false)) return first[k];
           return link.matrix_transfer_attempt(*op.m, fi_);
         },
-        op.faults, op.spans, /*owner=*/nullptr);
+        op.faults, /*owner=*/nullptr);
     unscope();
     op.attributed_s = r.elapsed_s;
     cursor = r.last.end_s;
@@ -576,10 +603,8 @@ void SpgemmService::Drain::upload(const std::vector<std::size_t>& pending) {
   }
   if (healthy) {
     wstats_.coalesced_uploads += static_cast<std::int64_t>(pending.size()) - 1;
-    if (tr_ != nullptr) {
-      tr_->instant_on(TraceCategory::kWave, "wave-h2d-coalesced",
-                      Resource::kH2D, cursor);
-    }
+    log_.instant_on(TraceCategory::kWave, "wave-h2d-coalesced", Resource::kH2D,
+                    cursor);
   }
 }
 
@@ -606,7 +631,7 @@ template <typename Attempt>
 SpgemmService::Drain::Retried SpgemmService::Drain::attempt_with_retry(
     ResourceTimeline& lane, const StageNames& names, double ready,
     double earliest, Attempt&& attempt, FaultRecoveryStats& faults,
-    std::vector<StageSpan>& spans, Request* owner) {
+    Request* owner) {
   const Resource res = lane.resource();
   const bool gpu = res == Resource::kGpu;
   const bool h2d = res == Resource::kH2D;
@@ -618,7 +643,6 @@ SpgemmService::Drain::Retried SpgemmService::Drain::attempt_with_retry(
     const StageSpan s = lane.reserve(
         at.ok ? names.ok : at.corrupt ? names.corrupt : names.fault, earliest,
         at.elapsed_s, ready);
-    spans.push_back(s);
     r.elapsed_s += at.elapsed_s;
     r.last = s;
     r.attempt = at;
@@ -630,12 +654,10 @@ SpgemmService::Drain::Retried SpgemmService::Drain::attempt_with_retry(
     int& site_faults =
         gpu ? faults.gpu_aborts : h2d ? faults.h2d_faults : faults.d2h_faults;
     ++site_faults;
-    if (tr_ != nullptr) {
-      const char* fault = gpu ? "gpu-abort"
-                          : h2d ? (at.corrupt ? "h2d-corrupt" : "h2d-fault")
-                                : (at.corrupt ? "d2h-corrupt" : "d2h-fault");
-      tr_->instant_on(TraceCategory::kFault, fault, res, s.end_s, at.op);
-    }
+    const char* fault = gpu ? "gpu-abort"
+                        : h2d ? (at.corrupt ? "h2d-corrupt" : "h2d-fault")
+                              : (at.corrupt ? "d2h-corrupt" : "d2h-fault");
+    log_.instant_on(TraceCategory::kFault, fault, res, s.end_s, at.op);
     if (at.corrupt) faults.corruptions++;
     failures = gpu ? faults.gpu_aborts : failures + 1;
     if (owner != nullptr && owner->past_deadline(s.end_s)) {
@@ -648,11 +670,9 @@ SpgemmService::Drain::Retried SpgemmService::Drain::attempt_with_retry(
       return r;
     }
     faults.retries++;
-    if (tr_ != nullptr) {
-      tr_->instant_on(TraceCategory::kRetry,
-                      gpu ? "retry-gpu" : h2d ? "retry-h2d" : "retry-d2h", res,
-                      s.end_s, at.op);
-    }
+    log_.instant_on(TraceCategory::kRetry,
+                    gpu ? "retry-gpu" : h2d ? "retry-h2d" : "retry-d2h", res,
+                    s.end_s, at.op);
     double wait;
     if (!rp_.decorrelated_jitter) {
       wait =
@@ -681,11 +701,10 @@ StageSpan SpgemmService::Drain::cpu_stage(Request& r, const char* name,
     if (stall.elapsed_s > 0) r.rr.faults.cpu_stalls++;
   }
   const StageSpan s = cpu_.reserve(name, earliest, base + stall.elapsed_s);
-  if (stall.elapsed_s > 0 && tr_ != nullptr) {
-    tr_->instant_on(TraceCategory::kFault, "cpu-stall", Resource::kCpu,
+  if (stall.elapsed_s > 0) {
+    log_.instant_on(TraceCategory::kFault, "cpu-stall", Resource::kCpu,
                     s.end_s, stall.op);
   }
-  r.rr.spans.push_back(s);
   r.check_deadline(s.end_s);
   return s;
 }
@@ -693,24 +712,25 @@ StageSpan SpgemmService::Drain::cpu_stage(Request& r, const char* name,
 void SpgemmService::Drain::degrade(Request& r, double at) {
   r.degraded = true;
   r.degrade_at = std::max(r.degrade_at, at);
-  if (tr_ != nullptr) {
-    tr_->instant(TraceCategory::kDegrade, "degrade-to-cpu", at);
-  }
+  log_.instant(TraceCategory::kDegrade, "degrade-to-cpu", at);
 }
 
-// Trace and placement identity of the request at `queue_index`.
+// Event identity of the request at `queue_index`: everything recorded until
+// unscope() carries its id.
 void SpgemmService::Drain::scope(std::size_t queue_index) {
-  if (tr_ != nullptr) tr_->begin_request(first_id_ + queue_index);
-  if (pl_ != nullptr) pl_->begin_request(first_id_ + queue_index);
+  log_.begin_request(first_id_ + queue_index);
 }
 
-void SpgemmService::Drain::unscope() {
-  if (tr_ != nullptr) tr_->end_request();
-  if (pl_ != nullptr) pl_->end_request();
-}
+void SpgemmService::Drain::unscope() { log_.end_request(); }
 
 double SpgemmService::Drain::lanes_now() const {
   return std::max({cpu_.now(), gpu_.now(), h2d_.now(), d2h_.now()});
+}
+
+// The log's events from `log_index` on. Recording invalidates the view.
+std::span<const TraceEvent> SpgemmService::Drain::events_from(
+    std::size_t log_index) const {
+  return std::span<const TraceEvent>(log_.events()).subspan(log_index);
 }
 
 // ---- Per-request stages.
@@ -772,15 +792,13 @@ void SpgemmService::Drain::plan(Request& r) {
         t_a = t_b = d.t;
         if (d.explore) {
           s_.metrics_.counter("tune.explorations").inc();
-          if (tr_ != nullptr) {
-            tr_->instant(TraceCategory::kTune, "tune-explore", rr.submit_s);
-          }
+          log_.instant(TraceCategory::kTune, "tune-explore", rr.submit_s);
         }
       }
     }
   }
-  if (r.cacheable && tr_ != nullptr) {
-    tr_->instant(TraceCategory::kScheduler,
+  if (r.cacheable) {
+    log_.instant(TraceCategory::kScheduler,
                  rr.plan_cache_hit ? "plan-cache-hit" : "plan-cache-miss",
                  rr.submit_s);
   }
@@ -814,8 +832,8 @@ void SpgemmService::Drain::plan(Request& r) {
 }
 
 // The uploads ran in the wave preamble. Collect this request's readiness
-// gate, attribute each operand's upload spans/faults to its first user, and
-// degrade every user of an operand whose upload retries were exhausted.
+// gate, attribute each operand's upload time and faults to its first user,
+// and degrade every user of an operand whose upload retries were exhausted.
 void SpgemmService::Drain::gate_uploads(Request& r) {
   r.tx_gate = r.rr.submit_s;
   double tx_in_total = 0;
@@ -825,7 +843,6 @@ void SpgemmService::Drain::gate_uploads(Request& r) {
       const WaveOperand& op = wave_ops_[wave_op_index_.at(s_.content_key(m))];
       r.tx_gate = std::max(r.tx_gate, op.ready_s);
       if (op.first_req == r.index) {
-        r.rr.spans.insert(r.rr.spans.end(), op.spans.begin(), op.spans.end());
         r.rr.faults.accumulate(op.faults);
         tx_in_total += op.attributed_s;
       }
@@ -843,7 +860,7 @@ void SpgemmService::Drain::gate_uploads(Request& r) {
 void SpgemmService::Drain::phase2(Request& r) {
   if (r.cancelled) return;
   RunReport& rep = r.rr.run;
-  r.p2 = run_phase2(r.a, r.b, r.plan, platform_, s_.pool_, ws_);
+  r.p2 = run_phase2(r.a, r.b, r.plan, platform_, s_.pool_, &s_.workspace_);
   r.p2_live = true;
   rep.phase2_cpu_s = r.p2.cpu_s;
   rep.phase2_gpu_s = r.p2.gpu_s;
@@ -864,7 +881,7 @@ void SpgemmService::Drain::phase2(Request& r) {
         return platform_.gpu().kernel_attempt(r.p2.ll_stats, fi_,
                                               /*lead=*/!gpu_lead_done_);
       },
-      r.rr.faults, r.rr.spans, &r);
+      r.rr.faults, &r);
   if (!t.ok) return;
   r.gpu2 = t.last;
   if (t.attempt.elapsed_s > 0) {
@@ -887,7 +904,7 @@ void SpgemmService::Drain::phase3(Request& r) {
                  : std::max({gpu_.now(), r.analyze.end_s, r.tx_gate,
                              r.gpu2.end_s});
   r.q = run_phase3(r.a, r.b, r.plan, r.req.options.queue, cpu_q_start,
-                   gpu_q_start, platform_, s_.pool_, ws_);
+                   gpu_q_start, platform_, s_.pool_, &s_.workspace_);
   r.q_ran = true;
   rep.phase3_cpu_s = r.q.cpu_busy;
   rep.phase3_gpu_s = r.q.gpu_busy;
@@ -909,7 +926,7 @@ void SpgemmService::Drain::phase3(Request& r) {
           if (at.ok) at.elapsed_s = r.q.gpu_busy;
           return at;
         },
-        r.rr.faults, r.rr.spans, &r);
+        r.rr.faults, &r);
     if (t.ok) r.q_gpu = t.last;
   }
   ship_tuples(r);
@@ -929,7 +946,7 @@ void SpgemmService::Drain::ship_tuples(Request& r) {
       [&] {
         return platform_.link().d2h().tuple_transfer_attempt(gpu_tuples, fi_);
       },
-      r.rr.faults, r.rr.spans, &r);
+      r.rr.faults, &r);
   r.rr.run.transfer_out_s += t.elapsed_s;
   if (t.ok) r.tx_out = t.last;
 }
@@ -950,7 +967,6 @@ void SpgemmService::Drain::replan_degraded(Request& r) {
   r.deg = cpu_.reserve("degraded-cpu-replan",
                        std::max({r.q_cpu.end_s, r.cpu2.end_s, r.degrade_at}),
                        extra);
-  r.rr.spans.push_back(r.deg);
   r.check_deadline(r.deg.end_s);
 }
 
@@ -965,14 +981,12 @@ void SpgemmService::Drain::merge(Request& r) {
   if (!r.p2_live) return;
   r.p2_live = false;
   if (!r.q_ran) {
-    if (ws_ != nullptr) {
-      ws_->release_coo(std::move(r.p2.hh_tuples));
-      ws_->release_coo(std::move(r.p2.ll_tuples));
-    }
+    s_.workspace_.release_coo(std::move(r.p2.hh_tuples));
+    s_.workspace_.release_coo(std::move(r.p2.ll_tuples));
     return;
   }
   r.merged = run_phase4(std::move(r.p2), std::move(r.q), platform_, s_.pool_,
-                        ws_);
+                        &s_.workspace_);
   rep.merge = r.merged.merge;
   rep.phase4_s = r.merged.cpu_s;
   if (r.cancelled) return;
@@ -982,12 +996,18 @@ void SpgemmService::Drain::merge(Request& r) {
   r.have_output = !r.cancelled;
 }
 
-// Request accounting: span envelope, status, and the batch aggregates.
+// Request accounting: the request's spans and their envelope, status, and
+// the batch aggregates.
 void SpgemmService::Drain::settle(Request& r) {
   RequestReport& rr = r.rr;
   RunReport& rep = rr.run;
-  std::erase_if(rr.spans,
-                [](const StageSpan& s) { return s.duration_s() <= 0; });
+  // Every placement of this request is in the log from its wave's start on:
+  // its uploads ran in the wave preamble, its stages since.
+  for (const TraceEvent& e : events_from(wave_log_begin_)) {
+    if (e.kind == TraceEventKind::kSpan && e.request_id == rr.request_id) {
+      rr.spans.push_back({e.name, e.resource, e.start_s, e.end_s});
+    }
+  }
   rr.start_s = rr.submit_s;
   rr.finish_s = rr.submit_s;
   for (std::size_t k = 0; k < rr.spans.size(); ++k) {
@@ -1004,9 +1024,7 @@ void SpgemmService::Drain::settle(Request& r) {
     os << "deadline of " << rr.deadline_s << " s exceeded at " << rr.finish_s
        << " s; request cancelled";
     rr.status = Status{StatusCode::kDeadlineExceeded, os.str()};
-    if (tr_ != nullptr) {
-      tr_->instant(TraceCategory::kCancel, "deadline-cancel", rr.finish_s);
-    }
+    log_.instant(TraceCategory::kCancel, "deadline-cancel", rr.finish_s);
     // The plan this request rode on is suspect until re-identified.
     if (r.cacheable && rr.plan_cache_hit) {
       s_.plan_cache_.quarantine(r.cache_key);
@@ -1054,9 +1072,7 @@ void SpgemmService::Drain::feed_tuner(Request& r) {
     promoted.measured_s = promo->to_best_s;
     s_.plan_cache_.insert(r.cache_key, promoted);
     s_.metrics_.counter("tune.promotions").inc();
-    if (tr_ != nullptr) {
-      tr_->instant(TraceCategory::kTune, "tune-promote", rr.finish_s);
-    }
+    log_.instant(TraceCategory::kTune, "tune-promote", rr.finish_s);
   }
   // Calibrate the cost model against this request's observed stage times
   // (per device; transfers only when bytes actually moved).
@@ -1077,9 +1093,7 @@ void SpgemmService::Drain::feed_tuner(Request& r) {
   }
   if (drift) {
     s_.metrics_.counter("tune.drift_events").inc();
-    if (tr_ != nullptr) {
-      tr_->instant(TraceCategory::kTune, "tune-drift", rr.finish_s);
-    }
+    log_.instant(TraceCategory::kTune, "tune-drift", rr.finish_s);
   }
 }
 
@@ -1089,35 +1103,9 @@ void SpgemmService::Drain::feed_tuner(Request& r) {
 // the replay (outcome, chosen thresholds, stage totals).
 void SpgemmService::Drain::record(Request& r) {
   const RequestReport& rr = r.rr;
-  const RunReport& rep = rr.run;
   if (WorkloadRecorder* recorder = s_.config_.recorder) {
-    WorkloadRecord w;
-    w.id = rr.request_id;
-    w.label = rr.label;
-    w.a = s_.signature_of(&r.a);
-    w.b = s_.signature_of(&r.b);
-    w.submit_s = recorder->clock() + rr.submit_s;
-    w.deadline_s = rr.deadline_s;
-    w.pin_ta = r.req.options.threshold_a;
-    w.pin_tb = r.req.options.threshold_b;
-    w.ta = rep.threshold_a;
-    w.tb = rep.threshold_b;
-    w.status = hh::to_string(rr.status.code);
-    w.cache_hit = rr.plan_cache_hit;
-    w.degraded = rr.degraded_to_cpu;
-    w.deadline_missed = rr.deadline_missed;
-    w.latency_s = rr.latency_s;
-    w.queue_wait_s = rr.queue_wait_s;
-    w.phase1_s = rep.phase1_s;
-    w.phase2_s = rep.phase2_s;
-    w.phase3_s = rep.phase3_s;
-    w.phase4_s = rep.phase4_s;
-    w.tx_in_s = rep.transfer_in_s;
-    w.tx_out_s = rep.transfer_out_s;
-    w.output_nnz = rep.output_nnz;
-    w.faults = rr.faults.total_faults();
-    w.retries = rr.faults.retries;
-    recorder->append(std::move(w));
+    recorder->append(workload_record(r.req, rr, s_.signature_of(&r.a),
+                                     s_.signature_of(&r.b), recorder->clock()));
   }
   if (s_.config_.slo != nullptr) {
     s_.config_.slo->observe(rr.latency_s, rr.status.ok(), rr.deadline_missed,
@@ -1137,9 +1125,7 @@ void SpgemmService::Drain::release_operands(const Request& r) {
     if (--rit->second <= 0 && !s_.config_.keep_inputs_resident) {
       s_.residency_.erase(rit);
       wstats_.evictions++;
-      if (tr_ != nullptr) {
-        tr_->instant(TraceCategory::kWave, "wave-evict", r.rr.finish_s);
-      }
+      log_.instant(TraceCategory::kWave, "wave-evict", r.rr.finish_s);
     }
   }
 }
@@ -1171,8 +1157,7 @@ void SpgemmService::Drain::finish_batch() {
   m.counter("wave.batched_launches").inc(wstats_.batched_launches);
   m.counter("wave.evictions").inc(wstats_.evictions);
   m.counter("wave.h2d_bytes").inc(wstats_.h2d_bytes);
-  batch.critpath_enabled = pl_ != nullptr;
-  if (pl_ != nullptr) profile_critical_path(batch);
+  profile_critical_path(batch);
 
   const std::int64_t shed_total = m.counter("service.shed").value();
   batch.shed = static_cast<std::size_t>(shed_total - s_.shed_at_last_drain_);
@@ -1185,19 +1170,7 @@ void SpgemmService::Drain::finish_batch() {
     r.flame = flame_row(r.spans, 0, makespan_);
   }
   publish_metrics(batch);
-
-  // The batch flame is built from the per-request spans (not the recorder),
-  // so the text view works even with tracing compiled out or disabled.
-  std::vector<TraceEvent> flame_events;
-  for (const RequestReport& r : out_.requests) {
-    for (const StageSpan& s : r.spans) {
-      flame_events.push_back({TraceEventKind::kSpan, TraceCategory::kCompute,
-                              s.stage, /*has_resource=*/true, s.resource,
-                              r.request_id, s.start_s, s.end_s, s.start_s,
-                              kNoDeviceOp});
-    }
-  }
-  batch.flame = flame_view(flame_events);
+  batch.flame = flame_view(events_from(log_begin_));
 
   // Close the drain: the recorder's clock absorbs this drain's makespan so
   // the next drain's records arrive later on the accumulated clock.
@@ -1208,29 +1181,36 @@ void SpgemmService::Drain::finish_batch() {
 
 // Critical-path profile (obs/critpath.hpp): attribute the makespan.
 void SpgemmService::Drain::profile_critical_path(BatchReport& batch) {
-  // Invariant: the provenance log is attribution-complete — per resource,
-  // the sum of logged placement durations equals the timeline's busy time
-  // (both only ever grow by positive-duration reservations).
+  const std::span<const TraceEvent> events = events_from(log_begin_);
+  // Invariant: the log is attribution-complete — per resource, the summed
+  // span durations equal the timeline's busy time (both only ever grow by
+  // positive-duration reservations).
   const double busy[kResourceCount] = {cpu_.busy(), gpu_.busy(), h2d_.busy(),
                                        d2h_.busy()};
+  double attributed[kResourceCount] = {0, 0, 0, 0};
+  for (const TraceEvent& e : events) {
+    if (e.kind != TraceEventKind::kSpan) continue;
+    attributed[static_cast<int>(e.resource)] += e.end_s - e.start_s;
+  }
   for (int r = 0; r < kResourceCount; ++r) {
-    const double attributed = pl_->attributed_busy_s(static_cast<Resource>(r));
-    HH_CHECK_MSG(std::abs(attributed - busy[r]) <=
+    HH_CHECK_MSG(std::abs(attributed[r] - busy[r]) <=
                      1e-9 * std::max(1.0, busy[r]),
-                 "placement log does not cover the timeline's busy time");
+                 "event log does not cover the timeline's busy time");
   }
   std::vector<CritPathRequestInfo> infos;
   infos.reserve(out_.requests.size());
-  for (const RequestReport& r : out_.requests) {
+  for (std::size_t i = 0; i < out_.requests.size(); ++i) {
+    const RequestReport& r = out_.requests[i];
     CritPathRequestInfo info;
     info.request_id = r.request_id;
     info.label = r.label;
+    info.wave = wave_of_[i];
     info.queue_wait_s = r.queue_wait_s;
     info.latency_s = r.latency_s;
     info.backoff_s = r.faults.backoff_s;
     infos.push_back(std::move(info));
   }
-  batch.critpath = compute_critical_path(pl_->placements(), makespan_, infos);
+  batch.critpath = compute_critical_path(events, makespan_, infos);
   const CritPathReport& cp = batch.critpath;
   MetricsRegistry& m = s_.metrics_;
   const double denom = std::max(cp.makespan_s, 1e-300);
@@ -1240,9 +1220,10 @@ void SpgemmService::Drain::profile_critical_path(BatchReport& batch) {
     Histogram& qd =
         m.histogram(std::string("critpath.queue_delay_s.") + crit_lane_name(r),
                     latency_buckets_s());
-    for (const Placement& p : pl_->placements()) {
-      if (static_cast<int>(p.resource) != r) continue;
-      const double delay = std::max(0.0, p.queue_delay_s());
+    for (const TraceEvent& e : events) {
+      if (e.kind != TraceEventKind::kSpan) continue;
+      if (static_cast<int>(e.resource) != r) continue;
+      const double delay = std::max(0.0, e.start_s - e.requested_s);
       queueing += delay;
       qd.observe(delay);
     }
@@ -1257,16 +1238,15 @@ void SpgemmService::Drain::profile_critical_path(BatchReport& batch) {
   m.gauge("critpath.idle.crit_s").set(cp.attributed_s[kIdleLane]);
   m.gauge("critpath.bottleneck")
       .set(static_cast<double>(cp.bottleneck_lane()));
-  if (tr_ != nullptr) {
-    // One instant per chain step; the Perfetto exporter links them with
-    // flow arrows so the critical chain reads as one thread of causality.
-    for (const CritPathStep& s : cp.steps) {
-      if (s.lane < kResourceCount) {
-        tr_->instant_on(TraceCategory::kCritPath, "crit-step",
-                        static_cast<Resource>(s.lane), s.start_s);
-      } else {
-        tr_->instant(TraceCategory::kCritPath, "crit-idle", s.start_s);
-      }
+  // One instant per chain step (this invalidates `events`); the Perfetto
+  // exporter links them with flow arrows so the critical chain reads as one
+  // thread of causality.
+  for (const CritPathStep& s : cp.steps) {
+    if (s.lane < kResourceCount) {
+      log_.instant_on(TraceCategory::kCritPath, "crit-step",
+                      static_cast<Resource>(s.lane), s.start_s);
+    } else {
+      log_.instant(TraceCategory::kCritPath, "crit-idle", s.start_s);
     }
   }
 }

@@ -14,6 +14,12 @@
 // plans (Phase I), waits on its uploads, runs Phase II and the Phase III
 // queue (shipping GPU tuples back, or degrading to the CPU), and merges.
 //
+// Each drain keeps one event log (trace/trace.hpp): Config::trace when it is
+// attached and enabled, else a recorder of the drain's own. The timelines
+// record every placement there exactly once; each request's stage spans and
+// start/finish, the batch critical-path profile (obs/critpath.hpp) and both
+// flame views are read back from that drain's span events.
+//
 // Steady-state accelerators, all output-preserving:
 //  - partition-plan cache keyed by sparsity signatures (runtime/plan_cache)
 //    — a hit skips threshold identification;
@@ -68,6 +74,7 @@
 namespace hh {
 
 class WorkloadRecorder;  // obs/recorder.hpp
+struct WorkloadRecord;   // obs/record.hpp
 class SloMonitor;        // obs/slo.hpp
 
 struct SpgemmRequest {
@@ -120,6 +127,8 @@ struct RequestReport {
   double finish_s = 0;      // merge ends (or cancellation point)
   double queue_wait_s = 0;  // start_s - submit_s
   double latency_s = 0;     // finish_s - submit_s
+  // This request's placements in the drain's event-log order; an operand's
+  // upload attempts belong to the wave's first user of that operand.
   std::vector<StageSpan> spans;
   std::string flame;  // one-row text flame of this request's spans over the
                       // batch window (trace/flame.hpp)
@@ -127,6 +136,16 @@ struct RequestReport {
   std::string to_string() const;
   std::string to_json() const;
 };
+
+/// The flight-recorder record (obs/record.hpp) of one served request:
+/// identity, operand signatures `a`/`b` (b == a for a self product), arrival
+/// on the recorder's accumulated clock `clock_s`, deadline, pinned and used
+/// thresholds, outcome and stage totals. shard stays -1; a shard group
+/// stamps its own.
+WorkloadRecord workload_record(const SpgemmRequest& request,
+                               const RequestReport& report,
+                               const MatrixSignature& a,
+                               const MatrixSignature& b, double clock_s);
 
 /// Batch-level accounting across one drain().
 struct BatchReport {
@@ -152,10 +171,10 @@ struct BatchReport {
   // Config::wave.enabled: false means every wave held one request.
   bool wave_enabled = false;
   WaveStats wave;
-  // Critical-path profile (obs/critpath.hpp). critpath_enabled echoes
-  // Config::critpath (on by default); when false the report stays empty and
-  // to_string / to_json omit it entirely.
-  bool critpath_enabled = false;
+  // Critical-path profile (obs/critpath.hpp), read from the drain's span
+  // events. Every drain has one; critpath_enabled stays only because the
+  // benchmark (perfbench/) still reads it.
+  static constexpr bool critpath_enabled = true;
   CritPathReport critpath;
   bool backoff_jitter = false;  // RecoveryPolicy::decorrelated_jitter echo
   std::string flame;  // per-resource text flame view of the whole batch
@@ -195,7 +214,6 @@ class SpgemmService {
   struct Config {
     std::size_t plan_cache_capacity = 64;
     bool keep_inputs_resident = true;  // uploaded operands stay on the device
-    bool use_workspace_pool = true;
     FaultPlan fault_plan;     // default: fault-free
     RecoveryPolicy recovery;
     std::size_t admission_capacity = 0;  // max pending; 0 = unbounded
@@ -207,15 +225,6 @@ class SpgemmService {
     // same-wave Phase II GPU launches. Disabled (the default), every wave
     // holds one request. Output bits are the same either way.
     WaveConfig wave;
-    // Critical-path profiler (obs/critpath.hpp, docs/observability.md): every
-    // drain records placement provenance (runtime/placement.hpp), checks that
-    // per-resource busy time equals the sum of attributed placements, and
-    // embeds a CritPathReport — per-request latency decomposition plus the
-    // batch critical chain attributing each makespan second to
-    // cpu/gpu/h2d/d2h/idle — in the BatchReport, with critpath.* metrics and
-    // kCritPath trace instants. Pure observability: placements and outputs
-    // are unchanged either way.
-    bool critpath = true;
     // Online autotuning (src/tune/, docs/tuning.md): measured-feedback
     // refinement of cached thresholds plus cost-model calibration. Off by
     // default — a disabled tuner leaves every request, report and metric
@@ -224,10 +233,11 @@ class SpgemmService {
     // candidate computes the same product.
     TuneConfig tune;
     // Optional structured tracing (trace/trace.hpp). The recorder must
-    // outlive the service; it records nothing until enable()d. Every
-    // timeline placement, device attempt outcome, retry, degradation and
-    // cancellation lands in it with request identity — export with
-    // trace/perfetto_export.hpp or render with trace/flame.hpp.
+    // outlive the service; it records nothing until enable()d. While
+    // enabled it is each drain's event log: every timeline placement, fault,
+    // retry, degradation, cancellation and critical-chain step lands in it
+    // with request identity — export with trace/perfetto_export.hpp or
+    // render with trace/flame.hpp. Reports are the same either way.
     TraceRecorder* trace = nullptr;
     // Optional workload flight recorder (obs/recorder.hpp): every drained
     // request appends one checksum-chained JSONL record (signature pair,

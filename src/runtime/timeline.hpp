@@ -13,16 +13,17 @@
 // on the CPU inside the window where request k's tuples are still crossing
 // the D2H channel. Everything is deterministic.
 //
-// When a TraceRecorder is attached, every placement is recorded with both
-// the dependence-allowed earliest start and the granted start, so pipeline
-// bubbles are directly visible in the exported trace
-// (docs/observability.md).
+// When a TraceRecorder is attached, every positive-duration placement is
+// recorded there once, as a span with both the dependence-allowed earliest
+// start and the granted start — so the sum of a resource's span durations
+// is its busy() time, and pipeline bubbles are directly visible. The
+// service attaches its drain's event log, which the critical-path profile,
+// the flame views and the request reports read (docs/observability.md).
 #pragma once
 
 #include <algorithm>
 #include <vector>
 
-#include "runtime/placement.hpp"
 #include "runtime/resource.hpp"
 #include "trace/trace.hpp"
 
@@ -33,11 +34,6 @@ class ResourceTimeline {
   explicit ResourceTimeline(Resource r = Resource::kCpu,
                             TraceRecorder* trace = nullptr)
       : resource_(r), trace_(trace) {}
-
-  /// Attach a placement-provenance log: every positive-duration reservation
-  /// from here on is appended with the log's current request/wave context
-  /// (obs/critpath.* consumes it for latency attribution).
-  void attach_placements(PlacementLog* log) { placements_ = log; }
 
   Resource resource() const { return resource_; }
 
@@ -69,9 +65,9 @@ class ResourceTimeline {
   }
 
   /// reserve() recording `requested` (<= earliest) as the dependence-allowed
-  /// start in the trace and placement log: a segment of a block placed from
-  /// block_start was runnable at the block's own earliest, not only from
-  /// the slot it was granted, so the wait counts as queueing.
+  /// start in the trace: a segment of a block placed from block_start was
+  /// runnable at the block's own earliest, not only from the slot it was
+  /// granted, so the wait counts as queueing.
   StageSpan reserve(const char* stage, double earliest, double duration,
                     double requested) {
     if (duration <= 0) {
@@ -127,9 +123,6 @@ class ResourceTimeline {
 
   StageSpan record(const char* stage, double requested, double start,
                    double end) {
-    if (placements_ != nullptr) {
-      placements_->append(stage, resource_, requested, start, end);
-    }
     if (trace_ != nullptr) {
       const bool transfer =
           resource_ == Resource::kH2D || resource_ == Resource::kD2H;
@@ -142,7 +135,6 @@ class ResourceTimeline {
 
   Resource resource_;
   TraceRecorder* trace_ = nullptr;
-  PlacementLog* placements_ = nullptr;
   std::vector<Gap> gaps_;  // idle windows, ascending, disjoint
   double now_ = 0;
   double busy_ = 0;

@@ -37,7 +37,7 @@ std::string GroupBatchReport::to_string() const {
      << " deduped, " << wave.h2d_bytes << " bytes), "
      << wave.batched_launches << " batched launches, " << wave.evictions
      << " evictions\n";
-  if (critpath_enabled) os << "  critpath: " << critpath.to_string() << "\n";
+  os << "  critpath: " << critpath.to_string() << "\n";
   for (const ShardReport& s : shard_reports) {
     os << "  shard " << s.shard << " [" << s.breaker << "]: " << s.assigned
        << " assigned, " << s.completed << " completed, " << s.degraded
@@ -66,10 +66,9 @@ std::string GroupBatchReport::to_json() const {
      << ",\"p95_latency_s\":" << fmt_num(p95_latency_s)
      << ",\"p99_latency_s\":" << fmt_num(p99_latency_s)
      << ",\"faults\":" << faults.to_json()
-     << ",\"wave\":" << wave.to_json();
-  // Emitted only when the critical-path profiler is on (the default).
-  if (critpath_enabled) os << ",\"critpath\":" << critpath.to_json();
-  os << ",\"backoff_jitter\":" << fmt_bool(backoff_jitter)
+     << ",\"wave\":" << wave.to_json()
+     << ",\"critpath\":" << critpath.to_json()
+     << ",\"backoff_jitter\":" << fmt_bool(backoff_jitter)
      << ",\"shard_reports\":[";
   for (std::size_t i = 0; i < shard_reports.size(); ++i) {
     const ShardReport& s = shard_reports[i];
@@ -89,9 +88,8 @@ std::string GroupBatchReport::to_json() const {
        << ",\"evictions\":" << s.plan_cache.evictions
        << ",\"overwrites\":" << s.plan_cache.overwrites
        << ",\"quarantines\":" << s.plan_cache.quarantines
-       << "},\"wave\":" << s.wave.to_json();
-    if (critpath_enabled) os << ",\"critpath\":" << s.critpath.to_json();
-    os << "}";
+       << "},\"wave\":" << s.wave.to_json()
+       << ",\"critpath\":" << s.critpath.to_json() << "}";
   }
   os << "]}";
   return os.str();

@@ -47,9 +47,7 @@ struct ShardReport {
   WaveStats wave;                   // per-shard wave accounting
   CritPathSummary critpath;         // per-shard critical-path attribution
                                     // accumulated over the shard's drains
-                                    // (makespan_s sums round makespans);
-                                    // reported only when the group's
-                                    // profiler is enabled
+                                    // (makespan_s sums round makespans)
 };
 
 /// Group-level accounting across one ShardedSpgemmService::drain().
@@ -75,9 +73,7 @@ struct GroupBatchReport {
   WaveStats wave;
   // Critical-path attribution summed over all shards' drains
   // (obs/critpath.hpp): "critical seconds" per lane across the group, not
-  // wall time — shards drain on independent clocks. Omitted unless
-  // critpath_enabled.
-  bool critpath_enabled = false;
+  // wall time — shards drain on independent clocks.
   CritPathSummary critpath;
   bool backoff_jitter = false;
   std::vector<ShardReport> shard_reports;  // index == shard

@@ -339,34 +339,10 @@ GroupResult ShardedSpgemmService::drain() {
         if (config_.recorder != nullptr) {
           const SpgemmRequest& greq = reqs[gidx];
           const CsrMatrix* pb = greq.b != nullptr ? greq.b : greq.a;
-          const RunReport& rep = rr.run;
-          WorkloadRecord w;
-          w.id = rr.request_id;
+          WorkloadRecord w =
+              workload_record(greq, rr, signature_of(greq.a), signature_of(pb),
+                              config_.recorder->clock());
           w.shard = static_cast<std::int64_t>(s);
-          w.label = rr.label;
-          w.a = signature_of(greq.a);
-          w.b = signature_of(pb);
-          w.submit_s = config_.recorder->clock() + rr.submit_s;
-          w.deadline_s = rr.deadline_s;
-          w.pin_ta = greq.options.threshold_a;
-          w.pin_tb = greq.options.threshold_b;
-          w.ta = rep.threshold_a;
-          w.tb = rep.threshold_b;
-          w.status = hh::to_string(rr.status.code);
-          w.cache_hit = rr.plan_cache_hit;
-          w.degraded = rr.degraded_to_cpu;
-          w.deadline_missed = rr.deadline_missed;
-          w.latency_s = rr.latency_s;
-          w.queue_wait_s = rr.queue_wait_s;
-          w.phase1_s = rep.phase1_s;
-          w.phase2_s = rep.phase2_s;
-          w.phase3_s = rep.phase3_s;
-          w.phase4_s = rep.phase4_s;
-          w.tx_in_s = rep.transfer_in_s;
-          w.tx_out_s = rep.transfer_out_s;
-          w.output_nnz = rep.output_nnz;
-          w.faults = rr.faults.total_faults();
-          w.retries = rr.faults.retries;
           config_.recorder->append(std::move(w));
         }
         if (config_.slo != nullptr) {
@@ -392,9 +368,7 @@ GroupResult ShardedSpgemmService::drain() {
       }
       sh.report.faults.accumulate(br.batch.faults);
       sh.report.wave.accumulate(br.batch.wave);
-      if (br.batch.critpath_enabled) {
-        sh.report.critpath.accumulate(br.batch.critpath.summary());
-      }
+      sh.report.critpath.accumulate(br.batch.critpath.summary());
 
       // Breaker transitions on this round's evidence.
       if (sh.breaker == BreakerState::kHalfOpen) {
@@ -446,7 +420,6 @@ GroupResult ShardedSpgemmService::drain() {
   g.p95_latency_s = percentile(latencies, 0.95);
   g.p99_latency_s = percentile(latencies, 0.99);
   g.backoff_jitter = config_.shard.recovery.decorrelated_jitter;
-  g.critpath_enabled = config_.shard.critpath;
   g.shard_reports.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
     Shard& sh = shards_[s];

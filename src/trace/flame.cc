@@ -36,7 +36,7 @@ void paint(std::string& row, double t0, double t1, double start, double end,
 
 }  // namespace
 
-std::string flame_view(const std::vector<TraceEvent>& events, int width) {
+std::string flame_view(std::span<const TraceEvent> events, int width) {
   width = std::max(width, 8);
   double t_max = 0;
   bool any = false;

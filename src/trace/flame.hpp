@@ -8,6 +8,7 @@
 // RequestReport::to_string().
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,7 @@ namespace hh {
 ///   cpu  |00011222...| busy 12.4 ms / 20.0 ms
 /// Glyphs are the owning request id mod 36 (0-9a-z), '.' is idle, '#' marks
 /// spans with no request identity. Empty string when nothing was recorded.
-std::string flame_view(const std::vector<TraceEvent>& events, int width = 64);
+std::string flame_view(std::span<const TraceEvent> events, int width = 64);
 std::string flame_view(const TraceRecorder& recorder, int width = 64);
 
 /// Single row over [t0, t1] for one request's spans: C = cpu, G = gpu,

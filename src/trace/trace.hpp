@@ -7,20 +7,21 @@
 //     dependence-allowed earliest start the caller asked for and the start
 //     the insertion scheduler actually granted — the difference is the
 //     pipeline bubble);
-//   - every simulated device operation outcome (gpu_sim / cpu_sim / pcie),
-//     carrying the fault injector's site-local op index;
-//   - every fault, retry, degradation and cancellation decision the service
-//     makes, with request identity.
+//   - every fault and retry instant, carrying the fault injector's
+//     site-local op index of the simulated device operation;
+//   - every degradation, cancellation, wave and plan-cache decision the
+//     service makes, with request identity.
 //
-// The recorder is toggleable at two levels:
-//   - compile time: building with -DHH_TRACE_DISABLED (CMake -DHH_TRACE=OFF)
-//     pins enabled() to false, so every record call folds to a dead branch;
-//   - run time: a recorder starts disabled and records nothing until
-//     enable() — call sites pay one predictable branch.
+// It is also the service's one record of what a drain scheduled: every
+// SpgemmService drain records into one (Config::trace when attached and
+// enabled, else a recorder of its own), and the critical-path profile, the
+// flame views and each request's stage spans read that drain's span events.
+// A recorder starts disabled and records nothing until enable().
 //
 // Consumers: trace/perfetto_export.hpp renders events as a Chrome
 // trace-event / Perfetto JSON file (one track per Resource, per-request
-// flow arrows); trace/flame.hpp renders a compact text flame view.
+// flow arrows); trace/flame.hpp renders a compact text flame view;
+// obs/critpath.hpp attributes the makespan to lanes.
 #pragma once
 
 #include <cstddef>
@@ -67,7 +68,8 @@ struct TraceEvent {
   double start_s = 0;
   double end_s = 0;      // instants: end_s == start_s
   double requested_s = 0;  // spans: earliest start the caller asked for
-  std::uint64_t device_op = kNoDeviceOp;  // injector site-local op index
+  std::uint64_t device_op = kNoDeviceOp;  // instants: injector site-local
+                                          // op index of a fault or retry
   // Track group: 0 = the recording service itself; a shard group re-records
   // shard-local spans under track shard+1 so one recorder can hold several
   // shards' resource occupancy without false overlaps. The Perfetto exporter
@@ -77,17 +79,7 @@ struct TraceEvent {
 
 class TraceRecorder {
  public:
-  /// False when the library was built with -DHH_TRACE=OFF; every recording
-  /// call is then a dead branch the optimizer removes.
-  static constexpr bool compiled_in() {
-#ifdef HH_TRACE_DISABLED
-    return false;
-#else
-    return true;
-#endif
-  }
-
-  void enable(bool on = true) { enabled_ = compiled_in() && on; }
+  void enable(bool on = true) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
   void clear() {
@@ -110,12 +102,11 @@ class TraceRecorder {
   /// dependence-allowed earliest start; `start_s - requested_s` is the time
   /// the stage waited for its resource (the pipeline bubble).
   void span(TraceCategory category, const char* name, Resource resource,
-            double start_s, double end_s, double requested_s,
-            std::uint64_t device_op = kNoDeviceOp) {
+            double start_s, double end_s, double requested_s) {
     if (!enabled_) return;
     events_.push_back({TraceEventKind::kSpan, category, name,
                        /*has_resource=*/true, resource, current_request_,
-                       start_s, end_s, requested_s, device_op,
+                       start_s, end_s, requested_s, kNoDeviceOp,
                        current_track_});
   }
 

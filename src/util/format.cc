@@ -22,4 +22,25 @@ std::string fmt_ms(double seconds) {
   return buf;
 }
 
+std::string fmt_json_str(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (u < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", u);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  out += '"';
+  return out;
+}
+
 }  // namespace hh

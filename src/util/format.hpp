@@ -1,4 +1,5 @@
-// Number and bool formatting shared by every report's to_string / to_json.
+// Number, bool and string formatting shared by every report's to_string /
+// to_json.
 //
 // Two precisions exist on purpose: reports render nine significant digits
 // (stable, readable, enough to compare runs), while logs and baselines that
@@ -6,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace hh {
 
@@ -20,5 +22,10 @@ std::string fmt_ms(double seconds);
 
 /// JSON literal of a bool.
 inline const char* fmt_bool(bool b) { return b ? "true" : "false"; }
+
+/// JSON string literal of `s`, quotes included: '"' and '\' are
+/// backslash-escaped and control characters become \u00XX. The one writer
+/// for caller-supplied text (labels, statuses, explanations) in JSON.
+std::string fmt_json_str(std::string_view s);
 
 }  // namespace hh

@@ -1,5 +1,5 @@
 // Critical-path profiler (obs/critpath.hpp) and perf-baseline gate
-// (obs/perf_baseline.hpp): hand-built placement chains with known answers,
+// (obs/perf_baseline.hpp): hand-built recorder chains with known answers,
 // the sum-to-makespan property on real drains, bottleneck flips driven by
 // the PCIe cost model, sharded rollup reconciliation, and the tolerance-band
 // comparator bench_compare wraps.
@@ -26,22 +26,30 @@ double lane_sum(const double (&attributed)[kCritLaneCount]) {
   return total;
 }
 
+// One hand-built placement for the request in scope: `stage` on `r`,
+// runnable at `requested`, granted [start, end).
+void place(TraceRecorder& log, const char* stage, Resource r,
+           double requested, double start, double end) {
+  log.span(TraceCategory::kCompute, stage, r, start, end, requested);
+}
+
 // ------------------------------------------------- hand-built chains
 
 TEST(CritPath, CpuBoundChainChargesEveryLaneItCovers) {
-  PlacementLog log;
+  TraceRecorder log;
+  log.enable();
   log.begin_request(0);
-  log.append("phase1-cpu", Resource::kCpu, 0, 0, 5);
-  log.append("phase2-gpu", Resource::kGpu, 5, 5, 7);
-  log.append("phase4-cpu", Resource::kCpu, 7, 7, 9);
+  place(log, "phase1-cpu", Resource::kCpu, 0, 0, 5);
+  place(log, "phase2-gpu", Resource::kGpu, 5, 5, 7);
+  place(log, "phase4-cpu", Resource::kCpu, 7, 7, 9);
   log.end_request();
 
   CritPathRequestInfo info;
   info.request_id = 0;
   info.label = "r0";
+  info.wave = 2;
   info.latency_s = 9;
-  const CritPathReport rep =
-      compute_critical_path(log.placements(), 9.0, {info});
+  const CritPathReport rep = compute_critical_path(log.events(), 9.0, {info});
 
   EXPECT_DOUBLE_EQ(rep.makespan_s, 9.0);
   EXPECT_DOUBLE_EQ(rep.attributed_s[0], 7.0);  // cpu
@@ -54,6 +62,11 @@ TEST(CritPath, CpuBoundChainChargesEveryLaneItCovers) {
   EXPECT_STREQ(rep.steps[0].stage, "phase1-cpu");
   EXPECT_STREQ(rep.steps[1].stage, "phase2-gpu");
   EXPECT_STREQ(rep.steps[2].stage, "phase4-cpu");
+  // The request's wave stamps every step it owns.
+  EXPECT_EQ(rep.steps[1].wave, 2);
+  ASSERT_EQ(rep.waves.size(), 1u);
+  EXPECT_EQ(rep.waves[0].wave_index, 2);
+  EXPECT_DOUBLE_EQ(lane_sum(rep.waves[0].attributed_s), 9.0);
 
   const RequestCostBreakdown* b = rep.find_request(0);
   ASSERT_NE(b, nullptr);
@@ -65,15 +78,16 @@ TEST(CritPath, CpuBoundChainChargesEveryLaneItCovers) {
 }
 
 TEST(CritPath, LateArrivalCrossesAnIdleGap) {
-  PlacementLog log;
+  TraceRecorder log;
+  log.enable();
   log.begin_request(0);
-  log.append("a", Resource::kCpu, 0, 0, 2);
+  place(log, "a", Resource::kCpu, 0, 0, 2);
   log.end_request();
   log.begin_request(1);
-  log.append("b", Resource::kCpu, 5, 5, 8);  // submitted late: wanted 5, got 5
+  place(log, "b", Resource::kCpu, 5, 5, 8);  // submitted late: wanted 5, got 5
   log.end_request();
 
-  const CritPathReport rep = compute_critical_path(log.placements(), 8.0, {});
+  const CritPathReport rep = compute_critical_path(log.events(), 8.0, {});
 
   EXPECT_DOUBLE_EQ(rep.attributed_s[0], 5.0);
   EXPECT_DOUBLE_EQ(rep.attributed_s[kIdleLane], 3.0);
@@ -83,22 +97,26 @@ TEST(CritPath, LateArrivalCrossesAnIdleGap) {
   EXPECT_STREQ(rep.steps[1].stage, "idle");
   EXPECT_DOUBLE_EQ(rep.steps[1].start_s, 2.0);
   EXPECT_DOUBLE_EQ(rep.steps[1].end_s, 5.0);
+  // No request info was passed, so no step has a wave.
+  EXPECT_EQ(rep.steps[0].wave, kNoWave);
+  EXPECT_TRUE(rep.waves.empty());
 }
 
 TEST(CritPath, ContentionHopsToTheResourceHolder) {
-  PlacementLog log;
+  TraceRecorder log;
+  log.enable();
   log.begin_request(0);
-  log.append("a", Resource::kCpu, 0, 0, 4);
+  place(log, "a", Resource::kCpu, 0, 0, 4);
   log.end_request();
   log.begin_request(1);
   // Runnable at 1, granted at 4: three seconds queued behind request 0.
-  log.append("b", Resource::kCpu, 1, 4, 6);
+  place(log, "b", Resource::kCpu, 1, 4, 6);
   log.end_request();
 
   CritPathRequestInfo i1;
   i1.request_id = 1;
   i1.latency_s = 6;
-  const CritPathReport rep = compute_critical_path(log.placements(), 6.0, {i1});
+  const CritPathReport rep = compute_critical_path(log.events(), 6.0, {i1});
 
   // No idle: the chain runs b -> (contention) -> a, all on the CPU.
   EXPECT_DOUBLE_EQ(rep.attributed_s[0], 6.0);
@@ -115,19 +133,22 @@ TEST(CritPath, ContentionHopsToTheResourceHolder) {
 }
 
 TEST(CritPath, RetryInflationChargesFaultsAndBackoffGaps) {
-  PlacementLog log;
+  TraceRecorder log;
+  log.enable();
   log.begin_request(0);
-  log.append("phase2-gpu-abort", Resource::kGpu, 0, 0, 1);  // burnt attempt
-  log.append("phase2-gpu", Resource::kGpu, 2, 2, 4);        // retry after
-                                                            // backoff [1, 2)
+  place(log, "phase2-gpu-abort", Resource::kGpu, 0, 0, 1);  // burnt attempt
+  // Instants are not placements: the fault and retry marks change nothing.
+  log.instant_on(TraceCategory::kFault, "gpu-abort", Resource::kGpu, 1, 0);
+  log.instant_on(TraceCategory::kRetry, "retry-gpu", Resource::kGpu, 1, 0);
+  place(log, "phase2-gpu", Resource::kGpu, 2, 2, 4);  // retry after
+                                                      // backoff [1, 2)
   log.end_request();
 
   CritPathRequestInfo info;
   info.request_id = 0;
   info.latency_s = 4;
   info.backoff_s = 1;
-  const CritPathReport rep =
-      compute_critical_path(log.placements(), 4.0, {info});
+  const CritPathReport rep = compute_critical_path(log.events(), 4.0, {info});
 
   EXPECT_DOUBLE_EQ(rep.attributed_s[1], 3.0);          // both attempts
   EXPECT_DOUBLE_EQ(rep.attributed_s[kIdleLane], 1.0);  // the backoff window
@@ -172,7 +193,6 @@ TEST_F(CritPathServiceTest, AttributionSumsToMakespanOnRealDrains) {
   submit_batch(svc, 9);
   const BatchResult out = svc.drain();
 
-  ASSERT_TRUE(out.batch.critpath_enabled);
   const CritPathReport& cp = out.batch.critpath;
   EXPECT_DOUBLE_EQ(cp.makespan_s, out.batch.makespan_s);
   EXPECT_NEAR(lane_sum(cp.attributed_s), cp.makespan_s,
@@ -203,18 +223,6 @@ TEST_F(CritPathServiceTest, AttributionSumsToMakespanOnRealDrains) {
   EXPECT_NE(out.batch.to_json().find("\"critpath\""), std::string::npos);
 }
 
-TEST_F(CritPathServiceTest, DisabledProfilerOmitsReportAndMetrics) {
-  SpgemmService::Config cfg;
-  cfg.critpath = false;
-  SpgemmService svc(plat_, pool_, cfg);
-  submit_batch(svc, 3);
-  const BatchResult out = svc.drain();
-
-  EXPECT_FALSE(out.batch.critpath_enabled);
-  EXPECT_EQ(out.batch.to_json().find("\"critpath\""), std::string::npos);
-  EXPECT_EQ(svc.metrics().to_json().find("critpath."), std::string::npos);
-}
-
 TEST_F(CritPathServiceTest, WaveDrainRollsUpPerWaveSlices) {
   SpgemmService::Config cfg;
   cfg.wave.enabled = true;
@@ -223,7 +231,6 @@ TEST_F(CritPathServiceTest, WaveDrainRollsUpPerWaveSlices) {
   submit_batch(svc, 9);
   const BatchResult out = svc.drain();
 
-  ASSERT_TRUE(out.batch.critpath_enabled);
   const CritPathReport& cp = out.batch.critpath;
   EXPECT_NEAR(lane_sum(cp.attributed_s), cp.makespan_s,
               1e-9 * std::max(1.0, cp.makespan_s));
@@ -242,7 +249,6 @@ TEST_F(CritPathServiceTest, MetricsFlattenedRoundTripsCritpathSeries) {
   SpgemmService svc(plat_, pool_);
   submit_batch(svc, 6);
   const BatchResult out = svc.drain();
-  ASSERT_TRUE(out.batch.critpath_enabled);
 
   const MetricsRegistry& m = svc.metrics();
   const std::vector<FlatMetric> flat = m.flattened();
@@ -307,9 +313,7 @@ TEST_F(CritPathServiceTest, BottleneckFlipsFromH2dToGpuWithLinkBandwidth) {
       req.label = "flip" + std::to_string(i);
       svc.submit(std::move(req));
     }
-    const BatchResult out = svc.drain();
-    EXPECT_TRUE(out.batch.critpath_enabled);
-    return out.batch.critpath.summary();
+    return svc.drain().batch.critpath.summary();
   };
 
   const CritPathSummary starved = drain_with(0.05);  // contended narrow link
@@ -339,7 +343,6 @@ TEST_F(CritPathServiceTest, ShardedRollupReconcilesWithGroupReport) {
   const GroupResult out = group.drain();
   const GroupBatchReport& g = out.group;
 
-  ASSERT_TRUE(g.critpath_enabled);
   // Per shard: accumulated lane seconds sum to the shard's accumulated
   // round makespans (each round's chain tiles its own makespan).
   double shard_makespans = 0;
@@ -465,7 +468,6 @@ TEST_F(CritPathServiceTest, BaselineFromBatchMatchesTheReport) {
   SpgemmService svc(plat_, pool_);
   submit_batch(svc, 6);
   const BatchResult out = svc.drain();
-  ASSERT_TRUE(out.batch.critpath_enabled);
 
   const PerfBaseline b = baseline_from_batch("unit.drain", 1.0, out.batch);
   EXPECT_EQ(b.requests, static_cast<std::int64_t>(out.batch.requests));

@@ -96,9 +96,9 @@ TEST(ResourceTimeline, BlockStartFindsFirstWindowThatFitsWholeBlock) {
 TEST(ResourceTimeline, BlockStartSegmentsAreContiguousAndSkipShortGaps) {
   // The service's coalesced upload: find the block's start once, then
   // reserve each segment from the previous segment's end.
-  ResourceTimeline t;
-  PlacementLog log;
-  t.attach_placements(&log);
+  TraceRecorder log;
+  log.enable();
+  ResourceTimeline t(Resource::kH2D, &log);
   t.reserve("early", 1.0, 1.0);  // idle window [0, 1) — too short for the
   t.reserve("late", 5.0, 1.0);   // block; window [2, 5) fits it whole
   const double cursor = t.block_start(0.0, 2.5);
@@ -111,10 +111,11 @@ TEST(ResourceTimeline, BlockStartSegmentsAreContiguousAndSkipShortGaps) {
   // Segments are back-to-back: no idle time inside the block.
   EXPECT_DOUBLE_EQ(s1.start_s, 3.0);
   EXPECT_DOUBLE_EQ(s1.end_s, 4.5);
-  // The provenance log counts the wait for the slot as queueing.
-  ASSERT_EQ(log.placements().size(), 4u);
-  EXPECT_DOUBLE_EQ(log.placements()[2].queue_delay_s(), 2.0);
-  EXPECT_DOUBLE_EQ(log.placements()[3].queue_delay_s(), 3.0);
+  // The recorded spans count the wait for the slot as queueing.
+  const std::vector<TraceEvent>& ev = log.events();
+  ASSERT_EQ(ev.size(), 4u);
+  EXPECT_DOUBLE_EQ(ev[2].start_s - ev[2].requested_s, 2.0);
+  EXPECT_DOUBLE_EQ(ev[3].start_s - ev[3].requested_s, 3.0);
   // The short head gap survives for later independent work.
   EXPECT_DOUBLE_EQ(t.reserve("backfill", 0.0, 0.5).start_s, 0.0);
 }
@@ -376,24 +377,18 @@ TEST_F(ServiceTest, SubmitRejectsMalformedRequestsWithTypedErrors) {
 }
 
 TEST_F(ServiceTest, WorkspacePoolingPreservesResults) {
-  SpgemmService::Config no_pool;
-  no_pool.use_workspace_pool = false;
-  no_pool.keep_inputs_resident = false;
-  SpgemmService plain(plat_, pool_, no_pool);
+  // The service always pools its workspaces; run_hh_cpu never does.
   SpgemmService pooled(plat_, pool_);
-  for (SpgemmService* s : {&plain, &pooled}) {
-    s->submit({&enron_, nullptr, {}, ""});
-    s->submit({&wiki_, nullptr, {}, ""});
-    s->submit({&enron_, nullptr, {}, ""});
-  }
-  const BatchResult a = plain.drain();
+  const CsrMatrix* mats[] = {&enron_, &wiki_, &enron_};
+  for (const CsrMatrix* m : mats) pooled.submit({m, nullptr, {}, ""});
   const BatchResult b = pooled.drain();
-  for (std::size_t i = 0; i < 3; ++i) {
-    expect_bit_identical(a.results[i].c, b.results[i].c,
-                         "pooled vs plain " + std::to_string(i));
+  for (std::size_t i = 0; i < std::size(mats); ++i) {
+    const RunResult unpooled =
+        run_hh_cpu(*mats[i], *mats[i], HhCpuOptions{}, plat_, pool_);
+    expect_bit_identical(unpooled.c, b.results[i].c,
+                         "pooled vs unpooled " + std::to_string(i));
   }
   EXPECT_GT(pooled.workspace_pool().stats().spa_reuses, 0);
-  EXPECT_EQ(plain.workspace_pool().stats().spa_acquires, 0);
 }
 
 // ------------------------------------------------------------ wave executor

@@ -145,9 +145,6 @@ TEST(TimelineProperty, AvailableAtMatchesZeroDurationPlacement) {
 }
 
 TEST(Timeline, RecordsPlacementsIntoAttachedTrace) {
-  if (!TraceRecorder::compiled_in()) {
-    GTEST_SKIP() << "built with HH_TRACE=OFF";
-  }
   TraceRecorder rec;
   rec.enable();
   ASSERT_TRUE(rec.enabled());

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "gen/datasets.hpp"
+#include "obs/replay.hpp"
 #include "runtime/service.hpp"
 #include "shard/sharded_service.hpp"
 #include "trace/flame.hpp"
@@ -173,19 +174,17 @@ TEST(TraceRecorder, DisabledByDefaultRecordsNothing) {
 TEST(TraceRecorder, EnableRecordsWithRequestIdentity) {
   TraceRecorder rec;
   rec.enable();
-  if (!TraceRecorder::compiled_in()) {
-    EXPECT_FALSE(rec.enabled());  // HH_TRACE=OFF pins it
-    GTEST_SKIP() << "tracing compiled out";
-  }
+  ASSERT_TRUE(rec.enabled());
   rec.begin_request(12);
-  rec.span(TraceCategory::kTransfer, "up", Resource::kH2D, 0.0, 0.5, 0.0, 3);
+  rec.span(TraceCategory::kTransfer, "up", Resource::kH2D, 0.0, 0.5, 0.0);
   rec.instant_on(TraceCategory::kFault, "h2d-fault", Resource::kH2D, 0.5, 3);
   rec.end_request();
   rec.instant(TraceCategory::kScheduler, "tick", 1.0);
   ASSERT_EQ(rec.events().size(), 3u);
   EXPECT_EQ(rec.events()[0].request_id, 12u);
-  EXPECT_EQ(rec.events()[0].device_op, 3u);
+  EXPECT_EQ(rec.events()[0].device_op, kNoDeviceOp);  // spans carry none
   EXPECT_EQ(rec.events()[1].kind, TraceEventKind::kInstant);
+  EXPECT_EQ(rec.events()[1].device_op, 3u);
   EXPECT_EQ(rec.events()[2].request_id, kNoRequest);
   EXPECT_FALSE(rec.events()[2].has_resource);
 
@@ -366,7 +365,6 @@ class TracedServiceTest : public testing::Test {
 };
 
 TEST_F(TracedServiceTest, FaultedDrainExportsConsistentPerfettoTrace) {
-  if (!TraceRecorder::compiled_in()) GTEST_SKIP() << "tracing compiled out";
   TraceRecorder rec;
   rec.enable();
 
@@ -448,7 +446,7 @@ TEST_F(TracedServiceTest, FaultedDrainExportsConsistentPerfettoTrace) {
                              "plan-cache-miss"),
             static_cast<int>(kRequests));
 
-  // 4. The trace's spans are exactly the spans the reports carry.
+  // 4. The reports' spans are read from the trace, one per placement.
   std::size_t report_spans = 0;
   for (const RequestReport& r : batch.requests) report_spans += r.spans.size();
   std::size_t traced_spans = 0;
@@ -476,7 +474,6 @@ TEST_F(TracedServiceTest, FaultedDrainExportsConsistentPerfettoTrace) {
 }
 
 TEST_F(TracedServiceTest, DeadlineCancellationsAreTraced) {
-  if (!TraceRecorder::compiled_in()) GTEST_SKIP() << "tracing compiled out";
   TraceRecorder rec;
   rec.enable();
   SpgemmService::Config cfg;
@@ -490,28 +487,83 @@ TEST_F(TracedServiceTest, DeadlineCancellationsAreTraced) {
   EXPECT_TRUE(JsonValidator(chrome_trace_json(rec)).valid());
 }
 
+// A drain records into the attached recorder when it is enabled and into
+// its own otherwise; the reports must not tell the two apart. Two drains,
+// so the second reads only its own events from a recorder that already
+// holds the first's.
 TEST_F(TracedServiceTest, DisabledRecorderStaysEmptyAndOutputMatches) {
-  TraceRecorder rec;  // attached but never enabled
+  TraceRecorder off;  // attached but never enabled
+  TraceRecorder on;
+  on.enable();
   SpgemmService::Config cfg;
-  cfg.trace = &rec;
+  cfg.fault_plan.gpu_kernel.rate = 0.2;
+  cfg.fault_plan.h2d.rate = 0.1;
+  cfg.fault_plan.cpu_worker.rate = 0.1;
+  cfg.keep_inputs_resident = false;
+  cfg.wave.enabled = true;
+  SpgemmService plain(plat_, pool_, cfg);
+  cfg.trace = &off;
+  SpgemmService untraced(plat_, pool_, cfg);
+  cfg.trace = &on;
   SpgemmService traced(plat_, pool_, cfg);
-  SpgemmService plain(plat_, pool_);
-  traced.submit({&wiki_, nullptr, {}, ""});
-  plain.submit({&wiki_, nullptr, {}, ""});
-  const BatchResult bt = traced.drain();
-  const BatchResult bp = plain.drain();
-  EXPECT_TRUE(rec.events().empty());
-  ASSERT_EQ(bt.results.size(), 1u);
-  EXPECT_EQ(bt.results[0].c.indptr, bp.results[0].c.indptr);
-  EXPECT_EQ(bt.results[0].c.indices, bp.results[0].c.indices);
-  EXPECT_EQ(bt.results[0].c.values, bp.results[0].c.values);
-  EXPECT_DOUBLE_EQ(bt.batch.makespan_s, bp.batch.makespan_s);
+
+  std::size_t on_events = 0;
+  for (int drain = 0; drain < 2; ++drain) {
+    std::vector<BatchResult> out;
+    for (SpgemmService* s : {&plain, &untraced, &traced}) {
+      for (std::size_t i = 0; i < 6; ++i) {
+        s->submit({&mat(i), nullptr, {}, "d" + std::to_string(drain)});
+      }
+      out.push_back(s->drain());
+    }
+    EXPECT_TRUE(off.events().empty());
+    EXPECT_GT(on.events().size(), on_events) << "drain " << drain;
+    on_events = on.events().size();
+    const BatchResult& p = out[0];
+    ASSERT_FALSE(p.batch.flame.empty());
+    for (std::size_t k = 1; k < out.size(); ++k) {
+      const BatchResult& t = out[k];
+      EXPECT_EQ(t.batch.to_json(), p.batch.to_json()) << "drain " << drain;
+      EXPECT_EQ(t.batch.to_string(), p.batch.to_string()) << "drain " << drain;
+      ASSERT_EQ(t.requests.size(), p.requests.size());
+      for (std::size_t i = 0; i < p.requests.size(); ++i) {
+        EXPECT_EQ(t.requests[i].to_json(), p.requests[i].to_json());
+        EXPECT_EQ(t.requests[i].to_string(), p.requests[i].to_string());
+        EXPECT_EQ(t.results[i].c.indptr, p.results[i].c.indptr);
+        EXPECT_EQ(t.results[i].c.indices, p.results[i].c.indices);
+        EXPECT_EQ(t.results[i].c.values, p.results[i].c.values);
+      }
+    }
+  }
+}
+
+// Caller-supplied text reaches JSON escaped: the request report, the
+// batch's critical-path breakdown and the replay report's explainer all
+// carry the label.
+TEST_F(TracedServiceTest, LabelsAreJsonEscaped) {
+  const std::string label = "q\"\\x";  // q"\x
+  SpgemmService service(plat_, pool_);
+  service.submit({&wiki_, nullptr, {}, label});
+  const BatchResult batch = service.drain();
+  const std::string request_json = batch.requests.front().to_json();
+  const std::string batch_json = batch.batch.to_json();
+  EXPECT_TRUE(JsonValidator(request_json).valid()) << request_json;
+  EXPECT_TRUE(JsonValidator(batch_json).valid()) << batch_json;
+  EXPECT_NE(request_json.find("\"label\":\"q\\\"\\\\x\""), std::string::npos)
+      << request_json;
+
+  ReplayRunReport replay;
+  const RequestCostBreakdown* why =
+      batch.batch.critpath.find_request(batch.requests.front().request_id);
+  ASSERT_NE(why, nullptr);
+  replay.slowest = why->explain();
+  ASSERT_NE(replay.slowest.find(label), std::string::npos);
+  EXPECT_TRUE(JsonValidator(replay.to_json()).valid()) << replay.to_json();
 }
 
 // ------------------------------------------ sharded-group trace export
 
 TEST_F(TracedServiceTest, ShardedGroupExportsPerShardTracks) {
-  if (!TraceRecorder::compiled_in()) GTEST_SKIP() << "tracing compiled out";
   TraceRecorder rec;
   rec.enable();
 
