@@ -27,10 +27,9 @@ int main() {
     opt.threshold_b = choice.t;
     opt.queue.cpu_rows = cpu_rows;
     opt.queue.gpu_rows = cpu_rows * 10;
-    const RunResult hh = run_hh_cpu(a, a, opt, plat, pool);
+    const RunReport hh = cost_hh_cpu(a, a, opt, plat, pool);
     std::printf("%10d %10d %12.3f %10d %10d\n", cpu_rows, cpu_rows * 10,
-                hh.report.total_s * 1e3, hh.report.queue_cpu_units,
-                hh.report.queue_gpu_units);
+                hh.total_s * 1e3, hh.queue_cpu_units, hh.queue_gpu_units);
   }
   return 0;
 }

@@ -27,11 +27,10 @@ int main() {
       HhCpuOptions opt;
       opt.threshold_a = t;
       opt.threshold_b = t;
-      const RunResult hh = run_hh_cpu(a, a, opt, plat, pool);
-      if (best < 0 || hh.report.total_s < best) best = hh.report.total_s;
+      const RunReport hh = cost_hh_cpu(a, a, opt, plat, pool);
+      if (best < 0 || hh.total_s < best) best = hh.total_s;
       std::printf("%10lld %12.3f %12.3f %12.3f\n", static_cast<long long>(t),
-                  hh.report.total_s * 1e3, hh.report.phase2_s * 1e3,
-                  hh.report.phase3_s * 1e3);
+                  hh.total_s * 1e3, hh.phase2_s * 1e3, hh.phase3_s * 1e3);
     }
     std::printf("%10s %12.3f\n\n", "best", best * 1e3);
   }

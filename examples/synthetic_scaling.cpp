@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
       HhCpuOptions opt;
       opt.threshold_a = t;
       opt.threshold_b = t;
-      const RunResult hh = run_hh_cpu(a, b, opt, platform, pool);
-      if (best < 0 || hh.report.total_s < best) best = hh.report.total_s;
+      const double total_s = cost_hh_cpu(a, b, opt, platform, pool).total_s;
+      if (best < 0 || total_s < best) best = total_s;
     }
     const RunResult hipc = run_hipc2012(a, b, platform, pool);
     std::printf("%8.1f %10.2f %12.3f %12.3f %9.2fx\n", alpha, fit.alpha,

@@ -30,13 +30,14 @@ int main(int argc, char** argv) {
     HhCpuOptions opt;
     opt.threshold_a = t;
     opt.threshold_b = t;
-    const RunResult run = run_hh_cpu(a, a, opt, platform, pool);
+    // The cost-only dry run: the full run's report without the product.
+    const RunReport run = cost_hh_cpu(a, a, opt, platform, pool);
     std::printf("%10lld %12.3f %12.3f %12.3f %8d %8d\n",
-                static_cast<long long>(t), run.report.total_s * 1e3,
-                run.report.phase2_s * 1e3, run.report.phase3_s * 1e3,
-                run.report.high_rows_a, run.report.high_rows_b);
-    if (best_total < 0 || run.report.total_s < best_total) {
-      best_total = run.report.total_s;
+                static_cast<long long>(t), run.total_s * 1e3,
+                run.phase2_s * 1e3, run.phase3_s * 1e3, run.high_rows_a,
+                run.high_rows_b);
+    if (best_total < 0 || run.total_s < best_total) {
+      best_total = run.total_s;
       best_t = t;
     }
   }

@@ -1,81 +1,123 @@
 #include "core/hh_cpu.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/hh_stages.hpp"
 #include "util/check.hpp"
 
 namespace hh {
+namespace {
 
-// The serial driver: phases back-to-back, transfers bracketing the compute.
-// The stage bodies live in core/hh_stages.cc so the pipelined runtime
-// (src/runtime/) can schedule the identical work on per-resource timelines.
-RunResult run_hh_cpu(const CsrMatrix& a, const CsrMatrix& b,
-                     const HhCpuOptions& options,
-                     const HeteroPlatform& platform, ThreadPool& pool) {
-  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
-  RunResult res;
-  RunReport& rep = res.report;
+// Input transfer: A and B go to the GPU whole, with the Boolean arrays
+// (§IV-A: the matrices are not physically split).
+double input_transfer_s(const CsrMatrix& a, const CsrMatrix& b,
+                        const HhCpuOptions& options,
+                        const HeteroPlatform& platform) {
+  if (options.matrices_already_on_gpu) return 0;
+  double s = platform.link().h2d().matrix_transfer_time(a);
+  if (&a != &b) s += platform.link().h2d().matrix_transfer_time(b);
+  return s;
+}
+
+// Device clocks entering the queue: both saw Phase I; the GPU also waited
+// for the input transfer before its Phase II kernel.
+struct QueueStart {
+  double cpu_s = 0;
+  double gpu_s = 0;
+};
+
+QueueStart queue_start(const PartitionPlan& plan, double transfer_in_s,
+                       const Phase2Result& p2) {
+  return {plan.phase1_s + p2.cpu_s, plan.phase1_s + transfer_in_s + p2.gpu_s};
+}
+
+// The serial accounting (phases back-to-back, transfers bracketing the
+// compute) from the stage results. The real run and the dry run both fill
+// their report here, so the two agree by construction. Every field but the
+// output size is set: that takes the merge, or its symbolic count.
+RunReport hh_cpu_report(const PartitionPlan& plan, double transfer_in_s,
+                        const Phase2Result& p2, const WorkQueueResult& queue,
+                        const HeteroPlatform& platform) {
+  RunReport rep;
   rep.algorithm = "HH-CPU";
-
-  // ---- Phase I: thresholds + classification ----
-  const PartitionPlan plan = make_partition_plan(
-      a, b, options.threshold_a, options.threshold_b, platform);
   rep.phase1_s = plan.phase1_s;
   rep.threshold_a = plan.a.threshold;
   rep.threshold_b = plan.b.threshold;
   rep.high_rows_a = plan.a.high_count();
   rep.high_rows_b = plan.b.high_count();
+  rep.transfer_in_s = transfer_in_s;
 
-  // Input transfer: A and B go to the GPU whole, with the Boolean arrays
-  // (§IV-A: the matrices are not physically split).
-  double transfer_in = 0;
-  if (!options.matrices_already_on_gpu) {
-    transfer_in = platform.link().h2d().matrix_transfer_time(a);
-    if (&a != &b) transfer_in += platform.link().h2d().matrix_transfer_time(b);
-  }
-  rep.transfer_in_s = transfer_in;
-
-  // ---- Phase II: CPU A_H×B_H ∥ GPU A_L×B_L ----
-  Phase2Result p2 =
-      run_phase2(a, b, plan, platform, pool, options.workspace);
   rep.phase2_cpu_s = p2.cpu_s;
   rep.phase2_gpu_s = p2.gpu_s;
   rep.phase2_s = HeteroPlatform::overlap(p2.cpu_s, p2.gpu_s);
 
-  // ---- Phase III: double-ended workqueue ----
-  // Device clocks entering the queue: both saw Phase I; the GPU also waited
-  // for the input transfer before its Phase II kernel.
-  const double cpu_at_queue = rep.phase1_s + p2.cpu_s;
-  const double gpu_at_queue = rep.phase1_s + transfer_in + p2.gpu_s;
-  WorkQueueResult queue =
-      run_phase3(a, b, plan, options.queue, cpu_at_queue, gpu_at_queue,
-                 platform, pool, options.workspace);
   rep.phase3_cpu_s = queue.cpu_busy;
   rep.phase3_gpu_s = queue.gpu_busy;
   rep.phase3_s = HeteroPlatform::overlap(queue.cpu_busy, queue.gpu_busy);
   rep.queue_cpu_units = queue.cpu_units;
   rep.queue_gpu_units = queue.gpu_units;
 
-  // ---- Phase IV: merge all tuples; GPU partials cross PCIe first ----
-  // (the transfer is Algorithm 1's separate "GPU -> CPU::" step, line 10,
-  // and is reported outside the Phase IV time as in Fig. 7).
+  // Phase IV merges all tuples; the GPU partials cross PCIe first (the
+  // transfer is Algorithm 1's separate "GPU -> CPU::" step, line 10, and is
+  // reported outside the Phase IV time as in Fig. 7).
   const std::int64_t gpu_tuples = p2.ll_stats.tuples + queue.gpu_stats.tuples;
   rep.transfer_out_s = platform.link().d2h().tuple_transfer_time(gpu_tuples);
   rep.flops = p2.hh_stats.flops + p2.ll_stats.flops + queue.cpu_stats.flops +
               queue.gpu_stats.flops;
-  const double queue_end = queue.end_time();
+  rep.merge.tuples_in = p2.hh_stats.tuples + p2.ll_stats.tuples +
+                        queue.cpu_stats.tuples + queue.gpu_stats.tuples;
+  rep.phase4_s = platform.cpu().merge_time(rep.merge.tuples_in);
+  rep.total_s = queue.end_time() + rep.transfer_out_s + rep.phase4_s;
+  return rep;
+}
 
+}  // namespace
+
+// The serial driver. The stage bodies live in core/hh_stages.cc so the
+// pipelined runtime (src/runtime/) can schedule the identical work on
+// per-resource timelines.
+RunResult run_hh_cpu(const CsrMatrix& a, const CsrMatrix& b,
+                     const HhCpuOptions& options,
+                     const HeteroPlatform& platform, ThreadPool& pool) {
+  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
+  const PartitionPlan plan = make_partition_plan(
+      a, b, options.threshold_a, options.threshold_b, platform);
+  const double transfer_in = input_transfer_s(a, b, options, platform);
+  Phase2Result p2 =
+      run_phase2(a, b, plan, platform, pool, options.workspace);
+  const QueueStart at = queue_start(plan, transfer_in, p2);
+  WorkQueueResult queue =
+      run_phase3(a, b, plan, options.queue, at.cpu_s, at.gpu_s, platform,
+                 pool, options.workspace);
+
+  RunResult res;
+  res.report = hh_cpu_report(plan, transfer_in, p2, queue, platform);
   MergeResult merged = run_phase4(std::move(p2), std::move(queue), platform,
                                   pool, options.workspace);
+  HH_CHECK(merged.merge.tuples_in == res.report.merge.tuples_in);
+  res.report.merge.tuples_out = merged.merge.tuples_out;
+  res.report.output_nnz = merged.c.nnz();
   res.c = std::move(merged.c);
-  rep.merge = merged.merge;
-  rep.phase4_s = merged.cpu_s;
-
-  rep.output_nnz = res.c.nnz();
-  rep.total_s = queue_end + rep.transfer_out_s + rep.phase4_s;
   return res;
+}
+
+RunReport cost_hh_cpu(const CsrMatrix& a, const CsrMatrix& b,
+                      const HhCpuOptions& options,
+                      const HeteroPlatform& platform, ThreadPool& pool) {
+  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
+  const PartitionPlan plan = make_partition_plan(
+      a, b, options.threshold_a, options.threshold_b, platform);
+  const double transfer_in = input_transfer_s(a, b, options, platform);
+  const MaskedRowCosts costs = masked_row_costs(a, b, plan.b.is_high, pool);
+  const Phase2Result p2 = cost_phase2(plan, costs, platform);
+  const QueueStart at = queue_start(plan, transfer_in, p2);
+  const WorkQueueResult queue = cost_phase3(plan, costs, options.queue,
+                                            at.cpu_s, at.gpu_s, platform);
+
+  RunReport rep = hh_cpu_report(plan, transfer_in, p2, queue, platform);
+  rep.merge.tuples_out = costs.output_nnz;
+  rep.output_nnz = costs.output_nnz;
+  return rep;
 }
 
 }  // namespace hh

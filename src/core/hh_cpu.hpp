@@ -10,7 +10,9 @@
 //              are shipped back over PCIe
 //
 // Numeric work executes on the host; time is charged on the simulated
-// platform (DESIGN.md §1). The returned matrix is exact.
+// platform (DESIGN.md §1). The returned matrix is exact. cost_hh_cpu() is
+// the same run priced from a symbolic pass alone, for callers that only
+// read the report (threshold sweeps).
 #pragma once
 
 #include "core/partition_plan.hpp"
@@ -36,5 +38,18 @@ struct HhCpuOptions {
 RunResult run_hh_cpu(const CsrMatrix& a, const CsrMatrix& b,
                      const HhCpuOptions& options, const HeteroPlatform& platform,
                      ThreadPool& pool);
+
+/// Cost-only dry run: returns run_hh_cpu(a, b, options, platform,
+/// pool).report exactly — every field equal, every double bit for bit —
+/// without emitting a tuple or merging. One pool-parallel symbolic pass
+/// (masked_row_costs) yields each A row's stats against B_H and B_L and its
+/// distinct output columns; Phases II–IV are then replayed on the simulated
+/// clock through the same skip rules, dequeue loop and accounting as the
+/// real run. options.workspace is ignored: the pass allocates no SPA
+/// accumulator or tuple buffer. Costs about one symbolic pass per call,
+/// against a full product and merge for run_hh_cpu.
+RunReport cost_hh_cpu(const CsrMatrix& a, const CsrMatrix& b,
+                      const HhCpuOptions& options,
+                      const HeteroPlatform& platform, ThreadPool& pool);
 
 }  // namespace hh

@@ -1,5 +1,6 @@
 #include "core/hh_stages.hpp"
 
+#include <array>
 #include <utility>
 
 #include "sched/chunk.hpp"
@@ -12,6 +13,55 @@ CooMatrix empty_tuples(index_t rows, index_t cols, WorkspacePool* workspace) {
                               : CooMatrix(rows, cols);
 }
 
+// A Phase II product with an empty side contributes nothing; it is skipped
+// so degenerate partitions charge no phantom per-row cost.
+bool runs_hh(const PartitionPlan& plan) {
+  return plan.a.high_count() > 0 && plan.b.high_count() > 0;
+}
+bool runs_ll(const PartitionPlan& plan) {
+  return plan.a.low_count() > 0 && plan.b.low_count() > 0;
+}
+
+// Phase II device busy times from the two products' stats.
+void price_phase2(Phase2Result& r, const PartitionPlan& plan,
+                  const HeteroPlatform& platform) {
+  r.cpu_s = platform.cpu().kernel_time(r.hh_stats, plan.ws_bh_bytes, true,
+                                       /*blockable=*/true);
+  r.gpu_s = platform.gpu().kernel_time(r.ll_stats);
+}
+
+// The Phase III queue. CPU end: A_L×B_H (tag 0). GPU end: A_H×B_L (tag 1).
+// The GPU reaches its side from the back (§IV-B). A cross product whose B
+// side is empty contributes nothing and is skipped outright (degenerate
+// partitions on non-scale-free inputs; §V-B: HH-CPU must not pay for work
+// that is not there).
+struct Phase3Queue {
+  std::vector<WorkEntry> entries;
+  std::array<MaskSpec, 2> masks;
+};
+
+Phase3Queue phase3_queue(const PartitionPlan& plan) {
+  Phase3Queue q;
+  if (plan.b.high_count() > 0) append_entries(q.entries, plan.a.low_rows, 0);
+  if (plan.b.low_count() > 0) append_entries(q.entries, plan.a.high_rows, 1);
+  q.masks = {
+      MaskSpec{plan.b.is_high, true, plan.ws_bh_bytes, /*cpu_blockable=*/true},
+      MaskSpec{plan.b.is_high, false, plan.ws_bl_bytes,
+               /*cpu_blockable=*/false},
+  };
+  return q;
+}
+
+// Σ of the per-row costs of `rows` against the B side b_mask == mask_value.
+ProductStats sum_rows(const MaskedRowCosts& costs,
+                      std::span<const index_t> rows, bool mask_value) {
+  ProductStats s;
+  for (const index_t i : rows) {
+    s.accumulate(costs.by_mask[mask_value][static_cast<std::size_t>(i)]);
+  }
+  return s;
+}
+
 }  // namespace
 
 Phase2Result run_phase2(const CsrMatrix& a, const CsrMatrix& b,
@@ -19,23 +69,19 @@ Phase2Result run_phase2(const CsrMatrix& a, const CsrMatrix& b,
                         const HeteroPlatform& platform, ThreadPool& pool,
                         WorkspacePool* workspace) {
   Phase2Result r;
-  // A product with an empty side contributes nothing; skip it so degenerate
-  // partitions charge no phantom per-row cost.
-  if (plan.a.high_count() > 0 && plan.b.high_count() > 0) {
+  if (runs_hh(plan)) {
     r.hh_tuples = partial_product_tuples(a, b, plan.a.high_rows, plan.b.is_high,
                                          true, pool, &r.hh_stats, workspace);
   } else {
     r.hh_tuples = empty_tuples(a.rows, b.cols, workspace);
   }
-  if (plan.a.low_count() > 0 && plan.b.low_count() > 0) {
+  if (runs_ll(plan)) {
     r.ll_tuples = partial_product_tuples(a, b, plan.a.low_rows, plan.b.is_high,
                                          false, pool, &r.ll_stats, workspace);
   } else {
     r.ll_tuples = empty_tuples(a.rows, b.cols, workspace);
   }
-  r.cpu_s = platform.cpu().kernel_time(r.hh_stats, plan.ws_bh_bytes, true,
-                                       /*blockable=*/true);
-  r.gpu_s = platform.gpu().kernel_time(r.ll_stats);
+  price_phase2(r, plan, platform);
   return r;
 }
 
@@ -44,20 +90,39 @@ WorkQueueResult run_phase3(const CsrMatrix& a, const CsrMatrix& b,
                            const WorkQueueConfig& cfg, double cpu_start,
                            double gpu_start, const HeteroPlatform& platform,
                            ThreadPool& pool, WorkspacePool* workspace) {
-  // CPU end: A_L×B_H (tag 0). GPU end: A_H×B_L (tag 1). The GPU reaches its
-  // side from the back (§IV-B). A cross product whose B side is empty
-  // contributes nothing and is skipped outright (degenerate partitions on
-  // non-scale-free inputs; §V-B: HH-CPU must not pay for work that is not
-  // there).
-  std::vector<WorkEntry> entries;
-  if (plan.b.high_count() > 0) append_entries(entries, plan.a.low_rows, 0);
-  if (plan.b.low_count() > 0) append_entries(entries, plan.a.high_rows, 1);
-  const MaskSpec masks[2] = {
-      {plan.b.is_high, true, plan.ws_bh_bytes, /*cpu_blockable=*/true},
-      {plan.b.is_high, false, plan.ws_bl_bytes, /*cpu_blockable=*/false},
-  };
-  return run_workqueue(a, b, entries, masks, cfg, cpu_start, gpu_start,
+  const Phase3Queue q = phase3_queue(plan);
+  return run_workqueue(a, b, q.entries, q.masks, cfg, cpu_start, gpu_start,
                        platform, pool, workspace);
+}
+
+Phase2Result cost_phase2(const PartitionPlan& plan, const MaskedRowCosts& costs,
+                         const HeteroPlatform& platform) {
+  Phase2Result r;
+  if (runs_hh(plan)) r.hh_stats = sum_rows(costs, plan.a.high_rows, true);
+  if (runs_ll(plan)) r.ll_stats = sum_rows(costs, plan.a.low_rows, false);
+  price_phase2(r, plan, platform);
+  return r;
+}
+
+WorkQueueResult cost_phase3(const PartitionPlan& plan,
+                            const MaskedRowCosts& costs,
+                            const WorkQueueConfig& cfg, double cpu_start,
+                            double gpu_start, const HeteroPlatform& platform) {
+  const Phase3Queue q = phase3_queue(plan);
+  return schedule_workqueue(
+      q.entries, q.masks, cfg, plan.a.high_count() + plan.a.low_count(),
+      cpu_start, gpu_start, platform,
+      [&](std::span<const WorkEntry> unit, ProductStats& stats,
+          std::span<ProductStats> tag_stats) {
+        for (const WorkEntry& e : unit) {
+          const auto tag = static_cast<std::size_t>(e.tag);
+          const ProductStats& row =
+              costs.by_mask[q.masks[tag].b_mask_value]
+                           [static_cast<std::size_t>(e.row)];
+          stats.accumulate(row);
+          tag_stats[tag].accumulate(row);
+        }
+      });
 }
 
 MergeResult run_phase4(Phase2Result&& p2, WorkQueueResult&& queue,

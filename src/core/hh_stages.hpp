@@ -7,6 +7,10 @@
 // Both drivers call the functions below, so the numeric work — and therefore
 // the output matrix — is identical; only the clock bookkeeping differs.
 //
+// cost_hh_cpu() (core/hh_cpu.hpp) replaces the Phase II and III products
+// with cost_phase2/cost_phase3 below: the same stats, device times and
+// dequeue order, summed from per-row symbolic costs, with no tuple formed.
+//
 // Stage → resource map used by the runtime:
 //   make_partition_plan (Phase I)   CPU (identification) [+ classify charge]
 //   run_phase2                      CPU (A_H×B_H) ∥ GPU (A_L×B_L)
@@ -20,6 +24,7 @@
 #include "primitives/tuple_merge.hpp"
 #include "sched/workqueue.hpp"
 #include "sparse/csr.hpp"
+#include "spgemm/spgemm.hpp"
 #include "spgemm/workspace.hpp"
 #include "util/thread_pool.hpp"
 
@@ -51,6 +56,17 @@ WorkQueueResult run_phase3(const CsrMatrix& a, const CsrMatrix& b,
                            double gpu_start, const HeteroPlatform& platform,
                            ThreadPool& pool,
                            WorkspacePool* workspace = nullptr);
+
+/// Cost-only Phase II and III for `costs` = masked_row_costs(a, b,
+/// plan.b.is_high): the stats, device times and (Phase III) dequeue order
+/// of run_phase2/run_phase3, skips included, with every tuple buffer left
+/// empty.
+Phase2Result cost_phase2(const PartitionPlan& plan, const MaskedRowCosts& costs,
+                         const HeteroPlatform& platform);
+WorkQueueResult cost_phase3(const PartitionPlan& plan,
+                            const MaskedRowCosts& costs,
+                            const WorkQueueConfig& cfg, double cpu_start,
+                            double gpu_start, const HeteroPlatform& platform);
 
 /// Phase IV: merge every ⟨r,c,v⟩ tuple into the final CSR. Consumes the
 /// phase-2 and queue tuple buffers (releasing pooled ones back to

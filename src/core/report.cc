@@ -5,26 +5,6 @@
 #include "util/format.hpp"
 
 namespace hh {
-namespace {
-
-// Algorithm names are plain ASCII, but escape the JSON specials anyway.
-std::string jstr(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 std::string RunReport::to_string() const {
   std::ostringstream os;
@@ -47,7 +27,7 @@ std::string RunReport::to_string() const {
 
 std::string RunReport::to_json() const {
   std::ostringstream os;
-  os << "{\"algorithm\":" << jstr(algorithm)
+  os << "{\"algorithm\":" << fmt_json_str(algorithm)
      << ",\"total_s\":" << fmt_num(total_s)
      << ",\"phase1_s\":" << fmt_num(phase1_s)
      << ",\"phase2_s\":" << fmt_num(phase2_s)

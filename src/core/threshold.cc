@@ -168,10 +168,10 @@ ThresholdChoice pick_threshold_empirical(const CsrMatrix& a,
     HhCpuOptions options;
     options.threshold_a = t;
     options.threshold_b = t;
-    const RunResult run = run_hh_cpu(a, b, options, platform, pool);
-    if (best.predicted_s < 0 || run.report.total_s < best.predicted_s) {
+    const double total_s = cost_hh_cpu(a, b, options, platform, pool).total_s;
+    if (best.predicted_s < 0 || total_s < best.predicted_s) {
       best.t = t;
-      best.predicted_s = run.report.total_s;
+      best.predicted_s = total_s;
     }
   }
   HH_CHECK(best.predicted_s >= 0);

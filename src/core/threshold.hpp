@@ -3,8 +3,10 @@
 // The paper picks t empirically (and names analytic identification as
 // future work, §VI). We provide both: pick_threshold_analytic() evaluates a
 // small candidate grid with structure-only estimates and the device models
-// — the architecture-aware analytic method — and threshold_candidates()
-// exposes the grid so benches can run the full empirical sweep of Fig. 8.
+// — the architecture-aware analytic method — and pick_threshold_empirical()
+// prices every grid point exactly with the cost-only HH-CPU dry run;
+// threshold_candidates() exposes the grid so benches can run the sweep of
+// Fig. 8.
 //
 // The online autotuner (src/tune/) closes the remaining gap between the two:
 // predict_breakdown() exposes the per-device components of the prediction so
@@ -93,10 +95,13 @@ ThresholdChoice pick_threshold_analytic(const CsrMatrix& a,
                                         const HeteroPlatform& platform,
                                         const CostCorrection& correction = {});
 
-/// The paper's method (§III-A): run the full algorithm for every candidate
-/// threshold and keep the best *measured* total. Costs one full multiply per
-/// candidate; the experiment harness uses this, mirroring the paper's
-/// offline per-matrix tuning, while pick_threshold_analytic() is the cheap
+/// The paper's method (§III-A): run the algorithm for every grid candidate
+/// threshold and keep the best *measured* total (first minimum on ties).
+/// Each candidate is priced by cost_hh_cpu(), whose report equals the full
+/// run's bit for bit, so the pick and its predicted_s are those of a sweep
+/// of full runs at about one symbolic pass per candidate instead of a
+/// multiply and merge. The experiment harness uses this, mirroring the
+/// paper's offline per-matrix tuning; pick_threshold_analytic() stays the
 /// in-line default.
 ThresholdChoice pick_threshold_empirical(const CsrMatrix& a,
                                          const CsrMatrix& b,

@@ -1,6 +1,7 @@
 #include "sched/workqueue.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -13,8 +14,7 @@ void run_unit(const CsrMatrix& a, const CsrMatrix& b,
               std::span<const WorkEntry> unit,
               std::span<const MaskSpec> masks, ThreadPool& pool,
               WorkspacePool* workspace, CooMatrix& tuples_out,
-              ProductStats& unit_stats,
-              std::vector<ProductStats>& per_tag_stats) {
+              ProductStats& unit_stats, std::span<ProductStats> per_tag_stats) {
   std::vector<index_t> rows;
   rows.reserve(unit.size());
   for (std::size_t i = 0; i < unit.size();) {
@@ -39,7 +39,7 @@ void run_unit(const CsrMatrix& a, const CsrMatrix& b,
 // Flops-weighted working set / blockability when a unit mixes tags (only
 // happens when a device steals across the middle of the queue).
 double unit_ws_bytes(std::span<const MaskSpec> masks,
-                     const std::vector<ProductStats>& tag_stats_delta) {
+                     std::span<const ProductStats> tag_stats_delta) {
   double ws = 0;
   double flops = 0;
   for (std::size_t t = 0; t < masks.size(); ++t) {
@@ -51,7 +51,7 @@ double unit_ws_bytes(std::span<const MaskSpec> masks,
 }
 
 bool unit_blockable(std::span<const MaskSpec> masks,
-                    const std::vector<ProductStats>& tag_stats_delta) {
+                    std::span<const ProductStats> tag_stats_delta) {
   double flops = 0, blockable_flops = 0;
   for (std::size_t t = 0; t < masks.size(); ++t) {
     const auto f = static_cast<double>(tag_stats_delta[t].flops);
@@ -80,21 +80,20 @@ WorkQueueConfig resolve_queue_config(WorkQueueConfig cfg, index_t a_rows) {
   return cfg;
 }
 
-WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
-                              std::span<const WorkEntry> entries,
-                              std::span<const MaskSpec> masks,
-                              const WorkQueueConfig& cfg_in, double cpu_start,
-                              double gpu_start,
-                              const HeteroPlatform& platform,
-                              ThreadPool& pool, WorkspacePool* workspace) {
-  const WorkQueueConfig cfg = resolve_queue_config(cfg_in, a.rows);
+WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
+                                   std::span<const MaskSpec> masks,
+                                   const WorkQueueConfig& cfg_in,
+                                   index_t a_rows, double cpu_start,
+                                   double gpu_start,
+                                   const HeteroPlatform& platform,
+                                   const UnitPricer& price) {
+  const WorkQueueConfig cfg = resolve_queue_config(cfg_in, a_rows);
   HH_CHECK(cfg.cpu_rows > 0 && cfg.gpu_rows > 0);
   for (const WorkEntry& e : entries) {
     HH_CHECK(e.tag >= 0 && static_cast<std::size_t>(e.tag) < masks.size());
   }
 
   WorkQueueResult res;
-  res.tuples = CooMatrix(a.rows, b.cols);
   res.cpu_end = cpu_start;
   res.gpu_end = gpu_start;
 
@@ -112,8 +111,7 @@ WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
       front += n;
       for (auto& d : tag_delta) d = ProductStats{};
       ProductStats stats;
-      run_unit(a, b, unit, masks, pool, workspace, res.tuples, stats,
-               tag_delta);
+      price(unit, stats, tag_delta);
       const double ws = unit_ws_bytes(masks, tag_delta);
       const bool blockable = unit_blockable(masks, tag_delta);
       const double t =
@@ -131,8 +129,7 @@ WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
       back -= n;
       for (auto& d : tag_delta) d = ProductStats{};
       ProductStats stats;
-      run_unit(a, b, unit, masks, pool, workspace, res.tuples, stats,
-               tag_delta);
+      price(unit, stats, tag_delta);
       const double t = platform.gpu().kernel_time(stats) + cfg.gpu_dequeue_s;
       res.gpu_busy += t;
       res.gpu_end += t;
@@ -140,6 +137,25 @@ WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
       res.gpu_units++;
     }
   }
+  return res;
+}
+
+WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
+                              std::span<const WorkEntry> entries,
+                              std::span<const MaskSpec> masks,
+                              const WorkQueueConfig& cfg, double cpu_start,
+                              double gpu_start,
+                              const HeteroPlatform& platform,
+                              ThreadPool& pool, WorkspacePool* workspace) {
+  CooMatrix tuples(a.rows, b.cols);
+  WorkQueueResult res = schedule_workqueue(
+      entries, masks, cfg, a.rows, cpu_start, gpu_start, platform,
+      [&](std::span<const WorkEntry> unit, ProductStats& stats,
+          std::span<ProductStats> tag_stats) {
+        run_unit(a, b, unit, masks, pool, workspace, tuples, stats,
+                 tag_stats);
+      });
+  res.tuples = std::move(tuples);
   return res;
 }
 

@@ -9,11 +9,14 @@
 // the product ... after finishing").
 //
 // The queue is simulated event-wise: whichever device's clock is earlier
-// dequeues next; the numeric work of each unit is executed for real on the
-// host and its ProductStats are charged on the owning device's model.
+// dequeues next, and each unit's ProductStats are charged on the owning
+// device's model. run_workqueue executes the numeric work of each unit for
+// real on the host; schedule_workqueue is the same dequeue loop with the
+// stats supplied by the caller (the cost-only dry run).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -53,7 +56,7 @@ struct WorkQueueConfig {
 };
 
 struct WorkQueueResult {
-  CooMatrix tuples;  // all tuples, CPU units first then GPU units (sim order)
+  CooMatrix tuples;  // all tuples, unit by unit in dequeue order
   ProductStats cpu_stats;
   ProductStats gpu_stats;
   double cpu_busy = 0;  // time the CPU spent on queue units
@@ -72,12 +75,32 @@ struct WorkQueueResult {
 /// single-digit units instead of the 16-row floor).
 WorkQueueConfig resolve_queue_config(WorkQueueConfig cfg, index_t a_rows);
 
+/// Prices one dequeued unit: accumulates the unit's ProductStats into
+/// `stats` and each tag's share into `tag_stats[tag]` (both arrive zeroed).
+using UnitPricer = std::function<void(std::span<const WorkEntry> unit,
+                                      ProductStats& stats,
+                                      std::span<ProductStats> tag_stats)>;
+
+/// The one Phase III scheduler: run the dequeue loop to empty over
+/// `entries` (ordered CPU-end-first; masks[tag] resolves each entry's B
+/// view), pricing every unit with `price` in dequeue order. Device clocks
+/// start at cpu_start/gpu_start. Unit sizes of 0 are resolved against
+/// `a_rows` via resolve_queue_config(). `tuples` is left empty.
+WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
+                                   std::span<const MaskSpec> masks,
+                                   const WorkQueueConfig& cfg, index_t a_rows,
+                                   double cpu_start, double gpu_start,
+                                   const HeteroPlatform& platform,
+                                   const UnitPricer& price);
+
 /// Run the queue to empty. `entries` is ordered CPU-end-first; masks[tag]
 /// resolves each entry's B view. Device clocks start at cpu_start/gpu_start
 /// (they may differ: a device joins the queue when its Phase II product is
 /// done). Unit sizes of 0 are resolved via resolve_queue_config().
-/// Deterministic. `workspace` optionally pools the kernels' accumulators and
-/// tuple buffers (see spgemm/workspace.hpp).
+/// schedule_workqueue() with every unit executed by the masked kernel, its
+/// tuples appended in dequeue order. Deterministic. `workspace` optionally
+/// pools the kernels' accumulators and tuple buffers (see
+/// spgemm/workspace.hpp).
 WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
                               std::span<const WorkEntry> entries,
                               std::span<const MaskSpec> masks,

@@ -1,6 +1,7 @@
 #include "spgemm/spgemm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <vector>
 
@@ -68,6 +69,32 @@ void ProductStats::accumulate(const ProductStats& o) {
 
 namespace {
 
+// The counters every kernel, estimate and symbolic pass charges, in one
+// place so numeric and symbolic counts cannot drift apart.
+
+// One visited A entry a(i, j), where B row j has `blen` nonzeros. Its
+// multiply-adds are summed per row by the caller and charged by charge_row.
+void charge_a_entry(ProductStats& s, std::int64_t blen) {
+  ++s.a_nnz;
+  s.warp_alu += (blen + 31) / 32;
+  s.b_read_bytes += (blen * 12 + 31) / 32 * 32;
+}
+
+// One finished A row: `row_flops` multiply-adds into `row_tuples` output
+// columns.
+void charge_row(ProductStats& s, std::int64_t row_flops,
+                std::int64_t row_tuples) {
+  ++s.rows;
+  s.flops += row_flops;
+  s.tuples += row_tuples;
+  s.max_row_flops = std::max(s.max_row_flops, row_flops);
+  if (row_tuples <= shared_accum_cap()) {
+    s.flops_shared += row_flops;
+  } else {
+    s.flops_global += row_flops;
+  }
+}
+
 // Per-block worker: SPA-accumulate the assigned a_rows slice, appending
 // tuples to a local COO and aggregating stats.
 void partial_rows(const CsrMatrix& a, const CsrMatrix& b,
@@ -87,12 +114,10 @@ void partial_rows(const CsrMatrix& a, const CsrMatrix& b,
     for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
       const index_t j = a.indices[k];
       if (!b_mask.empty() && (b_mask[j] != 0) != b_mask_value) continue;
-      ++stats.a_nnz;
       const value_t av = a.values[k];
       const offset_t blen = b.indptr[j + 1] - b.indptr[j];
+      charge_a_entry(stats, blen);
       row_flops += blen;
-      stats.warp_alu += (blen + 31) / 32;
-      stats.b_read_bytes += (blen * 12 + 31) / 32 * 32;
       for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
         const index_t col = b.indices[l];
         if (marker[col] != tag) {
@@ -105,17 +130,50 @@ void partial_rows(const CsrMatrix& a, const CsrMatrix& b,
     }
     std::sort(cols.begin(), cols.end());
     for (const index_t col : cols) out.push(i, col, acc[col]);
+    charge_row(stats, row_flops, static_cast<std::int64_t>(cols.size()));
+  }
+}
 
-    ++stats.rows;
-    stats.flops += row_flops;
-    stats.tuples += static_cast<std::int64_t>(cols.size());
-    stats.max_row_flops = std::max(stats.max_row_flops, row_flops);
-    if (static_cast<std::int64_t>(cols.size()) <= shared_accum_cap()) {
-      stats.flops_shared += row_flops;
-    } else {
-      stats.flops_global += row_flops;
+// Per-block worker of masked_row_costs: charge every A entry to the mask
+// side of its B row, and count each row's distinct columns per side and
+// overall. mark[col] packs (row + 1) << 2 with one "seen" bit per side, so
+// one array serves both sides and a zero-filled array matches no row.
+// Returns the block's distinct (r, c) count.
+std::int64_t masked_rows(const CsrMatrix& a, const CsrMatrix& b,
+                         std::span<const std::uint8_t> b_mask, index_t lo,
+                         index_t hi, std::vector<std::int64_t>& mark,
+                         MaskedRowCosts& out) {
+  std::int64_t out_nnz = 0;
+  for (index_t i = lo; i < hi; ++i) {
+    const std::int64_t key = (static_cast<std::int64_t>(i) + 1) << 2;
+    std::array<ProductStats, 2> s;
+    std::array<std::int64_t, 2> row_flops = {0, 0};
+    std::array<std::int64_t, 2> row_tuples = {0, 0};
+    for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
+      const index_t j = a.indices[k];
+      const std::size_t side = b_mask[j] != 0 ? 1 : 0;
+      const std::int64_t bit = std::int64_t{1} << side;
+      const offset_t blen = b.indptr[j + 1] - b.indptr[j];
+      charge_a_entry(s[side], blen);
+      row_flops[side] += blen;
+      for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
+        std::int64_t& m = mark[static_cast<std::size_t>(b.indices[l])];
+        if ((m & ~std::int64_t{3}) != key) {
+          m = key | bit;
+          ++row_tuples[side];
+          ++out_nnz;
+        } else if ((m & bit) == 0) {
+          m |= bit;
+          ++row_tuples[side];
+        }
+      }
+    }
+    for (std::size_t v = 0; v < 2; ++v) {
+      charge_row(s[v], row_flops[v], row_tuples[v]);
+      out.by_mask[v][static_cast<std::size_t>(i)] = s[v];
     }
   }
+  return out_nnz;
 }
 
 }  // namespace
@@ -189,23 +247,31 @@ ProductStats estimate_partial_product(const CsrMatrix& a, const CsrMatrix& b,
     for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
       const index_t j = a.indices[k];
       if (!b_mask.empty() && (b_mask[j] != 0) != b_mask_value) continue;
-      ++s.a_nnz;
       const offset_t blen = b.indptr[j + 1] - b.indptr[j];
+      charge_a_entry(s, blen);
       row_flops += blen;
-      s.warp_alu += (blen + 31) / 32;
-      s.b_read_bytes += (blen * 12 + 31) / 32 * 32;
     }
-    ++s.rows;
-    s.flops += row_flops;
-    s.tuples += row_flops;  // upper bound: no cancellation information
-    s.max_row_flops = std::max(s.max_row_flops, row_flops);
-    if (row_flops <= shared_accum_cap()) {
-      s.flops_shared += row_flops;
-    } else {
-      s.flops_global += row_flops;
-    }
+    // Tuples at their upper bound: no cancellation information.
+    charge_row(s, row_flops, row_flops);
   }
   return s;
+}
+
+MaskedRowCosts masked_row_costs(const CsrMatrix& a, const CsrMatrix& b,
+                                std::span<const std::uint8_t> b_mask,
+                                ThreadPool& pool) {
+  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
+  HH_CHECK(b_mask.size() == static_cast<std::size_t>(b.rows));
+  MaskedRowCosts out;
+  for (auto& rows : out.by_mask) rows.resize(static_cast<std::size_t>(a.rows));
+  std::atomic<std::int64_t> output_nnz{0};
+  pool.parallel_for(a.rows, [&](std::int64_t r0, std::int64_t r1) {
+    std::vector<std::int64_t> mark(static_cast<std::size_t>(b.cols), 0);
+    output_nnz += masked_rows(a, b, b_mask, static_cast<index_t>(r0),
+                              static_cast<index_t>(r1), mark, out);
+  });
+  out.output_nnz = output_nnz.load();
+  return out;
 }
 
 }  // namespace hh

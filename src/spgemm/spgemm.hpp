@@ -3,9 +3,11 @@
 // compute A_X × B_Y (X, Y ∈ {H, L}) without physically splitting matrices.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
@@ -83,5 +85,22 @@ ProductStats estimate_partial_product(const CsrMatrix& a, const CsrMatrix& b,
                                       std::span<const index_t> a_rows,
                                       std::span<const std::uint8_t> b_mask,
                                       bool b_mask_value);
+
+/// Exact per-row costs of partial_product_tuples under both values of a
+/// mask, from one structure-only pass (no values, no tuples):
+/// by_mask[v][i] is the ProductStats partial_product_tuples(a, b, {i},
+/// b_mask, v) reports, so summing it over any row set gives that set's stats
+/// exactly. output_nnz is the number of distinct (r, c) pairs the tuples of
+/// both masks merge into, Σ_i |columns of (A×B)(i,:)|.
+struct MaskedRowCosts {
+  std::array<std::vector<ProductStats>, 2> by_mask;
+  std::int64_t output_nnz = 0;
+};
+
+/// `b_mask` has one flag per row of B. Pool-parallel over A's rows with
+/// per-worker column markers; the result does not depend on the pool size.
+MaskedRowCosts masked_row_costs(const CsrMatrix& a, const CsrMatrix& b,
+                                std::span<const std::uint8_t> b_mask,
+                                ThreadPool& pool);
 
 }  // namespace hh

@@ -105,7 +105,7 @@ TEST_F(CalibrationTest, ThresholdSweepIsConvexish) {
     HhCpuOptions opt;
     opt.threshold_a = t;
     opt.threshold_b = t;
-    const double total = run_hh_cpu(a, a, opt, plat_, pool_).report.total_s;
+    const double total = cost_hh_cpu(a, a, opt, plat_, pool_).total_s;
     if (best < 0 || total < best) best = total;
     if (t == cand.front()) t0_time = total;
     if (t == cand.back()) tmax_time = total;

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/threshold.hpp"
 #include "gen/datasets.hpp"
 #include "gen/powerlaw_gen.hpp"
 #include "sparse/convert.hpp"
 #include "spgemm/gustavson.hpp"
+#include "spgemm/spgemm.hpp"
 #include "test_util.hpp"
 #include "util/check.hpp"
 
@@ -152,6 +156,134 @@ TEST_F(HhCpuTest, DeterministicOutput) {
 TEST_F(HhCpuTest, IncompatibleShapesThrow) {
   const CsrMatrix a(3, 4), b(5, 3);
   EXPECT_THROW(run_hh_cpu(a, b, {}, plat_, pool_), CheckError);
+  EXPECT_THROW(cost_hh_cpu(a, b, {}, plat_, pool_), CheckError);
+}
+
+// cost_hh_cpu's contract: the full run's report, field for field, with
+// every double equal bit for bit (EXPECT_EQ, not EXPECT_DOUBLE_EQ).
+class CostHhCpuTest : public HhCpuTest {
+ protected:
+  void expect_exact(const CsrMatrix& a, const CsrMatrix& b,
+                    const HhCpuOptions& opt, const HeteroPlatform& plat,
+                    const std::string& what) {
+    const RunReport want = run_hh_cpu(a, b, opt, plat, pool_).report;
+    const RunReport got = cost_hh_cpu(a, b, opt, plat, pool_);
+    const std::string at = what + " t=(" + std::to_string(opt.threshold_a) +
+                           "," + std::to_string(opt.threshold_b) + ")";
+    EXPECT_EQ(got.algorithm, want.algorithm) << at;
+    EXPECT_EQ(got.total_s, want.total_s) << at;
+    EXPECT_EQ(got.phase1_s, want.phase1_s) << at;
+    EXPECT_EQ(got.phase2_s, want.phase2_s) << at;
+    EXPECT_EQ(got.phase3_s, want.phase3_s) << at;
+    EXPECT_EQ(got.phase4_s, want.phase4_s) << at;
+    EXPECT_EQ(got.transfer_in_s, want.transfer_in_s) << at;
+    EXPECT_EQ(got.transfer_out_s, want.transfer_out_s) << at;
+    EXPECT_EQ(got.phase2_cpu_s, want.phase2_cpu_s) << at;
+    EXPECT_EQ(got.phase2_gpu_s, want.phase2_gpu_s) << at;
+    EXPECT_EQ(got.phase3_cpu_s, want.phase3_cpu_s) << at;
+    EXPECT_EQ(got.phase3_gpu_s, want.phase3_gpu_s) << at;
+    EXPECT_EQ(got.threshold_a, want.threshold_a) << at;
+    EXPECT_EQ(got.threshold_b, want.threshold_b) << at;
+    EXPECT_EQ(got.high_rows_a, want.high_rows_a) << at;
+    EXPECT_EQ(got.high_rows_b, want.high_rows_b) << at;
+    EXPECT_EQ(got.flops, want.flops) << at;
+    EXPECT_EQ(got.output_nnz, want.output_nnz) << at;
+    EXPECT_EQ(got.merge.tuples_in, want.merge.tuples_in) << at;
+    EXPECT_EQ(got.merge.tuples_out, want.merge.tuples_out) << at;
+    EXPECT_EQ(got.queue_cpu_units, want.queue_cpu_units) << at;
+    EXPECT_EQ(got.queue_gpu_units, want.queue_gpu_units) << at;
+    EXPECT_EQ(got.to_json(), want.to_json()) << at;
+  }
+
+  // expect_exact at t = 0 (the analytic pick) and every grid point.
+  void expect_exact_on_grid(const CsrMatrix& a, const CsrMatrix& b,
+                            const HeteroPlatform& plat,
+                            const std::string& what,
+                            HhCpuOptions opt = {}) {
+    opt.threshold_a = 0;
+    opt.threshold_b = 0;
+    expect_exact(a, b, opt, plat, what);
+    for (const offset_t t : threshold_grid(a, b)) {
+      opt.threshold_a = t;
+      opt.threshold_b = t;
+      expect_exact(a, b, opt, plat, what);
+    }
+  }
+};
+
+TEST_F(CostHhCpuTest, ExactOnTableOneAnaloguesAtEveryGridPoint) {
+  // A scaled platform shrinks the shared-accumulator cap, so rows land on
+  // both sides of the shared/global flops split.
+  constexpr double kScale = 0.04;
+  const HeteroPlatform plat = make_scaled_platform(kScale);
+  for (const char* name : {"wiki-Vote", "ca-CondMat", "email-Enron"}) {
+    const CsrMatrix a = make_dataset(dataset_spec(name), kScale);
+    expect_exact_on_grid(a, a, plat, name);
+  }
+  set_shared_accum_cap(kSharedAccumCap);
+}
+
+TEST_F(CostHhCpuTest, ExactOnRectangularPair) {
+  // A != B: both inputs are transferred and both grids are swept.
+  PowerLawGenConfig cfg;
+  cfg.rows = 700;
+  cfg.alpha = 2.3;
+  cfg.target_nnz = 4200;
+  cfg.seed = 221;
+  const CsrMatrix a = generate_power_law_matrix(cfg);
+  cfg.seed = 222;
+  const CsrMatrix b = generate_power_law_matrix(cfg);
+  expect_exact_on_grid(a, b, plat_, "power-law pair");
+  const CsrMatrix c = test::random_csr(60, 40, 0.1, 223);
+  const CsrMatrix d = test::random_csr(40, 70, 0.1, 224);
+  expect_exact_on_grid(c, d, plat_, "rectangular chain");
+}
+
+TEST_F(CostHhCpuTest, ExactWhenPartitionSidesAreEmpty) {
+  // t = 1 empties A_L and B_L (no row of `a` is empty); a huge t empties
+  // A_H and B_H. Mixed per-matrix thresholds skip one product at a time.
+  const CsrMatrix a = make_dataset(dataset_spec("wiki-Vote"), 0.04);
+  const CsrMatrix full = test::random_csr(50, 50, 0.3, 225);
+  for (index_t i = 0; i < full.rows; ++i) ASSERT_GT(full.row_nnz(i), 0);
+  for (const offset_t ta : {offset_t{1}, offset_t{8}, offset_t{1000000}}) {
+    for (const offset_t tb : {offset_t{1}, offset_t{8}, offset_t{1000000}}) {
+      HhCpuOptions opt;
+      opt.threshold_a = ta;
+      opt.threshold_b = tb;
+      expect_exact(a, a, opt, plat_, "wiki-Vote");
+      expect_exact(full, full, opt, plat_, "no empty rows");
+    }
+  }
+}
+
+TEST_F(CostHhCpuTest, ExactAcrossQueueUnitSizes) {
+  const CsrMatrix a = make_dataset(dataset_spec("ca-CondMat"), 0.04);
+  HhCpuOptions opt;
+  opt.queue.cpu_rows = 1;
+  opt.queue.gpu_rows = 1;
+  expect_exact_on_grid(a, a, plat_, "1-row units", opt);
+  opt.queue.cpu_rows = 10 * a.rows;  // one unit swallows the whole queue
+  opt.queue.gpu_rows = 10 * a.rows;
+  expect_exact_on_grid(a, a, plat_, "oversized units", opt);
+}
+
+TEST_F(CostHhCpuTest, ExactWhenMatricesAlreadyOnGpu) {
+  const CsrMatrix a = make_dataset(dataset_spec("wiki-Vote"), 0.04);
+  HhCpuOptions opt;
+  opt.matrices_already_on_gpu = true;
+  expect_exact_on_grid(a, a, plat_, "resident", opt);
+}
+
+TEST_F(CostHhCpuTest, ExactOnDegenerateMatrices) {
+  const CsrMatrix zero(30, 30);
+  expect_exact_on_grid(zero, zero, plat_, "all-zero");
+  // Every row has the same length, so any t puts all rows on one side.
+  const CsrMatrix ring = csr_from_triplets(
+      4, 4, std::vector<index_t>{0, 0, 1, 1, 2, 2, 3, 3},
+      std::vector<index_t>{0, 1, 1, 2, 2, 3, 3, 0},
+      std::vector<value_t>{1, 2, 3, 4, 5, 6, 7, 8});
+  expect_exact_on_grid(ring, ring, plat_, "equal rows");
+  expect_exact_on_grid(csr_identity(30), csr_identity(30), plat_, "identity");
 }
 
 }  // namespace

@@ -128,6 +128,50 @@ TEST(PartialProduct, EmptyRowList) {
   EXPECT_EQ(stats.flops, 0);
 }
 
+// masked_row_costs is the kernel's accounting without the kernel: each
+// row's stats under either mask value, and the distinct output count.
+TEST(MaskedRowCosts, EqualKernelStatsRowByRow) {
+  const CsrMatrix a = test::random_csr(40, 30, 0.2, 408);
+  const CsrMatrix b = test::random_csr(30, 45, 0.25, 409);
+  const RowPartition p = classify_rows(b, 8);
+  const std::int64_t original = shared_accum_cap();
+  set_shared_accum_cap(6);  // rows on both sides of the shared/global split
+  ThreadPool pool1(1), pool4(4);
+  const MaskedRowCosts costs = masked_row_costs(a, b, p.is_high, pool4);
+  const MaskedRowCosts costs1 = masked_row_costs(a, b, p.is_high, pool1);
+  for (const bool v : {false, true}) {
+    ProductStats sum;
+    for (index_t i = 0; i < a.rows; ++i) {
+      const index_t row[1] = {i};
+      ProductStats want;
+      partial_product_tuples(a, b, row, p.is_high, v, pool1, &want);
+      const ProductStats& got = costs.by_mask[v][static_cast<std::size_t>(i)];
+      EXPECT_EQ(got.rows, want.rows) << "row " << i;
+      EXPECT_EQ(got.a_nnz, want.a_nnz) << "row " << i;
+      EXPECT_EQ(got.flops, want.flops) << "row " << i;
+      EXPECT_EQ(got.tuples, want.tuples) << "row " << i;
+      EXPECT_EQ(got.max_row_flops, want.max_row_flops) << "row " << i;
+      EXPECT_EQ(got.warp_alu, want.warp_alu) << "row " << i;
+      EXPECT_EQ(got.flops_shared, want.flops_shared) << "row " << i;
+      EXPECT_EQ(got.flops_global, want.flops_global) << "row " << i;
+      EXPECT_EQ(got.b_read_bytes, want.b_read_bytes) << "row " << i;
+      EXPECT_EQ(costs1.by_mask[v][static_cast<std::size_t>(i)].tuples,
+                got.tuples);
+      sum.accumulate(got);
+    }
+    ProductStats all;
+    partial_product_tuples(a, b, all_rows(a.rows), p.is_high, v, pool4, &all);
+    EXPECT_EQ(sum.flops_global, all.flops_global);
+    EXPECT_EQ(sum.max_row_flops, all.max_row_flops);
+  }
+  set_shared_accum_cap(original);
+  std::int64_t out_nnz = 0;
+  for (const offset_t n : exact_row_nnz(a, b)) out_nnz += n;
+  EXPECT_EQ(costs.output_nnz, out_nnz);
+  EXPECT_EQ(costs1.output_nnz, out_nnz);
+  EXPECT_THROW(masked_row_costs(a, b, {}, pool1), CheckError);
+}
+
 TEST(PartialProduct, SharedAccumCapKnob) {
   const std::int64_t original = shared_accum_cap();
   set_shared_accum_cap(1);

@@ -110,6 +110,48 @@ TEST_F(WorkQueueTest, TwoTagQueueUsesMasks) {
             static_cast<std::int64_t>(entries.size()));
 }
 
+TEST_F(WorkQueueTest, ScheduleWithPrecomputedCostsMatchesRun) {
+  // The dequeue loop priced from per-row symbolic costs reproduces the
+  // executed queue's clocks, units and stats exactly, with no tuples.
+  const RowPartition p = classify_rows(a_, 12);
+  std::vector<WorkEntry> entries;
+  append_entries(entries, p.low_rows, 0);
+  append_entries(entries, p.high_rows, 1);
+  const MaskSpec masks[2] = {{p.is_high, true, 100.0, true},
+                             {p.is_high, false, 1e9, false}};
+  WorkQueueConfig cfg;
+  cfg.cpu_rows = 7;
+  cfg.gpu_rows = 30;
+  const WorkQueueResult run =
+      run_workqueue(a_, a_, entries, masks, cfg, 0, 2e-5, plat_, pool_);
+  const MaskedRowCosts costs = masked_row_costs(a_, a_, p.is_high, pool_);
+  const WorkQueueResult dry = schedule_workqueue(
+      entries, masks, cfg, a_.rows, 0, 2e-5, plat_,
+      [&](std::span<const WorkEntry> unit, ProductStats& stats,
+          std::span<ProductStats> tag_stats) {
+        for (const WorkEntry& e : unit) {
+          const ProductStats& row =
+              costs.by_mask[masks[e.tag].b_mask_value]
+                           [static_cast<std::size_t>(e.row)];
+          stats.accumulate(row);
+          tag_stats[static_cast<std::size_t>(e.tag)].accumulate(row);
+        }
+      });
+  EXPECT_GT(run.cpu_units, 0);
+  EXPECT_GT(run.gpu_units, 0);
+  EXPECT_EQ(dry.cpu_units, run.cpu_units);
+  EXPECT_EQ(dry.gpu_units, run.gpu_units);
+  EXPECT_EQ(dry.cpu_busy, run.cpu_busy);
+  EXPECT_EQ(dry.gpu_busy, run.gpu_busy);
+  EXPECT_EQ(dry.cpu_end, run.cpu_end);
+  EXPECT_EQ(dry.gpu_end, run.gpu_end);
+  EXPECT_EQ(dry.cpu_stats.tuples + dry.gpu_stats.tuples,
+            static_cast<std::int64_t>(run.tuples.nnz()));
+  EXPECT_EQ(dry.cpu_stats.flops, run.cpu_stats.flops);
+  EXPECT_EQ(dry.gpu_stats.max_row_flops, run.gpu_stats.max_row_flops);
+  EXPECT_EQ(dry.tuples.nnz(), 0u);
+}
+
 TEST_F(WorkQueueTest, EmptyQueueReturnsImmediately) {
   const MaskSpec masks[1] = {{{}, true, 0.0, false}};
   WorkQueueConfig cfg;
