@@ -1,20 +1,18 @@
 // Real wall-clock microbenchmarks of the host kernels (google-benchmark):
-// the SpGEMM accumulator variants, the Phase IV primitives, and the
+// the SpGEMM accumulator variants, the Phase IV tuple merge, and the
 // generator. These measure the actual C++ implementations on the build
 // machine — unlike the figure benches, nothing here is simulated.
 #include <benchmark/benchmark.h>
 
 #include "gen/powerlaw_gen.hpp"
-#include "primitives/radix_sort.hpp"
-#include "primitives/scan.hpp"
 #include "primitives/tuple_merge.hpp"
+#include "sparse/partition.hpp"
 #include "spgemm/gustavson.hpp"
 #include "spgemm/hash_spgemm.hpp"
 #include "spgemm/heap_spgemm.hpp"
 #include "spgemm/row_column.hpp"
 #include "spgemm/spgemm.hpp"
 #include "spgemm/symbolic.hpp"
-#include "util/prng.hpp"
 
 namespace {
 
@@ -63,22 +61,6 @@ void BM_RowColumnSpgemm(benchmark::State& state) {
 }
 BENCHMARK(BM_RowColumnSpgemm)->Arg(2000);
 
-void BM_RadixSortTuples(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  hh::Xoshiro256 rng(7);
-  std::vector<std::uint64_t> keys(n);
-  for (auto& k : keys) k = rng();
-  std::vector<std::uint32_t> payload(n);
-  for (auto _ : state) {
-    auto k = keys;
-    auto p = payload;
-    hh::radix_sort_kv(k, p);
-    benchmark::DoNotOptimize(k.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_RadixSortTuples)->Arg(100000)->Arg(1000000);
-
 void BM_TupleMerge(benchmark::State& state) {
   const hh::CsrMatrix a = bench_matrix(4000);
   hh::ThreadPool pool(0);
@@ -94,16 +76,27 @@ void BM_TupleMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_TupleMerge);
 
-void BM_ParallelScan(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::int64_t> in(n, 3), out(n);
+// The Phase IV shape: the same product split by a B-row mask (rows at or
+// above the mean density are high) into two partial products, so each
+// output row arrives as up to two column-sorted runs in separate buffers.
+void BM_TupleMergeHhCpu(benchmark::State& state) {
+  const hh::CsrMatrix a = bench_matrix(4000);
   hh::ThreadPool pool(0);
+  std::vector<hh::index_t> rows(static_cast<std::size_t>(a.rows));
+  for (hh::index_t r = 0; r < a.rows; ++r) rows[r] = r;
+  const hh::RowPartition b = hh::classify_rows(a, a.nnz() / a.rows);
+  const hh::CooMatrix high =
+      hh::partial_product_tuples(a, a, rows, b.is_high, true, pool, nullptr);
+  const hh::CooMatrix low =
+      hh::partial_product_tuples(a, a, rows, b.is_high, false, pool, nullptr);
+  const hh::CooMatrix* parts[] = {&high, &low};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hh::parallel_exclusive_scan(in, out, pool));
+    benchmark::DoNotOptimize(hh::merged_coo_to_csr(parts, pool, nullptr));
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(high.nnz() + low.nnz()));
 }
-BENCHMARK(BM_ParallelScan)->Arg(1000000);
+BENCHMARK(BM_TupleMergeHhCpu);
 
 void BM_PowerLawGenerator(benchmark::State& state) {
   for (auto _ : state) {

@@ -86,9 +86,8 @@ RunResult run_hipc2012(const CsrMatrix& a, const CsrMatrix& b,
   // (paper §III-D); still, GPU tuples cross PCIe and both blocks are
   // assembled into one CSR.
   rep.transfer_out_s = platform.link().d2h().tuple_transfer_time(gpu_stats.tuples);
-  CooMatrix all_tuples = std::move(cpu_tuples);
-  all_tuples.append(gpu_tuples);
-  res.c = merged_coo_to_csr(all_tuples, pool, &rep.merge);
+  const CooMatrix* parts[] = {&cpu_tuples, &gpu_tuples};
+  res.c = merged_coo_to_csr(parts, pool, &rep.merge);
   rep.phase4_s = platform.cpu().merge_time(rep.merge.tuples_in);
   rep.output_nnz = res.c.nnz();
   rep.total_s = HeteroPlatform::overlap(t_cpu, t_gpu) + rep.transfer_out_s +

@@ -16,7 +16,9 @@
 //   run_phase2                      CPU (A_H×B_H) ∥ GPU (A_L×B_L)
 //   run_phase3                      CPU + GPU jointly (double-ended queue)
 //   D2H tuple shipment              D2H channel
-//   run_phase4                      CPU (radix sort + segmented reduce)
+//   run_phase4                      CPU (the host merges by row; the clock
+//                                   charges the paper's radix sort +
+//                                   mark/scan/reduce)
 #pragma once
 
 #include "core/partition_plan.hpp"
@@ -68,10 +70,11 @@ WorkQueueResult cost_phase3(const PartitionPlan& plan,
                             const WorkQueueConfig& cfg, double cpu_start,
                             double gpu_start, const HeteroPlatform& platform);
 
-/// Phase IV: merge every ⟨r,c,v⟩ tuple into the final CSR. Consumes the
-/// phase-2 and queue tuple buffers (releasing pooled ones back to
-/// `workspace`). cpu_s is the merge time on the CPU model; the D2H shipment
-/// of the GPU tuples is charged separately by the caller.
+/// Phase IV: merge every ⟨r,c,v⟩ tuple into the final CSR, reading the
+/// phase-2 and queue tuple buffers in place, then releasing the pooled
+/// phase-2 ones back to `workspace`. cpu_s is the merge time on the CPU
+/// model; the D2H shipment of the GPU tuples is charged separately by the
+/// caller.
 struct MergeResult {
   CsrMatrix c;
   MergeStats merge;

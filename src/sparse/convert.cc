@@ -8,8 +8,8 @@
 namespace hh {
 
 CsrMatrix coo_to_csr(const CooMatrix& coo) {
-  // Delegates to the Phase IV machinery (radix sort + segmented reduce),
-  // which both sums duplicates and sorts columns within rows.
+  // Delegates to the Phase IV row merge, which both sums duplicates and
+  // sorts columns within rows, and rejects out-of-range tuples.
   return merged_coo_to_csr(coo);
 }
 
