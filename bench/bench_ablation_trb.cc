@@ -13,7 +13,7 @@ int main() {
   print_header("Ablation: GPU shared-accumulator capacity (TR_b)");
 
   ThreadPool pool(0);
-  const double scale = bench_scale();
+  const double scale = default_bench_scale();
   const HeteroPlatform plat = make_scaled_platform(scale);
   const std::int64_t scaled_default = shared_accum_cap();
   const CsrMatrix a = make_dataset(dataset_spec("webbase-1M"), scale);

@@ -12,7 +12,7 @@ int main() {
   print_header("Ablation: Phase III work-unit sizes (paper fixes 1000/10000)");
 
   ThreadPool pool(0);
-  const double scale = bench_scale();
+  const double scale = default_bench_scale();
   const HeteroPlatform plat = make_scaled_platform(scale);
   const CsrMatrix a = make_dataset(dataset_spec("web-Google"), scale);
   const ThresholdChoice choice = pick_threshold_empirical(a, a, plat, pool);

@@ -13,7 +13,7 @@ int main() {
   print_header("Extension (paper SVI): heterogeneous csrmm");
 
   ThreadPool pool(0);
-  const double scale = bench_scale();
+  const double scale = default_bench_scale();
   const HeteroPlatform plat = make_scaled_platform(scale);
   const CsrMatrix a = make_dataset(dataset_spec("web-Google"), scale * 0.5);
 

@@ -15,7 +15,7 @@ int main() {
   print_header("Fig. 10: speedup vs alpha on synthetic matrices");
 
   ThreadPool pool(0);
-  const double scale = bench_scale();
+  const double scale = default_bench_scale();
   const HeteroPlatform plat = make_scaled_platform(scale);
 
   // Paper sizes 100K / 500K / 1M rows, avg degree ~6, scaled like the rest.

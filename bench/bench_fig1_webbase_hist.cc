@@ -11,7 +11,7 @@ int main() {
   bench::print_header("Fig. 1: row histogram of webbase-1M");
 
   const CsrMatrix m =
-      make_dataset(dataset_spec("webbase-1M"), bench::bench_scale());
+      make_dataset(dataset_spec("webbase-1M"), default_bench_scale());
   const std::vector<offset_t> sizes = row_nnz_vector(m);
   const std::vector<std::int64_t> data(sizes.begin(), sizes.end());
 

@@ -13,7 +13,7 @@ int main() {
   print_header("Fig. 5: row-density histograms, all 12 matrices");
 
   ThreadPool pool(0);
-  const double scale = bench_scale();
+  const double scale = default_bench_scale();
   const HeteroPlatform plat = make_scaled_platform(scale);
   for (const DatasetSpec& spec : table1_datasets()) {
     const CsrMatrix m = make_dataset(spec, scale);

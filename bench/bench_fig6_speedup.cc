@@ -11,7 +11,7 @@ int main() {
   print_header("Fig. 6: HH-CPU speedup over HiPC2012 (plus library baselines)");
 
   ThreadPool pool(0);
-  const double scale = bench_scale();
+  const double scale = default_bench_scale();
   const HeteroPlatform plat = make_scaled_platform(scale);
 
   std::printf("%-16s %10s %10s | %8s %8s %8s\n", "matrix", "HH-CPU ms",

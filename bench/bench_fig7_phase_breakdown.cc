@@ -12,7 +12,7 @@ int main() {
   print_header("Fig. 7: phase breakdown of HH-CPU");
 
   ThreadPool pool(0);
-  const double scale = bench_scale();
+  const double scale = default_bench_scale();
   const HeteroPlatform plat = make_scaled_platform(scale);
 
   std::printf("%-16s %8s %9s %9s %8s %9s | %7s %9s\n", "matrix", "I ms",

@@ -12,7 +12,7 @@ int main() {
   print_header("Fig. 8: threshold sweep (total / Phase II / Phase III)");
 
   ThreadPool pool(0);
-  const double scale = bench_scale();
+  const double scale = default_bench_scale();
   const HeteroPlatform plat = make_scaled_platform(scale);
 
   for (const DatasetSpec& spec : table1_datasets()) {

@@ -11,7 +11,7 @@ int main() {
   print_header("Fig. 9: HH-CPU vs Unsorted-/Sorted-Workqueue");
 
   ThreadPool pool(0);
-  const double scale = bench_scale();
+  const double scale = default_bench_scale();
   const HeteroPlatform plat = make_scaled_platform(scale);
 
   std::printf("%-16s %10s | %12s %12s\n", "matrix", "HH-CPU ms",

@@ -55,37 +55,16 @@
 #include "bench_common.hpp"
 #include "gen/powerlaw_gen.hpp"
 #include "obs/perf_baseline.hpp"
+#include "obs/replay.hpp"
 #include "runtime/service.hpp"
 #include "trace/perfetto_export.hpp"
-
-namespace {
-
-bool bit_identical(const hh::CsrMatrix& x, const hh::CsrMatrix& y) {
-  return x.rows == y.rows && x.cols == y.cols && x.indptr == y.indptr &&
-         x.indices == y.indices && x.values == y.values;
-}
-
-double env_double(const char* name, double fallback) {
-  if (const char* env = std::getenv(name)) {
-    const double v = std::atof(env);
-    if (v >= 0) return v;
-  }
-  return fallback;
-}
-
-std::string jnum(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", x);
-  return buf;
-}
-
-}  // namespace
+#include "util/format.hpp"
 
 int main() {
   using namespace hh;
   bench::print_header("runtime throughput: pipelined service vs serial calls");
 
-  const double scale = bench::bench_scale();
+  const double scale = default_bench_scale();
   const HeteroPlatform platform = make_scaled_platform(scale);
   ThreadPool pool(0);
 
@@ -139,7 +118,7 @@ int main() {
   // Machine-readable record: batch + measured serial reference + requests.
   std::ostringstream part1;
   part1 << "{\"batch\":" << batch.batch.to_json()
-        << ",\"serial_makespan_s\":" << jnum(serial_makespan)
+        << ",\"serial_makespan_s\":" << fmt_num(serial_makespan)
         << ",\"requests\":[";
   for (std::size_t i = 0; i < batch.requests.size(); ++i) {
     if (i > 0) part1 << ",";
@@ -149,14 +128,14 @@ int main() {
   std::printf("%s\n", part1.str().c_str());
 
   // ---- Part 2: the same service under fault injection (docs/robustness.md).
-  const double gpu_rate = env_double("HH_FAULT_GPU_RATE", 0.25);
-  const double pcie_rate = env_double("HH_FAULT_PCIE_RATE", 0.15);
+  const double gpu_rate = bench::env_double("HH_FAULT_GPU_RATE", 0.25);
+  const double pcie_rate = bench::env_double("HH_FAULT_PCIE_RATE", 0.15);
   const std::size_t fault_requests = static_cast<std::size_t>(
-      env_double("HH_FAULT_REQUESTS", 102));
+      bench::env_double("HH_FAULT_REQUESTS", 102));
 
   SpgemmService::Config cfg;
   cfg.fault_plan.seed =
-      static_cast<std::uint64_t>(env_double("HH_FAULT_SEED", 42));
+      static_cast<std::uint64_t>(bench::env_double("HH_FAULT_SEED", 42));
   cfg.fault_plan.gpu_kernel.rate = gpu_rate;
   cfg.fault_plan.h2d.rate = pcie_rate;
   cfg.fault_plan.d2h.rate = pcie_rate;
@@ -234,15 +213,15 @@ int main() {
 
   std::ostringstream part2;
   part2 << "{\"faulted_batch\":" << under_faults.batch.to_json()
-        << ",\"gpu_rate\":" << jnum(gpu_rate)
-        << ",\"pcie_rate\":" << jnum(pcie_rate) << ",\"seed\":"
+        << ",\"gpu_rate\":" << fmt_num(gpu_rate)
+        << ",\"pcie_rate\":" << fmt_num(pcie_rate) << ",\"seed\":"
         << static_cast<unsigned long long>(cfg.fault_plan.seed)
         << ",\"trace_events\":" << recorder.events().size() << "}";
   std::printf("%s\n", part2.str().c_str());
 
   // ---- Part 3: online autotuning — tuned vs untuned, identical traffic.
   const std::size_t tune_requests = static_cast<std::size_t>(
-      env_double("HH_TUNE_REQUESTS", 256));
+      bench::env_double("HH_TUNE_REQUESTS", 256));
 
   // Eight distinct hot signature pairs: the three Table-I analogues plus
   // five generated power-law matrices spanning sizes and tail exponents.
@@ -373,15 +352,15 @@ int main() {
         << ",\"untuned\":" << base_run.batch.to_json()
         << ",\"tuned\":" << tuned_run.batch.to_json() << ",\"deltas\":{"
         << "\"makespan_s\":"
-        << jnum(base_run.batch.makespan_s - tuned_run.batch.makespan_s)
+        << fmt_num(base_run.batch.makespan_s - tuned_run.batch.makespan_s)
         << ",\"p50_latency_s\":"
-        << jnum(base_run.batch.p50_latency_s - tuned_run.batch.p50_latency_s)
+        << fmt_num(base_run.batch.p50_latency_s - tuned_run.batch.p50_latency_s)
         << ",\"p95_latency_s\":"
-        << jnum(base_run.batch.p95_latency_s - tuned_run.batch.p95_latency_s)
+        << fmt_num(base_run.batch.p95_latency_s - tuned_run.batch.p95_latency_s)
         << ",\"p99_latency_s\":"
-        << jnum(base_run.batch.p99_latency_s - tuned_run.batch.p99_latency_s)
+        << fmt_num(base_run.batch.p99_latency_s - tuned_run.batch.p99_latency_s)
         << ",\"makespan_speedup\":"
-        << jnum(base_run.batch.makespan_s /
+        << fmt_num(base_run.batch.makespan_s /
                 std::max(tuned_run.batch.makespan_s, 1e-300))
         << "},\"replay_identical\":true,\"tune_report\":" << tune_json << "}";
   std::printf("%s\n", part3.str().c_str());
@@ -390,7 +369,7 @@ int main() {
   // repeated-operand batch (the traffic shape waves exist for). Both runs
   // drop sticky residency so every request pays its upload in the off run.
   const std::size_t wave_requests = static_cast<std::size_t>(
-      env_double("HH_WAVE_REQUESTS", 256));
+      bench::env_double("HH_WAVE_REQUESTS", 256));
   std::printf("\n== wave executor: %zu repeated-operand requests over %zu "
               "matrices ==\n",
               wave_requests, mats.size());
@@ -501,9 +480,9 @@ int main() {
         << ",\"wave_on\":" << on_run.batch.to_json()
         << ",\"off_h2d_bytes\":" << off_h2d_bytes << ",\"deltas\":{"
         << "\"makespan_s\":"
-        << jnum(off_run.batch.makespan_s - on_run.batch.makespan_s)
+        << fmt_num(off_run.batch.makespan_s - on_run.batch.makespan_s)
         << ",\"makespan_speedup\":"
-        << jnum(off_run.batch.makespan_s /
+        << fmt_num(off_run.batch.makespan_s /
                 std::max(on_run.batch.makespan_s, 1e-300))
         << ",\"h2d_bytes_saved\":"
         << (off_h2d_bytes - on_run.batch.wave.h2d_bytes)
@@ -519,7 +498,7 @@ int main() {
       std::fprintf(f,
                    "{\"bench\":\"runtime_throughput\",\"scale\":%s,"
                    "\"part1\":%s,\"part2\":%s,\"part3\":%s,\"part4\":%s}\n",
-                   jnum(scale).c_str(), part1.str().c_str(),
+                   fmt_num(scale).c_str(), part1.str().c_str(),
                    part2.str().c_str(), part3.str().c_str(),
                    part4.str().c_str());
       std::fclose(f);

@@ -29,54 +29,25 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "obs/replay.hpp"
 #include "shard/sharded_service.hpp"
-
-namespace {
-
-bool bit_identical(const hh::CsrMatrix& x, const hh::CsrMatrix& y) {
-  return x.rows == y.rows && x.cols == y.cols && x.indptr == y.indptr &&
-         x.indices == y.indices && x.values == y.values;
-}
-
-double env_double(const char* name, double fallback) {
-  if (const char* env = std::getenv(name)) {
-    const double v = std::atof(env);
-    if (v >= 0) return v;
-  }
-  return fallback;
-}
-
-std::string jnum(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", x);
-  return buf;
-}
-
-int violations = 0;
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "CHAOS VIOLATION: %s\n", what);
-    ++violations;
-  }
-}
-
-}  // namespace
+#include "util/format.hpp"
 
 int main() {
   using namespace hh;
   bench::print_header("shard chaos: kill, failover, restart, rehydrate");
 
-  const double scale = bench::bench_scale();
+  bench::Violations violations{"CHAOS"};
+  const double scale = default_bench_scale();
   const HeteroPlatform platform = make_scaled_platform(scale);
   ThreadPool pool(0);
 
   const std::size_t n =
-      static_cast<std::size_t>(env_double("HH_SHARD_REQUESTS", 256));
+      static_cast<std::size_t>(bench::env_double("HH_SHARD_REQUESTS", 256));
   const std::size_t shard_count =
-      static_cast<std::size_t>(env_double("HH_SHARD_COUNT", 4));
+      static_cast<std::size_t>(bench::env_double("HH_SHARD_COUNT", 4));
   const std::uint64_t seed =
-      static_cast<std::uint64_t>(env_double("HH_SHARD_SEED", 24397));
+      static_cast<std::uint64_t>(bench::env_double("HH_SHARD_SEED", 24397));
 
   const char* names[] = {"wiki-Vote", "email-Enron", "ca-CondMat",
                          "p2p-Gnutella31"};
@@ -132,16 +103,21 @@ int main() {
     for (const RequestReport& rr : out.requests) {
       reports_json += "\n" + rr.to_json();
     }
-    check(group.metrics().counter("shard.kills").value() >= 1,
-          "no shard was killed (kill schedule never fired)");
-    check(group.metrics().counter("shard.failovers").value() >= 1,
-          "the killed shard had nothing in flight (no failover exercised)");
-    check(group.metrics().counter("shard.restarts").value() >= 1,
-          "the killed shard never restarted");
-    check(group.metrics().counter("shard.rehydrations").value() >= 1,
-          "the restarted shard did not rehydrate its snapshot");
+    const auto count = [&](const char* name) {
+      return group.metrics().counter(name).value();
+    };
+    violations.check(count("shard.kills") >= 1,
+                     "no shard was killed (kill schedule never fired)");
+    violations.check(
+        count("shard.failovers") >= 1,
+        "the killed shard had nothing in flight (no failover exercised)");
+    violations.check(count("shard.restarts") >= 1,
+                     "the killed shard never restarted");
+    violations.check(count("shard.rehydrations") >= 1,
+                     "the restarted shard did not rehydrate its snapshot");
     for (std::size_t s = 0; s < group.shards(); ++s) {
-      check(group.alive(s), "a shard is still dead after the drain");
+      violations.check(group.alive(s),
+                       "a shard is still dead after the drain");
     }
     return out.group;
   };
@@ -159,8 +135,9 @@ int main() {
   // thresholds the service actually chose (tuning re-picks thresholds; the
   // bits are a function of the H/L partition, so the reference must use the
   // same one).
-  check(g.requests == n && g.completed == n && g.deadline_missed == 0,
-        "lost or cancelled requests (completed != submitted)");
+  violations.check(
+      g.requests == n && g.completed == n && g.deadline_missed == 0,
+      "lost or cancelled requests (completed != submitted)");
   std::map<std::tuple<std::size_t, offset_t, offset_t>, CsrMatrix> refs;
   for (std::size_t i = 0; i < out1.size(); ++i) {
     const std::size_t m = i % mats.size();
@@ -175,21 +152,21 @@ int main() {
                .first;
     }
     if (!bit_identical(it->second, out1[i])) {
-      std::fprintf(stderr, "CHAOS VIOLATION: request %zu differs from the "
-                           "serial reference\n", i);
-      ++violations;
+      violations.fail("request " + std::to_string(i) +
+                      " differs from the serial reference");
       break;
     }
   }
 
   // Same-seed replay: byte-identical reports, bit-identical outputs.
-  check(json1 == json2,
-        "replay reports differ (group/request/tune JSON not byte-identical)");
-  check(out1.size() == out2.size(), "replay produced a different batch size");
+  violations.check(
+      json1 == json2,
+      "replay reports differ (group/request/tune JSON not byte-identical)");
+  violations.check(out1.size() == out2.size(),
+                   "replay produced a different batch size");
   for (std::size_t i = 0; i < out1.size() && i < out2.size(); ++i) {
     if (!bit_identical(out1[i], out2[i])) {
-      std::fprintf(stderr, "CHAOS VIOLATION: replay output %zu differs\n", i);
-      ++violations;
+      violations.fail("replay output " + std::to_string(i) + " differs");
       break;
     }
   }
@@ -201,9 +178,10 @@ int main() {
               g.rounds, g.makespan_s * 1e3);
 
   std::ostringstream record;
-  record << "{\"scale\":" << jnum(scale) << ",\"requests\":" << n
+  record << "{\"scale\":" << fmt_num(scale) << ",\"requests\":" << n
          << ",\"shards\":" << shard_count << ",\"seed\":" << seed
-         << ",\"violations\":" << violations << ",\"group\":" << g.to_json()
+         << ",\"violations\":" << violations.count
+         << ",\"group\":" << g.to_json()
          << "}";
   const char* bench_env = std::getenv("HH_BENCH_OUT");
   const std::string bench_path =
@@ -216,8 +194,8 @@ int main() {
     }
   }
 
-  if (violations > 0) {
-    std::fprintf(stderr, "%d chaos violation(s)\n", violations);
+  if (violations.count > 0) {
+    std::fprintf(stderr, "%d chaos violation(s)\n", violations.count);
     return 1;
   }
   std::printf("chaos drill clean: zero loss, bit-identical outputs, "

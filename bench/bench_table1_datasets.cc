@@ -11,7 +11,7 @@ int main() {
   using namespace hh;
   bench::print_header("Table I: dataset suite (paper vs generated analogue)");
 
-  const double scale = bench::bench_scale();
+  const double scale = default_bench_scale();
   std::printf("%-16s %10s %12s %8s | %10s %12s %10s %8s\n", "matrix",
               "rows", "nnz", "alpha", "gen rows", "gen nnz", "gen a-fit",
               "max row");

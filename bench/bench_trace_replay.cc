@@ -38,47 +38,25 @@
 
 namespace {
 
-double env_double(const char* name, double fallback) {
-  if (const char* env = std::getenv(name)) {
-    const double v = std::atof(env);
-    if (v >= 0) return v;
-  }
-  return fallback;
-}
-
 std::string env_str(const char* name, const char* fallback) {
   if (const char* env = std::getenv(name)) return env;
   return fallback;
 }
 
-int violations = 0;
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::fprintf(stderr, "REPLAY VIOLATION: %s\n", what);
-    ++violations;
-  }
-}
-
-void check_pass(const hh::ReplayRunReport& r, const char* pass) {
+void check_pass(hh::bench::Violations& violations,
+                const hh::ReplayRunReport& r, const std::string& pass) {
   if (r.lost != 0) {
-    std::fprintf(stderr, "REPLAY VIOLATION: %s lost %zu request(s)\n", pass,
-                 r.lost);
-    ++violations;
+    violations.fail(pass + " lost " + std::to_string(r.lost) + " request(s)");
   }
   if (r.identity_mismatches != 0) {
-    std::fprintf(stderr,
-                 "REPLAY VIOLATION: %s produced %zu output(s) that differ "
-                 "from the serial reference\n",
-                 pass, r.identity_mismatches);
-    ++violations;
+    violations.fail(pass + " produced " +
+                    std::to_string(r.identity_mismatches) +
+                    " output(s) that differ from the serial reference");
   }
   if (!r.slo_reconciled) {
-    std::fprintf(stderr,
-                 "REPLAY VIOLATION: %s SLO accounting does not reconcile "
-                 "with the batch reports\n",
-                 pass);
-    ++violations;
+    violations.fail(pass +
+                    " SLO accounting does not reconcile with the batch "
+                    "reports");
   }
 }
 
@@ -88,16 +66,17 @@ int main() {
   using namespace hh;
   bench::print_header("flight recorder -> trace replay");
 
-  const double scale = bench::bench_scale();
+  bench::Violations violations{"REPLAY"};
+  const double scale = default_bench_scale();
   const HeteroPlatform platform = make_scaled_platform(scale);
   ThreadPool pool(0);
 
   const std::size_t n =
-      static_cast<std::size_t>(env_double("HH_REPLAY_REQUESTS", 96));
+      static_cast<std::size_t>(bench::env_double("HH_REPLAY_REQUESTS", 96));
   const std::size_t waves =
-      static_cast<std::size_t>(env_double("HH_REPLAY_WAVES", 4));
+      static_cast<std::size_t>(bench::env_double("HH_REPLAY_WAVES", 4));
   const std::uint64_t seed =
-      static_cast<std::uint64_t>(env_double("HH_REPLAY_SEED", 1833));
+      static_cast<std::uint64_t>(bench::env_double("HH_REPLAY_SEED", 1833));
   const std::string log_path =
       env_str("HH_OBS_LOG", "replay_workload.jsonl");
   const std::string trace_path = env_str("HH_TRACE_OUT", "replay_trace.json");
@@ -145,13 +124,15 @@ int main() {
     const BatchResult b = service.drain();
     recorded_misses += b.batch.deadline_missed;
   }
-  check(recorder.total_appended() == n, "the recorder missed requests");
-  check(record_slo.observations() == static_cast<std::int64_t>(n),
-        "the SLO monitor missed requests");
+  violations.check(recorder.total_appended() == n,
+                   "the recorder missed requests");
+  violations.check(record_slo.observations() == static_cast<std::int64_t>(n),
+                   "the SLO monitor missed requests");
 
   // ---- Log round-trip through disk: write, re-read, verify the chain,
   // re-serialise byte-identically.
-  check(recorder.write(log_path), "could not write the workload log");
+  violations.check(recorder.write(log_path),
+                   "could not write the workload log");
   std::string log_text;
   {
     std::ifstream in(log_path, std::ios::binary);
@@ -163,12 +144,12 @@ int main() {
   try {
     log = parse_workload_log(log_text);
   } catch (const ParseError& e) {
-    std::fprintf(stderr, "REPLAY VIOLATION: recorded log failed to parse: %s\n",
-                 e.what());
+    violations.fail(std::string("recorded log failed to parse: ") + e.what());
     return 1;
   }
-  check(log.to_jsonl() == log_text, "parse -> serialise is not the identity");
-  check(log.records.size() == n, "the parsed log lost records");
+  violations.check(log.to_jsonl() == log_text,
+                   "parse -> serialise is not the identity");
+  violations.check(log.records.size() == n, "the parsed log lost records");
 
   // A tampered copy must be rejected: flip one digit of a payload field.
   {
@@ -186,7 +167,7 @@ int main() {
         }
       }
     }
-    check(detected, "a tampered record was not rejected");
+    violations.check(detected, "a tampered record was not rejected");
   }
 
   // ---- Replay: open loop (fidelity pass), closed loop (throughput
@@ -201,40 +182,40 @@ int main() {
               {"latency-p95", 0.95, 128, 5e-3, 1.0}};
 
   const ReplayReport open = harness.replay(log, opts);
-  check_pass(open.untuned, "open-loop untuned");
-  check_pass(open.tuned, "open-loop tuned");
+  check_pass(violations, open.untuned, "open-loop untuned");
+  check_pass(violations, open.tuned, "open-loop tuned");
   // The untuned pass mirrors the recorded run's configuration, so every
   // deadline outcome must replay exactly as logged.
   if (open.untuned.outcome_divergence != 0) {
-    std::fprintf(stderr,
-                 "REPLAY VIOLATION: %zu deadline outcome(s) diverged from "
-                 "the log in the untuned open-loop replay\n",
-                 open.untuned.outcome_divergence);
-    ++violations;
+    violations.fail(std::to_string(open.untuned.outcome_divergence) +
+                    " deadline outcome(s) diverged from the log in the "
+                    "untuned open-loop replay");
   }
-  check(open.untuned.deadline_missed == recorded_misses,
-        "untuned replay misses != recorded misses");
+  violations.check(open.untuned.deadline_missed == recorded_misses,
+                   "untuned replay misses != recorded misses");
 
   const ReplayReport open2 = harness.replay(log, opts);
-  check(open.to_json() == open2.to_json(),
-        "re-replay is not byte-identical (determinism broken)");
-  check(open.untuned.output_digest == open2.untuned.output_digest &&
-            open.tuned.output_digest == open2.tuned.output_digest,
-        "re-replay outputs are not bit-identical");
+  violations.check(open.to_json() == open2.to_json(),
+                   "re-replay is not byte-identical (determinism broken)");
+  violations.check(
+      open.untuned.output_digest == open2.untuned.output_digest &&
+          open.tuned.output_digest == open2.tuned.output_digest,
+      "re-replay outputs are not bit-identical");
 
   ReplayOptions closed = opts;
   closed.open_loop = false;
   const ReplayReport closed_rep = harness.replay(log, closed);
-  check_pass(closed_rep.untuned, "closed-loop untuned");
-  check_pass(closed_rep.tuned, "closed-loop tuned");
-  check(closed_rep.untuned.makespan_s <= open.untuned.makespan_s + 1e-12,
-        "closed loop slower than open loop");
+  check_pass(violations, closed_rep.untuned, "closed-loop untuned");
+  check_pass(violations, closed_rep.tuned, "closed-loop tuned");
+  violations.check(
+      closed_rep.untuned.makespan_s <= open.untuned.makespan_s + 1e-12,
+      "closed loop slower than open loop");
 
   ReplayOptions sharded = opts;
   sharded.shards = 2;
   const ReplayReport shard_rep = harness.replay(log, sharded);
-  check_pass(shard_rep.untuned, "sharded untuned");
-  check_pass(shard_rep.tuned, "sharded tuned");
+  check_pass(violations, shard_rep.untuned, "sharded untuned");
+  check_pass(violations, shard_rep.tuned, "sharded tuned");
 
   // ---- Wave executor pass (docs/runtime.md): the same log re-driven with
   // the batched wave executor on. Zero lost requests, and the outputs must
@@ -243,16 +224,18 @@ int main() {
   ReplayOptions waved = opts;
   waved.service.wave.enabled = true;
   const ReplayReport wave_rep = harness.replay(log, waved);
-  check_pass(wave_rep.untuned, "wave-enabled untuned");
-  check_pass(wave_rep.tuned, "wave-enabled tuned");
-  check(wave_rep.untuned.output_digest == open.untuned.output_digest,
-        "wave-enabled outputs differ from the wave-disabled replay");
+  check_pass(violations, wave_rep.untuned, "wave-enabled untuned");
+  check_pass(violations, wave_rep.tuned, "wave-enabled tuned");
+  violations.check(
+      wave_rep.untuned.output_digest == open.untuned.output_digest,
+      "wave-enabled outputs differ from the wave-disabled replay");
 
   // ---- Artifacts + summary.
   {
     std::ofstream out(trace_path, std::ios::binary);
     out << chrome_trace_json(trace);
-    check(static_cast<bool>(out), "could not write the Perfetto trace");
+    violations.check(static_cast<bool>(out),
+                     "could not write the Perfetto trace");
   }
   {
     std::ofstream out(bench_out, std::ios::binary);
@@ -264,8 +247,9 @@ int main() {
         << ",\"closed\":" << closed_rep.to_json()
         << ",\"sharded\":" << shard_rep.to_json()
         << ",\"wave\":" << wave_rep.to_json()
-        << ",\"violations\":" << violations << "}\n";
-    check(static_cast<bool>(out), "could not write the bench record");
+        << ",\"violations\":" << violations.count << "}\n";
+    violations.check(static_cast<bool>(out),
+                     "could not write the bench record");
   }
 
   std::printf("%s", open.to_string().c_str());
@@ -281,8 +265,8 @@ int main() {
               "log %zu bytes -> %s\n",
               n, waves, recorded_misses, log_text.size(), log_path.c_str());
 
-  if (violations > 0) {
-    std::fprintf(stderr, "\n%d REPLAY VIOLATION(S)\n", violations);
+  if (violations.count > 0) {
+    std::fprintf(stderr, "\n%d REPLAY VIOLATION(S)\n", violations.count);
     return 1;
   }
   std::printf("\nall replay invariants held\n");

@@ -109,20 +109,15 @@ WorkQueueResult cost_phase3(const PartitionPlan& plan,
                             const WorkQueueConfig& cfg, double cpu_start,
                             double gpu_start, const HeteroPlatform& platform) {
   const Phase3Queue q = phase3_queue(plan);
-  return schedule_workqueue(
-      q.entries, q.masks, cfg, plan.a.high_count() + plan.a.low_count(),
-      cpu_start, gpu_start, platform,
-      [&](std::span<const WorkEntry> unit, ProductStats& stats,
-          std::span<ProductStats> tag_stats) {
-        for (const WorkEntry& e : unit) {
-          const auto tag = static_cast<std::size_t>(e.tag);
-          const ProductStats& row =
-              costs.by_mask[q.masks[tag].b_mask_value]
-                           [static_cast<std::size_t>(e.row)];
-          stats.accumulate(row);
-          tag_stats[tag].accumulate(row);
-        }
-      });
+  std::vector<ProductStats> entry_stats(q.entries.size());
+  for (std::size_t k = 0; k < q.entries.size(); ++k) {
+    const auto tag = static_cast<std::size_t>(q.entries[k].tag);
+    const auto row = static_cast<std::size_t>(q.entries[k].row);
+    entry_stats[k] = costs.by_mask[q.masks[tag].b_mask_value][row];
+  }
+  return schedule_workqueue(q.entries, entry_stats, q.masks, cfg,
+                            plan.a.high_count() + plan.a.low_count(),
+                            cpu_start, gpu_start, platform);
 }
 
 MergeResult run_phase4(Phase2Result&& p2, WorkQueueResult&& queue,

@@ -35,12 +35,13 @@ class HeteroPlatform {
 };
 
 /// Platform for experiments run on instances shrunk by `scale` (the bench
-/// default is 0.25 so the suite fits modest CI hardware). The simulated
-/// machine's *capacity* parameters — LLC size and the GPU shared-accumulator
-/// cap — are shrunk by the same factor so that a scaled instance exercises
-/// the same cache-pressure and shared-vs-global-accumulator regimes the
-/// full-size instance would on the real machine. Rate parameters (clocks,
-/// bandwidths, core counts) are untouched.
+/// default is 0.1, from default_bench_scale(), so the suite fits modest CI
+/// hardware). The simulated machine's *capacity* parameters — LLC size and
+/// the GPU shared-accumulator cap — are shrunk by the same factor so that a
+/// scaled instance exercises the same cache-pressure and
+/// shared-vs-global-accumulator regimes the full-size instance would on the
+/// real machine. Rate parameters (clocks, bandwidths, core counts) are
+/// untouched.
 ///
 /// Note: this also sets the process-global shared-accumulator cap used by
 /// the kernels' statistics (see spgemm.hpp); call it before running any

@@ -100,7 +100,7 @@ double default_bench_scale() {
     const double s = std::atof(env);
     if (s > 0 && s <= 1.0) return s;
   }
-  return 0.25;
+  return 0.1;
 }
 
 }  // namespace hh

@@ -34,8 +34,9 @@ CsrMatrix make_dataset(const DatasetSpec& spec, double scale,
 /// synthetic analogue.
 CsrMatrix load_or_make_dataset(const DatasetSpec& spec, double scale);
 
-/// Benchmark default scale: HH_SCALE env var, else 0.25 (the repo runs on
-/// modest CI hardware; scale 1.0 reproduces paper-sized instances).
+/// Benchmark scale: the HH_SCALE env var when it is in (0, 1], else 0.1
+/// (the repo runs on modest CI hardware; scale 1.0 reproduces paper-sized
+/// instances). Every bench reads its scale here.
 double default_bench_scale();
 
 }  // namespace hh

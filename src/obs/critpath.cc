@@ -131,14 +131,8 @@ const RequestCostBreakdown* CritPathReport::find_request(std::size_t id) const {
 }
 
 std::string CritPathReport::to_string() const {
-  std::ostringstream os;
-  os << "bottleneck " << crit_lane_name(bottleneck_lane()) << ";";
-  for (int i = 0; i < kCritLaneCount; ++i) {
-    os << " " << crit_lane_name(i) << " " << pct(attributed_s[i], makespan_s);
-  }
-  os << " of " << fmt_num(makespan_s) << " s makespan; chain " << steps.size()
-     << " steps";
-  return os.str();
+  return summary().to_string() + " makespan; chain " +
+         std::to_string(steps.size()) + " steps";
 }
 
 std::string CritPathReport::to_json() const {
@@ -152,8 +146,9 @@ std::string CritPathReport::to_json() const {
      << "\",\"steps\":[";
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const CritPathStep& s = steps[i];
-    os << (i ? "," : "") << "{\"stage\":\"" << s.stage << "\",\"lane\":\""
-       << crit_lane_name(s.lane) << "\",\"request\":" << req_json_id(s.request_id)
+    os << (i ? "," : "") << "{\"stage\":" << fmt_json_str(s.stage)
+       << ",\"lane\":\"" << crit_lane_name(s.lane)
+       << "\",\"request\":" << req_json_id(s.request_id)
        << ",\"wave_index\":" << s.wave << ",\"start_s\":" << fmt_num(s.start_s)
        << ",\"end_s\":" << fmt_num(s.end_s)
        << ",\"attributed_s\":" << fmt_num(s.attributed_s)

@@ -1,13 +1,13 @@
 #include "obs/perf_baseline.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
+#include <utility>
 
 #include "runtime/service.hpp"
 #include "util/format.hpp"
+#include "util/json.hpp"
 #include "util/status.hpp"
 
 namespace hh {
@@ -20,111 +20,6 @@ std::string jpct(double v) {
   return buf;
 }
 
-// ---- Minimal JSON reader for the flat baseline format. Only what the
-// format uses: objects, arrays, strings without escapes, numbers, bools.
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : s_(text) {}
-
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool at(char c) {
-    skip_ws();
-    return pos_ < s_.size() && s_[pos_] == c;
-  }
-
-  void expect(char c) {
-    skip_ws();
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      std::ostringstream os;
-      os << "baseline JSON: expected '" << c << "' at offset " << pos_;
-      throw ParseError(os.str());
-    }
-    ++pos_;
-  }
-
-  bool consume(char c) {
-    if (!at(c)) return false;
-    ++pos_;
-    return true;
-  }
-
-  std::string string() {
-    expect('"');
-    const std::size_t begin = pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        throw ParseError("baseline JSON: escape sequences are not supported");
-      }
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) throw ParseError("baseline JSON: unterminated string");
-    return s_.substr(begin, pos_++ - begin);
-  }
-
-  double number() {
-    skip_ws();
-    const char* start = s_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) {
-      std::ostringstream os;
-      os << "baseline JSON: expected a number at offset " << pos_;
-      throw ParseError(os.str());
-    }
-    pos_ += static_cast<std::size_t>(end - start);
-    return v;
-  }
-
-  // Skip any well-formed value (for unknown keys: forward compatibility).
-  void skip_value() {
-    skip_ws();
-    if (at('"')) {
-      string();
-    } else if (consume('{')) {
-      if (!consume('}')) {
-        do {
-          string();
-          expect(':');
-          skip_value();
-        } while (consume(','));
-        expect('}');
-      }
-    } else if (consume('[')) {
-      if (!consume(']')) {
-        do {
-          skip_value();
-        } while (consume(','));
-        expect(']');
-      }
-    } else if (literal("true") || literal("false") || literal("null")) {
-    } else {
-      number();
-    }
-  }
-
-  bool done() {
-    skip_ws();
-    return pos_ >= s_.size();
-  }
-
- private:
-  bool literal(const char* lit) {
-    skip_ws();
-    const std::size_t n = std::char_traits<char>::length(lit);
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
 int lane_index(const std::string& name) {
   for (int i = 0; i < kCritLaneCount; ++i) {
     if (name == crit_lane_name(i)) return i;
@@ -132,50 +27,32 @@ int lane_index(const std::string& name) {
   return -1;
 }
 
-PerfBaseline parse_record(JsonCursor& c) {
+// One record object. Only "bench" is required; unknown keys are skipped.
+PerfBaseline parse_record(const JsonValue& j) {
   PerfBaseline b;
-  c.expect('{');
-  if (!c.consume('}')) {
-    do {
-      const std::string key = c.string();
-      c.expect(':');
-      if (key == "bench") {
-        b.bench = c.string();
-      } else if (key == "scale") {
-        b.scale = c.number();
-      } else if (key == "requests") {
-        b.requests = static_cast<std::int64_t>(c.number());
-      } else if (key == "makespan_s") {
-        b.makespan_s = c.number();
-      } else if (key == "p50_latency_s") {
-        b.p50_latency_s = c.number();
-      } else if (key == "p95_latency_s") {
-        b.p95_latency_s = c.number();
-      } else if (key == "p99_latency_s") {
-        b.p99_latency_s = c.number();
-      } else if (key == "attributed_s") {
-        c.expect('{');
-        if (!c.consume('}')) {
-          do {
-            const std::string lane = c.string();
-            c.expect(':');
-            const double v = c.number();
-            const int idx = lane_index(lane);
-            if (idx < 0) {
-              throw ParseError("baseline JSON: unknown lane \"" + lane + "\"");
-            }
-            b.attributed_s[idx] = v;
-          } while (c.consume(','));
-          c.expect('}');
-        }
-      } else {
-        c.skip_value();
-      }
-    } while (c.consume(','));
-    c.expect('}');
+  b.bench = j.at("bench").as<std::string>();
+  if (b.bench.empty()) throw ParseError("record has an empty \"bench\"");
+  if (const JsonValue* v = j.find("requests")) {
+    b.requests = v->as<std::int64_t>();
   }
-  if (b.bench.empty()) {
-    throw ParseError("baseline JSON: record is missing \"bench\"");
+  const std::pair<const char*, double*> doubles[] = {
+      {"scale", &b.scale},
+      {"makespan_s", &b.makespan_s},
+      {"p50_latency_s", &b.p50_latency_s},
+      {"p95_latency_s", &b.p95_latency_s},
+      {"p99_latency_s", &b.p99_latency_s}};
+  for (const auto& [key, field] : doubles) {
+    if (const JsonValue* v = j.find(key)) *field = v->as<double>();
+  }
+  if (const JsonValue* lanes = j.find("attributed_s")) {
+    if (lanes->type() != JsonValue::Type::kObject) {
+      throw ParseError("key 'attributed_s' is not an object");
+    }
+    for (const JsonValue& lane : lanes->items()) {
+      const int idx = lane_index(lane.key());
+      if (idx < 0) throw ParseError("unknown lane \"" + lane.key() + "\"");
+      b.attributed_s[idx] = lane.as<double>();
+    }
   }
   return b;
 }
@@ -184,7 +61,8 @@ PerfBaseline parse_record(JsonCursor& c) {
 
 std::string PerfBaseline::to_json() const {
   std::ostringstream os;
-  os << "{\"bench\":\"" << bench << "\",\"scale\":" << fmt_exact(scale)
+  os << "{\"bench\":" << fmt_json_str(bench)
+     << ",\"scale\":" << fmt_exact(scale)
      << ",\"requests\":" << requests
      << ",\"makespan_s\":" << fmt_exact(makespan_s)
      << ",\"p50_latency_s\":" << fmt_exact(p50_latency_s)
@@ -226,23 +104,17 @@ std::string render_perf_baselines(const std::vector<PerfBaseline>& baselines) {
 }
 
 std::vector<PerfBaseline> parse_perf_baselines(const std::string& text) {
-  JsonCursor c(text);
-  std::vector<PerfBaseline> out;
-  if (c.at('[')) {
-    c.expect('[');
-    if (!c.consume(']')) {
-      do {
-        out.push_back(parse_record(c));
-      } while (c.consume(','));
-      c.expect(']');
+  try {
+    const JsonValue doc = parse_json(text);
+    if (doc.type() != JsonValue::Type::kArray) return {parse_record(doc)};
+    std::vector<PerfBaseline> out;
+    for (const JsonValue& record : doc.items()) {
+      out.push_back(parse_record(record));
     }
-  } else {
-    out.push_back(parse_record(c));
+    return out;
+  } catch (const ParseError& e) {
+    throw ParseError(std::string("baseline JSON: ") + e.what());
   }
-  if (!c.done()) {
-    throw ParseError("baseline JSON: trailing content after the record set");
-  }
-  return out;
 }
 
 std::string PerfDiff::to_string() const {
@@ -260,7 +132,7 @@ std::string PerfDiff::to_json() const {
     std::ostringstream os;
     os << "[";
     for (std::size_t i = 0; i < v.size(); ++i) {
-      os << (i ? "," : "") << "\"" << v[i] << "\"";
+      os << (i ? "," : "") << fmt_json_str(v[i]);
     }
     os << "]";
     return os.str();
@@ -274,8 +146,7 @@ std::string PerfDiff::to_json() const {
 }
 
 PerfDiff compare_perf_baselines(const std::vector<PerfBaseline>& baseline,
-                                const std::vector<PerfBaseline>& fresh,
-                                const PerfCompareOptions& opts) {
+                                const std::vector<PerfBaseline>& fresh) {
   PerfDiff d;
   const auto find = [&](const std::string& bench) -> const PerfBaseline* {
     for (const PerfBaseline& b : fresh) {
@@ -305,11 +176,11 @@ PerfDiff compare_perf_baselines(const std::vector<PerfBaseline>& baseline,
       const char* what;
       double was, now, tol;
     } bands[] = {
-        {"makespan_s", old.makespan_s, cur->makespan_s, opts.makespan_rel_tol},
+        {"makespan_s", old.makespan_s, cur->makespan_s, kMakespanRelTol},
         {"p95_latency_s", old.p95_latency_s, cur->p95_latency_s,
-         opts.latency_rel_tol},
+         kLatencyRelTol},
         {"p99_latency_s", old.p99_latency_s, cur->p99_latency_s,
-         opts.latency_rel_tol},
+         kLatencyRelTol},
     };
     for (const auto& band : bands) {
       const double delta = rel(band.now, band.was);
@@ -331,11 +202,11 @@ PerfDiff compare_perf_baselines(const std::vector<PerfBaseline>& baseline,
           old.makespan_s > 0 ? old.attributed_s[lane] / old.makespan_s : 0;
       const double now_frac =
           cur->makespan_s > 0 ? cur->attributed_s[lane] / cur->makespan_s : 0;
-      if (std::abs(now_frac - was_frac) > opts.attribution_abs_tol) {
+      if (std::abs(now_frac - was_frac) > kAttributionAbsTol) {
         std::ostringstream os;
         os << old.bench << ": critpath share of " << crit_lane_name(lane)
            << " shifted " << jpct(was_frac) << " -> " << jpct(now_frac)
-           << " (band +/-" << jpct(opts.attribution_abs_tol) << ")";
+           << " (band +/-" << jpct(kAttributionAbsTol) << ")";
         d.findings.push_back(os.str());
       }
     }

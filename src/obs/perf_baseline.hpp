@@ -48,15 +48,15 @@ PerfBaseline baseline_from_batch(const std::string& bench, double scale,
 /// Render a baseline set as a JSON array (one record per line).
 std::string render_perf_baselines(const std::vector<PerfBaseline>& baselines);
 
-/// Parse a baseline file: a JSON array of records, or one bare record.
+/// Parse a baseline file (util/json.hpp): a JSON array of records, or one
+/// bare record. Only "bench" is required and unknown keys are skipped.
 /// Throws ParseError on malformed input.
 std::vector<PerfBaseline> parse_perf_baselines(const std::string& text);
 
-struct PerfCompareOptions {
-  double makespan_rel_tol = 0.05;   // new makespan may exceed old by 5%
-  double latency_rel_tol = 0.08;    // p95/p99 band (tails move more)
-  double attribution_abs_tol = 0.10;  // per-lane fraction-of-makespan shift
-};
+// The gate's bands.
+inline constexpr double kMakespanRelTol = 0.05;  // makespan may grow by 5%
+inline constexpr double kLatencyRelTol = 0.08;   // p95/p99 (tails move more)
+inline constexpr double kAttributionAbsTol = 0.10;  // per-lane share shift
 
 /// Deterministic tolerance-band diff of two baseline sets, matched by bench
 /// id. A regression is: a bench missing from `fresh`, an incomparable run
@@ -75,7 +75,6 @@ struct PerfDiff {
 };
 
 PerfDiff compare_perf_baselines(const std::vector<PerfBaseline>& baseline,
-                                const std::vector<PerfBaseline>& fresh,
-                                const PerfCompareOptions& opts = {});
+                                const std::vector<PerfBaseline>& fresh);
 
 }  // namespace hh

@@ -13,12 +13,13 @@
 #include "util/status.hpp"
 
 namespace hh {
-namespace {
 
 bool bit_identical(const CsrMatrix& x, const CsrMatrix& y) {
   return x.rows == y.rows && x.cols == y.cols && x.indptr == y.indptr &&
          x.indices == y.indices && x.values == y.values;
 }
+
+namespace {
 
 // [begin, end) index ranges over log.records, one per recorded drain.
 std::vector<std::pair<std::size_t, std::size_t>> wave_ranges(
@@ -39,7 +40,7 @@ std::vector<std::pair<std::size_t, std::size_t>> wave_ranges(
 
 std::string ReplayRunReport::to_json() const {
   std::ostringstream os;
-  os << "{\"name\":\"" << name << "\",\"requests\":" << requests
+  os << "{\"name\":" << fmt_json_str(name) << ",\"requests\":" << requests
      << ",\"completed\":" << completed << ",\"degraded\":" << degraded
      << ",\"deadline_missed\":" << deadline_missed << ",\"lost\":" << lost
      << ",\"outcome_divergence\":" << outcome_divergence
@@ -252,7 +253,7 @@ ReplayRunReport ReplayHarness::run_pass(const WorkloadLog& log,
 
       const CsrMatrix& c = results[i].c;
       checksum_mix(r.output_digest, matrix_checksum(c));
-      if (opts.verify_outputs && rr.status.ok()) {
+      if (rr.status.ok()) {
         const CsrMatrix* a = resolve(rec.a);
         const CsrMatrix* b = rec.b == rec.a ? a : resolve(rec.b);
         const CsrMatrix& want = reference(a, b, rr.run.threshold_a,

@@ -46,7 +46,6 @@ struct ReplayOptions {
   std::uint64_t seed = 0x5eedULL;  // tuned pass's tuner seed (and the group
                                    // seed when shards > 0)
   std::size_t shards = 0;  // 0 = single SpgemmService; > 0 = sharded group
-  bool verify_outputs = true;  // bit-identity vs the serial reference
   double metrics_interval_s = 0;  // > 0: registry time series per pass
   std::vector<SloObjective> slo;  // objectives both passes are judged on
   // Base service config for both passes. The harness overrides: admission
@@ -103,6 +102,10 @@ struct ReplayReport {
   std::string to_string() const;
   std::string to_json() const;
 };
+
+/// Same shape, pattern and values: the exact-equality check replays and
+/// the service benches apply against the serial reference.
+bool bit_identical(const CsrMatrix& x, const CsrMatrix& y);
 
 class ReplayHarness {
  public:

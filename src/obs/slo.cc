@@ -126,7 +126,8 @@ std::string SloMonitor::to_json() const {
     const SloObjective& o = objectives_[i];
     const State& st = states_[i];
     if (i > 0) os << ",";
-    os << "{\"name\":\"" << o.name << "\",\"target\":" << fmt_num(o.target)
+    os << "{\"name\":" << fmt_json_str(o.name)
+       << ",\"target\":" << fmt_num(o.target)
        << ",\"window\":" << o.window
        << ",\"latency_threshold_s\":" << fmt_num(o.latency_threshold_s)
        << ",\"burn_alert\":" << fmt_num(o.burn_alert) << ",\"good\":" << st.good

@@ -48,7 +48,8 @@ std::string MetricsTimeline::to_json() const {
   for (std::size_t si = 0; si < series_.size(); ++si) {
     const Series& s = series_[si];
     if (si > 0) os << ",";
-    os << "\"" << s.name << "\":{\"kind\":\"" << s.kind << "\",\"values\":[";
+    os << fmt_json_str(s.name) << ":{\"kind\":\"" << s.kind
+       << "\",\"values\":[";
     for (std::size_t i = 0; i < s.values.size(); ++i) {
       os << (i ? "," : "") << fmt_num(s.values[i]);
     }

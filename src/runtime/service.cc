@@ -77,6 +77,15 @@ std::string FaultRecoveryStats::to_json() const {
   return os.str();
 }
 
+std::string FaultRecoveryStats::to_string() const {
+  std::ostringstream os;
+  os << "gpu " << gpu_aborts << ", h2d " << h2d_faults << ", d2h "
+     << d2h_faults << " (" << corruptions << " corrupt), cpu stalls "
+     << cpu_stalls << "; retries " << retries << ", backoff "
+     << fmt_ms(backoff_s);
+  return os.str();
+}
+
 std::string RequestReport::to_string() const {
   std::ostringstream os;
   os << "request #" << request_id;
@@ -117,7 +126,7 @@ std::string RequestReport::to_json() const {
      << ",\"latency_s\":" << fmt_num(latency_s) << ",\"stages\":[";
   for (std::size_t i = 0; i < spans.size(); ++i) {
     if (i > 0) os << ",";
-    os << "{\"stage\":\"" << spans[i].stage << "\",\"resource\":\""
+    os << "{\"stage\":" << fmt_json_str(spans[i].stage) << ",\"resource\":\""
        << hh::to_string(spans[i].resource)
        << "\",\"start_s\":" << fmt_num(spans[i].start_s)
        << ",\"end_s\":" << fmt_num(spans[i].end_s) << "}";
@@ -134,15 +143,12 @@ std::string BatchReport::to_string() const {
              ? fmt_num(sequential_estimate_s / std::max(makespan_s, 1e-300))
              : "n/a")
      << "x)\n";
-  os << "  latency p50 " << fmt_ms(p50_latency_s) << ", p95 "
-     << fmt_ms(p95_latency_s) << ", p99 " << fmt_ms(p99_latency_s) << "\n";
+  os << "  latency "
+     << fmt_latency(p50_latency_s, p95_latency_s, p99_latency_s) << "\n";
   os << "  outcome: " << completed << " completed, " << degraded
      << " degraded to CPU, " << deadline_missed << " deadline-missed, "
      << shed << " shed\n";
-  os << "  faults: gpu " << faults.gpu_aborts << ", h2d " << faults.h2d_faults
-     << ", d2h " << faults.d2h_faults << " (" << faults.corruptions
-     << " corrupt), cpu stalls " << faults.cpu_stalls << "; retries "
-     << faults.retries << ", backoff " << fmt_ms(faults.backoff_s)
+  os << "  faults: " << faults.to_string()
      << (backoff_jitter ? " (decorrelated jitter)" : "") << "\n";
   os << "  busy: cpu " << fmt_ms(cpu_busy_s) << ", gpu " << fmt_ms(gpu_busy_s)
      << ", h2d " << fmt_ms(h2d_busy_s) << ", d2h " << fmt_ms(d2h_busy_s)
@@ -151,12 +157,7 @@ std::string BatchReport::to_string() const {
      << " misses, " << plan_cache.evictions << " evictions, "
      << plan_cache.overwrites << " overwrites, " << plan_cache.quarantines
      << " quarantines\n";
-  os << "  waves: " << wave.waves << " over " << wave.wave_requests
-     << " requests; " << wave.uploads << " uploads ("
-     << wave.coalesced_uploads << " coalesced, " << wave.deduped_uploads
-     << " deduped, " << wave.h2d_bytes << " bytes), "
-     << wave.batched_launches << " batched launches, " << wave.evictions
-     << " evictions\n";
+  os << "  waves: " << wave.to_string() << "\n";
   os << "  critpath: " << critpath.to_string() << "\n";
   if (!flame.empty()) os << "  schedule (glyph = request id, '.' = idle):\n"
                          << flame;
@@ -228,7 +229,7 @@ SpgemmService::SpgemmService(const HeteroPlatform& platform, ThreadPool& pool,
     : platform_(platform),
       pool_(pool),
       config_(config),
-      plan_cache_(config.plan_cache_capacity),
+      plan_cache_(kPlanCacheCapacity),
       injector_(config.fault_plan),
       tuner_(config.tune),
       calib_(config.tune.calibration),
@@ -285,10 +286,6 @@ void validate_spgemm_request(const SpgemmRequest& request) {
   }
   if (request.options.queue.cpu_rows < 0 || request.options.queue.gpu_rows < 0) {
     throw InvalidArgumentError("queue unit sizes must be >= 0 (0 = auto)");
-  }
-  if (request.options.queue.cpu_dequeue_s < 0 ||
-      request.options.queue.gpu_dequeue_s < 0) {
-    throw InvalidArgumentError("queue dequeue costs must be >= 0");
   }
   if (request.deadline_s < 0) {
     throw InvalidArgumentError("deadline must be >= 0 (0 = service default)");
@@ -518,7 +515,7 @@ std::vector<WaveBounds> SpgemmService::Drain::form_waves_for_queue() {
   }
   const WaveConfig& wc = s_.config_.wave;
   return form_waves(operand_ids, wc.enabled ? wc.max_requests : 1,
-                    wc.max_operands);
+                    WaveConfig::kMaxOperands);
 }
 
 // Wave preamble: collect the wave's distinct operands, refcount their users,
@@ -623,7 +620,7 @@ void SpgemmService::Drain::uploaded(WaveOperand& op, double ready_s) {
 // backoff wait. GPU kernels count aborts request-wide — the degrade limit
 // and the backoff exponent are the request's GPU abort count, across
 // Phase II and Phase III — while transfers count per operation against
-// max_attempts. The first attempt is runnable at `ready` and placed no
+// kMaxAttempts. The first attempt is runnable at `ready` and placed no
 // earlier than `earliest`; a retry is runnable when its backoff ends.
 // `owner` is the request the operation belongs to (nullptr for a wave
 // upload, which no single deadline governs).
@@ -636,7 +633,8 @@ SpgemmService::Drain::Retried SpgemmService::Drain::attempt_with_retry(
   const bool gpu = res == Resource::kGpu;
   const bool h2d = res == Resource::kH2D;
   int failures = 0;
-  double prev_wait = rp_.backoff_base_s;  // decorrelated-jitter chain
+  constexpr double base = RecoveryPolicy::kBackoffBaseS;
+  double prev_wait = base;  // decorrelated-jitter chain
   Retried r;
   for (;;) {
     const DeviceAttempt at = attempt();
@@ -664,8 +662,8 @@ SpgemmService::Drain::Retried SpgemmService::Drain::attempt_with_retry(
       owner->cancelled = true;
       return r;
     }
-    if (failures >=
-        (gpu ? rp_.gpu_failures_before_degrade : rp_.max_attempts)) {
+    if (failures >= (gpu ? RecoveryPolicy::kGpuFailuresBeforeDegrade
+                         : RecoveryPolicy::kMaxAttempts)) {
       if (owner != nullptr) degrade(*owner, s.end_s);
       return r;
     }
@@ -675,14 +673,11 @@ SpgemmService::Drain::Retried SpgemmService::Drain::attempt_with_retry(
                     s.end_s, at.op);
     double wait;
     if (!rp_.decorrelated_jitter) {
-      wait =
-          rp_.backoff_base_s * std::pow(rp_.backoff_multiplier, failures - 1);
+      wait = base * std::pow(RecoveryPolicy::kBackoffMultiplier, failures - 1);
     } else {
       const double u = s_.jitter_rng_.uniform();
-      wait = rp_.backoff_base_s + u * (3.0 * prev_wait - rp_.backoff_base_s);
-      if (rp_.backoff_cap_s > 0 && wait > rp_.backoff_cap_s) {
-        wait = rp_.backoff_cap_s;
-      }
+      wait = std::min(base + u * (3.0 * prev_wait - base),
+                      RecoveryPolicy::kBackoffCapS);
       prev_wait = wait;
     }
     faults.backoff_s += wait;

@@ -34,7 +34,7 @@
 //    exponential backoff and bounded attempts, under one retry rule;
 //  - corrupted transfers are detected by checksum and re-sent; a damaged
 //    upload never becomes resident;
-//  - after RecoveryPolicy::gpu_failures_before_degrade GPU-side failures
+//  - after RecoveryPolicy::kGpuFailuresBeforeDegrade GPU-side failures
 //    (or transfer-retry exhaustion) the request degrades to the CPU-only
 //    Gustavson path: the GPU's share is re-charged on the CPU timeline and
 //    no PCIe traffic is scheduled;
@@ -106,6 +106,8 @@ struct FaultRecoveryStats {
   }
   void accumulate(const FaultRecoveryStats& o);
   std::string to_json() const;
+  /// "gpu G, h2d H, d2h D (C corrupt), cpu stalls S; retries R, backoff B".
+  std::string to_string() const;
 };
 
 /// Per-request accounting: the familiar RunReport (phase durations) plus the
@@ -194,10 +196,12 @@ struct BatchResult {
 
 /// How the service recovers from injected faults.
 struct RecoveryPolicy {
-  int max_attempts = 4;  // per transfer/kernel op, including the first try
-  double backoff_base_s = 1e-4;   // wait before the 2nd attempt...
-  double backoff_multiplier = 2;  // ...growing geometrically
-  int gpu_failures_before_degrade = 3;  // per request, across all GPU stages
+  // The retry rule's fixed numbers (docs/robustness.md).
+  static constexpr int kMaxAttempts = 4;  // per transfer, incl. the first try
+  static constexpr double kBackoffBaseS = 1e-4;  // wait before the 2nd try...
+  static constexpr double kBackoffMultiplier = 2;  // ...growing geometrically
+  static constexpr int kGpuFailuresBeforeDegrade = 3;  // aborts per request
+  static constexpr double kBackoffCapS = 5e-2;  // ceiling on a jittered wait
   // Decorrelated-jitter backoff (wait = base + u·(3·prev − base), capped,
   // with prev restarting at base for each operation): spreads retries of
   // correlated faults apart instead of synchronizing them on the geometric
@@ -205,14 +209,15 @@ struct RecoveryPolicy {
   // draws come from a dedicated deterministic PRNG (jitter_seed), so
   // same-seed replays stay bit-identical.
   bool decorrelated_jitter = false;
-  double backoff_cap_s = 5e-2;        // ceiling on one jittered wait
   std::uint64_t jitter_seed = 0x6a17ULL;
 };
 
 class SpgemmService {
  public:
+  // Plans the partition-plan cache holds before it evicts.
+  static constexpr std::size_t kPlanCacheCapacity = 64;
+
   struct Config {
-    std::size_t plan_cache_capacity = 64;
     bool keep_inputs_resident = true;  // uploaded operands stay on the device
     FaultPlan fault_plan;     // default: fault-free
     RecoveryPolicy recovery;

@@ -28,6 +28,15 @@ std::string WaveStats::to_json() const {
   return os.str();
 }
 
+std::string WaveStats::to_string() const {
+  std::ostringstream os;
+  os << waves << " over " << wave_requests << " requests; " << uploads
+     << " uploads (" << coalesced_uploads << " coalesced, " << deduped_uploads
+     << " deduped, " << h2d_bytes << " bytes), " << batched_launches
+     << " batched launches, " << evictions << " evictions";
+  return os.str();
+}
+
 std::vector<WaveBounds> form_waves(
     const std::vector<std::array<std::uint32_t, 2>>& operand_ids,
     std::size_t max_requests, std::size_t max_operands) {

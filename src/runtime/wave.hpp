@@ -36,8 +36,8 @@ struct WaveConfig {
   std::size_t max_requests = 16;
   // Distinct operands (by content) per wave: bounds the device
   // memory a wave pins. A request whose operands are all already in the
-  // wave adds no pressure and joins past this cap. 0 = unbounded.
-  std::size_t max_operands = 8;
+  // wave adds no pressure and joins past this cap.
+  static constexpr std::size_t kMaxOperands = 8;
 };
 
 /// Per-drain wave accounting, reported in BatchReport (and aggregated per
@@ -55,6 +55,8 @@ struct WaveStats {
 
   void accumulate(const WaveStats& o);
   std::string to_json() const;
+  /// "W over R requests; U uploads (...), L batched launches, E evictions".
+  std::string to_string() const;
 };
 
 /// Half-open request-index range [begin, end) of one wave, in submit order.

@@ -8,57 +8,24 @@
 namespace hh {
 namespace {
 
-// Execute one dequeued unit: group its entries by tag (units are usually
-// single-tag since each side is homogeneous) and run the masked kernel.
-void run_unit(const CsrMatrix& a, const CsrMatrix& b,
-              std::span<const WorkEntry> unit,
-              std::span<const MaskSpec> masks, ThreadPool& pool,
-              WorkspacePool* workspace, CooMatrix& tuples_out,
-              ProductStats& unit_stats, std::span<ProductStats> per_tag_stats) {
-  std::vector<index_t> rows;
-  rows.reserve(unit.size());
-  for (std::size_t i = 0; i < unit.size();) {
-    const std::int8_t tag = unit[i].tag;
-    rows.clear();
-    while (i < unit.size() && unit[i].tag == tag) {
-      rows.push_back(unit[i].row);
-      ++i;
-    }
-    const MaskSpec& mask = masks[static_cast<std::size_t>(tag)];
-    ProductStats stats;
-    CooMatrix tuples =
-        partial_product_tuples(a, b, rows, mask.b_mask, mask.b_mask_value,
-                               pool, &stats, workspace);
-    tuples_out.append(tuples);
-    if (workspace != nullptr) workspace->release_coo(std::move(tuples));
-    unit_stats.accumulate(stats);
-    per_tag_stats[static_cast<std::size_t>(tag)].accumulate(stats);
-  }
-}
+// Fixed cost of one dequeue on each end.
+constexpr double kCpuDequeueS = 2e-7;  // atomic fetch-add on the CPU end
+constexpr double kGpuDequeueS = 1e-6;  // offset exchange for the GPU end
 
-// Flops-weighted working set / blockability when a unit mixes tags (only
-// happens when a device steals across the middle of the queue).
-double unit_ws_bytes(std::span<const MaskSpec> masks,
-                     std::span<const ProductStats> tag_stats_delta) {
-  double ws = 0;
-  double flops = 0;
+// Flops-weighted working set and blockability of a CPU unit from its
+// per-tag flops (a unit mixes tags only when a device steals across the
+// middle of the queue).
+std::pair<double, bool> unit_shape(std::span<const MaskSpec> masks,
+                                   std::span<const std::int64_t> tag_flops) {
+  double ws = 0, flops = 0, blockable_flops = 0;
   for (std::size_t t = 0; t < masks.size(); ++t) {
-    const auto f = static_cast<double>(tag_stats_delta[t].flops);
+    const auto f = static_cast<double>(tag_flops[t]);
     ws += f * masks[t].cpu_ws_bytes;
-    flops += f;
-  }
-  return flops > 0 ? ws / flops : 0.0;
-}
-
-bool unit_blockable(std::span<const MaskSpec> masks,
-                    std::span<const ProductStats> tag_stats_delta) {
-  double flops = 0, blockable_flops = 0;
-  for (std::size_t t = 0; t < masks.size(); ++t) {
-    const auto f = static_cast<double>(tag_stats_delta[t].flops);
     flops += f;
     if (masks[t].cpu_blockable) blockable_flops += f;
   }
-  return flops > 0 && blockable_flops >= 0.5 * flops;
+  return {flops > 0 ? ws / flops : 0.0,
+          flops > 0 && blockable_flops >= 0.5 * flops};
 }
 
 }  // namespace
@@ -81,14 +48,15 @@ WorkQueueConfig resolve_queue_config(WorkQueueConfig cfg, index_t a_rows) {
 }
 
 WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
+                                   std::span<const ProductStats> entry_stats,
                                    std::span<const MaskSpec> masks,
                                    const WorkQueueConfig& cfg_in,
                                    index_t a_rows, double cpu_start,
                                    double gpu_start,
-                                   const HeteroPlatform& platform,
-                                   const UnitPricer& price) {
+                                   const HeteroPlatform& platform) {
   const WorkQueueConfig cfg = resolve_queue_config(cfg_in, a_rows);
   HH_CHECK(cfg.cpu_rows > 0 && cfg.gpu_rows > 0);
+  HH_CHECK(entry_stats.size() == entries.size());
   for (const WorkEntry& e : entries) {
     HH_CHECK(e.tag >= 0 && static_cast<std::size_t>(e.tag) < masks.size());
   }
@@ -99,7 +67,16 @@ WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
 
   std::size_t front = 0;
   std::size_t back = entries.size();
-  std::vector<ProductStats> tag_delta(masks.size());
+  std::vector<std::int64_t> tag_flops(masks.size());
+  // Σ of the unit's table rows; flops also per tag.
+  const auto price = [&](std::size_t lo, std::size_t n, ProductStats& stats) {
+    std::fill(tag_flops.begin(), tag_flops.end(), 0);
+    for (std::size_t k = lo; k < lo + n; ++k) {
+      stats.accumulate(entry_stats[k]);
+      tag_flops[static_cast<std::size_t>(entries[k].tag)] +=
+          entry_stats[k].flops;
+    }
+  };
 
   while (front < back) {
     const bool cpu_turn = res.cpu_end <= res.gpu_end;
@@ -107,16 +84,14 @@ WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
       const std::size_t n =
           std::min<std::size_t>(static_cast<std::size_t>(cfg.cpu_rows),
                                 back - front);
-      const auto unit = entries.subspan(front, n);
-      front += n;
-      for (auto& d : tag_delta) d = ProductStats{};
       ProductStats stats;
-      price(unit, stats, tag_delta);
-      const double ws = unit_ws_bytes(masks, tag_delta);
-      const bool blockable = unit_blockable(masks, tag_delta);
+      price(front, n, stats);
+      front += n;
+      const auto [ws, blockable] = unit_shape(masks, tag_flops);
+      // The CPU runs the rewritten [13] kernel.
       const double t =
-          platform.cpu().kernel_time(stats, ws, cfg.cpu_rewritten, blockable) +
-          cfg.cpu_dequeue_s;
+          platform.cpu().kernel_time(stats, ws, /*rewritten=*/true, blockable) +
+          kCpuDequeueS;
       res.cpu_busy += t;
       res.cpu_end += t;
       res.cpu_stats.accumulate(stats);
@@ -125,12 +100,10 @@ WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
       const std::size_t n =
           std::min<std::size_t>(static_cast<std::size_t>(cfg.gpu_rows),
                                 back - front);
-      const auto unit = entries.subspan(back - n, n);
       back -= n;
-      for (auto& d : tag_delta) d = ProductStats{};
       ProductStats stats;
-      price(unit, stats, tag_delta);
-      const double t = platform.gpu().kernel_time(stats) + cfg.gpu_dequeue_s;
+      price(back, n, stats);
+      const double t = platform.gpu().kernel_time(stats) + kGpuDequeueS;
       res.gpu_busy += t;
       res.gpu_end += t;
       res.gpu_stats.accumulate(stats);
@@ -147,14 +120,30 @@ WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
                               double gpu_start,
                               const HeteroPlatform& platform,
                               ThreadPool& pool, WorkspacePool* workspace) {
+  // One kernel call per maximal same-tag run of entries: its tuples are
+  // appended in entry order and each row's stats fill the pricing table.
+  std::vector<ProductStats> entry_stats(entries.size());
   CooMatrix tuples(a.rows, b.cols);
-  WorkQueueResult res = schedule_workqueue(
-      entries, masks, cfg, a.rows, cpu_start, gpu_start, platform,
-      [&](std::span<const WorkEntry> unit, ProductStats& stats,
-          std::span<ProductStats> tag_stats) {
-        run_unit(a, b, unit, masks, pool, workspace, tuples, stats,
-                 tag_stats);
-      });
+  std::vector<index_t> rows;
+  for (std::size_t lo = 0; lo < entries.size();) {
+    const std::int8_t tag = entries[lo].tag;
+    HH_CHECK(tag >= 0 && static_cast<std::size_t>(tag) < masks.size());
+    rows.clear();
+    std::size_t hi = lo;
+    for (; hi < entries.size() && entries[hi].tag == tag; ++hi) {
+      rows.push_back(entries[hi].row);
+    }
+    const MaskSpec& mask = masks[static_cast<std::size_t>(tag)];
+    CooMatrix run = partial_product_tuples(
+        a, b, rows, mask.b_mask, mask.b_mask_value, pool, nullptr, workspace,
+        std::span(entry_stats).subspan(lo, hi - lo));
+    tuples.append(run);
+    if (workspace != nullptr) workspace->release_coo(std::move(run));
+    lo = hi;
+  }
+  WorkQueueResult res =
+      schedule_workqueue(entries, entry_stats, masks, cfg, a.rows, cpu_start,
+                         gpu_start, platform);
   res.tuples = std::move(tuples);
   return res;
 }

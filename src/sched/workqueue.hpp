@@ -9,14 +9,15 @@
 // the product ... after finishing").
 //
 // The queue is simulated event-wise: whichever device's clock is earlier
-// dequeues next, and each unit's ProductStats are charged on the owning
-// device's model. run_workqueue executes the numeric work of each unit for
-// real on the host; schedule_workqueue is the same dequeue loop with the
-// stats supplied by the caller (the cost-only dry run).
+// dequeues next, and each unit's ProductStats — the sum of a per-entry table
+// — are charged on the owning device's model (schedule_workqueue).
+// run_workqueue fills the table by executing the entries on the host, so its
+// tuples come out in entry order whatever the schedule; cost_phase3 fills it
+// from symbolic per-row costs. An entry list holds each A row at most once,
+// so the tuple order never changes how Phase IV sums a (r, c) key.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -48,15 +49,13 @@ struct WorkQueueConfig {
   // matrices (0.16–3.8 M rows). 0 = auto: scale the unit with the instance
   // (≈ rows/160, clamped to [16, 1000]) so scaled-down experiments keep the
   // same queue granularity relative to the matrix; gpuRows stays 10× cpuRows.
+  // Each dequeue also pays a fixed 0.2 µs (CPU end) or 1 µs (GPU end).
   index_t cpu_rows = 0;
   index_t gpu_rows = 0;
-  double cpu_dequeue_s = 2e-7;  // atomic fetch-add on the CPU end
-  double gpu_dequeue_s = 1e-6;  // offset exchange for the GPU end
-  bool cpu_rewritten = true;    // CPU uses the rewritten [13] kernel
 };
 
 struct WorkQueueResult {
-  CooMatrix tuples;  // all tuples, unit by unit in dequeue order
+  CooMatrix tuples;  // all tuples, in entry order
   ProductStats cpu_stats;
   ProductStats gpu_stats;
   double cpu_busy = 0;  // time the CPU spent on queue units
@@ -75,32 +74,27 @@ struct WorkQueueResult {
 /// single-digit units instead of the 16-row floor).
 WorkQueueConfig resolve_queue_config(WorkQueueConfig cfg, index_t a_rows);
 
-/// Prices one dequeued unit: accumulates the unit's ProductStats into
-/// `stats` and each tag's share into `tag_stats[tag]` (both arrive zeroed).
-using UnitPricer = std::function<void(std::span<const WorkEntry> unit,
-                                      ProductStats& stats,
-                                      std::span<ProductStats> tag_stats)>;
-
 /// The one Phase III scheduler: run the dequeue loop to empty over
 /// `entries` (ordered CPU-end-first; masks[tag] resolves each entry's B
-/// view), pricing every unit with `price` in dequeue order. Device clocks
-/// start at cpu_start/gpu_start. Unit sizes of 0 are resolved against
-/// `a_rows` via resolve_queue_config(). `tuples` is left empty.
+/// view), pricing each dequeued unit as the sum of its entries'
+/// `entry_stats` (one ProductStats per entry). Device clocks start at
+/// cpu_start/gpu_start. Unit sizes of 0 are resolved against `a_rows` via
+/// resolve_queue_config(). `tuples` is left empty.
 WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
+                                   std::span<const ProductStats> entry_stats,
                                    std::span<const MaskSpec> masks,
                                    const WorkQueueConfig& cfg, index_t a_rows,
                                    double cpu_start, double gpu_start,
-                                   const HeteroPlatform& platform,
-                                   const UnitPricer& price);
+                                   const HeteroPlatform& platform);
 
 /// Run the queue to empty. `entries` is ordered CPU-end-first; masks[tag]
 /// resolves each entry's B view. Device clocks start at cpu_start/gpu_start
 /// (they may differ: a device joins the queue when its Phase II product is
 /// done). Unit sizes of 0 are resolved via resolve_queue_config().
-/// schedule_workqueue() with every unit executed by the masked kernel, its
-/// tuples appended in dequeue order. Deterministic. `workspace` optionally
-/// pools the kernels' accumulators and tuple buffers (see
-/// spgemm/workspace.hpp).
+/// Executes the entries with the masked kernel, one call per maximal
+/// same-tag run, then schedule_workqueue() over their stats. Deterministic.
+/// `workspace` optionally pools the kernels' accumulators and tuple buffers
+/// (see spgemm/workspace.hpp).
 WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
                               std::span<const WorkEntry> entries,
                               std::span<const MaskSpec> masks,

@@ -19,24 +19,16 @@ std::string GroupBatchReport::to_string() const {
   std::ostringstream os;
   os << "group: " << requests << " requests over " << shards << " shards, "
      << rounds << " rounds, makespan " << fmt_ms(makespan_s) << "\n";
-  os << "  latency p50 " << fmt_ms(p50_latency_s) << ", p95 "
-     << fmt_ms(p95_latency_s) << ", p99 " << fmt_ms(p99_latency_s) << "\n";
+  os << "  latency "
+     << fmt_latency(p50_latency_s, p95_latency_s, p99_latency_s) << "\n";
   os << "  outcome: " << completed << " completed, " << degraded
      << " degraded, " << deadline_missed << " deadline-missed, " << shed
      << " shed\n";
   os << "  churn: " << kills << " kills, " << restarts << " restarts, "
      << failovers << " failovers, " << deferrals << " deferrals\n";
-  os << "  faults: gpu " << faults.gpu_aborts << ", h2d " << faults.h2d_faults
-     << ", d2h " << faults.d2h_faults << " (" << faults.corruptions
-     << " corrupt), cpu stalls " << faults.cpu_stalls << "; retries "
-     << faults.retries << ", backoff " << fmt_ms(faults.backoff_s)
+  os << "  faults: " << faults.to_string()
      << (backoff_jitter ? " (decorrelated jitter)" : "") << "\n";
-  os << "  waves: " << wave.waves << " over " << wave.wave_requests
-     << " requests; " << wave.uploads << " uploads ("
-     << wave.coalesced_uploads << " coalesced, " << wave.deduped_uploads
-     << " deduped, " << wave.h2d_bytes << " bytes), "
-     << wave.batched_launches << " batched launches, " << wave.evictions
-     << " evictions\n";
+  os << "  waves: " << wave.to_string() << "\n";
   os << "  critpath: " << critpath.to_string() << "\n";
   for (const ShardReport& s : shard_reports) {
     os << "  shard " << s.shard << " [" << s.breaker << "]: " << s.assigned

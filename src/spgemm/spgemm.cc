@@ -96,12 +96,14 @@ void charge_row(ProductStats& s, std::int64_t row_flops,
 }
 
 // Per-block worker: SPA-accumulate the assigned a_rows slice, appending
-// tuples to a local COO and aggregating stats.
+// tuples to a local COO and aggregating stats. Each row's own stats also go
+// to row_stats[idx] when row_stats is non-empty.
 void partial_rows(const CsrMatrix& a, const CsrMatrix& b,
                   std::span<const index_t> a_rows,
                   std::span<const std::uint8_t> b_mask, bool b_mask_value,
                   std::size_t lo, std::size_t hi, SpaWorkspace& ws,
-                  CooMatrix& out, ProductStats& stats) {
+                  CooMatrix& out, ProductStats& stats,
+                  std::span<ProductStats> row_stats) {
   ws.begin_product(b.cols);
   std::vector<value_t>& acc = ws.acc;
   std::vector<std::int64_t>& marker = ws.marker;
@@ -110,13 +112,14 @@ void partial_rows(const CsrMatrix& a, const CsrMatrix& b,
     const index_t i = a_rows[idx];
     const std::int64_t tag = ws.row_tag(i);
     cols.clear();
+    ProductStats row;
     std::int64_t row_flops = 0;
     for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
       const index_t j = a.indices[k];
       if (!b_mask.empty() && (b_mask[j] != 0) != b_mask_value) continue;
       const value_t av = a.values[k];
       const offset_t blen = b.indptr[j + 1] - b.indptr[j];
-      charge_a_entry(stats, blen);
+      charge_a_entry(row, blen);
       row_flops += blen;
       for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
         const index_t col = b.indices[l];
@@ -130,7 +133,9 @@ void partial_rows(const CsrMatrix& a, const CsrMatrix& b,
     }
     std::sort(cols.begin(), cols.end());
     for (const index_t col : cols) out.push(i, col, acc[col]);
-    charge_row(stats, row_flops, static_cast<std::int64_t>(cols.size()));
+    charge_row(row, row_flops, static_cast<std::int64_t>(cols.size()));
+    stats.accumulate(row);
+    if (!row_stats.empty()) row_stats[idx] = row;
   }
 }
 
@@ -183,10 +188,12 @@ CooMatrix partial_product_tuples(const CsrMatrix& a, const CsrMatrix& b,
                                  std::span<const std::uint8_t> b_mask,
                                  bool b_mask_value, ThreadPool& pool,
                                  ProductStats* stats,
-                                 WorkspacePool* workspace) {
+                                 WorkspacePool* workspace,
+                                 std::span<ProductStats> row_stats) {
   HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
   HH_CHECK(b_mask.empty() ||
            b_mask.size() == static_cast<std::size_t>(b.rows));
+  HH_CHECK(row_stats.empty() || row_stats.size() == a_rows.size());
 
   const auto n = static_cast<std::int64_t>(a_rows.size());
   const std::int64_t blocks =
@@ -214,7 +221,7 @@ CooMatrix partial_product_tuples(const CsrMatrix& a, const CsrMatrix& b,
       const auto lo = static_cast<std::size_t>(blk * chunk);
       const auto hi = static_cast<std::size_t>(std::min(n, (blk + 1) * chunk));
       partial_rows(a, b, a_rows, b_mask, b_mask_value, lo, hi, *ws,
-                   block_out[blk], block_stats[blk]);
+                   block_out[blk], block_stats[blk], row_stats);
     }
     if (workspace != nullptr) workspace->release_spa(std::move(ws));
   });

@@ -69,13 +69,15 @@ void set_shared_accum_cap(std::int64_t cap);
 /// drawn from (and returned to) the pool instead of heap-allocated per call;
 /// the returned CooMatrix is pool-backed and may be handed back via
 /// WorkspacePool::release_coo once consumed. Output is bit-identical either
-/// way.
+/// way. A non-empty `row_stats` (one slot per a_rows entry) receives each
+/// row's own stats: row_stats[k] is what the call reports for {a_rows[k]}.
 CooMatrix partial_product_tuples(const CsrMatrix& a, const CsrMatrix& b,
                                  std::span<const index_t> a_rows,
                                  std::span<const std::uint8_t> b_mask,
                                  bool b_mask_value, ThreadPool& pool,
                                  ProductStats* stats = nullptr,
-                                 WorkspacePool* workspace = nullptr);
+                                 WorkspacePool* workspace = nullptr,
+                                 std::span<ProductStats> row_stats = {});
 
 /// Structure-only estimate of the same invocation (no numeric work):
 /// flops/a_nnz/warp_alu/max_row_flops are exact; tuples and the shared/global

@@ -200,7 +200,7 @@ std::string MetricsRegistry::to_json() const {
   for (const Entry& e : order_) {
     if (!first) os << ",";
     first = false;
-    os << "\"" << e.name << "\":";
+    os << fmt_json_str(e.name) << ":";
     switch (e.kind) {
       case Kind::kCounter:
         os << counters_[e.index].value();

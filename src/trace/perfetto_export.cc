@@ -6,6 +6,8 @@
 #include <sstream>
 #include <vector>
 
+#include "util/format.hpp"
+
 namespace hh {
 namespace {
 
@@ -92,7 +94,7 @@ std::string chrome_trace_json(const TraceRecorder& recorder) {
   }
 
   for (const TraceEvent& e : recorder.events()) {
-    os << ",{\"name\":\"" << e.name << "\",\"cat\":\""
+    os << ",{\"name\":" << fmt_json_str(e.name) << ",\"cat\":\""
        << to_string(e.category) << "\",\"pid\":" << pid_of(e)
        << ",\"tid\":" << tid_of(e) << ",\"ts\":" << us(e.start_s) << ",";
     if (e.kind == TraceEventKind::kSpan) {

@@ -48,7 +48,8 @@ std::string TuneReport::to_json() const {
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const TuneEntryReport& e = entries[i];
     if (i > 0) os << ",";
-    os << "{\"key\":\"" << e.key << "\",\"analytic_t\":" << e.analytic_t
+    os << "{\"key\":" << fmt_json_str(e.key)
+       << ",\"analytic_t\":" << e.analytic_t
        << ",\"incumbent_t\":" << e.incumbent_t << ",\"version\":" << e.version
        << ",\"hits\":" << e.hits << ",\"explorations\":" << e.explorations
        << ",\"promotions\":" << e.promotions

@@ -13,7 +13,6 @@ ThresholdTuner::ThresholdTuner(TuneConfig config)
   HH_CHECK_MSG(config_.epsilon >= 0 && config_.epsilon <= 1,
                "tune epsilon must be in [0, 1]");
   HH_CHECK_MSG(config_.min_trials >= 1, "tune min_trials must be >= 1");
-  HH_CHECK_MSG(config_.max_variants >= 1, "tune max_variants must be >= 1");
   HH_CHECK_MSG(config_.explore_slack >= 0, "tune explore_slack must be >= 0");
   HH_CHECK_MSG(config_.promote_margin >= 0,
                "tune promote_margin must be >= 0");
@@ -41,7 +40,7 @@ void ThresholdTuner::admit(const PlanKey& key, const ThresholdSweep& sweep) {
 
   // Exploration plan: candidates predicted within explore_slack of the best,
   // cheapest-predicted first (stable: ties keep the smaller threshold),
-  // excluding the incumbent itself, capped at max_variants - 1. A clearly
+  // excluding the incumbent itself, capped at kMaxVariants - 1. A clearly
   // dominated candidate never runs; a near-tie is exactly where the model's
   // ranking is least trustworthy and a measurement can flip the choice.
   const double cutoff =
@@ -55,7 +54,8 @@ void ThresholdTuner::admit(const PlanKey& key, const ThresholdSweep& sweep) {
   for (const std::size_t i : order) {
     if (i == sweep.best) continue;
     if (e.predicted_s[i] > cutoff) break;  // sorted: all further are worse
-    if (static_cast<int>(e.explore_plan.size()) >= config_.max_variants - 1) {
+    if (static_cast<int>(e.explore_plan.size()) >=
+        TuneConfig::kMaxVariants - 1) {
       break;
     }
     e.explore_plan.push_back(e.grid[i]);

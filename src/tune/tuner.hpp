@@ -11,7 +11,7 @@
 //    whole analytic sweep — grid plus corrected predictions — and plans a
 //    small exploration list: the candidates whose predicted total is within
 //    `explore_slack` of the predicted best, cheapest-predicted first, capped
-//    at `max_variants`. Only near-ties are worth measuring; clearly-bad
+//    at `kMaxVariants`. Only near-ties are worth measuring; clearly-bad
 //    candidates are never run.
 //  - on a tunable cache hit the tuner either serves the incumbent
 //    (exploit) or, with probability epsilon, serves the next unmeasured
@@ -60,7 +60,8 @@ struct TuneConfig {
                             // catch a congested beat; the min over a few
                             // trials recovers the variant's true cost
   double promote_margin = 0.02;  // relative win required to promote
-  int max_variants = 4;     // incumbent + at most this-1 explored candidates
+  // Incumbent + at most this-1 explored candidates per key.
+  static constexpr int kMaxVariants = 4;
   double explore_slack = 0.25;   // candidate eligible when its corrected
                                  // predicted total <= (1+slack) * best
   CalibrationConfig calibration;

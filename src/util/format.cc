@@ -22,6 +22,11 @@ std::string fmt_ms(double seconds) {
   return buf;
 }
 
+std::string fmt_latency(double p50_s, double p95_s, double p99_s) {
+  return "p50 " + fmt_ms(p50_s) + ", p95 " + fmt_ms(p95_s) + ", p99 " +
+         fmt_ms(p99_s);
+}
+
 std::string fmt_json_str(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);

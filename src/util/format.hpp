@@ -20,6 +20,9 @@ std::string fmt_exact(double x);
 /// "%.3f ms" of a duration given in seconds.
 std::string fmt_ms(double seconds);
 
+/// "p50 X ms, p95 Y ms, p99 Z ms".
+std::string fmt_latency(double p50_s, double p95_s, double p99_s);
+
 /// JSON literal of a bool.
 inline const char* fmt_bool(bool b) { return b ? "true" : "false"; }
 

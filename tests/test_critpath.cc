@@ -15,6 +15,7 @@
 #include "runtime/service.hpp"
 #include "shard/sharded_service.hpp"
 #include "test_util.hpp"
+#include "util/json.hpp"
 #include "util/status.hpp"
 
 namespace hh {
@@ -361,6 +362,7 @@ TEST_F(CritPathServiceTest, ShardedRollupReconcilesWithGroupReport) {
     EXPECT_NEAR(g.critpath.attributed_s[l], shard_lanes[l], 1e-12);
   }
   EXPECT_NE(g.to_json().find("\"critpath\""), std::string::npos);
+  EXPECT_NO_THROW(parse_json(g.to_json())) << g.to_json();
 }
 
 // ------------------------------------------------- perf baselines
@@ -418,6 +420,7 @@ TEST(PerfBaseline, TenPercentMakespanRegressionIsCaught) {
   EXPECT_TRUE(d.regressed);
   ASSERT_FALSE(d.findings.empty());
   EXPECT_NE(d.findings[0].find("makespan_s"), std::string::npos);
+  EXPECT_NO_THROW(parse_json(d.to_json())) << d.to_json();
 }
 
 TEST(PerfBaseline, AttributionShareDriftIsARegressionEvenAtEqualMakespan) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "powerlaw/fit.hpp"
 #include "sparse/row_stats.hpp"
 #include "util/check.hpp"
@@ -69,6 +72,20 @@ TEST(Datasets, DefaultBenchScaleInRange) {
   const double s = default_bench_scale();
   EXPECT_GT(s, 0.0);
   EXPECT_LE(s, 1.0);
+}
+
+TEST(Datasets, DefaultBenchScaleReadsHhScaleElseATenth) {
+  const char* env = std::getenv("HH_SCALE");
+  const std::string saved = env != nullptr ? env : "";
+  ::setenv("HH_SCALE", "0.3", 1);
+  EXPECT_DOUBLE_EQ(default_bench_scale(), 0.3);
+  for (const char* bad : {"0", "1.5", "-1", "garbage"}) {
+    ::setenv("HH_SCALE", bad, 1);
+    EXPECT_DOUBLE_EQ(default_bench_scale(), 0.1) << bad;
+  }
+  ::unsetenv("HH_SCALE");
+  EXPECT_DOUBLE_EQ(default_bench_scale(), 0.1);
+  if (env != nullptr) ::setenv("HH_SCALE", saved.c_str(), 1);
 }
 
 }  // namespace

@@ -349,8 +349,7 @@ TEST_F(FaultRecoveryTest, PersistentGpuFailureDegradesToCpuOnly) {
   EXPECT_TRUE(rr.status.ok());
   EXPECT_TRUE(rr.degraded_to_cpu);
   EXPECT_EQ(batch.batch.degraded, 1u);
-  EXPECT_EQ(rr.faults.gpu_aborts,
-            SpgemmService::Config{}.recovery.gpu_failures_before_degrade);
+  EXPECT_EQ(rr.faults.gpu_aborts, RecoveryPolicy::kGpuFailuresBeforeDegrade);
   // Nothing shipped back: the CPU recomputed the GPU share locally...
   EXPECT_DOUBLE_EQ(batch.results[0].report.transfer_out_s, 0);
   // ...and the CPU-only output is still bit-identical.
@@ -401,8 +400,7 @@ TEST_F(FaultRecoveryTest, TransferRetryExhaustionDegradesInsteadOfLosing) {
   const RequestReport& rr = batch.requests[0];
   EXPECT_TRUE(rr.status.ok());
   EXPECT_TRUE(rr.degraded_to_cpu);
-  EXPECT_EQ(rr.faults.h2d_faults,
-            SpgemmService::Config{}.recovery.max_attempts);
+  EXPECT_EQ(rr.faults.h2d_faults, RecoveryPolicy::kMaxAttempts);
   expect_bit_identical(serial_reference(enron_), batch.results[0].c,
                        "dead-link");
 }
@@ -548,7 +546,7 @@ TEST_F(FaultRecoveryTest, DecorrelatedJitterIsDeterministicAndCapped) {
   EXPECT_GT(a.batch.faults.retries, 0);
   EXPECT_GT(a.batch.faults.backoff_s, 0);
   EXPECT_LE(a.batch.faults.backoff_s,
-            a.batch.faults.retries * cfg.recovery.backoff_cap_s + 1e-12);
+            a.batch.faults.retries * RecoveryPolicy::kBackoffCapS + 1e-12);
   EXPECT_TRUE(a.batch.backoff_jitter);
   EXPECT_NE(a.batch.to_json().find("\"backoff_jitter\":true"),
             std::string::npos);

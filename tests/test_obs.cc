@@ -20,6 +20,7 @@
 #include "obs/timeseries.hpp"
 #include "runtime/service.hpp"
 #include "shard/sharded_service.hpp"
+#include "util/json.hpp"
 #include "util/status.hpp"
 
 namespace hh {
@@ -246,6 +247,7 @@ TEST(SloMonitor, BurnRateAndAlerts) {
   EXPECT_DOUBLE_EQ(reg.gauge("slo.avail.burn_rate").value(),
                    slo.burn_rate(0));
   EXPECT_FALSE(slo.to_json().empty());
+  EXPECT_NO_THROW(parse_json(slo.to_json())) << slo.to_json();
   EXPECT_FALSE(slo.to_string().empty());
 }
 
@@ -276,6 +278,7 @@ TEST(MetricsTimeline, DeltasRatesAndBackfill) {
   EXPECT_EQ(tl.samples(), 3u);
 
   const std::string json = tl.to_json();
+  EXPECT_NO_THROW(parse_json(json)) << json;
   EXPECT_NE(json.find("\"samples\":3"), std::string::npos);
   EXPECT_NE(json.find("\"t_s\":[0,2,4]"), std::string::npos);
   // reqs: values 1,3,4 → deltas 1,2,1 → rates 0,1,0.5.

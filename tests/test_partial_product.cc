@@ -3,7 +3,10 @@
 // to the full product) and the statistics the device models consume.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "primitives/tuple_merge.hpp"
 #include "sparse/partition.hpp"
@@ -170,6 +173,48 @@ TEST(MaskedRowCosts, EqualKernelStatsRowByRow) {
   EXPECT_EQ(costs.output_nnz, out_nnz);
   EXPECT_EQ(costs1.output_nnz, out_nnz);
   EXPECT_THROW(masked_row_costs(a, b, {}, pool1), CheckError);
+}
+
+// row_stats is filled by the pool workers, one disjoint slot per row: each
+// slot equals a one-row call, whatever the pool size and row order.
+TEST(PartialProduct, RowStatsEqualOneRowCalls) {
+  const CsrMatrix a = test::random_csr(40, 30, 0.2, 411);
+  const CsrMatrix b = test::random_csr(30, 45, 0.25, 412);
+  const RowPartition p = classify_rows(b, 8);
+  std::vector<index_t> rows = all_rows(a.rows);
+  std::reverse(rows.begin(), rows.end());
+  ThreadPool pool1(1), pool4(4);
+  for (const bool v : {false, true}) {
+    std::vector<ProductStats> per_row(rows.size());
+    ProductStats total;
+    const CooMatrix tuples = partial_product_tuples(
+        a, b, rows, p.is_high, v, pool4, &total, nullptr, per_row);
+    ProductStats sum;
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      ProductStats want;
+      partial_product_tuples(a, b, std::span(&rows[k], 1), p.is_high, v,
+                             pool1, &want);
+      const ProductStats& got = per_row[k];
+      EXPECT_EQ(got.rows, want.rows) << "row " << rows[k];
+      EXPECT_EQ(got.a_nnz, want.a_nnz) << "row " << rows[k];
+      EXPECT_EQ(got.flops, want.flops) << "row " << rows[k];
+      EXPECT_EQ(got.tuples, want.tuples) << "row " << rows[k];
+      EXPECT_EQ(got.max_row_flops, want.max_row_flops) << "row " << rows[k];
+      EXPECT_EQ(got.warp_alu, want.warp_alu) << "row " << rows[k];
+      EXPECT_EQ(got.flops_shared, want.flops_shared) << "row " << rows[k];
+      EXPECT_EQ(got.flops_global, want.flops_global) << "row " << rows[k];
+      EXPECT_EQ(got.b_read_bytes, want.b_read_bytes) << "row " << rows[k];
+      sum.accumulate(got);
+    }
+    EXPECT_EQ(sum.tuples, static_cast<std::int64_t>(tuples.nnz()));
+    EXPECT_EQ(sum.tuples, total.tuples);
+    EXPECT_EQ(sum.flops, total.flops);
+    EXPECT_EQ(sum.max_row_flops, total.max_row_flops);
+  }
+  std::vector<ProductStats> short_table(rows.size() - 1);
+  EXPECT_THROW(partial_product_tuples(a, b, rows, p.is_high, true, pool1,
+                                      nullptr, nullptr, short_table),
+               CheckError);
 }
 
 TEST(PartialProduct, SharedAccumCapKnob) {

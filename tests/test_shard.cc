@@ -11,6 +11,7 @@
 #include "shard/ring.hpp"
 #include "shard/snapshot.hpp"
 #include "test_util.hpp"
+#include "util/json.hpp"
 #include "util/prng.hpp"
 #include "util/status.hpp"
 
@@ -495,6 +496,10 @@ TEST_F(ShardGroupTest, SameSeedReplayIsByteIdenticalThroughKillsAndTuning) {
     const GroupResult r2 = group.drain();
     reports_json = r1.group.to_json() + "\n" + r2.group.to_json() + "\n" +
                    group.tune_report().to_json();
+    EXPECT_NO_THROW(parse_json(r1.group.to_json())) << r1.group.to_json();
+    EXPECT_NO_THROW(parse_json(r2.group.to_json())) << r2.group.to_json();
+    EXPECT_NO_THROW(parse_json(group.tune_report().to_json()))
+        << group.tune_report().to_json();
     for (const GroupResult* r : {&r1, &r2}) {
       for (const RequestReport& rr : r->requests) {
         reports_json += "\n" + rr.to_json();

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,134 +20,10 @@
 #include "trace/metrics.hpp"
 #include "trace/perfetto_export.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace hh {
 namespace {
-
-// ------------------------------------------------- minimal JSON validator
-// Recursive-descent syntax check (no DOM): enough to guarantee a Perfetto /
-// chrome://tracing load will not reject the file as malformed JSON.
-class JsonValidator {
- public:
-  explicit JsonValidator(std::string_view s) : s_(s) {}
-
-  bool valid() {
-    pos_ = 0;
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool eat(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool literal(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-  bool string() {
-    if (!eat('"')) return false;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-      }
-      ++pos_;
-    }
-    return eat('"');
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-    bool digits = false;
-    auto digit_run = [&] {
-      while (pos_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-        digits = true;
-      }
-    };
-    digit_run();
-    if (pos_ < s_.size() && s_[pos_] == '.') {
-      ++pos_;
-      digit_run();
-    }
-    if (digits && pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-      bool exp_digits = false;
-      while (pos_ < s_.size() &&
-             std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-        exp_digits = true;
-      }
-      if (!exp_digits) return false;
-    }
-    return digits && pos_ > start;
-  }
-  bool object() {
-    if (!eat('{')) return false;
-    skip_ws();
-    if (eat('}')) return true;
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!eat(':')) return false;
-      if (!value()) return false;
-      skip_ws();
-      if (eat(',')) continue;
-      return eat('}');
-    }
-  }
-  bool array() {
-    if (!eat('[')) return false;
-    skip_ws();
-    if (eat(']')) return true;
-    for (;;) {
-      if (!value()) return false;
-      skip_ws();
-      if (eat(',')) continue;
-      return eat(']');
-    }
-  }
-  bool value() {
-    skip_ws();
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{':
-        return object();
-      case '[':
-        return array();
-      case '"':
-        return string();
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      default:
-        return number();
-    }
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
 
 int count_events(const TraceRecorder& rec, TraceCategory cat,
                  const char* name = nullptr) {
@@ -311,7 +186,7 @@ TEST(Metrics, ExportsAreWellFormed) {
   EXPECT_NE(text.find("plan_cache.size"), std::string::npos);
   EXPECT_NE(text.find("service.latency_s_count 1"), std::string::npos);
   const std::string json = reg.to_json();
-  EXPECT_TRUE(JsonValidator(json).valid()) << json;
+  EXPECT_NO_THROW(parse_json(json)) << json;
 }
 
 // ------------------------------------------------------------- flame views
@@ -388,7 +263,7 @@ TEST_F(TracedServiceTest, FaultedDrainExportsConsistentPerfettoTrace) {
 
   // 1. The export is syntactically valid JSON with the expected skeleton.
   const std::string json = chrome_trace_json(rec);
-  EXPECT_TRUE(JsonValidator(json).valid());
+  EXPECT_NO_THROW(parse_json(json));
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);  // spans
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);  // instants
@@ -464,11 +339,11 @@ TEST_F(TracedServiceTest, FaultedDrainExportsConsistentPerfettoTrace) {
             static_cast<std::int64_t>(b.degraded));
   EXPECT_EQ(m.counter("plan_cache.hits").value(), b.plan_cache.hits);
   EXPECT_EQ(m.counter("plan_cache.misses").value(), b.plan_cache.misses);
-  EXPECT_TRUE(JsonValidator(m.to_json()).valid());
+  EXPECT_NO_THROW(parse_json(m.to_json()));
 
   // 6. The report JSON stays valid with the new fields present.
-  EXPECT_TRUE(JsonValidator(b.to_json()).valid());
-  EXPECT_TRUE(JsonValidator(batch.requests.front().to_json()).valid());
+  EXPECT_NO_THROW(parse_json(b.to_json()));
+  EXPECT_NO_THROW(parse_json(batch.requests.front().to_json()));
   EXPECT_FALSE(b.flame.empty());
   EXPECT_FALSE(batch.requests.front().flame.empty());
 }
@@ -484,7 +359,7 @@ TEST_F(TracedServiceTest, DeadlineCancellationsAreTraced) {
   const BatchResult batch = service.drain();
   ASSERT_EQ(batch.batch.deadline_missed, 1u);
   EXPECT_EQ(count_events(rec, TraceCategory::kCancel), 1);
-  EXPECT_TRUE(JsonValidator(chrome_trace_json(rec)).valid());
+  EXPECT_NO_THROW(parse_json(chrome_trace_json(rec)));
 }
 
 // A drain records into the attached recorder when it is enabled and into
@@ -547,8 +422,8 @@ TEST_F(TracedServiceTest, LabelsAreJsonEscaped) {
   const BatchResult batch = service.drain();
   const std::string request_json = batch.requests.front().to_json();
   const std::string batch_json = batch.batch.to_json();
-  EXPECT_TRUE(JsonValidator(request_json).valid()) << request_json;
-  EXPECT_TRUE(JsonValidator(batch_json).valid()) << batch_json;
+  EXPECT_NO_THROW(parse_json(request_json)) << request_json;
+  EXPECT_NO_THROW(parse_json(batch_json)) << batch_json;
   EXPECT_NE(request_json.find("\"label\":\"q\\\"\\\\x\""), std::string::npos)
       << request_json;
 
@@ -558,7 +433,7 @@ TEST_F(TracedServiceTest, LabelsAreJsonEscaped) {
   ASSERT_NE(why, nullptr);
   replay.slowest = why->explain();
   ASSERT_NE(replay.slowest.find(label), std::string::npos);
-  EXPECT_TRUE(JsonValidator(replay.to_json()).valid()) << replay.to_json();
+  EXPECT_NO_THROW(parse_json(replay.to_json())) << replay.to_json();
 }
 
 // ------------------------------------------ sharded-group trace export
@@ -586,7 +461,7 @@ TEST_F(TracedServiceTest, ShardedGroupExportsPerShardTracks) {
 
   // The export is valid JSON and renders each shard as its own process.
   const std::string json = chrome_trace_json(rec);
-  EXPECT_TRUE(JsonValidator(json).valid());
+  EXPECT_NO_THROW(parse_json(json));
   EXPECT_NE(json.find("\"hh-runtime\""), std::string::npos);
   EXPECT_NE(json.find("\"hh-shard-0\""), std::string::npos);
   EXPECT_NE(json.find("\"hh-shard-1\""), std::string::npos);

@@ -15,6 +15,7 @@
 #include "runtime/signature.hpp"
 #include "tune/calibration.hpp"
 #include "tune/report.hpp"
+#include "util/json.hpp"
 
 namespace hh {
 namespace {
@@ -110,6 +111,7 @@ TEST(CalibrationStore, JsonDeterministicAndNamed) {
     s->record(CalibrationStore::Device::kGpu, 2.0, 1.0);
   }
   EXPECT_EQ(a.to_json(), b.to_json());
+  EXPECT_NO_THROW(parse_json(a.to_json())) << a.to_json();
   EXPECT_NE(a.to_json().find("\"cpu\""), std::string::npos);
   EXPECT_NE(a.to_json().find("\"d2h\""), std::string::npos);
 }
@@ -259,6 +261,7 @@ TEST(ThresholdTuner, DeterministicAcrossInstances) {
     t2.observe(key, d2.t, 1.0 + 0.001 * i);
   }
   EXPECT_EQ(t1.report().to_json(), t2.report().to_json());
+  EXPECT_NO_THROW(parse_json(t1.report().to_json())) << t1.report().to_json();
 }
 
 TEST(TuneReport, DisabledRendersAsDisabled) {
@@ -266,6 +269,7 @@ TEST(TuneReport, DisabledRendersAsDisabled) {
   rep.enabled = false;
   EXPECT_NE(rep.to_string().find("disabled"), std::string::npos);
   EXPECT_NE(rep.to_json().find("\"enabled\":false"), std::string::npos);
+  EXPECT_NO_THROW(parse_json(rep.to_json())) << rep.to_json();
 }
 
 // ------------------------------------------------------------ service level

@@ -125,18 +125,13 @@ TEST_F(WorkQueueTest, ScheduleWithPrecomputedCostsMatchesRun) {
   const WorkQueueResult run =
       run_workqueue(a_, a_, entries, masks, cfg, 0, 2e-5, plat_, pool_);
   const MaskedRowCosts costs = masked_row_costs(a_, a_, p.is_high, pool_);
-  const WorkQueueResult dry = schedule_workqueue(
-      entries, masks, cfg, a_.rows, 0, 2e-5, plat_,
-      [&](std::span<const WorkEntry> unit, ProductStats& stats,
-          std::span<ProductStats> tag_stats) {
-        for (const WorkEntry& e : unit) {
-          const ProductStats& row =
-              costs.by_mask[masks[e.tag].b_mask_value]
-                           [static_cast<std::size_t>(e.row)];
-          stats.accumulate(row);
-          tag_stats[static_cast<std::size_t>(e.tag)].accumulate(row);
-        }
-      });
+  std::vector<ProductStats> table(entries.size());
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    table[k] = costs.by_mask[masks[entries[k].tag].b_mask_value]
+                            [static_cast<std::size_t>(entries[k].row)];
+  }
+  const WorkQueueResult dry = schedule_workqueue(entries, table, masks, cfg,
+                                                 a_.rows, 0, 2e-5, plat_);
   EXPECT_GT(run.cpu_units, 0);
   EXPECT_GT(run.gpu_units, 0);
   EXPECT_EQ(dry.cpu_units, run.cpu_units);
@@ -150,6 +145,30 @@ TEST_F(WorkQueueTest, ScheduleWithPrecomputedCostsMatchesRun) {
   EXPECT_EQ(dry.cpu_stats.flops, run.cpu_stats.flops);
   EXPECT_EQ(dry.gpu_stats.max_row_flops, run.gpu_stats.max_row_flops);
   EXPECT_EQ(dry.tuples.nnz(), 0u);
+}
+
+TEST_F(WorkQueueTest, TuplesFollowEntryOrderWhateverTheSchedule) {
+  // A GPU that joins at once takes units from the back; one that joins at
+  // 1e9 takes none. The tuple stream is the same either way.
+  const RowPartition p = classify_rows(a_, 12);
+  std::vector<WorkEntry> entries;
+  append_entries(entries, p.low_rows, 0);
+  append_entries(entries, p.high_rows, 1);
+  const MaskSpec masks[2] = {{p.is_high, true, 100.0, true},
+                             {p.is_high, false, 1e9, false}};
+  WorkQueueConfig cfg;
+  cfg.cpu_rows = 7;
+  cfg.gpu_rows = 30;
+  const WorkQueueResult shared =
+      run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool_);
+  const WorkQueueResult cpu_only =
+      run_workqueue(a_, a_, entries, masks, cfg, 0, 1e9, plat_, pool_);
+  ASSERT_GT(shared.gpu_units, 0);
+  ASSERT_EQ(cpu_only.gpu_units, 0);
+  ASSERT_GT(shared.tuples.nnz(), 0u);
+  EXPECT_EQ(shared.tuples.r, cpu_only.tuples.r);
+  EXPECT_EQ(shared.tuples.c, cpu_only.tuples.c);
+  EXPECT_EQ(shared.tuples.v, cpu_only.tuples.v);
 }
 
 TEST_F(WorkQueueTest, EmptyQueueReturnsImmediately) {
