@@ -42,12 +42,9 @@ int main() {
 
       // Small empirical sweep for the per-instance best threshold.
       double best_hh = -1;
-      for (const offset_t t : threshold_candidates(a, 6)) {
-        HhCpuOptions opt;
-        opt.threshold_a = t;
-        opt.threshold_b = t;
-        const double total_s = cost_hh_cpu(a, b, opt, plat, pool).total_s;
-        if (best_hh < 0 || total_s < best_hh) best_hh = total_s;
+      for (const RunReport& hh :
+           cost_hh_cpu_grid(a, b, threshold_candidates(a, 6), {}, plat, pool)) {
+        if (best_hh < 0 || hh.total_s < best_hh) best_hh = hh.total_s;
       }
       const RunResult hipc = run_hipc2012(a, b, plat, pool);
       std::printf(" %10.2f", hipc.report.total_s / best_hh);

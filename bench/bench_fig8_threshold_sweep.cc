@@ -3,6 +3,7 @@
 // MKL (CPU-only) time, and the largest-threshold end approaches the GPU-side
 // behaviour of [13].
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -23,14 +24,15 @@ int main() {
     std::printf("%10s %12s %12s %12s\n", "t", "total ms", "phase II ms",
                 "phase III ms");
     double best = -1;
-    for (const offset_t t : threshold_candidates(a)) {
-      HhCpuOptions opt;
-      opt.threshold_a = t;
-      opt.threshold_b = t;
-      const RunReport hh = cost_hh_cpu(a, a, opt, plat, pool);
+    const std::vector<offset_t> grid = threshold_candidates(a);
+    const std::vector<RunReport> sweep =
+        cost_hh_cpu_grid(a, a, grid, {}, plat, pool);
+    for (std::size_t g = 0; g < grid.size(); ++g) {
+      const RunReport& hh = sweep[g];
       if (best < 0 || hh.total_s < best) best = hh.total_s;
-      std::printf("%10lld %12.3f %12.3f %12.3f\n", static_cast<long long>(t),
-                  hh.total_s * 1e3, hh.phase2_s * 1e3, hh.phase3_s * 1e3);
+      std::printf("%10lld %12.3f %12.3f %12.3f\n",
+                  static_cast<long long>(grid[g]), hh.total_s * 1e3,
+                  hh.phase2_s * 1e3, hh.phase3_s * 1e3);
     }
     std::printf("%10s %12.3f\n\n", "best", best * 1e3);
   }

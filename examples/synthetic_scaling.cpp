@@ -35,12 +35,9 @@ int main(int argc, char** argv) {
     const PowerLawFit fit = fit_power_law(row_nnz_vector(a));
 
     double best = -1;
-    for (const offset_t t : threshold_candidates(a, 6)) {
-      HhCpuOptions opt;
-      opt.threshold_a = t;
-      opt.threshold_b = t;
-      const double total_s = cost_hh_cpu(a, b, opt, platform, pool).total_s;
-      if (best < 0 || total_s < best) best = total_s;
+    for (const RunReport& run : cost_hh_cpu_grid(
+             a, b, threshold_candidates(a, 6), {}, platform, pool)) {
+      if (best < 0 || run.total_s < best) best = run.total_s;
     }
     const RunResult hipc = run_hipc2012(a, b, platform, pool);
     std::printf("%8.1f %10.2f %12.3f %12.3f %9.2fx\n", alpha, fit.alpha,

@@ -6,6 +6,7 @@
 //   ./threshold_tuning [dataset-name]     (default: web-Google)
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/hh_cpu.hpp"
 #include "core/threshold.hpp"
@@ -26,19 +27,20 @@ int main(int argc, char** argv) {
               "III ms", "|A_H|", "|B_H|");
   offset_t best_t = 0;
   double best_total = -1;
-  for (const offset_t t : threshold_candidates(a)) {
-    HhCpuOptions opt;
-    opt.threshold_a = t;
-    opt.threshold_b = t;
-    // The cost-only dry run: the full run's report without the product.
-    const RunReport run = cost_hh_cpu(a, a, opt, platform, pool);
+  // The cost-only dry run of every candidate from one symbolic pass: the
+  // full runs' reports without the products.
+  const std::vector<offset_t> grid = threshold_candidates(a);
+  const std::vector<RunReport> sweep =
+      cost_hh_cpu_grid(a, a, grid, {}, platform, pool);
+  for (std::size_t g = 0; g < grid.size(); ++g) {
+    const RunReport& run = sweep[g];
     std::printf("%10lld %12.3f %12.3f %12.3f %8d %8d\n",
-                static_cast<long long>(t), run.total_s * 1e3,
+                static_cast<long long>(grid[g]), run.total_s * 1e3,
                 run.phase2_s * 1e3, run.phase3_s * 1e3, run.high_rows_a,
                 run.high_rows_b);
     if (best_total < 0 || run.total_s < best_total) {
       best_total = run.total_s;
-      best_t = t;
+      best_t = grid[g];
     }
   }
 

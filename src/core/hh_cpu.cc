@@ -71,6 +71,20 @@ RunReport hh_cpu_report(const PartitionPlan& plan, double transfer_in_s,
   return rep;
 }
 
+// The dry run's report for `plan` from the row costs at its B threshold.
+RunReport cost_report(const PartitionPlan& plan, const MaskedRowCosts& costs,
+                      double transfer_in_s, const HhCpuOptions& options,
+                      const HeteroPlatform& platform) {
+  const Phase2Result p2 = cost_phase2(plan, costs, platform);
+  const QueueStart at = queue_start(plan, transfer_in_s, p2);
+  const WorkQueueResult queue = cost_phase3(plan, costs, options.queue,
+                                            at.cpu_s, at.gpu_s, platform);
+  RunReport rep = hh_cpu_report(plan, transfer_in_s, p2, queue, platform);
+  rep.merge.tuples_out = costs.output_nnz;
+  rep.output_nnz = costs.output_nnz;
+  return rep;
+}
+
 }  // namespace
 
 // The serial driver. The stage bodies live in core/hh_stages.cc so the
@@ -108,16 +122,33 @@ RunReport cost_hh_cpu(const CsrMatrix& a, const CsrMatrix& b,
   const PartitionPlan plan = make_partition_plan(
       a, b, options.threshold_a, options.threshold_b, platform);
   const double transfer_in = input_transfer_s(a, b, options, platform);
-  const MaskedRowCosts costs = masked_row_costs(a, b, plan.b.is_high, pool);
-  const Phase2Result p2 = cost_phase2(plan, costs, platform);
-  const QueueStart at = queue_start(plan, transfer_in, p2);
-  const WorkQueueResult queue = cost_phase3(plan, costs, options.queue,
-                                            at.cpu_s, at.gpu_s, platform);
-
-  RunReport rep = hh_cpu_report(plan, transfer_in, p2, queue, platform);
-  rep.merge.tuples_out = costs.output_nnz;
-  rep.output_nnz = costs.output_nnz;
+  const offset_t grid[] = {plan.b.threshold};
+  RunReport rep;
+  row_costs_on_grid(a, b, grid, pool,
+                    [&](std::size_t, const MaskedRowCosts& costs) {
+                      rep = cost_report(plan, costs, transfer_in, options,
+                                        platform);
+                    });
   return rep;
+}
+
+std::vector<RunReport> cost_hh_cpu_grid(const CsrMatrix& a, const CsrMatrix& b,
+                                        std::span<const offset_t> grid,
+                                        const HhCpuOptions& options,
+                                        const HeteroPlatform& platform,
+                                        ThreadPool& pool) {
+  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
+  const double transfer_in = input_transfer_s(a, b, options, platform);
+  std::vector<RunReport> reports;
+  reports.reserve(grid.size());
+  row_costs_on_grid(
+      a, b, grid, pool, [&](std::size_t g, const MaskedRowCosts& costs) {
+        const PartitionPlan plan =
+            make_partition_plan(a, b, grid[g], grid[g], platform);
+        reports.push_back(
+            cost_report(plan, costs, transfer_in, options, platform));
+      });
+  return reports;
 }
 
 }  // namespace hh

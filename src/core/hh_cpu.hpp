@@ -12,8 +12,12 @@
 // Numeric work executes on the host; time is charged on the simulated
 // platform (DESIGN.md §1). The returned matrix is exact. cost_hh_cpu() is
 // the same run priced from a symbolic pass alone, for callers that only
-// read the report (threshold sweeps).
+// read the report, and cost_hh_cpu_grid() prices a whole threshold sweep
+// from one such pass.
 #pragma once
+
+#include <span>
+#include <vector>
 
 #include "core/partition_plan.hpp"
 #include "core/report.hpp"
@@ -42,14 +46,29 @@ RunResult run_hh_cpu(const CsrMatrix& a, const CsrMatrix& b,
 /// Cost-only dry run: returns run_hh_cpu(a, b, options, platform,
 /// pool).report exactly — every field equal, every double bit for bit —
 /// without emitting a tuple or merging. One pool-parallel symbolic pass
-/// (masked_row_costs) yields each A row's stats against B_H and B_L and its
-/// distinct output columns; Phases II–IV are then replayed on the simulated
-/// clock through the same skip rules, dequeue loop and accounting as the
-/// real run. options.workspace is ignored: the pass allocates no SPA
-/// accumulator or tuple buffer. Costs about one symbolic pass per call,
-/// against a full product and merge for run_hh_cpu.
+/// (row_costs_on_grid on the one-point grid {t_B}) yields each A row's stats
+/// against B_H and B_L and its distinct output columns; Phases II–IV are
+/// then replayed on the simulated clock through the same skip rules,
+/// dequeue loop and accounting as the real run. options.workspace is
+/// ignored: the pass allocates no SPA accumulator or tuple buffer. Costs
+/// about one symbolic pass per call, against a full product and merge for
+/// run_hh_cpu.
 RunReport cost_hh_cpu(const CsrMatrix& a, const CsrMatrix& b,
                       const HhCpuOptions& options,
                       const HeteroPlatform& platform, ThreadPool& pool);
+
+/// cost_hh_cpu at every point of a threshold grid from one symbolic pass:
+/// entry g equals cost_hh_cpu(a, b, options with threshold_a = threshold_b
+/// = grid[g], platform, pool), field for field and bit for bit; the
+/// thresholds in `options` are ignored. `grid` must be strictly ascending,
+/// with every t >= 1 and at most kMaxGridPoints points (spgemm/spgemm.hpp),
+/// or this throws CheckError; threshold_grid() and threshold_candidates()
+/// qualify. Costs one row_costs_on_grid pass plus an O(rows) pricing per
+/// point, against one pass per point for a loop over cost_hh_cpu.
+std::vector<RunReport> cost_hh_cpu_grid(const CsrMatrix& a, const CsrMatrix& b,
+                                        std::span<const offset_t> grid,
+                                        const HhCpuOptions& options,
+                                        const HeteroPlatform& platform,
+                                        ThreadPool& pool);
 
 }  // namespace hh

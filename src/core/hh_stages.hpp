@@ -7,9 +7,11 @@
 // Both drivers call the functions below, so the numeric work — and therefore
 // the output matrix — is identical; only the clock bookkeeping differs.
 //
-// cost_hh_cpu() (core/hh_cpu.hpp) replaces the Phase II and III products
-// with cost_phase2/cost_phase3 below: the same stats, device times and
-// dequeue order, summed from per-row symbolic costs, with no tuple formed.
+// cost_hh_cpu() and cost_hh_cpu_grid() (core/hh_cpu.hpp) replace the Phase
+// II and III products with cost_phase2/cost_phase3 below: the same stats,
+// device times and dequeue order, summed from per-row symbolic costs, with
+// no tuple formed. The grid form calls them once per threshold on the row
+// costs one symbolic pass keeps current (row_costs_on_grid).
 //
 // Stage → resource map used by the runtime:
 //   make_partition_plan (Phase I)   CPU (identification) [+ classify charge]
@@ -59,8 +61,8 @@ WorkQueueResult run_phase3(const CsrMatrix& a, const CsrMatrix& b,
                            ThreadPool& pool,
                            WorkspacePool* workspace = nullptr);
 
-/// Cost-only Phase II and III for `costs` = masked_row_costs(a, b,
-/// plan.b.is_high): the stats, device times and (Phase III) dequeue order
+/// Cost-only Phase II and III for `costs`, the MaskedRowCosts of (a, b) at
+/// plan.b.threshold: the stats, device times and (Phase III) dequeue order
 /// of run_phase2/run_phase3, skips included, with every tuple buffer left
 /// empty.
 Phase2Result cost_phase2(const PartitionPlan& plan, const MaskedRowCosts& costs,

@@ -14,7 +14,7 @@ PartitionPlan make_partition_plan(const CsrMatrix& a, const CsrMatrix& b,
     if (t_b <= 0) t_b = choice.t;
   }
   plan.a = classify_rows(a, t_a);
-  plan.b = classify_rows(b, t_b);
+  plan.b = (&a == &b && t_a == t_b) ? plan.a : classify_rows(b, t_b);
   plan.ws_bh_bytes = 12.0 * static_cast<double>(plan.b.high_nnz);
   plan.ws_bl_bytes = 12.0 * static_cast<double>(plan.b.low_nnz);
   plan.ws_b_bytes = 12.0 * static_cast<double>(b.nnz());

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/hh_cpu.hpp"
-#include "sparse/partition.hpp"
 #include "sparse/row_stats.hpp"
 #include "spgemm/spgemm.hpp"
 #include "util/check.hpp"
@@ -48,25 +47,26 @@ std::vector<offset_t> threshold_grid(const CsrMatrix& a, const CsrMatrix& b,
   return cand;
 }
 
-PredictedBreakdown predict_breakdown(const CsrMatrix& a, const CsrMatrix& b,
-                                     offset_t t,
-                                     const HeteroPlatform& platform,
-                                     const CostCorrection& corr) {
-  const RowPartition pa = classify_rows(a, t);
-  const RowPartition pb = classify_rows(b, t);
+namespace {
 
-  const double ws_bh = 12.0 * static_cast<double>(pb.high_nnz);
-  const double ws_bl = 12.0 * static_cast<double>(pb.low_nnz);
+// The predicted breakdown at one threshold from its split estimate.
+PredictedBreakdown price_split(const SplitEstimate& split, const CsrMatrix& a,
+                               const CsrMatrix& b,
+                               const HeteroPlatform& platform,
+                               const CostCorrection& corr) {
+  const ProductStats none;
+  const index_t a_high = split.a_rows[1];
+  const index_t a_low = split.a_rows[0];
+  const index_t b_high = split.b_rows[1];
+  const index_t b_low = split.b_rows[0];
+
+  const double ws_bh = 12.0 * static_cast<double>(split.b_nnz[1]);
+  const double ws_bl = 12.0 * static_cast<double>(split.b_nnz[0]);
 
   // Phase II products (empty sides skipped, as in run_hh_cpu).
-  const ProductStats hh =
-      (pa.high_count() > 0 && pb.high_count() > 0)
-          ? estimate_partial_product(a, b, pa.high_rows, pb.is_high, true)
-          : ProductStats{};
-  const ProductStats ll =
-      (pa.low_count() > 0 && pb.low_count() > 0)
-          ? estimate_partial_product(a, b, pa.low_rows, pb.is_high, false)
-          : ProductStats{};
+  const ProductStats& hh =
+      (a_high > 0 && b_high > 0) ? split.by_side[1][1] : none;
+  const ProductStats& ll = (a_low > 0 && b_low > 0) ? split.by_side[0][0] : none;
   const double t2_cpu =
       corr.cpu * platform.cpu().kernel_time(hh, ws_bh, true, /*blockable=*/true);
   const double t2_gpu_kernel = corr.gpu * platform.gpu().kernel_time(ll);
@@ -74,7 +74,7 @@ PredictedBreakdown predict_breakdown(const CsrMatrix& a, const CsrMatrix& b,
   // The GPU only waits for the input transfer if this threshold gives it
   // any work at all; a CPU-only partition skips the link entirely.
   double transfer_in = 0;
-  if (ll.flops > 0 || pa.high_count() < a.rows || pb.high_count() < b.rows) {
+  if (ll.flops > 0 || a_high < a.rows || b_high < b.rows) {
     transfer_in = platform.link().h2d().matrix_transfer_time(a);
     if (&a != &b) transfer_in += platform.link().h2d().matrix_transfer_time(b);
     transfer_in *= corr.h2d;
@@ -87,14 +87,8 @@ PredictedBreakdown predict_breakdown(const CsrMatrix& a, const CsrMatrix& b,
   // approaches the harmonic time Tc·Tg/(Tc+Tg).
   // Cross products with an empty B side are skipped by run_hh_cpu; mirror
   // that here so predictions rank thresholds the way the algorithm behaves.
-  const ProductStats lh =
-      pb.high_count() > 0
-          ? estimate_partial_product(a, b, pa.low_rows, pb.is_high, true)
-          : ProductStats{};
-  const ProductStats hl =
-      pb.low_count() > 0
-          ? estimate_partial_product(a, b, pa.high_rows, pb.is_high, false)
-          : ProductStats{};
+  const ProductStats& lh = b_high > 0 ? split.by_side[0][1] : none;
+  const ProductStats& hl = b_low > 0 ? split.by_side[1][0] : none;
   ProductStats p3 = lh;
   p3.accumulate(hl);
   const double t3_cpu =
@@ -126,6 +120,17 @@ PredictedBreakdown predict_breakdown(const CsrMatrix& a, const CsrMatrix& b,
   return out;
 }
 
+}  // namespace
+
+PredictedBreakdown predict_breakdown(const CsrMatrix& a, const CsrMatrix& b,
+                                     offset_t t,
+                                     const HeteroPlatform& platform,
+                                     const CostCorrection& corr) {
+  const offset_t grid[] = {t};
+  return price_split(estimate_splits_on_grid(a, b, grid)[0], a, b, platform,
+                     corr);
+}
+
 double predict_total_time(const CsrMatrix& a, const CsrMatrix& b, offset_t t,
                           const HeteroPlatform& platform,
                           const CostCorrection& corr) {
@@ -137,13 +142,14 @@ ThresholdSweep sweep_thresholds(const CsrMatrix& a, const CsrMatrix& b,
                                 const CostCorrection& corr) {
   ThresholdSweep sweep;
   sweep.grid = threshold_grid(a, b);
+  const std::vector<SplitEstimate> splits =
+      estimate_splits_on_grid(a, b, sweep.grid);
   sweep.predicted_s.reserve(sweep.grid.size());
   for (std::size_t i = 0; i < sweep.grid.size(); ++i) {
     sweep.predicted_s.push_back(
-        predict_total_time(a, b, sweep.grid[i], platform, corr));
+        price_split(splits[i], a, b, platform, corr).total_s);
     if (sweep.predicted_s[i] < sweep.predicted_s[sweep.best]) sweep.best = i;
   }
-  HH_CHECK(!sweep.grid.empty());
   return sweep;
 }
 
@@ -160,18 +166,14 @@ ThresholdChoice pick_threshold_empirical(const CsrMatrix& a,
                                          const CsrMatrix& b,
                                          const HeteroPlatform& platform,
                                          ThreadPool& pool) {
-  const std::vector<offset_t> cand = threshold_grid(a, b);
+  const std::vector<offset_t> grid = threshold_grid(a, b);
+  const std::vector<RunReport> reports =
+      cost_hh_cpu_grid(a, b, grid, {}, platform, pool);
 
-  ThresholdChoice best;
-  best.predicted_s = -1;
-  for (const offset_t t : cand) {
-    HhCpuOptions options;
-    options.threshold_a = t;
-    options.threshold_b = t;
-    const double total_s = cost_hh_cpu(a, b, options, platform, pool).total_s;
-    if (best.predicted_s < 0 || total_s < best.predicted_s) {
-      best.t = t;
-      best.predicted_s = total_s;
+  ThresholdChoice best{grid[0], reports[0].total_s};
+  for (std::size_t g = 1; g < grid.size(); ++g) {
+    if (reports[g].total_s < best.predicted_s) {
+      best = {grid[g], reports[g].total_s};
     }
   }
   HH_CHECK(best.predicted_s >= 0);

@@ -6,7 +6,9 @@
 // — the architecture-aware analytic method — and pick_threshold_empirical()
 // prices every grid point exactly with the cost-only HH-CPU dry run;
 // threshold_candidates() exposes the grid so benches can run the sweep of
-// Fig. 8.
+// Fig. 8. Each sweep walks A once for the whole grid, not once per
+// candidate: the analytic one serially (estimate_splits_on_grid), the exact
+// one pool-parallel (cost_hh_cpu_grid).
 //
 // The online autotuner (src/tune/) closes the remaining gap between the two:
 // predict_breakdown() exposes the per-device components of the prediction so
@@ -54,11 +56,12 @@ struct PredictedBreakdown {
   double total_s = 0;
 };
 
-/// Predict HH-CPU's time components for threshold t (same t for A and B, as
-/// in the paper's per-matrix sweep) from symbolic estimates: Phase II is the
-/// max of the two device products, Phase III is the harmonic sharing of the
-/// cross products between the devices. Each component is scaled by the
-/// matching CostCorrection factor before the overlap/harmonic combination.
+/// Predict HH-CPU's time components for threshold t >= 1 (same t for A and
+/// B, as in the paper's per-matrix sweep) from symbolic estimates: Phase II
+/// is the max of the two device products, Phase III is the harmonic sharing
+/// of the cross products between the devices. Each component is scaled by
+/// the matching CostCorrection factor before the overlap/harmonic
+/// combination. This is sweep_thresholds' pricing on the one-point grid {t}.
 PredictedBreakdown predict_breakdown(const CsrMatrix& a, const CsrMatrix& b,
                                      offset_t t,
                                      const HeteroPlatform& platform,
@@ -97,12 +100,12 @@ ThresholdChoice pick_threshold_analytic(const CsrMatrix& a,
 
 /// The paper's method (§III-A): run the algorithm for every grid candidate
 /// threshold and keep the best *measured* total (first minimum on ties).
-/// Each candidate is priced by cost_hh_cpu(), whose report equals the full
-/// run's bit for bit, so the pick and its predicted_s are those of a sweep
-/// of full runs at about one symbolic pass per candidate instead of a
-/// multiply and merge. The experiment harness uses this, mirroring the
-/// paper's offline per-matrix tuning; pick_threshold_analytic() stays the
-/// in-line default.
+/// The whole grid is priced by one cost_hh_cpu_grid() call, whose reports
+/// equal the full runs' bit for bit, so the pick and its predicted_s are
+/// those of a sweep of full runs at the cost of one symbolic pass instead of
+/// a multiply and merge per candidate. The experiment harness uses this,
+/// mirroring the paper's offline per-matrix tuning;
+/// pick_threshold_analytic() stays the in-line default.
 ThresholdChoice pick_threshold_empirical(const CsrMatrix& a,
                                          const CsrMatrix& b,
                                          const HeteroPlatform& platform,

@@ -772,8 +772,9 @@ void SpgemmService::Drain::plan(Request& r) {
   if (r.cacheable) {
     r.cache_key = PlanKey{s_.signature_of(&r.a), s_.signature_of(&r.b)};
     if (const auto cached = s_.plan_cache_.lookup(r.cache_key)) {
-      t_a = cached->threshold_a;
-      t_b = cached->threshold_b;
+      // A pinned side keeps its pin; the cache fills only unpinned ones.
+      if (t_a <= 0) t_a = cached->threshold_a;
+      if (t_b <= 0) t_b = cached->threshold_b;
       rr.plan_cache_hit = true;
       if (r.tunable) {
         if (!tuner.has_entry(r.cache_key)) {
@@ -809,9 +810,14 @@ void SpgemmService::Drain::plan(Request& r) {
   }
   r.plan = make_partition_plan(r.a, r.b, t_a, t_b, platform_);
   if (r.cacheable && !rr.plan_cache_hit) {
+    // Cache the identified t on both sides, as a cold unpinned request
+    // gets it, whichever side this request pinned.
+    const offset_t identified = r.req.options.threshold_a <= 0
+                                    ? r.plan.a.threshold
+                                    : r.plan.b.threshold;
     CachedPlan fresh;
-    fresh.threshold_a = r.plan.a.threshold;
-    fresh.threshold_b = r.plan.b.threshold;
+    fresh.threshold_a = identified;
+    fresh.threshold_b = identified;
     s_.plan_cache_.insert(r.cache_key, fresh);
   }
   rep.threshold_a = r.plan.a.threshold;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "spgemm/gustavson.hpp"
@@ -55,18 +57,6 @@ CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b, SpgemmKind kind,
   return {};
 }
 
-void ProductStats::accumulate(const ProductStats& o) {
-  rows += o.rows;
-  a_nnz += o.a_nnz;
-  flops += o.flops;
-  tuples += o.tuples;
-  max_row_flops = std::max(max_row_flops, o.max_row_flops);
-  warp_alu += o.warp_alu;
-  flops_shared += o.flops_shared;
-  flops_global += o.flops_global;
-  b_read_bytes += o.b_read_bytes;
-}
-
 namespace {
 
 // The counters every kernel, estimate and symbolic pass charges, in one
@@ -74,6 +64,8 @@ namespace {
 
 // One visited A entry a(i, j), where B row j has `blen` nonzeros. Its
 // multiply-adds are summed per row by the caller and charged by charge_row.
+// restate() moves the fields set here between a row's B sides; the two must
+// name the same fields.
 void charge_a_entry(ProductStats& s, std::int64_t blen) {
   ++s.a_nnz;
   s.warp_alu += (blen + 31) / 32;
@@ -139,44 +131,154 @@ void partial_rows(const CsrMatrix& a, const CsrMatrix& b,
   }
 }
 
-// Per-block worker of masked_row_costs: charge every A entry to the mask
-// side of its B row, and count each row's distinct columns per side and
-// overall. mark[col] packs (row + 1) << 2 with one "seen" bit per side, so
-// one array serves both sides and a zero-filled array matches no row.
-// Returns the block's distinct (r, c) count.
-std::int64_t masked_rows(const CsrMatrix& a, const CsrMatrix& b,
-                         std::span<const std::uint8_t> b_mask, index_t lo,
+// Threshold grids. A row length's interval is the number of grid points <=
+// it, so the row is H at grid[g] exactly when g < its interval. With at most
+// kMaxGridPoints points an interval fits in kIntervalBits bits.
+constexpr int kIntervalBits = 8;
+constexpr std::int64_t kIntervalMask = (std::int64_t{1} << kIntervalBits) - 1;
+static_assert(kMaxGridPoints <= static_cast<std::size_t>(kIntervalMask));
+// The column markers of row_costs_on_grid hold a row key above two
+// intervals.
+constexpr int kKeyShift = 2 * kIntervalBits;
+
+void check_grid(std::span<const offset_t> grid) {
+  HH_CHECK_MSG(!grid.empty(), "empty threshold grid");
+  HH_CHECK_MSG(grid.size() <= kMaxGridPoints,
+               "threshold grid has " << grid.size() << " points, at most "
+                                     << kMaxGridPoints);
+  HH_CHECK_MSG(grid.front() >= 1, "threshold grid holds t = " << grid.front());
+  for (std::size_t g = 1; g < grid.size(); ++g) {
+    HH_CHECK_MSG(grid[g - 1] < grid[g],
+                 "threshold grid is not strictly ascending at point " << g);
+  }
+}
+
+std::vector<std::uint8_t> row_intervals(const CsrMatrix& m,
+                                        std::span<const offset_t> grid) {
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(m.rows));
+  for (index_t r = 0; r < m.rows; ++r) {
+    out[static_cast<std::size_t>(r)] = static_cast<std::uint8_t>(
+        std::upper_bound(grid.begin(), grid.end(), m.row_nnz(r)) -
+        grid.begin());
+  }
+  return out;
+}
+
+// One row's costs moving at one grid interval: the row's A entries whose B
+// row has its length in the interval leave the B_H side for the B_L side,
+// and the output columns they decide move with them.
+struct RowChange {
+  index_t row = 0;
+  std::int64_t a_nnz = 0;  // the charge_a_entry counters of those entries
+  std::int64_t warp_alu = 0;
+  std::int64_t b_read_bytes = 0;
+  std::int64_t flops = 0;         // their multiply-adds
+  std::int64_t h_tuples_out = 0;  // columns no B_H entry reaches any more
+  std::int64_t l_tuples_in = 0;   // columns a B_L entry reaches first here
+};
+
+// One row's counters in one B-row interval while the pass walks the row.
+struct IntervalCounters {
+  ProductStats entries;  // charge_a_entry only
+  std::int64_t flops = 0;
+  std::int64_t h_tuples_out = 0;
+  std::int64_t l_tuples_in = 0;
+};
+
+// The one-row stats `s` with sign × the change's entry counters (the fields
+// charge_a_entry adds) and multiply-adds added, charged as a row again with
+// `tuples` output columns.
+ProductStats restate(const ProductStats& s, const RowChange& c,
+                     std::int64_t sign, std::int64_t tuples) {
+  ProductStats r;
+  r.a_nnz = s.a_nnz + sign * c.a_nnz;
+  r.warp_alu = s.warp_alu + sign * c.warp_alu;
+  r.b_read_bytes = s.b_read_bytes + sign * c.b_read_bytes;
+  charge_row(r, s.flops + sign * c.flops, tuples);
+  return r;
+}
+
+// Per-block worker of row_costs_on_grid: each row's costs at grid[0] go to
+// `costs`, and its changes to changes[interval] for the intervals a later
+// grid point reaches (interval 0 is already on the B_L side at grid[0], and
+// no grid point reaches the last one). mark[col] packs (row + 1) <<
+// kKeyShift with the smallest and the largest interval of the row's entries
+// that reach col so far, so one array serves both sides and a zero-filled
+// array matches no row; the column's B_L entry and B_H exit are counted at
+// those two intervals and moved whenever one widens. Returns the block's
+// distinct (r, c) count.
+std::int64_t row_changes(const CsrMatrix& a, const CsrMatrix& b,
+                         std::span<const std::uint8_t> b_interval, index_t lo,
                          index_t hi, std::vector<std::int64_t>& mark,
-                         MaskedRowCosts& out) {
+                         std::vector<IntervalCounters>& at,
+                         MaskedRowCosts& costs,
+                         std::vector<std::vector<RowChange>>& changes) {
   std::int64_t out_nnz = 0;
   for (index_t i = lo; i < hi; ++i) {
-    const std::int64_t key = (static_cast<std::int64_t>(i) + 1) << 2;
-    std::array<ProductStats, 2> s;
-    std::array<std::int64_t, 2> row_flops = {0, 0};
-    std::array<std::int64_t, 2> row_tuples = {0, 0};
+    const std::int64_t key = static_cast<std::int64_t>(i) + 1;
+    std::int64_t tuples = 0;
+    std::size_t first = at.size();
+    std::size_t last = 0;
     for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
       const index_t j = a.indices[k];
-      const std::size_t side = b_mask[j] != 0 ? 1 : 0;
-      const std::int64_t bit = std::int64_t{1} << side;
+      const std::size_t in = b_interval[static_cast<std::size_t>(j)];
       const offset_t blen = b.indptr[j + 1] - b.indptr[j];
-      charge_a_entry(s[side], blen);
-      row_flops[side] += blen;
+      charge_a_entry(at[in].entries, blen);
+      at[in].flops += blen;
+      first = std::min(first, in);
+      last = std::max(last, in);
+      const auto in_bits = static_cast<std::int64_t>(in);
       for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
         std::int64_t& m = mark[static_cast<std::size_t>(b.indices[l])];
-        if ((m & ~std::int64_t{3}) != key) {
-          m = key | bit;
-          ++row_tuples[side];
-          ++out_nnz;
-        } else if ((m & bit) == 0) {
-          m |= bit;
-          ++row_tuples[side];
+        if ((m >> kKeyShift) != key) {
+          m = key << kKeyShift | in_bits << kIntervalBits | in_bits;
+          ++at[in].h_tuples_out;
+          ++at[in].l_tuples_in;
+          ++tuples;
+          continue;
+        }
+        const std::int64_t min_in = (m >> kIntervalBits) & kIntervalMask;
+        const std::int64_t max_in = m & kIntervalMask;
+        if (in_bits > max_in) {
+          --at[static_cast<std::size_t>(max_in)].h_tuples_out;
+          ++at[in].h_tuples_out;
+          m += in_bits - max_in;
+        } else if (in_bits < min_in) {
+          --at[static_cast<std::size_t>(min_in)].l_tuples_in;
+          ++at[in].l_tuples_in;
+          m -= (min_in - in_bits) << kIntervalBits;
         }
       }
     }
-    for (std::size_t v = 0; v < 2; ++v) {
-      charge_row(s[v], row_flops[v], row_tuples[v]);
-      out.by_mask[v][static_cast<std::size_t>(i)] = s[v];
+    ProductStats high;
+    ProductStats low;
+    std::int64_t high_flops = 0;
+    std::int64_t high_tuples = tuples;
+    if (first == 0) {
+      const IntervalCounters& c = at[0];
+      low = c.entries;
+      high_tuples -= c.h_tuples_out;
+      charge_row(low, c.flops, c.l_tuples_in);
+      at[0] = {};
+      first = 1;
+    } else {
+      charge_row(low, 0, 0);
     }
+    for (std::size_t in = first; in <= last; ++in) {
+      const IntervalCounters& c = at[in];
+      high.accumulate(c.entries);
+      high_flops += c.flops;
+      if (in < changes.size() && c.entries.a_nnz > 0) {
+        changes[in].push_back({i, c.entries.a_nnz, c.entries.warp_alu,
+                               c.entries.b_read_bytes, c.flops,
+                               c.h_tuples_out, c.l_tuples_in});
+      }
+      at[in] = {};
+    }
+    charge_row(high, high_flops, high_tuples);
+    costs.by_mask[1][static_cast<std::size_t>(i)] = high;
+    costs.by_mask[0][static_cast<std::size_t>(i)] = low;
+    out_nnz += tuples;
   }
   return out_nnz;
 }
@@ -264,20 +366,113 @@ ProductStats estimate_partial_product(const CsrMatrix& a, const CsrMatrix& b,
   return s;
 }
 
-MaskedRowCosts masked_row_costs(const CsrMatrix& a, const CsrMatrix& b,
-                                std::span<const std::uint8_t> b_mask,
-                                ThreadPool& pool) {
+void row_costs_on_grid(
+    const CsrMatrix& a, const CsrMatrix& b, std::span<const offset_t> grid,
+    ThreadPool& pool,
+    const std::function<void(std::size_t, const MaskedRowCosts&)>& visit) {
   HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
-  HH_CHECK(b_mask.size() == static_cast<std::size_t>(b.rows));
-  MaskedRowCosts out;
-  for (auto& rows : out.by_mask) rows.resize(static_cast<std::size_t>(a.rows));
-  std::atomic<std::int64_t> output_nnz{0};
-  pool.parallel_for(a.rows, [&](std::int64_t r0, std::int64_t r1) {
+  check_grid(grid);
+  const std::vector<std::uint8_t> b_interval = row_intervals(b, grid);
+  MaskedRowCosts costs;
+  for (auto& rows : costs.by_mask) rows.resize(static_cast<std::size_t>(a.rows));
+
+  // Fixed row blocks, each with its change lists by interval, filled by
+  // whichever worker takes the block; the replay reads them block by block.
+  constexpr std::int64_t kBlockRows = 1024;
+  const std::int64_t nblocks = (a.rows + kBlockRows - 1) / kBlockRows;
+  std::vector<std::vector<std::vector<RowChange>>> changes(
+      static_cast<std::size_t>(nblocks),
+      std::vector<std::vector<RowChange>>(grid.size()));
+  std::vector<std::int64_t> block_nnz(static_cast<std::size_t>(nblocks));
+  pool.parallel_for(nblocks, [&](std::int64_t b0, std::int64_t b1) {
     std::vector<std::int64_t> mark(static_cast<std::size_t>(b.cols), 0);
-    output_nnz += masked_rows(a, b, b_mask, static_cast<index_t>(r0),
-                              static_cast<index_t>(r1), mark, out);
+    std::vector<IntervalCounters> at(grid.size() + 1);
+    for (std::int64_t blk = b0; blk < b1; ++blk) {
+      const auto lo = static_cast<index_t>(blk * kBlockRows);
+      const auto hi = static_cast<index_t>(
+          std::min<std::int64_t>(a.rows, (blk + 1) * kBlockRows));
+      block_nnz[static_cast<std::size_t>(blk)] =
+          row_changes(a, b, b_interval, lo, hi, mark, at, costs,
+                      changes[static_cast<std::size_t>(blk)]);
+    }
   });
-  out.output_nnz = output_nnz.load();
+  for (const std::int64_t n : block_nnz) costs.output_nnz += n;
+
+  // Ascending t: before pricing point g > 0, the changes of interval g move
+  // their rows' entries and columns from the B_H side to the B_L side.
+  for (std::size_t g = 0; g < grid.size(); ++g) {
+    for (const auto& block : changes) {
+      for (const RowChange& c : block[g]) {
+        ProductStats& high = costs.by_mask[1][static_cast<std::size_t>(c.row)];
+        ProductStats& low = costs.by_mask[0][static_cast<std::size_t>(c.row)];
+        high = restate(high, c, -1, high.tuples - c.h_tuples_out);
+        low = restate(low, c, 1, low.tuples + c.l_tuples_in);
+      }
+    }
+    visit(g, costs);
+  }
+}
+
+std::vector<SplitEstimate> estimate_splits_on_grid(
+    const CsrMatrix& a, const CsrMatrix& b, std::span<const offset_t> grid) {
+  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
+  check_grid(grid);
+  const std::size_t points = grid.size();
+  const std::size_t intervals = points + 1;
+  const std::vector<std::uint8_t> a_interval = row_intervals(a, grid);
+  const std::vector<std::uint8_t> b_interval = row_intervals(b, grid);
+  std::vector<SplitEstimate> out(points);
+
+  // The per-entry counters add up, so they are binned by (A-row interval,
+  // B-row interval). The per-row ones do not (max_row_flops, the
+  // shared/global split), so each row walks the grid with its multiply-adds
+  // per B-row interval, charging tuples at their upper bound as
+  // estimate_partial_product does.
+  std::vector<ProductStats> cells(intervals * intervals);
+  std::vector<std::int64_t> row_flops(intervals, 0);
+  for (index_t i = 0; i < a.rows; ++i) {
+    const std::size_t ai = a_interval[static_cast<std::size_t>(i)];
+    std::int64_t total = 0;
+    for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
+      const index_t j = a.indices[k];
+      const std::size_t bi = b_interval[static_cast<std::size_t>(j)];
+      const offset_t blen = b.indptr[j + 1] - b.indptr[j];
+      charge_a_entry(cells[ai * intervals + bi], blen);
+      row_flops[bi] += blen;
+      total += blen;
+    }
+    std::int64_t low = 0;
+    for (std::size_t g = 0; g < points; ++g) {
+      low += row_flops[g];
+      auto& side = out[g].by_side[ai > g ? 1 : 0];
+      charge_row(side[1], total - low, total - low);
+      charge_row(side[0], low, low);
+    }
+    std::fill(row_flops.begin(), row_flops.end(), 0);
+  }
+
+  // Rows and nonzeros per interval give both splits' sizes.
+  std::vector<index_t> a_rows(intervals, 0);
+  std::vector<index_t> b_rows(intervals, 0);
+  std::vector<offset_t> b_nnz(intervals, 0);
+  for (const std::uint8_t in : a_interval) ++a_rows[in];
+  for (index_t j = 0; j < b.rows; ++j) {
+    const std::size_t in = b_interval[static_cast<std::size_t>(j)];
+    ++b_rows[in];
+    b_nnz[in] += b.row_nnz(j);
+  }
+  for (std::size_t g = 0; g < points; ++g) {
+    SplitEstimate& e = out[g];
+    for (std::size_t in = 0; in < intervals; ++in) {
+      const std::size_t side = in > g ? 1 : 0;
+      for (std::size_t bi = 0; bi < intervals; ++bi) {
+        e.by_side[side][bi > g ? 1 : 0].accumulate(cells[in * intervals + bi]);
+      }
+      e.a_rows[side] += a_rows[in];
+      e.b_rows[side] += b_rows[in];
+      e.b_nnz[side] += b_nnz[in];
+    }
+  }
   return out;
 }
 

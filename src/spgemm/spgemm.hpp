@@ -1,10 +1,13 @@
-// Public SpGEMM entry points: algorithm dispatch for full products, and the
+// Public SpGEMM entry points: algorithm dispatch for full products, the
 // masked partial-product kernel used by the heterogeneous algorithms to
-// compute A_X × B_Y (X, Y ∈ {H, L}) without physically splitting matrices.
+// compute A_X × B_Y (X, Y ∈ {H, L}) without physically splitting matrices,
+// and the structure-only passes that price it at every threshold of a grid.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -47,7 +50,18 @@ struct ProductStats {
                                    // actually moves reading B rows (32-byte
                                    // L2 transactions on Kepler)
 
-  void accumulate(const ProductStats& o);
+  // Inline: the dry runs sum one ProductStats per row per grid point.
+  void accumulate(const ProductStats& o) {
+    rows += o.rows;
+    a_nnz += o.a_nnz;
+    flops += o.flops;
+    tuples += o.tuples;
+    max_row_flops = std::max(max_row_flops, o.max_row_flops);
+    warp_alu += o.warp_alu;
+    flops_shared += o.flops_shared;
+    flops_global += o.flops_global;
+    b_read_bytes += o.b_read_bytes;
+  }
 };
 
 /// Rows whose output fits in a per-warp shared-memory accumulator
@@ -88,21 +102,54 @@ ProductStats estimate_partial_product(const CsrMatrix& a, const CsrMatrix& b,
                                       std::span<const std::uint8_t> b_mask,
                                       bool b_mask_value);
 
-/// Exact per-row costs of partial_product_tuples under both values of a
-/// mask, from one structure-only pass (no values, no tuples):
-/// by_mask[v][i] is the ProductStats partial_product_tuples(a, b, {i},
-/// b_mask, v) reports, so summing it over any row set gives that set's stats
-/// exactly. output_nnz is the number of distinct (r, c) pairs the tuples of
-/// both masks merge into, Σ_i |columns of (A×B)(i,:)|.
+// Threshold grids. Point g of a grid splits a matrix as classify_rows(m,
+// grid[g]) does: a row is H when its length is >= grid[g], L otherwise. The
+// one-pass sweeps below take a grid that is non-empty, strictly ascending,
+// has every t >= 1 and at most kMaxGridPoints points, and throw CheckError
+// otherwise. threshold_grid() (core/threshold.hpp) always qualifies.
+inline constexpr std::size_t kMaxGridPoints = 255;
+
+/// Exact per-row costs of partial_product_tuples at one threshold t, under
+/// both values of the B mask classify_rows(b, t).is_high: by_mask[v][i] is
+/// the ProductStats partial_product_tuples(a, b, {i}, that mask, v) reports,
+/// so summing it over any row set gives that set's stats exactly.
+/// output_nnz is the number of distinct (r, c) pairs the tuples of both
+/// masks merge into, Σ_i |columns of (A×B)(i,:)|.
 struct MaskedRowCosts {
   std::array<std::vector<ProductStats>, 2> by_mask;
   std::int64_t output_nnz = 0;
 };
 
-/// `b_mask` has one flag per row of B. Pool-parallel over A's rows with
-/// per-worker column markers; the result does not depend on the pool size.
-MaskedRowCosts masked_row_costs(const CsrMatrix& a, const CsrMatrix& b,
-                                std::span<const std::uint8_t> b_mask,
-                                ThreadPool& pool);
+/// MaskedRowCosts at every point of `grid` from one pool-parallel
+/// structure-only pass (no values, no tuples): visit(g, costs) is called for
+/// g = 0, 1, ... in order, with `costs` valid for grid[g] and only during
+/// the call. An A entry (i, j) sits on the B_H side below the grid interval
+/// holding len(B_j) and on the B_L side from there on; an output column
+/// (i, c) counts on the B_H side up to the largest interval among its
+/// contributing j and on the B_L side from the smallest. The pass stores
+/// each row's costs as sparse changes, at most one per (row, interval) and
+/// so at most nnz(A), and replays them in ascending t. The costs do not
+/// depend on the pool size.
+void row_costs_on_grid(
+    const CsrMatrix& a, const CsrMatrix& b, std::span<const offset_t> grid,
+    ThreadPool& pool,
+    const std::function<void(std::size_t, const MaskedRowCosts&)>& visit);
+
+/// The four products of the HH-CPU split at one threshold t, estimated:
+/// by_side[x][y] is estimate_partial_product(a, b, the rows of A on side x,
+/// classify_rows(b, t).is_high, y), with side 1 = H and 0 = L. Also the
+/// sizes classify_rows(a, t) and classify_rows(b, t) report, per side.
+struct SplitEstimate {
+  std::array<std::array<ProductStats, 2>, 2> by_side;
+  std::array<index_t, 2> a_rows{};
+  std::array<index_t, 2> b_rows{};
+  std::array<offset_t, 2> b_nnz{};
+};
+
+/// SplitEstimate at every point of `grid` from one serial walk over A: the
+/// per-entry counters are binned by (A-row interval, B-row interval), and
+/// each row walks the grid only for its per-row counters.
+std::vector<SplitEstimate> estimate_splits_on_grid(
+    const CsrMatrix& a, const CsrMatrix& b, std::span<const offset_t> grid);
 
 }  // namespace hh

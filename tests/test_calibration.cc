@@ -5,6 +5,8 @@
 // roughly what factor), not exact numbers.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/baselines.hpp"
 #include "core/hh_cpu.hpp"
 #include "core/threshold.hpp"
@@ -101,14 +103,13 @@ TEST_F(CalibrationTest, ThresholdSweepIsConvexish) {
   const CsrMatrix a = make_dataset(dataset_spec("webbase-1M"), kScale);
   double best = -1, t0_time = -1, tmax_time = -1;
   const auto cand = threshold_candidates(a);
-  for (const offset_t t : cand) {
-    HhCpuOptions opt;
-    opt.threshold_a = t;
-    opt.threshold_b = t;
-    const double total = cost_hh_cpu(a, a, opt, plat_, pool_).total_s;
+  const std::vector<RunReport> sweep =
+      cost_hh_cpu_grid(a, a, cand, {}, plat_, pool_);
+  for (std::size_t g = 0; g < cand.size(); ++g) {
+    const double total = sweep[g].total_s;
     if (best < 0 || total < best) best = total;
-    if (t == cand.front()) t0_time = total;
-    if (t == cand.back()) tmax_time = total;
+    if (g == 0) t0_time = total;
+    if (g + 1 == cand.size()) tmax_time = total;
   }
   EXPECT_GT(t0_time, best);
   EXPECT_GT(tmax_time, best);

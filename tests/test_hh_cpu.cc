@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/threshold.hpp"
 #include "gen/datasets.hpp"
@@ -168,8 +170,16 @@ class CostHhCpuTest : public HhCpuTest {
                     const std::string& what) {
     const RunReport want = run_hh_cpu(a, b, opt, plat, pool_).report;
     const RunReport got = cost_hh_cpu(a, b, opt, plat, pool_);
-    const std::string at = what + " t=(" + std::to_string(opt.threshold_a) +
-                           "," + std::to_string(opt.threshold_b) + ")";
+    expect_same_report(got, want, at(what, opt));
+  }
+
+  static std::string at(const std::string& what, const HhCpuOptions& opt) {
+    return what + " t=(" + std::to_string(opt.threshold_a) + "," +
+           std::to_string(opt.threshold_b) + ")";
+  }
+
+  static void expect_same_report(const RunReport& got, const RunReport& want,
+                                 const std::string& at) {
     EXPECT_EQ(got.algorithm, want.algorithm) << at;
     EXPECT_EQ(got.total_s, want.total_s) << at;
     EXPECT_EQ(got.phase1_s, want.phase1_s) << at;
@@ -195,7 +205,25 @@ class CostHhCpuTest : public HhCpuTest {
     EXPECT_EQ(got.to_json(), want.to_json()) << at;
   }
 
-  // expect_exact at t = 0 (the analytic pick) and every grid point.
+  // cost_hh_cpu_grid against run_hh_cpu at every point of `grid`, both
+  // thresholds at the point.
+  void expect_grid_exact(const CsrMatrix& a, const CsrMatrix& b,
+                         std::span<const offset_t> grid,
+                         const HeteroPlatform& plat, const std::string& what,
+                         HhCpuOptions opt = {}) {
+    const std::vector<RunReport> got =
+        cost_hh_cpu_grid(a, b, grid, opt, plat, pool_);
+    ASSERT_EQ(got.size(), grid.size()) << what;
+    for (std::size_t g = 0; g < grid.size(); ++g) {
+      opt.threshold_a = grid[g];
+      opt.threshold_b = grid[g];
+      const RunReport want = run_hh_cpu(a, b, opt, plat, pool_).report;
+      expect_same_report(got[g], want, at(what + " grid", opt));
+    }
+  }
+
+  // expect_exact at t = 0 (the analytic pick), and at every grid point
+  // both cost_hh_cpu and the matching cost_hh_cpu_grid entry.
   void expect_exact_on_grid(const CsrMatrix& a, const CsrMatrix& b,
                             const HeteroPlatform& plat,
                             const std::string& what,
@@ -203,10 +231,17 @@ class CostHhCpuTest : public HhCpuTest {
     opt.threshold_a = 0;
     opt.threshold_b = 0;
     expect_exact(a, b, opt, plat, what);
-    for (const offset_t t : threshold_grid(a, b)) {
-      opt.threshold_a = t;
-      opt.threshold_b = t;
-      expect_exact(a, b, opt, plat, what);
+    const std::vector<offset_t> grid = threshold_grid(a, b);
+    const std::vector<RunReport> swept =
+        cost_hh_cpu_grid(a, b, grid, opt, plat, pool_);
+    ASSERT_EQ(swept.size(), grid.size()) << what;
+    for (std::size_t g = 0; g < grid.size(); ++g) {
+      opt.threshold_a = grid[g];
+      opt.threshold_b = grid[g];
+      const RunReport want = run_hh_cpu(a, b, opt, plat, pool_).report;
+      expect_same_report(cost_hh_cpu(a, b, opt, plat, pool_), want,
+                         at(what, opt));
+      expect_same_report(swept[g], want, at(what + " grid", opt));
     }
   }
 };
@@ -284,6 +319,76 @@ TEST_F(CostHhCpuTest, ExactOnDegenerateMatrices) {
       std::vector<value_t>{1, 2, 3, 4, 5, 6, 7, 8});
   expect_exact_on_grid(ring, ring, plat_, "equal rows");
   expect_exact_on_grid(csr_identity(30), csr_identity(30), plat_, "identity");
+}
+
+TEST_F(CostHhCpuTest, GridExactOnManyRowBlocks) {
+  // More rows than one block of the symbolic pass holds, so its changes
+  // are replayed across several blocks.
+  PowerLawGenConfig cfg;
+  cfg.rows = 3000;
+  cfg.alpha = 2.2;
+  cfg.target_nnz = 15000;
+  cfg.seed = 226;
+  const CsrMatrix a = generate_power_law_matrix(cfg);
+  expect_grid_exact(a, a, threshold_grid(a, a), plat_, "3000 rows");
+}
+
+TEST_F(CostHhCpuTest, GridExactOnFig10ShapedGrid) {
+  // Fig. 10 sweeps a 6-point grid of A's candidates only, with A != B.
+  PowerLawGenConfig cfg;
+  cfg.rows = 900;
+  cfg.alpha = 3.5;
+  cfg.target_nnz = 5400;
+  cfg.kmin = 3;
+  cfg.seed = 227;
+  const CsrMatrix a = generate_power_law_matrix(cfg);
+  cfg.seed = 228;
+  const CsrMatrix b = generate_power_law_matrix(cfg);
+  const std::vector<offset_t> grid = threshold_candidates(a, 6);
+  ASSERT_LE(grid.size(), 6u);
+  expect_grid_exact(a, b, grid, plat_, "fig10 grid");
+}
+
+TEST_F(CostHhCpuTest, GridReportsDoNotDependOnPoolSize) {
+  PowerLawGenConfig cfg;
+  cfg.rows = 5000;
+  cfg.alpha = 2.1;
+  cfg.target_nnz = 30000;
+  cfg.seed = 229;
+  const CsrMatrix a = generate_power_law_matrix(cfg);
+  const std::vector<offset_t> grid = threshold_grid(a, a);
+  ThreadPool pool1(1), pool4(4);
+  const std::vector<RunReport> one =
+      cost_hh_cpu_grid(a, a, grid, {}, plat_, pool1);
+  const std::vector<RunReport> four =
+      cost_hh_cpu_grid(a, a, grid, {}, plat_, pool4);
+  ASSERT_EQ(one.size(), grid.size());
+  ASSERT_EQ(four.size(), grid.size());
+  for (std::size_t g = 0; g < grid.size(); ++g) {
+    EXPECT_EQ(one[g].to_json(), four[g].to_json()) << "t=" << grid[g];
+  }
+}
+
+TEST_F(CostHhCpuTest, MalformedGridsThrow) {
+  const CsrMatrix a = test::random_csr(40, 40, 0.1, 230);
+  const auto cost = [&](std::vector<offset_t> grid) {
+    return cost_hh_cpu_grid(a, a, grid, {}, plat_, pool_);
+  };
+  EXPECT_THROW(cost({}), CheckError);
+  EXPECT_THROW(cost({4, 4}), CheckError);
+  EXPECT_THROW(cost({5, 3}), CheckError);
+  EXPECT_THROW(cost({0, 3}), CheckError);
+  EXPECT_THROW(cost({-2}), CheckError);
+  std::vector<offset_t> too_many(kMaxGridPoints + 1);
+  for (std::size_t g = 0; g < too_many.size(); ++g) {
+    too_many[g] = static_cast<offset_t>(g) + 1;
+  }
+  EXPECT_THROW(cost(too_many), CheckError);
+  too_many.pop_back();
+  EXPECT_EQ(cost(too_many).size(), kMaxGridPoints);
+  const CsrMatrix b(3, 4), c(5, 3);
+  const offset_t grid[] = {2};
+  EXPECT_THROW(cost_hh_cpu_grid(b, c, grid, {}, plat_, pool_), CheckError);
 }
 
 }  // namespace

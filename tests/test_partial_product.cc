@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "gen/powerlaw_gen.hpp"
 #include "primitives/tuple_merge.hpp"
 #include "sparse/partition.hpp"
 #include "spgemm/gustavson.hpp"
@@ -131,7 +132,17 @@ TEST(PartialProduct, EmptyRowList) {
   EXPECT_EQ(stats.flops, 0);
 }
 
-// masked_row_costs is the kernel's accounting without the kernel: each
+// The row costs of the one-point grid {t}.
+MaskedRowCosts row_costs_at(const CsrMatrix& a, const CsrMatrix& b, offset_t t,
+                            ThreadPool& pool) {
+  const offset_t grid[] = {t};
+  MaskedRowCosts out;
+  row_costs_on_grid(a, b, grid, pool,
+                    [&](std::size_t, const MaskedRowCosts& c) { out = c; });
+  return out;
+}
+
+// The one-point pass is the kernel's accounting without the kernel: each
 // row's stats under either mask value, and the distinct output count.
 TEST(MaskedRowCosts, EqualKernelStatsRowByRow) {
   const CsrMatrix a = test::random_csr(40, 30, 0.2, 408);
@@ -140,8 +151,8 @@ TEST(MaskedRowCosts, EqualKernelStatsRowByRow) {
   const std::int64_t original = shared_accum_cap();
   set_shared_accum_cap(6);  // rows on both sides of the shared/global split
   ThreadPool pool1(1), pool4(4);
-  const MaskedRowCosts costs = masked_row_costs(a, b, p.is_high, pool4);
-  const MaskedRowCosts costs1 = masked_row_costs(a, b, p.is_high, pool1);
+  const MaskedRowCosts costs = row_costs_at(a, b, 8, pool4);
+  const MaskedRowCosts costs1 = row_costs_at(a, b, 8, pool1);
   for (const bool v : {false, true}) {
     ProductStats sum;
     for (index_t i = 0; i < a.rows; ++i) {
@@ -172,7 +183,50 @@ TEST(MaskedRowCosts, EqualKernelStatsRowByRow) {
   for (const offset_t n : exact_row_nnz(a, b)) out_nnz += n;
   EXPECT_EQ(costs.output_nnz, out_nnz);
   EXPECT_EQ(costs1.output_nnz, out_nnz);
-  EXPECT_THROW(masked_row_costs(a, b, {}, pool1), CheckError);
+  EXPECT_THROW(row_costs_on_grid(a, b, {}, pool1,
+                                 [](std::size_t, const MaskedRowCosts&) {}),
+               CheckError);
+}
+
+// Every point of a multi-point grid, over more rows than one block of the
+// pass: each row's costs equal the kernel's own per-row stats there.
+TEST(MaskedRowCosts, EqualKernelStatsAtEveryGridPoint) {
+  PowerLawGenConfig cfg;
+  cfg.rows = 2500;
+  cfg.alpha = 2.2;
+  cfg.target_nnz = 12000;
+  cfg.seed = 415;
+  const CsrMatrix a = generate_power_law_matrix(cfg);
+  const offset_t grid[] = {1, 2, 3, 5, 8, 13, 21, 34};
+  const std::int64_t original = shared_accum_cap();
+  set_shared_accum_cap(6);
+  ThreadPool pool(4);
+  const std::vector<index_t> rows = all_rows(a.rows);
+  std::size_t visited = 0;
+  row_costs_on_grid(a, a, grid, pool, [&](std::size_t g,
+                                          const MaskedRowCosts& costs) {
+    EXPECT_EQ(g, visited++);
+    const RowPartition p = classify_rows(a, grid[g]);
+    for (const bool v : {false, true}) {
+      std::vector<ProductStats> want(rows.size());
+      partial_product_tuples(a, a, rows, p.is_high, v, pool, nullptr, nullptr,
+                             want);
+      for (index_t i = 0; i < a.rows; ++i) {
+        const ProductStats& got = costs.by_mask[v][static_cast<std::size_t>(i)];
+        const ProductStats& w = want[static_cast<std::size_t>(i)];
+        const auto fields = [](const ProductStats& s) {
+          return std::vector<std::int64_t>{
+              s.rows,     s.a_nnz,        s.flops,
+              s.tuples,   s.max_row_flops, s.warp_alu,
+              s.flops_shared, s.flops_global, s.b_read_bytes};
+        };
+        EXPECT_EQ(fields(got), fields(w))
+            << "t=" << grid[g] << " side=" << v << " row " << i;
+      }
+    }
+  });
+  EXPECT_EQ(visited, std::size(grid));
+  set_shared_accum_cap(original);
 }
 
 // row_stats is filled by the pool workers, one disjoint slot per row: each

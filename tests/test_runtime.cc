@@ -6,6 +6,7 @@
 #include <cstdint>
 
 #include "core/hh_cpu.hpp"
+#include "core/threshold.hpp"
 #include "gen/datasets.hpp"
 #include "runtime/signature.hpp"
 #include "runtime/timeline.hpp"
@@ -280,6 +281,49 @@ TEST_F(ServiceTest, ExplicitThresholdsBypassTheCache) {
   service.drain();
   EXPECT_EQ(service.plan_cache().size(), 0u);
   EXPECT_EQ(service.plan_cache().stats().misses, 0);
+}
+
+TEST_F(ServiceTest, HalfPinnedRequestsKeepTheirPinThroughThePlanCache) {
+  const offset_t t = pick_threshold_analytic(wiki_, wiki_, plat_).t;
+  const offset_t pin = t + 7;
+  const auto expect_serial = [&](const BatchResult& batch, std::size_t i,
+                                 offset_t t_a, offset_t t_b) {
+    const RunReport& rep = batch.results[i].report;
+    EXPECT_EQ(rep.threshold_a, t_a) << "request " << i;
+    EXPECT_EQ(rep.threshold_b, t_b) << "request " << i;
+    HhCpuOptions opt;
+    opt.threshold_a = t_a;
+    opt.threshold_b = t_b;
+    expect_bit_identical(run_hh_cpu(wiki_, wiki_, opt, plat_, pool_).c,
+                         batch.results[i].c, "request " + std::to_string(i));
+  };
+  {
+    // A hit fills only the unpinned side from the cached plan.
+    SpgemmService service(plat_, pool_);
+    service.submit({&wiki_, nullptr, {}, "cold"});
+    service.drain();
+    SpgemmRequest half{&wiki_, nullptr, {}, "pinned B"};
+    half.options.threshold_b = pin;
+    service.submit(std::move(half));
+    const BatchResult batch = service.drain();
+    EXPECT_TRUE(batch.requests[0].plan_cache_hit);
+    expect_serial(batch, 0, t, pin);
+  }
+  {
+    // A half-pinned miss caches the identified t on both sides, so a later
+    // unpinned request is served what a cold one gets.
+    SpgemmService service(plat_, pool_);
+    SpgemmRequest half{&wiki_, nullptr, {}, "pinned A"};
+    half.options.threshold_a = pin;
+    service.submit(std::move(half));
+    const BatchResult first = service.drain();
+    EXPECT_FALSE(first.requests[0].plan_cache_hit);
+    expect_serial(first, 0, pin, t);
+    service.submit({&wiki_, nullptr, {}, "unpinned"});
+    const BatchResult second = service.drain();
+    EXPECT_TRUE(second.requests[0].plan_cache_hit);
+    expect_serial(second, 0, t, t);
+  }
 }
 
 TEST_F(ServiceTest, RectangularProductMatchesSerial) {

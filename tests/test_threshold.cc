@@ -4,11 +4,15 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/hh_cpu.hpp"
 #include "gen/datasets.hpp"
 #include "gen/powerlaw_gen.hpp"
+#include "sparse/partition.hpp"
 #include "sparse/row_stats.hpp"
+#include "spgemm/spgemm.hpp"
 #include "test_util.hpp"
 #include "util/check.hpp"
 
@@ -156,13 +160,13 @@ TEST(Threshold, SweepMatchesPredictionsAndAnalyticPick) {
   ASSERT_EQ(sweep.grid.size(), sweep.predicted_s.size());
   ASSERT_LT(sweep.best, sweep.grid.size());
   for (std::size_t i = 0; i < sweep.grid.size(); ++i) {
-    EXPECT_DOUBLE_EQ(sweep.predicted_s[i],
-                     predict_total_time(m, m, sweep.grid[i], plat));
+    EXPECT_EQ(sweep.predicted_s[i],
+              predict_total_time(m, m, sweep.grid[i], plat));
     EXPECT_LE(sweep.predicted_s[sweep.best], sweep.predicted_s[i]);
   }
   const ThresholdChoice analytic = pick_threshold_analytic(m, m, plat);
   EXPECT_EQ(analytic.t, sweep.choice().t);
-  EXPECT_DOUBLE_EQ(analytic.predicted_s, sweep.choice().predicted_s);
+  EXPECT_EQ(analytic.predicted_s, sweep.choice().predicted_s);
 }
 
 TEST(Threshold, IdentityCorrectionIsBitExact) {
@@ -186,6 +190,161 @@ TEST(Threshold, IdentityCorrectionIsBitExact) {
                    predict_total_time(m, m, t, plat);
   }
   EXPECT_TRUE(any_changed);
+}
+
+// predict_breakdown per candidate, as two classify_rows and up to four
+// estimate_partial_product walks over A. The one-walk sweep and
+// predict_breakdown must equal it bit for bit at every grid point.
+PredictedBreakdown reference_breakdown(const CsrMatrix& a, const CsrMatrix& b,
+                                       offset_t t,
+                                       const HeteroPlatform& platform,
+                                       const CostCorrection& corr) {
+  const RowPartition pa = classify_rows(a, t);
+  const RowPartition pb = classify_rows(b, t);
+
+  const double ws_bh = 12.0 * static_cast<double>(pb.high_nnz);
+  const double ws_bl = 12.0 * static_cast<double>(pb.low_nnz);
+
+  const ProductStats hh =
+      (pa.high_count() > 0 && pb.high_count() > 0)
+          ? estimate_partial_product(a, b, pa.high_rows, pb.is_high, true)
+          : ProductStats{};
+  const ProductStats ll =
+      (pa.low_count() > 0 && pb.low_count() > 0)
+          ? estimate_partial_product(a, b, pa.low_rows, pb.is_high, false)
+          : ProductStats{};
+  const double t2_cpu =
+      corr.cpu * platform.cpu().kernel_time(hh, ws_bh, true, /*blockable=*/true);
+  const double t2_gpu_kernel = corr.gpu * platform.gpu().kernel_time(ll);
+  double t2_gpu = t2_gpu_kernel;
+  double transfer_in = 0;
+  if (ll.flops > 0 || pa.high_count() < a.rows || pb.high_count() < b.rows) {
+    transfer_in = platform.link().h2d().matrix_transfer_time(a);
+    if (&a != &b) transfer_in += platform.link().h2d().matrix_transfer_time(b);
+    transfer_in *= corr.h2d;
+    t2_gpu += transfer_in;
+  }
+  const double t2 = HeteroPlatform::overlap(t2_cpu, t2_gpu);
+
+  const ProductStats lh =
+      pb.high_count() > 0
+          ? estimate_partial_product(a, b, pa.low_rows, pb.is_high, true)
+          : ProductStats{};
+  const ProductStats hl =
+      pb.low_count() > 0
+          ? estimate_partial_product(a, b, pa.high_rows, pb.is_high, false)
+          : ProductStats{};
+  ProductStats p3 = lh;
+  p3.accumulate(hl);
+  const double t3_cpu =
+      corr.cpu *
+      (platform.cpu().kernel_time(lh, ws_bh, true, /*blockable=*/true) +
+       platform.cpu().kernel_time(hl, ws_bl, true, /*blockable=*/false));
+  const double t3_gpu = corr.gpu * platform.gpu().kernel_time(p3);
+  const double t3 = (t3_cpu <= 0 || t3_gpu <= 0)
+                        ? std::max(t3_cpu, t3_gpu)
+                        : t3_cpu * t3_gpu / (t3_cpu + t3_gpu);
+
+  const std::int64_t tuples = hh.tuples + ll.tuples + p3.tuples;
+  const double t4 = corr.cpu * platform.cpu().merge_time(tuples);
+  double gpu_tuples = static_cast<double>(ll.tuples);
+  if (t3_gpu > 0) gpu_tuples += static_cast<double>(p3.tuples) * t3 / t3_gpu;
+  const double t_out =
+      corr.d2h * platform.link().d2h().transfer_time(16.0 * gpu_tuples);
+
+  PredictedBreakdown out;
+  out.cpu_s = t2_cpu + t3 + t4;
+  out.gpu_s = t2_gpu_kernel + t3;
+  out.h2d_s = transfer_in;
+  out.d2h_s = t_out;
+  out.total_s = t2 + t3 + t4 + t_out;
+  return out;
+}
+
+// sweep_thresholds' totals and argmin, and every predict_breakdown field,
+// against reference_breakdown at every grid point, with the identity and
+// a non-identity correction.
+void expect_sweep_matches_reference(const CsrMatrix& a, const CsrMatrix& b,
+                                    const HeteroPlatform& plat,
+                                    const std::string& what) {
+  CostCorrection skewed;
+  skewed.cpu = 1.3;
+  skewed.gpu = 0.7;
+  skewed.h2d = 1.1;
+  skewed.d2h = 2.0;
+  for (const CostCorrection& corr : {CostCorrection{}, skewed}) {
+    const ThresholdSweep sweep = sweep_thresholds(a, b, plat, corr);
+    ASSERT_EQ(sweep.grid, threshold_grid(a, b)) << what;
+    ASSERT_EQ(sweep.predicted_s.size(), sweep.grid.size()) << what;
+    std::size_t first_best = 0;
+    std::vector<double> want_totals;
+    for (std::size_t g = 0; g < sweep.grid.size(); ++g) {
+      const offset_t t = sweep.grid[g];
+      const std::string at = what + " t=" + std::to_string(t) +
+                             (corr.is_identity() ? "" : " corrected");
+      const PredictedBreakdown want = reference_breakdown(a, b, t, plat, corr);
+      const PredictedBreakdown got = predict_breakdown(a, b, t, plat, corr);
+      EXPECT_EQ(sweep.predicted_s[g], want.total_s) << at;
+      EXPECT_EQ(got.cpu_s, want.cpu_s) << at;
+      EXPECT_EQ(got.gpu_s, want.gpu_s) << at;
+      EXPECT_EQ(got.h2d_s, want.h2d_s) << at;
+      EXPECT_EQ(got.d2h_s, want.d2h_s) << at;
+      EXPECT_EQ(got.total_s, want.total_s) << at;
+      want_totals.push_back(want.total_s);
+      if (want.total_s < want_totals[first_best]) first_best = g;
+    }
+    EXPECT_EQ(sweep.best, first_best) << what;
+  }
+}
+
+TEST(ThresholdReference, OneWalkSweepMatchesOnTableOneAnalogues) {
+  // A scaled platform shrinks the shared-accumulator cap, so rows land on
+  // both sides of the shared/global flops split.
+  constexpr double kScale = 0.04;
+  const HeteroPlatform plat = make_scaled_platform(kScale);
+  for (const char* name : {"wiki-Vote", "ca-CondMat", "email-Enron"}) {
+    const CsrMatrix a = make_dataset(dataset_spec(name), kScale);
+    expect_sweep_matches_reference(a, a, plat, name);
+  }
+  set_shared_accum_cap(kSharedAccumCap);
+}
+
+TEST(ThresholdReference, OneWalkSweepMatchesOnDistinctOperands) {
+  const HeteroPlatform plat;
+  PowerLawGenConfig cfg;
+  cfg.rows = 700;
+  cfg.alpha = 2.3;
+  cfg.target_nnz = 4200;
+  cfg.seed = 221;
+  const CsrMatrix a = generate_power_law_matrix(cfg);
+  cfg.seed = 222;
+  const CsrMatrix b = generate_power_law_matrix(cfg);
+  expect_sweep_matches_reference(a, b, plat, "power-law pair");
+  const CsrMatrix c = test::random_csr(60, 40, 0.1, 223);
+  const CsrMatrix d = test::random_csr(40, 70, 0.1, 224);
+  expect_sweep_matches_reference(c, d, plat, "rectangular chain");
+}
+
+TEST(ThresholdReference, OneWalkSweepMatchesOnDegenerateMatrices) {
+  const HeteroPlatform plat;
+  // Every row has the same length: the 2-point fallback grid.
+  const CsrMatrix ring = csr_from_triplets(
+      4, 4, std::vector<index_t>{0, 0, 1, 1, 2, 2, 3, 3},
+      std::vector<index_t>{0, 1, 1, 2, 2, 3, 3, 0},
+      std::vector<value_t>{1, 2, 3, 4, 5, 6, 7, 8});
+  ASSERT_EQ(threshold_grid(ring, ring).size(), 2u);
+  expect_sweep_matches_reference(ring, ring, plat, "equal rows");
+  const CsrMatrix zero(30, 30);
+  expect_sweep_matches_reference(zero, zero, plat, "no nonzeros");
+}
+
+TEST(ThresholdReference, PredictionRejectsThresholdBelowOne) {
+  const CsrMatrix m = test::random_csr(30, 30, 0.1, 225);
+  const HeteroPlatform plat;
+  EXPECT_THROW(predict_breakdown(m, m, 0, plat), CheckError);
+  const CsrMatrix wide(3, 4);
+  EXPECT_THROW(predict_breakdown(wide, wide, 2, plat), CheckError);
+  EXPECT_THROW(sweep_thresholds(wide, wide, plat), CheckError);
 }
 
 // Property (paper §III-A vs §VI): on generated scale-free matrices the
@@ -213,18 +372,17 @@ TEST(Threshold, AnalyticPickWithinMeasuredEnvelopeOfEmpirical) {
     const CsrMatrix m = generate_power_law_matrix(cfg);
     const ThresholdSweep sweep = sweep_thresholds(m, m, plat);
 
-    const auto measured_total = [&](offset_t t) {
-      HhCpuOptions opt;
-      opt.threshold_a = t;
-      opt.threshold_b = t;
-      const RunReport r = cost_hh_cpu(m, m, opt, plat, pool);
+    const std::vector<RunReport> runs =
+        cost_hh_cpu_grid(m, m, sweep.grid, {}, plat, pool);
+    const auto measured_total = [&](std::size_t g) {
+      const RunReport& r = runs[g];
       return r.phase2_s + r.phase3_s + r.phase4_s + r.transfer_out_s;
     };
     double best_measured = std::numeric_limits<double>::infinity();
-    for (const offset_t t : sweep.grid) {
-      best_measured = std::min(best_measured, measured_total(t));
+    for (std::size_t g = 0; g < sweep.grid.size(); ++g) {
+      best_measured = std::min(best_measured, measured_total(g));
     }
-    const double analytic_measured = measured_total(sweep.choice().t);
+    const double analytic_measured = measured_total(sweep.best);
     EXPECT_LE(analytic_measured, best_measured * 1.25)
         << "alpha=" << c.alpha << " seed=" << c.seed
         << ": analytic t=" << sweep.choice().t << " measures "

@@ -124,7 +124,10 @@ TEST_F(WorkQueueTest, ScheduleWithPrecomputedCostsMatchesRun) {
   cfg.gpu_rows = 30;
   const WorkQueueResult run =
       run_workqueue(a_, a_, entries, masks, cfg, 0, 2e-5, plat_, pool_);
-  const MaskedRowCosts costs = masked_row_costs(a_, a_, p.is_high, pool_);
+  const offset_t grid[] = {12};
+  MaskedRowCosts costs;
+  row_costs_on_grid(a_, a_, grid, pool_,
+                    [&](std::size_t, const MaskedRowCosts& c) { costs = c; });
   std::vector<ProductStats> table(entries.size());
   for (std::size_t k = 0; k < entries.size(); ++k) {
     table[k] = costs.by_mask[masks[entries[k].tag].b_mask_value]
