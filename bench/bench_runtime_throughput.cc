@@ -333,7 +333,7 @@ int main() {
   std::printf("tuned:   makespan %.3f ms, p95 %.3f ms, %lld promotions\n",
               tuned_run.batch.makespan_s * 1e3,
               tuned_run.batch.p95_latency_s * 1e3,
-              static_cast<long long>(tune_rep.promotions));
+              static_cast<long long>(tune_rep.tuner.promotions));
 
   // The tuned run must not lose to the baseline it claims to improve.
   if (tuned_run.batch.makespan_s > base_run.batch.makespan_s ||
@@ -341,7 +341,7 @@ int main() {
     std::fprintf(stderr, "FATAL: tuned run lost to the untuned baseline\n");
     return 1;
   }
-  if (tune_rep.promotions < 1) {
+  if (tune_rep.tuner.promotions < 1) {
     std::fprintf(stderr, "FATAL: no signature was promoted\n");
     return 1;
   }

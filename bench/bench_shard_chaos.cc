@@ -72,7 +72,8 @@ int main() {
   // Kill the shard that owns the first dataset's keys, in round 3 — after
   // that round's submissions, so its in-flight requests must fail over.
   {
-    const HashRing ring(cfg.shards, cfg.virtual_nodes, cfg.seed);
+    const HashRing ring(cfg.shards, ShardedSpgemmService::kVirtualNodes,
+                         cfg.seed);
     const MatrixSignature sig = matrix_signature(mats[0]);
     std::uint64_t st =
         static_cast<std::uint64_t>(PlanKeyHash{}(PlanKey{sig, sig}));

@@ -17,13 +17,6 @@ std::vector<index_t> iota_rows(index_t n) {
   return rows;
 }
 
-double input_transfer(const CsrMatrix& a, const CsrMatrix& b,
-                      const HeteroPlatform& platform) {
-  double t = platform.link().h2d().matrix_transfer_time(a);
-  if (&a != &b) t += platform.link().h2d().matrix_transfer_time(b);
-  return t;
-}
-
 RunResult finish_workqueue_run(const char* name, WorkQueueResult&& queue,
                                double transfer_in,
                                const HeteroPlatform& platform,
@@ -58,7 +51,7 @@ RunResult run_hipc2012(const CsrMatrix& a, const CsrMatrix& b,
   rep.algorithm = "HiPC2012";
 
   const StaticSplit split = balance_static_split(a, b, platform);
-  const double transfer_in = input_transfer(a, b, platform);
+  const double transfer_in = platform.link().h2d().operands_transfer_time(a, b);
   rep.transfer_in_s = transfer_in;
 
   std::vector<index_t> all = iota_rows(a.rows);
@@ -99,7 +92,7 @@ RunResult run_unsorted_workqueue(const CsrMatrix& a, const CsrMatrix& b,
                                  const WorkQueueConfig& cfg,
                                  const HeteroPlatform& platform,
                                  ThreadPool& pool) {
-  const double transfer_in = input_transfer(a, b, platform);
+  const double transfer_in = platform.link().h2d().operands_transfer_time(a, b);
   const std::vector<WorkEntry> entries = natural_order_entries(a);
   const MaskSpec masks[1] = {{{}, true, 12.0 * static_cast<double>(b.nnz())}};
   WorkQueueResult queue = run_workqueue(a, b, entries, masks, cfg,
@@ -114,7 +107,7 @@ RunResult run_sorted_workqueue(const CsrMatrix& a, const CsrMatrix& b,
                                const WorkQueueConfig& cfg,
                                const HeteroPlatform& platform,
                                ThreadPool& pool) {
-  const double transfer_in = input_transfer(a, b, platform);
+  const double transfer_in = platform.link().h2d().operands_transfer_time(a, b);
   const std::vector<WorkEntry> entries = sorted_by_density_entries(a);
   const MaskSpec masks[1] = {{{}, true, 12.0 * static_cast<double>(b.nnz())}};
   WorkQueueResult queue = run_workqueue(a, b, entries, masks, cfg,
@@ -149,7 +142,7 @@ RunResult run_gpu_only_cusparse(const CsrMatrix& a, const CsrMatrix& b,
   RunResult res;
   RunReport& rep = res.report;
   rep.algorithm = "cuSPARSE (GPU only)";
-  rep.transfer_in_s = input_transfer(a, b, platform);
+  rep.transfer_in_s = platform.link().h2d().operands_transfer_time(a, b);
   const std::vector<index_t> rows = iota_rows(a.rows);
   ProductStats stats;
   CooMatrix tuples = partial_product_tuples(a, b, rows, {}, true, pool, &stats);
@@ -170,7 +163,7 @@ RunResult run_gpu_only_hipc_kernel(const CsrMatrix& a, const CsrMatrix& b,
   RunResult res;
   RunReport& rep = res.report;
   rep.algorithm = "HiPC2012 GPU kernel (GPU only)";
-  rep.transfer_in_s = input_transfer(a, b, platform);
+  rep.transfer_in_s = platform.link().h2d().operands_transfer_time(a, b);
   const std::vector<index_t> rows = iota_rows(a.rows);
   ProductStats stats;
   CooMatrix tuples = partial_product_tuples(a, b, rows, {}, true, pool, &stats);

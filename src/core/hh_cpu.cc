@@ -14,9 +14,7 @@ double input_transfer_s(const CsrMatrix& a, const CsrMatrix& b,
                         const HhCpuOptions& options,
                         const HeteroPlatform& platform) {
   if (options.matrices_already_on_gpu) return 0;
-  double s = platform.link().h2d().matrix_transfer_time(a);
-  if (&a != &b) s += platform.link().h2d().matrix_transfer_time(b);
-  return s;
+  return platform.link().h2d().operands_transfer_time(a, b);
 }
 
 // Device clocks entering the queue: both saw Phase I; the GPU also waited

@@ -75,9 +75,8 @@ PredictedBreakdown price_split(const SplitEstimate& split, const CsrMatrix& a,
   // any work at all; a CPU-only partition skips the link entirely.
   double transfer_in = 0;
   if (ll.flops > 0 || a_high < a.rows || b_high < b.rows) {
-    transfer_in = platform.link().h2d().matrix_transfer_time(a);
-    if (&a != &b) transfer_in += platform.link().h2d().matrix_transfer_time(b);
-    transfer_in *= corr.h2d;
+    transfer_in =
+        platform.link().h2d().operands_transfer_time(a, b) * corr.h2d;
     t2_gpu += transfer_in;
   }
   const double t2 = HeteroPlatform::overlap(t2_cpu, t2_gpu);
@@ -131,12 +130,6 @@ PredictedBreakdown predict_breakdown(const CsrMatrix& a, const CsrMatrix& b,
                      corr);
 }
 
-double predict_total_time(const CsrMatrix& a, const CsrMatrix& b, offset_t t,
-                          const HeteroPlatform& platform,
-                          const CostCorrection& corr) {
-  return predict_breakdown(a, b, t, platform, corr).total_s;
-}
-
 ThresholdSweep sweep_thresholds(const CsrMatrix& a, const CsrMatrix& b,
                                 const HeteroPlatform& platform,
                                 const CostCorrection& corr) {
@@ -155,9 +148,8 @@ ThresholdSweep sweep_thresholds(const CsrMatrix& a, const CsrMatrix& b,
 
 ThresholdChoice pick_threshold_analytic(const CsrMatrix& a,
                                         const CsrMatrix& b,
-                                        const HeteroPlatform& platform,
-                                        const CostCorrection& corr) {
-  const ThresholdChoice best = sweep_thresholds(a, b, platform, corr).choice();
+                                        const HeteroPlatform& platform) {
+  const ThresholdChoice best = sweep_thresholds(a, b, platform).choice();
   HH_CHECK(best.predicted_s >= 0);
   return best;
 }

@@ -12,10 +12,10 @@
 //
 // The online autotuner (src/tune/) closes the remaining gap between the two:
 // predict_breakdown() exposes the per-device components of the prediction so
-// measured stage times can be compared against them, and every predictor
-// accepts a CostCorrection (device/cost_model.hpp) carrying the calibrated
-// observed/predicted factors. The default (identity) correction reproduces
-// the uncorrected predictions bit-for-bit.
+// measured stage times can be compared against them, and it and
+// sweep_thresholds() accept a CostCorrection (device/cost_model.hpp)
+// carrying the calibrated observed/predicted factors. The default (identity)
+// correction reproduces the uncorrected predictions bit-for-bit.
 #pragma once
 
 #include <vector>
@@ -47,7 +47,7 @@ struct ThresholdChoice {
 /// measured run can be compared stage-by-stage (src/tune/calibration.hpp).
 /// cpu_s/gpu_s are predicted busy seconds (Phase II share + the whole
 /// overlapped Phase III window + merge on the CPU side); h2d_s/d2h_s are
-/// link occupancy. total_s is exactly what predict_total_time() returns.
+/// link occupancy. total_s is the predicted total the analytic sweep ranks.
 struct PredictedBreakdown {
   double cpu_s = 0;
   double gpu_s = 0;
@@ -66,12 +66,6 @@ PredictedBreakdown predict_breakdown(const CsrMatrix& a, const CsrMatrix& b,
                                      offset_t t,
                                      const HeteroPlatform& platform,
                                      const CostCorrection& correction = {});
-
-/// predict_breakdown(...).total_s — kept as the compact form every caller
-/// that only ranks thresholds uses.
-double predict_total_time(const CsrMatrix& a, const CsrMatrix& b, offset_t t,
-                          const HeteroPlatform& platform,
-                          const CostCorrection& correction = {});
 
 /// The full analytic sweep: predicted total for every grid candidate, plus
 /// the argmin. pick_threshold_analytic() is this sweep reduced to its best
@@ -92,11 +86,10 @@ ThresholdSweep sweep_thresholds(const CsrMatrix& a, const CsrMatrix& b,
                                 const HeteroPlatform& platform,
                                 const CostCorrection& correction = {});
 
-/// argmin over threshold_grid() of predict_total_time().
+/// argmin over threshold_grid() of the uncorrected predicted total.
 ThresholdChoice pick_threshold_analytic(const CsrMatrix& a,
                                         const CsrMatrix& b,
-                                        const HeteroPlatform& platform,
-                                        const CostCorrection& correction = {});
+                                        const HeteroPlatform& platform);
 
 /// The paper's method (§III-A): run the algorithm for every grid candidate
 /// threshold and keep the best *measured* total (first minimum on ties).

@@ -98,7 +98,7 @@ struct CostModel {
 /// online autotuner (src/tune/) feeds measured-vs-predicted calibration back
 /// into the analytic predictions: a factor of 1.1 means "this device has been
 /// observed running 10% slower than the model predicts". Applied by
-/// predict_breakdown() / predict_total_time() (core/threshold.hpp); the
+/// predict_breakdown() / sweep_thresholds() (core/threshold.hpp); the
 /// default-constructed value is the exact identity (multiplying by 1.0 is
 /// bit-exact), so uncalibrated callers reproduce the uncorrected predictions.
 struct CostCorrection {

@@ -11,6 +11,13 @@ double PcieChannel::matrix_transfer_time(const CsrMatrix& m) const {
   return transfer_time(static_cast<double>(m.byte_size()));
 }
 
+double PcieChannel::operands_transfer_time(const CsrMatrix& a,
+                                           const CsrMatrix& b) const {
+  double s = matrix_transfer_time(a);
+  if (&a != &b) s += matrix_transfer_time(b);
+  return s;
+}
+
 double PcieChannel::tuple_transfer_time(std::int64_t n) const {
   return transfer_time(16.0 * static_cast<double>(n));
 }

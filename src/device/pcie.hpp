@@ -31,6 +31,9 @@ class PcieChannel {
   /// Shipping a CSR matrix (indptr + indices + values).
   double matrix_transfer_time(const CsrMatrix& m) const;
 
+  /// Shipping a product's operands: A, and B too unless B is A.
+  double operands_transfer_time(const CsrMatrix& a, const CsrMatrix& b) const;
+
   /// Shipping n tuples of ⟨r, c, v⟩ (4 + 4 + 8 bytes).
   double tuple_transfer_time(std::int64_t n) const;
 

@@ -16,12 +16,6 @@ double uniform_draw(std::uint64_t seed, FaultSite site, std::uint64_t op,
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
 }
 
-bool in_burst(const FaultSpec& s, std::uint64_t op) {
-  if (s.burst_period == 0 || s.burst_len == 0) return false;
-  if (op < s.burst_start) return false;
-  return (op - s.burst_start) % s.burst_period < s.burst_len;
-}
-
 }  // namespace
 
 const char* to_string(FaultSite site) {
@@ -64,14 +58,10 @@ FaultDecision FaultInjector::next(FaultSite site) {
   const bool triggered =
       std::binary_search(spec.trigger_ops.begin(), spec.trigger_ops.end(),
                          d.op);
-  if (!triggered) {
-    const double rate =
-        in_burst(spec, d.op) ? std::max(spec.rate, spec.burst_rate)
-                             : spec.rate;
-    if (rate <= 0 ||
-        uniform_draw(plan_.seed, site, d.op, /*salt=*/0) >= rate) {
-      return d;  // healthy op
-    }
+  if (!triggered &&
+      (spec.rate <= 0 ||
+       uniform_draw(plan_.seed, site, d.op, /*salt=*/0) >= spec.rate)) {
+    return d;  // healthy op
   }
 
   d.fault = true;
@@ -82,7 +72,7 @@ FaultDecision FaultInjector::next(FaultSite site) {
     if (d.corrupt) ctr.corruptions++;
   }
   if (site == FaultSite::kCpuWorker) {
-    d.stall_s = plan_.cpu_stall_s;
+    d.stall_s = FaultPlan::kCpuStallS;
     ctr.stall_s += d.stall_s;
   }
   // Aborts happen somewhere in the middle of the op, never at 0% or 100%.

@@ -9,10 +9,8 @@
 // how their requests interleave, and a replay with the same seed reproduces
 // the same faults, the same recovery decisions, and the same reports.
 //
-// Three knobs compose per site (any may be active at once):
+// Two knobs compose per site (both may be active at once):
 //   rate         — stationary Bernoulli fault probability per operation;
-//   burst window — ops with (op - burst_start) % burst_period < burst_len
-//                  fault with burst_rate instead (correlated outages);
 //   trigger_ops  — fixed op indices that always fault (unit-test precision).
 //
 // The injector only *decides*; the simulated devices (device/gpu_sim,
@@ -49,17 +47,10 @@ const char* to_string(FaultSite site);
 
 /// Per-site fault schedule description.
 struct FaultSpec {
-  double rate = 0;          // stationary per-op fault probability in [0, 1]
-  double burst_rate = 1.0;  // fault probability inside burst windows
-  std::uint64_t burst_start = 0;   // op index where the first window opens
-  std::uint64_t burst_period = 0;  // 0 = no bursts; else windows repeat
-  std::uint64_t burst_len = 0;     // ops per window
+  double rate = 0;  // stationary per-op fault probability in [0, 1]
   std::vector<std::uint64_t> trigger_ops;  // always fault at these op indices
 
-  bool enabled() const {
-    return rate > 0 || (burst_period > 0 && burst_len > 0 && burst_rate > 0) ||
-           !trigger_ops.empty();
-  }
+  bool enabled() const { return rate > 0 || !trigger_ops.empty(); }
 };
 
 struct FaultPlan {
@@ -77,7 +68,7 @@ struct FaultPlan {
   double transfer_corruption_fraction = 0.5;
 
   /// Extra occupancy a stalled CPU stage pays (simulated seconds).
-  double cpu_stall_s = 5e-4;
+  static constexpr double kCpuStallS = 5e-4;
 
   const FaultSpec& spec(FaultSite site) const;
   /// Device-site faults only: the service runtime keys "do I need an

@@ -2,18 +2,7 @@
 
 #include <fstream>
 
-#include "fault/checksum.hpp"
-#include "util/check.hpp"
-
 namespace hh {
-
-WorkloadRecorder::WorkloadRecorder(Config config)
-    : config_(config),
-      chain_seed_(kFnv1aOffset),
-      last_checksum_(kFnv1aOffset) {
-  HH_CHECK_MSG(config_.max_records > 0,
-               "workload recorder ring bound must be positive");
-}
 
 void WorkloadRecorder::append(WorkloadRecord record) {
   record.drain = drain_;
@@ -21,7 +10,7 @@ void WorkloadRecorder::append(WorkloadRecord record) {
   last_checksum_ = record.checksum;
   records_.push_back(std::move(record));
   ++total_appended_;
-  while (records_.size() > config_.max_records) {
+  while (records_.size() > kMaxRecords) {
     // The second-oldest record was chained from the oldest one's checksum,
     // so that checksum becomes the new chain seed and the suffix still
     // verifies.

@@ -11,7 +11,7 @@
 //    lifetime — the inter-arrival structure the replay harness re-creates;
 //  - a drain counter stamped on every record: records sharing a drain index
 //    form one replay wave;
-//  - a bounded ring: beyond Config::max_records the oldest record is
+//  - a bounded ring: beyond kMaxRecords the oldest record is
 //    dropped and the chain seed moves up to the dropped record's checksum,
 //    so the retained suffix still verifies end-to-end.
 //
@@ -24,18 +24,14 @@
 #include <deque>
 #include <string>
 
+#include "fault/checksum.hpp"
 #include "obs/record.hpp"
 
 namespace hh {
 
 class WorkloadRecorder {
  public:
-  struct Config {
-    std::size_t max_records = 4096;  // ring bound; 0 is invalid
-  };
-
-  explicit WorkloadRecorder(Config config);
-  WorkloadRecorder() : WorkloadRecorder(Config{}) {}
+  static constexpr std::size_t kMaxRecords = 4096;  // ring bound
 
   /// Append one record. The recorder stamps the drain index and the chained
   /// checksum; every other field is the caller's. Rotates the ring when the
@@ -64,10 +60,9 @@ class WorkloadRecorder {
   bool write(const std::string& path) const;
 
  private:
-  Config config_;
   std::deque<WorkloadRecord> records_;
-  std::uint64_t chain_seed_;     // seed of the first retained record
-  std::uint64_t last_checksum_;  // checksum of the newest record
+  std::uint64_t chain_seed_ = kFnv1aOffset;     // seed of the oldest record
+  std::uint64_t last_checksum_ = kFnv1aOffset;  // checksum of the newest
   std::uint64_t total_appended_ = 0;
   std::uint64_t rotations_ = 0;
   std::uint64_t drain_ = 0;

@@ -143,7 +143,6 @@ ReplayRunReport ReplayHarness::run_pass(const WorkloadLog& log,
 
   SpgemmService::Config cfg = opts.service;
   cfg.admission_capacity = 0;   // the log already shaped admission
-  cfg.default_deadline_s = 0;   // the record's deadline is authoritative
   cfg.recorder = nullptr;       // a replay is not re-recorded
   cfg.tune.enabled = tuned;
   if (tuned) cfg.tune.seed = opts.seed;

@@ -49,9 +49,9 @@ struct ReplayOptions {
   double metrics_interval_s = 0;  // > 0: registry time series per pass
   std::vector<SloObjective> slo;  // objectives both passes are judged on
   // Base service config for both passes. The harness overrides: admission
-  // (unbounded), default deadline (0 — the record's deadline is
-  // authoritative), recorder (off: a replay is not re-recorded), slo (the
-  // harness's own monitor), and tune.enabled/tune.seed per pass.
+  // (unbounded), recorder (off: a replay is not re-recorded), slo (the
+  // harness's own monitor), and tune.enabled/tune.seed per pass. Each
+  // replayed request carries its record's deadline.
   SpgemmService::Config service;
 };
 

@@ -232,24 +232,12 @@ SpgemmService::SpgemmService(const HeteroPlatform& platform, ThreadPool& pool,
       plan_cache_(kPlanCacheCapacity),
       injector_(config.fault_plan),
       tuner_(config.tune),
-      calib_(config.tune.calibration),
       jitter_rng_(config.recovery.jitter_seed) {
   plan_cache_.bind_metrics(&metrics_);
 }
 
 TuneReport SpgemmService::tune_report() const {
-  TuneReport r = tuner_.report();
-  r.enabled = config_.tune.enabled;
-  r.drift_events = calib_.drift_events();
-  r.calibration.reserve(CalibrationStore::kDevices);
-  for (int i = 0; i < CalibrationStore::kDevices; ++i) {
-    const auto d = static_cast<CalibrationStore::Device>(i);
-    const CalibrationStore::DeviceState& s = calib_.state(d);
-    r.calibration.push_back({CalibrationStore::name(d), s.samples,
-                             std::exp(s.mean_log_ratio),
-                             calib_.correction(d), s.drift});
-  }
-  return r;
+  return {config_.tune.enabled, tuner_.snapshot(), calib_.snapshot()};
 }
 
 void validate_spgemm_request(const SpgemmRequest& request) {
@@ -288,7 +276,7 @@ void validate_spgemm_request(const SpgemmRequest& request) {
     throw InvalidArgumentError("queue unit sizes must be >= 0 (0 = auto)");
   }
   if (request.deadline_s < 0) {
-    throw InvalidArgumentError("deadline must be >= 0 (0 = service default)");
+    throw InvalidArgumentError("deadline must be >= 0 (0 = none)");
   }
 }
 
@@ -513,8 +501,8 @@ std::vector<WaveBounds> SpgemmService::Drain::form_waves_for_queue() {
     const std::uint32_t ia = id_of(a);
     operand_ids.push_back({ia, b != nullptr ? id_of(b) : ia});
   }
-  const WaveConfig& wc = s_.config_.wave;
-  return form_waves(operand_ids, wc.enabled ? wc.max_requests : 1,
+  return form_waves(operand_ids,
+                    s_.config_.wave.enabled ? WaveConfig::kMaxRequests : 1,
                     WaveConfig::kMaxOperands);
 }
 
@@ -736,8 +724,7 @@ void SpgemmService::Drain::run_request(std::size_t i) {
   scope(i);
   r.rr.label = r.req.label;
   r.rr.submit_s = 0;
-  r.rr.deadline_s =
-      r.req.deadline_s > 0 ? r.req.deadline_s : s_.config_.default_deadline_s;
+  r.rr.deadline_s = r.req.deadline_s;
   r.rr.run.algorithm = "HH-CPU (pipelined)";
 
   plan(r);
@@ -1038,10 +1025,8 @@ void SpgemmService::Drain::settle(Request& r) {
   latencies_.push_back(rr.latency_s);
   // First-order cost of the same request run serially (run_hh_cpu): cold
   // transfers, cold identification, single-clock overlap accounting.
-  const PcieChannel& link = platform_.link().h2d();
   const double seq_tx_in =
-      link.matrix_transfer_time(r.a) +
-      (&r.b != &r.a ? link.matrix_transfer_time(r.b) : 0.0);
+      platform_.link().h2d().operands_transfer_time(r.a, r.b);
   const double seq_cpu_end =
       r.plan.phase1_s + rep.phase2_cpu_s + rep.phase3_cpu_s;
   const double seq_gpu_end =

@@ -38,8 +38,9 @@
 //    (or transfer-retry exhaustion) the request degrades to the CPU-only
 //    Gustavson path: the GPU's share is re-charged on the CPU timeline and
 //    no PCIe traffic is scheduled;
-//  - per-request deadlines cancel a request that cannot finish in time, and
-//    a bounded admission queue sheds load at submit().
+//  - a request's own deadline (SpgemmRequest::deadline_s) cancels it when
+//    it cannot finish in time, and a bounded admission queue sheds load at
+//    submit().
 // Numeric work always executes host-side with the same decomposition, so
 // every completed request's output matrix — retried, degraded, or not — is
 // bit-identical to what a cold, serial, fault-free run_hh_cpu call
@@ -66,6 +67,7 @@
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "tune/calibration.hpp"
+#include "tune/report.hpp"
 #include "tune/tuner.hpp"
 #include "util/prng.hpp"
 #include "util/status.hpp"
@@ -82,7 +84,7 @@ struct SpgemmRequest {
   const CsrMatrix* b = nullptr;  // nullptr = self product (B is A)
   HhCpuOptions options;          // explicit thresholds bypass the plan cache
   std::string label;
-  double deadline_s = 0;  // relative to submit; 0 = Config::default_deadline_s
+  double deadline_s = 0;  // relative to submit; 0 = none
 };
 
 /// The request validation SpgemmService::submit performs, as a free function
@@ -222,7 +224,6 @@ class SpgemmService {
     FaultPlan fault_plan;     // default: fault-free
     RecoveryPolicy recovery;
     std::size_t admission_capacity = 0;  // max pending; 0 = unbounded
-    double default_deadline_s = 0;       // per-request default; 0 = none
     // Wave shape (runtime/wave.hpp, docs/runtime.md): drain() groups
     // requests sharing operands (by content) into waves, uploads each
     // distinct operand once per wave under a refcount, coalesces the

@@ -31,9 +31,8 @@ namespace hh {
 /// Wave shape. Multi-request waves are off by default.
 struct WaveConfig {
   bool enabled = false;  // false = one request per wave (caps below unused)
-  // Requests per wave. The cap is strict — max_requests == 1 is the same
-  // schedule as enabled == false. 0 = unbounded.
-  std::size_t max_requests = 16;
+  // Requests per wave; the cap is strict.
+  static constexpr std::size_t kMaxRequests = 16;
   // Distinct operands (by content) per wave: bounds the device
   // memory a wave pins. A request whose operands are all already in the
   // wave adds no pressure and joins past this cap.

@@ -17,7 +17,7 @@ ShardedSpgemmService::ShardedSpgemmService(const HeteroPlatform& platform,
     : platform_(platform),
       pool_(pool),
       config_(std::move(config)),
-      ring_(config_.shards, config_.virtual_nodes, config_.seed),
+      ring_(config_.shards, kVirtualNodes, config_.seed),
       injector_([&] {
         FaultPlan plan;
         plan.seed = config_.seed;
@@ -29,8 +29,6 @@ ShardedSpgemmService::ShardedSpgemmService(const HeteroPlatform& platform,
                "shard group round quantum must be positive");
   HH_CHECK_MSG(config_.restart_after_rounds > 0,
                "restart_after_rounds must be positive");
-  HH_CHECK_MSG(config_.health.half_open_probes > 0,
-               "half_open_probes must be positive");
   shards_.resize(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     shards_[s].service = std::make_unique<SpgemmService>(platform_, pool_,
@@ -96,7 +94,7 @@ BreakerState ShardedSpgemmService::breaker_state(std::size_t shard) const {
 
 void ShardedSpgemmService::open_breaker(Shard& sh, double now_s) {
   sh.breaker = BreakerState::kOpen;
-  sh.open_rounds_left = config_.health.open_rounds;
+  sh.open_rounds_left = kOpenRounds;
   sh.report.breaker_opens++;
   metrics_.counter("shard.breaker_opens").inc();
   if (config_.trace != nullptr && config_.trace->enabled()) {
@@ -166,7 +164,7 @@ void ShardedSpgemmService::harvest_quarantines(std::size_t shard) {
       sh.service->plan_cache().quarantine_log();
   for (; sh.quarantine_cursor < log.size(); ++sh.quarantine_cursor) {
     sh.ledger.push_back(
-        {log[sh.quarantine_cursor], round_ + config_.quarantine_ttl_rounds});
+        {log[sh.quarantine_cursor], round_ + kQuarantineTtlRounds});
   }
   std::erase_if(sh.ledger, [&](const QuarantineEntry& q) {
     return q.expires_round < round_;
@@ -193,7 +191,6 @@ GroupResult ShardedSpgemmService::drain() {
   TraceRecorder* tr = config_.trace != nullptr && config_.trace->enabled()
                           ? config_.trace
                           : nullptr;
-  const HealthPolicy& hp = config_.health;
 
   std::deque<std::size_t> work;
   for (std::size_t i = 0; i < n; ++i) work.push_back(i);
@@ -243,8 +240,7 @@ GroupResult ShardedSpgemmService::drain() {
       any_eligible = any_eligible || eligible[s];
       if (!eligible[s]) continue;
       capacity[s] = sh.breaker == BreakerState::kHalfOpen
-                        ? std::min(config_.round_quantum,
-                                   hp.half_open_probes)
+                        ? std::min(config_.round_quantum, kHalfOpenProbes)
                         : config_.round_quantum;
     }
     std::vector<std::vector<std::size_t>> submitted(shard_count);
@@ -384,8 +380,8 @@ GroupResult ShardedSpgemmService::drain() {
           }
         }
       } else if (sh.breaker == BreakerState::kClosed &&
-                 (sh.consecutive_failures >= hp.consecutive_failures ||
-                  sh.deadline_misses >= hp.deadline_misses)) {
+                 (sh.consecutive_failures >= kConsecutiveFailures ||
+                  sh.deadline_misses >= kDeadlineMisses)) {
         open_breaker(sh, round_start);
       }
 

@@ -10,11 +10,11 @@
 //    (shard/ring.hpp): same-shaped products keep landing on the same shard
 //    and keep hitting its plan cache, operand residency and tuner state.
 //  - Health + circuit breaker. Each shard's request outcomes feed a monitor:
-//    `HealthPolicy::consecutive_failures` straight failures or
-//    `HealthPolicy::deadline_misses` total deadline misses trip the shard's
-//    breaker open (no traffic). After `open_rounds` rounds it goes half-open
-//    and receives up to `half_open_probes` probe requests; a clean probe
-//    round closes it, a failed probe re-opens it.
+//    `kConsecutiveFailures` straight failures or `kDeadlineMisses` total
+//    deadline misses trip the shard's breaker open (no traffic). After
+//    `kOpenRounds` rounds it goes half-open and receives up to
+//    `kHalfOpenProbes` probe requests; a clean probe round closes it, a
+//    failed probe re-opens it.
 //  - Failover. drain() executes in rounds: each routable shard receives up
 //    to `round_quantum` requests, then the group consumes one kShard fault
 //    decision per shard slot (in slot order) from its deterministic
@@ -31,7 +31,7 @@
 //    seeds, fault injector back at op 0) whose plan cache, tuner (PRNG
 //    position included) and calibration are restored from the last
 //    checksummed snapshot (shard/snapshot.hpp) — minus any key the group's
-//    quarantine ledger still holds (TTL `quarantine_ttl_rounds` rounds), so
+//    quarantine ledger still holds (TTL `kQuarantineTtlRounds` rounds), so
 //    a plan quarantined after the snapshot cannot be resurrected. A
 //    snapshot failing checksum verification is rejected: cold start. A
 //    restarted shard re-enters through the half-open probe path.
@@ -59,27 +59,30 @@
 
 namespace hh {
 
-/// Thresholds the per-shard health monitor trips the breaker on.
-struct HealthPolicy {
-  int consecutive_failures = 3;  // straight failed requests → open
-  int deadline_misses = 8;       // total misses this incarnation → open
-  int open_rounds = 2;           // rounds open before the half-open probe
-  std::size_t half_open_probes = 1;  // requests routed while half-open
-};
-
 class ShardedSpgemmService {
  public:
+  // The group's fixed numbers (docs/robustness.md).
+  static constexpr int kVirtualNodes = 16;  // ring points per shard
+  // Health monitor: the breaker opens on this many straight failed
+  // requests, or on this many deadline misses in one incarnation...
+  static constexpr int kConsecutiveFailures = 3;
+  static constexpr int kDeadlineMisses = 8;
+  // ...stays open this many rounds, then routes up to this many probe
+  // requests while half-open.
+  static constexpr int kOpenRounds = 2;
+  static constexpr std::size_t kHalfOpenProbes = 1;
+  // Rounds a quarantined plan key stays in the ledger that filters
+  // rehydration.
+  static constexpr std::uint64_t kQuarantineTtlRounds = 4;
+
   struct Config {
     std::size_t shards = 4;
-    int virtual_nodes = 16;       // ring points per shard
     std::uint64_t seed = 0x5a4dULL;  // ring placement, kill schedule, and
                                      // per-shard derived seeds
     std::size_t round_quantum = 8;   // requests per closed shard per round
     std::size_t group_capacity = 0;  // max pending at submit; 0 = unbounded
-    HealthPolicy health;
     FaultSpec shard_faults;          // kShard kill schedule (see header)
     int restart_after_rounds = 2;    // rounds a killed shard stays down
-    std::uint64_t quarantine_ttl_rounds = 4;  // ledger entry lifetime
     // Template for every shard's SpgemmService. Per-shard seeds (fault
     // plan, tuner, retry jitter) are derived from Config::seed and the
     // shard index; the template's admission capacity and observability

@@ -83,8 +83,10 @@ CsrMatrix read_matrix_market(std::istream& in) {
     fail("dimension overflows index type", line);
   }
   // Coordinate entries are distinct positions, so more of them than the
-  // matrix has cells means a corrupt size line; catching it here also bounds
-  // the reserve below against absurd claimed counts.
+  // matrix has cells means a corrupt size line. This does not bound memory
+  // (a huge matrix admits a huge claim), so the entry arrays are not sized
+  // from the header: they grow with the entries actually read, and a
+  // truncated body fails before it costs more than its own size.
   if (static_cast<unsigned long long>(entries) >
       static_cast<unsigned long long>(rows) *
           static_cast<unsigned long long>(cols)) {
@@ -93,9 +95,6 @@ CsrMatrix read_matrix_market(std::istream& in) {
 
   std::vector<index_t> tr, tc;
   std::vector<value_t> tv;
-  tr.reserve(static_cast<std::size_t>(entries) * (symmetric ? 2 : 1));
-  tc.reserve(tr.capacity());
-  tv.reserve(tr.capacity());
   for (long long i = 0; i < entries; ++i) {
     if (!std::getline(in, line)) {
       std::ostringstream os;

@@ -10,9 +10,10 @@
 //    model's prediction onto what the runtime actually measures. Fed back
 //    into predict_breakdown() via CostCorrection (device/cost_model.hpp) so
 //    analytic picks and explore rankings learn from measurements.
-//  - drift flagging: once a device has enough samples and its mean log-ratio
-//    leaves the configured band, the model is declared drifted; the
-//    transition is an observable event (tune.drift_events, trace instant).
+//  - drift flagging: once a device has kMinSamples samples and its mean
+//    log-ratio leaves the kDriftThreshold band, the model is declared
+//    drifted; the transition is an observable event (tune.drift_events,
+//    trace instant).
 //
 // Everything here is pure deterministic arithmetic on the simulated clock:
 // same request stream → same corrections, bit for bit.
@@ -20,31 +21,23 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "device/cost_model.hpp"
 
 namespace hh {
 
-/// Complete copyable calibration state, for shard snapshot/rehydration
-/// (src/shard/snapshot.hpp). Restoring a snapshot into a store with the same
-/// config reproduces corrections() bit for bit.
+/// The calibration store's complete state: the live store runs on it, a
+/// shard snapshot (src/shard/snapshot.hpp) copies it, and TuneReport renders
+/// it. Restoring a snapshot reproduces corrections() bit for bit.
 struct CalibrationSnapshot {
   struct DeviceState {
     std::int64_t samples = 0;
-    double mean_log_ratio = 0;
-    double last_ratio = 1.0;
-    bool drift = false;
+    double mean_log_ratio = 0;  // EWMA of log(observed/predicted)
+    double last_ratio = 1.0;    // most recent raw observed/predicted
+    bool drift = false;         // currently outside the drift band
   };
-  std::array<DeviceState, 4> devices;
+  std::array<DeviceState, 4> devices;  // indexed by CalibrationStore::Device
   std::int64_t drift_events = 0;
-};
-
-struct CalibrationConfig {
-  double decay = 0.9;         // weight of history in the log-ratio EWMA
-  int min_samples = 8;        // samples before corrections/drift apply
-  double drift_threshold = 0.25;  // |mean log ratio| beyond which drift flags
-  double max_correction = 4.0;    // factors clamped to [1/max, max]
 };
 
 class CalibrationStore {
@@ -52,15 +45,11 @@ class CalibrationStore {
   enum class Device { kCpu = 0, kGpu = 1, kH2D = 2, kD2H = 3 };
   static constexpr int kDevices = 4;
 
-  struct DeviceState {
-    std::int64_t samples = 0;
-    double mean_log_ratio = 0;  // EWMA of log(observed/predicted)
-    double last_ratio = 1.0;    // most recent raw observed/predicted
-    bool drift = false;         // currently outside the drift band
-  };
-
-  explicit CalibrationStore(CalibrationConfig config = {})
-      : config_(config) {}
+  // The model's fixed numbers (docs/tuning.md).
+  static constexpr double kDecay = 0.9;  // weight of history in the EWMA
+  static constexpr int kMinSamples = 8;  // before corrections and drift apply
+  static constexpr double kDriftThreshold = 0.25;  // |mean log ratio| band
+  static constexpr double kMaxCorrection = 4.0;    // clamp to [1/max, max]
 
   /// Ingest one stage measurement. Pairs with a non-positive side are
   /// ignored (e.g. a resident operand observes zero H2D time — that is
@@ -68,41 +57,30 @@ class CalibrationStore {
   /// flagged the device as drifted (a false→true transition).
   bool record(Device d, double predicted_s, double observed_s);
 
-  const DeviceState& state(Device d) const {
-    return state_[static_cast<int>(d)];
+  const CalibrationSnapshot::DeviceState& state(Device d) const {
+    return state_.devices[static_cast<int>(d)];
   }
 
-  /// e^mean_log_ratio clamped to [1/max_correction, max_correction]; exactly
-  /// 1.0 until the device has min_samples samples, so an uncalibrated store
+  /// e^mean_log_ratio clamped to [1/kMaxCorrection, kMaxCorrection]; exactly
+  /// 1.0 until the device has kMinSamples samples, so an uncalibrated store
   /// is the identity correction.
-  double correction(Device d) const;
+  static double correction(const CalibrationSnapshot::DeviceState& s);
+  double correction(Device d) const { return correction(state(d)); }
 
   CostCorrection corrections() const {
     return {correction(Device::kCpu), correction(Device::kGpu),
             correction(Device::kH2D), correction(Device::kD2H)};
   }
 
-  std::int64_t total_samples() const;
-  int drift_count() const;  // devices currently flagged as drifted
-  std::int64_t drift_events() const { return drift_events_; }
-
-  const CalibrationConfig& config() const { return config_; }
+  std::int64_t drift_events() const { return state_.drift_events; }
 
   static const char* name(Device d);
 
-  /// One JSON object per device: samples, ratio (e^mean), correction, drift.
-  /// Deterministic rendering (fixed device order, %.17g numbers).
-  std::string to_json() const;
-
-  /// Copy-out / copy-in of the mutable state (config is NOT part of the
-  /// snapshot — the restoring store keeps its own).
-  CalibrationSnapshot snapshot() const;
-  void restore(const CalibrationSnapshot& snap);
+  const CalibrationSnapshot& snapshot() const { return state_; }
+  void restore(const CalibrationSnapshot& snap) { state_ = snap; }
 
  private:
-  CalibrationConfig config_;
-  DeviceState state_[kDevices];
-  std::int64_t drift_events_ = 0;
+  CalibrationSnapshot state_;
 };
 
 }  // namespace hh

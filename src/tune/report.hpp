@@ -1,59 +1,25 @@
 // TuneReport: the observable state of the online autotuner.
 //
-// One entry per tuned signature pair, in first-seen order, each carrying the
-// analytic starting point, the current (possibly promoted) incumbent, the
-// measured variants, and the convergence state — plus the calibration
-// snapshot. Rendering is deterministic: entry order is insertion order,
-// variant order is measurement-first order, and numbers print with a fixed
-// format, so two same-seed replays produce byte-identical JSON.
+// The tuner's state (one entry per tuned signature pair, in first-seen
+// order, each carrying the analytic starting point, the current — possibly
+// promoted — incumbent, the measured variants and the convergence state)
+// and the calibration store's state, rendered as they are. Rendering is
+// deterministic: entry order is insertion order, variant order is
+// measurement-first order, and numbers print with a fixed format, so two
+// same-seed replays produce byte-identical JSON.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "sparse/types.hpp"
+#include "tune/calibration.hpp"
+#include "tune/tuner.hpp"
 
 namespace hh {
 
-/// One measured threshold variant of a tuned signature pair.
-struct TuneVariantReport {
-  offset_t t = 0;
-  int trials = 0;          // completed measurements
-  double best_s = 0;       // best measured total (min over trials)
-  double predicted_s = 0;  // corrected prediction when the entry was created
-};
-
-struct TuneEntryReport {
-  std::string key;            // "sig(A) x sig(B)"
-  offset_t analytic_t = 0;    // the analytic pick the entry started from
-  offset_t incumbent_t = 0;   // current choice served on cache hits
-  std::uint32_t version = 0;  // bumped on every promotion
-  int hits = 0;               // tunable cache hits seen
-  int explorations = 0;
-  int promotions = 0;
-  bool converged = false;  // all eligible variants measured; exploring ended
-  std::vector<TuneVariantReport> variants;
-};
-
-struct TuneCalibrationReport {
-  std::string device;  // cpu / gpu / h2d / d2h
-  std::int64_t samples = 0;
-  double ratio = 1.0;       // e^(mean log observed/predicted)
-  double correction = 1.0;  // clamped factor applied to predictions
-  bool drift = false;
-};
-
 struct TuneReport {
   bool enabled = false;
-  std::int64_t decisions = 0;     // tunable cache hits routed to the tuner
-  std::int64_t explorations = 0;  // requests served a non-incumbent variant
-  std::int64_t measurements = 0;  // clean totals ingested
-  std::int64_t promotions = 0;
-  std::int64_t drift_events = 0;
-  std::size_t entries_converged = 0;
-  std::vector<TuneEntryReport> entries;  // first-seen order
-  std::vector<TuneCalibrationReport> calibration;  // cpu, gpu, h2d, d2h
+  TunerSnapshot tuner;
+  CalibrationSnapshot calibration;
 
   std::string to_string() const;
   std::string to_json() const;

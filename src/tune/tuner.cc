@@ -3,29 +3,21 @@
 #include <algorithm>
 #include <numeric>
 
-#include "runtime/signature.hpp"
 #include "util/check.hpp"
 
 namespace hh {
 
 ThresholdTuner::ThresholdTuner(TuneConfig config)
-    : config_(config), rng_(config.seed) {
-  HH_CHECK_MSG(config_.epsilon >= 0 && config_.epsilon <= 1,
-               "tune epsilon must be in [0, 1]");
-  HH_CHECK_MSG(config_.min_trials >= 1, "tune min_trials must be >= 1");
-  HH_CHECK_MSG(config_.explore_slack >= 0, "tune explore_slack must be >= 0");
-  HH_CHECK_MSG(config_.promote_margin >= 0,
-               "tune promote_margin must be >= 0");
-}
+    : rng_(config.seed) {}
 
 ThresholdTuner::Entry* ThresholdTuner::find(const PlanKey& key) {
   const auto it = index_.find(key);
-  return it == index_.end() ? nullptr : &entries_[it->second];
+  return it == index_.end() ? nullptr : &state_.entries[it->second];
 }
 
 const ThresholdTuner::Entry* ThresholdTuner::find(const PlanKey& key) const {
   const auto it = index_.find(key);
-  return it == index_.end() ? nullptr : &entries_[it->second];
+  return it == index_.end() ? nullptr : &state_.entries[it->second];
 }
 
 void ThresholdTuner::admit(const PlanKey& key, const ThresholdSweep& sweep) {
@@ -38,13 +30,13 @@ void ThresholdTuner::admit(const PlanKey& key, const ThresholdSweep& sweep) {
   e.analytic_t = sweep.grid[sweep.best];
   e.incumbent_t = e.analytic_t;
 
-  // Exploration plan: candidates predicted within explore_slack of the best,
+  // Exploration plan: candidates predicted within kExploreSlack of the best,
   // cheapest-predicted first (stable: ties keep the smaller threshold),
   // excluding the incumbent itself, capped at kMaxVariants - 1. A clearly
   // dominated candidate never runs; a near-tie is exactly where the model's
   // ranking is least trustworthy and a measurement can flip the choice.
   const double cutoff =
-      sweep.predicted_s[sweep.best] * (1.0 + config_.explore_slack);
+      sweep.predicted_s[sweep.best] * (1.0 + TuneConfig::kExploreSlack);
   std::vector<std::size_t> order(e.grid.size());
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),
@@ -61,8 +53,8 @@ void ThresholdTuner::admit(const PlanKey& key, const ThresholdSweep& sweep) {
     e.explore_plan.push_back(e.grid[i]);
   }
 
-  index_.emplace(key, entries_.size());
-  entries_.push_back(std::move(e));
+  index_.emplace(key, state_.entries.size());
+  state_.entries.push_back(std::move(e));
 }
 
 ThresholdTuner::Variant& ThresholdTuner::variant(Entry& e, offset_t t) {
@@ -87,7 +79,7 @@ int ThresholdTuner::trials_at(const Entry& e, offset_t t) const {
 
 offset_t ThresholdTuner::next_explore_target(const Entry& e) const {
   for (const offset_t t : e.explore_plan) {
-    if (trials_at(e, t) < config_.min_trials) return t;
+    if (trials_at(e, t) < TuneConfig::kMinTrials) return t;
   }
   return 0;
 }
@@ -96,9 +88,9 @@ ThresholdTuner::Decision ThresholdTuner::decide(const PlanKey& key) {
   Entry* e = find(key);
   HH_CHECK_MSG(e != nullptr, "tuner decide() on an unadmitted key");
   e->hits++;
-  decisions_++;
+  state_.decisions++;
   Decision d{e->incumbent_t, false};
-  if (e->converged || e->hits <= config_.warmup_hits) return d;
+  if (e->converged || e->hits <= TuneConfig::kWarmupHits) return d;
   const offset_t target = next_explore_target(*e);
   if (target == 0) {
     // Every planned variant is measured: the incumbent is the measured best
@@ -107,9 +99,9 @@ ThresholdTuner::Decision ThresholdTuner::decide(const PlanKey& key) {
     e->converged = true;
     return d;
   }
-  if (rng_.uniform() < config_.epsilon) {
+  if (rng_.uniform() < TuneConfig::kEpsilon) {
     e->explorations++;
-    explorations_++;
+    state_.explorations++;
     d.t = target;
     d.explore = true;
   }
@@ -120,7 +112,7 @@ std::optional<ThresholdTuner::PromotionEvent> ThresholdTuner::observe(
     const PlanKey& key, offset_t t, double measured_s) {
   Entry* e = find(key);
   HH_CHECK_MSG(e != nullptr, "tuner observe() on an unadmitted key");
-  measurements_++;
+  state_.measurements++;
   Variant& v = variant(*e, t);
   v.trials++;
   if (measured_s < v.best_s) v.best_s = measured_s;
@@ -135,10 +127,12 @@ std::optional<ThresholdTuner::PromotionEvent> ThresholdTuner::observe(
   if (inc == nullptr || inc->trials < 1) return std::nullopt;
   const Variant* best = inc;
   for (const Variant& c : e->variants) {
-    if (c.trials >= config_.min_trials && c.best_s < best->best_s) best = &c;
+    if (c.trials >= TuneConfig::kMinTrials && c.best_s < best->best_s) {
+      best = &c;
+    }
   }
   if (best->t == e->incumbent_t ||
-      best->best_s >= inc->best_s * (1.0 - config_.promote_margin)) {
+      best->best_s >= inc->best_s * (1.0 - TuneConfig::kPromoteMargin)) {
     return std::nullopt;
   }
   PromotionEvent ev;
@@ -149,7 +143,7 @@ std::optional<ThresholdTuner::PromotionEvent> ThresholdTuner::observe(
   e->incumbent_t = best->t;
   e->version++;
   e->promotions++;
-  promotions_++;
+  state_.promotions++;
   ev.version = e->version;
   return ev;
 }
@@ -161,102 +155,23 @@ offset_t ThresholdTuner::incumbent(const PlanKey& key) const {
 
 std::size_t ThresholdTuner::converged() const {
   std::size_t n = 0;
-  for (const Entry& e : entries_) n += e.converged ? 1 : 0;
+  for (const Entry& e : state_.entries) n += e.converged ? 1 : 0;
   return n;
 }
 
 TunerSnapshot ThresholdTuner::snapshot() const {
-  TunerSnapshot snap;
-  snap.entries.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    TunerSnapshot::Entry se;
-    se.key = e.key;
-    se.grid = e.grid;
-    se.predicted_s = e.predicted_s;
-    se.explore_plan = e.explore_plan;
-    se.variants.reserve(e.variants.size());
-    for (const Variant& v : e.variants) {
-      se.variants.push_back({v.t, v.trials, v.best_s, v.predicted_s});
-    }
-    se.analytic_t = e.analytic_t;
-    se.incumbent_t = e.incumbent_t;
-    se.version = e.version;
-    se.hits = e.hits;
-    se.explorations = e.explorations;
-    se.promotions = e.promotions;
-    se.converged = e.converged;
-    snap.entries.push_back(std::move(se));
-  }
+  TunerSnapshot snap = state_;
   snap.rng_state = rng_.state();
-  snap.decisions = decisions_;
-  snap.explorations = explorations_;
-  snap.measurements = measurements_;
-  snap.promotions = promotions_;
   return snap;
 }
 
 void ThresholdTuner::restore(const TunerSnapshot& snap) {
-  entries_.clear();
-  index_.clear();
-  entries_.reserve(snap.entries.size());
-  for (const TunerSnapshot::Entry& se : snap.entries) {
-    Entry e;
-    e.key = se.key;
-    e.grid = se.grid;
-    e.predicted_s = se.predicted_s;
-    e.explore_plan = se.explore_plan;
-    e.variants.reserve(se.variants.size());
-    for (const TunerSnapshot::Variant& v : se.variants) {
-      Variant nv;
-      nv.t = v.t;
-      nv.trials = v.trials;
-      nv.best_s = v.best_s;
-      nv.predicted_s = v.predicted_s;
-      e.variants.push_back(nv);
-    }
-    e.analytic_t = se.analytic_t;
-    e.incumbent_t = se.incumbent_t;
-    e.version = se.version;
-    e.hits = se.hits;
-    e.explorations = se.explorations;
-    e.promotions = se.promotions;
-    e.converged = se.converged;
-    index_.emplace(e.key, entries_.size());
-    entries_.push_back(std::move(e));
-  }
+  state_ = snap;
   rng_.set_state(snap.rng_state);
-  decisions_ = snap.decisions;
-  explorations_ = snap.explorations;
-  measurements_ = snap.measurements;
-  promotions_ = snap.promotions;
-}
-
-TuneReport ThresholdTuner::report() const {
-  TuneReport r;
-  r.decisions = decisions_;
-  r.explorations = explorations_;
-  r.measurements = measurements_;
-  r.promotions = promotions_;
-  r.entries_converged = converged();
-  r.entries.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    TuneEntryReport er;
-    er.key = to_string(e.key.a) + " x " + to_string(e.key.b);
-    er.analytic_t = e.analytic_t;
-    er.incumbent_t = e.incumbent_t;
-    er.version = e.version;
-    er.hits = e.hits;
-    er.explorations = e.explorations;
-    er.promotions = e.promotions;
-    er.converged = e.converged;
-    er.variants.reserve(e.variants.size());
-    for (const Variant& v : e.variants) {
-      er.variants.push_back({v.t, v.trials,
-                             v.trials > 0 ? v.best_s : 0.0, v.predicted_s});
-    }
-    r.entries.push_back(std::move(er));
+  index_.clear();
+  for (std::size_t i = 0; i < state_.entries.size(); ++i) {
+    index_.emplace(state_.entries[i].key, i);
   }
-  return r;
 }
 
 }  // namespace hh

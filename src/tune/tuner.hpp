@@ -10,16 +10,17 @@
 //  - on admission (the signature pair's first request) the tuner keeps the
 //    whole analytic sweep — grid plus corrected predictions — and plans a
 //    small exploration list: the candidates whose predicted total is within
-//    `explore_slack` of the predicted best, cheapest-predicted first, capped
+//    `kExploreSlack` of the predicted best, cheapest-predicted first, capped
 //    at `kMaxVariants`. Only near-ties are worth measuring; clearly-bad
 //    candidates are never run.
-//  - on a tunable cache hit the tuner either serves the incumbent
-//    (exploit) or, with probability epsilon, serves the next unmeasured
-//    explore candidate. Every candidate computes the same bit-exact product
-//    — only the simulated schedule differs — so exploration is always safe.
+//  - on a tunable cache hit past the first `kWarmupHits` the tuner either
+//    serves the incumbent (exploit) or, with probability `kEpsilon`, serves
+//    the next unmeasured explore candidate. Every candidate computes the
+//    same bit-exact product — only the simulated schedule differs — so
+//    exploration is always safe.
 //  - each clean completed request reports its measured total back; once a
-//    non-incumbent variant has `min_trials` measurements and beats the
-//    incumbent's best by `promote_margin`, it is promoted: the cached plan
+//    non-incumbent variant has `kMinTrials` measurements and beats the
+//    incumbent's best by `kPromoteMargin`, it is promoted: the cached plan
 //    is overwritten with the better threshold and its version is bumped.
 //  - when every planned variant is measured the entry converges and the
 //    tuner serves the best-measured threshold with zero further overhead.
@@ -41,8 +42,6 @@
 
 #include "core/threshold.hpp"
 #include "runtime/plan_cache.hpp"
-#include "tune/calibration.hpp"
-#include "tune/report.hpp"
 #include "util/prng.hpp"
 
 namespace hh {
@@ -51,54 +50,58 @@ struct TuneConfig {
   bool enabled = false;     // default off: the service behaves exactly as
                             // before this subsystem existed
   std::uint64_t seed = 0x7a11ULL;  // epsilon-greedy PRNG stream
-  double epsilon = 0.5;     // explore probability per eligible cache hit
-  int warmup_hits = 1;      // exploit-only hits before exploring a key
-  int min_trials = 3;       // measurements per variant before comparison.
-                            // > 1 matters: a variant's measured total
-                            // depends on where in the pipeline's steady
-                            // rhythm its request lands, so one trial can
-                            // catch a congested beat; the min over a few
-                            // trials recovers the variant's true cost
-  double promote_margin = 0.02;  // relative win required to promote
+  // The policy's fixed numbers (docs/tuning.md).
+  static constexpr double kEpsilon = 0.5;  // explore chance per eligible hit
+  static constexpr int kWarmupHits = 1;    // exploit-only hits per key first
+  // Measurements per variant before comparison. > 1 matters: a variant's
+  // measured total depends on where in the pipeline's steady rhythm its
+  // request lands, so one trial can catch a congested beat; the min over a
+  // few trials recovers the variant's true cost.
+  static constexpr int kMinTrials = 3;
+  static constexpr double kPromoteMargin = 0.02;  // relative win to promote
   // Incumbent + at most this-1 explored candidates per key.
   static constexpr int kMaxVariants = 4;
-  double explore_slack = 0.25;   // candidate eligible when its corrected
-                                 // predicted total <= (1+slack) * best
-  CalibrationConfig calibration;
+  // A candidate is explored when its corrected predicted total is within
+  // (1 + kExploreSlack) of the best.
+  static constexpr double kExploreSlack = 0.25;
 };
 
-/// Complete copyable tuner state, for shard snapshot/rehydration
-/// (src/shard/snapshot.hpp). Includes the epsilon-greedy PRNG state: a
-/// restored tuner continues the exact decision stream the snapshotted one
-/// would have produced, which is what makes same-seed group replay
-/// byte-identical across a kill/restart. Entries may be filtered before
-/// restore (e.g. dropping keys under plan-cache quarantine).
+/// The tuner's complete state: the live tuner runs on it, a shard snapshot
+/// (src/shard/snapshot.hpp) copies it, and TuneReport renders it. A
+/// snapshot also carries the epsilon-greedy PRNG state: a restored tuner
+/// continues the exact decision stream the snapshotted one would have
+/// produced, which is what makes same-seed group replay byte-identical
+/// across a kill/restart. Entries may be filtered before restore (e.g.
+/// dropping keys under plan-cache quarantine).
 struct TunerSnapshot {
+  /// One measured threshold variant of a tuned signature pair.
   struct Variant {
     offset_t t = 0;
-    int trials = 0;
-    double best_s = 0;
-    double predicted_s = 0;
+    int trials = 0;  // completed measurements
+    // Best measured total (min over trials).
+    double best_s = std::numeric_limits<double>::infinity();
+    double predicted_s = 0;  // corrected prediction when the entry was made
   };
+  /// One tuned signature pair.
   struct Entry {
     PlanKey key;
     std::vector<offset_t> grid;
-    std::vector<double> predicted_s;
-    std::vector<offset_t> explore_plan;
-    std::vector<Variant> variants;
-    offset_t analytic_t = 0;
-    offset_t incumbent_t = 0;
-    std::uint32_t version = 0;
-    int hits = 0;
+    std::vector<double> predicted_s;     // corrected, frozen at admit time
+    std::vector<offset_t> explore_plan;  // predicted-ascending near-ties
+    std::vector<Variant> variants;       // first-measured order
+    offset_t analytic_t = 0;    // the analytic pick the entry started from
+    offset_t incumbent_t = 0;   // current choice served on cache hits
+    std::uint32_t version = 0;  // bumped on every promotion
+    int hits = 0;               // tunable cache hits seen
     int explorations = 0;
     int promotions = 0;
-    bool converged = false;
+    bool converged = false;  // every planned variant measured; exploring ended
   };
   std::vector<Entry> entries;  // first-seen order
-  std::array<std::uint64_t, 4> rng_state{};
-  std::int64_t decisions = 0;
-  std::int64_t explorations = 0;
-  std::int64_t measurements = 0;
+  std::array<std::uint64_t, 4> rng_state{};  // filled by snapshot() only
+  std::int64_t decisions = 0;     // tunable cache hits routed to the tuner
+  std::int64_t explorations = 0;  // requests served a non-incumbent variant
+  std::int64_t measurements = 0;  // clean totals ingested
   std::int64_t promotions = 0;
 };
 
@@ -118,8 +121,6 @@ class ThresholdTuner {
   };
 
   explicit ThresholdTuner(TuneConfig config = {});
-
-  const TuneConfig& config() const { return config_; }
 
   /// Create the entry for a signature pair from its analytic sweep (no-op
   /// if present). Called on the pair's cache miss, where the sweep was just
@@ -143,60 +144,29 @@ class ThresholdTuner {
   /// Current incumbent threshold for the key (0 when absent).
   offset_t incumbent(const PlanKey& key) const;
 
-  std::size_t entries() const { return entries_.size(); }
+  std::size_t entries() const { return state_.entries.size(); }
   std::size_t converged() const;
-  std::int64_t decisions() const { return decisions_; }
-  std::int64_t explorations() const { return explorations_; }
-  std::int64_t measurements() const { return measurements_; }
-  std::int64_t promotions() const { return promotions_; }
+  std::int64_t measurements() const { return state_.measurements; }
+  std::int64_t promotions() const { return state_.promotions; }
 
-  /// Tuner-side report (entries in first-seen order). The service fills in
-  /// `enabled`, `drift_events` and the calibration section.
-  TuneReport report() const;
-
-  /// Copy-out / copy-in of the mutable state, PRNG included (config is NOT
-  /// part of the snapshot — the restoring tuner keeps its own).
+  /// Copy-out / copy-in of the state, PRNG included.
   TunerSnapshot snapshot() const;
   void restore(const TunerSnapshot& snap);
 
  private:
-  struct Variant {
-    offset_t t = 0;
-    int trials = 0;
-    double best_s = std::numeric_limits<double>::infinity();
-    double predicted_s = 0;
-  };
-
-  struct Entry {
-    PlanKey key;
-    std::vector<offset_t> grid;
-    std::vector<double> predicted_s;     // corrected, frozen at admit time
-    std::vector<offset_t> explore_plan;  // predicted-ascending near-ties
-    std::vector<Variant> variants;       // first-measured order
-    offset_t analytic_t = 0;
-    offset_t incumbent_t = 0;
-    std::uint32_t version = 0;
-    int hits = 0;
-    int explorations = 0;
-    int promotions = 0;
-    bool converged = false;
-  };
+  using Entry = TunerSnapshot::Entry;
+  using Variant = TunerSnapshot::Variant;
 
   Entry* find(const PlanKey& key);
   const Entry* find(const PlanKey& key) const;
   Variant& variant(Entry& e, offset_t t);
   int trials_at(const Entry& e, offset_t t) const;
-  /// First explore_plan threshold still short of min_trials; 0 when none.
+  /// First explore_plan threshold still short of kMinTrials; 0 when none.
   offset_t next_explore_target(const Entry& e) const;
 
-  TuneConfig config_;
   Xoshiro256 rng_;
-  std::vector<Entry> entries_;  // stable first-seen order for reporting
+  TunerSnapshot state_;  // rng_state unused: rng_ is the live stream
   std::unordered_map<PlanKey, std::size_t, PlanKeyHash> index_;
-  std::int64_t decisions_ = 0;
-  std::int64_t explorations_ = 0;
-  std::int64_t measurements_ = 0;
-  std::int64_t promotions_ = 0;
 };
 
 }  // namespace hh

@@ -123,6 +123,17 @@ TEST(MmIo, RejectsEntryCountExceedingCells) {
       "1 1 1\n1 2 1\n2 1 1\n2 2 1\n1 1 2\n");
 }
 
+TEST(MmIo, RejectsHugeClaimedEntryCountOverTruncatedBody) {
+  // The size line is untrusted: a claim of 4e18 entries over a one-entry
+  // body must fail as truncated, not size memory from the header.
+  expect_parse_error(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2147483647 2147483647 4000000000000000000\n1 1 1.0\n");
+  expect_parse_error(
+      "%%MatrixMarket matrix coordinate real symmetric\n"
+      "2147483647 2147483647 4000000000000000000\n1 1 1.0\n");
+}
+
 TEST(MmIo, RejectsNonNumericEntryTokens) {
   // operator>> would otherwise leave r=c=0 and "accept" an out-of-range 0 0.
   expect_parse_error(

@@ -126,13 +126,12 @@ TEST(WorkloadLog, TamperingIsDetected) {
 }
 
 TEST(WorkloadRecorder, RingRotationKeepsChainVerifiable) {
-  WorkloadRecorder::Config cfg;
-  cfg.max_records = 4;
-  WorkloadRecorder rec(cfg);
-  for (std::size_t i = 0; i < 10; ++i) rec.append(sample_record(i));
+  constexpr std::size_t kMax = WorkloadRecorder::kMaxRecords;
+  WorkloadRecorder rec;
+  for (std::size_t i = 0; i < kMax + 6; ++i) rec.append(sample_record(i));
 
-  EXPECT_EQ(rec.size(), 4u);
-  EXPECT_EQ(rec.total_appended(), 10u);
+  EXPECT_EQ(rec.size(), kMax);
+  EXPECT_EQ(rec.total_appended(), kMax + 6);
   EXPECT_EQ(rec.rotations(), 6u);
   EXPECT_EQ(rec.records().front().id, 6u);  // oldest retained
 
@@ -141,9 +140,9 @@ TEST(WorkloadRecorder, RingRotationKeepsChainVerifiable) {
   const WorkloadLog log = rec.log();
   EXPECT_EQ(log.rotations, 6u);
   const WorkloadLog back = parse_workload_log(log.to_jsonl());
-  ASSERT_EQ(back.records.size(), 4u);
+  ASSERT_EQ(back.records.size(), kMax);
   EXPECT_EQ(back.records.front().id, 6u);
-  EXPECT_EQ(back.records.back().id, 9u);
+  EXPECT_EQ(back.records.back().id, kMax + 5);
 }
 
 TEST(WorkloadRecorder, FirstRotationLandsExactlyOnTheHeaderSeed) {
@@ -152,33 +151,16 @@ TEST(WorkloadRecorder, FirstRotationLandsExactlyOnTheHeaderSeed) {
   // the new seed must be that record's *checksum* (not the old seed, and
   // not the second record's checksum — either off-by-one would break the
   // retained suffix).
-  WorkloadRecorder::Config cfg;
-  cfg.max_records = 3;
-  WorkloadRecorder rec(cfg);
-  for (std::size_t i = 0; i < 4; ++i) rec.append(sample_record(i));
+  constexpr std::size_t kMax = WorkloadRecorder::kMaxRecords;
+  WorkloadRecorder rec;
+  for (std::size_t i = 0; i < kMax; ++i) rec.append(sample_record(i));
+  EXPECT_EQ(rec.rotations(), 0u);
+  rec.append(sample_record(kMax));
   EXPECT_EQ(rec.rotations(), 1u);
   EXPECT_EQ(rec.records().front().id, 1u);
   const WorkloadLog back = parse_workload_log(rec.log().to_jsonl());
-  ASSERT_EQ(back.records.size(), 3u);
+  ASSERT_EQ(back.records.size(), kMax);
   EXPECT_EQ(back.records.front().id, 1u);
-}
-
-TEST(WorkloadRecorder, SingleSlotRingRotatesOnEveryAppend) {
-  // max_records == 1 is the extreme boundary: every append past the first
-  // is a rotation, and the retained single record must always verify
-  // against the freshly re-seeded chain.
-  WorkloadRecorder::Config cfg;
-  cfg.max_records = 1;
-  WorkloadRecorder rec(cfg);
-  for (std::size_t i = 0; i < 7; ++i) {
-    rec.append(sample_record(i));
-    ASSERT_EQ(rec.size(), 1u);
-    const WorkloadLog back = parse_workload_log(rec.log().to_jsonl());
-    ASSERT_EQ(back.records.size(), 1u);
-    EXPECT_EQ(back.records.front().id, i);
-  }
-  EXPECT_EQ(rec.total_appended(), 7u);
-  EXPECT_EQ(rec.rotations(), 6u);  // total appended minus the one retained
 }
 
 TEST(WorkloadRecorder, ClockAccumulatesAcrossDrains) {

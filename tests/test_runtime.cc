@@ -546,33 +546,47 @@ TEST_F(ServiceTest, WaveRefcountEvictionFiresWithoutStickyResidency) {
 }
 
 TEST_F(ServiceTest, WaveDisabledRunsOneRequestPerWave) {
-  // A disabled wave executor is the one-request wave: the same schedule and
-  // the same reports as max_requests == 1, whatever the other caps say.
-  SpgemmService::Config single;
-  single.wave.enabled = true;
-  single.wave.max_requests = 1;
-  SpgemmService::Config off;
-  off.wave.max_requests = 3;
-  SpgemmService waved(plat_, pool_, single);
-  SpgemmService plain(plat_, pool_, off);
-  for (SpgemmService* s : {&waved, &plain}) {
-    s->submit({&wiki_, nullptr, {}, "a"});
-    s->submit({&enron_, nullptr, {}, "b"});
-    s->submit({&wiki_, nullptr, {}, "c"});
-  }
-  const BatchResult w = waved.drain();
+  // A disabled wave executor is the one-request wave: no request shares an
+  // upload or a launch, even when consecutive requests share an operand.
+  SpgemmService plain(plat_, pool_);
+  plain.submit({&wiki_, nullptr, {}, "a"});
+  plain.submit({&enron_, nullptr, {}, "b"});
+  plain.submit({&wiki_, nullptr, {}, "c"});
+  plain.submit({&wiki_, nullptr, {}, "d"});
   const BatchResult p = plain.drain();
   EXPECT_FALSE(p.batch.wave_enabled);
-  EXPECT_EQ(p.batch.wave.waves, 3);
+  EXPECT_EQ(p.batch.wave.waves, 4);
+  EXPECT_EQ(p.batch.wave.wave_requests, 4);
   EXPECT_EQ(p.batch.wave.coalesced_uploads, 0);
   EXPECT_EQ(p.batch.wave.deduped_uploads, 0);
-  EXPECT_EQ(w.batch.to_json(), p.batch.to_json());
-  EXPECT_EQ(w.batch.to_string(), p.batch.to_string());
-  ASSERT_EQ(w.requests.size(), p.requests.size());
-  for (std::size_t i = 0; i < w.requests.size(); ++i) {
-    EXPECT_EQ(w.requests[i].to_json(), p.requests[i].to_json());
-    expect_bit_identical(p.results[i].c, w.results[i].c,
-                         "single-wave " + std::to_string(i));
+  EXPECT_EQ(p.batch.wave.batched_launches, 0);
+  for (std::size_t i = 0; i < p.results.size(); ++i) {
+    const CsrMatrix& m = i == 1 ? enron_ : wiki_;
+    expect_bit_identical(run_hh_cpu(m, m, {}, plat_, pool_).c, p.results[i].c,
+                         "one-request wave " + std::to_string(i));
+  }
+}
+
+TEST_F(ServiceTest, WaveRequestCapIsStrict) {
+  // kMaxRequests requests sharing one operand fill a wave; the next one
+  // opens a second wave even though it adds no operand.
+  constexpr std::size_t kCap = WaveConfig::kMaxRequests;
+  SpgemmService::Config cfg;
+  cfg.wave.enabled = true;
+  SpgemmService service(plat_, pool_, cfg);
+  for (std::size_t i = 0; i <= kCap; ++i) {
+    service.submit({&wiki_, nullptr, {}, ""});
+  }
+  const BatchResult r = service.drain();
+  EXPECT_TRUE(r.batch.wave_enabled);
+  EXPECT_EQ(r.batch.wave.waves, 2);
+  EXPECT_EQ(r.batch.wave.wave_requests, static_cast<std::int64_t>(kCap + 1));
+  EXPECT_EQ(r.batch.wave.uploads, 1);  // resident after the first wave
+  EXPECT_EQ(r.batch.wave.deduped_uploads,
+            static_cast<std::int64_t>(kCap - 1));
+  const CsrMatrix want = run_hh_cpu(wiki_, wiki_, {}, plat_, pool_).c;
+  for (std::size_t i = 0; i < r.results.size(); ++i) {
+    expect_bit_identical(want, r.results[i].c, "capped " + std::to_string(i));
   }
 }
 

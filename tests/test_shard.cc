@@ -89,6 +89,8 @@ std::uint64_t ring_hash(const CsrMatrix& m) {
   return splitmix64(st);
 }
 
+constexpr int kVnodes = ShardedSpgemmService::kVirtualNodes;
+
 class ShardGroupTest : public testing::Test {
  protected:
   ShardGroupTest()
@@ -191,7 +193,7 @@ TEST_F(ShardGroupTest, KillMidBatchFailsOverWithZeroLossThenRehydrates) {
   cfg.restart_after_rounds = 2;
   // Kill A's owner shard in round 2 — after that round's submissions, so
   // its in-flight requests genuinely fail over.
-  const HashRing ring(cfg.shards, cfg.virtual_nodes, cfg.seed);
+  const HashRing ring(cfg.shards, kVnodes, cfg.seed);
   const std::size_t victim = ring.owner(ring_hash(a_));
   cfg.shard_faults.trigger_ops = {1 * cfg.shards + victim};
   ShardedSpgemmService group(plat_, pool_, cfg);
@@ -266,7 +268,7 @@ TEST_F(ShardGroupTest, TamperedSnapshotIsRejectedAndTheShardColdStarts) {
   cfg.round_quantum = 8;
   cfg.seed = 0xfeedULL;
   cfg.restart_after_rounds = 2;
-  const HashRing ring(cfg.shards, cfg.virtual_nodes, cfg.seed);
+  const HashRing ring(cfg.shards, kVnodes, cfg.seed);
   const std::size_t victim = ring.owner(ring_hash(a_));
   cfg.shard_faults.trigger_ops = {1 * cfg.shards + victim};
   ShardedSpgemmService group(plat_, pool_, cfg);
@@ -301,13 +303,13 @@ TEST_F(ShardGroupTest, TamperedSnapshotIsRejectedAndTheShardColdStarts) {
 }
 
 TEST_F(ShardGroupTest, BreakerOpensProbesHalfOpenAndSpillsWhileOpen) {
+  // The walk below is written for these health constants.
+  static_assert(ShardedSpgemmService::kConsecutiveFailures == 3);
+  static_assert(ShardedSpgemmService::kOpenRounds == 2);
+  static_assert(ShardedSpgemmService::kHalfOpenProbes == 1);
   ShardedSpgemmService::Config cfg;
   cfg.shards = 2;
   cfg.round_quantum = 4;
-  cfg.health.consecutive_failures = 3;
-  cfg.health.deadline_misses = 8;
-  cfg.health.open_rounds = 1;
-  cfg.health.half_open_probes = 1;
   ShardedSpgemmService group(plat_, pool_, cfg);
   const std::size_t owner = group.ring().owner(ring_hash(a_));
   const std::size_t other = 1 - owner;
@@ -321,50 +323,71 @@ TEST_F(ShardGroupTest, BreakerOpensProbesHalfOpenAndSpillsWhileOpen) {
   EXPECT_EQ(tripped.group.shard_reports[owner].breaker_opens, 1u);
   EXPECT_EQ(tripped.group.shard_reports[owner].breaker, "open");
 
-  // Rounds 2-3: after open_rounds the breaker half-opens; one probe goes
-  // through (the rest of the quantum defers — no spill while probing), the
-  // clean probe closes the breaker and the backlog drains at full quantum.
-  for (int i = 0; i < 5; ++i) group.submit(req(a_));
+  // Round 2: the breaker is still open, so one quantum of A's traffic spills
+  // to the ring successor and the rest defers. Round 3: two rounds after
+  // the trip it half-opens; one probe goes through (the rest defers — no
+  // spill while probing), and the clean probe closes the breaker. Round 4:
+  // the backlog drains at full quantum on the owner.
+  for (int i = 0; i < 9; ++i) group.submit(req(a_));
   const GroupResult recovered = group.drain();
-  EXPECT_EQ(recovered.group.completed, 5u);
-  EXPECT_EQ(recovered.group.rounds, 2u);
-  EXPECT_EQ(recovered.group.deferrals, 4u);
-  EXPECT_EQ(recovered.group.shard_reports[other].assigned, 0u);
+  EXPECT_EQ(recovered.group.completed, 9u);
+  EXPECT_EQ(recovered.group.rounds, 3u);
+  EXPECT_EQ(recovered.group.deferrals, 9u);  // 5 behind the spill, 4 behind
+                                             // the probe
+  EXPECT_EQ(recovered.group.shard_reports[other].assigned, 4u);
+  EXPECT_EQ(recovered.group.shard_reports[owner].assigned, 5u);
   EXPECT_EQ(group.breaker_state(owner), BreakerState::kClosed);
   EXPECT_EQ(group.metrics().counter("shard.breaker_half_opens").value(), 1);
   EXPECT_EQ(group.metrics().counter("shard.breaker_closes").value(), 1);
-  for (std::size_t i = 0; i < 5; ++i) {
+  for (std::size_t i = 0; i < 9; ++i) {
     expect_bit_identical(reference(a_), recovered.results[i].c,
                          "recovered " + std::to_string(i));
   }
 
-  // Round 4: trip it again...
+  // Round 5: trip it again...
   for (int i = 0; i < 3; ++i) group.submit(req(a_, 1e-12));
   group.drain();
   ASSERT_EQ(group.breaker_state(owner), BreakerState::kOpen);
 
-  // Rounds 5-7: ...and fail the first probe. The breaker re-opens (one more
-  // health-driven open on the owner), with open_rounds=1 the next round
-  // probes again, the clean probe closes it, and the backlog follows.
+  // Rounds 6-8: ...and fail the first probe. Round 6 spills a quantum while
+  // the breaker is open; round 7 half-opens and the probe misses its
+  // deadline, so the breaker re-opens (one more health-driven open on the
+  // owner) and the two requests behind it spill in round 8.
+  for (int i = 0; i < 4; ++i) group.submit(req(a_));
   group.submit(req(a_, 1e-12));  // the probe: misses its deadline
   group.submit(req(a_));
   group.submit(req(a_));
   const GroupResult reprobed = group.drain();
   EXPECT_EQ(reprobed.group.rounds, 3u);
-  EXPECT_EQ(group.breaker_state(owner), BreakerState::kClosed);
+  EXPECT_EQ(group.breaker_state(owner), BreakerState::kOpen);
   EXPECT_EQ(reprobed.group.shard_reports[owner].breaker_opens, 1u);
-  EXPECT_EQ(reprobed.group.deferrals, 3u);  // 2 behind probe 1, 1 behind 2
-  EXPECT_EQ(reprobed.group.completed, 2u);
-  expect_bit_identical(reference(a_), reprobed.results[1].c, "reprobe 1");
-  expect_bit_identical(reference(a_), reprobed.results[2].c, "reprobe 2");
+  EXPECT_EQ(reprobed.group.shard_reports[owner].assigned, 1u);
+  EXPECT_EQ(reprobed.group.shard_reports[other].assigned, 6u);
+  EXPECT_EQ(reprobed.group.deferrals, 5u);  // 3 behind the spill, 2 behind
+                                            // the probe
+  EXPECT_EQ(reprobed.group.completed, 6u);
+  EXPECT_EQ(reprobed.group.deadline_missed, 1u);
+  EXPECT_TRUE(reprobed.requests[4].deadline_missed);
+  for (const std::size_t i : {0, 1, 2, 3, 5, 6}) {
+    expect_bit_identical(reference(a_), reprobed.results[i].c,
+                         "reprobe " + std::to_string(i));
+  }
+
+  // Round 9: the next probe is clean and closes the breaker.
+  group.submit(req(a_));
+  const GroupResult closed = group.drain();
+  EXPECT_EQ(closed.group.rounds, 1u);
+  EXPECT_EQ(closed.group.shard_reports[owner].assigned, 1u);
+  EXPECT_EQ(group.breaker_state(owner), BreakerState::kClosed);
+  EXPECT_EQ(group.metrics().counter("shard.breaker_half_opens").value(), 3);
+  EXPECT_EQ(group.metrics().counter("shard.breaker_closes").value(), 2);
+  expect_bit_identical(reference(a_), closed.results[0].c, "closed probe");
 }
 
 TEST_F(ShardGroupTest, OpenBreakerSpillsTrafficToTheRingSuccessor) {
   ShardedSpgemmService::Config cfg;
   cfg.shards = 2;
   cfg.round_quantum = 8;
-  cfg.health.consecutive_failures = 3;
-  cfg.health.open_rounds = 3;  // long cool-down: the spill round sees "open"
   ShardedSpgemmService group(plat_, pool_, cfg);
   const std::size_t owner = group.ring().owner(ring_hash(a_));
   const std::size_t other = 1 - owner;
@@ -391,7 +414,8 @@ TEST_F(ShardGroupTest, OpenBreakerSpillsTrafficToTheRingSuccessor) {
 // The quarantine ledger across a restart: a plan quarantined after the
 // snapshot was taken must not be resurrected by rehydration while its TTL
 // holds — even though the snapshot legitimately contains the re-learned
-// plan. Once the TTL expires, rehydration may serve it again.
+// plan. Once the TTL expires, rehydration may serve it again. The TTL is a
+// constant, so the scenario moves the restart instead.
 struct QuarantineProbe {
   bool rehydrated = false;
   std::int64_t hits = 0;
@@ -400,20 +424,21 @@ struct QuarantineProbe {
 
 class ShardQuarantineTest : public ShardGroupTest {
  protected:
-  QuarantineProbe run_scenario(std::uint64_t ttl_rounds) {
+  // The kill lands in round 3 and the victim restarts in round
+  // 3 + restart_after_rounds; rounds 5.. before it pass on filler drains.
+  QuarantineProbe run_scenario(int restart_after_rounds) {
     ShardedSpgemmService::Config cfg;
     cfg.shards = 3;
     cfg.round_quantum = 8;
     cfg.seed = 0xbeefULL;
-    cfg.restart_after_rounds = 2;
-    cfg.quarantine_ttl_rounds = ttl_rounds;
-    const HashRing ring(cfg.shards, cfg.virtual_nodes, cfg.seed);
+    cfg.restart_after_rounds = restart_after_rounds;
+    const HashRing ring(cfg.shards, kVnodes, cfg.seed);
     const std::size_t victim = ring.owner(ring_hash(a_));
     cfg.shard_faults.trigger_ops = {2 * cfg.shards + victim};  // round 3
     ShardedSpgemmService group(plat_, pool_, cfg);
 
     // Round 1: learn A's plan. Round 2: a deadline miss on a cache hit
-    // quarantines it (ledger entry expires at round 2 + ttl), then a clean
+    // quarantines it (ledger entry expires at round 2 + TTL), then a clean
     // request re-identifies and re-caches it — so the round-2 snapshot
     // contains the plan again.
     group.submit(req(a_));
@@ -431,11 +456,23 @@ class ShardQuarantineTest : public ShardGroupTest {
     EXPECT_EQ(killed.group.kills, 1u);
     EXPECT_EQ(killed.group.completed, 2u);
 
-    // Round 5: restart + rehydration, then one probe request of A.
+    // While the victim is down, A's traffic runs on the ring successor.
+    for (int r = 5; r < 3 + restart_after_rounds; ++r) {
+      group.submit(req(a_));
+      const GroupResult filler = group.drain();
+      EXPECT_EQ(filler.group.rounds, 1u);
+      EXPECT_FALSE(group.alive(victim));
+    }
+
+    // Round 3 + restart_after_rounds: restart + rehydration, then one probe
+    // request of A.
     group.submit(req(a_));
     const GroupResult back = group.drain();
+    EXPECT_EQ(group.rounds(),
+              static_cast<std::uint64_t>(3 + restart_after_rounds));
     EXPECT_EQ(back.group.restarts, 1u);
     EXPECT_EQ(back.group.completed, 1u);
+    EXPECT_EQ(back.group.shard_reports[victim].assigned, 1u);
     expect_bit_identical(reference(a_), back.results[0].c, "probe");
 
     QuarantineProbe probe;
@@ -449,19 +486,21 @@ class ShardQuarantineTest : public ShardGroupTest {
 };
 
 TEST_F(ShardQuarantineTest, LiveQuarantineBlocksRehydratedPlan) {
-  // TTL 10: the ledger entry (expires round 12) outlives the round-5
+  // The ledger entry (expires round 2 + TTL = 6) outlives a round-5
   // restart, so the plan is filtered out of rehydration and the probe must
   // re-identify.
-  const QuarantineProbe probe = run_scenario(10);
+  static_assert(ShardedSpgemmService::kQuarantineTtlRounds == 4);
+  const QuarantineProbe probe = run_scenario(2);
   EXPECT_TRUE(probe.rehydrated);  // everything else IS restored
   EXPECT_EQ(probe.hits, 0);
   EXPECT_EQ(probe.misses, 1);
 }
 
 TEST_F(ShardQuarantineTest, ExpiredQuarantineAllowsRehydratedPlan) {
-  // TTL 1: the entry expired at round 3, well before the round-5 restart —
-  // the re-learned plan is restored and the probe hits.
-  const QuarantineProbe probe = run_scenario(1);
+  // The entry expired after round 6, before a round-7 restart — the
+  // re-learned plan is restored and the probe hits.
+  static_assert(ShardedSpgemmService::kQuarantineTtlRounds == 4);
+  const QuarantineProbe probe = run_scenario(4);
   EXPECT_TRUE(probe.rehydrated);
   EXPECT_EQ(probe.hits, 1);
   EXPECT_EQ(probe.misses, 0);
@@ -471,12 +510,11 @@ TEST_F(ShardGroupTest, SameSeedReplayIsByteIdenticalThroughKillsAndTuning) {
   auto build = [&] {
     ShardedSpgemmService::Config cfg;
     cfg.shards = 3;
-    cfg.virtual_nodes = 8;
     cfg.round_quantum = 2;  // small quantum: A's backlog spans into round 2
     cfg.seed = 0x1234ULL;
     cfg.restart_after_rounds = 2;
     // Kill A's owner at round 2, while it still holds deferred A requests.
-    const HashRing ring(cfg.shards, cfg.virtual_nodes, cfg.seed);
+    const HashRing ring(cfg.shards, kVnodes, cfg.seed);
     cfg.shard_faults.trigger_ops = {1 * cfg.shards +
                                     ring.owner(ring_hash(a_))};
     cfg.shard.tune.enabled = true;
@@ -574,6 +612,24 @@ TEST_F(ShardGroupTest, SnapshotRoundTripsTunerAndPlanCacheState) {
   EXPECT_EQ(filtered.plan_cache().size(), service.plan_cache().size() - 1);
   EXPECT_FALSE(filtered.plan_cache().lookup(snap.plans[0].first).has_value());
 
+  // The calibration state and its corrections restore bit for bit.
+  for (int i = 0; i < CalibrationStore::kDevices; ++i) {
+    const auto d = static_cast<CalibrationStore::Device>(i);
+    const CalibrationSnapshot::DeviceState& want =
+        service.calibration().state(d);
+    const CalibrationSnapshot::DeviceState& got = fresh.calibration().state(d);
+    EXPECT_EQ(got.samples, want.samples) << i;
+    EXPECT_EQ(got.mean_log_ratio, want.mean_log_ratio) << i;
+    EXPECT_EQ(got.last_ratio, want.last_ratio) << i;
+    EXPECT_EQ(got.drift, want.drift) << i;
+    EXPECT_EQ(fresh.calibration().correction(d),
+              service.calibration().correction(d)) << i;
+  }
+  EXPECT_GE(service.calibration().state(CalibrationStore::Device::kCpu).samples,
+            CalibrationStore::kMinSamples);  // corrections are not identity
+  EXPECT_EQ(fresh.calibration().drift_events(),
+            service.calibration().drift_events());
+
   // Any field flip breaks the chained checksum.
   ShardSnapshot tampered = snap;
   tampered.plans[0].second.version ^= 1;
@@ -583,6 +639,15 @@ TEST_F(ShardGroupTest, SnapshotRoundTripsTunerAndPlanCacheState) {
   EXPECT_FALSE(tampered.valid());
   tampered = snap;
   tampered.round ^= 1;
+  EXPECT_FALSE(tampered.valid());
+  tampered = snap;
+  tampered.calibration.devices[1].mean_log_ratio += 1e-9;
+  EXPECT_FALSE(tampered.valid());
+  tampered = snap;
+  tampered.calibration.devices[3].drift ^= true;
+  EXPECT_FALSE(tampered.valid());
+  tampered = snap;
+  tampered.calibration.drift_events ^= 1;
   EXPECT_FALSE(tampered.valid());
 }
 

@@ -116,7 +116,7 @@ TEST(Threshold, PredictionsPositive) {
   const CsrMatrix m = make_dataset(dataset_spec("wiki-Vote"), 0.1);
   const HeteroPlatform plat;
   for (const offset_t t : threshold_candidates(m)) {
-    EXPECT_GT(predict_total_time(m, m, t, plat), 0.0);
+    EXPECT_GT(predict_breakdown(m, m, t, plat).total_s, 0.0);
   }
 }
 
@@ -125,7 +125,8 @@ TEST(Threshold, AnalyticPickIsArgminOfPrediction) {
   const HeteroPlatform plat;
   const ThresholdChoice choice = pick_threshold_analytic(m, m, plat);
   for (const offset_t t : threshold_candidates(m)) {
-    EXPECT_LE(choice.predicted_s, predict_total_time(m, m, t, plat) + 1e-12);
+    EXPECT_LE(choice.predicted_s,
+              predict_breakdown(m, m, t, plat).total_s + 1e-12);
   }
 }
 
@@ -161,7 +162,7 @@ TEST(Threshold, SweepMatchesPredictionsAndAnalyticPick) {
   ASSERT_LT(sweep.best, sweep.grid.size());
   for (std::size_t i = 0; i < sweep.grid.size(); ++i) {
     EXPECT_EQ(sweep.predicted_s[i],
-              predict_total_time(m, m, sweep.grid[i], plat));
+              predict_breakdown(m, m, sweep.grid[i], plat).total_s);
     EXPECT_LE(sweep.predicted_s[sweep.best], sweep.predicted_s[i]);
   }
   const ThresholdChoice analytic = pick_threshold_analytic(m, m, plat);
@@ -178,16 +179,16 @@ TEST(Threshold, IdentityCorrectionIsBitExact) {
   const CostCorrection identity;
   ASSERT_TRUE(identity.is_identity());
   for (const offset_t t : threshold_grid(m, m)) {
-    EXPECT_EQ(predict_total_time(m, m, t, plat),
-              predict_total_time(m, m, t, plat, identity));
+    EXPECT_EQ(predict_breakdown(m, m, t, plat).total_s,
+              predict_breakdown(m, m, t, plat, identity).total_s);
   }
   // A non-identity correction moves the prediction for the device it scales.
   CostCorrection slow_gpu;
   slow_gpu.gpu = 2.0;
   bool any_changed = false;
   for (const offset_t t : threshold_grid(m, m)) {
-    any_changed |= predict_total_time(m, m, t, plat, slow_gpu) !=
-                   predict_total_time(m, m, t, plat);
+    any_changed |= predict_breakdown(m, m, t, plat, slow_gpu).total_s !=
+                   predict_breakdown(m, m, t, plat).total_s;
   }
   EXPECT_TRUE(any_changed);
 }

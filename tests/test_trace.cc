@@ -353,9 +353,10 @@ TEST_F(TracedServiceTest, DeadlineCancellationsAreTraced) {
   rec.enable();
   SpgemmService::Config cfg;
   cfg.trace = &rec;
-  cfg.default_deadline_s = 1e-12;  // nothing can finish in a picosecond
   SpgemmService service(plat_, pool_, cfg);
-  service.submit({&wiki_, nullptr, {}, "doomed"});
+  SpgemmRequest doomed{&wiki_, nullptr, {}, "doomed"};
+  doomed.deadline_s = 1e-12;  // nothing can finish in a picosecond
+  service.submit(doomed);
   const BatchResult batch = service.drain();
   ASSERT_EQ(batch.batch.deadline_missed, 1u);
   EXPECT_EQ(count_events(rec, TraceCategory::kCancel), 1);

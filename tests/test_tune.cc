@@ -22,98 +22,117 @@ namespace {
 
 // ---------------------------------------------------------------- calibration
 
+using Device = CalibrationStore::Device;
+
 TEST(CalibrationStore, IdentityUntilMinSamples) {
-  CalibrationConfig cfg;
-  cfg.min_samples = 4;
-  CalibrationStore store(cfg);
-  for (int i = 0; i < 3; ++i) {
-    store.record(CalibrationStore::Device::kCpu, 1.0, 2.0);
-    EXPECT_EQ(store.correction(CalibrationStore::Device::kCpu), 1.0);
+  CalibrationStore store;
+  for (int i = 0; i < CalibrationStore::kMinSamples - 1; ++i) {
+    store.record(Device::kCpu, 1.0, 2.0);
+    EXPECT_EQ(store.correction(Device::kCpu), 1.0);
     EXPECT_TRUE(store.corrections().is_identity());
   }
-  store.record(CalibrationStore::Device::kCpu, 1.0, 2.0);
-  EXPECT_GT(store.correction(CalibrationStore::Device::kCpu), 1.0);
+  store.record(Device::kCpu, 1.0, 2.0);
+  EXPECT_GT(store.correction(Device::kCpu), 1.0);
   EXPECT_FALSE(store.corrections().is_identity());
 }
 
 TEST(CalibrationStore, EwmaWarmStartAndConvergence) {
-  CalibrationConfig cfg;
-  cfg.decay = 0.9;
-  cfg.min_samples = 1;
-  CalibrationStore store(cfg);
-  // First sample warm-starts the mean at its own log-ratio.
-  store.record(CalibrationStore::Device::kGpu, 1.0, 2.0);
-  EXPECT_NEAR(store.state(CalibrationStore::Device::kGpu).mean_log_ratio,
-              std::log(2.0), 1e-12);
+  CalibrationStore store;
+  // First sample warm-starts the mean at its own log-ratio; the next one
+  // blends in at weight 1 - kDecay.
+  store.record(Device::kGpu, 1.0, 2.0);
+  EXPECT_NEAR(store.state(Device::kGpu).mean_log_ratio, std::log(2.0), 1e-12);
+  store.record(Device::kGpu, 1.0, 3.0);
+  EXPECT_NEAR(store.state(Device::kGpu).mean_log_ratio,
+              CalibrationStore::kDecay * std::log(2.0) +
+                  (1.0 - CalibrationStore::kDecay) * std::log(3.0),
+              1e-12);
   // A long run of constant ratio converges the EWMA to that ratio.
   for (int i = 0; i < 200; ++i) {
-    store.record(CalibrationStore::Device::kGpu, 1.0, 3.0);
+    store.record(Device::kGpu, 1.0, 3.0);
   }
-  EXPECT_NEAR(store.correction(CalibrationStore::Device::kGpu), 3.0, 0.05);
+  EXPECT_NEAR(store.correction(Device::kGpu), 3.0, 0.05);
 }
 
-TEST(CalibrationStore, CorrectionClampedToConfiguredBand) {
-  CalibrationConfig cfg;
-  cfg.min_samples = 1;
-  cfg.max_correction = 4.0;
-  CalibrationStore store(cfg);
+TEST(CalibrationStore, CorrectionClampedToMaxCorrection) {
+  CalibrationStore store;
   for (int i = 0; i < 50; ++i) {
-    store.record(CalibrationStore::Device::kH2D, 1.0, 100.0);  // ratio 100
-    store.record(CalibrationStore::Device::kD2H, 100.0, 1.0);  // ratio 0.01
+    store.record(Device::kH2D, 1.0, 100.0);  // ratio 100
+    store.record(Device::kD2H, 100.0, 1.0);  // ratio 0.01
   }
-  EXPECT_EQ(store.correction(CalibrationStore::Device::kH2D), 4.0);
-  EXPECT_EQ(store.correction(CalibrationStore::Device::kD2H), 0.25);
+  EXPECT_EQ(store.correction(Device::kH2D), CalibrationStore::kMaxCorrection);
+  EXPECT_EQ(store.correction(Device::kD2H),
+            1.0 / CalibrationStore::kMaxCorrection);
 }
 
 TEST(CalibrationStore, NonPositivePairsIgnored) {
   CalibrationStore store;
-  EXPECT_FALSE(store.record(CalibrationStore::Device::kCpu, 0.0, 1.0));
-  EXPECT_FALSE(store.record(CalibrationStore::Device::kCpu, 1.0, 0.0));
-  EXPECT_FALSE(store.record(CalibrationStore::Device::kCpu, -1.0, 2.0));
-  EXPECT_EQ(store.total_samples(), 0);
-  EXPECT_EQ(store.state(CalibrationStore::Device::kCpu).samples, 0);
+  EXPECT_FALSE(store.record(Device::kCpu, 0.0, 1.0));
+  EXPECT_FALSE(store.record(Device::kCpu, 1.0, 0.0));
+  EXPECT_FALSE(store.record(Device::kCpu, -1.0, 2.0));
+  for (const CalibrationSnapshot::DeviceState& d : store.snapshot().devices) {
+    EXPECT_EQ(d.samples, 0);
+  }
 }
 
 TEST(CalibrationStore, DriftFlagsOnlyOnTransition) {
-  CalibrationConfig cfg;
-  cfg.min_samples = 2;
-  cfg.drift_threshold = 0.25;
-  cfg.decay = 0.5;  // fast EWMA so the test converges quickly
-  CalibrationStore store(cfg);
-  // Ratio 2.0: |log 2| = 0.69 > 0.25, so drift flags once min_samples hit.
-  EXPECT_FALSE(store.record(CalibrationStore::Device::kCpu, 1.0, 2.0));
-  const bool second = store.record(CalibrationStore::Device::kCpu, 1.0, 2.0);
-  EXPECT_TRUE(second);  // the false -> true transition
-  EXPECT_TRUE(store.state(CalibrationStore::Device::kCpu).drift);
+  CalibrationStore store;
+  const auto drifted_devices = [&] {
+    int n = 0;
+    for (const CalibrationSnapshot::DeviceState& d : store.snapshot().devices) {
+      n += d.drift ? 1 : 0;
+    }
+    return n;
+  };
+  // Ratio 2.0: |log 2| = 0.69 > kDriftThreshold, so drift flags once
+  // kMinSamples samples are in.
+  for (int i = 0; i < CalibrationStore::kMinSamples - 1; ++i) {
+    EXPECT_FALSE(store.record(Device::kCpu, 1.0, 2.0));
+  }
+  const bool last = store.record(Device::kCpu, 1.0, 2.0);
+  EXPECT_TRUE(last);  // the false -> true transition
+  EXPECT_TRUE(store.state(Device::kCpu).drift);
   EXPECT_EQ(store.drift_events(), 1);
-  EXPECT_EQ(store.drift_count(), 1);
+  EXPECT_EQ(drifted_devices(), 1);
   // Staying drifted is not a new event.
-  EXPECT_FALSE(store.record(CalibrationStore::Device::kCpu, 1.0, 2.0));
+  EXPECT_FALSE(store.record(Device::kCpu, 1.0, 2.0));
   EXPECT_EQ(store.drift_events(), 1);
   // Accurate samples walk the mean back inside the band: flag clears, and a
   // later excursion is a fresh event.
-  for (int i = 0; i < 20; ++i) {
-    store.record(CalibrationStore::Device::kCpu, 1.0, 1.0);
+  for (int i = 0; i < 40; ++i) {
+    store.record(Device::kCpu, 1.0, 1.0);
   }
-  EXPECT_FALSE(store.state(CalibrationStore::Device::kCpu).drift);
-  for (int i = 0; i < 20; ++i) {
-    store.record(CalibrationStore::Device::kCpu, 1.0, 2.0);
+  EXPECT_FALSE(store.state(Device::kCpu).drift);
+  for (int i = 0; i < 40; ++i) {
+    store.record(Device::kCpu, 1.0, 2.0);
   }
   EXPECT_EQ(store.drift_events(), 2);
 }
 
 TEST(CalibrationStore, JsonDeterministicAndNamed) {
-  CalibrationConfig cfg;
-  cfg.min_samples = 1;
-  CalibrationStore a(cfg), b(cfg);
+  CalibrationStore a, b;
   for (CalibrationStore* s : {&a, &b}) {
-    s->record(CalibrationStore::Device::kCpu, 1.0, 1.25);
-    s->record(CalibrationStore::Device::kGpu, 2.0, 1.0);
+    for (int i = 0; i < CalibrationStore::kMinSamples; ++i) {
+      s->record(Device::kCpu, 1.0, 1.25);
+      s->record(Device::kGpu, 2.0, 1.0);
+    }
   }
-  EXPECT_EQ(a.to_json(), b.to_json());
-  EXPECT_NO_THROW(parse_json(a.to_json())) << a.to_json();
-  EXPECT_NE(a.to_json().find("\"cpu\""), std::string::npos);
-  EXPECT_NE(a.to_json().find("\"d2h\""), std::string::npos);
+  const std::string ja = TuneReport{true, {}, a.snapshot()}.to_json();
+  const std::string jb = TuneReport{true, {}, b.snapshot()}.to_json();
+  EXPECT_EQ(ja, jb);
+  ASSERT_NO_THROW(parse_json(ja)) << ja;
+  const JsonValue doc = parse_json(ja);
+  const JsonValue& section = doc.at("calibration");
+  ASSERT_EQ(section.items().size(), 4u);
+  EXPECT_EQ(section.items().front().key(), "cpu");
+  EXPECT_EQ(section.items().back().key(), "d2h");
+  const JsonValue& cpu = section.at("cpu");
+  EXPECT_EQ(cpu.at("samples").as<std::int64_t>(),
+            CalibrationStore::kMinSamples);
+  EXPECT_EQ(cpu.at("correction").as<double>(), a.correction(Device::kCpu));
+  EXPECT_EQ(section.at("gpu").at("correction").as<double>(),
+            a.correction(Device::kGpu));
+  EXPECT_FALSE(section.at("h2d").at("drift").as<bool>());
 }
 
 // --------------------------------------------------------------------- tuner
@@ -153,17 +172,14 @@ TEST(ThresholdTuner, AdmitServesAnalyticPickAndIsIdempotent) {
 TEST(ThresholdTuner, ExplorePlanOnlyNearTies) {
   TuneConfig cfg;
   cfg.enabled = true;
-  cfg.explore_slack = 0.25;
-  cfg.epsilon = 1.0;  // always explore when a target exists
-  cfg.warmup_hits = 0;
-  cfg.min_trials = 1;
   ThresholdTuner tuner(cfg);
   const PlanKey key{fake_sig(100, 2), fake_sig(100, 2)};
-  // best = 1.0 at t=4; near-ties within 1.25x: t=6 (1.2). t=2 (2.0) and
-  // t=8 (1.3) are out (1.3 > 1.25).
+  // best = 1.0 at t=4; near-ties within 1 + kExploreSlack = 1.25x: t=6
+  // (1.2). t=2 (2.0) and t=8 (1.3) are out (1.3 > 1.25).
+  static_assert(TuneConfig::kExploreSlack == 0.25);
   tuner.admit(key, fake_sweep({2, 4, 6, 8}, {2.0, 1.0, 1.2, 1.3}));
   std::vector<offset_t> explored;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < 32; ++i) {
     const ThresholdTuner::Decision d = tuner.decide(key);
     if (d.explore) explored.push_back(d.t);
     tuner.observe(key, d.t, 1.0);
@@ -173,24 +189,23 @@ TEST(ThresholdTuner, ExplorePlanOnlyNearTies) {
 }
 
 TEST(ThresholdTuner, PromotionRequiresMarginAndMinTrials) {
-  TuneConfig cfg;
-  cfg.enabled = true;
-  cfg.epsilon = 1.0;
-  cfg.warmup_hits = 0;
-  cfg.min_trials = 2;
-  cfg.promote_margin = 0.05;
-  ThresholdTuner tuner(cfg);
+  ThresholdTuner tuner;
   const PlanKey key{fake_sig(100, 3), fake_sig(100, 3)};
   tuner.admit(key, fake_sweep({4, 6}, {1.0, 1.1}));
   EXPECT_EQ(tuner.incumbent(key), 4);
 
   // Incumbent measured once at 1.0.
   EXPECT_FALSE(tuner.observe(key, 4, 1.0).has_value());
-  // First trial of t=6 is much better, but min_trials = 2: no promotion yet.
+  // The first trial of t=6 is much better, but until t=6 has kMinTrials
+  // trials there is no promotion.
   EXPECT_FALSE(tuner.observe(key, 6, 0.80).has_value());
-  // Second trial is only marginally better than the incumbent: the variant's
-  // best (0.80) now clears margin with full trials -> promotion fires.
-  const auto promo = tuner.observe(key, 6, 0.97);
+  for (int i = 2; i < TuneConfig::kMinTrials; ++i) {
+    EXPECT_FALSE(tuner.observe(key, 6, 0.99).has_value());
+  }
+  // The last trial is only marginally better than the incumbent: the
+  // variant's best (0.80) now clears the margin with full trials ->
+  // promotion fires.
+  const auto promo = tuner.observe(key, 6, 0.99);
   ASSERT_TRUE(promo.has_value());
   EXPECT_EQ(promo->from_t, 4);
   EXPECT_EQ(promo->to_t, 6);
@@ -199,22 +214,24 @@ TEST(ThresholdTuner, PromotionRequiresMarginAndMinTrials) {
   EXPECT_EQ(tuner.incumbent(key), 6);
 
   // No ping-pong: the old incumbent cannot win back without beating the new
-  // best by the margin; an equal measurement does nothing.
-  EXPECT_FALSE(tuner.observe(key, 4, 0.80).has_value());
+  // best by the margin; equal measurements over full trials do nothing.
+  for (int i = 1; i < TuneConfig::kMinTrials; ++i) {
+    EXPECT_FALSE(tuner.observe(key, 4, 0.80).has_value());
+  }
   EXPECT_EQ(tuner.incumbent(key), 6);
 }
 
 TEST(ThresholdTuner, NoPromotionInsideMargin) {
-  TuneConfig cfg;
-  cfg.enabled = true;
-  cfg.min_trials = 1;
-  cfg.promote_margin = 0.05;
-  ThresholdTuner tuner(cfg);
+  ThresholdTuner tuner;
   const PlanKey key{fake_sig(100, 4), fake_sig(100, 4)};
   tuner.admit(key, fake_sweep({4, 6}, {1.0, 1.1}));
   tuner.observe(key, 4, 1.00);
-  // 2% better: inside the 5% margin, stays put (measurement noise guard).
-  EXPECT_FALSE(tuner.observe(key, 6, 0.98).has_value());
+  // Half the margin better, over full trials: inside kPromoteMargin, stays
+  // put (measurement noise guard).
+  const double inside = 1.0 - TuneConfig::kPromoteMargin / 2;
+  for (int i = 0; i < TuneConfig::kMinTrials; ++i) {
+    EXPECT_FALSE(tuner.observe(key, 6, inside).has_value());
+  }
   EXPECT_EQ(tuner.incumbent(key), 4);
   EXPECT_EQ(tuner.promotions(), 0);
 }
@@ -222,20 +239,17 @@ TEST(ThresholdTuner, NoPromotionInsideMargin) {
 TEST(ThresholdTuner, ConvergesWhenAllVariantsMeasured) {
   TuneConfig cfg;
   cfg.enabled = true;
-  cfg.epsilon = 1.0;
-  cfg.warmup_hits = 0;
-  cfg.min_trials = 1;
   ThresholdTuner tuner(cfg);
   const PlanKey key{fake_sig(100, 5), fake_sig(100, 5)};
   tuner.admit(key, fake_sweep({4, 6, 8}, {1.0, 1.05, 1.1}));
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 64; ++i) {
     const ThresholdTuner::Decision d = tuner.decide(key);
     tuner.observe(key, d.t, 1.0 + 0.01 * d.t);
   }
-  const TuneReport rep = tuner.report();
-  ASSERT_EQ(rep.entries.size(), 1u);
-  EXPECT_TRUE(rep.entries[0].converged);
-  EXPECT_EQ(rep.entries_converged, 1u);
+  const TunerSnapshot snap = tuner.snapshot();
+  ASSERT_EQ(snap.entries.size(), 1u);
+  EXPECT_TRUE(snap.entries[0].converged);
+  EXPECT_EQ(tuner.converged(), 1u);
   // A converged entry always exploits.
   for (int i = 0; i < 5; ++i) {
     EXPECT_FALSE(tuner.decide(key).explore);
@@ -245,8 +259,6 @@ TEST(ThresholdTuner, ConvergesWhenAllVariantsMeasured) {
 TEST(ThresholdTuner, DeterministicAcrossInstances) {
   TuneConfig cfg;
   cfg.enabled = true;
-  cfg.epsilon = 0.5;
-  cfg.warmup_hits = 0;
   ThresholdTuner t1(cfg), t2(cfg);
   const PlanKey key{fake_sig(100, 6), fake_sig(100, 6)};
   for (ThresholdTuner* t : {&t1, &t2}) {
@@ -260,8 +272,10 @@ TEST(ThresholdTuner, DeterministicAcrossInstances) {
     t1.observe(key, d1.t, 1.0 + 0.001 * i);
     t2.observe(key, d2.t, 1.0 + 0.001 * i);
   }
-  EXPECT_EQ(t1.report().to_json(), t2.report().to_json());
-  EXPECT_NO_THROW(parse_json(t1.report().to_json())) << t1.report().to_json();
+  const std::string j1 = TuneReport{true, t1.snapshot(), {}}.to_json();
+  EXPECT_EQ(j1, (TuneReport{true, t2.snapshot(), {}}.to_json()));
+  EXPECT_NO_THROW(parse_json(j1)) << j1;
+  EXPECT_EQ(t1.snapshot().rng_state, t2.snapshot().rng_state);
 }
 
 TEST(TuneReport, DisabledRendersAsDisabled) {
@@ -306,8 +320,8 @@ TEST(ServiceTuning, DisabledTunerChangesNothing) {
   EXPECT_EQ(r1.batch.to_json(), r2.batch.to_json());
   const TuneReport rep = plain.tune_report();
   EXPECT_FALSE(rep.enabled);
-  EXPECT_TRUE(rep.entries.empty());
-  EXPECT_EQ(rep.decisions, 0);
+  EXPECT_TRUE(rep.tuner.entries.empty());
+  EXPECT_EQ(rep.tuner.decisions, 0);
 }
 
 TEST(ServiceTuning, ConvergesToMeasuredBestWithinOneBatch) {
@@ -328,8 +342,8 @@ TEST(ServiceTuning, ConvergesToMeasuredBestWithinOneBatch) {
   ASSERT_EQ(batch.results.size(), static_cast<std::size_t>(kRequests));
 
   const TuneReport rep = service.tune_report();
-  ASSERT_EQ(rep.entries.size(), 1u);
-  const TuneEntryReport& e = rep.entries[0];
+  ASSERT_EQ(rep.tuner.entries.size(), 1u);
+  const TunerSnapshot::Entry& e = rep.tuner.entries[0];
   EXPECT_TRUE(e.converged);
   ASSERT_FALSE(e.variants.empty());
 
@@ -339,7 +353,7 @@ TEST(ServiceTuning, ConvergesToMeasuredBestWithinOneBatch) {
   offset_t best_t = 0;
   double analytic_best = std::numeric_limits<double>::infinity();
   double incumbent_best = std::numeric_limits<double>::infinity();
-  for (const TuneVariantReport& v : e.variants) {
+  for (const TunerSnapshot::Variant& v : e.variants) {
     if (v.best_s < best) {
       best = v.best_s;
       best_t = v.t;
@@ -350,16 +364,16 @@ TEST(ServiceTuning, ConvergesToMeasuredBestWithinOneBatch) {
   EXPECT_LE(incumbent_best, analytic_best);
   // Within the promotion margin, the incumbent IS the measured best (exact
   // argmin may sit inside the margin band of the incumbent).
-  EXPECT_LE(incumbent_best, best * (1 + cfg.tune.promote_margin));
+  EXPECT_LE(incumbent_best, best * (1 + TuneConfig::kPromoteMargin));
   (void)best_t;
 
   // On this instance the analytic pick is wrong and the tuner must have
   // found a measurably better threshold and promoted it.
-  EXPECT_GE(rep.promotions, 1);
+  EXPECT_GE(rep.tuner.promotions, 1);
   EXPECT_NE(e.incumbent_t, e.analytic_t);
   EXPECT_GE(e.version, 1u);
   EXPECT_EQ(service.metrics().counter("tune.promotions").value(),
-            rep.promotions);
+            rep.tuner.promotions);
 }
 
 TEST(ServiceTuning, SameSeedReplayIsByteIdentical) {
@@ -428,9 +442,9 @@ TEST(ServiceTuning, PinnedThresholdsBypassTheTuner) {
   }
   service.drain();
   const TuneReport rep = service.tune_report();
-  EXPECT_TRUE(rep.entries.empty());
-  EXPECT_EQ(rep.decisions, 0);
-  EXPECT_EQ(rep.measurements, 0);
+  EXPECT_TRUE(rep.tuner.entries.empty());
+  EXPECT_EQ(rep.tuner.decisions, 0);
+  EXPECT_EQ(rep.tuner.measurements, 0);
 }
 
 }  // namespace
