@@ -31,7 +31,7 @@ int main() {
     std::vector<index_t> rows(static_cast<std::size_t>(a.rows));
     for (index_t r = 0; r < a.rows; ++r) rows[r] = r;
     ProductStats stats;
-    partial_product_tuples(a, a, rows, {}, true, pool, &stats);
+    partial_product_runs(a, a, rows, {}, true, pool, &stats);
     std::printf("%10lld %16lld %16lld %14.3f\n", static_cast<long long>(cap),
                 static_cast<long long>(stats.flops_shared),
                 static_cast<long long>(stats.flops_global),

@@ -17,6 +17,13 @@ std::vector<index_t> iota_rows(index_t n) {
   return rows;
 }
 
+// C from a single run store, through the Phase IV merge.
+CsrMatrix merge_one_store(const CsrMatrix& runs, ThreadPool& pool,
+                          MergeStats* stats) {
+  const CsrMatrix* parts[] = {&runs};
+  return merge_row_runs(parts, pool, stats);
+}
+
 RunResult finish_workqueue_run(const char* name, WorkQueueResult&& queue,
                                double transfer_in,
                                const HeteroPlatform& platform,
@@ -34,7 +41,7 @@ RunResult finish_workqueue_run(const char* name, WorkQueueResult&& queue,
 
   rep.transfer_out_s =
       platform.link().d2h().tuple_transfer_time(queue.gpu_stats.tuples);
-  res.c = merged_coo_to_csr(queue.tuples, pool, &rep.merge);
+  res.c = merge_one_store(queue.tuples, pool, &rep.merge);
   rep.phase4_s = platform.cpu().merge_time(rep.merge.tuples_in);
   rep.output_nnz = res.c.nnz();
   rep.total_s = queue.end_time() + rep.transfer_out_s + rep.phase4_s;
@@ -62,10 +69,10 @@ RunResult run_hipc2012(const CsrMatrix& a, const CsrMatrix& b,
       static_cast<std::size_t>(a.rows - split.split_row));
 
   ProductStats cpu_stats, gpu_stats;
-  CooMatrix cpu_tuples =
-      partial_product_tuples(a, b, cpu_rows, {}, true, pool, &cpu_stats);
-  CooMatrix gpu_tuples =
-      partial_product_tuples(a, b, gpu_rows, {}, true, pool, &gpu_stats);
+  const CsrMatrix cpu_runs =
+      partial_product_runs(a, b, cpu_rows, {}, true, pool, &cpu_stats);
+  const CsrMatrix gpu_runs =
+      partial_product_runs(a, b, gpu_rows, {}, true, pool, &gpu_stats);
 
   const double ws_full = 12.0 * static_cast<double>(b.nnz());
   const double t_cpu = platform.cpu().kernel_time(cpu_stats, ws_full, true);
@@ -79,8 +86,8 @@ RunResult run_hipc2012(const CsrMatrix& a, const CsrMatrix& b,
   // (paper §III-D); still, GPU tuples cross PCIe and both blocks are
   // assembled into one CSR.
   rep.transfer_out_s = platform.link().d2h().tuple_transfer_time(gpu_stats.tuples);
-  const CooMatrix* parts[] = {&cpu_tuples, &gpu_tuples};
-  res.c = merged_coo_to_csr(parts, pool, &rep.merge);
+  const CsrMatrix* parts[] = {&cpu_runs, &gpu_runs};
+  res.c = merge_row_runs(parts, pool, &rep.merge);
   rep.phase4_s = platform.cpu().merge_time(rep.merge.tuples_in);
   rep.output_nnz = res.c.nnz();
   rep.total_s = HeteroPlatform::overlap(t_cpu, t_gpu) + rep.transfer_out_s +
@@ -125,12 +132,13 @@ RunResult run_cpu_only_mkl(const CsrMatrix& a, const CsrMatrix& b,
   rep.algorithm = "MKL (CPU only)";
   const std::vector<index_t> rows = iota_rows(a.rows);
   ProductStats stats;
-  CooMatrix tuples = partial_product_tuples(a, b, rows, {}, true, pool, &stats);
+  const CsrMatrix runs =
+      partial_product_runs(a, b, rows, {}, true, pool, &stats);
   const double ws_full = 12.0 * static_cast<double>(b.nnz());
   rep.phase2_cpu_s = platform.cpu().library_time(stats, ws_full);
   rep.phase2_s = rep.phase2_cpu_s;
   rep.flops = stats.flops;
-  res.c = merged_coo_to_csr(tuples, pool, &rep.merge);
+  res.c = merge_one_store(runs, pool, &rep.merge);
   rep.output_nnz = res.c.nnz();
   rep.total_s = rep.phase2_s;  // MKL builds CSR in place: no merge phase
   return res;
@@ -145,11 +153,12 @@ RunResult run_gpu_only_cusparse(const CsrMatrix& a, const CsrMatrix& b,
   rep.transfer_in_s = platform.link().h2d().operands_transfer_time(a, b);
   const std::vector<index_t> rows = iota_rows(a.rows);
   ProductStats stats;
-  CooMatrix tuples = partial_product_tuples(a, b, rows, {}, true, pool, &stats);
+  const CsrMatrix runs =
+      partial_product_runs(a, b, rows, {}, true, pool, &stats);
   rep.phase2_gpu_s = platform.gpu().generic_time(stats);
   rep.phase2_s = rep.phase2_gpu_s;
   rep.flops = stats.flops;
-  res.c = merged_coo_to_csr(tuples, pool, &rep.merge);
+  res.c = merge_one_store(runs, pool, &rep.merge);
   rep.transfer_out_s =
       platform.link().d2h().tuple_transfer_time(static_cast<std::int64_t>(res.c.nnz()));
   rep.output_nnz = res.c.nnz();
@@ -166,11 +175,12 @@ RunResult run_gpu_only_hipc_kernel(const CsrMatrix& a, const CsrMatrix& b,
   rep.transfer_in_s = platform.link().h2d().operands_transfer_time(a, b);
   const std::vector<index_t> rows = iota_rows(a.rows);
   ProductStats stats;
-  CooMatrix tuples = partial_product_tuples(a, b, rows, {}, true, pool, &stats);
+  const CsrMatrix runs =
+      partial_product_runs(a, b, rows, {}, true, pool, &stats);
   rep.phase2_gpu_s = platform.gpu().kernel_time(stats);
   rep.phase2_s = rep.phase2_gpu_s;
   rep.flops = stats.flops;
-  res.c = merged_coo_to_csr(tuples, pool, &rep.merge);
+  res.c = merge_one_store(runs, pool, &rep.merge);
   rep.transfer_out_s = platform.link().d2h().tuple_transfer_time(stats.tuples);
   rep.output_nnz = res.c.nnz();
   rep.total_s = rep.transfer_in_s + rep.phase2_s + rep.transfer_out_s +

@@ -34,7 +34,7 @@ struct HhCpuOptions {
   offset_t threshold_b = 0;
   WorkQueueConfig queue;
   bool matrices_already_on_gpu = false;  // skip the input transfer charge
-  WorkspacePool* workspace = nullptr;    // optional accumulator/buffer pool
+  WorkspacePool* workspace = nullptr;    // optional SPA accumulator pool
 };
 
 /// Run Algorithm HH-CPU for C = A × B. When &a == &b (the paper multiplies
@@ -50,7 +50,7 @@ RunResult run_hh_cpu(const CsrMatrix& a, const CsrMatrix& b,
 /// against B_H and B_L and its distinct output columns; Phases II–IV are
 /// then replayed on the simulated clock through the same skip rules,
 /// dequeue loop and accounting as the real run. options.workspace is
-/// ignored: the pass allocates no SPA accumulator or tuple buffer. Costs
+/// ignored: the pass allocates no SPA accumulator or run store. Costs
 /// about one symbolic pass per call, against a full product and merge for
 /// run_hh_cpu.
 RunReport cost_hh_cpu(const CsrMatrix& a, const CsrMatrix& b,

@@ -1,17 +1,11 @@
 #include "core/hh_stages.hpp"
 
 #include <array>
-#include <utility>
 
 #include "sched/chunk.hpp"
 
 namespace hh {
 namespace {
-
-CooMatrix empty_tuples(index_t rows, index_t cols, WorkspacePool* workspace) {
-  return workspace != nullptr ? workspace->acquire_coo(rows, cols)
-                              : CooMatrix(rows, cols);
-}
 
 // A Phase II product with an empty side contributes nothing; it is skipped
 // so degenerate partitions charge no phantom per-row cost.
@@ -69,18 +63,16 @@ Phase2Result run_phase2(const CsrMatrix& a, const CsrMatrix& b,
                         const HeteroPlatform& platform, ThreadPool& pool,
                         WorkspacePool* workspace) {
   Phase2Result r;
-  if (runs_hh(plan)) {
-    r.hh_tuples = partial_product_tuples(a, b, plan.a.high_rows, plan.b.is_high,
-                                         true, pool, &r.hh_stats, workspace);
-  } else {
-    r.hh_tuples = empty_tuples(a.rows, b.cols, workspace);
-  }
-  if (runs_ll(plan)) {
-    r.ll_tuples = partial_product_tuples(a, b, plan.a.low_rows, plan.b.is_high,
-                                         false, pool, &r.ll_stats, workspace);
-  } else {
-    r.ll_tuples = empty_tuples(a.rows, b.cols, workspace);
-  }
+  r.hh_tuples = runs_hh(plan)
+                    ? partial_product_runs(a, b, plan.a.high_rows,
+                                           plan.b.is_high, true, pool,
+                                           &r.hh_stats, workspace)
+                    : CsrMatrix(a.rows, b.cols);
+  r.ll_tuples = runs_ll(plan)
+                    ? partial_product_runs(a, b, plan.a.low_rows,
+                                           plan.b.is_high, false, pool,
+                                           &r.ll_stats, workspace)
+                    : CsrMatrix(a.rows, b.cols);
   price_phase2(r, plan, platform);
   return r;
 }
@@ -122,15 +114,14 @@ WorkQueueResult cost_phase3(const PartitionPlan& plan,
 
 MergeResult run_phase4(Phase2Result&& p2, WorkQueueResult&& queue,
                        const HeteroPlatform& platform, ThreadPool& pool,
-                       WorkspacePool* workspace) {
+                       WorkspacePool* /*workspace*/) {
   MergeResult m;
-  const CooMatrix* parts[] = {&p2.hh_tuples, &p2.ll_tuples, &queue.tuples};
-  m.c = merged_coo_to_csr(parts, pool, &m.merge);
+  const CsrMatrix* parts[] = {&p2.hh_tuples, &p2.ll_tuples, &queue.tuples};
+  m.c = merge_row_runs(parts, pool, &m.merge);
   m.cpu_s = platform.cpu().merge_time(m.merge.tuples_in);
-  if (workspace != nullptr) {
-    workspace->release_coo(std::move(p2.hh_tuples));
-    workspace->release_coo(std::move(p2.ll_tuples));
-  }
+  p2.hh_tuples = {};
+  p2.ll_tuples = {};
+  queue.tuples = {};
   return m;
 }
 

@@ -7,6 +7,15 @@
 // Both drivers call the functions below, so the numeric work — and therefore
 // the output matrix — is identical; only the clock bookkeeping differs.
 //
+// Each stage sizes its own output. Phases II and III each write their
+// products as sorted row runs into run stores, CsrMatrix objects over all of
+// A's rows (partial_product_runs: a count pass, a scan, a numeric pass into
+// preallocated slots), so every tuple is written once. Phase II writes one
+// store per product; Phase III writes all its entries into one store, as an
+// entry list holds each A row at most once. Phase IV merges the three stores
+// by row straight into C: each row has at most two non-empty runs, its
+// Phase II run (hh for A_H rows, ll for A_L rows) and its queue run.
+//
 // cost_hh_cpu() and cost_hh_cpu_grid() (core/hh_cpu.hpp) replace the Phase
 // II and III products with cost_phase2/cost_phase3 below: the same stats,
 // device times and dequeue order, summed from per-row symbolic costs, with
@@ -18,9 +27,9 @@
 //   run_phase2                      CPU (A_H×B_H) ∥ GPU (A_L×B_L)
 //   run_phase3                      CPU + GPU jointly (double-ended queue)
 //   D2H tuple shipment              D2H channel
-//   run_phase4                      CPU (the host merges by row; the clock
-//                                   charges the paper's radix sort +
-//                                   mark/scan/reduce)
+//   run_phase4                      CPU (the host merges two runs per row;
+//                                   the clock charges the paper's radix
+//                                   sort + mark/scan/reduce)
 #pragma once
 
 #include "core/partition_plan.hpp"
@@ -35,11 +44,12 @@
 namespace hh {
 
 /// Phase II: CPU computes A_H×B_H, GPU computes A_L×B_L. Products with an
-/// empty side are skipped (no phantom per-row cost). Durations are per-device
-/// busy times; the caller decides how they overlap.
+/// empty side are skipped (no phantom per-row cost) and leave an empty run
+/// store. Durations are per-device busy times; the caller decides how they
+/// overlap.
 struct Phase2Result {
-  CooMatrix hh_tuples;  // CPU side (pool-backed when a workspace is given)
-  CooMatrix ll_tuples;  // GPU side
+  CsrMatrix hh_tuples;  // CPU side: the runs of the A_H rows
+  CsrMatrix ll_tuples;  // GPU side: the runs of the A_L rows
   ProductStats hh_stats;
   ProductStats ll_stats;
   double cpu_s = 0;
@@ -63,7 +73,7 @@ WorkQueueResult run_phase3(const CsrMatrix& a, const CsrMatrix& b,
 
 /// Cost-only Phase II and III for `costs`, the MaskedRowCosts of (a, b) at
 /// plan.b.threshold: the stats, device times and (Phase III) dequeue order
-/// of run_phase2/run_phase3, skips included, with every tuple buffer left
+/// of run_phase2/run_phase3, skips included, with every run store left
 /// empty.
 Phase2Result cost_phase2(const PartitionPlan& plan, const MaskedRowCosts& costs,
                          const HeteroPlatform& platform);
@@ -72,11 +82,11 @@ WorkQueueResult cost_phase3(const PartitionPlan& plan,
                             const WorkQueueConfig& cfg, double cpu_start,
                             double gpu_start, const HeteroPlatform& platform);
 
-/// Phase IV: merge every ⟨r,c,v⟩ tuple into the final CSR, reading the
-/// phase-2 and queue tuple buffers in place, then releasing the pooled
-/// phase-2 ones back to `workspace`. cpu_s is the merge time on the CPU
-/// model; the D2H shipment of the GPU tuples is charged separately by the
-/// caller.
+/// Phase IV: merge the hh, ll and queue run stores into the final CSR
+/// (merge_row_runs, in that part order), reading them in place and freeing
+/// them once C is built. cpu_s is the merge time on the CPU model; the D2H
+/// shipment of the GPU tuples is charged separately by the caller.
+/// `workspace` is not used: Phase IV draws no SPA.
 struct MergeResult {
   CsrMatrix c;
   MergeStats merge;

@@ -1,8 +1,7 @@
 #include "primitives/tuple_merge.hpp"
 
 #include <algorithm>
-#include <array>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -10,90 +9,136 @@
 namespace hh {
 namespace {
 
-// Per-worker buffers for merging one row's runs.
-struct RowScratch {
-  std::vector<std::size_t> bounds;  // run boundaries, first 0, last n
-  std::vector<index_t> c;
-  std::vector<value_t> v;
+// One part's run of one row.
+struct RowRun {
+  const index_t* c = nullptr;
+  const value_t* v = nullptr;
+  std::size_t n = 0;
 };
 
-// Stable merge of [lo, mid) and [mid, hi) of (sc, sv) into (dc, dv),
-// taking the left run first on equal columns.
-void merge_runs(const index_t* sc, const value_t* sv, index_t* dc,
-                value_t* dv, std::size_t lo, std::size_t mid,
-                std::size_t hi) {
-  std::size_t i = lo, j = mid, o = lo;
-  while (i < mid && j < hi) {
-    const bool right = sc[j] < sc[i];
-    const std::size_t k = right ? j++ : i++;
-    dc[o] = sc[k];
-    dv[o] = sv[k];
-    ++o;
+// A row's non-empty runs in part order; either may be empty.
+struct RowRuns {
+  RowRun first;
+  RowRun second;
+};
+
+static_assert(kMaxRunsPerRow == 2, "RowRuns holds two runs");
+
+RowRuns row_runs(std::span<const CsrMatrix* const> parts, index_t r) {
+  RowRuns runs;
+  int found = 0;
+  for (const CsrMatrix* p : parts) {
+    const offset_t lo = p->indptr[r];
+    const offset_t hi = p->indptr[r + 1];
+    HH_CHECK_MSG(0 <= lo && lo <= hi && hi <= p->nnz(),
+                 "run store indptr malformed at row " << r);
+    if (lo == hi) continue;
+    HH_CHECK_MSG(found < kMaxRunsPerRow, "row " << r << " has more than "
+                                                << kMaxRunsPerRow << " runs");
+    (found++ == 0 ? runs.first : runs.second) = {
+        p->indices.data() + lo, p->values.data() + lo,
+        static_cast<std::size_t>(hi - lo)};
   }
-  for (; i < mid; ++i, ++o) dc[o] = sc[i], dv[o] = sv[i];
-  for (; j < hi; ++j, ++o) dc[o] = sc[j], dv[o] = sv[j];
+  return runs;
 }
 
-// Sorts one row's bucket (c, v)[0, n) stably by column, sums each group of
-// equal columns from value_t{0} in bucket order, writes the sums to the
-// front of the bucket and returns how many there are.
-std::size_t merge_row(index_t* c, value_t* v, std::size_t n, RowScratch& s) {
-  if (n == 0) return 0;
-  std::vector<std::size_t>& bounds = s.bounds;
-  bounds.assign(1, 0);
-  for (std::size_t i = 1; i < n; ++i) {
-    if (c[i] < c[i - 1]) bounds.push_back(i);
+// Throws unless the run's columns are strictly ascending within [0, cols).
+void check_run(const RowRun& run, index_t r, index_t cols) {
+  index_t prev = -1;
+  for (std::size_t k = 0; k < run.n; ++k) {
+    const index_t c = run.c[k];
+    HH_CHECK_MSG(c > prev && c < cols,
+                 "run of row " << r << " holds column " << c << " after "
+                               << prev << ": not strictly ascending in [0, "
+                               << cols << ")");
+    prev = c;
   }
-  bounds.push_back(n);
+}
 
-  // Bottom-up pairwise merge of adjacent runs, ping-ponging between the
-  // bucket and the scratch buffers.
-  const index_t* sc = c;
-  const value_t* sv = v;
-  if (bounds.size() > 2) {
-    if (s.c.size() < n) {
-      s.c.resize(n);
-      s.v.resize(n);
-    }
-    index_t* src_c = c;
-    value_t* src_v = v;
-    index_t* dst_c = s.c.data();
-    value_t* dst_v = s.v.data();
-    while (bounds.size() > 2) {
-      const std::size_t runs = bounds.size() - 1;
-      std::size_t kept = 0;
-      for (std::size_t k = 0; k < runs; k += 2) {
-        const std::size_t lo = bounds[k], mid = bounds[k + 1];
-        const std::size_t hi = k + 2 <= runs ? bounds[k + 2] : mid;
-        merge_runs(src_c, src_v, dst_c, dst_v, lo, mid, hi);
-        bounds[kept++] = lo;
-      }
-      bounds[kept++] = n;
-      bounds.resize(kept);
-      std::swap(src_c, dst_c);
-      std::swap(src_v, dst_v);
-    }
-    sc = src_c;
-    sv = src_v;
+std::size_t union_size(const RowRuns& runs) {
+  const RowRun& x = runs.first;
+  const RowRun& y = runs.second;
+  std::size_t i = 0, j = 0, n = 0;
+  while (i < x.n && j < y.n) {
+    const index_t cx = x.c[i], cy = y.c[j];
+    i += cx <= cy ? 1 : 0;
+    j += cy <= cx ? 1 : 0;
+    ++n;
   }
+  return n + (x.n - i) + (y.n - j);
+}
 
-  // Sum equal columns. When the sorted data is the bucket itself this
-  // compacts in place: the write index never passes the read index.
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < n;) {
-    const index_t col = sc[i];
-    value_t acc = 0;
-    do {
-      acc += sv[i++];
-    } while (i < n && sc[i] == col);
-    c[out] = col;
-    v[out] = acc;
-    ++out;
+// Merges the two runs into (c, v), each value summed from value_t{0} in
+// run order.
+void write_union(const RowRuns& runs, index_t* c, value_t* v) {
+  const RowRun& x = runs.first;
+  const RowRun& y = runs.second;
+  std::size_t i = 0, j = 0, o = 0;
+  for (; i < x.n && j < y.n; ++o) {
+    if (x.c[i] < y.c[j]) {
+      c[o] = x.c[i];
+      v[o] = value_t{0} + x.v[i++];
+    } else if (y.c[j] < x.c[i]) {
+      c[o] = y.c[j];
+      v[o] = value_t{0} + y.v[j++];
+    } else {
+      c[o] = x.c[i];
+      v[o] = (value_t{0} + x.v[i++]) + y.v[j++];
+    }
   }
-  return out;
+  for (; i < x.n; ++i, ++o) c[o] = x.c[i], v[o] = value_t{0} + x.v[i];
+  for (; j < y.n; ++j, ++o) c[o] = y.c[j], v[o] = value_t{0} + y.v[j];
 }
 
 }  // namespace
+
+CsrMatrix merge_row_runs(std::span<const CsrMatrix* const> parts,
+                         ThreadPool& pool, MergeStats* stats) {
+  HH_CHECK(!parts.empty() && parts.front() != nullptr);
+  const index_t rows = parts.front()->rows;
+  const index_t cols = parts.front()->cols;
+  std::int64_t tuples_in = 0;
+  for (const CsrMatrix* p : parts) {
+    HH_CHECK(p != nullptr);
+    HH_CHECK_MSG(p->rows == rows && p->cols == cols,
+                 "merging run stores of different shape");
+    HH_CHECK(p->indptr.size() == static_cast<std::size_t>(rows) + 1 &&
+             p->indptr.front() == 0 &&
+             p->indices.size() == static_cast<std::size_t>(p->nnz()) &&
+             p->values.size() == p->indices.size());
+    tuples_in += p->nnz();
+  }
+
+  // 1. Count each row's distinct columns, checking its runs.
+  CsrMatrix out(rows, cols);
+  pool.parallel_for(rows, [&](std::int64_t r0, std::int64_t r1) {
+    for (auto r = static_cast<index_t>(r0); r < r1; ++r) {
+      const RowRuns runs = row_runs(parts, r);
+      check_run(runs.first, r, cols);
+      check_run(runs.second, r, cols);
+      out.indptr[r + 1] = static_cast<offset_t>(union_size(runs));
+    }
+  });
+
+  // 2. Scan the counts into indptr.
+  for (index_t r = 0; r < rows; ++r) out.indptr[r + 1] += out.indptr[r];
+  out.indices.resize(static_cast<std::size_t>(out.nnz()));
+  out.values.resize(out.indices.size());
+
+  // 3. Merge each row's runs straight into its slot of C.
+  pool.parallel_for(rows, [&](std::int64_t r0, std::int64_t r1) {
+    for (auto r = static_cast<index_t>(r0); r < r1; ++r) {
+      write_union(row_runs(parts, r), out.indices.data() + out.indptr[r],
+                  out.values.data() + out.indptr[r]);
+    }
+  });
+
+  if (stats != nullptr) {
+    stats->tuples_in = tuples_in;
+    stats->tuples_out = out.nnz();
+  }
+  return out;
+}
 
 CsrMatrix merged_coo_to_csr(const CooMatrix& coo, MergeStats* stats) {
   return merged_coo_to_csr(coo, ThreadPool::global(), stats);
@@ -101,59 +146,54 @@ CsrMatrix merged_coo_to_csr(const CooMatrix& coo, MergeStats* stats) {
 
 CsrMatrix merged_coo_to_csr(const CooMatrix& coo, ThreadPool& pool,
                             MergeStats* stats) {
-  const std::array<const CooMatrix*, 1> parts{&coo};
-  return merged_coo_to_csr(parts, pool, stats);
-}
-
-CsrMatrix merged_coo_to_csr(std::span<const CooMatrix* const> parts,
-                            ThreadPool& pool, MergeStats* stats) {
-  HH_CHECK(!parts.empty() && parts.front() != nullptr);
-  const index_t rows = parts.front()->rows;
-  const index_t cols = parts.front()->cols;
+  const index_t rows = coo.rows;
+  const index_t cols = coo.cols;
+  HH_CHECK(coo.r.size() == coo.c.size() && coo.c.size() == coo.v.size());
 
   // 1. Count the tuples of each row (range-checking every tuple) and scan
   //    the counts into bucket offsets.
   std::vector<offset_t> start(static_cast<std::size_t>(rows) + 1, 0);
-  for (const CooMatrix* p : parts) {
-    HH_CHECK(p != nullptr);
-    HH_CHECK_MSG(p->rows == rows && p->cols == cols,
-                 "merging COO parts of different shape");
-    HH_CHECK(p->r.size() == p->c.size() && p->c.size() == p->v.size());
-    for (std::size_t i = 0; i < p->nnz(); ++i) {
-      const index_t r = p->r[i], c = p->c[i];
-      HH_CHECK_MSG(r >= 0 && r < rows && c >= 0 && c < cols,
-                   "tuple (" << r << ", " << c << ") out of range for "
-                             << rows << "x" << cols);
-      ++start[static_cast<std::size_t>(r) + 1];
-    }
+  for (std::size_t i = 0; i < coo.nnz(); ++i) {
+    const index_t r = coo.r[i], c = coo.c[i];
+    HH_CHECK_MSG(r >= 0 && r < rows && c >= 0 && c < cols,
+                 "tuple (" << r << ", " << c << ") out of range for " << rows
+                           << "x" << cols);
+    ++start[static_cast<std::size_t>(r) + 1];
   }
   for (index_t r = 0; r < rows; ++r) start[r + 1] += start[r];
   const auto n = static_cast<std::size_t>(start.back());
 
-  // 2. Scatter each (c, v) into its row's bucket, parts in list order and
-  //    tuples in input order.
-  auto bucket_c = std::make_unique_for_overwrite<index_t[]>(n);
-  auto bucket_v = std::make_unique_for_overwrite<value_t[]>(n);
+  // 2. Scatter each (c, v) into its row's bucket, tuples in input order.
+  std::vector<std::pair<index_t, value_t>> bucket(n);
   {
     std::vector<offset_t> cursor(start.begin(), start.end() - 1);
-    for (const CooMatrix* p : parts) {
-      for (std::size_t i = 0; i < p->nnz(); ++i) {
-        const offset_t pos = cursor[p->r[i]]++;
-        bucket_c[pos] = p->c[i];
-        bucket_v[pos] = p->v[i];
-      }
+    for (std::size_t i = 0; i < coo.nnz(); ++i) {
+      bucket[static_cast<std::size_t>(cursor[coo.r[i]]++)] = {coo.c[i],
+                                                              coo.v[i]};
     }
   }
 
-  // 3. Merge and sum each row's bucket; its distinct count goes to
-  //    indptr[r + 1].
+  // 3. Sort each row's bucket stably by column and sum each column from
+  //    value_t{0} in input order into the front of the bucket; the distinct
+  //    count goes to indptr[r + 1].
   CsrMatrix out(rows, cols);
   pool.parallel_for(rows, [&](std::int64_t r0, std::int64_t r1) {
-    RowScratch scratch;
     for (auto r = static_cast<index_t>(r0); r < r1; ++r) {
-      out.indptr[r + 1] = static_cast<offset_t>(merge_row(
-          bucket_c.get() + start[r], bucket_v.get() + start[r],
-          static_cast<std::size_t>(start[r + 1] - start[r]), scratch));
+      const auto first = bucket.begin() + start[r];
+      const auto last = bucket.begin() + start[r + 1];
+      std::stable_sort(first, last, [](const auto& x, const auto& y) {
+        return x.first < y.first;
+      });
+      auto sum = first;
+      for (auto it = first; it != last; ++sum) {
+        const index_t col = it->first;
+        value_t acc = 0;
+        do {
+          acc += (it++)->second;
+        } while (it != last && it->first == col);
+        *sum = {col, acc};
+      }
+      out.indptr[r + 1] = sum - first;
     }
   });
 
@@ -163,11 +203,11 @@ CsrMatrix merged_coo_to_csr(std::span<const CooMatrix* const> parts,
   out.values.resize(out.indices.size());
   pool.parallel_for(rows, [&](std::int64_t r0, std::int64_t r1) {
     for (auto r = static_cast<index_t>(r0); r < r1; ++r) {
-      const offset_t len = out.indptr[r + 1] - out.indptr[r];
-      std::copy_n(bucket_c.get() + start[r], len,
-                  out.indices.begin() + out.indptr[r]);
-      std::copy_n(bucket_v.get() + start[r], len,
-                  out.values.begin() + out.indptr[r]);
+      const auto* sums = bucket.data() + start[r];
+      for (offset_t k = out.indptr[r]; k < out.indptr[r + 1]; ++k, ++sums) {
+        out.indices[static_cast<std::size_t>(k)] = sums->first;
+        out.values[static_cast<std::size_t>(k)] = sums->second;
+      }
     }
   });
 

@@ -365,7 +365,6 @@ class SpgemmService::Drain {
     double degrade_at = 0;  // clock where the degrade decision landed
     double tx_gate = 0;     // operands usable on the device from here on
     Phase2Result p2;
-    bool p2_live = false;  // p2's tuple buffers not yet consumed
     WorkQueueResult q;
     bool q_ran = false;
     MergeResult merged;
@@ -849,7 +848,6 @@ void SpgemmService::Drain::phase2(Request& r) {
   if (r.cancelled) return;
   RunReport& rep = r.rr.run;
   r.p2 = run_phase2(r.a, r.b, r.plan, platform_, s_.pool_, &s_.workspace_);
-  r.p2_live = true;
   rep.phase2_cpu_s = r.p2.cpu_s;
   rep.phase2_gpu_s = r.p2.gpu_s;
   rep.phase2_s = HeteroPlatform::overlap(r.p2.cpu_s, r.p2.gpu_s);
@@ -958,21 +956,13 @@ void SpgemmService::Drain::replan_degraded(Request& r) {
   r.check_deadline(r.deg.end_s);
 }
 
-// Phase IV merge. It consumes the tuple buffers, releasing pooled ones, so
-// it runs whenever Phase III did — even for a request already past its
-// deadline, so cancellation never leaks a pooled buffer. A request
-// cancelled before Phase III releases the Phase II buffers directly.
+// Phase IV merge. It runs whenever Phase III did, even for a request
+// already past its deadline, so that request still reports its merge.
 void SpgemmService::Drain::merge(Request& r) {
   RunReport& rep = r.rr.run;
   rep.flops = r.p2.hh_stats.flops + r.p2.ll_stats.flops +
               r.q.cpu_stats.flops + r.q.gpu_stats.flops;
-  if (!r.p2_live) return;
-  r.p2_live = false;
-  if (!r.q_ran) {
-    s_.workspace_.release_coo(std::move(r.p2.hh_tuples));
-    s_.workspace_.release_coo(std::move(r.p2.ll_tuples));
-    return;
-  }
+  if (!r.q_ran) return;
   r.merged = run_phase4(std::move(r.p2), std::move(r.q), platform_, s_.pool_,
                         &s_.workspace_);
   rep.merge = r.merged.merge;

@@ -59,6 +59,9 @@ WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
   HH_CHECK(entry_stats.size() == entries.size());
   for (const WorkEntry& e : entries) {
     HH_CHECK(e.tag >= 0 && static_cast<std::size_t>(e.tag) < masks.size());
+    HH_CHECK_MSG(e.row >= 0 && e.row < a_rows,
+                 "queue entry row " << e.row << " out of range for " << a_rows
+                                    << " rows");
   }
 
   WorkQueueResult res;
@@ -120,27 +123,25 @@ WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
                               double gpu_start,
                               const HeteroPlatform& platform,
                               ThreadPool& pool, WorkspacePool* workspace) {
-  // One kernel call per maximal same-tag run of entries: its tuples are
-  // appended in entry order and each row's stats fill the pricing table.
-  std::vector<ProductStats> entry_stats(entries.size());
-  CooMatrix tuples(a.rows, b.cols);
-  std::vector<index_t> rows;
+  // One kernel call, one part per maximal same-tag run of entries: each
+  // entry's run goes to its row's slot and its stats fill the pricing table.
+  std::vector<index_t> rows(entries.size());
+  std::vector<MaskedRows> parts;
   for (std::size_t lo = 0; lo < entries.size();) {
     const std::int8_t tag = entries[lo].tag;
     HH_CHECK(tag >= 0 && static_cast<std::size_t>(tag) < masks.size());
-    rows.clear();
     std::size_t hi = lo;
     for (; hi < entries.size() && entries[hi].tag == tag; ++hi) {
-      rows.push_back(entries[hi].row);
+      rows[hi] = entries[hi].row;
     }
     const MaskSpec& mask = masks[static_cast<std::size_t>(tag)];
-    CooMatrix run = partial_product_tuples(
-        a, b, rows, mask.b_mask, mask.b_mask_value, pool, nullptr, workspace,
-        std::span(entry_stats).subspan(lo, hi - lo));
-    tuples.append(run);
-    if (workspace != nullptr) workspace->release_coo(std::move(run));
+    parts.push_back({std::span(rows).subspan(lo, hi - lo), mask.b_mask,
+                     mask.b_mask_value});
     lo = hi;
   }
+  std::vector<ProductStats> entry_stats(entries.size());
+  CsrMatrix tuples = partial_product_runs(a, b, parts, pool, nullptr,
+                                          workspace, entry_stats);
   WorkQueueResult res =
       schedule_workqueue(entries, entry_stats, masks, cfg, a.rows, cpu_start,
                          gpu_start, platform);

@@ -11,10 +11,14 @@
 // The queue is simulated event-wise: whichever device's clock is earlier
 // dequeues next, and each unit's ProductStats — the sum of a per-entry table
 // — are charged on the owning device's model (schedule_workqueue).
-// run_workqueue fills the table by executing the entries on the host, so its
-// tuples come out in entry order whatever the schedule; cost_phase3 fills it
-// from symbolic per-row costs. An entry list holds each A row at most once,
-// so the tuple order never changes how Phase IV sums a (r, c) key.
+// run_workqueue fills the table by executing the entries on the host in one
+// partial_product_runs call, whose count pass charges each entry's stats and
+// whose numeric pass writes each entry's run into that A row's slot of one
+// run store, whatever the schedule; cost_phase3 fills the table from
+// symbolic per-row costs. An entry list holds each A row at most once, so
+// every row has at most one queue run. The kernel checks that (a repeated
+// row would have two workers write one slot), and both functions check that
+// every entry's row lies in [0, a_rows) and its tag indexes `masks`.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +26,6 @@
 #include <vector>
 
 #include "device/platform.hpp"
-#include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "spgemm/spgemm.hpp"
 #include "util/thread_pool.hpp"
@@ -55,7 +58,7 @@ struct WorkQueueConfig {
 };
 
 struct WorkQueueResult {
-  CooMatrix tuples;  // all tuples, in entry order
+  CsrMatrix tuples;  // every entry's run, in its A row's slot
   ProductStats cpu_stats;
   ProductStats gpu_stats;
   double cpu_busy = 0;  // time the CPU spent on queue units
@@ -76,10 +79,10 @@ WorkQueueConfig resolve_queue_config(WorkQueueConfig cfg, index_t a_rows);
 
 /// The one Phase III scheduler: run the dequeue loop to empty over
 /// `entries` (ordered CPU-end-first; masks[tag] resolves each entry's B
-/// view), pricing each dequeued unit as the sum of its entries'
-/// `entry_stats` (one ProductStats per entry). Device clocks start at
-/// cpu_start/gpu_start. Unit sizes of 0 are resolved against `a_rows` via
-/// resolve_queue_config(). `tuples` is left empty.
+/// view; every row in [0, a_rows)), pricing each dequeued unit as the sum
+/// of its entries' `entry_stats` (one ProductStats per entry). Device
+/// clocks start at cpu_start/gpu_start. Unit sizes of 0 are resolved
+/// against `a_rows` via resolve_queue_config(). `tuples` is left empty.
 WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
                                    std::span<const ProductStats> entry_stats,
                                    std::span<const MaskSpec> masks,
@@ -87,13 +90,14 @@ WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
                                    double cpu_start, double gpu_start,
                                    const HeteroPlatform& platform);
 
-/// Run the queue to empty. `entries` is ordered CPU-end-first; masks[tag]
-/// resolves each entry's B view. Device clocks start at cpu_start/gpu_start
-/// (they may differ: a device joins the queue when its Phase II product is
-/// done). Unit sizes of 0 are resolved via resolve_queue_config().
-/// Executes the entries with the masked kernel, one call per maximal
-/// same-tag run, then schedule_workqueue() over their stats. Deterministic.
-/// `workspace` optionally pools the kernels' accumulators and tuple buffers
+/// Run the queue to empty. `entries` is ordered CPU-end-first, holds each
+/// A row at most once, and masks[tag] resolves each entry's B view. Device
+/// clocks start at cpu_start/gpu_start (they may differ: a device joins the
+/// queue when its Phase II product is done). Unit sizes of 0 are resolved
+/// via resolve_queue_config(). Executes every entry in one
+/// partial_product_runs call (each maximal same-tag run of entries is one
+/// of its parts), then schedule_workqueue() over their stats.
+/// Deterministic. `workspace` optionally pools the kernel's accumulators
 /// (see spgemm/workspace.hpp).
 WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
                               std::span<const WorkEntry> entries,

@@ -4,14 +4,6 @@
 
 namespace hh {
 
-void CooMatrix::append(const CooMatrix& other) {
-  HH_CHECK_MSG(rows == other.rows && cols == other.cols,
-               "appending COO of different shape");
-  r.insert(r.end(), other.r.begin(), other.r.end());
-  c.insert(c.end(), other.c.begin(), other.c.end());
-  v.insert(v.end(), other.v.begin(), other.v.end());
-}
-
 void CooMatrix::validate() const {
   HH_CHECK(r.size() == c.size() && c.size() == v.size());
   for (std::size_t i = 0; i < r.size(); ++i) {

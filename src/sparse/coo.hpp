@@ -1,5 +1,7 @@
-// Coordinate-format matrix: the tuple ⟨r, c, v⟩ representation that Phases
-// II/III of Algorithm HH-CPU emit and Phase IV merges (paper §III-D).
+// Coordinate-format matrix: free-form ⟨r, c, v⟩ tuples, as expand-sort-
+// contract SpGEMM (spgemm/esc_spgemm) expands them and csr_to_coo lists
+// them. HH-CPU's partial products are sorted row runs in a CsrMatrix
+// instead (spgemm/spgemm.hpp).
 #pragma once
 
 #include <cstddef>
@@ -32,9 +34,6 @@ struct CooMatrix {
     c.reserve(n);
     v.reserve(n);
   }
-
-  /// Append all tuples of `other` (dimensions must match).
-  void append(const CooMatrix& other);
 
   /// Throws CheckError if any tuple is out of range or array sizes differ.
   void validate() const;

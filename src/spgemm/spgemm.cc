@@ -4,6 +4,8 @@
 #include <array>
 #include <atomic>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -87,48 +89,74 @@ void charge_row(ProductStats& s, std::int64_t row_flops,
   }
 }
 
-// Per-block worker: SPA-accumulate the assigned a_rows slice, appending
-// tuples to a local COO and aggregating stats. Each row's own stats also go
-// to row_stats[idx] when row_stats is non-empty.
-void partial_rows(const CsrMatrix& a, const CsrMatrix& b,
-                  std::span<const index_t> a_rows,
-                  std::span<const std::uint8_t> b_mask, bool b_mask_value,
-                  std::size_t lo, std::size_t hi, SpaWorkspace& ws,
-                  CooMatrix& out, ProductStats& stats,
-                  std::span<ProductStats> row_stats) {
-  ws.begin_product(b.cols);
-  std::vector<value_t>& acc = ws.acc;
-  std::vector<std::int64_t>& marker = ws.marker;
-  std::vector<index_t>& cols = ws.cols_touched;
-  for (std::size_t idx = lo; idx < hi; ++idx) {
-    const index_t i = a_rows[idx];
-    const std::int64_t tag = ws.row_tag(i);
-    cols.clear();
-    ProductStats row;
-    std::int64_t row_flops = 0;
-    for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
-      const index_t j = a.indices[k];
-      if (!b_mask.empty() && (b_mask[j] != 0) != b_mask_value) continue;
-      const value_t av = a.values[k];
-      const offset_t blen = b.indptr[j + 1] - b.indptr[j];
-      charge_a_entry(row, blen);
-      row_flops += blen;
-      for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
-        const index_t col = b.indices[l];
-        if (marker[col] != tag) {
-          marker[col] = tag;
-          acc[col] = value_t{0};
-          cols.push_back(col);
-        }
-        acc[col] += av * b.values[l];
+// Calls fn(k, i, part) for the listed rows at flat positions [lo, hi) of
+// `parts`, where start[p] is the flat position of parts[p].rows[0].
+template <class Fn>
+void visit_listed(std::span<const MaskedRows> parts,
+                  std::span<const std::size_t> start, std::size_t lo,
+                  std::size_t hi, Fn&& fn) {
+  auto p = static_cast<std::size_t>(
+      std::upper_bound(start.begin(), start.end(), lo) - start.begin() - 1);
+  for (std::size_t k = lo; k < hi; ++k) {
+    while (k >= start[p + 1]) ++p;
+    fn(k, parts[p].rows[k - start[p]], parts[p]);
+  }
+}
+
+bool masked_out(const MaskedRows& part, index_t j) {
+  return !part.b_mask.empty() &&
+         (part.b_mask[static_cast<std::size_t>(j)] != 0) != part.b_mask_value;
+}
+
+// Symbolic pass for one row: the distinct columns of row i's product, with
+// the row's stats charged to `row`.
+std::int64_t count_row(const CsrMatrix& a, const CsrMatrix& b, index_t i,
+                       const MaskedRows& part, SpaWorkspace& ws,
+                       ProductStats& row) {
+  const std::int64_t tag = ws.row_tag(i);
+  std::int64_t row_flops = 0;
+  std::int64_t tuples = 0;
+  for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
+    const index_t j = a.indices[k];
+    if (masked_out(part, j)) continue;
+    const offset_t blen = b.indptr[j + 1] - b.indptr[j];
+    charge_a_entry(row, blen);
+    row_flops += blen;
+    for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
+      std::int64_t& m = ws.marker[static_cast<std::size_t>(b.indices[l])];
+      if (m != tag) {
+        m = tag;
+        ++tuples;
       }
     }
-    std::sort(cols.begin(), cols.end());
-    for (const index_t col : cols) out.push(i, col, acc[col]);
-    charge_row(row, row_flops, static_cast<std::int64_t>(cols.size()));
-    stats.accumulate(row);
-    if (!row_stats.empty()) row_stats[idx] = row;
   }
+  charge_row(row, row_flops, tuples);
+  return tuples;
+}
+
+// Numeric pass for one row: SPA-accumulate row i's product and write its
+// run, columns ascending, to (cols, vals), which count_row sized.
+void fill_row(const CsrMatrix& a, const CsrMatrix& b, index_t i,
+              const MaskedRows& part, SpaWorkspace& ws, index_t* cols,
+              value_t* vals) {
+  const std::int64_t tag = ws.row_tag(i);
+  std::size_t n = 0;
+  for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
+    const index_t j = a.indices[k];
+    if (masked_out(part, j)) continue;
+    const value_t av = a.values[k];
+    for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
+      const index_t col = b.indices[l];
+      if (ws.marker[col] != tag) {
+        ws.marker[col] = tag;
+        ws.acc[col] = value_t{0};
+        cols[n++] = col;
+      }
+      ws.acc[col] += av * b.values[l];
+    }
+  }
+  std::sort(cols, cols + n);
+  for (std::size_t m = 0; m < n; ++m) vals[m] = ws.acc[cols[m]];
 }
 
 // Threshold grids. A row length's interval is the number of grid points <=
@@ -285,64 +313,107 @@ std::int64_t row_changes(const CsrMatrix& a, const CsrMatrix& b,
 
 }  // namespace
 
-CooMatrix partial_product_tuples(const CsrMatrix& a, const CsrMatrix& b,
-                                 std::span<const index_t> a_rows,
-                                 std::span<const std::uint8_t> b_mask,
-                                 bool b_mask_value, ThreadPool& pool,
-                                 ProductStats* stats,
-                                 WorkspacePool* workspace,
-                                 std::span<ProductStats> row_stats) {
+CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
+                               std::span<const MaskedRows> parts,
+                               ThreadPool& pool, ProductStats* stats,
+                               WorkspacePool* workspace,
+                               std::span<ProductStats> row_stats) {
   HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
-  HH_CHECK(b_mask.empty() ||
-           b_mask.size() == static_cast<std::size_t>(b.rows));
-  HH_CHECK(row_stats.empty() || row_stats.size() == a_rows.size());
-
-  const auto n = static_cast<std::int64_t>(a_rows.size());
-  const std::int64_t blocks =
-      std::max<std::int64_t>(1, std::min<std::int64_t>(
-                                    n, static_cast<std::int64_t>(pool.size()) *
-                                           4));
-  const std::int64_t chunk = n == 0 ? 1 : (n + blocks - 1) / blocks;
-  const std::int64_t nblocks = n == 0 ? 0 : (n + chunk - 1) / chunk;
-
-  std::vector<CooMatrix> block_out;
-  block_out.reserve(static_cast<std::size_t>(nblocks));
-  for (std::int64_t blk = 0; blk < nblocks; ++blk) {
-    block_out.push_back(workspace != nullptr
-                            ? workspace->acquire_coo(a.rows, b.cols)
-                            : CooMatrix(a.rows, b.cols));
+  std::vector<std::size_t> start{0};
+  for (const MaskedRows& part : parts) {
+    HH_CHECK(part.b_mask.empty() ||
+             part.b_mask.size() == static_cast<std::size_t>(b.rows));
+    start.push_back(start.back() + part.rows.size());
   }
-  std::vector<ProductStats> block_stats(static_cast<std::size_t>(nblocks));
+  const std::size_t n = start.back();
+  HH_CHECK(row_stats.empty() || row_stats.size() == n);
 
-  pool.parallel_for(nblocks, [&](std::int64_t b0, std::int64_t b1) {
-    // One SPA workspace per worker slice; pooled when a pool is supplied.
-    std::unique_ptr<SpaWorkspace> ws = workspace != nullptr
-                                           ? workspace->acquire_spa()
-                                           : std::make_unique<SpaWorkspace>();
-    for (std::int64_t blk = b0; blk < b1; ++blk) {
-      const auto lo = static_cast<std::size_t>(blk * chunk);
-      const auto hi = static_cast<std::size_t>(std::min(n, (blk + 1) * chunk));
-      partial_rows(a, b, a_rows, b_mask, b_mask_value, lo, hi, *ws,
-                   block_out[blk], block_stats[blk], row_stats);
+  // Every listed row owns its slot, so a row listed twice would have two
+  // workers write one slot. A listed row's count holds -1 until the count
+  // pass fills it in, which is how a second listing shows.
+  CsrMatrix out(a.rows, b.cols);
+  for (const MaskedRows& part : parts) {
+    for (const index_t i : part.rows) {
+      HH_CHECK_MSG(i >= 0 && i < a.rows,
+                   "row " << i << " out of range for " << a.rows << " rows");
+      offset_t& count = out.indptr[static_cast<std::size_t>(i) + 1];
+      HH_CHECK_MSG(count == 0, "row " << i << " listed twice");
+      count = -1;
     }
-    if (workspace != nullptr) workspace->release_spa(std::move(ws));
+  }
+
+  // Both passes hand out blocks of kRowBlock listed rows to the workers as
+  // they free up, so a stretch of heavy rows (Phase III lists the A_H rows
+  // together at its end) does not leave one worker with most of the work.
+  // Each worker draws one SPA, from `workspace` when given, else from a pool
+  // local to the call, so the numeric pass reuses the count pass's SPAs.
+  WorkspacePool local;
+  WorkspacePool& spas = workspace != nullptr ? *workspace : local;
+  const auto for_each_block = [&](auto&& block_fn) {
+    constexpr std::size_t kRowBlock = 64;
+    const std::size_t blocks = (n + kRowBlock - 1) / kRowBlock;
+    std::atomic<std::size_t> next{0};
+    // parallel_for's caller works too, hence one worker beyond the pool.
+    const std::size_t workers = std::min(blocks, pool.size() + 1);
+    pool.parallel_for(static_cast<std::int64_t>(workers),
+                      [&](std::int64_t, std::int64_t) {
+                        std::unique_ptr<SpaWorkspace> ws = spas.acquire_spa();
+                        ws->begin_product(b.cols);
+                        for (std::size_t k; (k = next++) < blocks;) {
+                          block_fn(k * kRowBlock,
+                                   std::min(n, (k + 1) * kRowBlock), *ws);
+                        }
+                        spas.release_spa(std::move(ws));
+                      });
+  };
+
+  // 1. Count each listed row's columns into its indptr slot, charging its
+  //    stats; the stats are integer sums and maxima, so the blocks can add
+  //    up in any order.
+  std::mutex mu;
+  ProductStats total;
+  for_each_block([&](std::size_t lo, std::size_t hi, SpaWorkspace& ws) {
+    ProductStats block;
+    visit_listed(parts, start, lo, hi,
+                 [&](std::size_t k, index_t i, const MaskedRows& part) {
+                   ProductStats row;
+                   out.indptr[static_cast<std::size_t>(i) + 1] =
+                       count_row(a, b, i, part, ws, row);
+                   block.accumulate(row);
+                   if (!row_stats.empty()) row_stats[k] = row;
+                 });
+    const std::lock_guard<std::mutex> lock(mu);
+    total.accumulate(block);
   });
 
-  // Concatenate in block order → deterministic output independent of the
-  // number of pool threads.
-  CooMatrix out = workspace != nullptr ? workspace->acquire_coo(a.rows, b.cols)
-                                       : CooMatrix(a.rows, b.cols);
-  std::size_t total = 0;
-  for (const auto& blk : block_out) total += blk.nnz();
-  out.reserve(total);
-  ProductStats agg;
-  for (std::int64_t blk = 0; blk < nblocks; ++blk) {
-    out.append(block_out[blk]);
-    agg.accumulate(block_stats[blk]);
-    if (workspace != nullptr) workspace->release_coo(std::move(block_out[blk]));
-  }
-  if (stats != nullptr) *stats = agg;
+  // 2. Scan the counts into slot offsets.
+  for (index_t r = 0; r < a.rows; ++r) out.indptr[r + 1] += out.indptr[r];
+  out.indices.resize(static_cast<std::size_t>(out.nnz()));
+  out.values.resize(out.indices.size());
+
+  // 3. Write each listed row's run into its slot.
+  for_each_block([&](std::size_t lo, std::size_t hi, SpaWorkspace& ws) {
+    visit_listed(parts, start, lo, hi,
+                 [&](std::size_t, index_t i, const MaskedRows& part) {
+                   const offset_t at = out.indptr[i];
+                   fill_row(a, b, i, part, ws, out.indices.data() + at,
+                            out.values.data() + at);
+                 });
+  });
+
+  if (stats != nullptr) *stats = total;
   return out;
+}
+
+CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
+                               std::span<const index_t> a_rows,
+                               std::span<const std::uint8_t> b_mask,
+                               bool b_mask_value, ThreadPool& pool,
+                               ProductStats* stats, WorkspacePool* workspace,
+                               std::span<ProductStats> row_stats) {
+  const MaskedRows part{a_rows, b_mask, b_mask_value};
+  return partial_product_runs(a, b, std::span(&part, 1), pool, stats,
+                              workspace, row_stats);
 }
 
 ProductStats estimate_partial_product(const CsrMatrix& a, const CsrMatrix& b,

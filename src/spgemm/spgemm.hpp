@@ -2,6 +2,13 @@
 // masked partial-product kernel used by the heterogeneous algorithms to
 // compute A_X × B_Y (X, Y ∈ {H, L}) without physically splitting matrices,
 // and the structure-only passes that price it at every threshold of a grid.
+//
+// The kernel writes sorted row runs, not tuples: each listed A row's
+// product is one run of (column, value) pairs in that row's slot of a
+// CsrMatrix over all of A's rows. It runs symbolic then numeric (Liu &
+// Vinter, arXiv:1504.05022; KKMEM, arXiv:1801.03065): one structure-only
+// pass sizes every slot, so no buffer grows and no run is copied, and the
+// Phase IV merge (primitives/tuple_merge.hpp) reads the slots in place.
 #pragma once
 
 #include <algorithm>
@@ -12,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "spgemm/workspace.hpp"
 #include "util/thread_pool.hpp"
@@ -76,22 +82,43 @@ inline constexpr std::int64_t kSharedAccumCap = 512;
 std::int64_t shared_accum_cap();
 void set_shared_accum_cap(std::int64_t cap);
 
-/// Compute tuples of A(rows ∈ a_rows, :) × B restricted to contributions
-/// through rows j of B with b_mask[j] == b_mask_value (empty mask = all j).
-/// Tuples are emitted row-sorted and column-sorted, deterministically.
-/// When `workspace` is non-null the SPA accumulators and tuple buffers are
-/// drawn from (and returned to) the pool instead of heap-allocated per call;
-/// the returned CooMatrix is pool-backed and may be handed back via
-/// WorkspacePool::release_coo once consumed. Output is bit-identical either
-/// way. A non-empty `row_stats` (one slot per a_rows entry) receives each
-/// row's own stats: row_stats[k] is what the call reports for {a_rows[k]}.
-CooMatrix partial_product_tuples(const CsrMatrix& a, const CsrMatrix& b,
-                                 std::span<const index_t> a_rows,
-                                 std::span<const std::uint8_t> b_mask,
-                                 bool b_mask_value, ThreadPool& pool,
-                                 ProductStats* stats = nullptr,
-                                 WorkspacePool* workspace = nullptr,
-                                 std::span<ProductStats> row_stats = {});
+/// The rows of A one kernel call multiplies against one masked view of B:
+/// each row i in `rows` against the rows j of B with b_mask[j] ==
+/// b_mask_value (empty mask = all of B).
+struct MaskedRows {
+  std::span<const index_t> rows;
+  std::span<const std::uint8_t> b_mask;
+  bool b_mask_value = true;
+};
+
+/// The masked partial products of `parts` as sorted row runs: a CsrMatrix
+/// of shape a.rows × b.cols whose row i, for every listed i, holds the
+/// distinct columns of A(i, :) × (its part's view of B) ascending, each value
+/// summed from value_t{0} in A-entry then B-entry order; rows no part lists
+/// stay empty. Symbolic then numeric: a structure-only pass counts each
+/// listed row's columns and charges its stats, the counts are scanned into
+/// indptr, and a numeric pass writes each row's run straight into its slot,
+/// with one SPA per worker, drawn from `workspace` when given. Every listed
+/// row must lie in [0, a.rows) and appear once across all parts, or this
+/// throws CheckError. `stats` receives the sum of the rows' stats, and a
+/// non-empty `row_stats` (one slot per listed row, parts in order) each
+/// row's own: row_stats[k] is what the call reports for that row alone.
+/// Output and stats do not depend on the pool size.
+CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
+                               std::span<const MaskedRows> parts,
+                               ThreadPool& pool, ProductStats* stats = nullptr,
+                               WorkspacePool* workspace = nullptr,
+                               std::span<ProductStats> row_stats = {});
+
+/// The one-part call: A(rows ∈ a_rows, :) against the view of B with
+/// b_mask[j] == b_mask_value.
+CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
+                               std::span<const index_t> a_rows,
+                               std::span<const std::uint8_t> b_mask,
+                               bool b_mask_value, ThreadPool& pool,
+                               ProductStats* stats = nullptr,
+                               WorkspacePool* workspace = nullptr,
+                               std::span<ProductStats> row_stats = {});
 
 /// Structure-only estimate of the same invocation (no numeric work):
 /// flops/a_nnz/warp_alu/max_row_flops are exact; tuples and the shared/global
@@ -109,9 +136,9 @@ ProductStats estimate_partial_product(const CsrMatrix& a, const CsrMatrix& b,
 // otherwise. threshold_grid() (core/threshold.hpp) always qualifies.
 inline constexpr std::size_t kMaxGridPoints = 255;
 
-/// Exact per-row costs of partial_product_tuples at one threshold t, under
+/// Exact per-row costs of partial_product_runs at one threshold t, under
 /// both values of the B mask classify_rows(b, t).is_high: by_mask[v][i] is
-/// the ProductStats partial_product_tuples(a, b, {i}, that mask, v) reports,
+/// the ProductStats partial_product_runs(a, b, {i}, that mask, v) reports,
 /// so summing it over any row set gives that set's stats exactly.
 /// output_nnz is the number of distinct (r, c) pairs the tuples of both
 /// masks merge into, Σ_i |columns of (A×B)(i,:)|.

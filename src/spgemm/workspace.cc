@@ -16,7 +16,6 @@ void SpaWorkspace::begin_product(index_t cols) {
     acc.resize(n, value_t{0});
     marker.resize(n, std::int64_t{-1});
   }
-  cols_touched.clear();
 }
 
 std::unique_ptr<SpaWorkspace> WorkspacePool::acquire_spa() {
@@ -37,30 +36,6 @@ void WorkspacePool::release_spa(std::unique_ptr<SpaWorkspace> ws) {
   std::lock_guard<std::mutex> lock(mu_);
   --stats_.spa_live;
   free_spa_.push_back(std::move(ws));
-}
-
-CooMatrix WorkspacePool::acquire_coo(index_t rows, index_t cols) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.coo_acquires;
-  ++stats_.coo_live;
-  if (!free_coo_.empty()) {
-    ++stats_.coo_reuses;
-    CooMatrix coo = std::move(free_coo_.back());
-    free_coo_.pop_back();
-    coo.rows = rows;
-    coo.cols = cols;
-    coo.r.clear();
-    coo.c.clear();
-    coo.v.clear();
-    return coo;
-  }
-  return CooMatrix(rows, cols);
-}
-
-void WorkspacePool::release_coo(CooMatrix&& coo) {
-  std::lock_guard<std::mutex> lock(mu_);
-  --stats_.coo_live;
-  free_coo_.push_back(std::move(coo));
 }
 
 WorkspacePool::Stats WorkspacePool::stats() const {

@@ -1,20 +1,24 @@
 // Reusable kernel workspaces.
 //
-// Every partial-product invocation needs a dense SPA accumulator (one value
-// + one marker per B column) and COO tuple buffers. The one-shot driver
-// allocates them per call and throws them away; a service runtime executing
-// a stream of products over same-shaped matrices would reallocate — and
-// re-fault — hundreds of MB per request. WorkspacePool keeps released
-// buffers on free lists so steady-state requests run allocation-free
-// (paper-adjacent: Liu & Vinter's framework reuses analysis workspaces
-// across products for the same reason).
+// Every partial-product invocation needs a dense SPA accumulator per worker
+// (one value + one marker per B column): its count pass marks columns and
+// its numeric pass accumulates values. Its output needs no buffer to pool:
+// the count pass sizes the run store exactly (spgemm/spgemm.hpp). A call
+// without a pool allocates the SPAs once and shares them between its two
+// passes; a service runtime executing a stream of products over
+// same-shaped matrices passes WorkspacePool, which keeps released SPAs on a
+// free list so steady-state requests reuse them (paper-adjacent: Liu &
+// Vinter's framework reuses analysis workspaces across products for the
+// same reason).
 //
 // Correctness of SPA reuse: the accumulator is only valid for columns whose
 // marker carries the *current* tag. Tags are (generation, row) pairs packed
 // into 64 bits and the generation is bumped on every begin_product(), so a
 // stale marker from an earlier product can never alias a row of the current
-// one. Pooled and non-pooled runs execute the identical kernel and produce
-// bit-identical tuples.
+// one. The kernel's count and numeric passes each begin a product, so the
+// numeric pass never takes a count-pass marker for its own. Pooled and
+// non-pooled runs execute the identical kernel and produce bit-identical
+// runs.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +26,6 @@
 #include <mutex>
 #include <vector>
 
-#include "sparse/coo.hpp"
 #include "sparse/types.hpp"
 
 namespace hh {
@@ -39,42 +42,34 @@ class SpaWorkspace {
     return (generation_ << 32) | static_cast<std::uint32_t>(i);
   }
 
-  std::vector<value_t> acc;           // per-column partial values
-  std::vector<std::int64_t> marker;   // per-column tag of the owning row
-  std::vector<index_t> cols_touched;  // scratch: columns hit by current row
+  std::vector<value_t> acc;          // per-column partial values
+  std::vector<std::int64_t> marker;  // per-column tag of the owning row
 
  private:
   std::int64_t generation_ = 0;
 };
 
-/// Thread-safe pool of SPA workspaces and COO tuple buffers. Acquire hands
-/// out a recycled object when one is free, otherwise a fresh one; release
-/// returns the object (buffers intact) to the free list.
+/// Thread-safe pool of SPA workspaces. Acquire hands out a recycled
+/// workspace when one is free, otherwise a fresh one; release returns it
+/// (arrays intact) to the free list.
 class WorkspacePool {
  public:
   struct Stats {
     std::int64_t spa_acquires = 0;
     std::int64_t spa_reuses = 0;  // acquires served from the free list
-    std::int64_t coo_acquires = 0;
-    std::int64_t coo_reuses = 0;
+    std::int64_t coo_acquires = 0;  // always 0: tuple buffers are not pooled
+    std::int64_t coo_reuses = 0;    // always 0
     std::int64_t spa_live = 0;  // workspaces currently handed out
-    std::int64_t coo_live = 0;
   };
 
   std::unique_ptr<SpaWorkspace> acquire_spa();
   void release_spa(std::unique_ptr<SpaWorkspace> ws);
-
-  /// A CooMatrix shaped (rows, cols) with empty tuple arrays; a recycled
-  /// buffer keeps its capacity.
-  CooMatrix acquire_coo(index_t rows, index_t cols);
-  void release_coo(CooMatrix&& coo);
 
   Stats stats() const;
 
  private:
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<SpaWorkspace>> free_spa_;
-  std::vector<CooMatrix> free_coo_;
   Stats stats_;
 };
 

@@ -22,19 +22,6 @@ TEST(Coo, ValidateCatchesOutOfRange) {
   EXPECT_THROW(c.validate(), CheckError);
 }
 
-TEST(Coo, AppendConcatenates) {
-  CooMatrix a(2, 2), b(2, 2);
-  a.push(0, 0, 1.0);
-  b.push(1, 1, 2.0);
-  a.append(b);
-  EXPECT_EQ(a.nnz(), 2u);
-}
-
-TEST(Coo, AppendRejectsShapeMismatch) {
-  CooMatrix a(2, 2), b(3, 2);
-  EXPECT_THROW(a.append(b), CheckError);
-}
-
 TEST(Convert, CsrCooRoundTrip) {
   const CsrMatrix m = test::random_csr(20, 15, 0.2, 77);
   const CsrMatrix back = coo_to_csr(csr_to_coo(m));

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/partition_plan.hpp"
 #include "core/threshold.hpp"
 #include "gen/datasets.hpp"
 #include "gen/powerlaw_gen.hpp"
+#include "primitives/tuple_merge.hpp"
 #include "sparse/convert.hpp"
 #include "spgemm/gustavson.hpp"
 #include "spgemm/spgemm.hpp"
@@ -159,6 +163,120 @@ TEST_F(HhCpuTest, IncompatibleShapesThrow) {
   const CsrMatrix a(3, 4), b(5, 3);
   EXPECT_THROW(run_hh_cpu(a, b, {}, plat_, pool_), CheckError);
   EXPECT_THROW(cost_hh_cpu(a, b, {}, plat_, pool_), CheckError);
+}
+
+// The bits run_hh_cpu must produce, from a serial reference: the four
+// products' tuples in Phase order (A_H×B_H, A_L×B_L, then the queue's
+// A_L×B_H and A_H×B_L entries), each row's columns ascending from a per-row
+// SPA, merged by the single-COO merged_coo_to_csr (a stable (r, c) sort with
+// sums from zero in input order).
+CsrMatrix serial_hh_cpu_reference(const CsrMatrix& a, const CsrMatrix& b,
+                                  const PartitionPlan& plan) {
+  CooMatrix tuples(a.rows, b.cols);
+  std::vector<value_t> acc(static_cast<std::size_t>(b.cols));
+  std::vector<std::uint8_t> hit(static_cast<std::size_t>(b.cols), 0);
+  std::vector<index_t> cols;
+  const auto product = [&](const std::vector<index_t>& rows, bool b_high) {
+    for (const index_t i : rows) {
+      cols.clear();
+      for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
+        const index_t j = a.indices[k];
+        if ((plan.b.is_high[static_cast<std::size_t>(j)] != 0) != b_high) {
+          continue;
+        }
+        for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
+          const index_t c = b.indices[l];
+          if (hit[c] == 0) {
+            hit[c] = 1;
+            acc[c] = value_t{0};
+            cols.push_back(c);
+          }
+          acc[c] += a.values[k] * b.values[l];
+        }
+      }
+      std::sort(cols.begin(), cols.end());
+      for (const index_t c : cols) {
+        tuples.push(i, c, acc[c]);
+        hit[c] = 0;
+      }
+    }
+  };
+  product(plan.a.high_rows, true);
+  product(plan.a.low_rows, false);
+  product(plan.a.low_rows, true);
+  product(plan.a.high_rows, false);
+  return merged_coo_to_csr(tuples);
+}
+
+template <class T>
+bool same_bytes(const std::vector<T>& x, const std::vector<T>& y) {
+  return x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
+}
+
+// run_hh_cpu's C against the serial reference under memcmp, with pools of
+// 1 and 4, at the analytic pick and at both ends of threshold_grid (the
+// last point empties both H sides), plus any `extra` thresholds.
+void expect_reference_bits(const CsrMatrix& a, const CsrMatrix& b,
+                           const HeteroPlatform& plat, const std::string& what,
+                           std::vector<offset_t> extra = {}) {
+  const std::vector<offset_t> grid = threshold_grid(a, b);
+  extra.insert(extra.end(), {0, grid.front(), grid.back()});
+  ThreadPool pool1(1), pool4(4);
+  for (const offset_t t : extra) {
+    const PartitionPlan plan = make_partition_plan(a, b, t, t, plat);
+    const CsrMatrix want = serial_hh_cpu_reference(a, b, plan);
+    HhCpuOptions opt;
+    opt.threshold_a = t;
+    opt.threshold_b = t;
+    for (ThreadPool* pool : {&pool1, &pool4}) {
+      const CsrMatrix got = run_hh_cpu(a, b, opt, plat, *pool).c;
+      const std::string at = what + " t=" + std::to_string(t) + " pool " +
+                             std::to_string(pool->size());
+      EXPECT_EQ(got.rows, want.rows) << at;
+      EXPECT_EQ(got.cols, want.cols) << at;
+      EXPECT_TRUE(same_bytes(got.indptr, want.indptr)) << at;
+      EXPECT_TRUE(same_bytes(got.indices, want.indices)) << at;
+      EXPECT_TRUE(same_bytes(got.values, want.values)) << at;
+    }
+  }
+}
+
+TEST_F(HhCpuTest, BitIdenticalToSerialReferenceOnTableOneAnalogues) {
+  for (const char* name : {"wiki-Vote", "ca-CondMat", "email-Enron"}) {
+    const CsrMatrix a = make_dataset(dataset_spec(name), 0.04);
+    expect_reference_bits(a, a, plat_, name);
+  }
+}
+
+TEST_F(HhCpuTest, BitIdenticalToSerialReferenceOnRectangularPair) {
+  PowerLawGenConfig cfg;
+  cfg.rows = 600;
+  cfg.alpha = 2.3;
+  cfg.target_nnz = 3600;
+  cfg.seed = 231;
+  const CsrMatrix a = generate_power_law_matrix(cfg);
+  const CsrMatrix b = test::random_csr(600, 450, 0.01, 232);
+  ASSERT_NE(a.cols, b.cols);
+  expect_reference_bits(a, b, plat_, "rectangular pair");
+}
+
+TEST_F(HhCpuTest, BitIdenticalToSerialReferenceOnCancellationAndNegativeZero) {
+  // B row 0 (length 4) and rows 1-2 (lengths 1-2) sit on opposite B sides
+  // at t = 2 and 3, so C(0, 0) = 0.5 - 0.5 and C(0, 1) = 3 - 3 cancel
+  // exactly across the Phase II and Phase III tuples. C(1, 2) is the lone
+  // product -1 × 0.0 = -0.0, and C(2, 2) sums +0.0 and -0.0 from opposite
+  // B sides.
+  const CsrMatrix a = csr_from_triplets(
+      3, 4, std::vector<index_t>{0, 0, 0, 1, 2, 2},
+      std::vector<index_t>{0, 1, 2, 3, 0, 3},
+      std::vector<value_t>{1.0, 1.0, 1.0, -1.0, 0.0, -1.0});
+  const CsrMatrix b = csr_from_triplets(
+      4, 5, std::vector<index_t>{0, 0, 0, 0, 1, 2, 2, 3},
+      std::vector<index_t>{0, 1, 2, 3, 0, 1, 4, 2},
+      std::vector<value_t>{0.5, 3.0, 1.0, 1.0, -0.5, -3.0, 1.0, 0.0});
+  expect_reference_bits(a, b, plat_, "cancellation", {1, 2, 3, 5});
 }
 
 // cost_hh_cpu's contract: the full run's report, field for field, with

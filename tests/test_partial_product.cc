@@ -1,6 +1,8 @@
 // The masked partial-product kernel is the numeric heart of HH-CPU: these
 // tests pin down the decomposition identity (the four partial products merge
-// to the full product) and the statistics the device models consume.
+// to the full product), the run store it writes (one sorted run per listed
+// row, in that row's slot), its row checks, and the statistics the device
+// models consume.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,16 +33,94 @@ TEST(PartialProduct, UnmaskedEqualsFullProduct) {
   const CsrMatrix b = test::random_csr(20, 22, 0.3, 302);
   ThreadPool pool(2);
   ProductStats stats;
-  const CooMatrix coo =
-      partial_product_tuples(a, b, all_rows(a.rows), {}, true, pool, &stats);
-  const CsrMatrix got = merged_coo_to_csr(coo);
+  const CsrMatrix runs =
+      partial_product_runs(a, b, all_rows(a.rows), {}, true, pool, &stats);
+  runs.validate(true);
   const CsrMatrix want = gustavson_spgemm(a, b);
   std::string why;
-  EXPECT_TRUE(approx_equal(want, got, 1e-9, &why)) << why;
+  EXPECT_TRUE(approx_equal(want, runs, 1e-9, &why)) << why;
   EXPECT_EQ(stats.flops, total_flops(a, b));
   EXPECT_EQ(stats.rows, a.rows);
   EXPECT_EQ(stats.a_nnz, a.nnz());
-  EXPECT_EQ(stats.tuples, static_cast<std::int64_t>(coo.nnz()));
+  EXPECT_EQ(stats.tuples, runs.nnz());
+}
+
+// Each listed row's run sits in its own slot whatever the list order; rows
+// the list leaves out stay empty.
+TEST(PartialProduct, RunsFillOnlyTheListedRowSlots) {
+  const CsrMatrix a = test::random_csr(30, 20, 0.3, 313);
+  const CsrMatrix b = test::random_csr(20, 25, 0.3, 314);
+  const CsrMatrix full = gustavson_spgemm(a, b);
+  const std::vector<index_t> rows = {17, 3, 29, 0, 8};
+  ThreadPool pool(3);
+  const CsrMatrix runs = partial_product_runs(a, b, rows, {}, true, pool);
+  runs.validate(true);
+  ASSERT_EQ(runs.rows, a.rows);
+  ASSERT_EQ(runs.cols, b.cols);
+  for (index_t i = 0; i < a.rows; ++i) {
+    const bool listed = std::find(rows.begin(), rows.end(), i) != rows.end();
+    if (!listed) {
+      EXPECT_EQ(runs.row_nnz(i), 0) << "row " << i;
+      continue;
+    }
+    ASSERT_EQ(runs.row_nnz(i), full.row_nnz(i)) << "row " << i;
+    for (offset_t k = 0; k < runs.row_nnz(i); ++k) {
+      EXPECT_EQ(runs.row_indices(i)[k], full.row_indices(i)[k]);
+      EXPECT_DOUBLE_EQ(runs.row_values(i)[k], full.row_values(i)[k]);
+    }
+  }
+}
+
+// Parts with different masks share one store: each part's rows get their
+// own view of B, and the result equals one call per part.
+TEST(PartialProduct, PartsShareOneStore) {
+  const CsrMatrix a = test::random_csr(400, 400, 0.02, 315);
+  const RowPartition p = classify_rows(a, 9);
+  ASSERT_GT(p.high_count(), 0);
+  ASSERT_GT(p.low_count(), 0);
+  ThreadPool pool(4);
+  const MaskedRows parts[] = {{p.low_rows, p.is_high, true},
+                              {p.high_rows, p.is_high, false}};
+  std::vector<ProductStats> per_row(static_cast<std::size_t>(a.rows));
+  ProductStats total;
+  const CsrMatrix both =
+      partial_product_runs(a, a, parts, pool, &total, nullptr, per_row);
+  const CsrMatrix lh =
+      partial_product_runs(a, a, p.low_rows, p.is_high, true, pool);
+  const CsrMatrix hl =
+      partial_product_runs(a, a, p.high_rows, p.is_high, false, pool);
+  for (index_t i = 0; i < a.rows; ++i) {
+    const CsrMatrix& one = p.is_high[i] != 0 ? hl : lh;
+    ASSERT_EQ(both.row_nnz(i), one.row_nnz(i)) << "row " << i;
+    for (offset_t k = 0; k < one.row_nnz(i); ++k) {
+      EXPECT_EQ(both.row_indices(i)[k], one.row_indices(i)[k]);
+      EXPECT_EQ(both.row_values(i)[k], one.row_values(i)[k]);
+    }
+  }
+  EXPECT_EQ(total.tuples, both.nnz());
+  EXPECT_EQ(total.rows, a.rows);
+  std::vector<index_t> listed = p.low_rows;
+  listed.insert(listed.end(), p.high_rows.begin(), p.high_rows.end());
+  for (std::size_t k = 0; k < listed.size(); ++k) {
+    EXPECT_EQ(per_row[k].tuples, both.row_nnz(listed[k])) << "slot " << k;
+  }
+}
+
+TEST(PartialProduct, RejectsOutOfRangeAndRepeatedRows) {
+  const CsrMatrix a = test::random_csr(12, 12, 0.3, 316);
+  ThreadPool pool(2);
+  const std::vector<index_t> valid = {11, 0, 4};
+  EXPECT_NO_THROW(partial_product_runs(a, a, valid, {}, true, pool));
+  for (const std::vector<index_t>& rows :
+       {std::vector<index_t>{0, 12}, std::vector<index_t>{-1, 3},
+        std::vector<index_t>{4, 7, 4}}) {
+    EXPECT_THROW(partial_product_runs(a, a, rows, {}, true, pool), CheckError)
+        << rows.back();
+  }
+  // A row listed once in each of two parts is listed twice.
+  const std::vector<index_t> first = {1, 5}, second = {6, 5};
+  const MaskedRows parts[] = {{first, {}, true}, {second, {}, true}};
+  EXPECT_THROW(partial_product_runs(a, a, parts, pool), CheckError);
 }
 
 class DecompositionTest : public testing::TestWithParam<offset_t> {};
@@ -53,15 +133,17 @@ TEST_P(DecompositionTest, FourPartialProductsMergeToFullProduct) {
   ThreadPool pool(2);
   const RowPartition p = classify_rows(a, t);
 
-  CooMatrix all(a.rows, a.cols);
+  // Each A row has one run per B side, so the four stores merge by row.
+  std::vector<CsrMatrix> stores;
   for (const bool a_high : {true, false}) {
     for (const bool b_high : {true, false}) {
       const auto& rows = a_high ? p.high_rows : p.low_rows;
-      all.append(
-          partial_product_tuples(a, a, rows, p.is_high, b_high, pool, nullptr));
+      stores.push_back(
+          partial_product_runs(a, a, rows, p.is_high, b_high, pool, nullptr));
     }
   }
-  const CsrMatrix got = merged_coo_to_csr(all);
+  const CsrMatrix* parts[] = {&stores[0], &stores[1], &stores[2], &stores[3]};
+  const CsrMatrix got = merge_row_runs(parts, pool);
   const CsrMatrix want = gustavson_spgemm(a, a);
   std::string why;
   EXPECT_TRUE(approx_equal(want, got, 1e-9, &why))
@@ -75,7 +157,7 @@ TEST(PartialProduct, StatsSplitConsistent) {
   const CsrMatrix a = test::random_csr(40, 40, 0.15, 402);
   ThreadPool pool(2);
   ProductStats stats;
-  partial_product_tuples(a, a, all_rows(a.rows), {}, true, pool, &stats);
+  partial_product_runs(a, a, all_rows(a.rows), {}, true, pool, &stats);
   EXPECT_EQ(stats.flops_shared + stats.flops_global, stats.flops);
   EXPECT_LE(stats.max_row_flops, stats.flops);
   EXPECT_GE(stats.warp_alu, stats.flops / 32);
@@ -87,30 +169,31 @@ TEST(PartialProduct, MaskedStatsAddUpToUnmasked) {
   ThreadPool pool(2);
   const RowPartition p = classify_rows(a, 5);
   ProductStats hi, lo, full;
-  partial_product_tuples(a, a, all_rows(a.rows), p.is_high, true, pool, &hi);
-  partial_product_tuples(a, a, all_rows(a.rows), p.is_high, false, pool, &lo);
-  partial_product_tuples(a, a, all_rows(a.rows), {}, true, pool, &full);
+  partial_product_runs(a, a, all_rows(a.rows), p.is_high, true, pool, &hi);
+  partial_product_runs(a, a, all_rows(a.rows), p.is_high, false, pool, &lo);
+  partial_product_runs(a, a, all_rows(a.rows), {}, true, pool, &full);
   EXPECT_EQ(hi.flops + lo.flops, full.flops);
   EXPECT_EQ(hi.a_nnz + lo.a_nnz, full.a_nnz);
 }
 
 TEST(PartialProduct, DeterministicAcrossPoolSizes) {
-  const CsrMatrix a = test::random_csr(35, 35, 0.2, 404);
+  // Several of the kernel's row blocks, so the workers share the rows.
+  const CsrMatrix a = test::random_csr(400, 400, 0.02, 404);
   ThreadPool pool1(1), pool4(4);
-  const CooMatrix x =
-      partial_product_tuples(a, a, all_rows(a.rows), {}, true, pool1, nullptr);
-  const CooMatrix y =
-      partial_product_tuples(a, a, all_rows(a.rows), {}, true, pool4, nullptr);
-  EXPECT_EQ(x.r, y.r);
-  EXPECT_EQ(x.c, y.c);
-  EXPECT_EQ(x.v, y.v);
+  const CsrMatrix x =
+      partial_product_runs(a, a, all_rows(a.rows), {}, true, pool1, nullptr);
+  const CsrMatrix y =
+      partial_product_runs(a, a, all_rows(a.rows), {}, true, pool4, nullptr);
+  EXPECT_EQ(x.indptr, y.indptr);
+  EXPECT_EQ(x.indices, y.indices);
+  EXPECT_EQ(x.values, y.values);
 }
 
 TEST(PartialProduct, EstimateIsExactOnFlopsAndUpperBoundOnTuples) {
   const CsrMatrix a = test::random_csr(30, 30, 0.25, 405);
   ThreadPool pool(2);
   ProductStats actual;
-  partial_product_tuples(a, a, all_rows(a.rows), {}, true, pool, &actual);
+  partial_product_runs(a, a, all_rows(a.rows), {}, true, pool, &actual);
   const ProductStats est =
       estimate_partial_product(a, a, all_rows(a.rows), {}, true);
   EXPECT_EQ(est.flops, actual.flops);
@@ -125,9 +208,10 @@ TEST(PartialProduct, EmptyRowList) {
   const CsrMatrix a = test::random_csr(10, 10, 0.3, 406);
   ThreadPool pool(2);
   ProductStats stats;
-  const CooMatrix coo =
-      partial_product_tuples(a, a, {}, {}, true, pool, &stats);
-  EXPECT_EQ(coo.nnz(), 0u);
+  const CsrMatrix runs =
+      partial_product_runs(a, a, {}, {}, true, pool, &stats);
+  EXPECT_EQ(runs.rows, a.rows);
+  EXPECT_EQ(runs.nnz(), 0);
   EXPECT_EQ(stats.rows, 0);
   EXPECT_EQ(stats.flops, 0);
 }
@@ -158,7 +242,7 @@ TEST(MaskedRowCosts, EqualKernelStatsRowByRow) {
     for (index_t i = 0; i < a.rows; ++i) {
       const index_t row[1] = {i};
       ProductStats want;
-      partial_product_tuples(a, b, row, p.is_high, v, pool1, &want);
+      partial_product_runs(a, b, row, p.is_high, v, pool1, &want);
       const ProductStats& got = costs.by_mask[v][static_cast<std::size_t>(i)];
       EXPECT_EQ(got.rows, want.rows) << "row " << i;
       EXPECT_EQ(got.a_nnz, want.a_nnz) << "row " << i;
@@ -174,7 +258,7 @@ TEST(MaskedRowCosts, EqualKernelStatsRowByRow) {
       sum.accumulate(got);
     }
     ProductStats all;
-    partial_product_tuples(a, b, all_rows(a.rows), p.is_high, v, pool4, &all);
+    partial_product_runs(a, b, all_rows(a.rows), p.is_high, v, pool4, &all);
     EXPECT_EQ(sum.flops_global, all.flops_global);
     EXPECT_EQ(sum.max_row_flops, all.max_row_flops);
   }
@@ -209,7 +293,7 @@ TEST(MaskedRowCosts, EqualKernelStatsAtEveryGridPoint) {
     const RowPartition p = classify_rows(a, grid[g]);
     for (const bool v : {false, true}) {
       std::vector<ProductStats> want(rows.size());
-      partial_product_tuples(a, a, rows, p.is_high, v, pool, nullptr, nullptr,
+      partial_product_runs(a, a, rows, p.is_high, v, pool, nullptr, nullptr,
                              want);
       for (index_t i = 0; i < a.rows; ++i) {
         const ProductStats& got = costs.by_mask[v][static_cast<std::size_t>(i)];
@@ -230,9 +314,10 @@ TEST(MaskedRowCosts, EqualKernelStatsAtEveryGridPoint) {
 }
 
 // row_stats is filled by the pool workers, one disjoint slot per row: each
-// slot equals a one-row call, whatever the pool size and row order.
+// slot equals a one-row call, whatever the pool size and row order, over
+// several of the kernel's row blocks.
 TEST(PartialProduct, RowStatsEqualOneRowCalls) {
-  const CsrMatrix a = test::random_csr(40, 30, 0.2, 411);
+  const CsrMatrix a = test::random_csr(300, 30, 0.2, 411);
   const CsrMatrix b = test::random_csr(30, 45, 0.25, 412);
   const RowPartition p = classify_rows(b, 8);
   std::vector<index_t> rows = all_rows(a.rows);
@@ -241,12 +326,12 @@ TEST(PartialProduct, RowStatsEqualOneRowCalls) {
   for (const bool v : {false, true}) {
     std::vector<ProductStats> per_row(rows.size());
     ProductStats total;
-    const CooMatrix tuples = partial_product_tuples(
-        a, b, rows, p.is_high, v, pool4, &total, nullptr, per_row);
+    const CsrMatrix runs = partial_product_runs(a, b, rows, p.is_high, v,
+                                                pool4, &total, nullptr, per_row);
     ProductStats sum;
     for (std::size_t k = 0; k < rows.size(); ++k) {
       ProductStats want;
-      partial_product_tuples(a, b, std::span(&rows[k], 1), p.is_high, v,
+      partial_product_runs(a, b, std::span(&rows[k], 1), p.is_high, v,
                              pool1, &want);
       const ProductStats& got = per_row[k];
       EXPECT_EQ(got.rows, want.rows) << "row " << rows[k];
@@ -260,13 +345,13 @@ TEST(PartialProduct, RowStatsEqualOneRowCalls) {
       EXPECT_EQ(got.b_read_bytes, want.b_read_bytes) << "row " << rows[k];
       sum.accumulate(got);
     }
-    EXPECT_EQ(sum.tuples, static_cast<std::int64_t>(tuples.nnz()));
+    EXPECT_EQ(sum.tuples, runs.nnz());
     EXPECT_EQ(sum.tuples, total.tuples);
     EXPECT_EQ(sum.flops, total.flops);
     EXPECT_EQ(sum.max_row_flops, total.max_row_flops);
   }
   std::vector<ProductStats> short_table(rows.size() - 1);
-  EXPECT_THROW(partial_product_tuples(a, b, rows, p.is_high, true, pool1,
+  EXPECT_THROW(partial_product_runs(a, b, rows, p.is_high, true, pool1,
                                       nullptr, nullptr, short_table),
                CheckError);
 }
@@ -278,7 +363,7 @@ TEST(PartialProduct, SharedAccumCapKnob) {
   const CsrMatrix a = test::random_csr(20, 20, 0.4, 407);
   ThreadPool pool(2);
   ProductStats stats;
-  partial_product_tuples(a, a, all_rows(a.rows), {}, true, pool, &stats);
+  partial_product_runs(a, a, all_rows(a.rows), {}, true, pool, &stats);
   // With cap 1 nearly everything lands on the global path.
   EXPECT_GT(stats.flops_global, stats.flops_shared);
   set_shared_accum_cap(original);

@@ -57,6 +57,15 @@ void expect_same_bits(const CsrMatrix& want, const CsrMatrix& got) {
   EXPECT_TRUE(same_bytes(want.values, got.values));
 }
 
+value_t seeded_value(Xoshiro256& rng) {
+  switch (rng.below(8)) {
+    case 0: return 0.0;
+    case 1: return -0.0;
+    case 2: return rng.below(2) == 0 ? 1e16 : -1e16;
+    default: return 2 * rng.uniform() - 1;
+  }
+}
+
 // Seeded tuples whose rows hold 0, 1, 2 or 8-12 column-sorted runs, or one
 // unsorted scatter. Columns repeat within and across runs; values include
 // explicit zeros, -0.0 and +-1e16, large enough that summation order shows
@@ -65,14 +74,6 @@ void expect_same_bits(const CsrMatrix& want, const CsrMatrix& got) {
 CooMatrix run_structured_tuples(std::uint64_t seed) {
   constexpr index_t kRows = 2000, kCols = 64, kTrailingEmpty = 7;
   Xoshiro256 rng(seed);
-  const auto value = [&]() -> value_t {
-    switch (rng.below(8)) {
-      case 0: return 0.0;
-      case 1: return -0.0;
-      case 2: return rng.below(2) == 0 ? 1e16 : -1e16;
-      default: return 2 * rng.uniform() - 1;
-    }
-  };
   struct Run {
     index_t row;
     std::vector<index_t> cols;
@@ -93,7 +94,7 @@ CooMatrix run_structured_tuples(std::uint64_t seed) {
   }
   CooMatrix coo(kRows, kCols);
   for (const Run& run : runs) {
-    for (const index_t c : run.cols) coo.push(run.row, c, value());
+    for (const index_t c : run.cols) coo.push(run.row, c, seeded_value(rng));
   }
   return coo;
 }
@@ -138,32 +139,6 @@ TEST(TupleMerge, SumsEachKeyFromZeroInInputOrder) {
   ASSERT_EQ(m.row_nnz(2), 1);
   EXPECT_EQ(m.row_values(2)[0], 0.0);
   EXPECT_FALSE(std::signbit(m.row_values(2)[0]));
-}
-
-TEST(TupleMerge, PartsMergeLikeTheirConcatenation) {
-  const CooMatrix whole = run_structured_tuples(4);
-  const std::size_t cut1 = whole.nnz() / 3, cut2 = 2 * whole.nnz() / 3;
-  const auto slice = [&](std::size_t lo, std::size_t hi) {
-    CooMatrix part(whole.rows, whole.cols);
-    for (std::size_t i = lo; i < hi; ++i) {
-      part.push(whole.r[i], whole.c[i], whole.v[i]);
-    }
-    return part;
-  };
-  const CooMatrix a = slice(0, cut1), empty = slice(cut1, cut1),
-                  b = slice(cut1, cut2), c = slice(cut2, whole.nnz());
-  const CooMatrix* parts[] = {&a, &empty, &b, &c};
-  ThreadPool pool(3);
-  MergeStats want_stats, got_stats;
-  const CsrMatrix want = merged_coo_to_csr(whole, pool, &want_stats);
-  const CsrMatrix got = merged_coo_to_csr(parts, pool, &got_stats);
-  expect_same_bits(want, got);
-  EXPECT_EQ(want_stats.tuples_in, got_stats.tuples_in);
-  EXPECT_EQ(want_stats.tuples_out, got_stats.tuples_out);
-
-  const CooMatrix other_shape(whole.rows + 1, whole.cols);
-  const CooMatrix* mixed[] = {&a, &other_shape};
-  EXPECT_THROW(merged_coo_to_csr(mixed, pool), CheckError);
 }
 
 TEST(TupleMerge, RejectsOutOfRangeIndices) {
@@ -266,6 +241,150 @@ TEST(TupleMerge, PreservesEmptyTrailingRows) {
   const CsrMatrix m = merged_coo_to_csr(coo);
   EXPECT_EQ(m.rows, 10);
   EXPECT_EQ(m.row_nnz(9), 0);
+}
+
+// ---- merge_row_runs: Phase IV over the run stores of the partial products.
+
+// A run store from each row's (column, value) cells, taken as given.
+using Cells = std::vector<std::pair<index_t, value_t>>;
+CsrMatrix run_store(index_t cols, const std::vector<Cells>& rows) {
+  CsrMatrix m(static_cast<index_t>(rows.size()), cols);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (const auto& [c, v] : rows[r]) {
+      m.indices.push_back(c);
+      m.values.push_back(v);
+    }
+    m.indptr[r + 1] = static_cast<offset_t>(m.indices.size());
+  }
+  return m;
+}
+
+std::vector<const CsrMatrix*> pointers(const std::vector<CsrMatrix>& parts) {
+  std::vector<const CsrMatrix*> out;
+  for (const CsrMatrix& p : parts) out.push_back(&p);
+  return out;
+}
+
+// Three stores shaped like Phase IV's input (hh, ll, queue): each row has
+// zero, one or two strictly ascending runs in random parts, the two often
+// sharing columns. Values include explicit zeros, -0.0 and +-1e16. The last
+// rows stay empty.
+std::vector<CsrMatrix> seeded_run_stores(std::uint64_t seed) {
+  constexpr index_t kRows = 2000, kCols = 64, kTrailingEmpty = 7;
+  Xoshiro256 rng(seed);
+  std::vector<std::vector<Cells>> rows(3, std::vector<Cells>(kRows));
+  for (index_t r = 0; r < kRows - kTrailingEmpty; ++r) {
+    // One run goes to part `pick`; two go to the other two parts.
+    const std::uint64_t runs = rng.below(3);
+    const std::uint64_t pick = rng.below(3);
+    for (std::uint64_t p = 0; p < 3; ++p) {
+      if (runs == 1 ? p != pick : runs == 0 || p == pick) continue;
+      for (index_t c = 0; c < kCols; ++c) {
+        if (rng.below(3) == 0) rows[p][r].push_back({c, seeded_value(rng)});
+      }
+    }
+  }
+  std::vector<CsrMatrix> parts;
+  for (const std::vector<Cells>& part : rows) {
+    parts.push_back(run_store(kCols, part));
+  }
+  return parts;
+}
+
+// The runs as tuples, parts in order: the input order the merge sums in.
+CooMatrix as_tuples(const std::vector<CsrMatrix>& parts) {
+  CooMatrix coo(parts.front().rows, parts.front().cols);
+  for (const CsrMatrix& p : parts) {
+    for (index_t r = 0; r < p.rows; ++r) {
+      for (offset_t k = p.indptr[r]; k < p.indptr[r + 1]; ++k) {
+        coo.push(r, p.indices[k], p.values[k]);
+      }
+    }
+  }
+  return coo;
+}
+
+TEST(RunMerge, MatchesStableSortReferenceBitForBit) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const std::vector<CsrMatrix> parts = seeded_run_stores(seed);
+    const CooMatrix tuples = as_tuples(parts);
+    const CsrMatrix want = stable_sort_reference(tuples);
+    ASSERT_EQ(want.row_nnz(want.rows - 1), 0);
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", pool " +
+                   std::to_string(threads));
+      ThreadPool pool(threads);
+      MergeStats stats;
+      const CsrMatrix got = merge_row_runs(pointers(parts), pool, &stats);
+      got.validate(true);
+      expect_same_bits(want, got);
+      EXPECT_EQ(stats.tuples_in, static_cast<std::int64_t>(tuples.nnz()));
+      EXPECT_EQ(stats.tuples_out, want.nnz());
+    }
+  }
+}
+
+TEST(RunMerge, SumsFromZeroInPartOrder) {
+  // Row 0: 1e16 then -1e16 at column 5, and 7 alone at column 2. Row 1: two
+  // -0.0 runs, whose sum from +0.0 is +0.0 (-0.0 + -0.0 alone would be
+  // -0.0). Row 2: a lone -0.0. Row 3 stays empty.
+  const std::vector<Cells> first = {{{2, 7.0}, {5, 1e16}}, {{3, -0.0}}, {}, {}};
+  const std::vector<Cells> second = {{{5, -1e16}}, {{3, -0.0}}, {{6, -0.0}}, {}};
+  const std::vector<CsrMatrix> parts = {run_store(8, first),
+                                        run_store(8, second)};
+  ThreadPool pool(2);
+  const CsrMatrix m = merge_row_runs(pointers(parts), pool);
+  m.validate(true);
+  const CsrMatrix want = run_store(
+      8, {{{2, (0.0 + 7.0)}, {5, (0.0 + 1e16) + -1e16}}, {{3, 0.0}},
+          {{6, 0.0}}, {}});
+  expect_same_bits(want, m);
+  EXPECT_FALSE(std::signbit(m.row_values(1)[0]));
+  EXPECT_FALSE(std::signbit(m.row_values(2)[0]));
+}
+
+TEST(RunMerge, KeepsEmptyAndTrailingRows) {
+  const std::vector<CsrMatrix> parts = {
+      run_store(10, {{}, {{4, 1.0}}, {}, {}}),
+      run_store(10, {{}, {}, {}, {}}),
+      run_store(10, {{}, {{1, 2.0}, {4, 3.0}}, {}, {}})};
+  ThreadPool pool(3);
+  MergeStats stats;
+  const CsrMatrix m = merge_row_runs(pointers(parts), pool, &stats);
+  m.validate(true);
+  EXPECT_EQ(m.rows, 4);
+  EXPECT_EQ(m.cols, 10);
+  EXPECT_EQ(m.indptr, (std::vector<offset_t>{0, 0, 2, 2, 2}));
+  EXPECT_EQ(m.indices, (std::vector<index_t>{1, 4}));
+  EXPECT_EQ(m.values, (std::vector<value_t>{2.0, 4.0}));
+  EXPECT_EQ(stats.tuples_in, 3);
+  EXPECT_EQ(stats.tuples_out, 2);
+  const std::vector<CsrMatrix> none = {CsrMatrix(5, 5)};
+  EXPECT_EQ(merge_row_runs(pointers(none), pool).indptr,
+            std::vector<offset_t>(6, 0));
+}
+
+TEST(RunMerge, RejectsMalformedParts) {
+  ThreadPool pool(2);
+  const auto merge = [&](const std::vector<CsrMatrix>& parts) {
+    return merge_row_runs(pointers(parts), pool);
+  };
+  const CsrMatrix good = run_store(4, {{{0, 1.0}}, {{3, 1.0}}});
+  EXPECT_THROW(merge({good, run_store(4, {{}, {}, {}})}), CheckError);
+  EXPECT_THROW(merge({good, run_store(5, {{}, {}})}), CheckError);
+  for (const index_t c : {4, -1}) {
+    EXPECT_THROW(merge({good, run_store(4, {{}, {{c, 1.0}}})}), CheckError)
+        << c;
+  }
+  CsrMatrix past_end = good;
+  past_end.indptr = {0, 3, 2};  // row 0 claims three of the two entries
+  EXPECT_THROW(merge({past_end}), CheckError);
+  EXPECT_THROW(merge({run_store(4, {{{2, 1.0}, {1, 1.0}}, {}})}), CheckError);
+  EXPECT_THROW(merge({run_store(4, {{{2, 1.0}, {2, 1.0}}, {}})}), CheckError);
+  // kMaxRunsPerRow non-empty runs merge; one more throws.
+  EXPECT_NO_THROW(merge({good, good}));
+  EXPECT_THROW(merge({good, good, good}), CheckError);
+  EXPECT_NO_THROW(merge({good, run_store(4, {{}, {}}), good}));
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "primitives/tuple_merge.hpp"
 #include "sched/chunk.hpp"
 #include "sparse/partition.hpp"
 #include "spgemm/gustavson.hpp"
@@ -29,10 +28,10 @@ TEST_F(WorkQueueTest, ProcessesEveryRowExactlyOnce) {
   const WorkQueueResult r =
       run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool_);
   EXPECT_EQ(r.cpu_stats.rows + r.gpu_stats.rows, a_.rows);
-  const CsrMatrix got = merged_coo_to_csr(r.tuples);
+  r.tuples.validate(true);
   const CsrMatrix want = gustavson_spgemm(a_, a_);
   std::string why;
-  EXPECT_TRUE(approx_equal(want, got, 1e-9, &why)) << why;
+  EXPECT_TRUE(approx_equal(want, r.tuples, 1e-9, &why)) << why;
 }
 
 TEST_F(WorkQueueTest, BothDevicesParticipate) {
@@ -88,8 +87,9 @@ TEST_F(WorkQueueTest, DeterministicAcrossPoolSizes) {
       run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool4);
   EXPECT_EQ(x.cpu_units, y.cpu_units);
   EXPECT_DOUBLE_EQ(x.cpu_busy, y.cpu_busy);
-  EXPECT_EQ(x.tuples.r, y.tuples.r);
-  EXPECT_EQ(x.tuples.v, y.tuples.v);
+  EXPECT_EQ(x.tuples.indptr, y.tuples.indptr);
+  EXPECT_EQ(x.tuples.indices, y.tuples.indices);
+  EXPECT_EQ(x.tuples.values, y.tuples.values);
 }
 
 TEST_F(WorkQueueTest, TwoTagQueueUsesMasks) {
@@ -143,16 +143,15 @@ TEST_F(WorkQueueTest, ScheduleWithPrecomputedCostsMatchesRun) {
   EXPECT_EQ(dry.gpu_busy, run.gpu_busy);
   EXPECT_EQ(dry.cpu_end, run.cpu_end);
   EXPECT_EQ(dry.gpu_end, run.gpu_end);
-  EXPECT_EQ(dry.cpu_stats.tuples + dry.gpu_stats.tuples,
-            static_cast<std::int64_t>(run.tuples.nnz()));
+  EXPECT_EQ(dry.cpu_stats.tuples + dry.gpu_stats.tuples, run.tuples.nnz());
   EXPECT_EQ(dry.cpu_stats.flops, run.cpu_stats.flops);
   EXPECT_EQ(dry.gpu_stats.max_row_flops, run.gpu_stats.max_row_flops);
-  EXPECT_EQ(dry.tuples.nnz(), 0u);
+  EXPECT_EQ(dry.tuples.nnz(), 0);
 }
 
-TEST_F(WorkQueueTest, TuplesFollowEntryOrderWhateverTheSchedule) {
+TEST_F(WorkQueueTest, RunsDoNotDependOnTheSchedule) {
   // A GPU that joins at once takes units from the back; one that joins at
-  // 1e9 takes none. The tuple stream is the same either way.
+  // 1e9 takes none. Every entry's run lands in its row's slot either way.
   const RowPartition p = classify_rows(a_, 12);
   std::vector<WorkEntry> entries;
   append_entries(entries, p.low_rows, 0);
@@ -168,10 +167,10 @@ TEST_F(WorkQueueTest, TuplesFollowEntryOrderWhateverTheSchedule) {
       run_workqueue(a_, a_, entries, masks, cfg, 0, 1e9, plat_, pool_);
   ASSERT_GT(shared.gpu_units, 0);
   ASSERT_EQ(cpu_only.gpu_units, 0);
-  ASSERT_GT(shared.tuples.nnz(), 0u);
-  EXPECT_EQ(shared.tuples.r, cpu_only.tuples.r);
-  EXPECT_EQ(shared.tuples.c, cpu_only.tuples.c);
-  EXPECT_EQ(shared.tuples.v, cpu_only.tuples.v);
+  ASSERT_GT(shared.tuples.nnz(), 0);
+  EXPECT_EQ(shared.tuples.indptr, cpu_only.tuples.indptr);
+  EXPECT_EQ(shared.tuples.indices, cpu_only.tuples.indices);
+  EXPECT_EQ(shared.tuples.values, cpu_only.tuples.values);
 }
 
 TEST_F(WorkQueueTest, EmptyQueueReturnsImmediately) {
@@ -189,6 +188,37 @@ TEST_F(WorkQueueTest, RejectsBadTag) {
   WorkQueueConfig cfg;
   EXPECT_THROW(run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool_),
                CheckError);
+}
+
+TEST_F(WorkQueueTest, RejectsOutOfRangeRow) {
+  const MaskSpec masks[1] = {{{}, true, 0.0, false}};
+  const std::vector<ProductStats> table(2);
+  WorkQueueConfig cfg;
+  for (const index_t bad : {a_.rows, index_t{-1}}) {
+    const std::vector<WorkEntry> entries{{3, 0}, {bad, 0}};
+    EXPECT_THROW(
+        run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool_),
+        CheckError)
+        << bad;
+    EXPECT_THROW(schedule_workqueue(entries, table, masks, cfg, a_.rows, 0, 0,
+                                    plat_),
+                 CheckError)
+        << bad;
+  }
+}
+
+TEST_F(WorkQueueTest, RejectsRepeatedRow) {
+  // Row 5 once per tag: each run would claim the same slot of the store.
+  const RowPartition p = classify_rows(a_, 12);
+  const std::vector<WorkEntry> entries{{1, 0}, {5, 0}, {9, 1}, {5, 1}};
+  const MaskSpec masks[2] = {{p.is_high, true, 100.0, true},
+                             {p.is_high, false, 1e9, false}};
+  WorkQueueConfig cfg;
+  EXPECT_THROW(run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool_),
+               CheckError);
+  const std::vector<WorkEntry> once{{1, 0}, {5, 0}, {9, 1}};
+  EXPECT_NO_THROW(
+      run_workqueue(a_, a_, once, masks, cfg, 0, 0, plat_, pool_));
 }
 
 TEST(WorkQueueConfigTest, AutoScalesWithInstance) {
@@ -235,10 +265,9 @@ TEST(WorkQueueConfigTest, TinyMatrixQueueRunsToCompletion) {
   const WorkQueueResult r = run_workqueue(m, m, entries, masks,
                                           WorkQueueConfig{}, 0, 0, plat, pool);
   EXPECT_EQ(r.cpu_stats.rows + r.gpu_stats.rows, m.rows);
-  const CsrMatrix got = merged_coo_to_csr(r.tuples);
   const CsrMatrix want = gustavson_spgemm(m, m);
   std::string why;
-  EXPECT_TRUE(approx_equal(want, got, 1e-12, &why)) << why;
+  EXPECT_TRUE(approx_equal(want, r.tuples, 1e-12, &why)) << why;
 }
 
 TEST(SortedEntries, DensestFirst) {
