@@ -49,11 +49,9 @@ std::vector<offset_t> threshold_grid(const CsrMatrix& a, const CsrMatrix& b,
 
 namespace {
 
-// The predicted breakdown at one threshold from its split estimate.
-PredictedBreakdown price_split(const SplitEstimate& split, const CsrMatrix& a,
-                               const CsrMatrix& b,
-                               const HeteroPlatform& platform,
-                               const CostCorrection& corr) {
+// The predicted total at one threshold from its split estimate.
+double price_split(const SplitEstimate& split, const CsrMatrix& a,
+                   const CsrMatrix& b, const HeteroPlatform& platform) {
   const ProductStats none;
   const index_t a_high = split.a_rows[1];
   const index_t a_low = split.a_rows[0];
@@ -68,16 +66,12 @@ PredictedBreakdown price_split(const SplitEstimate& split, const CsrMatrix& a,
       (a_high > 0 && b_high > 0) ? split.by_side[1][1] : none;
   const ProductStats& ll = (a_low > 0 && b_low > 0) ? split.by_side[0][0] : none;
   const double t2_cpu =
-      corr.cpu * platform.cpu().kernel_time(hh, ws_bh, true, /*blockable=*/true);
-  const double t2_gpu_kernel = corr.gpu * platform.gpu().kernel_time(ll);
-  double t2_gpu = t2_gpu_kernel;
+      platform.cpu().kernel_time(hh, ws_bh, true, /*blockable=*/true);
+  double t2_gpu = platform.gpu().kernel_time(ll);
   // The GPU only waits for the input transfer if this threshold gives it
   // any work at all; a CPU-only partition skips the link entirely.
-  double transfer_in = 0;
   if (ll.flops > 0 || a_high < a.rows || b_high < b.rows) {
-    transfer_in =
-        platform.link().h2d().operands_transfer_time(a, b) * corr.h2d;
-    t2_gpu += transfer_in;
+    t2_gpu += platform.link().h2d().operands_transfer_time(a, b);
   }
   const double t2 = HeteroPlatform::overlap(t2_cpu, t2_gpu);
 
@@ -91,10 +85,9 @@ PredictedBreakdown price_split(const SplitEstimate& split, const CsrMatrix& a,
   ProductStats p3 = lh;
   p3.accumulate(hl);
   const double t3_cpu =
-      corr.cpu *
-      (platform.cpu().kernel_time(lh, ws_bh, true, /*blockable=*/true) +
-       platform.cpu().kernel_time(hl, ws_bl, true, /*blockable=*/false));
-  const double t3_gpu = corr.gpu * platform.gpu().kernel_time(p3);
+      platform.cpu().kernel_time(lh, ws_bh, true, /*blockable=*/true) +
+      platform.cpu().kernel_time(hl, ws_bl, true, /*blockable=*/false);
+  const double t3_gpu = platform.gpu().kernel_time(p3);
   const double t3 = (t3_cpu <= 0 || t3_gpu <= 0)
                         ? std::max(t3_cpu, t3_gpu)
                         : t3_cpu * t3_gpu / (t3_cpu + t3_gpu);
@@ -104,43 +97,25 @@ PredictedBreakdown price_split(const SplitEstimate& split, const CsrMatrix& a,
   // saves link time — the ranking must see that. The GPU's share of the
   // Phase III tuples is its share of the harmonic split, t3/t3_gpu.
   const std::int64_t tuples = hh.tuples + ll.tuples + p3.tuples;
-  const double t4 = corr.cpu * platform.cpu().merge_time(tuples);
+  const double t4 = platform.cpu().merge_time(tuples);
   double gpu_tuples = static_cast<double>(ll.tuples);
   if (t3_gpu > 0) gpu_tuples += static_cast<double>(p3.tuples) * t3 / t3_gpu;
   const double t_out =
-      corr.d2h * platform.link().d2h().transfer_time(16.0 * gpu_tuples);
-
-  PredictedBreakdown out;
-  out.cpu_s = t2_cpu + t3 + t4;
-  out.gpu_s = t2_gpu_kernel + t3;
-  out.h2d_s = transfer_in;
-  out.d2h_s = t_out;
-  out.total_s = t2 + t3 + t4 + t_out;
-  return out;
+      platform.link().d2h().transfer_time(16.0 * gpu_tuples);
+  return t2 + t3 + t4 + t_out;
 }
 
 }  // namespace
 
-PredictedBreakdown predict_breakdown(const CsrMatrix& a, const CsrMatrix& b,
-                                     offset_t t,
-                                     const HeteroPlatform& platform,
-                                     const CostCorrection& corr) {
-  const offset_t grid[] = {t};
-  return price_split(estimate_splits_on_grid(a, b, grid)[0], a, b, platform,
-                     corr);
-}
-
 ThresholdSweep sweep_thresholds(const CsrMatrix& a, const CsrMatrix& b,
-                                const HeteroPlatform& platform,
-                                const CostCorrection& corr) {
+                                const HeteroPlatform& platform) {
   ThresholdSweep sweep;
   sweep.grid = threshold_grid(a, b);
   const std::vector<SplitEstimate> splits =
       estimate_splits_on_grid(a, b, sweep.grid);
   sweep.predicted_s.reserve(sweep.grid.size());
   for (std::size_t i = 0; i < sweep.grid.size(); ++i) {
-    sweep.predicted_s.push_back(
-        price_split(splits[i], a, b, platform, corr).total_s);
+    sweep.predicted_s.push_back(price_split(splits[i], a, b, platform));
     if (sweep.predicted_s[i] < sweep.predicted_s[sweep.best]) sweep.best = i;
   }
   return sweep;

@@ -9,13 +9,6 @@
 // Fig. 8. Each sweep walks A once for the whole grid, not once per
 // candidate: the analytic one serially (estimate_splits_on_grid), the exact
 // one pool-parallel (cost_hh_cpu_grid).
-//
-// The online autotuner (src/tune/) closes the remaining gap between the two:
-// predict_breakdown() exposes the per-device components of the prediction so
-// measured stage times can be compared against them, and it and
-// sweep_thresholds() accept a CostCorrection (device/cost_model.hpp)
-// carrying the calibrated observed/predicted factors. The default (identity)
-// correction reproduces the uncorrected predictions bit-for-bit.
 #pragma once
 
 #include <vector>
@@ -43,34 +36,13 @@ struct ThresholdChoice {
   double predicted_s = 0;  // model-predicted total for this t
 };
 
-/// Per-device components of a predicted HH-CPU run at threshold t, so a
-/// measured run can be compared stage-by-stage (src/tune/calibration.hpp).
-/// cpu_s/gpu_s are predicted busy seconds (Phase II share + the whole
-/// overlapped Phase III window + merge on the CPU side); h2d_s/d2h_s are
-/// link occupancy. total_s is the predicted total the analytic sweep ranks.
-struct PredictedBreakdown {
-  double cpu_s = 0;
-  double gpu_s = 0;
-  double h2d_s = 0;
-  double d2h_s = 0;
-  double total_s = 0;
-};
-
-/// Predict HH-CPU's time components for threshold t >= 1 (same t for A and
-/// B, as in the paper's per-matrix sweep) from symbolic estimates: Phase II
-/// is the max of the two device products, Phase III is the harmonic sharing
-/// of the cross products between the devices. Each component is scaled by
-/// the matching CostCorrection factor before the overlap/harmonic
-/// combination. This is sweep_thresholds' pricing on the one-point grid {t}.
-PredictedBreakdown predict_breakdown(const CsrMatrix& a, const CsrMatrix& b,
-                                     offset_t t,
-                                     const HeteroPlatform& platform,
-                                     const CostCorrection& correction = {});
-
 /// The full analytic sweep: predicted total for every grid candidate, plus
-/// the argmin. pick_threshold_analytic() is this sweep reduced to its best
-/// entry; the online tuner keeps the whole ranking so exploration can try
-/// near-tied candidates in predicted order.
+/// the argmin. Each total is the estimate of HH-CPU's run at that t (same t
+/// for A and B, as in the paper's per-matrix sweep): Phase II is the max of
+/// the two device products, Phase III the harmonic sharing of the cross
+/// products between the devices. pick_threshold_analytic() is this sweep
+/// reduced to its best entry; the online tuner keeps the whole ranking so
+/// exploration can try near-tied candidates in predicted order.
 struct ThresholdSweep {
   std::vector<offset_t> grid;       // ascending, deduplicated
   std::vector<double> predicted_s;  // parallel to grid
@@ -83,10 +55,9 @@ struct ThresholdSweep {
 };
 
 ThresholdSweep sweep_thresholds(const CsrMatrix& a, const CsrMatrix& b,
-                                const HeteroPlatform& platform,
-                                const CostCorrection& correction = {});
+                                const HeteroPlatform& platform);
 
-/// argmin over threshold_grid() of the uncorrected predicted total.
+/// argmin over threshold_grid() of the predicted total.
 ThresholdChoice pick_threshold_analytic(const CsrMatrix& a,
                                         const CsrMatrix& b,
                                         const HeteroPlatform& platform);

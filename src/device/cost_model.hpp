@@ -94,22 +94,4 @@ struct CostModel {
   PcieCostModel pcie;
 };
 
-/// Per-device multiplicative correction factors, the hook through which the
-/// online autotuner (src/tune/) feeds measured-vs-predicted calibration back
-/// into the analytic predictions: a factor of 1.1 means "this device has been
-/// observed running 10% slower than the model predicts". Applied by
-/// predict_breakdown() / sweep_thresholds() (core/threshold.hpp); the
-/// default-constructed value is the exact identity (multiplying by 1.0 is
-/// bit-exact), so uncalibrated callers reproduce the uncorrected predictions.
-struct CostCorrection {
-  double cpu = 1.0;
-  double gpu = 1.0;
-  double h2d = 1.0;
-  double d2h = 1.0;
-
-  bool is_identity() const {
-    return cpu == 1.0 && gpu == 1.0 && h2d == 1.0 && d2h == 1.0;
-  }
-};
-
 }  // namespace hh

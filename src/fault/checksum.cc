@@ -37,14 +37,4 @@ std::uint64_t matrix_checksum(const CsrMatrix& m) {
   return h;
 }
 
-std::uint64_t tuple_checksum(const CooMatrix& coo) {
-  std::uint64_t h = kFnv1aOffset;
-  h = chain_scalar(static_cast<std::uint64_t>(coo.rows), h);
-  h = chain_scalar(static_cast<std::uint64_t>(coo.cols), h);
-  h = chain(coo.r, h);
-  h = chain(coo.c, h);
-  h = chain(coo.v, h);
-  return h;
-}
-
 }  // namespace hh

@@ -1,18 +1,17 @@
-// End-to-end checksums over shipped buffers.
+// FNV-1a digests of raw bytes.
 //
-// Every operand uploaded to the device and every tuple buffer shipped back
-// carries an FNV-1a digest of its raw bytes. The service computes the
-// digest host-side before a transfer and verifies it after: a corrupted
-// PCIe transfer (fault/fault.hpp) fails verification and forces a re-send —
-// for uploads, the device-side copy is also dropped from the residency memo
-// so later requests cannot silently reuse a damaged operand.
+// matrix_checksum digests a CSR operand: the service keys device residency
+// by it (one device copy per distinct content), and the replay harness
+// digests outputs with it. No transfer is digested: the PCIe transfers are
+// simulated, and a corrupted one is the fault injector's decision
+// (fault/fault.hpp). The service re-sends it, and only a clean upload
+// enters the residency map, so no later request reuses a damaged operand.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 
-#include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 
 namespace hh {
@@ -40,10 +39,7 @@ inline void checksum_mix_f64(std::uint64_t& h, double v) {
   checksum_mix(h, bits);
 }
 
-/// Digest of a CSR operand as shipped (indptr ‖ indices ‖ values + shape).
+/// Digest of a CSR operand (indptr ‖ indices ‖ values + shape).
 std::uint64_t matrix_checksum(const CsrMatrix& m);
-
-/// Digest of a COO tuple buffer as shipped (r ‖ c ‖ v + shape).
-std::uint64_t tuple_checksum(const CooMatrix& coo);
 
 }  // namespace hh

@@ -2,8 +2,8 @@
 //
 // A FaultPlan describes, per fault site, when the simulated hardware
 // misbehaves: transient GPU kernel aborts, PCIe transfer failures or
-// payload corruption (caught by checksums, fault/checksum.hpp), and CPU
-// worker stalls. The schedule is a pure function of (seed, site, op index)
+// payload corruption (the transfer runs to completion and is re-sent), and
+// CPU worker stalls. The schedule is a pure function of (seed, site, op index)
 // — NOT of the order in which sites are interrogated — so two services
 // configured with the same plan see bit-identical fault schedules no matter
 // how their requests interleave, and a replay with the same seed reproduces

@@ -6,7 +6,7 @@
 // accumulated clock, deadlines and pinned thresholds. The harness re-creates
 // that workload against operands registered by signature and runs it twice —
 // untuned (the production baseline) and tuned (autotuner on, seeded from
-// ReplayOptions) — so promotion and calibration behaviour can be validated
+// ReplayOptions) — so promotion behaviour can be validated
 // against production-shaped arrival patterns instead of synthetic uniform
 // waves (ROADMAP: real-workload replay).
 //

@@ -1,9 +1,5 @@
 #include "primitives/tuple_merge.hpp"
 
-#include <algorithm>
-#include <utility>
-#include <vector>
-
 #include "util/check.hpp"
 
 namespace hh {
@@ -135,84 +131,6 @@ CsrMatrix merge_row_runs(std::span<const CsrMatrix* const> parts,
 
   if (stats != nullptr) {
     stats->tuples_in = tuples_in;
-    stats->tuples_out = out.nnz();
-  }
-  return out;
-}
-
-CsrMatrix merged_coo_to_csr(const CooMatrix& coo, MergeStats* stats) {
-  return merged_coo_to_csr(coo, ThreadPool::global(), stats);
-}
-
-CsrMatrix merged_coo_to_csr(const CooMatrix& coo, ThreadPool& pool,
-                            MergeStats* stats) {
-  const index_t rows = coo.rows;
-  const index_t cols = coo.cols;
-  HH_CHECK(coo.r.size() == coo.c.size() && coo.c.size() == coo.v.size());
-
-  // 1. Count the tuples of each row (range-checking every tuple) and scan
-  //    the counts into bucket offsets.
-  std::vector<offset_t> start(static_cast<std::size_t>(rows) + 1, 0);
-  for (std::size_t i = 0; i < coo.nnz(); ++i) {
-    const index_t r = coo.r[i], c = coo.c[i];
-    HH_CHECK_MSG(r >= 0 && r < rows && c >= 0 && c < cols,
-                 "tuple (" << r << ", " << c << ") out of range for " << rows
-                           << "x" << cols);
-    ++start[static_cast<std::size_t>(r) + 1];
-  }
-  for (index_t r = 0; r < rows; ++r) start[r + 1] += start[r];
-  const auto n = static_cast<std::size_t>(start.back());
-
-  // 2. Scatter each (c, v) into its row's bucket, tuples in input order.
-  std::vector<std::pair<index_t, value_t>> bucket(n);
-  {
-    std::vector<offset_t> cursor(start.begin(), start.end() - 1);
-    for (std::size_t i = 0; i < coo.nnz(); ++i) {
-      bucket[static_cast<std::size_t>(cursor[coo.r[i]]++)] = {coo.c[i],
-                                                              coo.v[i]};
-    }
-  }
-
-  // 3. Sort each row's bucket stably by column and sum each column from
-  //    value_t{0} in input order into the front of the bucket; the distinct
-  //    count goes to indptr[r + 1].
-  CsrMatrix out(rows, cols);
-  pool.parallel_for(rows, [&](std::int64_t r0, std::int64_t r1) {
-    for (auto r = static_cast<index_t>(r0); r < r1; ++r) {
-      const auto first = bucket.begin() + start[r];
-      const auto last = bucket.begin() + start[r + 1];
-      std::stable_sort(first, last, [](const auto& x, const auto& y) {
-        return x.first < y.first;
-      });
-      auto sum = first;
-      for (auto it = first; it != last; ++sum) {
-        const index_t col = it->first;
-        value_t acc = 0;
-        do {
-          acc += (it++)->second;
-        } while (it != last && it->first == col);
-        *sum = {col, acc};
-      }
-      out.indptr[r + 1] = sum - first;
-    }
-  });
-
-  // 4. Scan the counts into indptr and copy each row's sums into place.
-  for (index_t r = 0; r < rows; ++r) out.indptr[r + 1] += out.indptr[r];
-  out.indices.resize(static_cast<std::size_t>(out.nnz()));
-  out.values.resize(out.indices.size());
-  pool.parallel_for(rows, [&](std::int64_t r0, std::int64_t r1) {
-    for (auto r = static_cast<index_t>(r0); r < r1; ++r) {
-      const auto* sums = bucket.data() + start[r];
-      for (offset_t k = out.indptr[r]; k < out.indptr[r + 1]; ++k, ++sums) {
-        out.indices[static_cast<std::size_t>(k)] = sums->first;
-        out.values[static_cast<std::size_t>(k)] = sums->second;
-      }
-    }
-  });
-
-  if (stats != nullptr) {
-    stats->tuples_in = static_cast<std::int64_t>(n);
     stats->tuples_out = out.nnz();
   }
   return out;

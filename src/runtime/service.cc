@@ -237,7 +237,7 @@ SpgemmService::SpgemmService(const HeteroPlatform& platform, ThreadPool& pool,
 }
 
 TuneReport SpgemmService::tune_report() const {
-  return {config_.tune.enabled, tuner_.snapshot(), calib_.snapshot()};
+  return {config_.tune.enabled, tuner_.snapshot()};
 }
 
 void validate_spgemm_request(const SpgemmRequest& request) {
@@ -757,17 +757,19 @@ void SpgemmService::Drain::plan(Request& r) {
   ThresholdTuner& tuner = s_.tuner_;
   if (r.cacheable) {
     r.cache_key = PlanKey{s_.signature_of(&r.a), s_.signature_of(&r.b)};
+    if (r.tunable && !tuner.has_entry(r.cache_key)) {
+      // The pair's first tunable request, a cold miss or a plan cached
+      // before tuning was enabled: the tuner keeps the whole analytic
+      // ranking. A known pair never sweeps again, not even on a miss after
+      // an eviction or a quarantine.
+      tuner.admit(r.cache_key, sweep_thresholds(r.a, r.b, platform_));
+    }
     if (const auto cached = s_.plan_cache_.lookup(r.cache_key)) {
       // A pinned side keeps its pin; the cache fills only unpinned ones.
       if (t_a <= 0) t_a = cached->threshold_a;
       if (t_b <= 0) t_b = cached->threshold_b;
       rr.plan_cache_hit = true;
       if (r.tunable) {
-        if (!tuner.has_entry(r.cache_key)) {
-          // Plan cached before tuning was enabled: one sweep adopts it.
-          tuner.admit(r.cache_key, sweep_thresholds(r.a, r.b, platform_,
-                                                    s_.calib_.corrections()));
-        }
         const ThresholdTuner::Decision d = tuner.decide(r.cache_key);
         s_.metrics_.counter("tune.decisions").inc();
         r.tuned_t = d.t;
@@ -785,12 +787,8 @@ void SpgemmService::Drain::plan(Request& r) {
                  rr.submit_s);
   }
   if (r.tunable && !rr.plan_cache_hit) {
-    // Cold signature pair: run the analytic sweep once (with the current
-    // calibration corrections), remember the full ranking for later
-    // exploration, and serve its best. With an uncalibrated store this is
+    // A miss serves the incumbent: for a new pair the analytic sweep's best,
     // exactly the pick make_partition_plan would have made on its own.
-    tuner.admit(r.cache_key, sweep_thresholds(r.a, r.b, platform_,
-                                              s_.calib_.corrections()));
     t_a = t_b = tuner.incumbent(r.cache_key);
     r.tuned_t = t_a;
   }
@@ -1027,7 +1025,7 @@ void SpgemmService::Drain::settle(Request& r) {
 
 // Feed the tuner: only clean requests observe. A faulted, degraded or
 // cancelled request's timings measure the fault plan, not the plan quality,
-// and would poison both the variant table and the calibration.
+// and would poison the variant table.
 void SpgemmService::Drain::feed_tuner(Request& r) {
   const RequestReport& rr = r.rr;
   const RunReport& rep = rr.run;
@@ -1049,27 +1047,6 @@ void SpgemmService::Drain::feed_tuner(Request& r) {
     s_.plan_cache_.insert(r.cache_key, promoted);
     s_.metrics_.counter("tune.promotions").inc();
     log_.instant(TraceCategory::kTune, "tune-promote", rr.finish_s);
-  }
-  // Calibrate the cost model against this request's observed stage times
-  // (per device; transfers only when bytes actually moved).
-  const PredictedBreakdown pred =
-      predict_breakdown(r.a, r.b, r.tuned_t, platform_);
-  CalibrationStore& calib = s_.calib_;
-  using Device = CalibrationStore::Device;
-  bool drift = false;
-  drift |= calib.record(Device::kCpu, pred.cpu_s,
-                        rep.phase2_cpu_s + rep.phase3_cpu_s + rep.phase4_s);
-  drift |= calib.record(Device::kGpu, pred.gpu_s,
-                        rep.phase2_gpu_s + rep.phase3_gpu_s);
-  if (rep.transfer_in_s > 0) {
-    drift |= calib.record(Device::kH2D, pred.h2d_s, rep.transfer_in_s);
-  }
-  if (rep.transfer_out_s > 0) {
-    drift |= calib.record(Device::kD2H, pred.d2h_s, rep.transfer_out_s);
-  }
-  if (drift) {
-    s_.metrics_.counter("tune.drift_events").inc();
-    log_.instant(TraceCategory::kTune, "tune-drift", rr.finish_s);
   }
 }
 
@@ -1254,14 +1231,8 @@ void SpgemmService::Drain::publish_metrics(BatchReport& batch) {
   m.gauge("service.h2d_busy_s").set(batch.h2d_busy_s);
   m.gauge("service.d2h_busy_s").set(batch.d2h_busy_s);
   if (s_.config_.tune.enabled) {
-    using Device = CalibrationStore::Device;
-    const CalibrationStore& calib = s_.calib_;
     m.gauge("tune.entries").set(static_cast<double>(s_.tuner_.entries()));
     m.gauge("tune.converged").set(static_cast<double>(s_.tuner_.converged()));
-    m.gauge("tune.calibration.cpu").set(calib.correction(Device::kCpu));
-    m.gauge("tune.calibration.gpu").set(calib.correction(Device::kGpu));
-    m.gauge("tune.calibration.h2d").set(calib.correction(Device::kH2D));
-    m.gauge("tune.calibration.d2h").set(calib.correction(Device::kD2H));
   }
 }
 

@@ -66,7 +66,6 @@
 #include "spgemm/workspace.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
-#include "tune/calibration.hpp"
 #include "tune/report.hpp"
 #include "tune/tuner.hpp"
 #include "util/prng.hpp"
@@ -232,11 +231,11 @@ class SpgemmService {
     // holds one request. Output bits are the same either way.
     WaveConfig wave;
     // Online autotuning (src/tune/, docs/tuning.md): measured-feedback
-    // refinement of cached thresholds plus cost-model calibration. Off by
-    // default — a disabled tuner leaves every request, report and metric
-    // exactly as they were without the subsystem. Tuning never changes
-    // output bits: it only re-selects among threshold candidates, and every
-    // candidate computes the same product.
+    // refinement of cached thresholds. Off by default — a disabled tuner
+    // leaves every request, report and metric exactly as they were without
+    // the subsystem. Tuning never changes output bits: it only re-selects
+    // among threshold candidates, and every candidate computes the same
+    // product.
     TuneConfig tune;
     // Optional structured tracing (trace/trace.hpp). The recorder must
     // outlive the service; it records nothing until enable()d. While
@@ -282,16 +281,13 @@ class SpgemmService {
   WorkspacePool& workspace_pool() { return workspace_; }
   const FaultInjector& fault_injector() const { return injector_; }
   const ThresholdTuner& tuner() const { return tuner_; }
-  const CalibrationStore& calibration() const { return calib_; }
-  // Mutable tuner/calibration access for snapshot rehydration (src/shard/):
-  // a restarted shard restores both stores before serving traffic.
+  // Mutable tuner access for snapshot rehydration (src/shard/): a
+  // restarted shard restores it before serving traffic.
   ThresholdTuner& tuner() { return tuner_; }
-  CalibrationStore& calibration() { return calib_; }
 
-  /// Convergence/calibration snapshot of the online autotuner: entries in
-  /// first-seen order, measured variants, promotion versions, per-device
-  /// correction factors. Deterministic — same-seed replays render
-  /// byte-identical JSON.
+  /// Convergence snapshot of the online autotuner: entries in first-seen
+  /// order, measured variants, promotion versions. Deterministic —
+  /// same-seed replays render byte-identical JSON.
   TuneReport tune_report() const;
 
   /// Lifetime-cumulative instruments ("service.*", "plan_cache.*"): request
@@ -317,7 +313,6 @@ class SpgemmService {
   WorkspacePool workspace_;
   FaultInjector injector_;
   ThresholdTuner tuner_;
-  CalibrationStore calib_;
   Xoshiro256 jitter_rng_;  // consumed only when decorrelated_jitter is on
   std::vector<SpgemmRequest> queue_;
   std::size_t next_id_ = 0;

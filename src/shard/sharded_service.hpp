@@ -28,13 +28,13 @@
 //    submit() when `group_capacity` is reached.
 //  - Restart + rehydration. A killed shard restarts after
 //    `restart_after_rounds` rounds with a fresh service (derived per-shard
-//    seeds, fault injector back at op 0) whose plan cache, tuner (PRNG
-//    position included) and calibration are restored from the last
-//    checksummed snapshot (shard/snapshot.hpp) — minus any key the group's
-//    quarantine ledger still holds (TTL `kQuarantineTtlRounds` rounds), so
-//    a plan quarantined after the snapshot cannot be resurrected. A
-//    snapshot failing checksum verification is rejected: cold start. A
-//    restarted shard re-enters through the half-open probe path.
+//    seeds, fault injector back at op 0) whose plan cache and tuner (PRNG
+//    position included) are restored from the last checksummed snapshot
+//    (shard/snapshot.hpp) — minus any key the group's quarantine ledger
+//    still holds (TTL `kQuarantineTtlRounds` rounds), so a plan quarantined
+//    after the snapshot cannot be resurrected. A snapshot failing checksum
+//    verification is rejected: cold start. A restarted shard re-enters
+//    through the half-open probe path.
 //
 // The kShard decision stream is one op per shard slot per round, slot order
 // — op index = (round - 1) * shards + shard for the group's round counter
@@ -117,7 +117,7 @@ class ShardedSpgemmService {
   /// shards, after failover — executed each request.
   GroupResult drain();
 
-  /// Per-shard tuner/calibration state (index == shard; a dead shard
+  /// Per-shard tuner state (index == shard; a dead shard
   /// contributes a default report). Deterministic JSON, replay-stable.
   GroupTuneReport tune_report() const;
 

@@ -70,13 +70,6 @@ std::uint64_t ShardSnapshot::compute_checksum() const {
   mix_i64(h, tuner.explorations);
   mix_i64(h, tuner.measurements);
   mix_i64(h, tuner.promotions);
-  for (const CalibrationSnapshot::DeviceState& d : calibration.devices) {
-    mix_i64(h, d.samples);
-    mix_f64(h, d.mean_log_ratio);
-    mix_f64(h, d.last_ratio);
-    mix(h, d.drift ? 1u : 0u);
-  }
-  mix_i64(h, calibration.drift_events);
   return h;
 }
 
@@ -87,7 +80,6 @@ ShardSnapshot take_shard_snapshot(std::size_t shard, std::uint64_t round,
   snap.round = round;
   snap.plans = service.plan_cache().export_entries();
   snap.tuner = service.tuner().snapshot();
-  snap.calibration = service.calibration().snapshot();
   snap.checksum = snap.compute_checksum();
   return snap;
 }
@@ -112,8 +104,6 @@ void restore_shard_snapshot(const ShardSnapshot& snap,
     return under_quarantine(e.key);
   });
   service.tuner().restore(tuner);
-
-  service.calibration().restore(snap.calibration);
 }
 
 }  // namespace hh

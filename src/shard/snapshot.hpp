@@ -1,14 +1,14 @@
 // Checksummed shard state snapshots, for restart rehydration.
 //
-// A killed shard loses everything it learned: its plan cache, its tuner
-// variant tables (including the epsilon-greedy PRNG position) and its cost-
-// model calibration. The group periodically captures that state into a
-// ShardSnapshot; on restart the snapshot is verified against its FNV-1a
-// checksum and restored, so a restarted shard resumes with warm plans and —
-// because the tuner PRNG state is part of the snapshot — continues the exact
-// decision stream the killed shard would have produced. A snapshot that
-// fails verification is rejected and the shard cold-starts instead:
-// rehydrating corrupt state is strictly worse than rehydrating none.
+// A killed shard loses everything it learned: its plan cache and its tuner
+// variant tables (including the epsilon-greedy PRNG position). The group
+// periodically captures that state into a ShardSnapshot; on restart the
+// snapshot is verified against its FNV-1a checksum and restored, so a
+// restarted shard resumes with warm plans and — because the tuner PRNG state
+// is part of the snapshot — continues the exact decision stream the killed
+// shard would have produced. A snapshot that fails verification is rejected
+// and the shard cold-starts instead: rehydrating corrupt state is strictly
+// worse than rehydrating none.
 //
 // The checksum is chained field by field (fnv1a64 over each scalar's bytes
 // in a fixed order), never over whole structs — struct padding bytes are
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "runtime/plan_cache.hpp"
-#include "tune/calibration.hpp"
 #include "tune/tuner.hpp"
 
 namespace hh {
@@ -37,7 +36,6 @@ struct ShardSnapshot {
   std::uint64_t round = 0;  // group round the snapshot was taken at
   std::vector<std::pair<PlanKey, CachedPlan>> plans;  // MRU-first
   TunerSnapshot tuner;
-  CalibrationSnapshot calibration;
   std::uint64_t checksum = 0;  // over every field above, in declaration order
 
   /// Recompute the chained FNV-1a digest of the payload fields (everything

@@ -1,28 +1,8 @@
 #include "sparse/convert.hpp"
 
-#include <algorithm>
-
-#include "primitives/tuple_merge.hpp"
 #include "util/check.hpp"
 
 namespace hh {
-
-CsrMatrix coo_to_csr(const CooMatrix& coo) {
-  // Delegates to the Phase IV row merge, which both sums duplicates and
-  // sorts columns within rows, and rejects out-of-range tuples.
-  return merged_coo_to_csr(coo);
-}
-
-CooMatrix csr_to_coo(const CsrMatrix& csr) {
-  CooMatrix coo(csr.rows, csr.cols);
-  coo.reserve(static_cast<std::size_t>(csr.nnz()));
-  for (index_t r = 0; r < csr.rows; ++r) {
-    for (offset_t k = csr.indptr[r]; k < csr.indptr[r + 1]; ++k) {
-      coo.push(r, csr.indices[k], csr.values[k]);
-    }
-  }
-  return coo;
-}
 
 CsrMatrix transpose(const CsrMatrix& m) {
   CsrMatrix t(m.cols, m.rows);

@@ -1,6 +1,8 @@
 // Gustavson's row-row SpGEMM [Gustavson 1978] with a sparse accumulator
-// (SPA). This is the "MKL-like" tuned CPU kernel: the CPU-only baseline in
-// Fig. 6 and the numeric engine behind every host-side product.
+// (SPA): the "MKL-like" tuned CPU kernel that Fig. 6's CPU-only baseline
+// models, one of the kernels multiply() dispatches, and the plain product
+// the examples cross-check against. The host-side products of HH-CPU and of
+// every baseline run on partial_product_runs (spgemm/spgemm.hpp).
 #pragma once
 
 #include "sparse/csr.hpp"

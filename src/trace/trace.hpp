@@ -46,7 +46,7 @@ enum class TraceCategory {
   kRetry = 4,      // a re-attempt was scheduled (with backoff)
   kDegrade = 5,    // request fell back to the CPU-only path
   kCancel = 6,     // request cancelled past its deadline
-  kTune = 7,       // autotuner decision (explore / promote / drift)
+  kTune = 7,       // autotuner decision (explore / promote)
   kShard = 8,      // shard group event (kill / restart / rehydrate /
                    // failover / breaker transition)
   kSlo = 9,        // SLO burn-rate threshold crossing (obs/slo.hpp)

@@ -1,7 +1,5 @@
 #include "tune/report.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "runtime/signature.hpp"
@@ -25,10 +23,6 @@ std::size_t converged(const TunerSnapshot& t) {
   return n;
 }
 
-const char* device_name(int i) {
-  return CalibrationStore::name(static_cast<CalibrationStore::Device>(i));
-}
-
 }  // namespace
 
 std::string TuneReport::to_string() const {
@@ -38,16 +32,6 @@ std::string TuneReport::to_string() const {
      << " explorations, " << tuner.promotions << " promotions, "
      << tuner.measurements << " measurements; " << converged(tuner) << "/"
      << tuner.entries.size() << " signatures converged\n";
-  os << "  calibration:";
-  for (int i = 0; i < CalibrationStore::kDevices; ++i) {
-    const CalibrationSnapshot::DeviceState& c = calibration.devices[i];
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), " %s x%.3f (%lld)%s", device_name(i),
-                  CalibrationStore::correction(c),
-                  static_cast<long long>(c.samples), c.drift ? " DRIFT" : "");
-    os << buf;
-  }
-  os << "\n";
   for (const TunerSnapshot::Entry& e : tuner.entries) {
     os << "  " << key_string(e.key) << ": t " << e.analytic_t
        << " (analytic) -> " << e.incumbent_t << " v" << e.version << ", "
@@ -70,7 +54,6 @@ std::string TuneReport::to_json() const {
      << ",\"explorations\":" << tuner.explorations
      << ",\"measurements\":" << tuner.measurements
      << ",\"promotions\":" << tuner.promotions
-     << ",\"drift_events\":" << calibration.drift_events
      << ",\"entries_converged\":" << converged(tuner) << ",\"entries\":[";
   for (std::size_t i = 0; i < tuner.entries.size(); ++i) {
     const TunerSnapshot::Entry& e = tuner.entries[i];
@@ -90,16 +73,7 @@ std::string TuneReport::to_json() const {
     }
     os << "]}";
   }
-  os << "],\"calibration\":{";
-  for (int i = 0; i < CalibrationStore::kDevices; ++i) {
-    const CalibrationSnapshot::DeviceState& c = calibration.devices[i];
-    if (i > 0) os << ",";
-    os << "\"" << device_name(i) << "\":{\"samples\":" << c.samples
-       << ",\"ratio\":" << fmt_exact(std::exp(c.mean_log_ratio))
-       << ",\"correction\":" << fmt_exact(CalibrationStore::correction(c))
-       << ",\"drift\":" << fmt_bool(c.drift) << "}";
-  }
-  os << "}}";
+  os << "]}";
   return os.str();
 }
 

@@ -8,7 +8,7 @@
 // empirical optimum without ever paying the full offline sweep:
 //
 //  - on admission (the signature pair's first request) the tuner keeps the
-//    whole analytic sweep — grid plus corrected predictions — and plans a
+//    whole analytic sweep — grid plus predicted totals — and plans a
 //    small exploration list: the candidates whose predicted total is within
 //    `kExploreSlack` of the predicted best, cheapest-predicted first, capped
 //    at `kMaxVariants`. Only near-ties are worth measuring; clearly-bad
@@ -61,7 +61,7 @@ struct TuneConfig {
   static constexpr double kPromoteMargin = 0.02;  // relative win to promote
   // Incumbent + at most this-1 explored candidates per key.
   static constexpr int kMaxVariants = 4;
-  // A candidate is explored when its corrected predicted total is within
+  // A candidate is explored when its predicted total is within
   // (1 + kExploreSlack) of the best.
   static constexpr double kExploreSlack = 0.25;
 };
@@ -80,13 +80,13 @@ struct TunerSnapshot {
     int trials = 0;  // completed measurements
     // Best measured total (min over trials).
     double best_s = std::numeric_limits<double>::infinity();
-    double predicted_s = 0;  // corrected prediction when the entry was made
+    double predicted_s = 0;  // the analytic sweep's prediction for t
   };
   /// One tuned signature pair.
   struct Entry {
     PlanKey key;
     std::vector<offset_t> grid;
-    std::vector<double> predicted_s;     // corrected, frozen at admit time
+    std::vector<double> predicted_s;     // the analytic sweep, frozen at admit
     std::vector<offset_t> explore_plan;  // predicted-ascending near-ties
     std::vector<Variant> variants;       // first-measured order
     offset_t analytic_t = 0;    // the analytic pick the entry started from
@@ -123,9 +123,9 @@ class ThresholdTuner {
   explicit ThresholdTuner(TuneConfig config = {});
 
   /// Create the entry for a signature pair from its analytic sweep (no-op
-  /// if present). Called on the pair's cache miss, where the sweep was just
-  /// paid for anyway; also called lazily on a hit against a plan cached
-  /// before tuning was enabled.
+  /// if present). The service sweeps and admits a pair on its first tunable
+  /// request only: a cache miss, or a hit against a plan cached before
+  /// tuning was enabled.
   void admit(const PlanKey& key, const ThresholdSweep& sweep);
 
   bool has_entry(const PlanKey& key) const {

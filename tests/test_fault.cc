@@ -149,17 +149,6 @@ TEST(Checksum, MatrixChecksumCoversStructureAndValues) {
   EXPECT_NE(matrix_checksum(m), matrix_checksum(copy));
 }
 
-TEST(Checksum, TupleChecksumDetectsDamage) {
-  CooMatrix coo;
-  coo.rows = coo.cols = 8;
-  coo.r = {1, 2, 3};
-  coo.c = {4, 5, 6};
-  coo.v = {1.0, 2.0, 3.0};
-  const std::uint64_t clean = tuple_checksum(coo);
-  coo.v[1] = 2.0000001;
-  EXPECT_NE(tuple_checksum(coo), clean);
-}
-
 // ---------------------------------------------------- fault-aware devices
 
 TEST(FaultAwareDevices, AttemptsMatchCostModelWhenHealthy) {

@@ -12,7 +12,6 @@
 #include "core/threshold.hpp"
 #include "gen/datasets.hpp"
 #include "gen/powerlaw_gen.hpp"
-#include "primitives/tuple_merge.hpp"
 #include "sparse/convert.hpp"
 #include "spgemm/gustavson.hpp"
 #include "spgemm/spgemm.hpp"
@@ -168,11 +167,11 @@ TEST_F(HhCpuTest, IncompatibleShapesThrow) {
 // The bits run_hh_cpu must produce, from a serial reference: the four
 // products' tuples in Phase order (A_H×B_H, A_L×B_L, then the queue's
 // A_L×B_H and A_H×B_L entries), each row's columns ascending from a per-row
-// SPA, merged by the single-COO merged_coo_to_csr (a stable (r, c) sort with
-// sums from zero in input order).
+// SPA, merged by test::stable_sort_reference (a stable (r, c) sort with sums
+// from zero in input order).
 CsrMatrix serial_hh_cpu_reference(const CsrMatrix& a, const CsrMatrix& b,
                                   const PartitionPlan& plan) {
-  CooMatrix tuples(a.rows, b.cols);
+  std::vector<test::Tuple> tuples;
   std::vector<value_t> acc(static_cast<std::size_t>(b.cols));
   std::vector<std::uint8_t> hit(static_cast<std::size_t>(b.cols), 0);
   std::vector<index_t> cols;
@@ -196,7 +195,7 @@ CsrMatrix serial_hh_cpu_reference(const CsrMatrix& a, const CsrMatrix& b,
       }
       std::sort(cols.begin(), cols.end());
       for (const index_t c : cols) {
-        tuples.push(i, c, acc[c]);
+        tuples.push_back({i, c, acc[c]});
         hit[c] = 0;
       }
     }
@@ -205,7 +204,7 @@ CsrMatrix serial_hh_cpu_reference(const CsrMatrix& a, const CsrMatrix& b,
   product(plan.a.low_rows, false);
   product(plan.a.low_rows, true);
   product(plan.a.high_rows, false);
-  return merged_coo_to_csr(tuples);
+  return test::stable_sort_reference(a.rows, b.cols, tuples);
 }
 
 template <class T>

@@ -115,18 +115,19 @@ TEST(ThresholdGrid, UnionOfBothOperandsGrids) {
 TEST(Threshold, PredictionsPositive) {
   const CsrMatrix m = make_dataset(dataset_spec("wiki-Vote"), 0.1);
   const HeteroPlatform plat;
-  for (const offset_t t : threshold_candidates(m)) {
-    EXPECT_GT(predict_breakdown(m, m, t, plat).total_s, 0.0);
-  }
+  const ThresholdSweep sweep = sweep_thresholds(m, m, plat);
+  ASSERT_EQ(sweep.grid, threshold_candidates(m));
+  for (const double p : sweep.predicted_s) EXPECT_GT(p, 0.0);
 }
 
 TEST(Threshold, AnalyticPickIsArgminOfPrediction) {
   const CsrMatrix m = make_dataset(dataset_spec("ca-CondMat"), 0.1);
   const HeteroPlatform plat;
   const ThresholdChoice choice = pick_threshold_analytic(m, m, plat);
-  for (const offset_t t : threshold_candidates(m)) {
-    EXPECT_LE(choice.predicted_s,
-              predict_breakdown(m, m, t, plat).total_s + 1e-12);
+  const ThresholdSweep sweep = sweep_thresholds(m, m, plat);
+  ASSERT_EQ(sweep.grid, threshold_candidates(m));
+  for (const double p : sweep.predicted_s) {
+    EXPECT_LE(choice.predicted_s, p + 1e-12);
   }
 }
 
@@ -154,15 +155,13 @@ TEST(Threshold, EmpiricalPickBeatsOrMatchesEveryCandidate) {
   EXPECT_GT(choice.predicted_s, 0.0);
 }
 
-TEST(Threshold, SweepMatchesPredictionsAndAnalyticPick) {
+TEST(Threshold, SweepMatchesAnalyticPick) {
   const CsrMatrix m = make_dataset(dataset_spec("wiki-Vote"), 0.08);
   const HeteroPlatform plat;
   const ThresholdSweep sweep = sweep_thresholds(m, m, plat);
   ASSERT_EQ(sweep.grid.size(), sweep.predicted_s.size());
   ASSERT_LT(sweep.best, sweep.grid.size());
   for (std::size_t i = 0; i < sweep.grid.size(); ++i) {
-    EXPECT_EQ(sweep.predicted_s[i],
-              predict_breakdown(m, m, sweep.grid[i], plat).total_s);
     EXPECT_LE(sweep.predicted_s[sweep.best], sweep.predicted_s[i]);
   }
   const ThresholdChoice analytic = pick_threshold_analytic(m, m, plat);
@@ -170,36 +169,11 @@ TEST(Threshold, SweepMatchesPredictionsAndAnalyticPick) {
   EXPECT_EQ(analytic.predicted_s, sweep.choice().predicted_s);
 }
 
-TEST(Threshold, IdentityCorrectionIsBitExact) {
-  // A default CostCorrection must reproduce the uncorrected prediction to
-  // the last bit — the tuner relies on this to leave untouched services
-  // byte-identical.
-  const CsrMatrix m = make_dataset(dataset_spec("ca-CondMat"), 0.08);
-  const HeteroPlatform plat;
-  const CostCorrection identity;
-  ASSERT_TRUE(identity.is_identity());
-  for (const offset_t t : threshold_grid(m, m)) {
-    EXPECT_EQ(predict_breakdown(m, m, t, plat).total_s,
-              predict_breakdown(m, m, t, plat, identity).total_s);
-  }
-  // A non-identity correction moves the prediction for the device it scales.
-  CostCorrection slow_gpu;
-  slow_gpu.gpu = 2.0;
-  bool any_changed = false;
-  for (const offset_t t : threshold_grid(m, m)) {
-    any_changed |= predict_breakdown(m, m, t, plat, slow_gpu).total_s !=
-                   predict_breakdown(m, m, t, plat).total_s;
-  }
-  EXPECT_TRUE(any_changed);
-}
-
-// predict_breakdown per candidate, as two classify_rows and up to four
-// estimate_partial_product walks over A. The one-walk sweep and
-// predict_breakdown must equal it bit for bit at every grid point.
-PredictedBreakdown reference_breakdown(const CsrMatrix& a, const CsrMatrix& b,
-                                       offset_t t,
-                                       const HeteroPlatform& platform,
-                                       const CostCorrection& corr) {
+// The analytic sweep per candidate, as two classify_rows and up to four
+// estimate_partial_product walks over A. The one-walk sweep must equal its
+// total bit for bit at every grid point.
+double reference_total(const CsrMatrix& a, const CsrMatrix& b, offset_t t,
+                       const HeteroPlatform& platform) {
   const RowPartition pa = classify_rows(a, t);
   const RowPartition pb = classify_rows(b, t);
 
@@ -215,14 +189,11 @@ PredictedBreakdown reference_breakdown(const CsrMatrix& a, const CsrMatrix& b,
           ? estimate_partial_product(a, b, pa.low_rows, pb.is_high, false)
           : ProductStats{};
   const double t2_cpu =
-      corr.cpu * platform.cpu().kernel_time(hh, ws_bh, true, /*blockable=*/true);
-  const double t2_gpu_kernel = corr.gpu * platform.gpu().kernel_time(ll);
-  double t2_gpu = t2_gpu_kernel;
-  double transfer_in = 0;
+      platform.cpu().kernel_time(hh, ws_bh, true, /*blockable=*/true);
+  double t2_gpu = platform.gpu().kernel_time(ll);
   if (ll.flops > 0 || pa.high_count() < a.rows || pb.high_count() < b.rows) {
-    transfer_in = platform.link().h2d().matrix_transfer_time(a);
+    double transfer_in = platform.link().h2d().matrix_transfer_time(a);
     if (&a != &b) transfer_in += platform.link().h2d().matrix_transfer_time(b);
-    transfer_in *= corr.h2d;
     t2_gpu += transfer_in;
   }
   const double t2 = HeteroPlatform::overlap(t2_cpu, t2_gpu);
@@ -238,64 +209,70 @@ PredictedBreakdown reference_breakdown(const CsrMatrix& a, const CsrMatrix& b,
   ProductStats p3 = lh;
   p3.accumulate(hl);
   const double t3_cpu =
-      corr.cpu *
-      (platform.cpu().kernel_time(lh, ws_bh, true, /*blockable=*/true) +
-       platform.cpu().kernel_time(hl, ws_bl, true, /*blockable=*/false));
-  const double t3_gpu = corr.gpu * platform.gpu().kernel_time(p3);
+      platform.cpu().kernel_time(lh, ws_bh, true, /*blockable=*/true) +
+      platform.cpu().kernel_time(hl, ws_bl, true, /*blockable=*/false);
+  const double t3_gpu = platform.gpu().kernel_time(p3);
   const double t3 = (t3_cpu <= 0 || t3_gpu <= 0)
                         ? std::max(t3_cpu, t3_gpu)
                         : t3_cpu * t3_gpu / (t3_cpu + t3_gpu);
 
   const std::int64_t tuples = hh.tuples + ll.tuples + p3.tuples;
-  const double t4 = corr.cpu * platform.cpu().merge_time(tuples);
+  const double t4 = platform.cpu().merge_time(tuples);
   double gpu_tuples = static_cast<double>(ll.tuples);
   if (t3_gpu > 0) gpu_tuples += static_cast<double>(p3.tuples) * t3 / t3_gpu;
   const double t_out =
-      corr.d2h * platform.link().d2h().transfer_time(16.0 * gpu_tuples);
-
-  PredictedBreakdown out;
-  out.cpu_s = t2_cpu + t3 + t4;
-  out.gpu_s = t2_gpu_kernel + t3;
-  out.h2d_s = transfer_in;
-  out.d2h_s = t_out;
-  out.total_s = t2 + t3 + t4 + t_out;
-  return out;
+      platform.link().d2h().transfer_time(16.0 * gpu_tuples);
+  return t2 + t3 + t4 + t_out;
 }
 
-// sweep_thresholds' totals and argmin, and every predict_breakdown field,
-// against reference_breakdown at every grid point, with the identity and
-// a non-identity correction.
+// Every ProductStats field, for whole-struct comparison.
+std::vector<std::int64_t> fields(const ProductStats& s) {
+  return {s.rows, s.a_nnz, s.flops, s.tuples, s.max_row_flops,
+          s.warp_alu, s.flops_shared, s.flops_global, s.b_read_bytes};
+}
+
+// sweep_thresholds' totals and argmin against reference_total, and every
+// estimate_splits_on_grid entry against the four estimate_partial_product
+// walks and the classify_rows sizes, at every grid point.
 void expect_sweep_matches_reference(const CsrMatrix& a, const CsrMatrix& b,
                                     const HeteroPlatform& plat,
                                     const std::string& what) {
-  CostCorrection skewed;
-  skewed.cpu = 1.3;
-  skewed.gpu = 0.7;
-  skewed.h2d = 1.1;
-  skewed.d2h = 2.0;
-  for (const CostCorrection& corr : {CostCorrection{}, skewed}) {
-    const ThresholdSweep sweep = sweep_thresholds(a, b, plat, corr);
-    ASSERT_EQ(sweep.grid, threshold_grid(a, b)) << what;
-    ASSERT_EQ(sweep.predicted_s.size(), sweep.grid.size()) << what;
-    std::size_t first_best = 0;
-    std::vector<double> want_totals;
-    for (std::size_t g = 0; g < sweep.grid.size(); ++g) {
-      const offset_t t = sweep.grid[g];
-      const std::string at = what + " t=" + std::to_string(t) +
-                             (corr.is_identity() ? "" : " corrected");
-      const PredictedBreakdown want = reference_breakdown(a, b, t, plat, corr);
-      const PredictedBreakdown got = predict_breakdown(a, b, t, plat, corr);
-      EXPECT_EQ(sweep.predicted_s[g], want.total_s) << at;
-      EXPECT_EQ(got.cpu_s, want.cpu_s) << at;
-      EXPECT_EQ(got.gpu_s, want.gpu_s) << at;
-      EXPECT_EQ(got.h2d_s, want.h2d_s) << at;
-      EXPECT_EQ(got.d2h_s, want.d2h_s) << at;
-      EXPECT_EQ(got.total_s, want.total_s) << at;
-      want_totals.push_back(want.total_s);
-      if (want.total_s < want_totals[first_best]) first_best = g;
+  const ThresholdSweep sweep = sweep_thresholds(a, b, plat);
+  ASSERT_EQ(sweep.grid, threshold_grid(a, b)) << what;
+  ASSERT_EQ(sweep.predicted_s.size(), sweep.grid.size()) << what;
+  const std::vector<SplitEstimate> splits =
+      estimate_splits_on_grid(a, b, sweep.grid);
+  ASSERT_EQ(splits.size(), sweep.grid.size()) << what;
+  std::size_t first_best = 0;
+  std::vector<double> want_totals;
+  for (std::size_t g = 0; g < sweep.grid.size(); ++g) {
+    const offset_t t = sweep.grid[g];
+    const std::string at = what + " t=" + std::to_string(t);
+    const double want = reference_total(a, b, t, plat);
+    EXPECT_EQ(sweep.predicted_s[g], want) << at;
+    want_totals.push_back(want);
+    if (want < want_totals[first_best]) first_best = g;
+
+    const RowPartition pa = classify_rows(a, t);
+    const RowPartition pb = classify_rows(b, t);
+    const SplitEstimate& got = splits[g];
+    const std::vector<index_t>* rows[2] = {&pa.low_rows, &pa.high_rows};
+    for (const int x : {0, 1}) {
+      for (const int y : {0, 1}) {
+        EXPECT_EQ(fields(got.by_side[x][y]),
+                  fields(estimate_partial_product(a, b, *rows[x], pb.is_high,
+                                                  y == 1)))
+            << at << " by_side[" << x << "][" << y << "]";
+      }
     }
-    EXPECT_EQ(sweep.best, first_best) << what;
+    EXPECT_EQ(got.a_rows[1], pa.high_count()) << at;
+    EXPECT_EQ(got.a_rows[0], pa.low_count()) << at;
+    EXPECT_EQ(got.b_rows[1], pb.high_count()) << at;
+    EXPECT_EQ(got.b_rows[0], pb.low_count()) << at;
+    EXPECT_EQ(got.b_nnz[1], pb.high_nnz) << at;
+    EXPECT_EQ(got.b_nnz[0], pb.low_nnz) << at;
   }
+  EXPECT_EQ(sweep.best, first_best) << what;
 }
 
 TEST(ThresholdReference, OneWalkSweepMatchesOnTableOneAnalogues) {
@@ -342,9 +319,11 @@ TEST(ThresholdReference, OneWalkSweepMatchesOnDegenerateMatrices) {
 TEST(ThresholdReference, PredictionRejectsThresholdBelowOne) {
   const CsrMatrix m = test::random_csr(30, 30, 0.1, 225);
   const HeteroPlatform plat;
-  EXPECT_THROW(predict_breakdown(m, m, 0, plat), CheckError);
+  const offset_t below_one[] = {0};
+  EXPECT_THROW(estimate_splits_on_grid(m, m, below_one), CheckError);
   const CsrMatrix wide(3, 4);
-  EXPECT_THROW(predict_breakdown(wide, wide, 2, plat), CheckError);
+  const offset_t two[] = {2};
+  EXPECT_THROW(estimate_splits_on_grid(wide, wide, two), CheckError);
   EXPECT_THROW(sweep_thresholds(wide, wide, plat), CheckError);
 }
 

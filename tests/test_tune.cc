@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
@@ -13,127 +12,11 @@
 #include "gen/powerlaw_gen.hpp"
 #include "runtime/service.hpp"
 #include "runtime/signature.hpp"
-#include "tune/calibration.hpp"
 #include "tune/report.hpp"
 #include "util/json.hpp"
 
 namespace hh {
 namespace {
-
-// ---------------------------------------------------------------- calibration
-
-using Device = CalibrationStore::Device;
-
-TEST(CalibrationStore, IdentityUntilMinSamples) {
-  CalibrationStore store;
-  for (int i = 0; i < CalibrationStore::kMinSamples - 1; ++i) {
-    store.record(Device::kCpu, 1.0, 2.0);
-    EXPECT_EQ(store.correction(Device::kCpu), 1.0);
-    EXPECT_TRUE(store.corrections().is_identity());
-  }
-  store.record(Device::kCpu, 1.0, 2.0);
-  EXPECT_GT(store.correction(Device::kCpu), 1.0);
-  EXPECT_FALSE(store.corrections().is_identity());
-}
-
-TEST(CalibrationStore, EwmaWarmStartAndConvergence) {
-  CalibrationStore store;
-  // First sample warm-starts the mean at its own log-ratio; the next one
-  // blends in at weight 1 - kDecay.
-  store.record(Device::kGpu, 1.0, 2.0);
-  EXPECT_NEAR(store.state(Device::kGpu).mean_log_ratio, std::log(2.0), 1e-12);
-  store.record(Device::kGpu, 1.0, 3.0);
-  EXPECT_NEAR(store.state(Device::kGpu).mean_log_ratio,
-              CalibrationStore::kDecay * std::log(2.0) +
-                  (1.0 - CalibrationStore::kDecay) * std::log(3.0),
-              1e-12);
-  // A long run of constant ratio converges the EWMA to that ratio.
-  for (int i = 0; i < 200; ++i) {
-    store.record(Device::kGpu, 1.0, 3.0);
-  }
-  EXPECT_NEAR(store.correction(Device::kGpu), 3.0, 0.05);
-}
-
-TEST(CalibrationStore, CorrectionClampedToMaxCorrection) {
-  CalibrationStore store;
-  for (int i = 0; i < 50; ++i) {
-    store.record(Device::kH2D, 1.0, 100.0);  // ratio 100
-    store.record(Device::kD2H, 100.0, 1.0);  // ratio 0.01
-  }
-  EXPECT_EQ(store.correction(Device::kH2D), CalibrationStore::kMaxCorrection);
-  EXPECT_EQ(store.correction(Device::kD2H),
-            1.0 / CalibrationStore::kMaxCorrection);
-}
-
-TEST(CalibrationStore, NonPositivePairsIgnored) {
-  CalibrationStore store;
-  EXPECT_FALSE(store.record(Device::kCpu, 0.0, 1.0));
-  EXPECT_FALSE(store.record(Device::kCpu, 1.0, 0.0));
-  EXPECT_FALSE(store.record(Device::kCpu, -1.0, 2.0));
-  for (const CalibrationSnapshot::DeviceState& d : store.snapshot().devices) {
-    EXPECT_EQ(d.samples, 0);
-  }
-}
-
-TEST(CalibrationStore, DriftFlagsOnlyOnTransition) {
-  CalibrationStore store;
-  const auto drifted_devices = [&] {
-    int n = 0;
-    for (const CalibrationSnapshot::DeviceState& d : store.snapshot().devices) {
-      n += d.drift ? 1 : 0;
-    }
-    return n;
-  };
-  // Ratio 2.0: |log 2| = 0.69 > kDriftThreshold, so drift flags once
-  // kMinSamples samples are in.
-  for (int i = 0; i < CalibrationStore::kMinSamples - 1; ++i) {
-    EXPECT_FALSE(store.record(Device::kCpu, 1.0, 2.0));
-  }
-  const bool last = store.record(Device::kCpu, 1.0, 2.0);
-  EXPECT_TRUE(last);  // the false -> true transition
-  EXPECT_TRUE(store.state(Device::kCpu).drift);
-  EXPECT_EQ(store.drift_events(), 1);
-  EXPECT_EQ(drifted_devices(), 1);
-  // Staying drifted is not a new event.
-  EXPECT_FALSE(store.record(Device::kCpu, 1.0, 2.0));
-  EXPECT_EQ(store.drift_events(), 1);
-  // Accurate samples walk the mean back inside the band: flag clears, and a
-  // later excursion is a fresh event.
-  for (int i = 0; i < 40; ++i) {
-    store.record(Device::kCpu, 1.0, 1.0);
-  }
-  EXPECT_FALSE(store.state(Device::kCpu).drift);
-  for (int i = 0; i < 40; ++i) {
-    store.record(Device::kCpu, 1.0, 2.0);
-  }
-  EXPECT_EQ(store.drift_events(), 2);
-}
-
-TEST(CalibrationStore, JsonDeterministicAndNamed) {
-  CalibrationStore a, b;
-  for (CalibrationStore* s : {&a, &b}) {
-    for (int i = 0; i < CalibrationStore::kMinSamples; ++i) {
-      s->record(Device::kCpu, 1.0, 1.25);
-      s->record(Device::kGpu, 2.0, 1.0);
-    }
-  }
-  const std::string ja = TuneReport{true, {}, a.snapshot()}.to_json();
-  const std::string jb = TuneReport{true, {}, b.snapshot()}.to_json();
-  EXPECT_EQ(ja, jb);
-  ASSERT_NO_THROW(parse_json(ja)) << ja;
-  const JsonValue doc = parse_json(ja);
-  const JsonValue& section = doc.at("calibration");
-  ASSERT_EQ(section.items().size(), 4u);
-  EXPECT_EQ(section.items().front().key(), "cpu");
-  EXPECT_EQ(section.items().back().key(), "d2h");
-  const JsonValue& cpu = section.at("cpu");
-  EXPECT_EQ(cpu.at("samples").as<std::int64_t>(),
-            CalibrationStore::kMinSamples);
-  EXPECT_EQ(cpu.at("correction").as<double>(), a.correction(Device::kCpu));
-  EXPECT_EQ(section.at("gpu").at("correction").as<double>(),
-            a.correction(Device::kGpu));
-  EXPECT_FALSE(section.at("h2d").at("drift").as<bool>());
-}
 
 // --------------------------------------------------------------------- tuner
 
@@ -272,8 +155,8 @@ TEST(ThresholdTuner, DeterministicAcrossInstances) {
     t1.observe(key, d1.t, 1.0 + 0.001 * i);
     t2.observe(key, d2.t, 1.0 + 0.001 * i);
   }
-  const std::string j1 = TuneReport{true, t1.snapshot(), {}}.to_json();
-  EXPECT_EQ(j1, (TuneReport{true, t2.snapshot(), {}}.to_json()));
+  const std::string j1 = TuneReport{true, t1.snapshot()}.to_json();
+  EXPECT_EQ(j1, (TuneReport{true, t2.snapshot()}.to_json()));
   EXPECT_NO_THROW(parse_json(j1)) << j1;
   EXPECT_EQ(t1.snapshot().rng_state, t2.snapshot().rng_state);
 }
@@ -423,6 +306,52 @@ TEST(ServiceTuning, TunedOutputsBitIdenticalToSerialAtChosenThresholds) {
     EXPECT_EQ(serial.c.indices, res.c.indices);
     EXPECT_EQ(serial.c.values, res.c.values);
   }
+}
+
+TEST(ServiceTuning, LateAdmissionRanksTheUncorrectedSweep) {
+  // A signature pair first seen after another pair's clean requests were
+  // measured is admitted with the analytic sweep as it is: nothing measured
+  // earlier reweights its ranking, and its first request is served the
+  // analytic pick.
+  const HeteroPlatform platform = make_scaled_platform(0.1);
+  ThreadPool pool(0);
+  const CsrMatrix first = tune_matrix();
+  PowerLawGenConfig gen;
+  gen.rows = 1500;
+  gen.target_nnz = 12000;
+  gen.alpha = 2.4;
+  gen.seed = 25;
+  const CsrMatrix second = generate_power_law_matrix(gen);
+
+  SpgemmService::Config cfg;
+  cfg.tune.enabled = true;
+  SpgemmService service(platform, pool, cfg);
+  for (int i = 0; i < 12; ++i) {
+    SpgemmRequest req;
+    req.a = &first;
+    service.submit(std::move(req));
+  }
+  service.drain();
+  ASSERT_GE(service.tune_report().tuner.measurements, 8);
+
+  SpgemmRequest req;
+  req.a = &second;
+  service.submit(std::move(req));
+  const BatchResult late = service.drain();
+  const TuneReport rep = service.tune_report();
+  ASSERT_EQ(rep.tuner.entries.size(), 2u);
+  const TunerSnapshot::Entry& e = rep.tuner.entries[1];
+  const ThresholdSweep sweep = sweep_thresholds(second, second, platform);
+  EXPECT_EQ(e.grid, sweep.grid);
+  ASSERT_EQ(e.predicted_s.size(), sweep.predicted_s.size());
+  for (std::size_t i = 0; i < sweep.predicted_s.size(); ++i) {
+    EXPECT_EQ(e.predicted_s[i], sweep.predicted_s[i]) << "t=" << sweep.grid[i];
+  }
+  const offset_t analytic = pick_threshold_analytic(second, second, platform).t;
+  EXPECT_EQ(e.analytic_t, analytic);
+  ASSERT_EQ(late.results.size(), 1u);
+  EXPECT_EQ(late.results[0].report.threshold_a, analytic);
+  EXPECT_EQ(late.results[0].report.threshold_b, analytic);
 }
 
 TEST(ServiceTuning, PinnedThresholdsBypassTheTuner) {

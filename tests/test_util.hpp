@@ -1,8 +1,14 @@
-// Shared helpers for the test suite: small deterministic random matrices and
-// a dense-reference comparison that tolerates explicit zeros.
+// Shared helpers for the test suite: small deterministic random matrices, a
+// dense-reference comparison that tolerates explicit zeros, and the Phase IV
+// merge contract spelled out over free-form tuples.
 #pragma once
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "sparse/csr.hpp"
 #include "sparse/equality.hpp"
@@ -36,6 +42,42 @@ inline void expect_matches_reference(const CsrMatrix& a, const CsrMatrix& b,
   const CsrMatrix want = reference_multiply_dense(a, b);
   std::string why;
   EXPECT_TRUE(approx_equal(want, got, 1e-9, &why)) << label << ": " << why;
+}
+
+/// One ⟨r, c, v⟩ tuple of a partial product.
+struct Tuple {
+  index_t r = 0;
+  index_t c = 0;
+  value_t v = 0;
+};
+
+/// The Phase IV contract spelled out: a stable sort of the tuples by (r, c),
+/// then each key summed from value_t{0} in input order. Rows and columns
+/// must lie in [0, rows) and [0, cols).
+inline CsrMatrix stable_sort_reference(index_t rows, index_t cols,
+                                       const std::vector<Tuple>& tuples) {
+  std::vector<std::size_t> order(tuples.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return std::pair(tuples[x].r, tuples[x].c) <
+                            std::pair(tuples[y].r, tuples[y].c);
+                   });
+  CsrMatrix out(rows, cols);
+  for (std::size_t k = 0; k < order.size();) {
+    const index_t r = tuples[order[k]].r, c = tuples[order[k]].c;
+    value_t sum = 0;
+    for (; k < order.size() && tuples[order[k]].r == r &&
+           tuples[order[k]].c == c;
+         ++k) {
+      sum += tuples[order[k]].v;
+    }
+    out.indptr[r + 1]++;
+    out.indices.push_back(c);
+    out.values.push_back(sum);
+  }
+  for (index_t r = 0; r < rows; ++r) out.indptr[r + 1] += out.indptr[r];
+  return out;
 }
 
 }  // namespace hh::test
