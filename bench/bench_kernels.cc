@@ -1,7 +1,9 @@
 // Real wall-clock microbenchmarks of the host kernels (google-benchmark):
-// the SpGEMM accumulator variants, the masked run kernel of Phases II-III,
-// the Phase IV run merge, and the generator. These measure the actual C++ implementations on the build
-// machine — unlike the figure benches, nothing here is simulated.
+// the two full-product kernels multiply() dispatches (Gustavson's SPA and
+// the row-column formulation of §II-A), the masked run kernel of Phases
+// II-III, the Phase IV run merge, and the power-law generator. These measure
+// the actual C++ implementations on the build machine — unlike the figure
+// benches, nothing here is simulated.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -10,8 +12,6 @@
 #include "primitives/tuple_merge.hpp"
 #include "sparse/partition.hpp"
 #include "spgemm/gustavson.hpp"
-#include "spgemm/hash_spgemm.hpp"
-#include "spgemm/heap_spgemm.hpp"
 #include "spgemm/row_column.hpp"
 #include "spgemm/spgemm.hpp"
 #include "spgemm/symbolic.hpp"
@@ -35,24 +35,6 @@ void BM_GustavsonSpgemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * hh::total_flops(a, a));
 }
 BENCHMARK(BM_GustavsonSpgemm)->Arg(2000)->Arg(8000);
-
-void BM_HashSpgemm(benchmark::State& state) {
-  const hh::CsrMatrix a = bench_matrix(static_cast<hh::index_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hh::hash_spgemm(a, a));
-  }
-  state.SetItemsProcessed(state.iterations() * hh::total_flops(a, a));
-}
-BENCHMARK(BM_HashSpgemm)->Arg(2000)->Arg(8000);
-
-void BM_HeapSpgemm(benchmark::State& state) {
-  const hh::CsrMatrix a = bench_matrix(static_cast<hh::index_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hh::heap_spgemm(a, a));
-  }
-  state.SetItemsProcessed(state.iterations() * hh::total_flops(a, a));
-}
-BENCHMARK(BM_HeapSpgemm)->Arg(2000)->Arg(8000);
 
 void BM_RowColumnSpgemm(benchmark::State& state) {
   const hh::CsrMatrix a = bench_matrix(static_cast<hh::index_t>(state.range(0)));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 #include <unordered_map>
 
@@ -17,19 +16,6 @@ std::string pct(double num, double den) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.1f%%", den > 0 ? 100.0 * num / den : 0.0);
   return buf;
-}
-
-bool ends_with(const char* s, const char* suffix) {
-  const std::size_t n = std::strlen(s);
-  const std::size_t m = std::strlen(suffix);
-  return n >= m && std::strcmp(s + (n - m), suffix) == 0;
-}
-
-// A placement whose span was burnt by an injected fault: failed transfer
-// attempts ("h2d-input-fault", "d2h-tuples-fault") and aborted kernels
-// ("phase2-gpu-abort", "phase3-gpu-abort").
-bool is_fault_stage(const char* stage) {
-  return ends_with(stage, "-fault") || ends_with(stage, "-abort");
 }
 
 long long req_json_id(std::size_t id) {

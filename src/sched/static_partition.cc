@@ -1,7 +1,7 @@
 #include "sched/static_partition.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <span>
 #include <vector>
 
 #include "spgemm/spgemm.hpp"
@@ -14,32 +14,25 @@ StaticSplit balance_static_split(const CsrMatrix& a, const CsrMatrix& b,
   HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
   const index_t rows = a.rows;
 
-  // Structure-only per-row stats, accumulated incrementally while the split
-  // point sweeps 0 → rows. Suffix max_row_flops comes from a suffix scan.
-  std::vector<index_t> all_rows(static_cast<std::size_t>(rows));
-  std::iota(all_rows.begin(), all_rows.end(), index_t{0});
-  const ProductStats total = estimate_partial_product(a, b, all_rows, {}, true);
-
+  // One walk over A: each row's structure-only estimate and their total.
+  // The split point then sweeps 0 → rows with prefix = rows [0, k) and
+  // suffix = total − prefix, whose heaviest row comes from a suffix scan.
+  std::vector<ProductStats> row(static_cast<std::size_t>(rows));
+  ProductStats total;
+  for (index_t i = 0; i < rows; ++i) {
+    row[i] = estimate_partial_product(a, b, std::span(&i, 1), {}, true);
+    total.accumulate(row[i]);
+  }
   std::vector<std::int64_t> suffix_max_flops(
       static_cast<std::size_t>(rows) + 1, 0);
-  std::vector<std::int64_t> row_flops_v(static_cast<std::size_t>(rows), 0);
-  {
-    for (index_t i = 0; i < rows; ++i) {
-      std::int64_t f = 0;
-      for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
-        f += b.row_nnz(a.indices[k]);
-      }
-      row_flops_v[i] = f;
-    }
-    for (index_t i = rows; i-- > 0;) {
-      suffix_max_flops[i] = std::max(suffix_max_flops[i + 1], row_flops_v[i]);
-    }
+  for (index_t i = rows; i-- > 0;) {
+    suffix_max_flops[i] =
+        std::max(suffix_max_flops[i + 1], row[i].max_row_flops);
   }
 
   ProductStats prefix;  // rows [0, k)
   StaticSplit best;
   double best_cost = -1;
-  std::int64_t prefix_max_flops = 0;
 
   const double ws_full = 12.0 * static_cast<double>(b.nnz());
   for (index_t k = 0; k <= rows; ++k) {
@@ -63,14 +56,7 @@ StaticSplit balance_static_split(const CsrMatrix& a, const CsrMatrix& b,
       best.est_cpu_time = cpu_t;
       best.est_gpu_time = gpu_t;
     }
-    if (k < rows) {
-      // Advance prefix by row k.
-      std::vector<index_t> one{k};
-      const ProductStats s = estimate_partial_product(a, b, one, {}, true);
-      prefix.accumulate(s);
-      prefix_max_flops = std::max(prefix_max_flops, row_flops_v[k]);
-      prefix.max_row_flops = prefix_max_flops;
-    }
+    if (k < rows) prefix.accumulate(row[k]);
   }
   return best;
 }

@@ -18,7 +18,9 @@ struct StaticSplit {
 };
 
 /// Choose the contiguous prefix/suffix split minimizing the larger of the
-/// two devices' *estimated* times for C = A × B (full B on both sides).
+/// two devices' *estimated* times for C = A × B (full B on both sides); on a
+/// tie, the smallest split_row. Each side is priced as
+/// estimate_partial_product over its rows, from one walk over A.
 StaticSplit balance_static_split(const CsrMatrix& a, const CsrMatrix& b,
                                  const HeteroPlatform& platform);
 

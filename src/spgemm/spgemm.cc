@@ -10,8 +10,6 @@
 #include <vector>
 
 #include "spgemm/gustavson.hpp"
-#include "spgemm/hash_spgemm.hpp"
-#include "spgemm/heap_spgemm.hpp"
 #include "spgemm/row_column.hpp"
 #include "util/check.hpp"
 
@@ -33,10 +31,6 @@ std::string to_string(SpgemmKind kind) {
   switch (kind) {
     case SpgemmKind::kGustavson:
       return "gustavson";
-    case SpgemmKind::kHash:
-      return "hash";
-    case SpgemmKind::kHeap:
-      return "heap";
     case SpgemmKind::kRowColumn:
       return "row-column";
   }
@@ -48,10 +42,6 @@ CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b, SpgemmKind kind,
   switch (kind) {
     case SpgemmKind::kGustavson:
       return gustavson_spgemm_parallel(a, b, pool);
-    case SpgemmKind::kHash:
-      return hash_spgemm_parallel(a, b, pool);
-    case SpgemmKind::kHeap:
-      return heap_spgemm_parallel(a, b, pool);
     case SpgemmKind::kRowColumn:
       return row_column_spgemm(a, b);
   }

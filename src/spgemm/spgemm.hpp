@@ -27,15 +27,14 @@ namespace hh {
 
 enum class SpgemmKind {
   kGustavson,  // SPA accumulator (MKL-like tuned CPU kernel)
-  kHash,       // hash accumulator
-  kHeap,       // k-way merge
   kRowColumn,  // row-column formulation (demonstrably inferior, §II-A)
 };
 
 std::string to_string(SpgemmKind kind);
 
-/// Full product with the selected algorithm. All kinds produce identical,
-/// row-sorted CSR output.
+/// Full product with the selected algorithm. Both kinds produce bit-identical,
+/// row-sorted CSR output: each value is summed from value_t{0} in A-entry
+/// order, and a column that cancels to zero is kept.
 CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b, SpgemmKind kind,
                    ThreadPool& pool);
 

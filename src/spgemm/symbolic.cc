@@ -5,22 +5,12 @@
 namespace hh {
 
 std::vector<offset_t> row_flops(const CsrMatrix& a, const CsrMatrix& b) {
-  return row_flops_masked(a, b, {}, true);
-}
-
-std::vector<offset_t> row_flops_masked(const CsrMatrix& a, const CsrMatrix& b,
-                                       std::span<const std::uint8_t> b_mask,
-                                       bool mask_value) {
   HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
-  HH_CHECK(b_mask.empty() ||
-           b_mask.size() == static_cast<std::size_t>(b.rows));
   std::vector<offset_t> flops(static_cast<std::size_t>(a.rows), 0);
   for (index_t i = 0; i < a.rows; ++i) {
     offset_t f = 0;
     for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
-      const index_t j = a.indices[k];
-      if (!b_mask.empty() && (b_mask[j] != 0) != mask_value) continue;
-      f += b.row_nnz(j);
+      f += b.row_nnz(a.indices[k]);
     }
     flops[i] = f;
   }

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -16,12 +15,6 @@ namespace hh {
 
 /// Multiply-add count per row of A (also an upper bound on row nnz of C).
 std::vector<offset_t> row_flops(const CsrMatrix& a, const CsrMatrix& b);
-
-/// Same, but only counting contributions through rows j of B with
-/// b_mask[j] == mask_value. b_mask may be empty (= no mask, all rows).
-std::vector<offset_t> row_flops_masked(const CsrMatrix& a, const CsrMatrix& b,
-                                       std::span<const std::uint8_t> b_mask,
-                                       bool mask_value);
 
 /// Total flops of the full product. Accumulated in an explicit 64-bit type:
 /// scale-free products blow past 2^31 intermediate products long before

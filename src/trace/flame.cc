@@ -1,7 +1,6 @@
 #include "trace/flame.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 
 #include "util/format.hpp"
@@ -12,12 +11,6 @@ namespace {
 char request_glyph(std::size_t request_id) {
   if (request_id == kNoRequest) return '#';
   return "0123456789abcdefghijklmnopqrstuvwxyz"[request_id % 36];
-}
-
-bool is_fault_stage(const char* name) {
-  return std::strstr(name, "fault") != nullptr ||
-         std::strstr(name, "abort") != nullptr ||
-         std::strstr(name, "corrupt") != nullptr;
 }
 
 /// Paint [start, end) of a span into a row covering [t0, t1]. A span always

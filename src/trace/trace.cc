@@ -1,5 +1,7 @@
 #include "trace/trace.hpp"
 
+#include <string_view>
+
 namespace hh {
 
 const char* to_string(TraceCategory c) {
@@ -18,6 +20,12 @@ const char* to_string(TraceCategory c) {
     case TraceCategory::kCritPath: return "critpath";
   }
   return "?";
+}
+
+bool is_fault_stage(const char* stage) {
+  const std::string_view name(stage);
+  return name.ends_with("-fault") || name.ends_with("-corrupt") ||
+         name.ends_with("-abort");
 }
 
 }  // namespace hh

@@ -58,6 +58,13 @@ enum class TraceCategory {
 
 const char* to_string(TraceCategory c);
 
+/// True for the span of an attempt an injected fault burnt: a failed or
+/// corrupted transfer ("h2d-input-fault", "d2h-tuples-corrupt") or an
+/// aborted kernel ("phase2-gpu-abort"), i.e. a name ending in "-fault",
+/// "-corrupt" or "-abort". Critpath charges these spans to a request's
+/// fault_s, and the flame views draw them as '!'.
+bool is_fault_stage(const char* stage);
+
 struct TraceEvent {
   TraceEventKind kind = TraceEventKind::kInstant;
   TraceCategory category = TraceCategory::kScheduler;

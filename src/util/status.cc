@@ -9,8 +9,6 @@ const char* to_string(StatusCode code) {
     case StatusCode::kParseError: return "parse_error";
     case StatusCode::kResourceExhausted: return "resource_exhausted";
     case StatusCode::kDeadlineExceeded: return "deadline_exceeded";
-    case StatusCode::kDeviceFault: return "device_fault";
-    case StatusCode::kTransferFault: return "transfer_fault";
     case StatusCode::kInternal: return "internal";
   }
   return "?";

@@ -1,15 +1,14 @@
 // Typed error taxonomy for the library and the service runtime.
 //
-// StatusCode names the failure classes a production SpGEMM service must
-// distinguish: caller mistakes (kInvalidArgument, kParseError), overload
-// (kResourceExhausted), missed deadlines (kDeadlineExceeded), and the
-// transient hardware faults the fault-injection framework models
-// (kDeviceFault for kernel aborts, kTransferFault for PCIe failures and
-// corruption). Status is the value form carried in reports; HhError is the
-// throwable form, with one subclass per user-facing failure class so call
-// sites can catch exactly what they can handle. CheckError (util/check.hpp)
-// derives from HhError with kInternal: an invariant violation is a bug, not
-// an operational condition.
+// StatusCode names the failure classes the library reports: caller mistakes
+// (kInvalidArgument, kParseError), overload (kResourceExhausted) and missed
+// deadlines (kDeadlineExceeded). Injected device and transfer faults have no
+// code: the service recovers each inside the drain, by a retry or the
+// CPU-only path. Status is the value form carried in reports, and a deadline
+// miss is only ever a Status; HhError is the throwable form, with one
+// subclass per failure class a call site can catch.
+// CheckError (util/check.hpp) derives from HhError with kInternal: an
+// invariant violation is a bug, not an operational condition.
 #pragma once
 
 #include <stdexcept>
@@ -23,8 +22,6 @@ enum class StatusCode {
   kParseError,         // malformed external input (file, stream)
   kResourceExhausted,  // admission queue full — request shed
   kDeadlineExceeded,   // request cancelled past its deadline
-  kDeviceFault,        // transient device failure (e.g. GPU kernel abort)
-  kTransferFault,      // PCIe transfer failure or detected corruption
   kInternal,           // invariant violation (library bug)
 };
 
@@ -69,24 +66,6 @@ class AdmissionError : public HhError {
  public:
   explicit AdmissionError(const std::string& what)
       : HhError(StatusCode::kResourceExhausted, what) {}
-};
-
-class DeadlineExceededError : public HhError {
- public:
-  explicit DeadlineExceededError(const std::string& what)
-      : HhError(StatusCode::kDeadlineExceeded, what) {}
-};
-
-class DeviceError : public HhError {
- public:
-  explicit DeviceError(const std::string& what)
-      : HhError(StatusCode::kDeviceFault, what) {}
-};
-
-class TransferError : public HhError {
- public:
-  explicit TransferError(const std::string& what)
-      : HhError(StatusCode::kTransferFault, what) {}
 };
 
 }  // namespace hh

@@ -9,12 +9,14 @@
 
 #include <cmath>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/perf_baseline.hpp"
 #include "runtime/service.hpp"
 #include "shard/sharded_service.hpp"
 #include "test_util.hpp"
+#include "util/format.hpp"
 #include "util/json.hpp"
 #include "util/status.hpp"
 
@@ -222,6 +224,39 @@ TEST_F(CritPathServiceTest, AttributionSumsToMakespanOnRealDrains) {
               1e-9 * std::max(1.0, cp.makespan_s));
 
   EXPECT_NE(out.batch.to_json().find("\"critpath\""), std::string::npos);
+}
+
+// fault_s is the time of every attempt a fault burnt: the request's spans
+// named *-fault, *-abort or *-corrupt. Here the first upload corrupts and
+// the first GPU kernel aborts.
+TEST_F(CritPathServiceTest, FaultSecondsCountCorruptedAndAbortedAttempts) {
+  SpgemmService::Config cfg;
+  cfg.fault_plan.h2d.trigger_ops = {0};
+  cfg.fault_plan.transfer_corruption_fraction = 1.0;
+  cfg.fault_plan.gpu_kernel.trigger_ops = {0};
+  SpgemmService svc(plat_, pool_, cfg);
+  submit_batch(svc, 1);
+  const BatchResult out = svc.drain();
+  ASSERT_EQ(out.requests.size(), 1u);
+  const RequestReport& rr = out.requests[0];
+  ASSERT_EQ(rr.faults.corruptions, 1);
+  ASSERT_EQ(rr.faults.gpu_aborts, 1);
+
+  double want = 0;
+  for (const StageSpan& s : rr.spans) {
+    const std::string_view name(s.stage);
+    if (name.ends_with("-fault") || name.ends_with("-abort") ||
+        name.ends_with("-corrupt")) {
+      want += s.duration_s();
+    }
+  }
+  const RequestCostBreakdown* b =
+      out.batch.critpath.find_request(rr.request_id);
+  ASSERT_NE(b, nullptr);
+  EXPECT_GT(want, 0.0);
+  EXPECT_DOUBLE_EQ(b->fault_s, want);
+  EXPECT_NE(b->explain().find("fault overhead " + fmt_num(b->fault_s)),
+            std::string::npos);
 }
 
 TEST_F(CritPathServiceTest, WaveDrainRollsUpPerWaveSlices) {

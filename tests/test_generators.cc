@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "gen/powerlaw_gen.hpp"
-#include "gen/rmat.hpp"
 #include "powerlaw/fit.hpp"
 #include "sparse/row_stats.hpp"
 #include "util/check.hpp"
@@ -104,36 +103,6 @@ TEST(PowerLawGen, InvalidConfigThrows) {
   cfg.rows = 10;
   cfg.alpha = 0.5;
   EXPECT_THROW(generate_power_law_matrix(cfg), CheckError);
-}
-
-TEST(Rmat, ShapeAndDeterminism) {
-  RmatConfig cfg;
-  cfg.scale = 8;
-  cfg.edges = 2000;
-  cfg.seed = 11;
-  const CsrMatrix a = generate_rmat_matrix(cfg);
-  a.validate(true);
-  EXPECT_EQ(a.rows, 256);
-  const CsrMatrix b = generate_rmat_matrix(cfg);
-  EXPECT_EQ(a.indices, b.indices);
-}
-
-TEST(Rmat, SkewedQuadrantsProduceSkewedRows) {
-  RmatConfig cfg;
-  cfg.scale = 10;
-  cfg.edges = 20000;
-  cfg.seed = 12;
-  const CsrMatrix m = generate_rmat_matrix(cfg);
-  const RowStats s = row_stats(m);
-  EXPECT_GT(static_cast<double>(s.max), 5.0 * s.mean);
-}
-
-TEST(Rmat, RejectsBadProbabilities) {
-  RmatConfig cfg;
-  cfg.scale = 4;
-  cfg.edges = 10;
-  cfg.a = 0.9;  // sums to 1.33
-  EXPECT_THROW(generate_rmat_matrix(cfg), CheckError);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -207,13 +206,6 @@ CsrMatrix serial_hh_cpu_reference(const CsrMatrix& a, const CsrMatrix& b,
   return test::stable_sort_reference(a.rows, b.cols, tuples);
 }
 
-template <class T>
-bool same_bytes(const std::vector<T>& x, const std::vector<T>& y) {
-  return x.size() == y.size() &&
-         (x.empty() ||
-          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
-}
-
 // run_hh_cpu's C against the serial reference under memcmp, with pools of
 // 1 and 4, at the analytic pick and at both ends of threshold_grid (the
 // last point empties both H sides), plus any `extra` thresholds.
@@ -233,11 +225,7 @@ void expect_reference_bits(const CsrMatrix& a, const CsrMatrix& b,
       const CsrMatrix got = run_hh_cpu(a, b, opt, plat, *pool).c;
       const std::string at = what + " t=" + std::to_string(t) + " pool " +
                              std::to_string(pool->size());
-      EXPECT_EQ(got.rows, want.rows) << at;
-      EXPECT_EQ(got.cols, want.cols) << at;
-      EXPECT_TRUE(same_bytes(got.indptr, want.indptr)) << at;
-      EXPECT_TRUE(same_bytes(got.indices, want.indices)) << at;
-      EXPECT_TRUE(same_bytes(got.values, want.values)) << at;
+      test::expect_same_bits(want, got, at);
     }
   }
 }

@@ -1,10 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <limits>
-
 #include "spgemm/gustavson.hpp"
-#include "spgemm/hash_spgemm.hpp"
-#include "spgemm/heap_spgemm.hpp"
 #include "spgemm/row_column.hpp"
 #include "spgemm/spgemm.hpp"
 #include "test_util.hpp"
@@ -33,67 +29,6 @@ TEST(SpgemmKernels, GustavsonParallelMatchesSequential) {
   const CsrMatrix par = gustavson_spgemm_parallel(small_a(), small_b(), pool);
   EXPECT_EQ(seq.indices, par.indices);
   EXPECT_EQ(seq.values, par.values);
-}
-
-TEST(SpgemmKernels, HashMatchesReference) {
-  test::expect_matches_reference(small_a(), small_b(),
-                                 hash_spgemm(small_a(), small_b()));
-}
-
-TEST(SpgemmKernels, HashTableCapacityIsSaneAcrossTheFullBoundRange) {
-  // Floor: empty / tiny rows get the minimum table, never capacity 0.
-  EXPECT_EQ(hash_table_capacity(0), 16u);
-  EXPECT_EQ(hash_table_capacity(1), 16u);
-  EXPECT_EQ(hash_table_capacity(8), 16u);
-  // Round-up keeps the load factor <= 1/2 at the next power of two.
-  EXPECT_EQ(hash_table_capacity(9), 32u);
-  EXPECT_EQ(hash_table_capacity(16), 32u);
-  EXPECT_EQ(hash_table_capacity(33), 128u);
-  // Huge symbolic bounds: the old `while (cap < ub * 2) cap <<= 1` loop
-  // wrapped to zero above 2^62 and never terminated. The capacity now
-  // saturates at 2^63 — these calls must return, and promptly.
-  constexpr std::size_t kSat = std::size_t{1} << 63;
-  EXPECT_EQ(hash_table_capacity(offset_t{1} << 61), std::size_t{1} << 62);
-  EXPECT_EQ(hash_table_capacity(offset_t{1} << 62), kSat);
-  EXPECT_EQ(hash_table_capacity((offset_t{1} << 62) + 1), kSat);
-  EXPECT_EQ(hash_table_capacity(std::numeric_limits<offset_t>::max()), kSat);
-  // Every result is a power of two (the probe mask depends on it).
-  for (const offset_t ub : {offset_t{0}, offset_t{5}, offset_t{100},
-                            offset_t{12345}, offset_t{1} << 40}) {
-    const std::size_t cap = hash_table_capacity(ub);
-    EXPECT_EQ(cap & (cap - 1), 0u) << "ub " << ub;
-    EXPECT_GE(cap, 16u) << "ub " << ub;
-  }
-}
-
-TEST(SpgemmKernels, HashHandlesEmptyAndPathologicalRows) {
-  // Rows with zero symbolic flops (empty row of A, or all-empty B rows)
-  // must come out empty without touching a hash table; mixed alongside
-  // ordinary and duplicate-heavy rows everything still matches reference.
-  CsrMatrix a(5, 4);
-  a.indptr = {0, 0, 2, 2, 6, 7};  // rows 0 and 2 empty; row 3 has repeats
-  a.indices = {1, 3, 0, 0, 1, 3, 2};
-  a.values = {2.0, -1.0, 1.0, 0.5, 3.0, 1.5, 4.0};
-  CsrMatrix b(4, 6);
-  b.indptr = {0, 3, 3, 3, 5};  // rows 1 and 2 of B empty
-  b.indices = {0, 2, 5, 1, 4};
-  b.values = {1.0, -2.0, 0.25, 6.0, -3.0};
-  const CsrMatrix c = hash_spgemm(a, b);
-  test::expect_matches_reference(a, b, c);
-  EXPECT_EQ(c.row_nnz(0), 0);  // empty row of A
-  EXPECT_EQ(c.row_nnz(2), 0);
-  // Row 4 of A only hits an empty row of B: zero flops, empty output row.
-  EXPECT_EQ(c.row_nnz(4), 0);
-  ThreadPool pool(2);
-  const CsrMatrix par = hash_spgemm_parallel(a, b, pool);
-  EXPECT_EQ(c.indptr, par.indptr);
-  EXPECT_EQ(c.indices, par.indices);
-  EXPECT_EQ(c.values, par.values);
-}
-
-TEST(SpgemmKernels, HeapMatchesReference) {
-  test::expect_matches_reference(small_a(), small_b(),
-                                 heap_spgemm(small_a(), small_b()));
 }
 
 TEST(SpgemmKernels, RowColumnMatchesReference) {
@@ -150,8 +85,6 @@ TEST(SpgemmKernels, RectangularChain) {
 TEST(SpgemmKernels, IncompatibleShapesThrow) {
   const CsrMatrix a(3, 4), b(5, 3);
   EXPECT_THROW(gustavson_spgemm(a, b), CheckError);
-  EXPECT_THROW(hash_spgemm(a, b), CheckError);
-  EXPECT_THROW(heap_spgemm(a, b), CheckError);
   EXPECT_THROW(row_column_spgemm(a, b), CheckError);
 }
 
@@ -166,7 +99,6 @@ TEST_P(MultiplyDispatchTest, AllKindsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, MultiplyDispatchTest,
                          testing::Values(SpgemmKind::kGustavson,
-                                         SpgemmKind::kHash, SpgemmKind::kHeap,
                                          SpgemmKind::kRowColumn),
                          [](const auto& info) {
                            std::string name = to_string(info.param);

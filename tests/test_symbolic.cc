@@ -51,18 +51,6 @@ TEST(Symbolic, TotalFlopsSurvivesPastTwoToTheThirtyFirst) {
   EXPECT_GT(total, std::int64_t{1} << 31);
 }
 
-TEST(Symbolic, MaskedFlopsSplitAddsUp) {
-  const CsrMatrix a = test::random_csr(20, 20, 0.3, 5);
-  std::vector<std::uint8_t> mask(20);
-  for (index_t j = 0; j < 20; ++j) mask[j] = (j % 3 == 0) ? 1 : 0;
-  const auto all = row_flops(a, a);
-  const auto hi = row_flops_masked(a, a, mask, true);
-  const auto lo = row_flops_masked(a, a, mask, false);
-  for (index_t i = 0; i < a.rows; ++i) {
-    EXPECT_EQ(hi[i] + lo[i], all[i]);
-  }
-}
-
 TEST(Symbolic, ExactRowNnzMatchesReference) {
   const CsrMatrix a = test::random_csr(15, 12, 0.3, 6);
   const CsrMatrix b = test::random_csr(12, 14, 0.3, 7);

@@ -197,21 +197,21 @@ TEST(ThreadPool, ThrowingSubmitTaskSurfacesFromWaitIdle) {
 
 TEST(ThreadPool, ThrowingSubmitTaskKeepsHhErrorType) {
   ThreadPool pool(2);
-  pool.submit([] { throw DeviceError("kernel abort 7"); });
+  pool.submit([] { throw ParseError("bad header at line 7"); });
   try {
     pool.wait_idle();
-    FAIL() << "wait_idle() should rethrow the stashed DeviceError";
-  } catch (const DeviceError& e) {
-    EXPECT_EQ(e.code(), StatusCode::kDeviceFault);
-    EXPECT_NE(std::string(e.what()).find("kernel abort 7"),
+    FAIL() << "wait_idle() should rethrow the stashed ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.code(), StatusCode::kParseError);
+    EXPECT_NE(std::string(e.what()).find("bad header at line 7"),
               std::string::npos);
   }
 }
 
 TEST(ThreadPool, FirstStashedErrorWins) {
   ThreadPool pool(1);
-  pool.submit([] { throw TransferError("first"); });
-  pool.submit([] { throw DeviceError("second"); });
+  pool.submit([] { throw InvalidArgumentError("first"); });
+  pool.submit([] { throw ParseError("second"); });
   try {
     pool.wait_idle();
     FAIL() << "wait_idle() should rethrow";

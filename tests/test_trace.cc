@@ -470,7 +470,9 @@ TEST_F(TracedServiceTest, ShardedGroupExportsPerShardTracks) {
   // Group-level kShard instants live on track 0; every span was re-recorded
   // on its shard's track (never the group track).
   for (const TraceEvent& e : rec.events()) {
-    if (e.category == TraceCategory::kShard) EXPECT_EQ(e.track, 0u);
+    if (e.category == TraceCategory::kShard) {
+      EXPECT_EQ(e.track, 0u);
+    }
     if (e.kind == TraceEventKind::kSpan) {
       EXPECT_GE(e.track, 1u);
       EXPECT_LE(e.track, gcfg.shards);

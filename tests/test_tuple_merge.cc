@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -13,21 +12,6 @@
 
 namespace hh {
 namespace {
-
-template <class T>
-bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
-}
-
-void expect_same_bits(const CsrMatrix& want, const CsrMatrix& got) {
-  EXPECT_EQ(want.rows, got.rows);
-  EXPECT_EQ(want.cols, got.cols);
-  EXPECT_TRUE(same_bytes(want.indptr, got.indptr));
-  EXPECT_TRUE(same_bytes(want.indices, got.indices));
-  EXPECT_TRUE(same_bytes(want.values, got.values));
-}
 
 value_t seeded_value(Xoshiro256& rng) {
   switch (rng.below(8)) {
@@ -111,7 +95,7 @@ TEST(RunMerge, MatchesStableSortReferenceBitForBit) {
       MergeStats stats;
       const CsrMatrix got = merge_row_runs(pointers(parts), pool, &stats);
       got.validate(true);
-      expect_same_bits(want, got);
+      test::expect_same_bits(want, got);
       EXPECT_EQ(stats.tuples_in, static_cast<std::int64_t>(tuples.size()));
       EXPECT_EQ(stats.tuples_out, want.nnz());
     }
@@ -132,7 +116,7 @@ TEST(RunMerge, SumsFromZeroInPartOrder) {
   const CsrMatrix want = run_store(
       8, {{{2, (0.0 + 7.0)}, {5, (0.0 + 1e16) + -1e16}}, {{3, 0.0}},
           {{6, 0.0}}, {}});
-  expect_same_bits(want, m);
+  test::expect_same_bits(want, m);
   EXPECT_FALSE(std::signbit(m.row_values(1)[0]));
   EXPECT_FALSE(std::signbit(m.row_values(2)[0]));
 }

@@ -1,12 +1,15 @@
 // Shared helpers for the test suite: small deterministic random matrices, a
-// dense-reference comparison that tolerates explicit zeros, and the Phase IV
-// merge contract spelled out over free-form tuples.
+// dense-reference comparison that tolerates explicit zeros, a bit-for-bit
+// comparison, and the Phase IV merge contract spelled out over free-form
+// tuples.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -42,6 +45,26 @@ inline void expect_matches_reference(const CsrMatrix& a, const CsrMatrix& b,
   const CsrMatrix want = reference_multiply_dense(a, b);
   std::string why;
   EXPECT_TRUE(approx_equal(want, got, 1e-9, &why)) << label << ": " << why;
+}
+
+/// True when x and y hold the same bytes: memcmp, not ==, so -0.0 and 0.0
+/// differ.
+template <class T>
+bool same_bytes(const std::vector<T>& x, const std::vector<T>& y) {
+  return x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
+}
+
+/// EXPECT that `got` is `want` bit for bit: shape, indptr, indices and value
+/// bytes.
+inline void expect_same_bits(const CsrMatrix& want, const CsrMatrix& got,
+                             const std::string& label = "") {
+  EXPECT_EQ(want.rows, got.rows) << label;
+  EXPECT_EQ(want.cols, got.cols) << label;
+  EXPECT_TRUE(same_bytes(want.indptr, got.indptr)) << label;
+  EXPECT_TRUE(same_bytes(want.indices, got.indices)) << label;
+  EXPECT_TRUE(same_bytes(want.values, got.values)) << label;
 }
 
 /// One ⟨r, c, v⟩ tuple of a partial product.
