@@ -60,6 +60,17 @@
 #include "trace/perfetto_export.hpp"
 #include "util/format.hpp"
 
+namespace {
+
+// Frees what `x` holds now, not when main returns: each 256-request drain's
+// outputs take hundreds of MB, and no check reads them twice.
+template <class T>
+void release(T& x) {
+  T().swap(x);
+}
+
+}  // namespace
+
 int main() {
   using namespace hh;
   bench::print_header("runtime throughput: pipelined service vs serial calls");
@@ -88,7 +99,7 @@ int main() {
       order.push_back(static_cast<int>(m));
     }
   }
-  const BatchResult batch = service.drain();
+  BatchResult batch = service.drain();
 
   // The honest serial baseline: the same requests, cold, back to back.
   double serial_makespan = 0;
@@ -109,6 +120,7 @@ int main() {
 
   std::printf("all %zu outputs bit-identical to the serial path\n\n",
               batch.results.size());
+  release(batch.results);
   std::printf("%s\n", batch.batch.to_string().c_str());
   std::printf("serial makespan (measured) %.3f ms, pipelined %.3f ms "
               "(%.2fx)\n\n",
@@ -164,7 +176,7 @@ int main() {
                 std::to_string(i / mats.size());
     faulted.submit(std::move(req));
   }
-  const BatchResult under_faults = faulted.drain();
+  BatchResult under_faults = faulted.drain();
 
   // Zero lost requests, every output bit-identical to the fault-free serial
   // reference for its matrix.
@@ -193,6 +205,8 @@ int main() {
               "reference\n\n%s",
               under_faults.results.size(),
               under_faults.batch.to_string().c_str());
+  release(under_faults.results);
+  release(refs);
   std::printf("throughput: %.1f req/s healthy vs %.1f req/s under faults "
               "(simulated)\n\n",
               static_cast<double>(batch.batch.requests) /
@@ -268,13 +282,13 @@ int main() {
 
   SpgemmService untuned(platform, pool);  // tuning off: today's behaviour
   submit_all(untuned);
-  const BatchResult base_run = untuned.drain();
+  const BatchReport base_run = untuned.drain().batch;
 
   SpgemmService::Config tcfg;
   tcfg.tune.enabled = true;
   SpgemmService tuned(platform, pool, tcfg);
   submit_all(tuned);
-  const BatchResult tuned_run = tuned.drain();
+  BatchResult tuned_run = tuned.drain();
   const TuneReport tune_rep = tuned.tune_report();
 
   // Every tuned output must be bit-identical to the serial driver run at
@@ -308,15 +322,18 @@ int main() {
   std::printf("all %zu tuned outputs bit-identical to the serial path at "
               "the service-chosen thresholds (%zu distinct plans)\n",
               tuned_run.results.size(), ref_cache.size());
+  release(ref_cache);
 
   // Same-seed replay: bit-identical outputs, byte-identical TuneReport.
   SpgemmService replay(platform, pool, tcfg);
   submit_all(replay);
-  const BatchResult replay_run = replay.drain();
-  bool replay_ok = replay_run.results.size() == tuned_run.results.size();
+  std::vector<RunResult> replay_results = replay.drain().results;
+  bool replay_ok = replay_results.size() == tuned_run.results.size();
   for (std::size_t i = 0; replay_ok && i < tuned_run.results.size(); ++i) {
-    replay_ok = bit_identical(tuned_run.results[i].c, replay_run.results[i].c);
+    replay_ok = bit_identical(tuned_run.results[i].c, replay_results[i].c);
   }
+  release(replay_results);
+  release(tuned_run.results);
   const std::string tune_json = tune_rep.to_json();
   replay_ok = replay_ok && tune_json == replay.tune_report().to_json();
   if (!replay_ok) {
@@ -328,16 +345,16 @@ int main() {
 
   std::printf("%s\n", tune_rep.to_string().c_str());
   std::printf("untuned: makespan %.3f ms, p95 %.3f ms\n",
-              base_run.batch.makespan_s * 1e3,
-              base_run.batch.p95_latency_s * 1e3);
+              base_run.makespan_s * 1e3,
+              base_run.p95_latency_s * 1e3);
   std::printf("tuned:   makespan %.3f ms, p95 %.3f ms, %lld promotions\n",
               tuned_run.batch.makespan_s * 1e3,
               tuned_run.batch.p95_latency_s * 1e3,
               static_cast<long long>(tune_rep.tuner.promotions));
 
   // The tuned run must not lose to the baseline it claims to improve.
-  if (tuned_run.batch.makespan_s > base_run.batch.makespan_s ||
-      tuned_run.batch.p95_latency_s > base_run.batch.p95_latency_s) {
+  if (tuned_run.batch.makespan_s > base_run.makespan_s ||
+      tuned_run.batch.p95_latency_s > base_run.p95_latency_s) {
     std::fprintf(stderr, "FATAL: tuned run lost to the untuned baseline\n");
     return 1;
   }
@@ -349,18 +366,18 @@ int main() {
   std::ostringstream part3;
   part3 << "{\"requests\":" << tune_requests
         << ",\"signatures\":" << tmats.size()
-        << ",\"untuned\":" << base_run.batch.to_json()
+        << ",\"untuned\":" << base_run.to_json()
         << ",\"tuned\":" << tuned_run.batch.to_json() << ",\"deltas\":{"
         << "\"makespan_s\":"
-        << fmt_num(base_run.batch.makespan_s - tuned_run.batch.makespan_s)
+        << fmt_num(base_run.makespan_s - tuned_run.batch.makespan_s)
         << ",\"p50_latency_s\":"
-        << fmt_num(base_run.batch.p50_latency_s - tuned_run.batch.p50_latency_s)
+        << fmt_num(base_run.p50_latency_s - tuned_run.batch.p50_latency_s)
         << ",\"p95_latency_s\":"
-        << fmt_num(base_run.batch.p95_latency_s - tuned_run.batch.p95_latency_s)
+        << fmt_num(base_run.p95_latency_s - tuned_run.batch.p95_latency_s)
         << ",\"p99_latency_s\":"
-        << fmt_num(base_run.batch.p99_latency_s - tuned_run.batch.p99_latency_s)
+        << fmt_num(base_run.p99_latency_s - tuned_run.batch.p99_latency_s)
         << ",\"makespan_speedup\":"
-        << fmt_num(base_run.batch.makespan_s /
+        << fmt_num(base_run.makespan_s /
                 std::max(tuned_run.batch.makespan_s, 1e-300))
         << "},\"replay_identical\":true,\"tune_report\":" << tune_json << "}";
   std::printf("%s\n", part3.str().c_str());
@@ -406,11 +423,11 @@ int main() {
 
   SpgemmService wave_off(wplatform, pool, woff);
   submit_wave_traffic(wave_off);
-  const BatchResult off_run = wave_off.drain();
+  const BatchReport off_run = wave_off.drain().batch;
 
   SpgemmService wave_on(wplatform, pool, won);
   submit_wave_traffic(wave_on);
-  const BatchResult on_run = wave_on.drain();
+  BatchResult on_run = wave_on.drain();
 
   // Every wave-executed output bit-identical to the serial reference.
   if (on_run.results.size() != wave_requests) {
@@ -428,6 +445,8 @@ int main() {
   }
   std::printf("all %zu wave outputs bit-identical to the serial reference\n",
               wave_requests);
+  release(on_run.results);
+  release(wrefs);
 
   // H2D payload of the off run: with residency off, every request uploads
   // its operand once (exact, since part 4 traffic is fault-free).
@@ -438,7 +457,7 @@ int main() {
   }
   std::printf("%s\n", on_run.batch.to_string().c_str());
   std::printf("wave off: makespan %.3f ms, h2d payload %lld bytes\n",
-              off_run.batch.makespan_s * 1e3,
+              off_run.makespan_s * 1e3,
               static_cast<long long>(off_h2d_bytes));
   std::printf("wave on:  makespan %.3f ms, h2d payload %lld bytes, "
               "%lld deduped uploads\n",
@@ -446,7 +465,7 @@ int main() {
               static_cast<long long>(on_run.batch.wave.h2d_bytes),
               static_cast<long long>(on_run.batch.wave.deduped_uploads));
 
-  if (on_run.batch.makespan_s >= off_run.batch.makespan_s) {
+  if (on_run.batch.makespan_s >= off_run.makespan_s) {
     std::fprintf(stderr, "FATAL: wave-enabled makespan did not improve\n");
     return 1;
   }
@@ -462,13 +481,13 @@ int main() {
   // Same-seed replay: byte-identical BatchReport (wave counters included).
   SpgemmService wave_replay(wplatform, pool, won);
   submit_wave_traffic(wave_replay);
-  const BatchResult wave_replay_run = wave_replay.drain();
-  if (on_run.batch.to_json() != wave_replay_run.batch.to_json()) {
+  const BatchReport wave_replay_run = wave_replay.drain().batch;
+  if (on_run.batch.to_json() != wave_replay_run.to_json()) {
     std::fprintf(stderr,
                  "FATAL: same-seed wave replay report diverged\n  first:  "
                  "%s\n  replay: %s\n",
                  on_run.batch.to_json().c_str(),
-                 wave_replay_run.batch.to_json().c_str());
+                 wave_replay_run.to_json().c_str());
     return 1;
   }
   std::printf("same-seed replay: BatchReport byte-identical (wave counters "
@@ -476,13 +495,13 @@ int main() {
 
   std::ostringstream part4;
   part4 << "{\"requests\":" << wave_requests
-        << ",\"wave_off\":" << off_run.batch.to_json()
+        << ",\"wave_off\":" << off_run.to_json()
         << ",\"wave_on\":" << on_run.batch.to_json()
         << ",\"off_h2d_bytes\":" << off_h2d_bytes << ",\"deltas\":{"
         << "\"makespan_s\":"
-        << fmt_num(off_run.batch.makespan_s - on_run.batch.makespan_s)
+        << fmt_num(off_run.makespan_s - on_run.batch.makespan_s)
         << ",\"makespan_speedup\":"
-        << fmt_num(off_run.batch.makespan_s /
+        << fmt_num(off_run.makespan_s /
                 std::max(on_run.batch.makespan_s, 1e-300))
         << ",\"h2d_bytes_saved\":"
         << (off_h2d_bytes - on_run.batch.wave.h2d_bytes)

@@ -1,6 +1,8 @@
 #include "core/hh_stages.hpp"
 
 #include <array>
+#include <initializer_list>
+#include <utility>
 
 #include "sched/chunk.hpp"
 
@@ -114,14 +116,15 @@ WorkQueueResult cost_phase3(const PartitionPlan& plan,
 
 MergeResult run_phase4(Phase2Result&& p2, WorkQueueResult&& queue,
                        const HeteroPlatform& platform, ThreadPool& pool,
-                       WorkspacePool* /*workspace*/) {
+                       WorkspacePool* workspace) {
   MergeResult m;
   const CsrMatrix* parts[] = {&p2.hh_tuples, &p2.ll_tuples, &queue.tuples};
   m.c = merge_row_runs(parts, pool, &m.merge);
   m.cpu_s = platform.cpu().merge_time(m.merge.tuples_in);
-  p2.hh_tuples = {};
-  p2.ll_tuples = {};
-  queue.tuples = {};
+  for (CsrMatrix* store : {&p2.hh_tuples, &p2.ll_tuples, &queue.tuples}) {
+    if (workspace != nullptr) workspace->release_run_store(std::move(*store));
+    *store = {};
+  }
   return m;
 }
 

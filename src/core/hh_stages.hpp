@@ -83,10 +83,11 @@ WorkQueueResult cost_phase3(const PartitionPlan& plan,
                             double gpu_start, const HeteroPlatform& platform);
 
 /// Phase IV: merge the hh, ll and queue run stores into the final CSR
-/// (merge_row_runs, in that part order), reading them in place and freeing
-/// them once C is built. cpu_s is the merge time on the CPU model; the D2H
-/// shipment of the GPU tuples is charged separately by the caller.
-/// `workspace` is not used: Phase IV draws no SPA.
+/// (merge_row_runs, in that part order), reading them in place. Once C is
+/// built the stores go back to `workspace` when given (the next product's
+/// Phases II–III draw them from it), else they are freed. cpu_s is the
+/// merge time on the CPU model; the D2H shipment of the GPU tuples is
+/// charged separately by the caller.
 struct MergeResult {
   CsrMatrix c;
   MergeStats merge;

@@ -25,8 +25,9 @@
 //    — a hit skips threshold identification;
 //  - operand residency keyed by content (fault/checksum.hpp) — an operand
 //    already on the device is not re-shipped, whichever pointer submits it;
-//  - workspace pooling (spgemm/workspace.hpp) — SPA accumulators and tuple
-//    buffers are recycled instead of reallocated per request.
+//  - workspace pooling (spgemm/workspace.hpp) — SPA accumulators and the
+//    Phase II–III run stores are recycled instead of reallocated per
+//    request.
 //
 // Fault tolerance (docs/robustness.md): when Config::fault_plan injects
 // faults (fault/fault.hpp), the service recovers per request —

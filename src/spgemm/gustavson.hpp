@@ -3,6 +3,13 @@
 // models, one of the kernels multiply() dispatches, and the plain product
 // the examples cross-check against. The host-side products of HH-CPU and of
 // every baseline run on partial_product_runs (spgemm/spgemm.hpp).
+//
+// Two passes: exact_row_nnz (spgemm/symbolic.hpp) counts each row of C, the
+// counts are scanned into indptr, and a numeric pass writes each row's
+// columns at its offset and orders them in place with order_run
+// (spgemm/run_order.hpp): by sort when the row is short or its columns
+// spread wide, else by one ascending scan of a column bitmap local to each
+// block of rows.
 #pragma once
 
 #include "sparse/csr.hpp"
@@ -13,8 +20,9 @@ namespace hh {
 /// Sequential two-phase (symbolic + numeric) Gustavson. Output rows sorted.
 CsrMatrix gustavson_spgemm(const CsrMatrix& a, const CsrMatrix& b);
 
-/// Row-parallel Gustavson over the given pool. Deterministic: identical
-/// output to the sequential version.
+/// Row-parallel Gustavson over the given pool: both passes run over the
+/// pool's row blocks. Deterministic: identical output to the sequential
+/// version.
 CsrMatrix gustavson_spgemm_parallel(const CsrMatrix& a, const CsrMatrix& b,
                                     ThreadPool& pool);
 

@@ -11,6 +11,7 @@
 
 #include "spgemm/gustavson.hpp"
 #include "spgemm/row_column.hpp"
+#include "spgemm/run_order.hpp"
 #include "util/check.hpp"
 
 namespace hh {
@@ -125,7 +126,8 @@ std::int64_t count_row(const CsrMatrix& a, const CsrMatrix& b, index_t i,
 }
 
 // Numeric pass for one row: SPA-accumulate row i's product and write its
-// run, columns ascending, to (cols, vals), which count_row sized.
+// run, columns ascending (by sort or by the workspace's bitmap), to (cols,
+// vals), which count_row sized.
 void fill_row(const CsrMatrix& a, const CsrMatrix& b, index_t i,
               const MaskedRows& part, SpaWorkspace& ws, index_t* cols,
               value_t* vals) {
@@ -145,8 +147,7 @@ void fill_row(const CsrMatrix& a, const CsrMatrix& b, index_t i,
       ws.acc[col] += av * b.values[l];
     }
   }
-  std::sort(cols, cols + n);
-  for (std::size_t m = 0; m < n; ++m) vals[m] = ws.acc[cols[m]];
+  order_run(cols, n, ws.acc.data(), ws.bits.data(), vals);
 }
 
 // Threshold grids. A row length's interval is the number of grid points <=
@@ -321,7 +322,9 @@ CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
   // Every listed row owns its slot, so a row listed twice would have two
   // workers write one slot. A listed row's count holds -1 until the count
   // pass fills it in, which is how a second listing shows.
-  CsrMatrix out(a.rows, b.cols);
+  CsrMatrix out = workspace != nullptr
+                      ? workspace->acquire_run_store(a.rows, b.cols)
+                      : CsrMatrix(a.rows, b.cols);
   for (const MaskedRows& part : parts) {
     for (const index_t i : part.rows) {
       HH_CHECK_MSG(i >= 0 && i < a.rows,

@@ -8,7 +8,10 @@
 // CsrMatrix over all of A's rows. It runs symbolic then numeric (Liu &
 // Vinter, arXiv:1504.05022; KKMEM, arXiv:1801.03065): one structure-only
 // pass sizes every slot, so no buffer grows and no run is copied, and the
-// Phase IV merge (primitives/tuple_merge.hpp) reads the slots in place.
+// Phase IV merge (primitives/tuple_merge.hpp) reads the slots in place. The
+// numeric pass orders each run by sort when it is short or its columns
+// spread wide, else by one ascending scan of a per-worker column bitmap
+// (spgemm/run_order.hpp); both give the same run.
 #pragma once
 
 #include <algorithm>
@@ -97,12 +100,14 @@ struct MaskedRows {
 /// stay empty. Symbolic then numeric: a structure-only pass counts each
 /// listed row's columns and charges its stats, the counts are scanned into
 /// indptr, and a numeric pass writes each row's run straight into its slot,
-/// with one SPA per worker, drawn from `workspace` when given. Every listed
-/// row must lie in [0, a.rows) and appear once across all parts, or this
-/// throws CheckError. `stats` receives the sum of the rows' stats, and a
-/// non-empty `row_stats` (one slot per listed row, parts in order) each
-/// row's own: row_stats[k] is what the call reports for that row alone.
-/// Output and stats do not depend on the pool size.
+/// ordered by order_run, with one SPA and column bitmap per worker. Given a
+/// `workspace`, the SPAs and the returned run store are drawn from it
+/// (run_phase4 gives the store back). Every listed row must lie in
+/// [0, a.rows) and appear once across all parts, or this throws CheckError.
+/// `stats` receives the sum of the rows' stats, and a non-empty `row_stats`
+/// (one slot per listed row, parts in order) each row's own: row_stats[k]
+/// is what the call reports for that row alone. Output and stats do not
+/// depend on the pool size.
 CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
                                std::span<const MaskedRows> parts,
                                ThreadPool& pool, ProductStats* stats = nullptr,

@@ -25,4 +25,9 @@ std::int64_t total_flops(const CsrMatrix& a, const CsrMatrix& b);
 /// Exact nnz per row of C (runs a structure-only SPA pass; costs ~ flops).
 std::vector<offset_t> exact_row_nnz(const CsrMatrix& a, const CsrMatrix& b);
 
+/// The same count for rows [r0, r1) of C only, into out[r0, r1), with its
+/// own column markers: calls over disjoint row ranges may run concurrently.
+void exact_row_nnz(const CsrMatrix& a, const CsrMatrix& b, index_t r0,
+                   index_t r1, offset_t* out);
+
 }  // namespace hh

@@ -1,6 +1,7 @@
 #include "spgemm/workspace.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace hh {
 
@@ -15,6 +16,7 @@ void SpaWorkspace::begin_product(index_t cols) {
   if (acc.size() < n) {
     acc.resize(n, value_t{0});
     marker.resize(n, std::int64_t{-1});
+    bits.resize((n + 63) / 64, 0);
   }
 }
 
@@ -36,6 +38,28 @@ void WorkspacePool::release_spa(std::unique_ptr<SpaWorkspace> ws) {
   std::lock_guard<std::mutex> lock(mu_);
   --stats_.spa_live;
   free_spa_.push_back(std::move(ws));
+}
+
+CsrMatrix WorkspacePool::acquire_run_store(index_t rows, index_t cols) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.coo_acquires;
+  if (free_run_stores_.empty()) return CsrMatrix(rows, cols);
+  ++stats_.coo_reuses;
+  CsrMatrix store = std::move(free_run_stores_.back());
+  free_run_stores_.pop_back();
+  store.rows = rows;
+  store.cols = cols;
+  store.indptr.assign(static_cast<std::size_t>(rows) + 1, 0);
+  store.indices.clear();
+  store.values.clear();
+  return store;
+}
+
+void WorkspacePool::release_run_store(CsrMatrix store) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (free_run_stores_.size() < kMaxFreeRunStores) {
+    free_run_stores_.push_back(std::move(store));
+  }
 }
 
 WorkspacePool::Stats WorkspacePool::stats() const {

@@ -1,31 +1,44 @@
 // Reusable kernel workspaces.
 //
 // Every partial-product invocation needs a dense SPA accumulator per worker
-// (one value + one marker per B column): its count pass marks columns and
-// its numeric pass accumulates values. Its output needs no buffer to pool:
-// the count pass sizes the run store exactly (spgemm/spgemm.hpp). A call
-// without a pool allocates the SPAs once and shares them between its two
-// passes; a service runtime executing a stream of products over
-// same-shaped matrices passes WorkspacePool, which keeps released SPAs on a
-// free list so steady-state requests reuse them (paper-adjacent: Liu &
-// Vinter's framework reuses analysis workspaces across products for the
-// same reason).
+// (one value, one marker and one bitmap bit per B column): its count pass
+// marks columns, and its numeric pass accumulates values and orders each
+// long run through the bitmap (spgemm/run_order.hpp). It writes its runs
+// into a run store that the count pass sizes exactly (spgemm/spgemm.hpp),
+// and Phase IV reads the stores once, into C. A call without a pool
+// allocates the SPAs once and shares them between its two passes, and
+// allocates its run store. A service runtime executing a stream of products
+// over same-shaped matrices passes WorkspacePool, which keeps released SPAs
+// and the run stores Phase IV has consumed on free lists, so steady-state
+// requests reuse them (paper-adjacent: Liu & Vinter's framework reuses
+// analysis workspaces across products for the same reason). Recycling the
+// stores matters for more than the allocation: a freshly allocated store is
+// first touched page by page as it is zero-filled, and how many of its
+// pages are fresh depends on what the allocator kept from earlier requests,
+// so without recycling a drain's host time follows the allocator's state.
 //
 // Correctness of SPA reuse: the accumulator is only valid for columns whose
 // marker carries the *current* tag. Tags are (generation, row) pairs packed
 // into 64 bits and the generation is bumped on every begin_product(), so a
 // stale marker from an earlier product can never alias a row of the current
 // one. The kernel's count and numeric passes each begin a product, so the
-// numeric pass never takes a count-pass marker for its own. Pooled and
+// numeric pass never takes a count-pass marker for its own. The bitmap
+// carries no tag: it is all clear between rows, because order_run clears
+// every word it scans before the next row starts, so a workspace returns to
+// the pool clear and a stale bit cannot reach a later row or product.
+// A recycled run store is handed out with indptr all zero and no entries;
+// the kernel sizes and writes it exactly as a fresh one. Pooled and
 // non-pooled runs execute the identical kernel and produce bit-identical
 // runs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "sparse/csr.hpp"
 #include "sparse/types.hpp"
 
 namespace hh {
@@ -34,7 +47,8 @@ namespace hh {
 class SpaWorkspace {
  public:
   /// Start a new product over a B with `cols` columns: grows the arrays if
-  /// needed and invalidates all markers by bumping the generation.
+  /// needed (new bitmap words clear) and invalidates all markers by bumping
+  /// the generation.
   void begin_product(index_t cols);
 
   /// Marker tag for row `i` of the current product.
@@ -44,32 +58,48 @@ class SpaWorkspace {
 
   std::vector<value_t> acc;          // per-column partial values
   std::vector<std::int64_t> marker;  // per-column tag of the owning row
+  std::vector<std::uint64_t> bits;   // one bit per column, all clear
+                                     // between rows
 
  private:
   std::int64_t generation_ = 0;
 };
 
-/// Thread-safe pool of SPA workspaces. Acquire hands out a recycled
-/// workspace when one is free, otherwise a fresh one; release returns it
-/// (arrays intact) to the free list.
+/// Thread-safe pool of SPA workspaces and run stores. Acquire hands out a
+/// recycled one when one is free, otherwise a fresh one; release returns it
+/// (arrays intact) to its free list.
 class WorkspacePool {
  public:
+  /// Free run stores kept: one HH-CPU product's worth (Phase II's two
+  /// stores and Phase III's one). A release beyond it frees the store.
+  static constexpr std::size_t kMaxFreeRunStores = 3;
+
   struct Stats {
     std::int64_t spa_acquires = 0;
     std::int64_t spa_reuses = 0;  // acquires served from the free list
-    std::int64_t coo_acquires = 0;  // always 0: tuple buffers are not pooled
-    std::int64_t coo_reuses = 0;    // always 0
+    // Run stores handed out, and those served from the free list (named
+    // for the tuple buffers the run stores replaced).
+    std::int64_t coo_acquires = 0;
+    std::int64_t coo_reuses = 0;
     std::int64_t spa_live = 0;  // workspaces currently handed out
   };
 
   std::unique_ptr<SpaWorkspace> acquire_spa();
   void release_spa(std::unique_ptr<SpaWorkspace> ws);
 
+  /// An empty run store over `rows` A rows and `cols` B columns: indptr
+  /// holds rows + 1 zeros and indices and values are empty, but a recycled
+  /// store keeps its arrays' capacity.
+  CsrMatrix acquire_run_store(index_t rows, index_t cols);
+  /// Return a run store whose runs have been read (Phase IV does this).
+  void release_run_store(CsrMatrix store);
+
   Stats stats() const;
 
  private:
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<SpaWorkspace>> free_spa_;
+  std::vector<CsrMatrix> free_run_stores_;
   Stats stats_;
 };
 

@@ -421,7 +421,9 @@ TEST_F(ServiceTest, SubmitRejectsMalformedRequestsWithTypedErrors) {
 }
 
 TEST_F(ServiceTest, WorkspacePoolingPreservesResults) {
-  // The service always pools its workspaces; run_hh_cpu never does.
+  // The service always pools its workspaces and run stores; run_hh_cpu
+  // never does. Each request after the first runs in the stores its
+  // predecessor gave back.
   SpgemmService pooled(plat_, pool_);
   const CsrMatrix* mats[] = {&enron_, &wiki_, &enron_};
   for (const CsrMatrix* m : mats) pooled.submit({m, nullptr, {}, ""});
@@ -433,6 +435,7 @@ TEST_F(ServiceTest, WorkspacePoolingPreservesResults) {
                          "pooled vs unpooled " + std::to_string(i));
   }
   EXPECT_GT(pooled.workspace_pool().stats().spa_reuses, 0);
+  EXPECT_GT(pooled.workspace_pool().stats().coo_reuses, 0);
 }
 
 // ------------------------------------------------------------ wave executor

@@ -1,7 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <memory>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "spgemm/gustavson.hpp"
 #include "spgemm/row_column.hpp"
+#include "spgemm/run_order.hpp"
 #include "spgemm/spgemm.hpp"
 #include "test_util.hpp"
 #include "util/check.hpp"
@@ -18,17 +28,290 @@ const CsrMatrix& small_b() {
   return b;
 }
 
+// order_run's per-row switch. Each case lists a row's columns in
+// first-touch order (upper half first) and the way order_run must take:
+// sort up to 32 columns, and past that sort only when the columns span more
+// than n·bit_width(n) 64-bit words (33 columns: 198 words).
+struct RunCase {
+  std::string name;
+  std::vector<index_t> cols;
+  RunOrder want;
+};
+
+std::vector<index_t> col_range(index_t lo, index_t hi) {
+  std::vector<index_t> v(static_cast<std::size_t>(hi - lo));
+  std::iota(v.begin(), v.end(), lo);
+  return v;
+}
+
+std::vector<index_t> join(std::vector<index_t> x,
+                          const std::vector<index_t>& y) {
+  x.insert(x.end(), y.begin(), y.end());
+  return x;
+}
+
+// B's width: 200 full words and a partial one.
+constexpr index_t kWideCols = 200 * 64 + 37;
+
+std::vector<RunCase> run_cases() {
+  std::vector<index_t> spread;
+  for (index_t k = 0; k < 32; ++k) spread.push_back(7 + 390 * k);
+  spread.push_back(kWideCols - 1);
+  std::vector<index_t> even, odd;
+  for (index_t c = 0; c < 72; c += 2) {
+    even.push_back(c);
+    odd.push_back(c + 1);
+  }
+  return {
+      {"empty", {}, RunOrder::kSort},
+      {"one", {5}, RunOrder::kSort},
+      {"32 packed", col_range(100, 132), RunOrder::kSort},
+      {"33 packed", col_range(200, 233), RunOrder::kBitmap},
+      {"33 over 198 words", join(col_range(0, 32), {197 * 64}),
+       RunOrder::kBitmap},
+      {"33 over 199 words", join(col_range(0, 32), {198 * 64}),
+       RunOrder::kSort},
+      {"33 spread", spread, RunOrder::kSort},
+      {"edge columns", join({0, 63, 64, kWideCols - 1}, col_range(1000, 1060)),
+       RunOrder::kBitmap},
+      {"even columns", even, RunOrder::kBitmap},
+      {"odd columns", odd, RunOrder::kBitmap},
+  };
+}
+
+// The columns with their upper half first, so that no case arrives sorted.
+std::vector<index_t> first_touch_order(std::vector<index_t> cols) {
+  std::sort(cols.begin(), cols.end());
+  std::rotate(cols.begin(), cols.begin() + cols.size() / 2, cols.end());
+  return cols;
+}
+
+value_t value_of(index_t col) { return 1.0 + 0.001 * col; }
+
+TEST(OrderRun, SortsOrScansByRowSizeAndSpan) {
+  const auto words = static_cast<std::size_t>(kWideCols + 63) / 64;
+  std::vector<std::uint64_t> bits(words, 0);
+  std::vector<value_t> acc(static_cast<std::size_t>(kWideCols));
+  for (index_t c = 0; c < kWideCols; ++c) acc[c] = value_of(c);
+  for (const RunCase& rc : run_cases()) {
+    // Room for every column, so a scan that emits too many columns fails
+    // the checks below instead of writing past the buffers.
+    std::vector<index_t> cols(acc.size(), 0);
+    std::vector<value_t> vals(acc.size(), 0.0);
+    const std::vector<index_t> first = first_touch_order(rc.cols);
+    std::copy(first.begin(), first.end(), cols.begin());
+    const RunOrder got = order_run(cols.data(), first.size(), acc.data(),
+                                   bits.data(), vals.data());
+    EXPECT_EQ(got, rc.want) << rc.name;
+    std::vector<index_t> want = rc.cols;
+    std::sort(want.begin(), want.end());
+    cols.resize(want.size());
+    EXPECT_EQ(cols, want) << rc.name;
+    for (std::size_t m = 0; m < want.size(); ++m) {
+      EXPECT_EQ(vals[m], value_of(want[m])) << rc.name << " @" << m;
+    }
+    EXPECT_TRUE(std::all_of(bits.begin(), bits.end(),
+                            [](std::uint64_t w) { return w == 0; }))
+        << rc.name << " left a bit set";
+  }
+}
+
+// Products whose rows take every way of order_run, checked bit for bit
+// against the dense reference, which orders each row by a scan over all of
+// B's columns. Product row k is a run case: A(k, :) = 1.5·B(2k, :) +
+// 0.75·B(2k + 1, :), with B(2k, :) the case's upper half and B(2k + 1, :) its
+// lower half, so the kernels see the columns upper half first. The even and
+// odd cases are consecutive bitmap rows on the same words. Three more rows:
+// a bitmap row whose 40 columns cancel to +0.0 and whose last column is the
+// lone product -1 × 0.0 = -0.0 (summed from +0.0: +0.0), the same in a
+// sorted row, and a bitmap row summing three B rows over shared columns.
+struct CraftedProduct {
+  CsrMatrix a;
+  CsrMatrix b;
+};
+
+CsrMatrix from_rows(index_t cols,
+                    const std::vector<std::vector<std::pair<index_t, value_t>>>&
+                        rows) {
+  CsrMatrix m(static_cast<index_t>(rows.size()), cols);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (const auto& [c, v] : rows[r]) {
+      m.indices.push_back(c);
+      m.values.push_back(v);
+    }
+    m.indptr[r + 1] = static_cast<offset_t>(m.indices.size());
+  }
+  m.validate();
+  return m;
+}
+
+std::vector<std::pair<index_t, value_t>> entries(
+    const std::vector<index_t>& cols, value_t scale = 1.0) {
+  std::vector<std::pair<index_t, value_t>> row;
+  for (const index_t c : cols) row.emplace_back(c, scale * value_of(c));
+  return row;
+}
+
+CraftedProduct crafted_product() {
+  std::vector<std::vector<std::pair<index_t, value_t>>> b_rows, a_rows;
+  for (const RunCase& rc : run_cases()) {
+    std::vector<index_t> cols = rc.cols;
+    std::sort(cols.begin(), cols.end());
+    const auto mid =
+        cols.begin() + static_cast<std::ptrdiff_t>(cols.size() / 2);
+    const auto j = static_cast<index_t>(b_rows.size());
+    b_rows.push_back(entries({mid, cols.end()}));
+    b_rows.push_back(entries({cols.begin(), mid}));
+    a_rows.push_back({{j, 1.5}, {j + 1, 0.75}});
+  }
+  const auto j = static_cast<index_t>(b_rows.size());
+  b_rows.push_back(entries(col_range(300, 340)));
+  b_rows.push_back(entries(col_range(300, 340)));
+  b_rows.push_back({{340, 0.0}});
+  b_rows.push_back(entries({7, 9}));
+  b_rows.push_back(entries({7, 9}));
+  b_rows.push_back({{11, 0.0}});
+  b_rows.push_back(entries(col_range(290, 330), 0.1));
+  a_rows.push_back({{j, 1.0}, {j + 1, -1.0}, {j + 2, -1.0}});
+  a_rows.push_back({{j + 3, 1.0}, {j + 4, -1.0}, {j + 5, -1.0}});
+  a_rows.push_back({{j, 1e16}, {j + 2, 3.0}, {j + 6, -7.0}});
+  return {from_rows(static_cast<index_t>(b_rows.size()), a_rows),
+          from_rows(kWideCols, b_rows)};
+}
+
+TEST(RunOrderSwitch, EveryKernelMatchesTheDenseReferenceBitForBit) {
+  const CraftedProduct p = crafted_product();
+  const CsrMatrix want = reference_multiply_dense(p.a, p.b);
+  const auto cancel_row = static_cast<index_t>(run_cases().size());
+  ASSERT_EQ(want.row_nnz(cancel_row), 41);
+  for (const value_t v : want.row_values(cancel_row)) {
+    ASSERT_EQ(v, 0.0);
+    ASSERT_FALSE(std::signbit(v));
+  }
+  test::expect_same_bits(want, gustavson_spgemm(p.a, p.b), "gustavson");
+  std::vector<index_t> rows(static_cast<std::size_t>(p.a.rows));
+  std::iota(rows.begin(), rows.end(), index_t{0});
+  for (const std::size_t threads : {1, 4}) {
+    ThreadPool pool(threads);
+    const std::string at = " pool " + std::to_string(threads);
+    test::expect_same_bits(want, gustavson_spgemm_parallel(p.a, p.b, pool),
+                           "gustavson_spgemm_parallel" + at);
+    test::expect_same_bits(
+        want, partial_product_runs(p.a, p.b, rows, {}, true, pool),
+        "partial_product_runs" + at);
+    WorkspacePool spas;
+    for (int round = 0; round < 2; ++round) {
+      test::expect_same_bits(
+          want,
+          partial_product_runs(p.a, p.b, rows, {}, true, pool, nullptr, &spas),
+          "partial_product_runs with a WorkspacePool" + at);
+    }
+  }
+}
+
+// A wide B, then a narrower one, through one WorkspacePool: the second
+// product's bitmap rows scan words the first product's rows used, so a bit
+// left set would surface as a column of the wrong product. Every pooled
+// workspace comes back all clear.
+TEST(RunOrderSwitch, PooledBitmapStaysClearAcrossProducts) {
+  const CraftedProduct wide = crafted_product();
+  std::vector<index_t> low = col_range(0, 40);
+  low.push_back(99);
+  const CsrMatrix narrow_b =
+      from_rows(100, {entries(low), entries(col_range(50, 100)), {}});
+  const CsrMatrix narrow_a = from_rows(
+      3, {{{0, 2.0}}, {{1, 1.0}}, {{0, 1.0}, {1, 0.5}, {2, 1.0}}, {}});
+  const struct {
+    const char* name;
+    const CsrMatrix& a;
+    const CsrMatrix& b;
+  } products[] = {{"wide", wide.a, wide.b}, {"narrow", narrow_a, narrow_b}};
+  ThreadPool pool(4);
+  WorkspacePool spas;
+  for (const auto& p : products) {
+    std::vector<index_t> rows(static_cast<std::size_t>(p.a.rows));
+    std::iota(rows.begin(), rows.end(), index_t{0});
+    test::expect_same_bits(
+        reference_multiply_dense(p.a, p.b),
+        partial_product_runs(p.a, p.b, rows, {}, true, pool, nullptr, &spas),
+        p.name);
+  }
+  const WorkspacePool::Stats st = spas.stats();
+  ASSERT_GT(st.spa_reuses, 0);
+  std::vector<std::unique_ptr<SpaWorkspace>> held;
+  for (std::int64_t k = 0; k < st.spa_acquires - st.spa_reuses; ++k) {
+    held.push_back(spas.acquire_spa());
+    EXPECT_TRUE(std::all_of(held.back()->bits.begin(), held.back()->bits.end(),
+                            [](std::uint64_t w) { return w == 0; }))
+        << "workspace " << k;
+  }
+  for (auto& ws : held) spas.release_spa(std::move(ws));
+}
+
+// A run store given back to the pool serves the next product whatever its
+// shape: a wide product's store holds the narrow product's runs, then grows
+// back for the wide one, and each equals the unpooled kernel bit for bit.
+TEST(WorkspacePoolRunStores, RecycledStoreMatchesFreshOne) {
+  const CraftedProduct wide = crafted_product();
+  const CsrMatrix narrow_a = test::random_csr(5, 20, 0.4, 104);
+  const CsrMatrix narrow_b = test::random_csr(20, 30, 0.3, 105);
+  const struct {
+    const char* name;
+    const CsrMatrix& a;
+    const CsrMatrix& b;
+  } products[] = {{"wide", wide.a, wide.b},
+                  {"narrow", narrow_a, narrow_b},
+                  {"wide again", wide.a, wide.b}};
+  ThreadPool pool(4);
+  WorkspacePool spas;
+  for (const auto& p : products) {
+    std::vector<index_t> rows(static_cast<std::size_t>(p.a.rows));
+    std::iota(rows.begin(), rows.end(), index_t{0});
+    CsrMatrix store =
+        partial_product_runs(p.a, p.b, rows, {}, true, pool, nullptr, &spas);
+    test::expect_same_bits(partial_product_runs(p.a, p.b, rows, {}, true, pool),
+                           store, p.name);
+    spas.release_run_store(std::move(store));
+  }
+  const WorkspacePool::Stats st = spas.stats();
+  EXPECT_EQ(st.coo_acquires, 3);
+  EXPECT_EQ(st.coo_reuses, 2);
+}
+
+// The free list keeps one HH-CPU product's worth of stores, and every store
+// it hands out is empty over the asked shape.
+TEST(WorkspacePoolRunStores, KeepsAtMostOneProductsWorth) {
+  WorkspacePool spas;
+  const CsrMatrix full = test::random_csr(40, 50, 0.3, 106);
+  for (int k = 0; k < 5; ++k) spas.release_run_store(full);
+  for (int k = 0; k < 5; ++k) {
+    const CsrMatrix store = spas.acquire_run_store(7, 9);
+    EXPECT_EQ(store.rows, 7);
+    EXPECT_EQ(store.cols, 9);
+    EXPECT_EQ(store.indptr, std::vector<offset_t>(8, 0)) << "store " << k;
+    EXPECT_TRUE(store.indices.empty() && store.values.empty())
+        << "store " << k;
+  }
+  EXPECT_EQ(spas.stats().coo_acquires, 5);
+  EXPECT_EQ(spas.stats().coo_reuses,
+            static_cast<std::int64_t>(WorkspacePool::kMaxFreeRunStores));
+}
+
 TEST(SpgemmKernels, GustavsonMatchesReference) {
   test::expect_matches_reference(small_a(), small_b(),
                                  gustavson_spgemm(small_a(), small_b()));
 }
 
+// 300 rows give each of the 4-thread pool's 16 row blocks rows of its own,
+// and every product row holds a few hundred columns, so both passes and the
+// bitmap ordering run in every block.
 TEST(SpgemmKernels, GustavsonParallelMatchesSequential) {
+  const CsrMatrix a = test::random_csr(300, 240, 0.04, 103);
+  const CsrMatrix b = test::random_csr(240, 1000, 0.03, 104);
   ThreadPool pool(4);
-  const CsrMatrix seq = gustavson_spgemm(small_a(), small_b());
-  const CsrMatrix par = gustavson_spgemm_parallel(small_a(), small_b(), pool);
-  EXPECT_EQ(seq.indices, par.indices);
-  EXPECT_EQ(seq.values, par.values);
+  const CsrMatrix seq = gustavson_spgemm(a, b);
+  test::expect_same_bits(seq, gustavson_spgemm_parallel(a, b, pool));
+  test::expect_same_bits(reference_multiply_dense(a, b), seq);
 }
 
 TEST(SpgemmKernels, RowColumnMatchesReference) {
