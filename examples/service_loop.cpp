@@ -35,8 +35,8 @@ int main() {
 
   // Batch 1: two cold squarings. Everything is a plan-cache miss and both
   // matrices cross the H2D channel.
-  service.submit({&enron, nullptr, {}, "enron^2"});
-  service.submit({&wiki, nullptr, {}, "wiki^2"});
+  service.submit({&enron, nullptr, 0, 0, "enron^2"});
+  service.submit({&wiki, nullptr, 0, 0, "wiki^2"});
   const BatchResult first = service.drain();
   std::printf("---- batch 1 (cold) ----\n%s\n",
               first.batch.to_string().c_str());
@@ -44,8 +44,8 @@ int main() {
   // Batch 2: the same squarings again. The repeats reuse cached plans and
   // resident operands (note h2d busy drops to zero); only the work itself
   // is re-executed, so the results are still exact.
-  service.submit({&enron, nullptr, {}, "enron^2 again"});
-  service.submit({&wiki, nullptr, {}, "wiki^2 again"});
+  service.submit({&enron, nullptr, 0, 0, "enron^2 again"});
+  service.submit({&wiki, nullptr, 0, 0, "wiki^2 again"});
   const BatchResult second = service.drain();
   std::printf("---- batch 2 (warm) ----\n%s\n",
               second.batch.to_string().c_str());

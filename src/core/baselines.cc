@@ -1,9 +1,9 @@
 #include "core/baselines.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "primitives/tuple_merge.hpp"
-#include "sched/chunk.hpp"
 #include "sched/static_partition.hpp"
 #include "spgemm/spgemm.hpp"
 #include "util/check.hpp"
@@ -24,10 +24,20 @@ CsrMatrix merge_one_store(const CsrMatrix& runs, ThreadPool& pool,
   return merge_row_runs(parts, pool, stats);
 }
 
-RunResult finish_workqueue_run(const char* name, WorkQueueResult&& queue,
-                               double transfer_in,
-                               const HeteroPlatform& platform,
-                               ThreadPool& pool) {
+// §V-C: one queue over `rows` of A against all of B, CPU from the front
+// and GPU from the back, merged through Phase IV.
+RunResult run_baseline_workqueue(const char* name, const CsrMatrix& a,
+                                 const CsrMatrix& b,
+                                 std::span<const index_t> rows,
+                                 const WorkQueueConfig& cfg,
+                                 const HeteroPlatform& platform,
+                                 ThreadPool& pool) {
+  const double transfer_in = platform.link().h2d().operands_transfer_time(a, b);
+  const QueuePart parts[] = {{{rows, {}, true},
+                              12.0 * static_cast<double>(b.nnz())}};
+  WorkQueueResult queue = run_workqueue(a, b, parts, cfg, /*cpu_start=*/0.0,
+                                        /*gpu_start=*/transfer_in, platform,
+                                        pool);
   RunResult res;
   RunReport& rep = res.report;
   rep.algorithm = name;
@@ -99,30 +109,24 @@ RunResult run_unsorted_workqueue(const CsrMatrix& a, const CsrMatrix& b,
                                  const WorkQueueConfig& cfg,
                                  const HeteroPlatform& platform,
                                  ThreadPool& pool) {
-  const double transfer_in = platform.link().h2d().operands_transfer_time(a, b);
-  const std::vector<WorkEntry> entries = natural_order_entries(a);
-  const MaskSpec masks[1] = {{{}, true, 12.0 * static_cast<double>(b.nnz())}};
-  WorkQueueResult queue = run_workqueue(a, b, entries, masks, cfg,
-                                        /*cpu_start=*/0.0,
-                                        /*gpu_start=*/transfer_in, platform,
-                                        pool);
-  return finish_workqueue_run("Unsorted-Workqueue", std::move(queue),
-                              transfer_in, platform, pool);
+  return run_baseline_workqueue("Unsorted-Workqueue", a, b, iota_rows(a.rows),
+                                cfg, platform, pool);
+}
+
+std::vector<index_t> densest_first_rows(const CsrMatrix& a) {
+  std::vector<index_t> rows = iota_rows(a.rows);
+  std::stable_sort(rows.begin(), rows.end(), [&](index_t x, index_t y) {
+    return a.row_nnz(x) > a.row_nnz(y);
+  });
+  return rows;
 }
 
 RunResult run_sorted_workqueue(const CsrMatrix& a, const CsrMatrix& b,
                                const WorkQueueConfig& cfg,
                                const HeteroPlatform& platform,
                                ThreadPool& pool) {
-  const double transfer_in = platform.link().h2d().operands_transfer_time(a, b);
-  const std::vector<WorkEntry> entries = sorted_by_density_entries(a);
-  const MaskSpec masks[1] = {{{}, true, 12.0 * static_cast<double>(b.nnz())}};
-  WorkQueueResult queue = run_workqueue(a, b, entries, masks, cfg,
-                                        /*cpu_start=*/0.0,
-                                        /*gpu_start=*/transfer_in, platform,
-                                        pool);
-  return finish_workqueue_run("Sorted-Workqueue", std::move(queue),
-                              transfer_in, platform, pool);
+  return run_baseline_workqueue("Sorted-Workqueue", a, b,
+                                densest_first_rows(a), cfg, platform, pool);
 }
 
 RunResult run_cpu_only_mkl(const CsrMatrix& a, const CsrMatrix& b,

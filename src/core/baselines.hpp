@@ -6,6 +6,8 @@
 // All return exact products with simulated-time reports.
 #pragma once
 
+#include <vector>
+
 #include "core/report.hpp"
 #include "device/platform.hpp"
 #include "sched/workqueue.hpp"
@@ -26,7 +28,13 @@ RunResult run_unsorted_workqueue(const CsrMatrix& a, const CsrMatrix& b,
                                  const HeteroPlatform& platform,
                                  ThreadPool& pool);
 
-/// §V-C: same, but rows sorted by size (densest at the CPU end).
+/// The Sorted-Workqueue's row order: A's rows by nnz, densest first, ties
+/// in natural order (the CPU end gets the dense rows, the GPU end the sparse
+/// ones — the empirically best orientation, matching the paper's use of
+/// best-possible configurations for the comparison algorithms).
+std::vector<index_t> densest_first_rows(const CsrMatrix& a);
+
+/// §V-C: same, but over densest_first_rows(a).
 RunResult run_sorted_workqueue(const CsrMatrix& a, const CsrMatrix& b,
                                const WorkQueueConfig& cfg,
                                const HeteroPlatform& platform,

@@ -1,10 +1,7 @@
 #include "core/hh_stages.hpp"
 
-#include <array>
-#include <initializer_list>
 #include <utility>
-
-#include "sched/chunk.hpp"
+#include <vector>
 
 namespace hh {
 namespace {
@@ -26,26 +23,24 @@ void price_phase2(Phase2Result& r, const PartitionPlan& plan,
   r.gpu_s = platform.gpu().kernel_time(r.ll_stats);
 }
 
-// The Phase III queue. CPU end: A_L×B_H (tag 0). GPU end: A_H×B_L (tag 1).
-// The GPU reaches its side from the back (§IV-B). A cross product whose B
-// side is empty contributes nothing and is skipped outright (degenerate
-// partitions on non-scale-free inputs; §V-B: HH-CPU must not pay for work
-// that is not there).
-struct Phase3Queue {
-  std::vector<WorkEntry> entries;
-  std::array<MaskSpec, 2> masks;
-};
-
-Phase3Queue phase3_queue(const PartitionPlan& plan) {
-  Phase3Queue q;
-  if (plan.b.high_count() > 0) append_entries(q.entries, plan.a.low_rows, 0);
-  if (plan.b.low_count() > 0) append_entries(q.entries, plan.a.high_rows, 1);
-  q.masks = {
-      MaskSpec{plan.b.is_high, true, plan.ws_bh_bytes, /*cpu_blockable=*/true},
-      MaskSpec{plan.b.is_high, false, plan.ws_bl_bytes,
-               /*cpu_blockable=*/false},
-  };
-  return q;
+// The Phase III queue: the plan's own row lists, A_L×B_H at the CPU end
+// and A_H×B_L at the GPU end, which the GPU reaches from the back (§IV-B).
+// A cross product whose B side is empty contributes nothing and is skipped
+// outright (degenerate partitions on non-scale-free inputs; §V-B: HH-CPU
+// must not pay for work that is not there).
+std::vector<QueuePart> phase3_parts(const PartitionPlan& plan) {
+  std::vector<QueuePart> parts;
+  if (plan.b.high_count() > 0) {
+    parts.push_back({{plan.a.low_rows, plan.b.is_high, true},
+                     plan.ws_bh_bytes,
+                     /*cpu_blockable=*/true});
+  }
+  if (plan.b.low_count() > 0) {
+    parts.push_back({{plan.a.high_rows, plan.b.is_high, false},
+                     plan.ws_bl_bytes,
+                     /*cpu_blockable=*/false});
+  }
+  return parts;
 }
 
 // Σ of the per-row costs of `rows` against the B side b_mask == mask_value.
@@ -68,12 +63,14 @@ Phase2Result run_phase2(const CsrMatrix& a, const CsrMatrix& b,
   r.hh_tuples = runs_hh(plan)
                     ? partial_product_runs(a, b, plan.a.high_rows,
                                            plan.b.is_high, true, pool,
-                                           &r.hh_stats, workspace)
+                                           &r.hh_stats, workspace, {},
+                                           RunStoreRole::kHh)
                     : CsrMatrix(a.rows, b.cols);
   r.ll_tuples = runs_ll(plan)
                     ? partial_product_runs(a, b, plan.a.low_rows,
                                            plan.b.is_high, false, pool,
-                                           &r.ll_stats, workspace)
+                                           &r.ll_stats, workspace, {},
+                                           RunStoreRole::kLl)
                     : CsrMatrix(a.rows, b.cols);
   price_phase2(r, plan, platform);
   return r;
@@ -84,8 +81,7 @@ WorkQueueResult run_phase3(const CsrMatrix& a, const CsrMatrix& b,
                            const WorkQueueConfig& cfg, double cpu_start,
                            double gpu_start, const HeteroPlatform& platform,
                            ThreadPool& pool, WorkspacePool* workspace) {
-  const Phase3Queue q = phase3_queue(plan);
-  return run_workqueue(a, b, q.entries, q.masks, cfg, cpu_start, gpu_start,
+  return run_workqueue(a, b, phase3_parts(plan), cfg, cpu_start, gpu_start,
                        platform, pool, workspace);
 }
 
@@ -102,14 +98,12 @@ WorkQueueResult cost_phase3(const PartitionPlan& plan,
                             const MaskedRowCosts& costs,
                             const WorkQueueConfig& cfg, double cpu_start,
                             double gpu_start, const HeteroPlatform& platform) {
-  const Phase3Queue q = phase3_queue(plan);
-  std::vector<ProductStats> entry_stats(q.entries.size());
-  for (std::size_t k = 0; k < q.entries.size(); ++k) {
-    const auto tag = static_cast<std::size_t>(q.entries[k].tag);
-    const auto row = static_cast<std::size_t>(q.entries[k].row);
-    entry_stats[k] = costs.by_mask[q.masks[tag].b_mask_value][row];
+  const std::vector<QueuePart> parts = phase3_parts(plan);
+  std::vector<std::span<const ProductStats>> tables;
+  for (const QueuePart& part : parts) {
+    tables.emplace_back(costs.by_mask[part.product.b_mask_value]);
   }
-  return schedule_workqueue(q.entries, entry_stats, q.masks, cfg,
+  return schedule_workqueue(parts, tables, cfg,
                             plan.a.high_count() + plan.a.low_count(),
                             cpu_start, gpu_start, platform);
 }
@@ -121,8 +115,14 @@ MergeResult run_phase4(Phase2Result&& p2, WorkQueueResult&& queue,
   const CsrMatrix* parts[] = {&p2.hh_tuples, &p2.ll_tuples, &queue.tuples};
   m.c = merge_row_runs(parts, pool, &m.merge);
   m.cpu_s = platform.cpu().merge_time(m.merge.tuples_in);
-  for (CsrMatrix* store : {&p2.hh_tuples, &p2.ll_tuples, &queue.tuples}) {
-    if (workspace != nullptr) workspace->release_run_store(std::move(*store));
+  const std::pair<RunStoreRole, CsrMatrix*> stores[] = {
+      {RunStoreRole::kHh, &p2.hh_tuples},
+      {RunStoreRole::kLl, &p2.ll_tuples},
+      {RunStoreRole::kQueue, &queue.tuples}};
+  for (const auto& [role, store] : stores) {
+    if (workspace != nullptr) {
+      workspace->release_run_store(role, std::move(*store));
+    }
     *store = {};
   }
   return m;

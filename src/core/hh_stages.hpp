@@ -11,16 +11,20 @@
 // products as sorted row runs into run stores, CsrMatrix objects over all of
 // A's rows (partial_product_runs: a count pass, a scan, a numeric pass into
 // preallocated slots), so every tuple is written once. Phase II writes one
-// store per product; Phase III writes all its entries into one store, as an
-// entry list holds each A row at most once. Phase IV merges the three stores
-// by row straight into C: each row has at most two non-empty runs, its
-// Phase II run (hh for A_H rows, ll for A_L rows) and its queue run.
+// store per product. Phase III's queue is the plan's own two row lists,
+// A_L×B_H at the CPU end and A_H×B_L at the GPU end, and it writes both into
+// one store, as they hold each A row at most once. Phase IV merges the three
+// stores by row straight into C: each row has at most two non-empty runs,
+// its Phase II run (hh for A_H rows, ll for A_L rows) and its queue run.
+// Given a WorkspacePool, each store goes back to it under its product's
+// role (spgemm/workspace.hpp).
 //
 // cost_hh_cpu() and cost_hh_cpu_grid() (core/hh_cpu.hpp) replace the Phase
 // II and III products with cost_phase2/cost_phase3 below: the same stats,
-// device times and dequeue order, summed from per-row symbolic costs, with
-// no tuple formed. The grid form calls them once per threshold on the row
-// costs one symbolic pass keeps current (row_costs_on_grid).
+// device times and dequeue order, summed in place from per-row symbolic
+// costs indexed by A row, with no tuple formed. The grid form calls them
+// once per threshold on the row costs one symbolic pass keeps current
+// (row_costs_on_grid).
 //
 // Stage → resource map used by the runtime:
 //   make_partition_plan (Phase I)   CPU (identification) [+ classify charge]
@@ -84,10 +88,10 @@ WorkQueueResult cost_phase3(const PartitionPlan& plan,
 
 /// Phase IV: merge the hh, ll and queue run stores into the final CSR
 /// (merge_row_runs, in that part order), reading them in place. Once C is
-/// built the stores go back to `workspace` when given (the next product's
-/// Phases II–III draw them from it), else they are freed. cpu_s is the
-/// merge time on the CPU model; the D2H shipment of the GPU tuples is
-/// charged separately by the caller.
+/// built each store goes back to `workspace` when given, under its own role
+/// (the next product's Phases II–III draw them from it), else they are
+/// freed. cpu_s is the merge time on the CPU model; the D2H shipment of the
+/// GPU tuples is charged separately by the caller.
 struct MergeResult {
   CsrMatrix c;
   MergeStats merge;

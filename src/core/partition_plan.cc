@@ -17,7 +17,6 @@ PartitionPlan make_partition_plan(const CsrMatrix& a, const CsrMatrix& b,
   plan.b = (&a == &b && t_a == t_b) ? plan.a : classify_rows(b, t_b);
   plan.ws_bh_bytes = 12.0 * static_cast<double>(plan.b.high_nnz);
   plan.ws_bl_bytes = 12.0 * static_cast<double>(plan.b.low_nnz);
-  plan.ws_b_bytes = 12.0 * static_cast<double>(b.nnz());
 
   // Row sizes (4 bytes each) to the GPU, Boolean arrays built there, and a
   // histogram pass on the CPU for the threshold identification itself.

@@ -23,7 +23,6 @@ struct PartitionPlan {
   double classify_s = 0;    // row-size transfer + GPU Boolean-array build
   double ws_bh_bytes = 0;   // working set of B_H (12 bytes / nnz)
   double ws_bl_bytes = 0;   // working set of B_L
-  double ws_b_bytes = 0;    // all of B
 };
 
 /// Build the plan for thresholds (t_a, t_b). Pass 0 for either to have the

@@ -199,8 +199,8 @@ ReplayRunReport ReplayHarness::run_pass(const WorkloadLog& log,
       req.b = b == a ? nullptr : b;
       req.label = rec.label;
       req.deadline_s = rec.deadline_s;
-      req.options.threshold_a = static_cast<offset_t>(rec.pin_ta);
-      req.options.threshold_b = static_cast<offset_t>(rec.pin_tb);
+      req.threshold_a = static_cast<offset_t>(rec.pin_ta);
+      req.threshold_b = static_cast<offset_t>(rec.pin_tb);
       if (svc) {
         svc->submit(std::move(req));
       } else {

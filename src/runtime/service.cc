@@ -202,8 +202,8 @@ WorkloadRecord workload_record(const SpgemmRequest& request,
   w.b = b;
   w.submit_s = clock_s + report.submit_s;
   w.deadline_s = report.deadline_s;
-  w.pin_ta = request.options.threshold_a;
-  w.pin_tb = request.options.threshold_b;
+  w.pin_ta = request.threshold_a;
+  w.pin_tb = request.threshold_b;
   w.ta = rep.threshold_a;
   w.tb = rep.threshold_b;
   w.status = hh::to_string(report.status.code);
@@ -269,11 +269,8 @@ void validate_spgemm_request(const SpgemmRequest& request) {
        << ", B is " << b.rows << "x" << b.cols;
     throw InvalidArgumentError(os.str());
   }
-  if (request.options.threshold_a < 0 || request.options.threshold_b < 0) {
+  if (request.threshold_a < 0 || request.threshold_b < 0) {
     throw InvalidArgumentError("thresholds must be >= 0 (0 = analytic pick)");
-  }
-  if (request.options.queue.cpu_rows < 0 || request.options.queue.gpu_rows < 0) {
-    throw InvalidArgumentError("queue unit sizes must be >= 0 (0 = auto)");
   }
   if (request.deadline_s < 0) {
     throw InvalidArgumentError("deadline must be >= 0 (0 = none)");
@@ -516,9 +513,7 @@ void SpgemmService::Drain::begin_wave(const WaveBounds& wb) {
   wstats_.wave_requests += static_cast<std::int64_t>(wb.end - wb.begin);
   log_.instant(TraceCategory::kWave, "wave-begin", lanes_now());
   for (std::size_t r = wb.begin; r < wb.end; ++r) {
-    const SpgemmRequest& q = s_.queue_[r];
-    if (q.options.matrices_already_on_gpu) continue;
-    for (const CsrMatrix* m : operands_of(q)) {
+    for (const CsrMatrix* m : operands_of(s_.queue_[r])) {
       if (m == nullptr) continue;
       const std::uint64_t key = s_.content_key(m);
       const auto [it, fresh] = wave_op_index_.emplace(key, wave_ops_.size());
@@ -748,8 +743,8 @@ void SpgemmService::Drain::run_request(std::size_t i) {
 void SpgemmService::Drain::plan(Request& r) {
   RequestReport& rr = r.rr;
   RunReport& rep = rr.run;
-  offset_t t_a = r.req.options.threshold_a;
-  offset_t t_b = r.req.options.threshold_b;
+  offset_t t_a = r.req.threshold_a;
+  offset_t t_b = r.req.threshold_b;
   r.cacheable = t_a <= 0 || t_b <= 0;
   // The autotuner engages only for fully-unpinned requests: a pinned
   // threshold is the caller's explicit choice, never second-guessed.
@@ -796,7 +791,7 @@ void SpgemmService::Drain::plan(Request& r) {
   if (r.cacheable && !rr.plan_cache_hit) {
     // Cache the identified t on both sides, as a cold unpinned request
     // gets it, whichever side this request pinned.
-    const offset_t identified = r.req.options.threshold_a <= 0
+    const offset_t identified = r.req.threshold_a <= 0
                                     ? r.plan.a.threshold
                                     : r.plan.b.threshold;
     CachedPlan fresh;
@@ -822,19 +817,17 @@ void SpgemmService::Drain::plan(Request& r) {
 void SpgemmService::Drain::gate_uploads(Request& r) {
   r.tx_gate = r.rr.submit_s;
   double tx_in_total = 0;
-  if (!r.req.options.matrices_already_on_gpu) {
-    for (const CsrMatrix* m : operands_of(r.req)) {
-      if (m == nullptr) continue;
-      const WaveOperand& op = wave_ops_[wave_op_index_.at(s_.content_key(m))];
-      r.tx_gate = std::max(r.tx_gate, op.ready_s);
-      if (op.first_req == r.index) {
-        r.rr.faults.accumulate(op.faults);
-        tx_in_total += op.attributed_s;
-      }
-      if (op.failed && !r.degraded) degrade(r, op.failed_at);
+  for (const CsrMatrix* m : operands_of(r.req)) {
+    if (m == nullptr) continue;
+    const WaveOperand& op = wave_ops_[wave_op_index_.at(s_.content_key(m))];
+    r.tx_gate = std::max(r.tx_gate, op.ready_s);
+    if (op.first_req == r.index) {
+      r.rr.faults.accumulate(op.faults);
+      tx_in_total += op.attributed_s;
     }
-    r.check_deadline(r.tx_gate);
+    if (op.failed && !r.degraded) degrade(r, op.failed_at);
   }
+  r.check_deadline(r.tx_gate);
   r.rr.inputs_resident = tx_in_total == 0;
   r.rr.run.transfer_in_s = tx_in_total;
 }
@@ -887,7 +880,7 @@ void SpgemmService::Drain::phase3(Request& r) {
       r.degraded ? kGpuNeverJoins
                  : std::max({gpu_.now(), r.analyze.end_s, r.tx_gate,
                              r.gpu2.end_s});
-  r.q = run_phase3(r.a, r.b, r.plan, r.req.options.queue, cpu_q_start,
+  r.q = run_phase3(r.a, r.b, r.plan, WorkQueueConfig{}, cpu_q_start,
                    gpu_q_start, platform_, s_.pool_, &s_.workspace_);
   r.q_ran = true;
   rep.phase3_cpu_s = r.q.cpu_busy;
@@ -1070,7 +1063,6 @@ void SpgemmService::Drain::record(Request& r) {
 // false the last user's finish evicts the device copy — mid-wave, when an
 // operand's users all sit early in the wave.
 void SpgemmService::Drain::release_operands(const Request& r) {
-  if (r.req.options.matrices_already_on_gpu) return;
   for (const CsrMatrix* m : operands_of(r.req)) {
     if (m == nullptr) continue;
     const auto rit = s_.residency_.find(s_.content_key(m));

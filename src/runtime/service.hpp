@@ -82,7 +82,10 @@ class SloMonitor;        // obs/slo.hpp
 struct SpgemmRequest {
   const CsrMatrix* a = nullptr;
   const CsrMatrix* b = nullptr;  // nullptr = self product (B is A)
-  HhCpuOptions options;          // explicit thresholds bypass the plan cache
+  // Threshold pins: 0 = planned through the plan cache; a pinned side
+  // keeps its pin.
+  offset_t threshold_a = 0;
+  offset_t threshold_b = 0;
   std::string label;
   double deadline_s = 0;  // relative to submit; 0 = none
 };
@@ -266,7 +269,7 @@ class SpgemmService {
   /// Enqueue; returns the request id (drain-order index). The matrices must
   /// outlive the next drain() and must not be modified. Throws
   /// InvalidArgumentError on a malformed request (null/degenerate operands,
-  /// incompatible shapes, negative thresholds/deadline/queue knobs) and
+  /// incompatible shapes, negative thresholds or deadline) and
   /// AdmissionError when the bounded admission queue is full (the shed is
   /// counted in the next BatchReport).
   std::size_t submit(SpgemmRequest request);

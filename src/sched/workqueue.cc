@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -13,16 +14,16 @@ constexpr double kCpuDequeueS = 2e-7;  // atomic fetch-add on the CPU end
 constexpr double kGpuDequeueS = 1e-6;  // offset exchange for the GPU end
 
 // Flops-weighted working set and blockability of a CPU unit from its
-// per-tag flops (a unit mixes tags only when a device steals across the
-// middle of the queue).
-std::pair<double, bool> unit_shape(std::span<const MaskSpec> masks,
-                                   std::span<const std::int64_t> tag_flops) {
+// per-part flops (a unit spans two parts only when a device steals across
+// the middle of the queue).
+std::pair<double, bool> unit_shape(std::span<const QueuePart> parts,
+                                   std::span<const std::int64_t> part_flops) {
   double ws = 0, flops = 0, blockable_flops = 0;
-  for (std::size_t t = 0; t < masks.size(); ++t) {
-    const auto f = static_cast<double>(tag_flops[t]);
-    ws += f * masks[t].cpu_ws_bytes;
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    const auto f = static_cast<double>(part_flops[p]);
+    ws += f * parts[p].cpu_ws_bytes;
     flops += f;
-    if (masks[t].cpu_blockable) blockable_flops += f;
+    if (parts[p].cpu_blockable) blockable_flops += f;
   }
   return {flops > 0 ? ws / flops : 0.0,
           flops > 0 && blockable_flops >= 0.5 * flops};
@@ -47,21 +48,19 @@ WorkQueueConfig resolve_queue_config(WorkQueueConfig cfg, index_t a_rows) {
   return cfg;
 }
 
-WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
-                                   std::span<const ProductStats> entry_stats,
-                                   std::span<const MaskSpec> masks,
-                                   const WorkQueueConfig& cfg_in,
-                                   index_t a_rows, double cpu_start,
-                                   double gpu_start,
-                                   const HeteroPlatform& platform) {
+WorkQueueResult schedule_workqueue(
+    std::span<const QueuePart> parts,
+    std::span<const std::span<const ProductStats>> row_stats,
+    const WorkQueueConfig& cfg_in, index_t a_rows, double cpu_start,
+    double gpu_start, const HeteroPlatform& platform) {
   const WorkQueueConfig cfg = resolve_queue_config(cfg_in, a_rows);
   HH_CHECK(cfg.cpu_rows > 0 && cfg.gpu_rows > 0);
-  HH_CHECK(entry_stats.size() == entries.size());
-  for (const WorkEntry& e : entries) {
-    HH_CHECK(e.tag >= 0 && static_cast<std::size_t>(e.tag) < masks.size());
-    HH_CHECK_MSG(e.row >= 0 && e.row < a_rows,
-                 "queue entry row " << e.row << " out of range for " << a_rows
-                                    << " rows");
+  HH_CHECK(row_stats.size() == parts.size());
+  // start[p] is the queue position of parts[p]'s first row.
+  std::vector<std::size_t> start{0};
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    HH_CHECK(row_stats[p].size() == static_cast<std::size_t>(a_rows));
+    start.push_back(start.back() + parts[p].product.rows.size());
   }
 
   WorkQueueResult res;
@@ -69,15 +68,25 @@ WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
   res.gpu_end = gpu_start;
 
   std::size_t front = 0;
-  std::size_t back = entries.size();
-  std::vector<std::int64_t> tag_flops(masks.size());
-  // Σ of the unit's table rows; flops also per tag.
-  const auto price = [&](std::size_t lo, std::size_t n, ProductStats& stats) {
-    std::fill(tag_flops.begin(), tag_flops.end(), 0);
-    for (std::size_t k = lo; k < lo + n; ++k) {
-      stats.accumulate(entry_stats[k]);
-      tag_flops[static_cast<std::size_t>(entries[k].tag)] +=
-          entry_stats[k].flops;
+  std::size_t back = start.back();
+  std::vector<std::int64_t> part_flops(parts.size());
+  // Σ of the stats of the rows at queue positions [lo, hi), read from each
+  // part's table by A row; flops also per part.
+  const auto price = [&](std::size_t lo, std::size_t hi, ProductStats& stats) {
+    for (std::size_t p = 0; p < parts.size(); ++p) {
+      part_flops[p] = 0;
+      const std::span<const index_t> rows = parts[p].product.rows;
+      const std::span<const ProductStats> table = row_stats[p];
+      const std::size_t end = std::min(hi, start[p + 1]);
+      for (std::size_t k = std::max(lo, start[p]); k < end; ++k) {
+        const index_t i = rows[k - start[p]];
+        HH_CHECK_MSG(i >= 0 && i < a_rows, "queue row " << i
+                                               << " out of range for "
+                                               << a_rows << " rows");
+        const ProductStats& s = table[static_cast<std::size_t>(i)];
+        stats.accumulate(s);
+        part_flops[p] += s.flops;
+      }
     }
   };
 
@@ -88,9 +97,9 @@ WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
           std::min<std::size_t>(static_cast<std::size_t>(cfg.cpu_rows),
                                 back - front);
       ProductStats stats;
-      price(front, n, stats);
+      price(front, front + n, stats);
       front += n;
-      const auto [ws, blockable] = unit_shape(masks, tag_flops);
+      const auto [ws, blockable] = unit_shape(parts, part_flops);
       // The CPU runs the rewritten [13] kernel.
       const double t =
           platform.cpu().kernel_time(stats, ws, /*rewritten=*/true, blockable) +
@@ -105,7 +114,7 @@ WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
                                 back - front);
       back -= n;
       ProductStats stats;
-      price(back, n, stats);
+      price(back, back + n, stats);
       const double t = platform.gpu().kernel_time(stats) + kGpuDequeueS;
       res.gpu_busy += t;
       res.gpu_end += t;
@@ -117,34 +126,24 @@ WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
 }
 
 WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
-                              std::span<const WorkEntry> entries,
-                              std::span<const MaskSpec> masks,
+                              std::span<const QueuePart> parts,
                               const WorkQueueConfig& cfg, double cpu_start,
                               double gpu_start,
                               const HeteroPlatform& platform,
                               ThreadPool& pool, WorkspacePool* workspace) {
-  // One kernel call, one part per maximal same-tag run of entries: each
-  // entry's run goes to its row's slot and its stats fill the pricing table.
-  std::vector<index_t> rows(entries.size());
-  std::vector<MaskedRows> parts;
-  for (std::size_t lo = 0; lo < entries.size();) {
-    const std::int8_t tag = entries[lo].tag;
-    HH_CHECK(tag >= 0 && static_cast<std::size_t>(tag) < masks.size());
-    std::size_t hi = lo;
-    for (; hi < entries.size() && entries[hi].tag == tag; ++hi) {
-      rows[hi] = entries[hi].row;
-    }
-    const MaskSpec& mask = masks[static_cast<std::size_t>(tag)];
-    parts.push_back({std::span(rows).subspan(lo, hi - lo), mask.b_mask,
-                     mask.b_mask_value});
-    lo = hi;
-  }
-  std::vector<ProductStats> entry_stats(entries.size());
-  CsrMatrix tuples = partial_product_runs(a, b, parts, pool, nullptr,
-                                          workspace, entry_stats);
-  WorkQueueResult res =
-      schedule_workqueue(entries, entry_stats, masks, cfg, a.rows, cpu_start,
-                         gpu_start, platform);
+  // One kernel call over every part: each row's run goes to its slot of the
+  // store and its stats to its slot of the pricing table, which every part
+  // then reads.
+  std::vector<MaskedRows> products;
+  for (const QueuePart& part : parts) products.push_back(part.product);
+  std::vector<ProductStats> row_stats(static_cast<std::size_t>(a.rows));
+  CsrMatrix tuples =
+      partial_product_runs(a, b, products, pool, nullptr, workspace, row_stats,
+                           RunStoreRole::kQueue);
+  const std::vector<std::span<const ProductStats>> tables(
+      parts.size(), std::span<const ProductStats>(row_stats));
+  WorkQueueResult res = schedule_workqueue(parts, tables, cfg, a.rows,
+                                           cpu_start, gpu_start, platform);
   res.tuples = std::move(tuples);
   return res;
 }

@@ -5,25 +5,28 @@
 // minimal. A work-unit is a contiguous run of A rows (cpuRows = 1000 on the
 // CPU, gpuRows = 10000 on the GPU, the paper's empirically-best sizes)
 // multiplied against a masked view of B. A device that drains its own side
-// continues into the other side's entries (the paper's "can contribute to
-// the product ... after finishing").
+// continues into the other side's rows (the paper's "can contribute to the
+// product ... after finishing").
 //
-// The queue is simulated event-wise: whichever device's clock is earlier
-// dequeues next, and each unit's ProductStats — the sum of a per-entry table
-// — are charged on the owning device's model (schedule_workqueue).
-// run_workqueue fills the table by executing the entries on the host in one
-// partial_product_runs call, whose count pass charges each entry's stats and
-// whose numeric pass writes each entry's run into that A row's slot of one
-// run store, whatever the schedule; cost_phase3 fills the table from
-// symbolic per-row costs. An entry list holds each A row at most once, so
-// every row has at most one queue run. The kernel checks that (a repeated
-// row would have two workers write one slot), and both functions check that
-// every entry's row lies in [0, a_rows) and its tag indexes `masks`.
+// A queue is an ordered list of parts, CPU end first: each part is a span
+// of A rows (HH-CPU's A_L and A_H row lists, or a baseline's row order)
+// against one masked view of B, with that product's CPU pricing shape. The
+// queue is simulated event-wise: whichever device's clock is earlier
+// dequeues next, and each unit's ProductStats, the sum of its rows' stats
+// read in place from per-row tables indexed by A row, are charged on the
+// owning device's model (schedule_workqueue). run_workqueue fills one table
+// by executing the parts on the host in one partial_product_runs call,
+// whose count pass charges each row's stats in that row's slot and whose
+// numeric pass writes each row's run into that row's slot of one run
+// store, whatever the schedule; cost_phase3 passes the symbolic per-row
+// costs instead. A queue holds each A row at most once, so every row has at
+// most one queue run. The kernel checks that (a repeated row would have two
+// workers write one slot), and both functions check that every row lies in
+// [0, a_rows).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "device/platform.hpp"
 #include "sparse/csr.hpp"
@@ -32,19 +35,13 @@
 
 namespace hh {
 
-/// Which masked view of B a queue entry multiplies against.
-struct MaskSpec {
-  std::span<const std::uint8_t> b_mask;  // empty = all of B
-  bool b_mask_value = true;
-  double cpu_ws_bytes = 0;   // working set of the masked B side in bytes
+/// One part of a queue: its A rows against its masked view of B, and how
+/// the CPU prices that product.
+struct QueuePart {
+  MaskedRows product;
+  double cpu_ws_bytes = 0;     // working set of the masked B side in bytes
   bool cpu_blockable = false;  // ×B_H products are column-blockable on the
                                // CPU (see CpuSim::kernel_time)
-};
-
-/// One row of A awaiting multiplication, tagged with its MaskSpec index.
-struct WorkEntry {
-  index_t row = 0;
-  std::int8_t tag = 0;
 };
 
 struct WorkQueueConfig {
@@ -58,7 +55,7 @@ struct WorkQueueConfig {
 };
 
 struct WorkQueueResult {
-  CsrMatrix tuples;  // every entry's run, in its A row's slot
+  CsrMatrix tuples;  // every queued row's run, in its A row's slot
   ProductStats cpu_stats;
   ProductStats gpu_stats;
   double cpu_busy = 0;  // time the CPU spent on queue units
@@ -77,31 +74,28 @@ struct WorkQueueResult {
 /// single-digit units instead of the 16-row floor).
 WorkQueueConfig resolve_queue_config(WorkQueueConfig cfg, index_t a_rows);
 
-/// The one Phase III scheduler: run the dequeue loop to empty over
-/// `entries` (ordered CPU-end-first; masks[tag] resolves each entry's B
-/// view; every row in [0, a_rows)), pricing each dequeued unit as the sum
-/// of its entries' `entry_stats` (one ProductStats per entry). Device
-/// clocks start at cpu_start/gpu_start. Unit sizes of 0 are resolved
+/// The one Phase III scheduler: run the dequeue loop to empty over the rows
+/// of `parts` in order (CPU end first; every row in [0, a_rows)), pricing
+/// each dequeued unit as the sum of its rows' stats: row i of parts[p]
+/// costs row_stats[p][i], each table holding a_rows entries. A unit that
+/// straddles two parts is priced with their flops-weighted working set.
+/// Device clocks start at cpu_start/gpu_start. Unit sizes of 0 are resolved
 /// against `a_rows` via resolve_queue_config(). `tuples` is left empty.
-WorkQueueResult schedule_workqueue(std::span<const WorkEntry> entries,
-                                   std::span<const ProductStats> entry_stats,
-                                   std::span<const MaskSpec> masks,
-                                   const WorkQueueConfig& cfg, index_t a_rows,
-                                   double cpu_start, double gpu_start,
-                                   const HeteroPlatform& platform);
+WorkQueueResult schedule_workqueue(
+    std::span<const QueuePart> parts,
+    std::span<const std::span<const ProductStats>> row_stats,
+    const WorkQueueConfig& cfg, index_t a_rows, double cpu_start,
+    double gpu_start, const HeteroPlatform& platform);
 
-/// Run the queue to empty. `entries` is ordered CPU-end-first, holds each
-/// A row at most once, and masks[tag] resolves each entry's B view. Device
-/// clocks start at cpu_start/gpu_start (they may differ: a device joins the
-/// queue when its Phase II product is done). Unit sizes of 0 are resolved
-/// via resolve_queue_config(). Executes every entry in one
-/// partial_product_runs call (each maximal same-tag run of entries is one
-/// of its parts), then schedule_workqueue() over their stats.
-/// Deterministic. `workspace` optionally pools the kernel's accumulators
-/// (see spgemm/workspace.hpp).
+/// Run the queue to empty. `parts` are ordered CPU end first and hold each
+/// A row at most once. Device clocks start at cpu_start/gpu_start (they may
+/// differ: a device joins the queue when its Phase II product is done).
+/// Unit sizes of 0 are resolved via resolve_queue_config(). Executes every
+/// part in one partial_product_runs call, whose per-row stats then price
+/// schedule_workqueue(). Deterministic. `workspace` optionally pools the
+/// kernel's accumulators and its run store (see spgemm/workspace.hpp).
 WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
-                              std::span<const WorkEntry> entries,
-                              std::span<const MaskSpec> masks,
+                              std::span<const QueuePart> parts,
                               const WorkQueueConfig& cfg, double cpu_start,
                               double gpu_start,
                               const HeteroPlatform& platform,

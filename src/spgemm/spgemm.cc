@@ -80,7 +80,7 @@ void charge_row(ProductStats& s, std::int64_t row_flops,
   }
 }
 
-// Calls fn(k, i, part) for the listed rows at flat positions [lo, hi) of
+// Calls fn(i, part) for the listed rows i at flat positions [lo, hi) of
 // `parts`, where start[p] is the flat position of parts[p].rows[0].
 template <class Fn>
 void visit_listed(std::span<const MaskedRows> parts,
@@ -90,7 +90,7 @@ void visit_listed(std::span<const MaskedRows> parts,
       std::upper_bound(start.begin(), start.end(), lo) - start.begin() - 1);
   for (std::size_t k = lo; k < hi; ++k) {
     while (k >= start[p + 1]) ++p;
-    fn(k, parts[p].rows[k - start[p]], parts[p]);
+    fn(parts[p].rows[k - start[p]], parts[p]);
   }
 }
 
@@ -308,7 +308,8 @@ CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
                                std::span<const MaskedRows> parts,
                                ThreadPool& pool, ProductStats* stats,
                                WorkspacePool* workspace,
-                               std::span<ProductStats> row_stats) {
+                               std::span<ProductStats> row_stats,
+                               RunStoreRole role) {
   HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
   std::vector<std::size_t> start{0};
   for (const MaskedRows& part : parts) {
@@ -317,13 +318,14 @@ CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
     start.push_back(start.back() + part.rows.size());
   }
   const std::size_t n = start.back();
-  HH_CHECK(row_stats.empty() || row_stats.size() == n);
+  HH_CHECK(row_stats.empty() ||
+           row_stats.size() == static_cast<std::size_t>(a.rows));
 
   // Every listed row owns its slot, so a row listed twice would have two
   // workers write one slot. A listed row's count holds -1 until the count
   // pass fills it in, which is how a second listing shows.
   CsrMatrix out = workspace != nullptr
-                      ? workspace->acquire_run_store(a.rows, b.cols)
+                      ? workspace->acquire_run_store(role, a.rows, b.cols)
                       : CsrMatrix(a.rows, b.cols);
   for (const MaskedRows& part : parts) {
     for (const index_t i : part.rows) {
@@ -367,14 +369,13 @@ CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
   ProductStats total;
   for_each_block([&](std::size_t lo, std::size_t hi, SpaWorkspace& ws) {
     ProductStats block;
-    visit_listed(parts, start, lo, hi,
-                 [&](std::size_t k, index_t i, const MaskedRows& part) {
-                   ProductStats row;
-                   out.indptr[static_cast<std::size_t>(i) + 1] =
-                       count_row(a, b, i, part, ws, row);
-                   block.accumulate(row);
-                   if (!row_stats.empty()) row_stats[k] = row;
-                 });
+    visit_listed(parts, start, lo, hi, [&](index_t i, const MaskedRows& part) {
+      ProductStats row;
+      out.indptr[static_cast<std::size_t>(i) + 1] =
+          count_row(a, b, i, part, ws, row);
+      block.accumulate(row);
+      if (!row_stats.empty()) row_stats[static_cast<std::size_t>(i)] = row;
+    });
     const std::lock_guard<std::mutex> lock(mu);
     total.accumulate(block);
   });
@@ -386,12 +387,11 @@ CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
 
   // 3. Write each listed row's run into its slot.
   for_each_block([&](std::size_t lo, std::size_t hi, SpaWorkspace& ws) {
-    visit_listed(parts, start, lo, hi,
-                 [&](std::size_t, index_t i, const MaskedRows& part) {
-                   const offset_t at = out.indptr[i];
-                   fill_row(a, b, i, part, ws, out.indices.data() + at,
-                            out.values.data() + at);
-                 });
+    visit_listed(parts, start, lo, hi, [&](index_t i, const MaskedRows& part) {
+      const offset_t at = out.indptr[i];
+      fill_row(a, b, i, part, ws, out.indices.data() + at,
+               out.values.data() + at);
+    });
   });
 
   if (stats != nullptr) *stats = total;
@@ -403,10 +403,11 @@ CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
                                std::span<const std::uint8_t> b_mask,
                                bool b_mask_value, ThreadPool& pool,
                                ProductStats* stats, WorkspacePool* workspace,
-                               std::span<ProductStats> row_stats) {
+                               std::span<ProductStats> row_stats,
+                               RunStoreRole role) {
   const MaskedRows part{a_rows, b_mask, b_mask_value};
   return partial_product_runs(a, b, std::span(&part, 1), pool, stats,
-                              workspace, row_stats);
+                              workspace, row_stats, role);
 }
 
 ProductStats estimate_partial_product(const CsrMatrix& a, const CsrMatrix& b,

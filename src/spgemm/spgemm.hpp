@@ -101,18 +101,20 @@ struct MaskedRows {
 /// listed row's columns and charges its stats, the counts are scanned into
 /// indptr, and a numeric pass writes each row's run straight into its slot,
 /// ordered by order_run, with one SPA and column bitmap per worker. Given a
-/// `workspace`, the SPAs and the returned run store are drawn from it
-/// (run_phase4 gives the store back). Every listed row must lie in
-/// [0, a.rows) and appear once across all parts, or this throws CheckError.
-/// `stats` receives the sum of the rows' stats, and a non-empty `row_stats`
-/// (one slot per listed row, parts in order) each row's own: row_stats[k]
-/// is what the call reports for that row alone. Output and stats do not
-/// depend on the pool size.
+/// `workspace`, the SPAs are drawn from it, and so is the returned run
+/// store, from the slot of `role` (run_phase4 gives the store back). Every
+/// listed row must lie in [0, a.rows) and appear once across all parts, or
+/// this throws CheckError. `stats` receives the sum of the rows' stats, and
+/// a non-empty `row_stats` (a.rows slots, indexed by A row) each listed
+/// row's own: row_stats[i] is what the call reports for row i alone, and
+/// the slots of unlisted rows are left as they were. Output and stats do
+/// not depend on the pool size.
 CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
                                std::span<const MaskedRows> parts,
                                ThreadPool& pool, ProductStats* stats = nullptr,
                                WorkspacePool* workspace = nullptr,
-                               std::span<ProductStats> row_stats = {});
+                               std::span<ProductStats> row_stats = {},
+                               RunStoreRole role = RunStoreRole::kHh);
 
 /// The one-part call: A(rows ∈ a_rows, :) against the view of B with
 /// b_mask[j] == b_mask_value.
@@ -122,7 +124,8 @@ CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
                                bool b_mask_value, ThreadPool& pool,
                                ProductStats* stats = nullptr,
                                WorkspacePool* workspace = nullptr,
-                               std::span<ProductStats> row_stats = {});
+                               std::span<ProductStats> row_stats = {},
+                               RunStoreRole role = RunStoreRole::kHh);
 
 /// Structure-only estimate of the same invocation (no numeric work):
 /// flops/a_nnz/warp_alu/max_row_flops are exact; tuples and the shared/global

@@ -40,13 +40,16 @@ void WorkspacePool::release_spa(std::unique_ptr<SpaWorkspace> ws) {
   free_spa_.push_back(std::move(ws));
 }
 
-CsrMatrix WorkspacePool::acquire_run_store(index_t rows, index_t cols) {
+CsrMatrix WorkspacePool::acquire_run_store(RunStoreRole role, index_t rows,
+                                           index_t cols) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.coo_acquires;
-  if (free_run_stores_.empty()) return CsrMatrix(rows, cols);
+  std::optional<CsrMatrix>& kept =
+      free_run_stores_[static_cast<std::size_t>(role)];
+  if (!kept) return CsrMatrix(rows, cols);
   ++stats_.coo_reuses;
-  CsrMatrix store = std::move(free_run_stores_.back());
-  free_run_stores_.pop_back();
+  CsrMatrix store = std::move(*kept);
+  kept.reset();
   store.rows = rows;
   store.cols = cols;
   store.indptr.assign(static_cast<std::size_t>(rows) + 1, 0);
@@ -55,11 +58,11 @@ CsrMatrix WorkspacePool::acquire_run_store(index_t rows, index_t cols) {
   return store;
 }
 
-void WorkspacePool::release_run_store(CsrMatrix store) {
+void WorkspacePool::release_run_store(RunStoreRole role, CsrMatrix store) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (free_run_stores_.size() < kMaxFreeRunStores) {
-    free_run_stores_.push_back(std::move(store));
-  }
+  std::optional<CsrMatrix>& kept =
+      free_run_stores_[static_cast<std::size_t>(role)];
+  if (!kept) kept = std::move(store);
 }
 
 WorkspacePool::Stats WorkspacePool::stats() const {

@@ -9,13 +9,16 @@
 // allocates the SPAs once and shares them between its two passes, and
 // allocates its run store. A service runtime executing a stream of products
 // over same-shaped matrices passes WorkspacePool, which keeps released SPAs
-// and the run stores Phase IV has consumed on free lists, so steady-state
-// requests reuse them (paper-adjacent: Liu & Vinter's framework reuses
-// analysis workspaces across products for the same reason). Recycling the
-// stores matters for more than the allocation: a freshly allocated store is
-// first touched page by page as it is zero-filled, and how many of its
-// pages are fresh depends on what the allocator kept from earlier requests,
-// so without recycling a drain's host time follows the allocator's state.
+// on a free list and the run stores Phase IV has consumed one per role, so
+// steady-state requests reuse them (paper-adjacent: Liu & Vinter's framework
+// reuses analysis workspaces across products for the same reason). Each
+// product of the next run gets back the store its own role gave back, so a
+// kept store's capacity follows one product's size, not the largest of the
+// three. Recycling the stores matters for more than the allocation: a
+// freshly allocated store is first touched page by page as it is
+// zero-filled, and how many of its pages are fresh depends on what the
+// allocator kept from earlier requests, so without recycling a drain's host
+// time follows the allocator's state.
 //
 // Correctness of SPA reuse: the accumulator is only valid for columns whose
 // marker carries the *current* tag. Tags are (generation, row) pairs packed
@@ -32,10 +35,12 @@
 // runs.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -65,15 +70,16 @@ class SpaWorkspace {
   std::int64_t generation_ = 0;
 };
 
+/// The partial products of one HH-CPU run, each writing a run store of its
+/// own: Phase II's A_H×B_H and A_L×B_L and Phase III's queue.
+enum class RunStoreRole : std::uint8_t { kHh, kLl, kQueue };
+
 /// Thread-safe pool of SPA workspaces and run stores. Acquire hands out a
 /// recycled one when one is free, otherwise a fresh one; release returns it
-/// (arrays intact) to its free list.
+/// (arrays intact). SPAs share one free list; run stores are kept one per
+/// RunStoreRole.
 class WorkspacePool {
  public:
-  /// Free run stores kept: one HH-CPU product's worth (Phase II's two
-  /// stores and Phase III's one). A release beyond it frees the store.
-  static constexpr std::size_t kMaxFreeRunStores = 3;
-
   struct Stats {
     std::int64_t spa_acquires = 0;
     std::int64_t spa_reuses = 0;  // acquires served from the free list
@@ -87,19 +93,23 @@ class WorkspacePool {
   std::unique_ptr<SpaWorkspace> acquire_spa();
   void release_spa(std::unique_ptr<SpaWorkspace> ws);
 
-  /// An empty run store over `rows` A rows and `cols` B columns: indptr
-  /// holds rows + 1 zeros and indices and values are empty, but a recycled
-  /// store keeps its arrays' capacity.
-  CsrMatrix acquire_run_store(index_t rows, index_t cols);
-  /// Return a run store whose runs have been read (Phase IV does this).
-  void release_run_store(CsrMatrix store);
+  /// An empty run store over `rows` A rows and `cols` B columns for a
+  /// product of `role`: indptr holds rows + 1 zeros and indices and values
+  /// are empty, but the store `role` last gave back keeps its arrays'
+  /// capacity.
+  CsrMatrix acquire_run_store(RunStoreRole role, index_t rows, index_t cols);
+  /// Return a run store whose runs have been read (Phase IV does this). The
+  /// role keeps it unless it already keeps one, as it does when this run's
+  /// product of that role drew no store from the pool (a skipped product);
+  /// then this store is freed.
+  void release_run_store(RunStoreRole role, CsrMatrix store);
 
   Stats stats() const;
 
  private:
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<SpaWorkspace>> free_spa_;
-  std::vector<CsrMatrix> free_run_stores_;
+  std::array<std::optional<CsrMatrix>, 3> free_run_stores_;  // by role
   Stats stats_;
 };
 

@@ -180,9 +180,4 @@ void ThreadPool::parallel_for(
   if (group->first_error) std::rethrow_exception(group->first_error);
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
 }  // namespace hh

@@ -7,7 +7,7 @@
 // Concurrency contract:
 //  - parallel_for() waits on its own per-call completion group, never on the
 //    whole pool, so concurrent callers (e.g. the service worker and a bench
-//    harness sharing the global pool) do not block on each other's tasks.
+//    harness sharing one pool) do not block on each other's tasks.
 //    While waiting, the calling thread helps drain the shared queue, which
 //    also makes nested parallel_for calls (a task that itself calls
 //    parallel_for) deadlock-free even on a single-worker pool.
@@ -58,9 +58,6 @@ class ThreadPool {
   /// multiple threads concurrently and from inside pool tasks (nested).
   void parallel_for(std::int64_t n,
                     const std::function<void(std::int64_t, std::int64_t)>& fn);
-
-  /// Process-wide default pool (lazily constructed).
-  static ThreadPool& global();
 
  private:
   void worker_loop();

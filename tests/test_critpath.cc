@@ -344,8 +344,8 @@ TEST_F(CritPathServiceTest, BottleneckFlipsFromH2dToGpuWithLinkBandwidth) {
       req.a = &sparse;
       // Pin the split: every row below the threshold runs on the GPU, so
       // both platforms execute the same placements modulo their costs.
-      req.options.threshold_a = 1 << 20;
-      req.options.threshold_b = 1 << 20;
+      req.threshold_a = 1 << 20;
+      req.threshold_b = 1 << 20;
       req.label = "flip" + std::to_string(i);
       svc.submit(std::move(req));
     }

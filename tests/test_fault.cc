@@ -274,7 +274,7 @@ TEST_F(FaultRecoveryTest, LargeFaultedBatchDrainsWithBitIdenticalOutputs) {
 
   constexpr std::size_t kRequests = 104;
   for (std::size_t i = 0; i < kRequests; ++i) {
-    service.submit({&mat(i), nullptr, {}, "q" + std::to_string(i)});
+    service.submit({&mat(i), nullptr, 0, 0, "q" + std::to_string(i)});
   }
   const BatchResult batch = service.drain();
 
@@ -316,7 +316,7 @@ TEST_F(FaultRecoveryTest, PersistentGpuFailureDegradesToCpuOnly) {
   SpgemmService::Config cfg;
   cfg.fault_plan.gpu_kernel.rate = 1.0;  // GPU is dead
   SpgemmService service(plat_, pool_, cfg);
-  service.submit({&wiki_, nullptr, {}, "dead-gpu"});
+  service.submit({&wiki_, nullptr, 0, 0, "dead-gpu"});
   const BatchResult batch = service.drain();
   ASSERT_EQ(batch.results.size(), 1u);
   const RequestReport& rr = batch.requests[0];
@@ -342,8 +342,8 @@ TEST_F(FaultRecoveryTest, CorruptedUploadIsRetriedAndNeverLeftResident) {
   cfg.fault_plan.h2d.trigger_ops = {0};  // first upload attempt corrupts
   cfg.fault_plan.transfer_corruption_fraction = 1.0;
   SpgemmService service(plat_, pool_, cfg);
-  service.submit({&wiki_, nullptr, {}, "first"});
-  service.submit({&wiki_, nullptr, {}, "second"});
+  service.submit({&wiki_, nullptr, 0, 0, "first"});
+  service.submit({&wiki_, nullptr, 0, 0, "second"});
   const BatchResult batch = service.drain();
   ASSERT_EQ(batch.results.size(), 2u);
 
@@ -369,7 +369,7 @@ TEST_F(FaultRecoveryTest, TransferRetryExhaustionDegradesInsteadOfLosing) {
   cfg.fault_plan.h2d.rate = 1.0;  // the upstream link is dead
   cfg.fault_plan.transfer_corruption_fraction = 0;
   SpgemmService service(plat_, pool_, cfg);
-  service.submit({&enron_, nullptr, {}, "dead-link"});
+  service.submit({&enron_, nullptr, 0, 0, "dead-link"});
   const BatchResult batch = service.drain();
   const RequestReport& rr = batch.requests[0];
   EXPECT_TRUE(rr.status.ok());
@@ -381,11 +381,11 @@ TEST_F(FaultRecoveryTest, TransferRetryExhaustionDegradesInsteadOfLosing) {
 
 TEST_F(FaultRecoveryTest, DeadlineCancelsCleanlyAndQuarantinesThePlan) {
   SpgemmService service(plat_, pool_, SpgemmService::Config{});
-  service.submit({&wiki_, nullptr, {}, "warm"});
+  service.submit({&wiki_, nullptr, 0, 0, "warm"});
   service.drain();  // warms the plan cache
   ASSERT_EQ(service.plan_cache().size(), 1u);
 
-  SpgemmRequest doomed{&wiki_, nullptr, {}, "doomed"};
+  SpgemmRequest doomed{&wiki_, nullptr, 0, 0, "doomed"};
   doomed.deadline_s = 1e-12;  // cannot even finish Phase I
   service.submit(std::move(doomed));
   const BatchResult batch = service.drain();
@@ -405,7 +405,7 @@ TEST_F(FaultRecoveryTest, DeadlineCancelsCleanlyAndQuarantinesThePlan) {
   EXPECT_EQ(service.workspace_pool().stats().spa_live, 0);
 
   // The service recovers: the same matrix re-identifies and completes.
-  service.submit({&wiki_, nullptr, {}, "after"});
+  service.submit({&wiki_, nullptr, 0, 0, "after"});
   const BatchResult after = service.drain();
   EXPECT_TRUE(after.requests[0].status.ok());
   EXPECT_FALSE(after.requests[0].plan_cache_hit);  // quarantined ⇒ re-identify
@@ -416,12 +416,12 @@ TEST_F(FaultRecoveryTest, MidPipelineDeadlineReleasesPooledBuffers) {
   // Deadlines that admit Phase I + the upload but not the whole pipeline
   // cancel after Phase II ran; every SPA it drew must be back in the pool.
   SpgemmService service(plat_, pool_, SpgemmService::Config{});
-  service.submit({&wiki_, nullptr, {}, "probe"});
+  service.submit({&wiki_, nullptr, 0, 0, "probe"});
   const BatchResult probe = service.drain();
   const double full = probe.requests[0].latency_s;
 
   for (int i = 0; i < 6; ++i) {
-    SpgemmRequest req{&wiki_, nullptr, {}, "cut" + std::to_string(i)};
+    SpgemmRequest req{&wiki_, nullptr, 0, 0, "cut" + std::to_string(i)};
     req.deadline_s = full * (0.15 + 0.1 * i);  // cut at varying stages
     service.submit(std::move(req));
   }
@@ -440,11 +440,11 @@ TEST_F(FaultRecoveryTest, BoundedAdmissionShedsAndReports) {
   SpgemmService::Config cfg;
   cfg.admission_capacity = 2;
   SpgemmService service(plat_, pool_, cfg);
-  service.submit({&wiki_, nullptr, {}, "a"});
-  service.submit({&enron_, nullptr, {}, "b"});
-  EXPECT_THROW(service.submit({&wiki_, nullptr, {}, "c"}), AdmissionError);
+  service.submit({&wiki_, nullptr, 0, 0, "a"});
+  service.submit({&enron_, nullptr, 0, 0, "b"});
+  EXPECT_THROW(service.submit({&wiki_, nullptr, 0, 0, "c"}), AdmissionError);
   try {
-    service.submit({&wiki_, nullptr, {}, "d"});
+    service.submit({&wiki_, nullptr, 0, 0, "d"});
     FAIL() << "expected AdmissionError";
   } catch (const AdmissionError& e) {
     EXPECT_EQ(e.code(), StatusCode::kResourceExhausted);
@@ -455,7 +455,7 @@ TEST_F(FaultRecoveryTest, BoundedAdmissionShedsAndReports) {
   EXPECT_EQ(batch.batch.shed, 2u);
   EXPECT_EQ(batch.batch.completed, 2u);
   // The shed counter does not bleed into the next batch.
-  service.submit({&wiki_, nullptr, {}, "e"});
+  service.submit({&wiki_, nullptr, 0, 0, "e"});
   EXPECT_EQ(service.drain().batch.shed, 0u);
 }
 
@@ -471,8 +471,8 @@ TEST_F(FaultRecoveryTest, SameSeedReplaysIdenticalScheduleAndReports) {
   auto run_once = [&]() {
     SpgemmService service(plat_, pool_, cfg);
     for (int i = 0; i < 12; ++i) {
-      service.submit(
-          {&mat(static_cast<std::size_t>(i)), nullptr, {}, "r" + std::to_string(i)});
+      service.submit({&mat(static_cast<std::size_t>(i)), nullptr, 0, 0,
+                      "r" + std::to_string(i)});
     }
     return service.drain();
   };
@@ -503,7 +503,7 @@ TEST_F(FaultRecoveryTest, DecorrelatedJitterIsDeterministicAndCapped) {
   auto run_once = [&]() {
     SpgemmService service(plat_, pool_, cfg);
     for (std::size_t i = 0; i < 12; ++i) {
-      service.submit({&mat(i), nullptr, {}, "j" + std::to_string(i)});
+      service.submit({&mat(i), nullptr, 0, 0, "j" + std::to_string(i)});
     }
     return service.drain();
   };
@@ -536,7 +536,7 @@ TEST_F(FaultRecoveryTest, JitterKnobOffPreservesLegacyBackoffExactly) {
   auto run_with = [&](const SpgemmService::Config& cfg) {
     SpgemmService service(plat_, pool_, cfg);
     for (std::size_t i = 0; i < 8; ++i) {
-      service.submit({&mat(i), nullptr, {}, "k" + std::to_string(i)});
+      service.submit({&mat(i), nullptr, 0, 0, "k" + std::to_string(i)});
     }
     return service.drain();
   };
@@ -565,8 +565,8 @@ TEST_F(FaultRecoveryTest, FaultFreePlanIsUnperturbedByTheFaultMachinery) {
   SpgemmService::Config cfg;  // default: fault-free
   SpgemmService faultless(plat_, pool_, cfg);
   for (SpgemmService* s : {&plain, &faultless}) {
-    s->submit({&wiki_, nullptr, {}, "x"});
-    s->submit({&enron_, nullptr, {}, "y"});
+    s->submit({&wiki_, nullptr, 0, 0, "x"});
+    s->submit({&enron_, nullptr, 0, 0, "y"});
   }
   const BatchResult a = plain.drain();
   const BatchResult b = faultless.drain();
@@ -591,7 +591,7 @@ TEST_F(FaultRecoveryTest, WaveFaultedBatchStaysBitIdenticalAndEvictsMidWave) {
 
   constexpr std::size_t kRequests = 24;
   for (std::size_t i = 0; i < kRequests; ++i) {
-    service.submit({&mat(i), nullptr, {}, "w" + std::to_string(i)});
+    service.submit({&mat(i), nullptr, 0, 0, "w" + std::to_string(i)});
   }
   const BatchResult batch = service.drain();
   ASSERT_EQ(batch.results.size(), kRequests);
@@ -623,7 +623,7 @@ TEST_F(FaultRecoveryTest, WaveCorruptUploadRetriesWithoutPoisoningDedup) {
   cfg.fault_plan.transfer_corruption_fraction = 1.0;
   SpgemmService service(plat_, pool_, cfg);
   for (int i = 0; i < 3; ++i) {
-    service.submit({&wiki_, nullptr, {}, "c" + std::to_string(i)});
+    service.submit({&wiki_, nullptr, 0, 0, "c" + std::to_string(i)});
   }
   const BatchResult batch = service.drain();
   ASSERT_EQ(batch.results.size(), 3u);
@@ -649,8 +649,8 @@ TEST_F(FaultRecoveryTest, WaveUploadExhaustionDegradesEveryUser) {
   cfg.fault_plan.h2d.rate = 1.0;
   cfg.fault_plan.transfer_corruption_fraction = 0;
   SpgemmService service(plat_, pool_, cfg);
-  service.submit({&enron_, nullptr, {}, "u0"});
-  service.submit({&enron_, nullptr, {}, "u1"});
+  service.submit({&enron_, nullptr, 0, 0, "u0"});
+  service.submit({&enron_, nullptr, 0, 0, "u1"});
   const BatchResult batch = service.drain();
   ASSERT_EQ(batch.results.size(), 2u);
   EXPECT_EQ(batch.batch.degraded, 2u);

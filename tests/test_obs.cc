@@ -301,11 +301,11 @@ TEST_F(ObsServiceTest, ServiceFeedsRecorderAndSlo) {
 
   constexpr std::size_t kWave = 4;
   for (std::size_t i = 0; i < kWave; ++i) {
-    service.submit({&mat(i), nullptr, {}, "w0-" + std::to_string(i)});
+    service.submit({&mat(i), nullptr, 0, 0, "w0-" + std::to_string(i)});
   }
   const BatchResult b0 = service.drain();
   for (std::size_t i = 0; i < kWave; ++i) {
-    service.submit({&mat(i), nullptr, {}, "w1-" + std::to_string(i)});
+    service.submit({&mat(i), nullptr, 0, 0, "w1-" + std::to_string(i)});
   }
   const BatchResult b1 = service.drain();
 
@@ -353,8 +353,8 @@ TEST_F(ObsServiceTest, RecorderAttachmentChangesNothing) {
   SpgemmService observed(plat_, pool_, cfg);
   SpgemmService plain(plat_, pool_);
   for (std::size_t i = 0; i < 4; ++i) {
-    observed.submit({&mat(i), nullptr, {}, ""});
-    plain.submit({&mat(i), nullptr, {}, ""});
+    observed.submit({&mat(i), nullptr, 0, 0, ""});
+    plain.submit({&mat(i), nullptr, 0, 0, ""});
   }
   const BatchResult bo = observed.drain();
   const BatchResult bp = plain.drain();
@@ -389,7 +389,7 @@ TEST_F(ObsServiceTest, ShardedGroupStampsExecutingShard) {
 
   constexpr std::size_t kRequests = 8;
   for (std::size_t i = 0; i < kRequests; ++i) {
-    group.submit({&mat(i), nullptr, {}, "g" + std::to_string(i)});
+    group.submit({&mat(i), nullptr, 0, 0, "g" + std::to_string(i)});
   }
   const GroupResult gr = group.drain();
   ASSERT_EQ(gr.group.completed, kRequests);
@@ -419,7 +419,7 @@ class ReplayTest : public ObsServiceTest {
     SpgemmService service(plat_, pool_, cfg);
     for (std::size_t wave = 0; wave < 2; ++wave) {
       for (std::size_t i = 0; i < 4; ++i) {
-        service.submit({&mat(i), nullptr, {}, "r" + std::to_string(i)});
+        service.submit({&mat(i), nullptr, 0, 0, "r" + std::to_string(i)});
       }
       service.drain();
     }

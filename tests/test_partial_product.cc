@@ -99,10 +99,9 @@ TEST(PartialProduct, PartsShareOneStore) {
   }
   EXPECT_EQ(total.tuples, both.nnz());
   EXPECT_EQ(total.rows, a.rows);
-  std::vector<index_t> listed = p.low_rows;
-  listed.insert(listed.end(), p.high_rows.begin(), p.high_rows.end());
-  for (std::size_t k = 0; k < listed.size(); ++k) {
-    EXPECT_EQ(per_row[k].tuples, both.row_nnz(listed[k])) << "slot " << k;
+  for (index_t i = 0; i < a.rows; ++i) {
+    EXPECT_EQ(per_row[static_cast<std::size_t>(i)].tuples, both.row_nnz(i))
+        << "row " << i;
   }
 }
 
@@ -313,9 +312,15 @@ TEST(MaskedRowCosts, EqualKernelStatsAtEveryGridPoint) {
   set_shared_accum_cap(original);
 }
 
-// row_stats is filled by the pool workers, one disjoint slot per row: each
-// slot equals a one-row call, whatever the pool size and row order, over
-// several of the kernel's row blocks.
+std::vector<std::int64_t> stat_fields(const ProductStats& s) {
+  return {s.rows,         s.a_nnz,        s.flops,
+          s.tuples,       s.max_row_flops, s.warp_alu,
+          s.flops_shared, s.flops_global, s.b_read_bytes};
+}
+
+// row_stats is filled by the pool workers, one disjoint slot per row and
+// indexed by A row: each slot equals a one-row call, whatever the pool size
+// and row order, over several of the kernel's row blocks.
 TEST(PartialProduct, RowStatsEqualOneRowCalls) {
   const CsrMatrix a = test::random_csr(300, 30, 0.2, 411);
   const CsrMatrix b = test::random_csr(30, 45, 0.25, 412);
@@ -329,20 +334,12 @@ TEST(PartialProduct, RowStatsEqualOneRowCalls) {
     const CsrMatrix runs = partial_product_runs(a, b, rows, p.is_high, v,
                                                 pool4, &total, nullptr, per_row);
     ProductStats sum;
-    for (std::size_t k = 0; k < rows.size(); ++k) {
+    for (const index_t i : rows) {
       ProductStats want;
-      partial_product_runs(a, b, std::span(&rows[k], 1), p.is_high, v,
-                             pool1, &want);
-      const ProductStats& got = per_row[k];
-      EXPECT_EQ(got.rows, want.rows) << "row " << rows[k];
-      EXPECT_EQ(got.a_nnz, want.a_nnz) << "row " << rows[k];
-      EXPECT_EQ(got.flops, want.flops) << "row " << rows[k];
-      EXPECT_EQ(got.tuples, want.tuples) << "row " << rows[k];
-      EXPECT_EQ(got.max_row_flops, want.max_row_flops) << "row " << rows[k];
-      EXPECT_EQ(got.warp_alu, want.warp_alu) << "row " << rows[k];
-      EXPECT_EQ(got.flops_shared, want.flops_shared) << "row " << rows[k];
-      EXPECT_EQ(got.flops_global, want.flops_global) << "row " << rows[k];
-      EXPECT_EQ(got.b_read_bytes, want.b_read_bytes) << "row " << rows[k];
+      partial_product_runs(a, b, std::span(&i, 1), p.is_high, v, pool1,
+                           &want);
+      const ProductStats& got = per_row[static_cast<std::size_t>(i)];
+      EXPECT_EQ(stat_fields(got), stat_fields(want)) << "row " << i;
       sum.accumulate(got);
     }
     EXPECT_EQ(sum.tuples, runs.nnz());
@@ -354,6 +351,48 @@ TEST(PartialProduct, RowStatsEqualOneRowCalls) {
   EXPECT_THROW(partial_product_runs(a, b, rows, p.is_high, true, pool1,
                                       nullptr, nullptr, short_table),
                CheckError);
+}
+
+// A call that lists some rows, over two parts, fills only their slots of
+// the by-row table: each listed row's slot equals the one-row call against
+// its part's view of B, and every other slot keeps what it held.
+TEST(PartialProduct, RowStatsLeaveUnlistedRowsUntouched) {
+  const CsrMatrix a = test::random_csr(300, 30, 0.2, 413);
+  const CsrMatrix b = test::random_csr(30, 45, 0.25, 414);
+  const RowPartition p = classify_rows(b, 8);
+  std::vector<index_t> front, back;
+  for (index_t i = a.rows - 1; i >= 0; --i) {
+    if (i % 3 == 0) front.push_back(i);
+    if (i % 3 == 1 && i % 2 == 0) back.push_back(i);
+  }
+  const MaskedRows parts[] = {{front, p.is_high, true},
+                              {back, p.is_high, false}};
+  ProductStats marker;
+  marker.rows = -7;
+  marker.flops = -1;
+  for (const std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    std::vector<ProductStats> table(static_cast<std::size_t>(a.rows), marker);
+    partial_product_runs(a, b, parts, pool, nullptr, nullptr, table);
+    std::vector<bool> listed(static_cast<std::size_t>(a.rows), false);
+    for (const MaskedRows& part : parts) {
+      for (const index_t i : part.rows) {
+        listed[static_cast<std::size_t>(i)] = true;
+        ProductStats want;
+        partial_product_runs(a, b, std::span(&i, 1), part.b_mask,
+                             part.b_mask_value, pool, &want);
+        EXPECT_EQ(stat_fields(table[static_cast<std::size_t>(i)]),
+                  stat_fields(want))
+            << "row " << i << ", " << threads << " threads";
+      }
+    }
+    for (index_t i = 0; i < a.rows; ++i) {
+      if (listed[static_cast<std::size_t>(i)]) continue;
+      EXPECT_EQ(stat_fields(table[static_cast<std::size_t>(i)]),
+                stat_fields(marker))
+          << "unlisted row " << i << ", " << threads << " threads";
+    }
+  }
 }
 
 TEST(PartialProduct, SharedAccumCapKnob) {

@@ -212,7 +212,7 @@ TEST_F(ServiceTest, BatchOutputsBitIdenticalToSerialDriver) {
   const CsrMatrix* mats[] = {&wiki_, &enron_, &wiki_, &enron_, &wiki_,
                              &enron_, &wiki_, &enron_};
   for (const CsrMatrix* m : mats) {
-    service.submit({m, nullptr, {}, ""});
+    service.submit({m, nullptr, 0, 0, ""});
   }
   ASSERT_EQ(service.pending(), 8u);
   const BatchResult batch = service.drain();
@@ -234,8 +234,8 @@ TEST_F(ServiceTest, BatchOutputsBitIdenticalToSerialDriver) {
 
 TEST_F(ServiceTest, PlanCacheHitsAreBitExactAndSkipIdentification) {
   SpgemmService service(plat_, pool_);
-  service.submit({&wiki_, nullptr, {}, "cold"});
-  service.submit({&wiki_, nullptr, {}, "warm"});
+  service.submit({&wiki_, nullptr, 0, 0, "cold"});
+  service.submit({&wiki_, nullptr, 0, 0, "warm"});
   const BatchResult batch = service.drain();
   ASSERT_EQ(batch.results.size(), 2u);
 
@@ -257,15 +257,15 @@ TEST_F(ServiceTest, PlanCacheHitsAreBitExactAndSkipIdentification) {
 
 TEST_F(ServiceTest, CacheSurvivesAcrossDrains) {
   SpgemmService service(plat_, pool_);
-  service.submit({&wiki_, nullptr, {}, ""});
+  service.submit({&wiki_, nullptr, 0, 0, ""});
   const BatchResult first = service.drain();
-  service.submit({&wiki_, nullptr, {}, ""});
+  service.submit({&wiki_, nullptr, 0, 0, ""});
   const BatchResult second = service.drain();
   EXPECT_TRUE(second.requests[0].plan_cache_hit);
   expect_bit_identical(first.results[0].c, second.results[0].c, "redrain");
   // invalidate_inputs drops residency (plans stay: keyed by signature).
   service.invalidate_inputs();
-  service.submit({&wiki_, nullptr, {}, ""});
+  service.submit({&wiki_, nullptr, 0, 0, ""});
   const BatchResult third = service.drain();
   EXPECT_TRUE(third.requests[0].plan_cache_hit);
   EXPECT_FALSE(third.requests[0].inputs_resident);
@@ -274,9 +274,9 @@ TEST_F(ServiceTest, CacheSurvivesAcrossDrains) {
 
 TEST_F(ServiceTest, ExplicitThresholdsBypassTheCache) {
   SpgemmService service(plat_, pool_);
-  SpgemmRequest req{&wiki_, nullptr, {}, ""};
-  req.options.threshold_a = 4;
-  req.options.threshold_b = 4;
+  SpgemmRequest req{&wiki_, nullptr, 0, 0, ""};
+  req.threshold_a = 4;
+  req.threshold_b = 4;
   service.submit(std::move(req));
   service.drain();
   EXPECT_EQ(service.plan_cache().size(), 0u);
@@ -300,10 +300,10 @@ TEST_F(ServiceTest, HalfPinnedRequestsKeepTheirPinThroughThePlanCache) {
   {
     // A hit fills only the unpinned side from the cached plan.
     SpgemmService service(plat_, pool_);
-    service.submit({&wiki_, nullptr, {}, "cold"});
+    service.submit({&wiki_, nullptr, 0, 0, "cold"});
     service.drain();
-    SpgemmRequest half{&wiki_, nullptr, {}, "pinned B"};
-    half.options.threshold_b = pin;
+    SpgemmRequest half{&wiki_, nullptr, 0, 0, "pinned B"};
+    half.threshold_b = pin;
     service.submit(std::move(half));
     const BatchResult batch = service.drain();
     EXPECT_TRUE(batch.requests[0].plan_cache_hit);
@@ -313,13 +313,13 @@ TEST_F(ServiceTest, HalfPinnedRequestsKeepTheirPinThroughThePlanCache) {
     // A half-pinned miss caches the identified t on both sides, so a later
     // unpinned request is served what a cold one gets.
     SpgemmService service(plat_, pool_);
-    SpgemmRequest half{&wiki_, nullptr, {}, "pinned A"};
-    half.options.threshold_a = pin;
+    SpgemmRequest half{&wiki_, nullptr, 0, 0, "pinned A"};
+    half.threshold_a = pin;
     service.submit(std::move(half));
     const BatchResult first = service.drain();
     EXPECT_FALSE(first.requests[0].plan_cache_hit);
     expect_serial(first, 0, pin, t);
-    service.submit({&wiki_, nullptr, {}, "unpinned"});
+    service.submit({&wiki_, nullptr, 0, 0, "unpinned"});
     const BatchResult second = service.drain();
     EXPECT_TRUE(second.requests[0].plan_cache_hit);
     expect_serial(second, 0, t, t);
@@ -330,7 +330,7 @@ TEST_F(ServiceTest, RectangularProductMatchesSerial) {
   const CsrMatrix a = test::random_csr(150, 90, 0.04, 3);
   const CsrMatrix b = test::random_csr(90, 120, 0.06, 5);
   SpgemmService service(plat_, pool_);
-  service.submit({&a, &b, {}, "rect"});
+  service.submit({&a, &b, 0, 0, "rect"});
   const BatchResult batch = service.drain();
   const RunResult serial = run_hh_cpu(a, b, HhCpuOptions{}, plat_, pool_);
   expect_bit_identical(serial.c, batch.results[0].c, "rect");
@@ -339,7 +339,7 @@ TEST_F(ServiceTest, RectangularProductMatchesSerial) {
 TEST_F(ServiceTest, ReportsAreInternallyConsistent) {
   SpgemmService service(plat_, pool_);
   for (int i = 0; i < 5; ++i) {
-    service.submit({&wiki_, nullptr, {}, "r" + std::to_string(i)});
+    service.submit({&wiki_, nullptr, 0, 0, "r" + std::to_string(i)});
   }
   const BatchResult batch = service.drain();
   const BatchReport& br = batch.batch;
@@ -375,19 +375,19 @@ TEST_F(ServiceTest, SubmitRejectsMalformedRequestsWithTypedErrors) {
   SpgemmService service(plat_, pool_);
 
   // Null A operand.
-  EXPECT_THROW(service.submit({nullptr, nullptr, {}, ""}),
+  EXPECT_THROW(service.submit({nullptr, nullptr, 0, 0, ""}),
                InvalidArgumentError);
 
   // Degenerate (empty) operand.
   CsrMatrix empty;
-  EXPECT_THROW(service.submit({&empty, nullptr, {}, ""}),
+  EXPECT_THROW(service.submit({&empty, nullptr, 0, 0, ""}),
                InvalidArgumentError);
 
   // Incompatible shapes: A.cols != B.rows.
   const CsrMatrix a = test::random_csr(10, 7, 0.3, 1);
   const CsrMatrix b = test::random_csr(9, 5, 0.3, 2);
   try {
-    service.submit({&a, &b, {}, "shapes"});
+    service.submit({&a, &b, 0, 0, "shapes"});
     FAIL() << "expected InvalidArgumentError";
   } catch (const InvalidArgumentError& e) {
     EXPECT_EQ(e.code(), StatusCode::kInvalidArgument);
@@ -397,25 +397,25 @@ TEST_F(ServiceTest, SubmitRejectsMalformedRequestsWithTypedErrors) {
   // Inconsistent CSR arrays (indptr not matching indices).
   CsrMatrix broken = a;
   broken.indptr.back() += 1;
-  EXPECT_THROW(service.submit({&broken, nullptr, {}, ""}),
+  EXPECT_THROW(service.submit({&broken, nullptr, 0, 0, ""}),
                InvalidArgumentError);
 
-  // Inverted/negative thresholds and negative queue knobs.
-  SpgemmRequest neg_t{&wiki_, nullptr, {}, ""};
-  neg_t.options.threshold_a = -3;
-  EXPECT_THROW(service.submit(std::move(neg_t)), InvalidArgumentError);
-  SpgemmRequest neg_q{&wiki_, nullptr, {}, ""};
-  neg_q.options.queue.cpu_rows = -1;
-  EXPECT_THROW(service.submit(std::move(neg_q)), InvalidArgumentError);
+  // Negative thresholds, on either side.
+  SpgemmRequest neg_ta{&wiki_, nullptr, 0, 0, ""};
+  neg_ta.threshold_a = -3;
+  EXPECT_THROW(service.submit(std::move(neg_ta)), InvalidArgumentError);
+  SpgemmRequest neg_tb{&wiki_, nullptr, 0, 0, ""};
+  neg_tb.threshold_b = -1;
+  EXPECT_THROW(service.submit(std::move(neg_tb)), InvalidArgumentError);
 
   // Negative deadline.
-  SpgemmRequest neg_d{&wiki_, nullptr, {}, ""};
+  SpgemmRequest neg_d{&wiki_, nullptr, 0, 0, ""};
   neg_d.deadline_s = -1.0;
   EXPECT_THROW(service.submit(std::move(neg_d)), InvalidArgumentError);
 
   // Nothing malformed was admitted; a healthy request still goes through.
   EXPECT_EQ(service.pending(), 0u);
-  service.submit({&wiki_, nullptr, {}, "ok"});
+  service.submit({&wiki_, nullptr, 0, 0, "ok"});
   EXPECT_EQ(service.pending(), 1u);
   EXPECT_TRUE(service.drain().requests[0].status.ok());
 }
@@ -426,7 +426,7 @@ TEST_F(ServiceTest, WorkspacePoolingPreservesResults) {
   // predecessor gave back.
   SpgemmService pooled(plat_, pool_);
   const CsrMatrix* mats[] = {&enron_, &wiki_, &enron_};
-  for (const CsrMatrix* m : mats) pooled.submit({m, nullptr, {}, ""});
+  for (const CsrMatrix* m : mats) pooled.submit({m, nullptr, 0, 0, ""});
   const BatchResult b = pooled.drain();
   for (std::size_t i = 0; i < std::size(mats); ++i) {
     const RunResult unpooled =
@@ -448,7 +448,7 @@ TEST_F(ServiceTest, WaveOutputsBitIdenticalAndUploadsDeduped) {
   const CsrMatrix* mats[] = {&wiki_, &enron_, &wiki_, &enron_, &wiki_,
                              &wiki_, &enron_, &enron_};
   for (SpgemmService* s : {&waved, &plain}) {
-    for (const CsrMatrix* m : mats) s->submit({m, nullptr, {}, ""});
+    for (const CsrMatrix* m : mats) s->submit({m, nullptr, 0, 0, ""});
   }
   const BatchResult w = waved.drain();
   const BatchResult p = plain.drain();
@@ -483,8 +483,8 @@ TEST_F(ServiceTest, WaveResidencyIsKeyedByContent) {
   SpgemmService::Config cfg;
   cfg.wave.enabled = true;
   SpgemmService service(plat_, pool_, cfg);
-  service.submit({&wiki_, nullptr, {}, "a"});
-  service.submit({&doubled, nullptr, {}, "2a"});
+  service.submit({&wiki_, nullptr, 0, 0, "a"});
+  service.submit({&doubled, nullptr, 0, 0, "2a"});
   const BatchResult r = service.drain();
   EXPECT_EQ(r.batch.wave.waves, 1);
   EXPECT_EQ(r.batch.wave.uploads, 2);
@@ -500,7 +500,7 @@ TEST_F(ServiceTest, WaveResidencyIsKeyedByContent) {
 
   // A pointer-distinct, bit-identical copy finds the resident device copy.
   const CsrMatrix copy = wiki_;
-  service.submit({&copy, nullptr, {}, "copy"});
+  service.submit({&copy, nullptr, 0, 0, "copy"});
   const BatchResult again = service.drain();
   EXPECT_EQ(again.batch.wave.uploads, 0);
   EXPECT_TRUE(again.requests[0].inputs_resident);
@@ -515,7 +515,7 @@ TEST_F(ServiceTest, WaveAllDistinctOperandsDedupIsNoOp) {
   cfg.wave.enabled = true;
   SpgemmService service(plat_, pool_, cfg);
   for (const CsrMatrix* m : {&a, &b, &c}) {
-    service.submit({m, nullptr, {}, ""});
+    service.submit({m, nullptr, 0, 0, ""});
   }
   const BatchResult r = service.drain();
   EXPECT_EQ(r.batch.wave.deduped_uploads, 0);
@@ -533,7 +533,7 @@ TEST_F(ServiceTest, WaveRefcountEvictionFiresWithoutStickyResidency) {
   cfg.wave.enabled = true;
   cfg.keep_inputs_resident = false;
   SpgemmService service(plat_, pool_, cfg);
-  for (int i = 0; i < 4; ++i) service.submit({&wiki_, nullptr, {}, ""});
+  for (int i = 0; i < 4; ++i) service.submit({&wiki_, nullptr, 0, 0, ""});
   const BatchResult r = service.drain();
   // One distinct operand, uploaded once, deduped three times, evicted when
   // its last user finished.
@@ -544,7 +544,7 @@ TEST_F(ServiceTest, WaveRefcountEvictionFiresWithoutStickyResidency) {
   SpgemmService::Config sticky;
   sticky.wave.enabled = true;
   SpgemmService keeper(plat_, pool_, sticky);
-  for (int i = 0; i < 4; ++i) keeper.submit({&wiki_, nullptr, {}, ""});
+  for (int i = 0; i < 4; ++i) keeper.submit({&wiki_, nullptr, 0, 0, ""});
   EXPECT_EQ(keeper.drain().batch.wave.evictions, 0);
 }
 
@@ -552,10 +552,10 @@ TEST_F(ServiceTest, WaveDisabledRunsOneRequestPerWave) {
   // A disabled wave executor is the one-request wave: no request shares an
   // upload or a launch, even when consecutive requests share an operand.
   SpgemmService plain(plat_, pool_);
-  plain.submit({&wiki_, nullptr, {}, "a"});
-  plain.submit({&enron_, nullptr, {}, "b"});
-  plain.submit({&wiki_, nullptr, {}, "c"});
-  plain.submit({&wiki_, nullptr, {}, "d"});
+  plain.submit({&wiki_, nullptr, 0, 0, "a"});
+  plain.submit({&enron_, nullptr, 0, 0, "b"});
+  plain.submit({&wiki_, nullptr, 0, 0, "c"});
+  plain.submit({&wiki_, nullptr, 0, 0, "d"});
   const BatchResult p = plain.drain();
   EXPECT_FALSE(p.batch.wave_enabled);
   EXPECT_EQ(p.batch.wave.waves, 4);
@@ -578,7 +578,7 @@ TEST_F(ServiceTest, WaveRequestCapIsStrict) {
   cfg.wave.enabled = true;
   SpgemmService service(plat_, pool_, cfg);
   for (std::size_t i = 0; i <= kCap; ++i) {
-    service.submit({&wiki_, nullptr, {}, ""});
+    service.submit({&wiki_, nullptr, 0, 0, ""});
   }
   const BatchResult r = service.drain();
   EXPECT_TRUE(r.batch.wave_enabled);
@@ -600,9 +600,9 @@ TEST_F(ServiceTest, WaveReportsAreReplayDeterministic) {
     SpgemmService::Config cfg;
     cfg.wave.enabled = true;
     SpgemmService service(plat_, pool_, cfg);
-    service.submit({&wiki_, nullptr, {}, "a"});
-    service.submit({&wiki_, nullptr, {}, "b"});
-    service.submit({&enron_, nullptr, {}, "c"});
+    service.submit({&wiki_, nullptr, 0, 0, "a"});
+    service.submit({&wiki_, nullptr, 0, 0, "b"});
+    service.submit({&enron_, nullptr, 0, 0, "c"});
     return service.drain();
   };
   const BatchResult first = run();

@@ -590,7 +590,7 @@ TEST_F(ShardGroupTest, SnapshotRoundTripsTunerAndPlanCacheState) {
   SpgemmService service(plat_, pool_, cfg);
   for (int round = 0; round < 3; ++round) {
     for (const CsrMatrix* m : {&a_, &b_, &a_}) {
-      service.submit({m, nullptr, {}, ""});
+      service.submit({m, nullptr, 0, 0, ""});
     }
     service.drain();
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -9,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/hh_stages.hpp"
 #include "spgemm/gustavson.hpp"
 #include "spgemm/row_column.hpp"
 #include "spgemm/run_order.hpp"
@@ -271,30 +273,90 @@ TEST(WorkspacePoolRunStores, RecycledStoreMatchesFreshOne) {
         partial_product_runs(p.a, p.b, rows, {}, true, pool, nullptr, &spas);
     test::expect_same_bits(partial_product_runs(p.a, p.b, rows, {}, true, pool),
                            store, p.name);
-    spas.release_run_store(std::move(store));
+    spas.release_run_store(RunStoreRole::kHh, std::move(store));
   }
   const WorkspacePool::Stats st = spas.stats();
   EXPECT_EQ(st.coo_acquires, 3);
   EXPECT_EQ(st.coo_reuses, 2);
 }
 
-// The free list keeps one HH-CPU product's worth of stores, and every store
-// it hands out is empty over the asked shape.
-TEST(WorkspacePoolRunStores, KeepsAtMostOneProductsWorth) {
+// The pool keeps one store per role, and every store it hands out is empty
+// over the asked shape.
+TEST(WorkspacePoolRunStores, KeepsOneStorePerRole) {
   WorkspacePool spas;
   const CsrMatrix full = test::random_csr(40, 50, 0.3, 106);
-  for (int k = 0; k < 5; ++k) spas.release_run_store(full);
-  for (int k = 0; k < 5; ++k) {
-    const CsrMatrix store = spas.acquire_run_store(7, 9);
-    EXPECT_EQ(store.rows, 7);
-    EXPECT_EQ(store.cols, 9);
-    EXPECT_EQ(store.indptr, std::vector<offset_t>(8, 0)) << "store " << k;
-    EXPECT_TRUE(store.indices.empty() && store.values.empty())
-        << "store " << k;
+  const RunStoreRole roles[] = {RunStoreRole::kHh, RunStoreRole::kLl,
+                                RunStoreRole::kQueue};
+  for (const RunStoreRole role : roles) {
+    spas.release_run_store(role, full);
+    spas.release_run_store(role, full);
   }
-  EXPECT_EQ(spas.stats().coo_acquires, 5);
-  EXPECT_EQ(spas.stats().coo_reuses,
-            static_cast<std::int64_t>(WorkspacePool::kMaxFreeRunStores));
+  for (int k = 0; k < 2; ++k) {
+    for (const RunStoreRole role : roles) {
+      const CsrMatrix store = spas.acquire_run_store(role, 7, 9);
+      EXPECT_EQ(store.rows, 7);
+      EXPECT_EQ(store.cols, 9);
+      EXPECT_EQ(store.indptr, std::vector<offset_t>(8, 0)) << "round " << k;
+      EXPECT_TRUE(store.indices.empty() && store.values.empty())
+          << "round " << k;
+    }
+  }
+  EXPECT_EQ(spas.stats().coo_acquires, 6);
+  EXPECT_EQ(spas.stats().coo_reuses, 3);
+}
+
+// HH-CPU products through one pool: each product draws the store its own
+// role gave back, so a store's capacity follows its role's sizes. The first
+// product's queue store is the largest of all; the second product is
+// smaller in every role, and the third skips its A_H×B_H product, which
+// leaves the kept hh store in place.
+TEST(WorkspacePoolRunStores, EachRoleGetsBackItsOwnStore) {
+  ThreadPool pool(2);
+  HeteroPlatform plat;
+  WorkspacePool spas;
+  // The hh, ll and queue stores of one product: the runs each holds, and
+  // the capacity it was drawn with or grew to.
+  struct Stores {
+    std::array<std::size_t, 3> size;
+    std::array<std::size_t, 3> capacity;
+  };
+  const auto product = [&](const CsrMatrix& a, offset_t t) {
+    const PartitionPlan plan = make_partition_plan(a, a, t, t, plat);
+    Phase2Result p2 = run_phase2(a, a, plan, plat, pool, &spas);
+    WorkQueueResult q = run_phase3(a, a, plan, WorkQueueConfig{}, 0, 0, plat,
+                                   pool, &spas);
+    const CsrMatrix* stores[] = {&p2.hh_tuples, &p2.ll_tuples, &q.tuples};
+    Stores s;
+    for (std::size_t r = 0; r < 3; ++r) {
+      s.size[r] = stores[r]->indices.size();
+      s.capacity[r] = stores[r]->indices.capacity();
+    }
+    run_phase4(std::move(p2), std::move(q), plat, pool, &spas);
+    return s;
+  };
+  const CsrMatrix large = test::random_csr(400, 400, 0.05, 107);
+  const CsrMatrix small = test::random_csr(100, 100, 0.05, 108);
+  const Stores first = product(large, 20);
+  ASSERT_GT(first.size[2], first.size[0]);
+  ASSERT_GT(first.size[2], first.size[1]);
+
+  const Stores second = product(small, 5);
+  for (std::size_t r = 0; r < 3; ++r) {
+    ASSERT_LT(second.size[r], first.size[r]) << "role " << r;
+    EXPECT_GE(second.capacity[r], first.size[r])
+        << "role " << r << " drew a smaller role's store";
+  }
+  EXPECT_LT(second.capacity[0], first.size[2]) << "hh drew the queue's store";
+  EXPECT_LT(second.capacity[1], first.size[2]) << "ll drew the queue's store";
+
+  const Stores third = product(small, 1000);
+  ASSERT_EQ(third.size[0], 0u);
+  EXPECT_GE(third.capacity[1], first.size[1]);
+  EXPECT_LT(third.capacity[1], first.size[2]);
+  EXPECT_GE(third.capacity[2], first.size[2]);
+  EXPECT_GE(spas.acquire_run_store(RunStoreRole::kHh, 1, 1).indices.capacity(),
+            first.size[0])
+      << "the skipped product dropped its role's kept store";
 }
 
 TEST(SpgemmKernels, GustavsonMatchesReference) {

@@ -79,11 +79,6 @@ TEST(ThreadPool, SizeReportsWorkerCount) {
   EXPECT_EQ(pool.size(), 3u);
 }
 
-TEST(ThreadPool, GlobalPoolSingleton) {
-  EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
-  EXPECT_GE(ThreadPool::global().size(), 1u);
-}
-
 TEST(ThreadPool, LargeRangeSum) {
   ThreadPool pool(4);
   std::atomic<std::int64_t> sum{0};

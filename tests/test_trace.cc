@@ -254,7 +254,7 @@ TEST_F(TracedServiceTest, FaultedDrainExportsConsistentPerfettoTrace) {
 
   constexpr std::size_t kRequests = 32;
   for (std::size_t i = 0; i < kRequests; ++i) {
-    service.submit({&mat(i), nullptr, {}, "q" + std::to_string(i)});
+    service.submit({&mat(i), nullptr, 0, 0, "q" + std::to_string(i)});
   }
   const BatchResult batch = service.drain();
   const BatchReport& b = batch.batch;
@@ -354,7 +354,7 @@ TEST_F(TracedServiceTest, DeadlineCancellationsAreTraced) {
   SpgemmService::Config cfg;
   cfg.trace = &rec;
   SpgemmService service(plat_, pool_, cfg);
-  SpgemmRequest doomed{&wiki_, nullptr, {}, "doomed"};
+  SpgemmRequest doomed{&wiki_, nullptr, 0, 0, "doomed"};
   doomed.deadline_s = 1e-12;  // nothing can finish in a picosecond
   service.submit(doomed);
   const BatchResult batch = service.drain();
@@ -388,7 +388,7 @@ TEST_F(TracedServiceTest, DisabledRecorderStaysEmptyAndOutputMatches) {
     std::vector<BatchResult> out;
     for (SpgemmService* s : {&plain, &untraced, &traced}) {
       for (std::size_t i = 0; i < 6; ++i) {
-        s->submit({&mat(i), nullptr, {}, "d" + std::to_string(drain)});
+        s->submit({&mat(i), nullptr, 0, 0, "d" + std::to_string(drain)});
       }
       out.push_back(s->drain());
     }
@@ -419,7 +419,7 @@ TEST_F(TracedServiceTest, DisabledRecorderStaysEmptyAndOutputMatches) {
 TEST_F(TracedServiceTest, LabelsAreJsonEscaped) {
   const std::string label = "q\"\\x";  // q"\x
   SpgemmService service(plat_, pool_);
-  service.submit({&wiki_, nullptr, {}, label});
+  service.submit({&wiki_, nullptr, 0, 0, label});
   const BatchResult batch = service.drain();
   const std::string request_json = batch.requests.front().to_json();
   const std::string batch_json = batch.batch.to_json();
@@ -453,7 +453,7 @@ TEST_F(TracedServiceTest, ShardedGroupExportsPerShardTracks) {
 
   constexpr std::size_t kRequests = 12;
   for (std::size_t i = 0; i < kRequests; ++i) {
-    group.submit({&mat(i), nullptr, {}, "g" + std::to_string(i)});
+    group.submit({&mat(i), nullptr, 0, 0, "g" + std::to_string(i)});
   }
   const GroupResult gr = group.drain();
   ASSERT_EQ(gr.group.requests, kRequests);

@@ -365,8 +365,8 @@ TEST(ServiceTuning, PinnedThresholdsBypassTheTuner) {
   for (int i = 0; i < 8; ++i) {
     SpgemmRequest req;
     req.a = &m;
-    req.options.threshold_a = 5;  // caller's explicit choice
-    req.options.threshold_b = 5;
+    req.threshold_a = 5;  // caller's explicit choice
+    req.threshold_b = 5;
     service.submit(std::move(req));
   }
   service.drain();

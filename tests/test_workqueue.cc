@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "sched/chunk.hpp"
+#include <array>
+#include <numeric>
+
+#include "core/baselines.hpp"
 #include "sparse/partition.hpp"
 #include "spgemm/gustavson.hpp"
 #include "test_util.hpp"
@@ -11,22 +14,38 @@
 namespace hh {
 namespace {
 
+std::vector<index_t> all_rows(const CsrMatrix& m) {
+  std::vector<index_t> rows(static_cast<std::size_t>(m.rows));
+  std::iota(rows.begin(), rows.end(), index_t{0});
+  return rows;
+}
+
+// The HH-CPU queue at t: A_L×B_H at the CPU end, A_H×B_L at the GPU end.
+std::array<QueuePart, 2> two_part_queue(const RowPartition& p) {
+  return {QueuePart{{p.low_rows, p.is_high, true}, 100.0, true},
+          QueuePart{{p.high_rows, p.is_high, false}, 1e9, false}};
+}
+
 class WorkQueueTest : public testing::Test {
  protected:
-  WorkQueueTest() : a_(test::random_csr(200, 200, 0.05, 71)), pool_(2) {}
+  WorkQueueTest()
+      : a_(test::random_csr(200, 200, 0.05, 71)),
+        rows_(all_rows(a_)),
+        natural_{QueuePart{{rows_, {}, true}, 0.0, false}},
+        pool_(2) {}
   CsrMatrix a_;
+  std::vector<index_t> rows_;
+  QueuePart natural_[1];  // every row of A in natural order, all of B
   HeteroPlatform plat_;
   ThreadPool pool_;
 };
 
 TEST_F(WorkQueueTest, ProcessesEveryRowExactlyOnce) {
-  const auto entries = natural_order_entries(a_);
-  const MaskSpec masks[1] = {{{}, true, 0.0, false}};
   WorkQueueConfig cfg;
   cfg.cpu_rows = 16;
   cfg.gpu_rows = 64;
   const WorkQueueResult r =
-      run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool_);
+      run_workqueue(a_, a_, natural_, cfg, 0, 0, plat_, pool_);
   EXPECT_EQ(r.cpu_stats.rows + r.gpu_stats.rows, a_.rows);
   r.tuples.validate(true);
   const CsrMatrix want = gustavson_spgemm(a_, a_);
@@ -35,13 +54,11 @@ TEST_F(WorkQueueTest, ProcessesEveryRowExactlyOnce) {
 }
 
 TEST_F(WorkQueueTest, BothDevicesParticipate) {
-  const auto entries = natural_order_entries(a_);
-  const MaskSpec masks[1] = {{{}, true, 0.0, false}};
   WorkQueueConfig cfg;
   cfg.cpu_rows = 16;
   cfg.gpu_rows = 16;
   const WorkQueueResult r =
-      run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool_);
+      run_workqueue(a_, a_, natural_, cfg, 0, 0, plat_, pool_);
   EXPECT_GT(r.cpu_units, 0);
   EXPECT_GT(r.gpu_units, 0);
   EXPECT_GT(r.cpu_busy, 0);
@@ -49,42 +66,36 @@ TEST_F(WorkQueueTest, BothDevicesParticipate) {
 }
 
 TEST_F(WorkQueueTest, LateDeviceGetsLessWork) {
-  const auto entries = natural_order_entries(a_);
-  const MaskSpec masks[1] = {{{}, true, 0.0, false}};
   WorkQueueConfig cfg;
   cfg.cpu_rows = 16;
   cfg.gpu_rows = 16;
   const WorkQueueResult balanced =
-      run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool_);
+      run_workqueue(a_, a_, natural_, cfg, 0, 0, plat_, pool_);
   const WorkQueueResult gpu_late =
-      run_workqueue(a_, a_, entries, masks, cfg, 0, 1.0, plat_, pool_);
+      run_workqueue(a_, a_, natural_, cfg, 0, 1.0, plat_, pool_);
   EXPECT_LT(gpu_late.gpu_units, balanced.gpu_units);
   EXPECT_GT(gpu_late.cpu_units, balanced.cpu_units);
 }
 
 TEST_F(WorkQueueTest, VeryLateGpuMeansCpuDoesEverything) {
-  const auto entries = natural_order_entries(a_);
-  const MaskSpec masks[1] = {{{}, true, 0.0, false}};
   WorkQueueConfig cfg;
   cfg.cpu_rows = 50;
   cfg.gpu_rows = 50;
   const WorkQueueResult r =
-      run_workqueue(a_, a_, entries, masks, cfg, 0, 1e9, plat_, pool_);
+      run_workqueue(a_, a_, natural_, cfg, 0, 1e9, plat_, pool_);
   EXPECT_EQ(r.gpu_units, 0);
   EXPECT_EQ(r.cpu_stats.rows, a_.rows);
 }
 
 TEST_F(WorkQueueTest, DeterministicAcrossPoolSizes) {
-  const auto entries = natural_order_entries(a_);
-  const MaskSpec masks[1] = {{{}, true, 0.0, false}};
   WorkQueueConfig cfg;
   cfg.cpu_rows = 10;
   cfg.gpu_rows = 30;
   ThreadPool pool1(1), pool4(4);
   const WorkQueueResult x =
-      run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool1);
+      run_workqueue(a_, a_, natural_, cfg, 0, 0, plat_, pool1);
   const WorkQueueResult y =
-      run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool4);
+      run_workqueue(a_, a_, natural_, cfg, 0, 0, plat_, pool4);
   EXPECT_EQ(x.cpu_units, y.cpu_units);
   EXPECT_DOUBLE_EQ(x.cpu_busy, y.cpu_busy);
   EXPECT_EQ(x.tuples.indptr, y.tuples.indptr);
@@ -92,49 +103,46 @@ TEST_F(WorkQueueTest, DeterministicAcrossPoolSizes) {
   EXPECT_EQ(x.tuples.values, y.tuples.values);
 }
 
-TEST_F(WorkQueueTest, TwoTagQueueUsesMasks) {
-  // Front half ×B_H, back half ×B_L: together they cover the full product
+TEST_F(WorkQueueTest, TwoPartQueueUsesMasks) {
+  // Front part ×B_H, back part ×B_L: together they cover the full product
   // restricted to the chosen rows.
   const RowPartition p = classify_rows(a_, 12);
-  std::vector<WorkEntry> entries;
-  append_entries(entries, p.low_rows, 0);
-  append_entries(entries, p.high_rows, 1);
-  const MaskSpec masks[2] = {{p.is_high, true, 100.0, true},
-                             {p.is_high, false, 1e9, false}};
+  const auto parts = two_part_queue(p);
   WorkQueueConfig cfg;
   cfg.cpu_rows = 20;
   cfg.gpu_rows = 40;
   const WorkQueueResult r =
-      run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool_);
+      run_workqueue(a_, a_, parts, cfg, 0, 0, plat_, pool_);
   EXPECT_EQ(r.cpu_stats.rows + r.gpu_stats.rows,
-            static_cast<std::int64_t>(entries.size()));
+            static_cast<std::int64_t>(p.low_rows.size() + p.high_rows.size()));
+  ProductStats hh, hl;
+  const CsrMatrix high = partial_product_runs(a_, a_, p.low_rows, p.is_high,
+                                              true, pool_, &hh);
+  const CsrMatrix low = partial_product_runs(a_, a_, p.high_rows, p.is_high,
+                                             false, pool_, &hl);
+  EXPECT_EQ(r.cpu_stats.flops + r.gpu_stats.flops, hh.flops + hl.flops);
+  EXPECT_EQ(r.tuples.nnz(), high.nnz() + low.nnz());
 }
 
 TEST_F(WorkQueueTest, ScheduleWithPrecomputedCostsMatchesRun) {
-  // The dequeue loop priced from per-row symbolic costs reproduces the
-  // executed queue's clocks, units and stats exactly, with no tuples.
+  // The dequeue loop priced in place from per-row symbolic costs, each part
+  // reading the table of its own B side, reproduces the executed queue's
+  // clocks, units and stats exactly, with no tuples.
   const RowPartition p = classify_rows(a_, 12);
-  std::vector<WorkEntry> entries;
-  append_entries(entries, p.low_rows, 0);
-  append_entries(entries, p.high_rows, 1);
-  const MaskSpec masks[2] = {{p.is_high, true, 100.0, true},
-                             {p.is_high, false, 1e9, false}};
+  const auto parts = two_part_queue(p);
   WorkQueueConfig cfg;
   cfg.cpu_rows = 7;
   cfg.gpu_rows = 30;
   const WorkQueueResult run =
-      run_workqueue(a_, a_, entries, masks, cfg, 0, 2e-5, plat_, pool_);
+      run_workqueue(a_, a_, parts, cfg, 0, 2e-5, plat_, pool_);
   const offset_t grid[] = {12};
   MaskedRowCosts costs;
   row_costs_on_grid(a_, a_, grid, pool_,
                     [&](std::size_t, const MaskedRowCosts& c) { costs = c; });
-  std::vector<ProductStats> table(entries.size());
-  for (std::size_t k = 0; k < entries.size(); ++k) {
-    table[k] = costs.by_mask[masks[entries[k].tag].b_mask_value]
-                            [static_cast<std::size_t>(entries[k].row)];
-  }
-  const WorkQueueResult dry = schedule_workqueue(entries, table, masks, cfg,
-                                                 a_.rows, 0, 2e-5, plat_);
+  const std::span<const ProductStats> tables[] = {costs.by_mask[true],
+                                                  costs.by_mask[false]};
+  const WorkQueueResult dry =
+      schedule_workqueue(parts, tables, cfg, a_.rows, 0, 2e-5, plat_);
   EXPECT_GT(run.cpu_units, 0);
   EXPECT_GT(run.gpu_units, 0);
   EXPECT_EQ(dry.cpu_units, run.cpu_units);
@@ -151,20 +159,16 @@ TEST_F(WorkQueueTest, ScheduleWithPrecomputedCostsMatchesRun) {
 
 TEST_F(WorkQueueTest, RunsDoNotDependOnTheSchedule) {
   // A GPU that joins at once takes units from the back; one that joins at
-  // 1e9 takes none. Every entry's run lands in its row's slot either way.
+  // 1e9 takes none. Every row's run lands in its row's slot either way.
   const RowPartition p = classify_rows(a_, 12);
-  std::vector<WorkEntry> entries;
-  append_entries(entries, p.low_rows, 0);
-  append_entries(entries, p.high_rows, 1);
-  const MaskSpec masks[2] = {{p.is_high, true, 100.0, true},
-                             {p.is_high, false, 1e9, false}};
+  const auto parts = two_part_queue(p);
   WorkQueueConfig cfg;
   cfg.cpu_rows = 7;
   cfg.gpu_rows = 30;
   const WorkQueueResult shared =
-      run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool_);
+      run_workqueue(a_, a_, parts, cfg, 0, 0, plat_, pool_);
   const WorkQueueResult cpu_only =
-      run_workqueue(a_, a_, entries, masks, cfg, 0, 1e9, plat_, pool_);
+      run_workqueue(a_, a_, parts, cfg, 0, 1e9, plat_, pool_);
   ASSERT_GT(shared.gpu_units, 0);
   ASSERT_EQ(cpu_only.gpu_units, 0);
   ASSERT_GT(shared.tuples.nnz(), 0);
@@ -173,52 +177,88 @@ TEST_F(WorkQueueTest, RunsDoNotDependOnTheSchedule) {
   EXPECT_EQ(shared.tuples.values, cpu_only.tuples.values);
 }
 
-TEST_F(WorkQueueTest, EmptyQueueReturnsImmediately) {
-  const MaskSpec masks[1] = {{{}, true, 0.0, false}};
+TEST_F(WorkQueueTest, StraddlingUnitIsPricedWithFlopsWeightedShape) {
+  // One CPU unit takes both parts whole: its stats are the two products'
+  // sum, its working set their flops-weighted mean, and it is blockable
+  // when at least half its flops are.
+  const RowPartition p = classify_rows(a_, 12);
+  const auto parts = two_part_queue(p);
   WorkQueueConfig cfg;
+  cfg.cpu_rows = a_.rows;
   const WorkQueueResult r =
-      run_workqueue(a_, a_, {}, masks, cfg, 3.0, 5.0, plat_, pool_);
-  EXPECT_EQ(r.cpu_units + r.gpu_units, 0);
-  EXPECT_DOUBLE_EQ(r.end_time(), 5.0);
+      run_workqueue(a_, a_, parts, cfg, 0, 1e9, plat_, pool_);
+  ASSERT_EQ(r.cpu_units, 1);
+  ProductStats front, back;
+  partial_product_runs(a_, a_, p.low_rows, p.is_high, true, pool_, &front);
+  partial_product_runs(a_, a_, p.high_rows, p.is_high, false, pool_, &back);
+  ASSERT_GT(front.flops, 0);
+  ASSERT_GT(back.flops, 0);
+  ProductStats both = front;
+  both.accumulate(back);
+  const auto f0 = static_cast<double>(front.flops);
+  const auto f1 = static_cast<double>(back.flops);
+  const double ws = (f0 * 100.0 + f1 * 1e9) / (f0 + f1);
+  EXPECT_EQ(r.cpu_busy,
+            plat_.cpu().kernel_time(both, ws, true, f0 >= 0.5 * (f0 + f1)) +
+                2e-7);
+  EXPECT_EQ(r.cpu_stats.flops, both.flops);
 }
 
-TEST_F(WorkQueueTest, RejectsBadTag) {
-  const std::vector<WorkEntry> entries{{0, 3}};
-  const MaskSpec masks[1] = {{{}, true, 0.0, false}};
+TEST_F(WorkQueueTest, EmptyQueueReturnsImmediately) {
   WorkQueueConfig cfg;
-  EXPECT_THROW(run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool_),
-               CheckError);
-}
-
-TEST_F(WorkQueueTest, RejectsOutOfRangeRow) {
-  const MaskSpec masks[1] = {{{}, true, 0.0, false}};
-  const std::vector<ProductStats> table(2);
-  WorkQueueConfig cfg;
-  for (const index_t bad : {a_.rows, index_t{-1}}) {
-    const std::vector<WorkEntry> entries{{3, 0}, {bad, 0}};
-    EXPECT_THROW(
-        run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool_),
-        CheckError)
-        << bad;
-    EXPECT_THROW(schedule_workqueue(entries, table, masks, cfg, a_.rows, 0, 0,
-                                    plat_),
-                 CheckError)
-        << bad;
+  const QueuePart empty[] = {{{{}, {}, true}, 0.0, false}};
+  for (const std::span<const QueuePart> parts :
+       {std::span<const QueuePart>{}, std::span<const QueuePart>(empty)}) {
+    const WorkQueueResult r =
+        run_workqueue(a_, a_, parts, cfg, 3.0, 5.0, plat_, pool_);
+    EXPECT_EQ(r.cpu_units + r.gpu_units, 0);
+    EXPECT_DOUBLE_EQ(r.end_time(), 5.0);
+    EXPECT_EQ(r.tuples.nnz(), 0);
   }
 }
 
-TEST_F(WorkQueueTest, RejectsRepeatedRow) {
-  // Row 5 once per tag: each run would claim the same slot of the store.
-  const RowPartition p = classify_rows(a_, 12);
-  const std::vector<WorkEntry> entries{{1, 0}, {5, 0}, {9, 1}, {5, 1}};
-  const MaskSpec masks[2] = {{p.is_high, true, 100.0, true},
-                             {p.is_high, false, 1e9, false}};
+TEST_F(WorkQueueTest, RejectsOutOfRangeRow) {
+  const std::vector<ProductStats> table(static_cast<std::size_t>(a_.rows));
+  const std::span<const ProductStats> tables[] = {table};
   WorkQueueConfig cfg;
-  EXPECT_THROW(run_workqueue(a_, a_, entries, masks, cfg, 0, 0, plat_, pool_),
-               CheckError);
-  const std::vector<WorkEntry> once{{1, 0}, {5, 0}, {9, 1}};
+  for (const index_t bad : {a_.rows, index_t{-1}}) {
+    const index_t rows[] = {3, bad};
+    const QueuePart parts[] = {{{rows, {}, true}, 0.0, false}};
+    EXPECT_THROW(run_workqueue(a_, a_, parts, cfg, 0, 0, plat_, pool_),
+                 CheckError)
+        << bad;
+    EXPECT_THROW(
+        schedule_workqueue(parts, tables, cfg, a_.rows, 0, 0, plat_),
+        CheckError)
+        << bad;
+  }
+  // Every part needs a table over all of A's rows.
+  const index_t rows[] = {3};
+  const QueuePart parts[] = {{{rows, {}, true}, 0.0, false}};
+  const std::span<const ProductStats> short_tables[] = {
+      std::span(table).first(table.size() - 1)};
+  EXPECT_THROW(
+      schedule_workqueue(parts, short_tables, cfg, a_.rows, 0, 0, plat_),
+      CheckError);
+}
+
+TEST_F(WorkQueueTest, RejectsRepeatedRow) {
+  // Row 5 in both parts: each run would claim the same slot of the store.
+  const RowPartition p = classify_rows(a_, 12);
+  const index_t front[] = {1, 5};
+  const index_t twice[] = {9, 5};
+  const index_t once[] = {9};
+  const auto queue = [&](std::span<const index_t> back) {
+    return std::array<QueuePart, 2>{
+        QueuePart{{front, p.is_high, true}, 100.0, true},
+        QueuePart{{back, p.is_high, false}, 1e9, false}};
+  };
+  WorkQueueConfig cfg;
+  EXPECT_THROW(
+      run_workqueue(a_, a_, queue(twice), cfg, 0, 0, plat_, pool_),
+      CheckError);
   EXPECT_NO_THROW(
-      run_workqueue(a_, a_, once, masks, cfg, 0, 0, plat_, pool_));
+      run_workqueue(a_, a_, queue(once), cfg, 0, 0, plat_, pool_));
 }
 
 TEST(WorkQueueConfigTest, AutoScalesWithInstance) {
@@ -258,23 +298,27 @@ TEST(WorkQueueConfigTest, TinyMatrixQueueRunsToCompletion) {
   // End-to-end on a 7-row instance: auto unit sizes must not starve either
   // end or drop rows.
   const CsrMatrix m = test::random_csr(7, 7, 0.4, 33);
-  const auto entries = natural_order_entries(m);
-  const MaskSpec masks[1] = {{{}, true, 0.0, false}};
+  const std::vector<index_t> rows = all_rows(m);
+  const QueuePart parts[] = {{{rows, {}, true}, 0.0, false}};
   HeteroPlatform plat;
   ThreadPool pool(2);
-  const WorkQueueResult r = run_workqueue(m, m, entries, masks,
-                                          WorkQueueConfig{}, 0, 0, plat, pool);
+  const WorkQueueResult r =
+      run_workqueue(m, m, parts, WorkQueueConfig{}, 0, 0, plat, pool);
   EXPECT_EQ(r.cpu_stats.rows + r.gpu_stats.rows, m.rows);
   const CsrMatrix want = gustavson_spgemm(m, m);
   std::string why;
   EXPECT_TRUE(approx_equal(want, r.tuples, 1e-12, &why)) << why;
 }
 
-TEST(SortedEntries, DensestFirst) {
+TEST(SortedWorkqueue, DensestFirst) {
   const CsrMatrix m = test::random_csr(50, 50, 0.2, 81);
-  const auto entries = sorted_by_density_entries(m);
-  for (std::size_t i = 1; i < entries.size(); ++i) {
-    EXPECT_GE(m.row_nnz(entries[i - 1].row), m.row_nnz(entries[i].row));
+  const std::vector<index_t> rows = densest_first_rows(m);
+  ASSERT_EQ(rows.size(), static_cast<std::size_t>(m.rows));
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_GE(m.row_nnz(rows[i - 1]), m.row_nnz(rows[i]));
+    if (m.row_nnz(rows[i - 1]) == m.row_nnz(rows[i])) {
+      EXPECT_LT(rows[i - 1], rows[i]) << "ties keep natural order";
+    }
   }
 }
 
