@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
-#include "primitives/tuple_merge.hpp"
 #include "sched/static_partition.hpp"
 #include "spgemm/spgemm.hpp"
-#include "util/check.hpp"
 
 namespace hh {
 namespace {
@@ -17,21 +16,25 @@ std::vector<index_t> iota_rows(index_t n) {
   return rows;
 }
 
-// C from a single run store, through the Phase IV merge.
-CsrMatrix merge_one_store(const CsrMatrix& runs, ThreadPool& pool,
-                          MergeStats* stats) {
-  const CsrMatrix* parts[] = {&runs};
-  return merge_row_runs(parts, pool, stats);
+// C is an unmasked product's run store itself: every row holds its one run,
+// already ascending, so Phase IV's merge would copy it. The clock still
+// charges a merge of its tuples where the algorithm has one.
+void take_output(RunResult& res, CsrMatrix runs) {
+  res.c = std::move(runs);
+  res.report.merge.tuples_in = res.c.nnz();
+  res.report.merge.tuples_out = res.c.nnz();
+  res.report.output_nnz = res.c.nnz();
 }
 
 // §V-C: one queue over `rows` of A against all of B, CPU from the front
-// and GPU from the back, merged through Phase IV.
+// and GPU from the back; C is the queue's run store.
 RunResult run_baseline_workqueue(const char* name, const CsrMatrix& a,
                                  const CsrMatrix& b,
                                  std::span<const index_t> rows,
                                  const WorkQueueConfig& cfg,
                                  const HeteroPlatform& platform,
                                  ThreadPool& pool) {
+  check_operands(a, b);
   const double transfer_in = platform.link().h2d().operands_transfer_time(a, b);
   const QueuePart parts[] = {{{rows, {}, true},
                               12.0 * static_cast<double>(b.nnz())}};
@@ -51,9 +54,8 @@ RunResult run_baseline_workqueue(const char* name, const CsrMatrix& a,
 
   rep.transfer_out_s =
       platform.link().d2h().tuple_transfer_time(queue.gpu_stats.tuples);
-  res.c = merge_one_store(queue.tuples, pool, &rep.merge);
+  take_output(res, std::move(queue.tuples));
   rep.phase4_s = platform.cpu().merge_time(rep.merge.tuples_in);
-  rep.output_nnz = res.c.nnz();
   rep.total_s = queue.end_time() + rep.transfer_out_s + rep.phase4_s;
   return res;
 }
@@ -62,7 +64,7 @@ RunResult run_baseline_workqueue(const char* name, const CsrMatrix& a,
 
 RunResult run_hipc2012(const CsrMatrix& a, const CsrMatrix& b,
                        const HeteroPlatform& platform, ThreadPool& pool) {
-  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
+  check_operands(a, b);
   RunResult res;
   RunReport& rep = res.report;
   rep.algorithm = "HiPC2012";
@@ -71,18 +73,16 @@ RunResult run_hipc2012(const CsrMatrix& a, const CsrMatrix& b,
   const double transfer_in = platform.link().h2d().operands_transfer_time(a, b);
   rep.transfer_in_s = transfer_in;
 
-  std::vector<index_t> all = iota_rows(a.rows);
-  const std::span<const index_t> cpu_rows(all.data(),
-                                          static_cast<std::size_t>(split.split_row));
-  const std::span<const index_t> gpu_rows(
-      all.data() + split.split_row,
-      static_cast<std::size_t>(a.rows - split.split_row));
-
+  // One product over all rows; each device's stats are the sum over its
+  // block of the per-row table.
+  std::vector<ProductStats> row_stats(static_cast<std::size_t>(a.rows));
+  CsrMatrix runs = partial_product_runs(a, b, iota_rows(a.rows), {}, true,
+                                        pool, nullptr, nullptr, row_stats);
   ProductStats cpu_stats, gpu_stats;
-  const CsrMatrix cpu_runs =
-      partial_product_runs(a, b, cpu_rows, {}, true, pool, &cpu_stats);
-  const CsrMatrix gpu_runs =
-      partial_product_runs(a, b, gpu_rows, {}, true, pool, &gpu_stats);
+  for (index_t i = 0; i < a.rows; ++i) {
+    (i < split.split_row ? cpu_stats : gpu_stats)
+        .accumulate(row_stats[static_cast<std::size_t>(i)]);
+  }
 
   const double ws_full = 12.0 * static_cast<double>(b.nnz());
   const double t_cpu = platform.cpu().kernel_time(cpu_stats, ws_full, true);
@@ -93,13 +93,11 @@ RunResult run_hipc2012(const CsrMatrix& a, const CsrMatrix& b,
   rep.flops = cpu_stats.flops + gpu_stats.flops;
 
   // Devices own disjoint row blocks, so "merging ... is straight-forward"
-  // (paper §III-D); still, GPU tuples cross PCIe and both blocks are
-  // assembled into one CSR.
+  // (paper §III-D); still, GPU tuples cross PCIe and the clock charges
+  // assembling both blocks into one CSR.
   rep.transfer_out_s = platform.link().d2h().tuple_transfer_time(gpu_stats.tuples);
-  const CsrMatrix* parts[] = {&cpu_runs, &gpu_runs};
-  res.c = merge_row_runs(parts, pool, &rep.merge);
+  take_output(res, std::move(runs));
   rep.phase4_s = platform.cpu().merge_time(rep.merge.tuples_in);
-  rep.output_nnz = res.c.nnz();
   rep.total_s = HeteroPlatform::overlap(t_cpu, t_gpu) + rep.transfer_out_s +
                 rep.phase4_s;
   return res;
@@ -131,19 +129,17 @@ RunResult run_sorted_workqueue(const CsrMatrix& a, const CsrMatrix& b,
 
 RunResult run_cpu_only_mkl(const CsrMatrix& a, const CsrMatrix& b,
                            const HeteroPlatform& platform, ThreadPool& pool) {
+  check_operands(a, b);
   RunResult res;
   RunReport& rep = res.report;
   rep.algorithm = "MKL (CPU only)";
-  const std::vector<index_t> rows = iota_rows(a.rows);
   ProductStats stats;
-  const CsrMatrix runs =
-      partial_product_runs(a, b, rows, {}, true, pool, &stats);
+  take_output(res, partial_product_runs(a, b, iota_rows(a.rows), {}, true,
+                                        pool, &stats));
   const double ws_full = 12.0 * static_cast<double>(b.nnz());
   rep.phase2_cpu_s = platform.cpu().library_time(stats, ws_full);
   rep.phase2_s = rep.phase2_cpu_s;
   rep.flops = stats.flops;
-  res.c = merge_one_store(runs, pool, &rep.merge);
-  rep.output_nnz = res.c.nnz();
   rep.total_s = rep.phase2_s;  // MKL builds CSR in place: no merge phase
   return res;
 }
@@ -151,21 +147,19 @@ RunResult run_cpu_only_mkl(const CsrMatrix& a, const CsrMatrix& b,
 RunResult run_gpu_only_cusparse(const CsrMatrix& a, const CsrMatrix& b,
                                 const HeteroPlatform& platform,
                                 ThreadPool& pool) {
+  check_operands(a, b);
   RunResult res;
   RunReport& rep = res.report;
   rep.algorithm = "cuSPARSE (GPU only)";
   rep.transfer_in_s = platform.link().h2d().operands_transfer_time(a, b);
-  const std::vector<index_t> rows = iota_rows(a.rows);
   ProductStats stats;
-  const CsrMatrix runs =
-      partial_product_runs(a, b, rows, {}, true, pool, &stats);
+  take_output(res, partial_product_runs(a, b, iota_rows(a.rows), {}, true,
+                                        pool, &stats));
   rep.phase2_gpu_s = platform.gpu().generic_time(stats);
   rep.phase2_s = rep.phase2_gpu_s;
   rep.flops = stats.flops;
-  res.c = merge_one_store(runs, pool, &rep.merge);
   rep.transfer_out_s =
       platform.link().d2h().tuple_transfer_time(static_cast<std::int64_t>(res.c.nnz()));
-  rep.output_nnz = res.c.nnz();
   rep.total_s = rep.transfer_in_s + rep.phase2_s + rep.transfer_out_s;
   return res;
 }
@@ -173,20 +167,18 @@ RunResult run_gpu_only_cusparse(const CsrMatrix& a, const CsrMatrix& b,
 RunResult run_gpu_only_hipc_kernel(const CsrMatrix& a, const CsrMatrix& b,
                                    const HeteroPlatform& platform,
                                    ThreadPool& pool) {
+  check_operands(a, b);
   RunResult res;
   RunReport& rep = res.report;
   rep.algorithm = "HiPC2012 GPU kernel (GPU only)";
   rep.transfer_in_s = platform.link().h2d().operands_transfer_time(a, b);
-  const std::vector<index_t> rows = iota_rows(a.rows);
   ProductStats stats;
-  const CsrMatrix runs =
-      partial_product_runs(a, b, rows, {}, true, pool, &stats);
+  take_output(res, partial_product_runs(a, b, iota_rows(a.rows), {}, true,
+                                        pool, &stats));
   rep.phase2_gpu_s = platform.gpu().kernel_time(stats);
   rep.phase2_s = rep.phase2_gpu_s;
   rep.flops = stats.flops;
-  res.c = merge_one_store(runs, pool, &rep.merge);
   rep.transfer_out_s = platform.link().d2h().tuple_transfer_time(stats.tuples);
-  rep.output_nnz = res.c.nnz();
   rep.total_s = rep.transfer_in_s + rep.phase2_s + rep.transfer_out_s +
                 platform.cpu().merge_time(rep.merge.tuples_in);
   return res;

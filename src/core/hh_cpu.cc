@@ -1,9 +1,7 @@
 #include "core/hh_cpu.hpp"
 
-#include <utility>
-
 #include "core/hh_stages.hpp"
-#include "util/check.hpp"
+#include "spgemm/spgemm.hpp"
 
 namespace hh {
 namespace {
@@ -30,12 +28,17 @@ QueueStart queue_start(const PartitionPlan& plan, double transfer_in_s,
 }
 
 // The serial accounting (phases back-to-back, transfers bracketing the
-// compute) from the stage results. The real run and the dry run both fill
-// their report here, so the two agree by construction. Every field but the
-// output size is set: that takes the merge, or its symbolic count.
-RunReport hh_cpu_report(const PartitionPlan& plan, double transfer_in_s,
-                        const Phase2Result& p2, const WorkQueueResult& queue,
-                        const HeteroPlatform& platform) {
+// compute) of `plan` from the row costs at its B threshold: Phases II and
+// III priced from the costs in place, Phase IV from their tuple counts and
+// the output size. run_hh_cpu, cost_hh_cpu and cost_hh_cpu_grid all build
+// their report here.
+RunReport cost_report(const PartitionPlan& plan, const MaskedRowCosts& costs,
+                      double transfer_in_s, const HhCpuOptions& options,
+                      const HeteroPlatform& platform) {
+  const Phase2Result p2 = cost_phase2(plan, costs, platform);
+  const QueueStart at = queue_start(plan, transfer_in_s, p2);
+  const WorkQueueResult queue = cost_phase3(plan, costs, options.queue,
+                                            at.cpu_s, at.gpu_s, platform);
   RunReport rep;
   rep.algorithm = "HH-CPU";
   rep.phase1_s = plan.phase1_s;
@@ -64,70 +67,47 @@ RunReport hh_cpu_report(const PartitionPlan& plan, double transfer_in_s,
               queue.gpu_stats.flops;
   rep.merge.tuples_in = p2.hh_stats.tuples + p2.ll_stats.tuples +
                         queue.cpu_stats.tuples + queue.gpu_stats.tuples;
+  rep.merge.tuples_out = costs.output_nnz;
+  rep.output_nnz = costs.output_nnz;
   rep.phase4_s = platform.cpu().merge_time(rep.merge.tuples_in);
   rep.total_s = queue.end_time() + rep.transfer_out_s + rep.phase4_s;
   return rep;
 }
 
-// The dry run's report for `plan` from the row costs at its B threshold.
-RunReport cost_report(const PartitionPlan& plan, const MaskedRowCosts& costs,
-                      double transfer_in_s, const HhCpuOptions& options,
-                      const HeteroPlatform& platform) {
-  const Phase2Result p2 = cost_phase2(plan, costs, platform);
-  const QueueStart at = queue_start(plan, transfer_in_s, p2);
-  const WorkQueueResult queue = cost_phase3(plan, costs, options.queue,
-                                            at.cpu_s, at.gpu_s, platform);
-  RunReport rep = hh_cpu_report(plan, transfer_in_s, p2, queue, platform);
-  rep.merge.tuples_out = costs.output_nnz;
-  rep.output_nnz = costs.output_nnz;
-  return rep;
-}
-
 }  // namespace
 
-// The serial driver. The stage bodies live in core/hh_stages.cc so the
-// pipelined runtime (src/runtime/) can schedule the identical work on
-// per-resource timelines.
+// The serial driver: the dry run's pricing plus one numeric pass into C.
+// The pipelined runtime (src/runtime/) prices the same stages
+// (core/hh_stages.hpp) on per-resource timelines and writes C with the
+// same pass.
 RunResult run_hh_cpu(const CsrMatrix& a, const CsrMatrix& b,
                      const HhCpuOptions& options,
                      const HeteroPlatform& platform, ThreadPool& pool) {
-  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
+  check_operands(a, b);
   const PartitionPlan plan = make_partition_plan(
       a, b, options.threshold_a, options.threshold_b, platform);
-  const double transfer_in = input_transfer_s(a, b, options, platform);
-  Phase2Result p2 =
-      run_phase2(a, b, plan, platform, pool, options.workspace);
-  const QueueStart at = queue_start(plan, transfer_in, p2);
-  WorkQueueResult queue =
-      run_phase3(a, b, plan, options.queue, at.cpu_s, at.gpu_s, platform,
-                 pool, options.workspace);
-
   RunResult res;
-  res.report = hh_cpu_report(plan, transfer_in, p2, queue, platform);
-  MergeResult merged = run_phase4(std::move(p2), std::move(queue), platform,
-                                  pool, options.workspace);
-  HH_CHECK(merged.merge.tuples_in == res.report.merge.tuples_in);
-  res.report.merge.tuples_out = merged.merge.tuples_out;
-  res.report.output_nnz = merged.c.nnz();
-  res.c = std::move(merged.c);
+  res.c = CsrMatrix(a.rows, b.cols);
+  // The row costs are freed once priced; C's row sizes stay in its indptr.
+  res.report = cost_report(plan,
+                           row_costs_at(a, b, plan.b.threshold, pool,
+                                        std::span(res.c.indptr).subspan(1)),
+                           input_transfer_s(a, b, options, platform), options,
+                           platform);
+  numeric_in_halves(a, b, plan.a.is_high, plan.b.is_high, res.c, pool,
+                    options.workspace);
   return res;
 }
 
 RunReport cost_hh_cpu(const CsrMatrix& a, const CsrMatrix& b,
                       const HhCpuOptions& options,
                       const HeteroPlatform& platform, ThreadPool& pool) {
-  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
+  check_operands(a, b);
   const PartitionPlan plan = make_partition_plan(
       a, b, options.threshold_a, options.threshold_b, platform);
-  const double transfer_in = input_transfer_s(a, b, options, platform);
-  const offset_t grid[] = {plan.b.threshold};
-  RunReport rep;
-  row_costs_on_grid(a, b, grid, pool,
-                    [&](std::size_t, const MaskedRowCosts& costs) {
-                      rep = cost_report(plan, costs, transfer_in, options,
-                                        platform);
-                    });
-  return rep;
+  return cost_report(plan, row_costs_at(a, b, plan.b.threshold, pool),
+                     input_transfer_s(a, b, options, platform), options,
+                     platform);
 }
 
 std::vector<RunReport> cost_hh_cpu_grid(const CsrMatrix& a, const CsrMatrix& b,
@@ -135,7 +115,7 @@ std::vector<RunReport> cost_hh_cpu_grid(const CsrMatrix& a, const CsrMatrix& b,
                                         const HhCpuOptions& options,
                                         const HeteroPlatform& platform,
                                         ThreadPool& pool) {
-  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
+  check_operands(a, b);
   const double transfer_in = input_transfer_s(a, b, options, platform);
   std::vector<RunReport> reports;
   reports.reserve(grid.size());

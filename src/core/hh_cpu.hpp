@@ -9,11 +9,13 @@
 //   Phase IV   merge all ⟨r,c,v⟩ tuples into the final CSR; GPU partials
 //              are shipped back over PCIe
 //
-// Numeric work executes on the host; time is charged on the simulated
-// platform (DESIGN.md §1). The returned matrix is exact. cost_hh_cpu() is
-// the same run priced from a symbolic pass alone, for callers that only
-// read the report, and cost_hh_cpu_grid() prices a whole threshold sweep
-// from one such pass.
+// Time is charged on the simulated platform (DESIGN.md §1) from one
+// symbolic pass that prices the four products per row, never storing them.
+// cost_hh_cpu() is that pricing alone, and cost_hh_cpu_grid() prices a
+// whole threshold sweep from one such pass. run_hh_cpu() adds one numeric
+// pass writing C, bit-identical to merging the products' tuples in phase
+// order and within 1e-9 of multiply(kGustavson), which sums in A-entry
+// order.
 #pragma once
 
 #include <span>
@@ -38,21 +40,20 @@ struct HhCpuOptions {
 };
 
 /// Run Algorithm HH-CPU for C = A × B. When &a == &b (the paper multiplies
-/// each matrix with itself) the input is transferred once.
+/// each matrix with itself) the input is transferred once. Malformed
+/// operands throw CheckError (check_operands).
 RunResult run_hh_cpu(const CsrMatrix& a, const CsrMatrix& b,
                      const HhCpuOptions& options, const HeteroPlatform& platform,
                      ThreadPool& pool);
 
 /// Cost-only dry run: returns run_hh_cpu(a, b, options, platform,
 /// pool).report exactly — every field equal, every double bit for bit —
-/// without emitting a tuple or merging. One pool-parallel symbolic pass
-/// (row_costs_on_grid on the one-point grid {t_B}) yields each A row's stats
-/// against B_H and B_L and its distinct output columns; Phases II–IV are
-/// then replayed on the simulated clock through the same skip rules,
-/// dequeue loop and accounting as the real run. options.workspace is
-/// ignored: the pass allocates no SPA accumulator or run store. Costs
-/// about one symbolic pass per call, against a full product and merge for
-/// run_hh_cpu.
+/// as run_hh_cpu prices the same pass. One pool-parallel symbolic pass
+/// (row_costs_at t_B) yields each A row's stats against B_H and B_L and its
+/// distinct output columns; Phases II–IV are then priced through the skip
+/// rules, dequeue loop and accounting of core/hh_stages.hpp.
+/// options.workspace is ignored. Costs one symbolic pass per call, without
+/// run_hh_cpu's numeric pass.
 RunReport cost_hh_cpu(const CsrMatrix& a, const CsrMatrix& b,
                       const HhCpuOptions& options,
                       const HeteroPlatform& platform, ThreadPool& pool);

@@ -1,6 +1,5 @@
 #include "core/hh_stages.hpp"
 
-#include <utility>
 #include <vector>
 
 namespace hh {
@@ -63,14 +62,12 @@ Phase2Result run_phase2(const CsrMatrix& a, const CsrMatrix& b,
   r.hh_tuples = runs_hh(plan)
                     ? partial_product_runs(a, b, plan.a.high_rows,
                                            plan.b.is_high, true, pool,
-                                           &r.hh_stats, workspace, {},
-                                           RunStoreRole::kHh)
+                                           &r.hh_stats, workspace)
                     : CsrMatrix(a.rows, b.cols);
   r.ll_tuples = runs_ll(plan)
                     ? partial_product_runs(a, b, plan.a.low_rows,
                                            plan.b.is_high, false, pool,
-                                           &r.ll_stats, workspace, {},
-                                           RunStoreRole::kLl)
+                                           &r.ll_stats, workspace)
                     : CsrMatrix(a.rows, b.cols);
   price_phase2(r, plan, platform);
   return r;
@@ -110,21 +107,11 @@ WorkQueueResult cost_phase3(const PartitionPlan& plan,
 
 MergeResult run_phase4(Phase2Result&& p2, WorkQueueResult&& queue,
                        const HeteroPlatform& platform, ThreadPool& pool,
-                       WorkspacePool* workspace) {
+                       WorkspacePool* /*workspace*/) {
   MergeResult m;
   const CsrMatrix* parts[] = {&p2.hh_tuples, &p2.ll_tuples, &queue.tuples};
   m.c = merge_row_runs(parts, pool, &m.merge);
   m.cpu_s = platform.cpu().merge_time(m.merge.tuples_in);
-  const std::pair<RunStoreRole, CsrMatrix*> stores[] = {
-      {RunStoreRole::kHh, &p2.hh_tuples},
-      {RunStoreRole::kLl, &p2.ll_tuples},
-      {RunStoreRole::kQueue, &queue.tuples}};
-  for (const auto& [role, store] : stores) {
-    if (workspace != nullptr) {
-      workspace->release_run_store(role, std::move(*store));
-    }
-    *store = {};
-  }
   return m;
 }
 

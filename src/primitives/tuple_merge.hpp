@@ -1,8 +1,10 @@
 // Phase IV of Algorithm HH-CPU: combine the partial products into the final
 // CSR matrix (paper §III-D, Fig. 4). The simulated clock charges the paper's
-// sort plus mark/scan/reduce (CpuSim::merge_time); the host merges by row.
+// sort plus mark/scan/reduce (CpuSim::merge_time); numeric_in_halves
+// (spgemm/spgemm.hpp) writes C with this merge's bits on the host.
 //
-// merge_row_runs reads the run stores the partial-product kernel writes
+// Benchmark shim: merge_row_runs is run_phase4's merge (core/hh_stages.hpp).
+// It reads the run stores the partial-product kernel writes
 // (spgemm/spgemm.hpp): CsrMatrix parts of one shape, each row a strictly
 // ascending run of columns. Every output row takes at most kMaxRunsPerRow
 // non-empty runs (HH-CPU gives each A row one Phase II run and one Phase III

@@ -22,7 +22,7 @@ namespace hh {
 namespace {
 
 // A GPU "join time" no request can ever reach: passing it as the queue's
-// gpu_start makes run_phase3 assign every unit to the CPU end — the
+// gpu_start makes cost_phase3 assign every unit to the CPU end — the
 // CPU-only re-plan of a degraded request.
 constexpr double kGpuNeverJoins = 1e300;
 
@@ -252,13 +252,11 @@ void validate_spgemm_request(const SpgemmRequest& request) {
       os << side << " operand is empty (" << m.rows << "x" << m.cols << ")";
       throw InvalidArgumentError(os.str());
     }
-    // Cheap structural sanity (O(1)); full validate() is the caller's job.
-    if (m.indptr.size() != static_cast<std::size_t>(m.rows) + 1 ||
-        m.indptr.back() != static_cast<offset_t>(m.indices.size()) ||
-        m.indices.size() != m.values.size()) {
-      std::ostringstream os;
-      os << side << " operand has inconsistent CSR arrays";
-      throw InvalidArgumentError(os.str());
+    try {
+      m.validate(/*sorted=*/false);
+    } catch (const CheckError& e) {
+      throw InvalidArgumentError(std::string(side) +
+                                 " operand is malformed: " + e.what());
     }
   };
   check_operand(a, "A");
@@ -361,10 +359,13 @@ class SpgemmService::Drain {
     bool degraded = false;
     double degrade_at = 0;  // clock where the degrade decision landed
     double tx_gate = 0;     // operands usable on the device from here on
+    // Phases II–III: the row costs at the plan's B threshold, priced; C
+    // holds each row's size until the numeric pass writes it.
+    MaskedRowCosts costs;
+    CsrMatrix c;
     Phase2Result p2;
     WorkQueueResult q;
     bool q_ran = false;
-    MergeResult merged;
     bool have_output = false;
     StageSpan analyze{}, cpu2{}, gpu2{}, q_cpu{}, q_gpu{}, tx_out{}, deg{};
 
@@ -732,7 +733,7 @@ void SpgemmService::Drain::run_request(std::size_t i) {
   release_operands(r);
 
   RunResult res;
-  if (r.have_output) res.c = std::move(r.merged.c);
+  if (r.have_output) res.c = std::move(r.c);
   res.report = r.rr.run;
   out_.results.push_back(std::move(res));
   out_.requests.push_back(std::move(r.rr));
@@ -832,13 +833,16 @@ void SpgemmService::Drain::gate_uploads(Request& r) {
   r.rr.run.transfer_in_s = tx_in_total;
 }
 
-// Phase II numerics + scheduling. The numeric work always executes
-// host-side with the same decomposition, so retries and degradation cannot
-// change the output bits.
+// Phase II pricing + scheduling, from the request's one symbolic pass. The
+// numeric work (merge()) always executes host-side with the same
+// decomposition, so retries and degradation cannot change the output bits.
 void SpgemmService::Drain::phase2(Request& r) {
   if (r.cancelled) return;
   RunReport& rep = r.rr.run;
-  r.p2 = run_phase2(r.a, r.b, r.plan, platform_, s_.pool_, &s_.workspace_);
+  r.c = CsrMatrix(r.a.rows, r.b.cols);
+  r.costs = row_costs_at(r.a, r.b, r.plan.b.threshold, s_.pool_,
+                         std::span(r.c.indptr).subspan(1));
+  r.p2 = cost_phase2(r.plan, r.costs, platform_);
   rep.phase2_cpu_s = r.p2.cpu_s;
   rep.phase2_gpu_s = r.p2.gpu_s;
   rep.phase2_s = HeteroPlatform::overlap(r.p2.cpu_s, r.p2.gpu_s);
@@ -849,7 +853,7 @@ void SpgemmService::Drain::phase2(Request& r) {
   if (r.cancelled || r.degraded || r.p2.gpu_s <= 0) return;
   // The wave's first healthy Phase II launch is the lead and pays the
   // kernel-launch overhead; same-wave followers skip it (batched costing).
-  // rep.phase2_* stay the model times from run_phase2, so tuner feedback
+  // rep.phase2_* stay the model times from cost_phase2, so tuner feedback
   // does not depend on the wave shape.
   const double ready = std::max(r.analyze.end_s, r.tx_gate);
   const Retried t = attempt_with_retry(
@@ -870,7 +874,7 @@ void SpgemmService::Drain::phase2(Request& r) {
 // Phase III: the double-ended queue occupies both devices from their
 // current frontiers. A degraded request re-plans the queue with the GPU
 // never joining: every unit runs on the CPU end — the CPU-only Gustavson
-// path — and the tuple stream (hence the output) is unchanged.
+// path — and the products (hence the output) are unchanged.
 void SpgemmService::Drain::phase3(Request& r) {
   if (r.cancelled) return;
   RunReport& rep = r.rr.run;
@@ -880,8 +884,8 @@ void SpgemmService::Drain::phase3(Request& r) {
       r.degraded ? kGpuNeverJoins
                  : std::max({gpu_.now(), r.analyze.end_s, r.tx_gate,
                              r.gpu2.end_s});
-  r.q = run_phase3(r.a, r.b, r.plan, WorkQueueConfig{}, cpu_q_start,
-                   gpu_q_start, platform_, s_.pool_, &s_.workspace_);
+  r.q = cost_phase3(r.plan, r.costs, WorkQueueConfig{}, cpu_q_start,
+                    gpu_q_start, platform_);
   r.q_ran = true;
   rep.phase3_cpu_s = r.q.cpu_busy;
   rep.phase3_gpu_s = r.q.gpu_busy;
@@ -947,22 +951,28 @@ void SpgemmService::Drain::replan_degraded(Request& r) {
   r.check_deadline(r.deg.end_s);
 }
 
-// Phase IV merge. It runs whenever Phase III did, even for a request
-// already past its deadline, so that request still reports its merge.
+// Phase IV merge. It is priced whenever Phase III ran, even for a request
+// already past its deadline, so that request still reports its merge; C's
+// numeric pass runs only for a request that returns it.
 void SpgemmService::Drain::merge(Request& r) {
   RunReport& rep = r.rr.run;
   rep.flops = r.p2.hh_stats.flops + r.p2.ll_stats.flops +
               r.q.cpu_stats.flops + r.q.gpu_stats.flops;
   if (!r.q_ran) return;
-  r.merged = run_phase4(std::move(r.p2), std::move(r.q), platform_, s_.pool_,
-                        &s_.workspace_);
-  rep.merge = r.merged.merge;
-  rep.phase4_s = r.merged.cpu_s;
+  rep.merge.tuples_in = r.p2.hh_stats.tuples + r.p2.ll_stats.tuples +
+                        r.q.cpu_stats.tuples + r.q.gpu_stats.tuples;
+  rep.merge.tuples_out = r.costs.output_nnz;
+  rep.phase4_s = platform_.cpu().merge_time(rep.merge.tuples_in);
+  r.costs = {};  // priced; the numeric pass needs only C's row sizes
   if (r.cancelled) return;
   const double ready =
       std::max({r.q_cpu.end_s, r.tx_out.end_s, r.deg.end_s, r.cpu2.end_s});
-  cpu_stage(r, "merge", ready, r.merged.cpu_s);
+  cpu_stage(r, "merge", ready, rep.phase4_s);
   r.have_output = !r.cancelled;
+  if (r.have_output) {
+    numeric_in_halves(r.a, r.b, r.plan.a.is_high, r.plan.b.is_high, r.c,
+                      s_.pool_, &s_.workspace_);
+  }
 }
 
 // Request accounting: the request's spans and their envelope, status, and
@@ -999,7 +1009,7 @@ void SpgemmService::Drain::settle(Request& r) {
       s_.plan_cache_.quarantine(r.cache_key);
     }
   }
-  rep.output_nnz = r.have_output ? r.merged.c.nnz() : 0;
+  rep.output_nnz = r.have_output ? r.c.nnz() : 0;
   rep.total_s = rr.latency_s;
 
   makespan_ = std::max(makespan_, rr.finish_s);

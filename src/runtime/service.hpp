@@ -13,6 +13,8 @@
 // the wave uploads its distinct operands once, then each member request
 // plans (Phase I), waits on its uploads, runs Phase II and the Phase III
 // queue (shipping GPU tuples back, or degrading to the CPU), and merges.
+// Phases II–IV are priced from one symbolic pass per request, and a request
+// that returns output gets its C from one numeric pass.
 //
 // Each drain keeps one event log (trace/trace.hpp): Config::trace when it is
 // attached and enabled, else a recorder of the drain's own. The timelines
@@ -25,9 +27,8 @@
 //    — a hit skips threshold identification;
 //  - operand residency keyed by content (fault/checksum.hpp) — an operand
 //    already on the device is not re-shipped, whichever pointer submits it;
-//  - workspace pooling (spgemm/workspace.hpp) — SPA accumulators and the
-//    Phase II–III run stores are recycled instead of reallocated per
-//    request.
+//  - workspace pooling (spgemm/workspace.hpp) — the numeric pass's SPA
+//    accumulators are recycled instead of reallocated per request.
 //
 // Fault tolerance (docs/robustness.md): when Config::fault_plan injects
 // faults (fault/fault.hpp), the service recovers per request —
@@ -93,7 +94,9 @@ struct SpgemmRequest {
 /// The request validation SpgemmService::submit performs, as a free function
 /// so a fronting layer (the shard group, src/shard/) can reject malformed
 /// requests before routing instead of discovering the throw mid-failover.
-/// Throws InvalidArgumentError; returns normally on a well-formed request.
+/// Each operand is checked in full (validate(/*sorted=*/false), one O(nnz)
+/// walk). Throws InvalidArgumentError; returns normally on a well-formed
+/// request.
 void validate_spgemm_request(const SpgemmRequest& request);
 
 /// Per-request fault/recovery accounting.

@@ -138,8 +138,7 @@ WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
   for (const QueuePart& part : parts) products.push_back(part.product);
   std::vector<ProductStats> row_stats(static_cast<std::size_t>(a.rows));
   CsrMatrix tuples =
-      partial_product_runs(a, b, products, pool, nullptr, workspace, row_stats,
-                           RunStoreRole::kQueue);
+      partial_product_runs(a, b, products, pool, nullptr, workspace, row_stats);
   const std::vector<std::span<const ProductStats>> tables(
       parts.size(), std::span<const ProductStats>(row_stats));
   WorkQueueResult res = schedule_workqueue(parts, tables, cfg, a.rows,

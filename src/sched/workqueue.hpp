@@ -14,15 +14,15 @@
 // queue is simulated event-wise: whichever device's clock is earlier
 // dequeues next, and each unit's ProductStats, the sum of its rows' stats
 // read in place from per-row tables indexed by A row, are charged on the
-// owning device's model (schedule_workqueue). run_workqueue fills one table
-// by executing the parts on the host in one partial_product_runs call,
-// whose count pass charges each row's stats in that row's slot and whose
-// numeric pass writes each row's run into that row's slot of one run
-// store, whatever the schedule; cost_phase3 passes the symbolic per-row
-// costs instead. A queue holds each A row at most once, so every row has at
-// most one queue run. The kernel checks that (a repeated row would have two
-// workers write one slot), and both functions check that every row lies in
-// [0, a_rows).
+// owning device's model (schedule_workqueue). HH-CPU's cost_phase3 passes
+// the symbolic per-row costs in place. run_workqueue, which the two
+// workqueue baselines run, fills one table by executing the parts on the
+// host in one partial_product_runs call, whose count pass charges each
+// row's stats in that row's slot and whose numeric pass writes each row's
+// run into that row's slot of one run store, whatever the schedule. A
+// queue holds each A row at most once, so every row has at most one queue
+// run. The kernel checks that (a repeated row would have two workers write
+// one slot), and both functions check that every row lies in [0, a_rows).
 #pragma once
 
 #include <cstdint>
@@ -55,7 +55,7 @@ struct WorkQueueConfig {
 };
 
 struct WorkQueueResult {
-  CsrMatrix tuples;  // every queued row's run, in its A row's slot
+  CsrMatrix tuples;  // run_workqueue's runs, each in its A row's slot
   ProductStats cpu_stats;
   ProductStats gpu_stats;
   double cpu_busy = 0;  // time the CPU spent on queue units
@@ -93,7 +93,7 @@ WorkQueueResult schedule_workqueue(
 /// Unit sizes of 0 are resolved via resolve_queue_config(). Executes every
 /// part in one partial_product_runs call, whose per-row stats then price
 /// schedule_workqueue(). Deterministic. `workspace` optionally pools the
-/// kernel's accumulators and its run store (see spgemm/workspace.hpp).
+/// kernel's accumulators (see spgemm/workspace.hpp).
 WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
                               std::span<const QueuePart> parts,
                               const WorkQueueConfig& cfg, double cpu_start,

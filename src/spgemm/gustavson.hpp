@@ -1,8 +1,8 @@
 // Gustavson's row-row SpGEMM [Gustavson 1978] with a sparse accumulator
 // (SPA): the "MKL-like" tuned CPU kernel that Fig. 6's CPU-only baseline
 // models, one of the kernels multiply() dispatches, and the plain product
-// the examples cross-check against. The host-side products of HH-CPU and of
-// every baseline run on partial_product_runs (spgemm/spgemm.hpp).
+// the examples cross-check against. HH-CPU writes C with numeric_in_halves,
+// and every baseline runs on partial_product_runs (spgemm/spgemm.hpp).
 //
 // Two passes: exact_row_nnz (spgemm/symbolic.hpp) counts each row of C, the
 // counts are scanned into indptr, and a numeric pass writes each row's

@@ -7,8 +7,13 @@
 
 namespace hh {
 
-CsrMatrix row_column_spgemm(const CsrMatrix& a, const CsrMatrix& b) {
-  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
+CsrMatrix row_column_spgemm(const CsrMatrix& a_in, const CsrMatrix& b) {
+  HH_CHECK_MSG(a_in.cols == b.rows, "incompatible shapes for product");
+  // The dot products walk A's rows and B's columns as ascending lists:
+  // transpose() lists each column of B ascending, and A's rows are sorted
+  // in a copy (sort_rows leaves sorted rows as they are).
+  CsrMatrix a = a_in;
+  a.sort_rows();
   const CsrMatrix bt = transpose(b);  // row j of bt == column j of b
 
   CsrMatrix c(a.rows, b.cols);
@@ -32,20 +37,27 @@ CsrMatrix row_column_spgemm(const CsrMatrix& a, const CsrMatrix& b) {
     }
     std::sort(candidates.begin(), candidates.end());
     for (const index_t col : candidates) {
-      // Sorted-list dot product of A(i,:) with B(:,col) (= bt row col).
+      // Sorted-list dot product of A(i,:) with B(:,col) (= bt row col). A
+      // column j repeated on either side multiplies every A entry of it
+      // with every B entry of it, in entry order.
       value_t dot = 0;
       offset_t p = a.indptr[i], q = bt.indptr[col];
       const offset_t pe = a.indptr[i + 1], qe = bt.indptr[col + 1];
       while (p < pe && q < qe) {
         const index_t pa = a.indices[p], qb = bt.indices[q];
-        if (pa == qb) {
-          dot += a.values[p] * bt.values[q];
+        if (pa < qb) {
           ++p;
+        } else if (qb < pa) {
           ++q;
-        } else if (pa < qb) {
-          ++p;
         } else {
-          ++q;
+          offset_t q_end = q;
+          while (q_end < qe && bt.indices[q_end] == pa) ++q_end;
+          for (; p < pe && a.indices[p] == pa; ++p) {
+            for (offset_t l = q; l < q_end; ++l) {
+              dot += a.values[p] * bt.values[l];
+            }
+          }
+          q = q_end;
         }
       }
       c.indices.push_back(col);

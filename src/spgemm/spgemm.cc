@@ -38,8 +38,15 @@ std::string to_string(SpgemmKind kind) {
   return "unknown";
 }
 
+void check_operands(const CsrMatrix& a, const CsrMatrix& b) {
+  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
+  a.validate(/*sorted=*/false);
+  if (&b != &a) b.validate(/*sorted=*/false);
+}
+
 CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b, SpgemmKind kind,
                    ThreadPool& pool) {
+  check_operands(a, b);
   switch (kind) {
     case SpgemmKind::kGustavson:
       return gustavson_spgemm_parallel(a, b, pool);
@@ -125,29 +132,98 @@ std::int64_t count_row(const CsrMatrix& a, const CsrMatrix& b, index_t i,
   return tuples;
 }
 
-// Numeric pass for one row: SPA-accumulate row i's product and write its
-// run, columns ascending (by sort or by the workspace's bitmap), to (cols,
-// vals), which count_row sized.
-void fill_row(const CsrMatrix& a, const CsrMatrix& b, index_t i,
-              const MaskedRows& part, SpaWorkspace& ws, index_t* cols,
-              value_t* vals) {
-  const std::int64_t tag = ws.row_tag(i);
-  std::size_t n = 0;
+// The SPA inner loop of every numeric pass here: adds the products of row
+// i's A entries against part's view of B into acc. A column whose marker is
+// not yet `tag` takes it, starts from value_t{0} and is appended as
+// cols[n]; returns the row's column count so far.
+std::size_t accumulate_row(const CsrMatrix& a, const CsrMatrix& b, index_t i,
+                           const MaskedRows& part, std::int64_t tag,
+                           std::int64_t* marker, value_t* acc, index_t* cols,
+                           std::size_t n) {
   for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
     const index_t j = a.indices[k];
     if (masked_out(part, j)) continue;
     const value_t av = a.values[k];
     for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
       const index_t col = b.indices[l];
-      if (ws.marker[col] != tag) {
-        ws.marker[col] = tag;
-        ws.acc[col] = value_t{0};
+      if (marker[col] != tag) {
+        marker[col] = tag;
+        acc[col] = value_t{0};
         cols[n++] = col;
       }
-      ws.acc[col] += av * b.values[l];
+      acc[col] += av * b.values[l];
     }
   }
+  return n;
+}
+
+// Numeric pass for one row: SPA-accumulate row i's product and write its
+// run, columns ascending (by sort or by the workspace's bitmap), to (cols,
+// vals), which count_row sized.
+void fill_row(const CsrMatrix& a, const CsrMatrix& b, index_t i,
+              const MaskedRows& part, SpaWorkspace& ws, index_t* cols,
+              value_t* vals) {
+  const std::size_t n = accumulate_row(a, b, i, part, ws.row_tag(i),
+                                       ws.marker.data(), ws.acc.data(), cols,
+                                       0);
   order_run(cols, n, ws.acc.data(), ws.bits.data(), vals);
+}
+
+// numeric_in_halves for one row: the first half sums into ws.acc, the
+// second into ws.acc2, where the first half's columns enter at +0.0. Each
+// value is (0 + first) + second, with first = 0 where only the second half
+// reaches the column: merge_row_runs' bits, as (0 + 0) + y == 0 + y and
+// (0 + x) + 0 == 0 + x (0 + x is never -0.0). Returns the column count.
+std::size_t fill_row_in_halves(const CsrMatrix& a, const CsrMatrix& b,
+                               index_t i, const MaskedRows& first,
+                               const MaskedRows& second, SpaWorkspace& ws,
+                               index_t* cols, value_t* vals) {
+  const std::int64_t tag = ws.row_tag(i);
+  value_t* acc = ws.acc.data();
+  value_t* acc2 = ws.acc2.data();
+  const std::size_t n1 =
+      accumulate_row(a, b, i, first, tag, ws.marker.data(), acc, cols, 0);
+  for (std::size_t m = 0; m < n1; ++m) acc2[cols[m]] = value_t{0};
+  const std::size_t n =
+      accumulate_row(a, b, i, second, tag, ws.marker.data(), acc2, cols, n1);
+  for (std::size_t m = 0; m < n; ++m) {
+    const index_t c = cols[m];
+    acc[c] = (value_t{0} + (m < n1 ? acc[c] : value_t{0})) + acc2[c];
+  }
+  order_run(cols, n, acc, ws.bits.data(), vals);
+  return n;
+}
+
+// Hands blocks 0, 1, ..., blocks - 1 out to the pool's workers as they free
+// up, so a stretch of heavy rows does not leave one worker with most of the
+// work. body(take) runs once on each of up to pool.size() + 1 workers
+// (parallel_for's caller works too), sets up the worker's scratch, and
+// calls take() for each next block until it returns `blocks`.
+template <class Body>
+void on_workers(ThreadPool& pool, std::size_t blocks, Body&& body) {
+  std::atomic<std::size_t> next{0};
+  const std::size_t workers = std::min(blocks, pool.size() + 1);
+  pool.parallel_for(static_cast<std::int64_t>(workers),
+                    [&](std::int64_t, std::int64_t) {
+                      body([&next] { return next++; });
+                    });
+}
+
+// on_workers over n positions in blocks of kRowBlock, each worker with one
+// SPA from `spas` begun for `cols` columns: fn(lo, hi, ws) per block.
+template <class Fn>
+void for_each_spa_block(ThreadPool& pool, WorkspacePool& spas, std::size_t n,
+                        index_t cols, bool two_halves, Fn&& fn) {
+  constexpr std::size_t kRowBlock = 64;
+  const std::size_t blocks = (n + kRowBlock - 1) / kRowBlock;
+  on_workers(pool, blocks, [&](auto take) {
+    std::unique_ptr<SpaWorkspace> ws = spas.acquire_spa();
+    ws->begin_product(cols, two_halves);
+    for (std::size_t k; (k = take()) < blocks;) {
+      fn(k * kRowBlock, std::min(n, (k + 1) * kRowBlock), *ws);
+    }
+    spas.release_spa(std::move(ws));
+  });
 }
 
 // Threshold grids. A row length's interval is the number of grid points <=
@@ -224,14 +300,16 @@ ProductStats restate(const ProductStats& s, const RowChange& c,
 // kKeyShift with the smallest and the largest interval of the row's entries
 // that reach col so far, so one array serves both sides and a zero-filled
 // array matches no row; the column's B_L entry and B_H exit are counted at
-// those two intervals and moved whenever one widens. Returns the block's
-// distinct (r, c) count.
+// those two intervals and moved whenever one widens. Each row's distinct
+// column count goes to row_nnz[i] when row_nnz is non-empty. Returns the
+// block's distinct (r, c) count.
 std::int64_t row_changes(const CsrMatrix& a, const CsrMatrix& b,
                          std::span<const std::uint8_t> b_interval, index_t lo,
                          index_t hi, std::vector<std::int64_t>& mark,
                          std::vector<IntervalCounters>& at,
                          MaskedRowCosts& costs,
-                         std::vector<std::vector<RowChange>>& changes) {
+                         std::vector<std::vector<RowChange>>& changes,
+                         std::span<offset_t> row_nnz) {
   std::int64_t out_nnz = 0;
   for (index_t i = lo; i < hi; ++i) {
     const std::int64_t key = static_cast<std::int64_t>(i) + 1;
@@ -297,6 +375,7 @@ std::int64_t row_changes(const CsrMatrix& a, const CsrMatrix& b,
     charge_row(high, high_flops, high_tuples);
     costs.by_mask[1][static_cast<std::size_t>(i)] = high;
     costs.by_mask[0][static_cast<std::size_t>(i)] = low;
+    if (!row_nnz.empty()) row_nnz[static_cast<std::size_t>(i)] = tuples;
     out_nnz += tuples;
   }
   return out_nnz;
@@ -308,8 +387,7 @@ CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
                                std::span<const MaskedRows> parts,
                                ThreadPool& pool, ProductStats* stats,
                                WorkspacePool* workspace,
-                               std::span<ProductStats> row_stats,
-                               RunStoreRole role) {
+                               std::span<ProductStats> row_stats) {
   HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
   std::vector<std::size_t> start{0};
   for (const MaskedRows& part : parts) {
@@ -324,9 +402,7 @@ CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
   // Every listed row owns its slot, so a row listed twice would have two
   // workers write one slot. A listed row's count holds -1 until the count
   // pass fills it in, which is how a second listing shows.
-  CsrMatrix out = workspace != nullptr
-                      ? workspace->acquire_run_store(role, a.rows, b.cols)
-                      : CsrMatrix(a.rows, b.cols);
+  CsrMatrix out(a.rows, b.cols);
   for (const MaskedRows& part : parts) {
     for (const index_t i : part.rows) {
       HH_CHECK_MSG(i >= 0 && i < a.rows,
@@ -337,37 +413,18 @@ CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
     }
   }
 
-  // Both passes hand out blocks of kRowBlock listed rows to the workers as
-  // they free up, so a stretch of heavy rows (Phase III lists the A_H rows
-  // together at its end) does not leave one worker with most of the work.
-  // Each worker draws one SPA, from `workspace` when given, else from a pool
-  // local to the call, so the numeric pass reuses the count pass's SPAs.
+  // Both passes take their SPAs from `workspace` when given, else from a
+  // pool local to the call, so the numeric pass reuses the count pass's.
   WorkspacePool local;
   WorkspacePool& spas = workspace != nullptr ? *workspace : local;
-  const auto for_each_block = [&](auto&& block_fn) {
-    constexpr std::size_t kRowBlock = 64;
-    const std::size_t blocks = (n + kRowBlock - 1) / kRowBlock;
-    std::atomic<std::size_t> next{0};
-    // parallel_for's caller works too, hence one worker beyond the pool.
-    const std::size_t workers = std::min(blocks, pool.size() + 1);
-    pool.parallel_for(static_cast<std::int64_t>(workers),
-                      [&](std::int64_t, std::int64_t) {
-                        std::unique_ptr<SpaWorkspace> ws = spas.acquire_spa();
-                        ws->begin_product(b.cols);
-                        for (std::size_t k; (k = next++) < blocks;) {
-                          block_fn(k * kRowBlock,
-                                   std::min(n, (k + 1) * kRowBlock), *ws);
-                        }
-                        spas.release_spa(std::move(ws));
-                      });
-  };
 
   // 1. Count each listed row's columns into its indptr slot, charging its
   //    stats; the stats are integer sums and maxima, so the blocks can add
   //    up in any order.
   std::mutex mu;
   ProductStats total;
-  for_each_block([&](std::size_t lo, std::size_t hi, SpaWorkspace& ws) {
+  for_each_spa_block(pool, spas, n, b.cols, false,
+                     [&](std::size_t lo, std::size_t hi, SpaWorkspace& ws) {
     ProductStats block;
     visit_listed(parts, start, lo, hi, [&](index_t i, const MaskedRows& part) {
       ProductStats row;
@@ -386,7 +443,8 @@ CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
   out.values.resize(out.indices.size());
 
   // 3. Write each listed row's run into its slot.
-  for_each_block([&](std::size_t lo, std::size_t hi, SpaWorkspace& ws) {
+  for_each_spa_block(pool, spas, n, b.cols, false,
+                     [&](std::size_t lo, std::size_t hi, SpaWorkspace& ws) {
     visit_listed(parts, start, lo, hi, [&](index_t i, const MaskedRows& part) {
       const offset_t at = out.indptr[i];
       fill_row(a, b, i, part, ws, out.indices.data() + at,
@@ -403,11 +461,41 @@ CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
                                std::span<const std::uint8_t> b_mask,
                                bool b_mask_value, ThreadPool& pool,
                                ProductStats* stats, WorkspacePool* workspace,
-                               std::span<ProductStats> row_stats,
-                               RunStoreRole role) {
+                               std::span<ProductStats> row_stats) {
   const MaskedRows part{a_rows, b_mask, b_mask_value};
   return partial_product_runs(a, b, std::span(&part, 1), pool, stats,
-                              workspace, row_stats, role);
+                              workspace, row_stats);
+}
+
+void numeric_in_halves(const CsrMatrix& a, const CsrMatrix& b,
+                       std::span<const std::uint8_t> a_side,
+                       std::span<const std::uint8_t> b_side, CsrMatrix& c,
+                       ThreadPool& pool, WorkspacePool* workspace) {
+  HH_CHECK(a.cols == b.rows && c.rows == a.rows && c.cols == b.cols &&
+           a_side.size() == static_cast<std::size_t>(a.rows) &&
+           b_side.size() == static_cast<std::size_t>(b.rows) &&
+           c.indptr.size() == a_side.size() + 1 && c.indices.empty());
+  for (index_t r = 0; r < a.rows; ++r) c.indptr[r + 1] += c.indptr[r];
+  c.indices.resize(static_cast<std::size_t>(c.nnz()));
+  c.values.resize(c.indices.size());
+
+  WorkspacePool local;
+  for_each_spa_block(
+      pool, workspace != nullptr ? *workspace : local,
+      static_cast<std::size_t>(a.rows), b.cols, /*two_halves=*/true,
+      [&](std::size_t lo, std::size_t hi, SpaWorkspace& ws) {
+        for (auto i = static_cast<index_t>(lo); i < static_cast<index_t>(hi);
+             ++i) {
+          const bool own = a_side[static_cast<std::size_t>(i)] != 0;
+          const offset_t at = c.indptr[i];
+          const std::size_t n = fill_row_in_halves(
+              a, b, i, {{}, b_side, own}, {{}, b_side, !own}, ws,
+              c.indices.data() + at, c.values.data() + at);
+          HH_CHECK_MSG(static_cast<offset_t>(n) == c.indptr[i + 1] - at,
+                       "row " << i << " has " << n << " columns, sized for "
+                              << c.indptr[i + 1] - at);
+        }
+      });
 }
 
 ProductStats estimate_partial_product(const CsrMatrix& a, const CsrMatrix& b,
@@ -431,38 +519,53 @@ ProductStats estimate_partial_product(const CsrMatrix& a, const CsrMatrix& b,
   return s;
 }
 
+namespace {
+
+// The pass behind row_costs_on_grid and row_costs_at: each row's costs at
+// grid[0] into `costs` (sized here), and its later changes into
+// changes[block][interval] for fixed blocks of kBlockRows rows, filled by
+// whichever worker takes the block; each worker keeps one mark array and
+// one set of interval counters for the whole pass.
+constexpr std::int64_t kBlockRows = 1024;
+
+std::vector<std::vector<std::vector<RowChange>>> costs_pass(
+    const CsrMatrix& a, const CsrMatrix& b, std::span<const offset_t> grid,
+    ThreadPool& pool, MaskedRowCosts& costs, std::span<offset_t> row_nnz) {
+  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
+  check_grid(grid);
+  HH_CHECK(row_nnz.empty() ||
+           row_nnz.size() == static_cast<std::size_t>(a.rows));
+  const std::vector<std::uint8_t> b_interval = row_intervals(b, grid);
+  for (auto& rows : costs.by_mask) rows.resize(static_cast<std::size_t>(a.rows));
+
+  const auto nblocks =
+      static_cast<std::size_t>((a.rows + kBlockRows - 1) / kBlockRows);
+  std::vector<std::vector<std::vector<RowChange>>> changes(
+      nblocks, std::vector<std::vector<RowChange>>(grid.size()));
+  std::vector<std::int64_t> block_nnz(nblocks);
+  on_workers(pool, nblocks, [&](auto take) {
+    std::vector<std::int64_t> mark(static_cast<std::size_t>(b.cols), 0);
+    std::vector<IntervalCounters> at(grid.size() + 1);
+    for (std::size_t blk; (blk = take()) < nblocks;) {
+      const std::int64_t lo = static_cast<std::int64_t>(blk) * kBlockRows;
+      const std::int64_t hi = std::min<std::int64_t>(a.rows, lo + kBlockRows);
+      block_nnz[blk] = row_changes(
+          a, b, b_interval, static_cast<index_t>(lo), static_cast<index_t>(hi),
+          mark, at, costs, changes[blk], row_nnz);
+    }
+  });
+  for (const std::int64_t n : block_nnz) costs.output_nnz += n;
+  return changes;
+}
+
+}  // namespace
+
 void row_costs_on_grid(
     const CsrMatrix& a, const CsrMatrix& b, std::span<const offset_t> grid,
     ThreadPool& pool,
     const std::function<void(std::size_t, const MaskedRowCosts&)>& visit) {
-  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
-  check_grid(grid);
-  const std::vector<std::uint8_t> b_interval = row_intervals(b, grid);
   MaskedRowCosts costs;
-  for (auto& rows : costs.by_mask) rows.resize(static_cast<std::size_t>(a.rows));
-
-  // Fixed row blocks, each with its change lists by interval, filled by
-  // whichever worker takes the block; the replay reads them block by block.
-  constexpr std::int64_t kBlockRows = 1024;
-  const std::int64_t nblocks = (a.rows + kBlockRows - 1) / kBlockRows;
-  std::vector<std::vector<std::vector<RowChange>>> changes(
-      static_cast<std::size_t>(nblocks),
-      std::vector<std::vector<RowChange>>(grid.size()));
-  std::vector<std::int64_t> block_nnz(static_cast<std::size_t>(nblocks));
-  pool.parallel_for(nblocks, [&](std::int64_t b0, std::int64_t b1) {
-    std::vector<std::int64_t> mark(static_cast<std::size_t>(b.cols), 0);
-    std::vector<IntervalCounters> at(grid.size() + 1);
-    for (std::int64_t blk = b0; blk < b1; ++blk) {
-      const auto lo = static_cast<index_t>(blk * kBlockRows);
-      const auto hi = static_cast<index_t>(
-          std::min<std::int64_t>(a.rows, (blk + 1) * kBlockRows));
-      block_nnz[static_cast<std::size_t>(blk)] =
-          row_changes(a, b, b_interval, lo, hi, mark, at, costs,
-                      changes[static_cast<std::size_t>(blk)]);
-    }
-  });
-  for (const std::int64_t n : block_nnz) costs.output_nnz += n;
-
+  const auto changes = costs_pass(a, b, grid, pool, costs, {});
   // Ascending t: before pricing point g > 0, the changes of interval g move
   // their rows' entries and columns from the B_H side to the B_L side.
   for (std::size_t g = 0; g < grid.size(); ++g) {
@@ -476,6 +579,16 @@ void row_costs_on_grid(
     }
     visit(g, costs);
   }
+}
+
+MaskedRowCosts row_costs_at(const CsrMatrix& a, const CsrMatrix& b, offset_t t,
+                            ThreadPool& pool, std::span<offset_t> row_nnz) {
+  // One grid point: the pass leaves the costs at grid[0] and no change a
+  // later point would replay.
+  const offset_t grid[] = {t};
+  MaskedRowCosts costs;
+  costs_pass(a, b, grid, pool, costs, row_nnz);
+  return costs;
 }
 
 std::vector<SplitEstimate> estimate_splits_on_grid(

@@ -1,17 +1,18 @@
 // Public SpGEMM entry points: algorithm dispatch for full products, the
 // masked partial-product kernel used by the heterogeneous algorithms to
 // compute A_X × B_Y (X, Y ∈ {H, L}) without physically splitting matrices,
-// and the structure-only passes that price it at every threshold of a grid.
+// the structure-only passes that price it at every threshold of a grid,
+// and HH-CPU's one numeric pass into C.
 //
-// The kernel writes sorted row runs, not tuples: each listed A row's
-// product is one run of (column, value) pairs in that row's slot of a
-// CsrMatrix over all of A's rows. It runs symbolic then numeric (Liu &
-// Vinter, arXiv:1504.05022; KKMEM, arXiv:1801.03065): one structure-only
-// pass sizes every slot, so no buffer grows and no run is copied, and the
-// Phase IV merge (primitives/tuple_merge.hpp) reads the slots in place. The
-// numeric pass orders each run by sort when it is short or its columns
-// spread wide, else by one ascending scan of a per-worker column bitmap
-// (spgemm/run_order.hpp); both give the same run.
+// All run symbolic then numeric (Liu & Vinter, arXiv:1504.05022; KKMEM,
+// arXiv:1801.03065): a structure-only pass sizes every output row, so no
+// buffer grows and no row is copied. HH-CPU prices its four products from
+// row_costs_at and writes C once with numeric_in_halves. The numeric passes
+// order each row by sort when it is short or its columns spread wide, else
+// by one ascending scan of a per-worker column bitmap
+// (spgemm/run_order.hpp); both give the same row. Operands may hold
+// unsorted and duplicate columns: every kernel sums duplicates and emits
+// sorted rows, and every entry point runs check_operands first.
 #pragma once
 
 #include <algorithm>
@@ -35,9 +36,15 @@ enum class SpgemmKind {
 
 std::string to_string(SpgemmKind kind);
 
-/// Full product with the selected algorithm. Both kinds produce bit-identical,
-/// row-sorted CSR output: each value is summed from value_t{0} in A-entry
-/// order, and a column that cancels to zero is kept.
+/// Throws CheckError unless a.cols == b.rows and both pass
+/// validate(/*sorted=*/false).
+void check_operands(const CsrMatrix& a, const CsrMatrix& b);
+
+/// Full product with the selected algorithm, after check_operands. Both
+/// kinds produce row-sorted CSR output with each duplicate column summed,
+/// and a column that cancels to zero is kept. When every row of A has
+/// strictly ascending columns, the two are bit-identical: each value is
+/// summed from value_t{0} in A-entry then B-entry order.
 CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b, SpgemmKind kind,
                    ThreadPool& pool);
 
@@ -100,11 +107,9 @@ struct MaskedRows {
 /// stay empty. Symbolic then numeric: a structure-only pass counts each
 /// listed row's columns and charges its stats, the counts are scanned into
 /// indptr, and a numeric pass writes each row's run straight into its slot,
-/// ordered by order_run, with one SPA and column bitmap per worker. Given a
-/// `workspace`, the SPAs are drawn from it, and so is the returned run
-/// store, from the slot of `role` (run_phase4 gives the store back). Every
-/// listed row must lie in [0, a.rows) and appear once across all parts, or
-/// this throws CheckError. `stats` receives the sum of the rows' stats, and
+/// ordered by order_run, with one SPA and column bitmap per worker, drawn
+/// from `workspace` when given. Every listed row must lie in [0, a.rows) and
+/// appear once across all parts, or this throws CheckError. `stats` receives the sum of the rows' stats, and
 /// a non-empty `row_stats` (a.rows slots, indexed by A row) each listed
 /// row's own: row_stats[i] is what the call reports for row i alone, and
 /// the slots of unlisted rows are left as they were. Output and stats do
@@ -113,8 +118,7 @@ CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
                                std::span<const MaskedRows> parts,
                                ThreadPool& pool, ProductStats* stats = nullptr,
                                WorkspacePool* workspace = nullptr,
-                               std::span<ProductStats> row_stats = {},
-                               RunStoreRole role = RunStoreRole::kHh);
+                               std::span<ProductStats> row_stats = {});
 
 /// The one-part call: A(rows ∈ a_rows, :) against the view of B with
 /// b_mask[j] == b_mask_value.
@@ -124,8 +128,7 @@ CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
                                bool b_mask_value, ThreadPool& pool,
                                ProductStats* stats = nullptr,
                                WorkspacePool* workspace = nullptr,
-                               std::span<ProductStats> row_stats = {},
-                               RunStoreRole role = RunStoreRole::kHh);
+                               std::span<ProductStats> row_stats = {});
 
 /// Structure-only estimate of the same invocation (no numeric work):
 /// flops/a_nnz/warp_alu/max_row_flops are exact; tuples and the shared/global
@@ -168,6 +171,26 @@ void row_costs_on_grid(
     const CsrMatrix& a, const CsrMatrix& b, std::span<const offset_t> grid,
     ThreadPool& pool,
     const std::function<void(std::size_t, const MaskedRowCosts&)>& visit);
+
+/// The same pass at the one threshold t >= 1, returning the costs. A
+/// non-empty `row_nnz` (a.rows slots) also receives each row's size in C:
+/// row_nnz[i] is the number of distinct columns of (A × B)(i, :).
+MaskedRowCosts row_costs_at(const CsrMatrix& a, const CsrMatrix& b, offset_t t,
+                            ThreadPool& pool,
+                            std::span<offset_t> row_nnz = {});
+
+/// HH-CPU's numeric pass: C = A × B into `c` (a.rows × b.cols, no entries
+/// yet), whose c.indptr[i + 1] holds row i's size on entry, as row_costs_at
+/// leaves it. Each row is written once, into its slot, in two halves: A(i,
+/// :) against the B rows j with b_side[j] == a_side[i], then against the
+/// rest, each summed from value_t{0} in A-entry then B-entry order, and each
+/// value is (value_t{0} + first) + second, what merge_row_runs gives the
+/// halves' runs. SPAs come from `workspace` when given. A row that does not
+/// fill its slot throws CheckError. Output does not depend on the pool size.
+void numeric_in_halves(const CsrMatrix& a, const CsrMatrix& b,
+                       std::span<const std::uint8_t> a_side,
+                       std::span<const std::uint8_t> b_side, CsrMatrix& c,
+                       ThreadPool& pool, WorkspacePool* workspace = nullptr);
 
 /// The four products of the HH-CPU split at one threshold t, estimated:
 /// by_side[x][y] is estimate_partial_product(a, b, the rows of A on side x,

@@ -5,7 +5,7 @@
 
 namespace hh {
 
-void SpaWorkspace::begin_product(index_t cols) {
+void SpaWorkspace::begin_product(index_t cols, bool two_halves) {
   const auto n = static_cast<std::size_t>(cols);
   // Generation 0 is reserved so row_tag() can never collide with the -1
   // fill of fresh marker entries; wrap long before the 31-bit field packs.
@@ -18,6 +18,9 @@ void SpaWorkspace::begin_product(index_t cols) {
     marker.resize(n, std::int64_t{-1});
     bits.resize((n + 63) / 64, 0);
   }
+  // Every column a row touches starts from value_t{0}, so acc2 needs no
+  // fill of its own.
+  if (two_halves && acc2.size() < n) acc2.resize(n);
 }
 
 std::unique_ptr<SpaWorkspace> WorkspacePool::acquire_spa() {
@@ -38,31 +41,6 @@ void WorkspacePool::release_spa(std::unique_ptr<SpaWorkspace> ws) {
   std::lock_guard<std::mutex> lock(mu_);
   --stats_.spa_live;
   free_spa_.push_back(std::move(ws));
-}
-
-CsrMatrix WorkspacePool::acquire_run_store(RunStoreRole role, index_t rows,
-                                           index_t cols) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.coo_acquires;
-  std::optional<CsrMatrix>& kept =
-      free_run_stores_[static_cast<std::size_t>(role)];
-  if (!kept) return CsrMatrix(rows, cols);
-  ++stats_.coo_reuses;
-  CsrMatrix store = std::move(*kept);
-  kept.reset();
-  store.rows = rows;
-  store.cols = cols;
-  store.indptr.assign(static_cast<std::size_t>(rows) + 1, 0);
-  store.indices.clear();
-  store.values.clear();
-  return store;
-}
-
-void WorkspacePool::release_run_store(RunStoreRole role, CsrMatrix store) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::optional<CsrMatrix>& kept =
-      free_run_stores_[static_cast<std::size_t>(role)];
-  if (!kept) kept = std::move(store);
 }
 
 WorkspacePool::Stats WorkspacePool::stats() const {

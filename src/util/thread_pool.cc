@@ -1,33 +1,13 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <memory>
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/log.hpp"
-#include "util/status.hpp"
 
 namespace hh {
-namespace {
-
-/// Rethrow a stashed task exception through the typed taxonomy: HhError
-/// subclasses pass unchanged, everything else becomes kInternal.
-[[noreturn]] void rethrow_typed(std::exception_ptr error) {
-  try {
-    std::rethrow_exception(error);
-  } catch (const HhError&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw HhError(StatusCode::kInternal,
-                  std::string("ThreadPool task threw: ") + e.what());
-  } catch (...) {
-    throw HhError(StatusCode::kInternal,
-                  "ThreadPool task threw a non-standard exception");
-  }
-}
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -46,47 +26,15 @@ ThreadPool::~ThreadPool() {
   }
   cv_task_.notify_all();
   for (auto& w : workers_) w.join();
-  if (stashed_error_) {
-    // Destructors must not throw; surface the swallowed failure in the log.
-    try {
-      rethrow_typed(stashed_error_);
-    } catch (const HhError& e) {
-      log_message(LogLevel::kInfo,
-                  std::string("ThreadPool destroyed with an unreported task "
-                              "failure: ") +
-                      e.what());
-    }
-  }
 }
 
-void ThreadPool::submit(std::function<void()> task) {
+void ThreadPool::enqueue(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    HH_CHECK_MSG(!stop_, "submit() on a stopped pool");
+    HH_CHECK_MSG(!stop_, "parallel_for on a stopped pool");
     tasks_.push(std::move(task));
   }
   cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_idle_.wait(lock, [this] { return tasks_.empty() && in_flight_ == 0; });
-    error = std::exchange(stashed_error_, nullptr);
-  }
-  if (error) rethrow_typed(error);
-}
-
-void ThreadPool::run_task(std::function<void()> task) {
-  try {
-    task();
-  } catch (...) {
-    // A throwing submit()-ed task must not unwind the worker thread (that
-    // calls std::terminate). Stash the first failure for wait_idle().
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!stashed_error_) stashed_error_ = std::current_exception();
-  }
 }
 
 bool ThreadPool::try_help_one() {
@@ -96,34 +44,19 @@ bool ThreadPool::try_help_one() {
     if (tasks_.empty()) return false;
     task = std::move(tasks_.front());
     tasks_.pop();
-    ++in_flight_;
   }
-  run_task(std::move(task));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    --in_flight_;
-  }
-  cv_idle_.notify_all();
+  task();
   return true;
 }
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_task_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
       if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
-      ++in_flight_;
     }
-    run_task(std::move(task));
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
-    }
-    cv_idle_.notify_all();
+    try_help_one();  // may find the queue emptied by a helper: wait again
   }
 }
 
@@ -149,7 +82,7 @@ void ThreadPool::parallel_for(
 
   for (std::int64_t begin = 0; begin < n; begin += chunk) {
     const std::int64_t end = std::min(n, begin + chunk);
-    submit([group, &fn, begin, end] {
+    enqueue([group, &fn, begin, end] {
       try {
         fn(begin, end);
       } catch (...) {

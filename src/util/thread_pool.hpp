@@ -7,24 +7,18 @@
 // Concurrency contract:
 //  - parallel_for() waits on its own per-call completion group, never on the
 //    whole pool, so concurrent callers (e.g. the service worker and a bench
-//    harness sharing one pool) do not block on each other's tasks.
+//    harness sharing one pool) do not block on each other's blocks.
 //    While waiting, the calling thread helps drain the shared queue, which
-//    also makes nested parallel_for calls (a task that itself calls
+//    also makes nested parallel_for calls (a block that itself calls
 //    parallel_for) deadlock-free even on a single-worker pool.
-//  - A task submitted via submit() that throws never escapes the worker
-//    thread (which would std::terminate the process): the first exception is
-//    stashed and rethrown from the next wait_idle() — as-is when it is part
-//    of the HhError taxonomy (util/status.hpp), wrapped into an HhError with
-//    StatusCode::kInternal otherwise. If the pool is destroyed with an
-//    unreported stashed exception, it is logged, not thrown.
-//  - parallel_for() reports its body's exceptions itself (first one wins,
-//    original type preserved); they do not go through the wait_idle() stash.
+//  - Every queued task is a parallel_for block, which catches what its body
+//    throws; the call rethrows the first such exception, original type
+//    preserved, once all of its blocks are done.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -44,14 +38,6 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue a task; wait_idle() blocks until all enqueued tasks finish.
-  void submit(std::function<void()> task);
-
-  /// Block until the queue is empty and no task is running, then rethrow
-  /// the first exception any submit()-ed task threw since the last call
-  /// (HhError subclasses as-is, anything else wrapped as kInternal).
-  void wait_idle();
-
   /// Run fn(begin, end) over [0, n) split into roughly size()*4 blocks and
   /// block until this call's blocks are done (not the whole pool).
   /// Exceptions from fn are rethrown (first one wins). Safe to call from
@@ -60,9 +46,9 @@ class ThreadPool {
                     const std::function<void(std::int64_t, std::int64_t)>& fn);
 
  private:
+  /// Queue a task that does not throw.
+  void enqueue(std::function<void()> task);
   void worker_loop();
-  /// Run a task, stashing (not propagating) anything it throws.
-  void run_task(std::function<void()> task);
   /// Pop and run one queued task on the calling thread; false if none.
   bool try_help_one();
 
@@ -70,11 +56,7 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mutex_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
-  std::exception_ptr stashed_error_;  // first submit()-task failure, guarded
-                                      // by mutex_
 };
 
 }  // namespace hh

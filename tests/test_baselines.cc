@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "gen/datasets.hpp"
 #include "spgemm/gustavson.hpp"
 #include "test_util.hpp"
+#include "util/check.hpp"
 
 namespace hh {
 namespace {
@@ -97,6 +100,88 @@ TEST_F(BaselinesTest, ReportsCarryAlgorithmNames) {
   EXPECT_EQ(run_gpu_only_cusparse(a_, a_, plat_, pool_).report.algorithm,
             "cuSPARSE (GPU only)");
 }
+
+// Every baseline, over operands a and b.
+std::vector<RunResult> all_baselines(const CsrMatrix& a, const CsrMatrix& b,
+                                     const HeteroPlatform& plat,
+                                     ThreadPool& pool) {
+  std::vector<RunResult> out;
+  out.push_back(run_hipc2012(a, b, plat, pool));
+  out.push_back(run_unsorted_workqueue(a, b, {}, plat, pool));
+  out.push_back(run_sorted_workqueue(a, b, {}, plat, pool));
+  out.push_back(run_cpu_only_mkl(a, b, plat, pool));
+  out.push_back(run_gpu_only_cusparse(a, b, plat, pool));
+  out.push_back(run_gpu_only_hipc_kernel(a, b, plat, pool));
+  return out;
+}
+
+// Unsorted and repeated columns are well-formed: every baseline sums the
+// repeats and returns ascending rows, its merge counting C's tuples.
+TEST_F(BaselinesTest, UnsortedAndDuplicateColumnsAreSummed) {
+  const CsrMatrix a = test::unsorted_with_duplicates(60, 50, 0.1, 41);
+  const CsrMatrix b = test::unsorted_with_duplicates(50, 70, 0.1, 42);
+  for (const RunResult& res : all_baselines(a, b, plat_, pool_)) {
+    test::expect_sorted_reference(a, b, res.c, res.report.algorithm);
+    EXPECT_EQ(res.report.output_nnz, res.c.nnz()) << res.report.algorithm;
+    EXPECT_EQ(res.report.merge.tuples_out, res.c.nnz())
+        << res.report.algorithm;
+  }
+}
+
+// Malformed operands on either side throw CheckError before any kernel
+// reads an index.
+class MalformedBaselineTest
+    : public BaselinesTest,
+      public testing::WithParamInterface<test::Malformation> {
+ protected:
+  template <class Run>
+  void expect_throws(Run&& run) {
+    const CsrMatrix bad = test::malformed_4x4(GetParam());
+    const CsrMatrix good = test::well_formed_4x4();
+    EXPECT_THROW(run(bad, good), CheckError);
+    EXPECT_THROW(run(good, bad), CheckError);
+  }
+};
+
+TEST_P(MalformedBaselineTest, Hipc2012Throws) {
+  expect_throws([&](const CsrMatrix& a, const CsrMatrix& b) {
+    return run_hipc2012(a, b, plat_, pool_);
+  });
+}
+
+TEST_P(MalformedBaselineTest, UnsortedWorkqueueThrows) {
+  expect_throws([&](const CsrMatrix& a, const CsrMatrix& b) {
+    return run_unsorted_workqueue(a, b, {}, plat_, pool_);
+  });
+}
+
+TEST_P(MalformedBaselineTest, SortedWorkqueueThrows) {
+  expect_throws([&](const CsrMatrix& a, const CsrMatrix& b) {
+    return run_sorted_workqueue(a, b, {}, plat_, pool_);
+  });
+}
+
+TEST_P(MalformedBaselineTest, CpuOnlyThrows) {
+  expect_throws([&](const CsrMatrix& a, const CsrMatrix& b) {
+    return run_cpu_only_mkl(a, b, plat_, pool_);
+  });
+}
+
+TEST_P(MalformedBaselineTest, GpuOnlyCusparseThrows) {
+  expect_throws([&](const CsrMatrix& a, const CsrMatrix& b) {
+    return run_gpu_only_cusparse(a, b, plat_, pool_);
+  });
+}
+
+TEST_P(MalformedBaselineTest, GpuOnlyHipcKernelThrows) {
+  expect_throws([&](const CsrMatrix& a, const CsrMatrix& b) {
+    return run_gpu_only_hipc_kernel(a, b, plat_, pool_);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Malformations, MalformedBaselineTest,
+                         testing::ValuesIn(test::kAllMalformations),
+                         test::MalformationParamName());
 
 }  // namespace
 }  // namespace hh

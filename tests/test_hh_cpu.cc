@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/hh_stages.hpp"
 #include "core/partition_plan.hpp"
 #include "core/threshold.hpp"
 #include "gen/datasets.hpp"
@@ -206,26 +208,97 @@ CsrMatrix serial_hh_cpu_reference(const CsrMatrix& a, const CsrMatrix& b,
   return test::stable_sort_reference(a.rows, b.cols, tuples);
 }
 
+// run_hh_cpu composed from the staged calls (run_phase2, run_phase3 and
+// run_phase4, core/hh_stages.hpp) the way the benchmark's traced one-shot
+// run composes them, which needs C bit-identical to run_hh_cpu's and an
+// equal report.
+RunResult staged_hh_cpu(const CsrMatrix& a, const CsrMatrix& b,
+                        const HhCpuOptions& options,
+                        const HeteroPlatform& platform, ThreadPool& pool) {
+  RunResult res;
+  RunReport& rep = res.report;
+  rep.algorithm = "HH-CPU";
+  const PartitionPlan plan = make_partition_plan(
+      a, b, options.threshold_a, options.threshold_b, platform);
+  rep.phase1_s = plan.phase1_s;
+  rep.threshold_a = plan.a.threshold;
+  rep.threshold_b = plan.b.threshold;
+  rep.high_rows_a = plan.a.high_count();
+  rep.high_rows_b = plan.b.high_count();
+  const double transfer_in =
+      options.matrices_already_on_gpu
+          ? 0.0
+          : platform.link().h2d().operands_transfer_time(a, b);
+  rep.transfer_in_s = transfer_in;
+
+  Phase2Result p2 = run_phase2(a, b, plan, platform, pool, options.workspace);
+  rep.phase2_cpu_s = p2.cpu_s;
+  rep.phase2_gpu_s = p2.gpu_s;
+  rep.phase2_s = HeteroPlatform::overlap(p2.cpu_s, p2.gpu_s);
+
+  const double cpu_at_queue = rep.phase1_s + p2.cpu_s;
+  const double gpu_at_queue = rep.phase1_s + transfer_in + p2.gpu_s;
+  WorkQueueResult queue =
+      run_phase3(a, b, plan, options.queue, cpu_at_queue, gpu_at_queue,
+                 platform, pool, options.workspace);
+  rep.phase3_cpu_s = queue.cpu_busy;
+  rep.phase3_gpu_s = queue.gpu_busy;
+  rep.phase3_s = HeteroPlatform::overlap(queue.cpu_busy, queue.gpu_busy);
+  rep.queue_cpu_units = queue.cpu_units;
+  rep.queue_gpu_units = queue.gpu_units;
+
+  const std::int64_t gpu_tuples = p2.ll_stats.tuples + queue.gpu_stats.tuples;
+  rep.transfer_out_s = platform.link().d2h().tuple_transfer_time(gpu_tuples);
+  rep.flops = p2.hh_stats.flops + p2.ll_stats.flops + queue.cpu_stats.flops +
+              queue.gpu_stats.flops;
+  const double queue_end = queue.end_time();
+
+  MergeResult merged = run_phase4(std::move(p2), std::move(queue), platform,
+                                  pool, options.workspace);
+  res.c = std::move(merged.c);
+  rep.merge = merged.merge;
+  rep.phase4_s = merged.cpu_s;
+  rep.output_nnz = res.c.nnz();
+  rep.total_s = queue_end + rep.transfer_out_s + rep.phase4_s;
+  return res;
+}
+
 // run_hh_cpu's C against the serial reference under memcmp, with pools of
-// 1 and 4, at the analytic pick and at both ends of threshold_grid (the
-// last point empties both H sides), plus any `extra` thresholds.
+// 1 and 4, at the analytic pick, at both ends of threshold_grid (the last
+// point empties both H sides), at any `extra` thresholds, and at one pair
+// with threshold_a != threshold_b. At each point the same run with
+// options.workspace set, and the staged calls composed as staged_hh_cpu
+// does (bits and report), must match too.
 void expect_reference_bits(const CsrMatrix& a, const CsrMatrix& b,
                            const HeteroPlatform& plat, const std::string& what,
                            std::vector<offset_t> extra = {}) {
   const std::vector<offset_t> grid = threshold_grid(a, b);
   extra.insert(extra.end(), {0, grid.front(), grid.back()});
+  std::vector<std::pair<offset_t, offset_t>> points;
+  for (const offset_t t : extra) points.emplace_back(t, t);
+  points.emplace_back(grid.front(), grid.back() + 1);
   ThreadPool pool1(1), pool4(4);
-  for (const offset_t t : extra) {
-    const PartitionPlan plan = make_partition_plan(a, b, t, t, plat);
+  WorkspacePool spas;
+  for (const auto& [t_a, t_b] : points) {
+    const PartitionPlan plan = make_partition_plan(a, b, t_a, t_b, plat);
     const CsrMatrix want = serial_hh_cpu_reference(a, b, plan);
     HhCpuOptions opt;
-    opt.threshold_a = t;
-    opt.threshold_b = t;
+    opt.threshold_a = t_a;
+    opt.threshold_b = t_b;
+    HhCpuOptions pooled = opt;
+    pooled.workspace = &spas;
     for (ThreadPool* pool : {&pool1, &pool4}) {
-      const CsrMatrix got = run_hh_cpu(a, b, opt, plat, *pool).c;
-      const std::string at = what + " t=" + std::to_string(t) + " pool " +
+      const std::string at = what + " t=(" + std::to_string(t_a) + "," +
+                             std::to_string(t_b) + ") pool " +
                              std::to_string(pool->size());
-      test::expect_same_bits(want, got, at);
+      const RunResult run = run_hh_cpu(a, b, opt, plat, *pool);
+      test::expect_same_bits(want, run.c, at);
+      test::expect_same_bits(want, run_hh_cpu(a, b, pooled, plat, *pool).c,
+                             at + " pooled");
+      const RunResult staged = staged_hh_cpu(a, b, pooled, plat, *pool);
+      test::expect_same_bits(want, staged.c, at + " staged");
+      EXPECT_EQ(staged.report.to_json(), run.report.to_json())
+          << at << " staged";
     }
   }
 }
@@ -265,6 +338,51 @@ TEST_F(HhCpuTest, BitIdenticalToSerialReferenceOnCancellationAndNegativeZero) {
       std::vector<value_t>{0.5, 3.0, 1.0, 1.0, -0.5, -3.0, 1.0, 0.0});
   expect_reference_bits(a, b, plat_, "cancellation", {1, 2, 3, 5});
 }
+
+// Unsorted and repeated columns are well-formed: C sums the repeats, holds
+// ascending rows, and keeps every bit contract above.
+TEST_F(HhCpuTest, UnsortedAndDuplicateColumnsAreSummed) {
+  const CsrMatrix a = test::unsorted_with_duplicates(90, 70, 0.08, 233);
+  const CsrMatrix b = test::unsorted_with_duplicates(70, 80, 0.08, 234);
+  test::expect_sorted_reference(a, b, run_hh_cpu(a, b, {}, plat_, pool_).c,
+                                "run_hh_cpu");
+  expect_reference_bits(a, b, plat_, "unsorted");
+  EXPECT_EQ(cost_hh_cpu(a, b, {}, plat_, pool_).to_json(),
+            run_hh_cpu(a, b, {}, plat_, pool_).report.to_json());
+}
+
+// Malformed operands on either side throw CheckError before any kernel
+// reads an index.
+class MalformedOperandTest
+    : public HhCpuTest,
+      public testing::WithParamInterface<test::Malformation> {
+ protected:
+  const CsrMatrix bad_ = test::malformed_4x4(GetParam());
+  const CsrMatrix good_ = test::well_formed_4x4();
+};
+
+TEST_P(MalformedOperandTest, RunHhCpuThrowsCheckError) {
+  EXPECT_THROW(run_hh_cpu(bad_, good_, {}, plat_, pool_), CheckError);
+  EXPECT_THROW(run_hh_cpu(good_, bad_, {}, plat_, pool_), CheckError);
+  EXPECT_THROW(run_hh_cpu(bad_, bad_, {}, plat_, pool_), CheckError);
+}
+
+TEST_P(MalformedOperandTest, CostHhCpuThrowsCheckError) {
+  EXPECT_THROW(cost_hh_cpu(bad_, good_, {}, plat_, pool_), CheckError);
+  EXPECT_THROW(cost_hh_cpu(good_, bad_, {}, plat_, pool_), CheckError);
+}
+
+TEST_P(MalformedOperandTest, CostHhCpuGridThrowsCheckError) {
+  const offset_t grid[] = {1, 2};
+  EXPECT_THROW(cost_hh_cpu_grid(bad_, good_, grid, {}, plat_, pool_),
+               CheckError);
+  EXPECT_THROW(cost_hh_cpu_grid(good_, bad_, grid, {}, plat_, pool_),
+               CheckError);
+}
+
+INSTANTIATE_TEST_SUITE_P(Malformations, MalformedOperandTest,
+                         testing::ValuesIn(test::kAllMalformations),
+                         test::MalformationParamName());
 
 // cost_hh_cpu's contract: the full run's report, field for field, with
 // every double equal bit for bit (EXPECT_EQ, not EXPECT_DOUBLE_EQ).

@@ -149,8 +149,54 @@ TEST_P(DecompositionTest, FourPartialProductsMergeToFullProduct) {
       << "t=" << t << ": " << why;
 }
 
+// HH-CPU's numeric pass writes, bit for bit, what the Phase IV merge makes
+// of each row's Phase II run and its queue run, with or without a pool of
+// SPAs and at any pool size.
+TEST_P(DecompositionTest, NumericInHalvesEqualsMergedRuns) {
+  const offset_t t = GetParam();
+  const CsrMatrix a = test::random_csr(120, 120, 0.08, 402);
+  ThreadPool pool1(1), pool4(4);
+  const RowPartition p = classify_rows(a, t);
+  const CsrMatrix hh =
+      partial_product_runs(a, a, p.high_rows, p.is_high, true, pool4);
+  const CsrMatrix ll =
+      partial_product_runs(a, a, p.low_rows, p.is_high, false, pool4);
+  const MaskedRows cross[] = {{p.low_rows, p.is_high, true},
+                              {p.high_rows, p.is_high, false}};
+  const CsrMatrix queue = partial_product_runs(a, a, cross, pool4);
+  const CsrMatrix* parts[] = {&hh, &ll, &queue};
+  const CsrMatrix want = merge_row_runs(parts, pool4);
+  WorkspacePool spas;
+  for (ThreadPool* pool : {&pool1, &pool4}) {
+    for (WorkspacePool* ws : {static_cast<WorkspacePool*>(nullptr), &spas}) {
+      CsrMatrix c(a.rows, a.cols);
+      row_costs_at(a, a, std::max<offset_t>(t, 1), *pool,
+                   std::span(c.indptr).subspan(1));
+      numeric_in_halves(a, a, p.is_high, p.is_high, c, *pool, ws);
+      test::expect_same_bits(want, c,
+                             "t=" + std::to_string(t) + " pool " +
+                                 std::to_string(pool->size()) +
+                                 (ws != nullptr ? " pooled" : ""));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Thresholds, DecompositionTest,
                          testing::Values(0, 1, 3, 5, 8, 1000));
+
+// The numeric pass writes each row into the slot the symbolic pass sized,
+// and throws when a row's columns do not fill it.
+TEST(PartialProduct, NumericInHalvesChecksRowSizes) {
+  const CsrMatrix a = test::random_csr(30, 30, 0.2, 403);
+  const RowPartition p = classify_rows(a, 5);
+  ThreadPool pool(2);
+  CsrMatrix c(a.rows, a.cols);
+  const std::vector<offset_t> sizes = exact_row_nnz(a, a);
+  std::copy(sizes.begin(), sizes.end(), c.indptr.begin() + 1);
+  c.indptr[1] += 1;  // row 0 sized one column too wide
+  EXPECT_THROW(numeric_in_halves(a, a, p.is_high, p.is_high, c, pool),
+               CheckError);
+}
 
 TEST(PartialProduct, StatsSplitConsistent) {
   const CsrMatrix a = test::random_csr(40, 40, 0.15, 402);
@@ -215,18 +261,9 @@ TEST(PartialProduct, EmptyRowList) {
   EXPECT_EQ(stats.flops, 0);
 }
 
-// The row costs of the one-point grid {t}.
-MaskedRowCosts row_costs_at(const CsrMatrix& a, const CsrMatrix& b, offset_t t,
-                            ThreadPool& pool) {
-  const offset_t grid[] = {t};
-  MaskedRowCosts out;
-  row_costs_on_grid(a, b, grid, pool,
-                    [&](std::size_t, const MaskedRowCosts& c) { out = c; });
-  return out;
-}
-
 // The one-point pass is the kernel's accounting without the kernel: each
-// row's stats under either mask value, and the distinct output count.
+// row's stats under either mask value, the distinct output count, and each
+// row's size in C.
 TEST(MaskedRowCosts, EqualKernelStatsRowByRow) {
   const CsrMatrix a = test::random_csr(40, 30, 0.2, 408);
   const CsrMatrix b = test::random_csr(30, 45, 0.25, 409);
@@ -234,8 +271,10 @@ TEST(MaskedRowCosts, EqualKernelStatsRowByRow) {
   const std::int64_t original = shared_accum_cap();
   set_shared_accum_cap(6);  // rows on both sides of the shared/global split
   ThreadPool pool1(1), pool4(4);
-  const MaskedRowCosts costs = row_costs_at(a, b, 8, pool4);
+  std::vector<offset_t> row_nnz(static_cast<std::size_t>(a.rows), -1);
+  const MaskedRowCosts costs = row_costs_at(a, b, 8, pool4, row_nnz);
   const MaskedRowCosts costs1 = row_costs_at(a, b, 8, pool1);
+  EXPECT_EQ(row_nnz, exact_row_nnz(a, b));
   for (const bool v : {false, true}) {
     ProductStats sum;
     for (index_t i = 0; i < a.rows; ++i) {

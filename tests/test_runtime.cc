@@ -420,10 +420,45 @@ TEST_F(ServiceTest, SubmitRejectsMalformedRequestsWithTypedErrors) {
   EXPECT_TRUE(service.drain().requests[0].status.ok());
 }
 
+// Unsorted and repeated columns are well-formed: the service accepts them
+// and returns run_hh_cpu's C, which sums the repeats into ascending rows.
+TEST_F(ServiceTest, UnsortedAndDuplicateColumnsAreSummed) {
+  const CsrMatrix a = test::unsorted_with_duplicates(80, 60, 0.1, 51);
+  const CsrMatrix b = test::unsorted_with_duplicates(60, 90, 0.1, 52);
+  SpgemmService service(plat_, pool_);
+  service.submit({&a, &b, 0, 0, "unsorted"});
+  const BatchResult out = service.drain();
+  ASSERT_TRUE(out.requests[0].status.ok());
+  test::expect_sorted_reference(a, b, out.results[0].c, "service");
+  expect_bit_identical(run_hh_cpu(a, b, {}, plat_, pool_).c, out.results[0].c,
+                       "service vs run_hh_cpu");
+}
+
+// A malformed operand on either side is rejected at submit with a typed
+// error, so drain() never reads a bad index.
+class MalformedSubmitTest
+    : public ServiceTest,
+      public testing::WithParamInterface<test::Malformation> {};
+
+TEST_P(MalformedSubmitTest, ThrowsInvalidArgument) {
+  const CsrMatrix bad = test::malformed_4x4(GetParam());
+  const CsrMatrix good = test::well_formed_4x4();
+  SpgemmService service(plat_, pool_);
+  EXPECT_THROW(service.submit({&bad, nullptr, 0, 0, ""}),
+               InvalidArgumentError);
+  EXPECT_THROW(service.submit({&bad, &good, 0, 0, ""}), InvalidArgumentError);
+  EXPECT_THROW(service.submit({&good, &bad, 0, 0, ""}), InvalidArgumentError);
+  EXPECT_EQ(service.pending(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Malformations, MalformedSubmitTest,
+                         testing::ValuesIn(test::kIndexMalformations),
+                         test::MalformationParamName());
+
 TEST_F(ServiceTest, WorkspacePoolingPreservesResults) {
-  // The service always pools its workspaces and run stores; run_hh_cpu
-  // never does. Each request after the first runs in the stores its
-  // predecessor gave back.
+  // The service always pools its numeric pass's SPAs; run_hh_cpu without
+  // options.workspace never does. Each request after the first runs on the
+  // SPAs its predecessor gave back.
   SpgemmService pooled(plat_, pool_);
   const CsrMatrix* mats[] = {&enron_, &wiki_, &enron_};
   for (const CsrMatrix* m : mats) pooled.submit({m, nullptr, 0, 0, ""});
@@ -435,7 +470,6 @@ TEST_F(ServiceTest, WorkspacePoolingPreservesResults) {
                          "pooled vs unpooled " + std::to_string(i));
   }
   EXPECT_GT(pooled.workspace_pool().stats().spa_reuses, 0);
-  EXPECT_GT(pooled.workspace_pool().stats().coo_reuses, 0);
 }
 
 // ------------------------------------------------------------ wave executor

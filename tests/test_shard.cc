@@ -165,6 +165,25 @@ TEST_F(ShardGroupTest, RoutesBySignatureAndMatchesSerialReference) {
   EXPECT_EQ(hits, 5);
 }
 
+// A malformed operand on either side is rejected at the group's submit
+// with a typed error, before any shard sees it.
+class MalformedGroupSubmitTest
+    : public ShardGroupTest,
+      public testing::WithParamInterface<test::Malformation> {};
+
+TEST_P(MalformedGroupSubmitTest, ThrowsInvalidArgument) {
+  const CsrMatrix bad = test::malformed_4x4(GetParam());
+  const CsrMatrix good = test::well_formed_4x4();
+  ShardedSpgemmService group(plat_, pool_, {});
+  EXPECT_THROW(group.submit({&bad, nullptr, 0, 0, ""}), InvalidArgumentError);
+  EXPECT_THROW(group.submit({&good, &bad, 0, 0, ""}), InvalidArgumentError);
+  EXPECT_EQ(group.pending(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Malformations, MalformedGroupSubmitTest,
+                         testing::ValuesIn(test::kIndexMalformations),
+                         test::MalformationParamName());
+
 TEST_F(ShardGroupTest, GroupCapacityShedsWithTypedError) {
   ShardedSpgemmService::Config cfg;
   cfg.shards = 2;

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -10,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/hh_stages.hpp"
 #include "spgemm/gustavson.hpp"
 #include "spgemm/row_column.hpp"
 #include "spgemm/run_order.hpp"
@@ -250,115 +248,6 @@ TEST(RunOrderSwitch, PooledBitmapStaysClearAcrossProducts) {
   for (auto& ws : held) spas.release_spa(std::move(ws));
 }
 
-// A run store given back to the pool serves the next product whatever its
-// shape: a wide product's store holds the narrow product's runs, then grows
-// back for the wide one, and each equals the unpooled kernel bit for bit.
-TEST(WorkspacePoolRunStores, RecycledStoreMatchesFreshOne) {
-  const CraftedProduct wide = crafted_product();
-  const CsrMatrix narrow_a = test::random_csr(5, 20, 0.4, 104);
-  const CsrMatrix narrow_b = test::random_csr(20, 30, 0.3, 105);
-  const struct {
-    const char* name;
-    const CsrMatrix& a;
-    const CsrMatrix& b;
-  } products[] = {{"wide", wide.a, wide.b},
-                  {"narrow", narrow_a, narrow_b},
-                  {"wide again", wide.a, wide.b}};
-  ThreadPool pool(4);
-  WorkspacePool spas;
-  for (const auto& p : products) {
-    std::vector<index_t> rows(static_cast<std::size_t>(p.a.rows));
-    std::iota(rows.begin(), rows.end(), index_t{0});
-    CsrMatrix store =
-        partial_product_runs(p.a, p.b, rows, {}, true, pool, nullptr, &spas);
-    test::expect_same_bits(partial_product_runs(p.a, p.b, rows, {}, true, pool),
-                           store, p.name);
-    spas.release_run_store(RunStoreRole::kHh, std::move(store));
-  }
-  const WorkspacePool::Stats st = spas.stats();
-  EXPECT_EQ(st.coo_acquires, 3);
-  EXPECT_EQ(st.coo_reuses, 2);
-}
-
-// The pool keeps one store per role, and every store it hands out is empty
-// over the asked shape.
-TEST(WorkspacePoolRunStores, KeepsOneStorePerRole) {
-  WorkspacePool spas;
-  const CsrMatrix full = test::random_csr(40, 50, 0.3, 106);
-  const RunStoreRole roles[] = {RunStoreRole::kHh, RunStoreRole::kLl,
-                                RunStoreRole::kQueue};
-  for (const RunStoreRole role : roles) {
-    spas.release_run_store(role, full);
-    spas.release_run_store(role, full);
-  }
-  for (int k = 0; k < 2; ++k) {
-    for (const RunStoreRole role : roles) {
-      const CsrMatrix store = spas.acquire_run_store(role, 7, 9);
-      EXPECT_EQ(store.rows, 7);
-      EXPECT_EQ(store.cols, 9);
-      EXPECT_EQ(store.indptr, std::vector<offset_t>(8, 0)) << "round " << k;
-      EXPECT_TRUE(store.indices.empty() && store.values.empty())
-          << "round " << k;
-    }
-  }
-  EXPECT_EQ(spas.stats().coo_acquires, 6);
-  EXPECT_EQ(spas.stats().coo_reuses, 3);
-}
-
-// HH-CPU products through one pool: each product draws the store its own
-// role gave back, so a store's capacity follows its role's sizes. The first
-// product's queue store is the largest of all; the second product is
-// smaller in every role, and the third skips its A_H×B_H product, which
-// leaves the kept hh store in place.
-TEST(WorkspacePoolRunStores, EachRoleGetsBackItsOwnStore) {
-  ThreadPool pool(2);
-  HeteroPlatform plat;
-  WorkspacePool spas;
-  // The hh, ll and queue stores of one product: the runs each holds, and
-  // the capacity it was drawn with or grew to.
-  struct Stores {
-    std::array<std::size_t, 3> size;
-    std::array<std::size_t, 3> capacity;
-  };
-  const auto product = [&](const CsrMatrix& a, offset_t t) {
-    const PartitionPlan plan = make_partition_plan(a, a, t, t, plat);
-    Phase2Result p2 = run_phase2(a, a, plan, plat, pool, &spas);
-    WorkQueueResult q = run_phase3(a, a, plan, WorkQueueConfig{}, 0, 0, plat,
-                                   pool, &spas);
-    const CsrMatrix* stores[] = {&p2.hh_tuples, &p2.ll_tuples, &q.tuples};
-    Stores s;
-    for (std::size_t r = 0; r < 3; ++r) {
-      s.size[r] = stores[r]->indices.size();
-      s.capacity[r] = stores[r]->indices.capacity();
-    }
-    run_phase4(std::move(p2), std::move(q), plat, pool, &spas);
-    return s;
-  };
-  const CsrMatrix large = test::random_csr(400, 400, 0.05, 107);
-  const CsrMatrix small = test::random_csr(100, 100, 0.05, 108);
-  const Stores first = product(large, 20);
-  ASSERT_GT(first.size[2], first.size[0]);
-  ASSERT_GT(first.size[2], first.size[1]);
-
-  const Stores second = product(small, 5);
-  for (std::size_t r = 0; r < 3; ++r) {
-    ASSERT_LT(second.size[r], first.size[r]) << "role " << r;
-    EXPECT_GE(second.capacity[r], first.size[r])
-        << "role " << r << " drew a smaller role's store";
-  }
-  EXPECT_LT(second.capacity[0], first.size[2]) << "hh drew the queue's store";
-  EXPECT_LT(second.capacity[1], first.size[2]) << "ll drew the queue's store";
-
-  const Stores third = product(small, 1000);
-  ASSERT_EQ(third.size[0], 0u);
-  EXPECT_GE(third.capacity[1], first.size[1]);
-  EXPECT_LT(third.capacity[1], first.size[2]);
-  EXPECT_GE(third.capacity[2], first.size[2]);
-  EXPECT_GE(spas.acquire_run_store(RunStoreRole::kHh, 1, 1).indices.capacity(),
-            first.size[0])
-      << "the skipped product dropped its role's kept store";
-}
-
 TEST(SpgemmKernels, GustavsonMatchesReference) {
   test::expect_matches_reference(small_a(), small_b(),
                                  gustavson_spgemm(small_a(), small_b()));
@@ -452,6 +341,48 @@ INSTANTIATE_TEST_SUITE_P(Kinds, MultiplyDispatchTest,
                            }
                            return name;
                          });
+
+// Malformed operands on either side throw before any kernel reads an
+// index, whichever kind multiply() dispatches.
+class MalformedMultiply : public testing::TestWithParam<test::Malformation> {
+};
+
+TEST_P(MalformedMultiply, ThrowsCheckError) {
+  const CsrMatrix bad = test::malformed_4x4(GetParam());
+  const CsrMatrix good = test::well_formed_4x4();
+  ThreadPool pool(2);
+  for (const SpgemmKind kind :
+       {SpgemmKind::kGustavson, SpgemmKind::kRowColumn}) {
+    EXPECT_THROW(multiply(bad, good, kind, pool), CheckError)
+        << to_string(kind);
+    EXPECT_THROW(multiply(good, bad, kind, pool), CheckError)
+        << to_string(kind);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Malformations, MalformedMultiply,
+                         testing::ValuesIn(test::kAllMalformations),
+                         test::MalformationParamName());
+
+// Unsorted and repeated columns are well-formed: every kernel sums the
+// repeats and writes ascending rows.
+TEST(SpgemmKernels, UnsortedAndDuplicateColumnsAreSummed) {
+  const CsrMatrix a = test::unsorted_with_duplicates(40, 30, 0.15, 121);
+  const CsrMatrix b = test::unsorted_with_duplicates(30, 50, 0.15, 122);
+  EXPECT_ANY_THROW(a.validate(/*sorted=*/true));
+  EXPECT_NO_THROW(check_operands(a, b));
+  ThreadPool pool(3);
+  for (const SpgemmKind kind :
+       {SpgemmKind::kGustavson, SpgemmKind::kRowColumn}) {
+    test::expect_sorted_reference(a, b, multiply(a, b, kind, pool),
+                                  to_string(kind));
+  }
+  std::vector<index_t> rows(static_cast<std::size_t>(a.rows));
+  std::iota(rows.begin(), rows.end(), index_t{0});
+  test::expect_sorted_reference(
+      a, b, partial_product_runs(a, b, rows, {}, true, pool),
+      "partial_product_runs");
+}
 
 }  // namespace
 }  // namespace hh

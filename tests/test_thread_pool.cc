@@ -14,16 +14,6 @@
 namespace hh {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 50);
-}
-
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
@@ -49,14 +39,15 @@ TEST(ThreadPool, ParallelForSingleElement) {
   EXPECT_EQ(sum, 1);
 }
 
+// The first exception a block throws comes back with its own type.
 TEST(ThreadPool, ParallelForPropagatesException) {
   ThreadPool pool(2);
   EXPECT_THROW(
       pool.parallel_for(100,
                         [&](std::int64_t lo, std::int64_t) {
-                          if (lo == 0) throw std::runtime_error("boom");
+                          if (lo == 0) throw ParseError("boom");
                         }),
-      std::runtime_error);
+      ParseError);
 }
 
 TEST(ThreadPool, PoolStillUsableAfterException) {
@@ -90,7 +81,7 @@ TEST(ThreadPool, LargeRangeSum) {
   EXPECT_EQ(sum.load(), 99999LL * 100000 / 2);
 }
 
-// parallel_for waits on its own call's completion group, not wait_idle():
+// parallel_for waits on its own call's completion group, not on the pool:
 // several threads sharing one pool must all complete even when their calls
 // interleave arbitrarily.
 TEST(ThreadPool, ConcurrentParallelForCallers) {
@@ -116,26 +107,28 @@ TEST(ThreadPool, ConcurrentParallelForCallers) {
 
 // A concurrent caller must not wait for *other* callers' unrelated pending
 // work — regression test for parallel_for blocking on whole-pool idleness.
+// Here another thread's parallel_for stays blocked inside its one block,
+// and a second call still completes.
 TEST(ThreadPool, ParallelForDoesNotWaitForUnrelatedTasks) {
   ThreadPool pool(2);
   std::atomic<bool> release{false};
   std::atomic<bool> started{false};
-  // Occupy one worker with a long task the parallel_for does not depend on.
-  // Wait until a worker holds it: the helping caller must not pick it up.
-  pool.submit([&release, &started] {
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
+  std::thread blocked([&] {
+    pool.parallel_for(1, [&](std::int64_t, std::int64_t) {
+      started.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
   });
   while (!started.load()) std::this_thread::yield();
   std::atomic<std::int64_t> covered{0};
   pool.parallel_for(100, [&covered](std::int64_t lo, std::int64_t hi) {
     covered.fetch_add(hi - lo);
   });
-  // parallel_for returned while the blocker still runs.
+  // parallel_for returned while the other call is still blocked.
   EXPECT_EQ(covered.load(), 100);
   EXPECT_FALSE(release.load());
   release.store(true);
-  pool.wait_idle();
+  blocked.join();
 }
 
 // The calling thread helps drain the queue, so a task that itself calls
@@ -167,63 +160,12 @@ TEST(ThreadPool, NestedParallelForPropagatesInnerException) {
                           });
                         }),
       std::runtime_error);
-  pool.wait_idle();  // pool healthy, no stray stashed error
-}
-
-// A throwing submit() task used to std::terminate the worker thread. Now the
-// first exception is stashed and rethrown from wait_idle(), wrapped into the
-// typed taxonomy when it is not already an HhError.
-TEST(ThreadPool, ThrowingSubmitTaskSurfacesFromWaitIdle) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("task boom"); });
-  try {
-    pool.wait_idle();
-    FAIL() << "wait_idle() should rethrow the stashed task exception";
-  } catch (const HhError& e) {
-    EXPECT_EQ(e.code(), StatusCode::kInternal);
-    EXPECT_NE(std::string(e.what()).find("task boom"), std::string::npos);
-  }
-  // The stash is consumed: the pool stays usable and idle-waits cleanly.
+  // The pool stays usable after the nested throw.
   std::atomic<int> count{0};
-  pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPool, ThrowingSubmitTaskKeepsHhErrorType) {
-  ThreadPool pool(2);
-  pool.submit([] { throw ParseError("bad header at line 7"); });
-  try {
-    pool.wait_idle();
-    FAIL() << "wait_idle() should rethrow the stashed ParseError";
-  } catch (const ParseError& e) {
-    EXPECT_EQ(e.code(), StatusCode::kParseError);
-    EXPECT_NE(std::string(e.what()).find("bad header at line 7"),
-              std::string::npos);
-  }
-}
-
-TEST(ThreadPool, FirstStashedErrorWins) {
-  ThreadPool pool(1);
-  pool.submit([] { throw InvalidArgumentError("first"); });
-  pool.submit([] { throw ParseError("second"); });
-  try {
-    pool.wait_idle();
-    FAIL() << "wait_idle() should rethrow";
-  } catch (const HhError& e) {
-    EXPECT_NE(std::string(e.what()).find("first"), std::string::npos);
-  }
-}
-
-// Destroying a pool with an unreported stashed exception must not throw from
-// the destructor (it logs instead).
-TEST(ThreadPool, DestructionWithStashedErrorIsSafe) {
-  {
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("never observed"); });
-    // Give the worker a chance to run the task; destruction joins anyway.
-  }
-  SUCCEED();
+  pool.parallel_for(4, [&](std::int64_t lo, std::int64_t hi) {
+    count.fetch_add(static_cast<int>(hi - lo));
+  });
+  EXPECT_EQ(count.load(), 4);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Shared helpers for the test suite: small deterministic random matrices, a
 // dense-reference comparison that tolerates explicit zeros, a bit-for-bit
-// comparison, and the Phase IV merge contract spelled out over free-form
-// tuples.
+// comparison, the Phase IV merge contract spelled out over free-form
+// tuples, and operands that break or stretch the CSR invariants.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -101,6 +101,104 @@ inline CsrMatrix stable_sort_reference(index_t rows, index_t cols,
   }
   for (index_t r = 0; r < rows; ++r) out.indptr[r + 1] += out.indptr[r];
   return out;
+}
+
+/// The ways an operand can break the invariants CsrMatrix::validate checks
+/// with unsorted columns allowed.
+enum class Malformation {
+  kIndptrNotFromZero,
+  kIndptrDecreasing,
+  kIndicesShort,  // indptr.back() != indices.size()
+  kValuesShort,   // values.size() != indices.size()
+  kColumnPastEnd,
+  kColumnNegative,
+};
+
+inline std::string malformation_name(Malformation how) {
+  switch (how) {
+    case Malformation::kIndptrNotFromZero: return "IndptrNotFromZero";
+    case Malformation::kIndptrDecreasing: return "IndptrDecreasing";
+    case Malformation::kIndicesShort: return "IndicesShort";
+    case Malformation::kValuesShort: return "ValuesShort";
+    case Malformation::kColumnPastEnd: return "ColumnPastEnd";
+    case Malformation::kColumnNegative: return "ColumnNegative";
+  }
+  return "unknown";
+}
+
+/// Every malformation, and those an O(1) check of the array sizes lets
+/// through (the service checked only the sizes before it checked every
+/// index).
+inline constexpr Malformation kAllMalformations[] = {
+    Malformation::kIndptrNotFromZero, Malformation::kIndptrDecreasing,
+    Malformation::kIndicesShort,      Malformation::kValuesShort,
+    Malformation::kColumnPastEnd,     Malformation::kColumnNegative};
+inline constexpr Malformation kIndexMalformations[] = {
+    Malformation::kIndptrNotFromZero, Malformation::kIndptrDecreasing,
+    Malformation::kColumnPastEnd, Malformation::kColumnNegative};
+
+/// A well-formed 4×4 operand with two entries in every row.
+inline CsrMatrix well_formed_4x4() {
+  CsrMatrix m(4, 4);
+  m.indptr = {0, 2, 4, 6, 8};
+  m.indices = {0, 2, 1, 3, 0, 3, 1, 2};
+  m.values = {1, 2, 3, 4, 5, 6, 7, 8};
+  return m;
+}
+
+/// well_formed_4x4() broken in the one way `how` names.
+inline CsrMatrix malformed_4x4(Malformation how) {
+  CsrMatrix m = well_formed_4x4();
+  switch (how) {
+    case Malformation::kIndptrNotFromZero: m.indptr[0] = 1; break;
+    case Malformation::kIndptrDecreasing: m.indptr[2] = 1; break;
+    case Malformation::kIndicesShort: m.indices.pop_back(); break;
+    case Malformation::kValuesShort: m.values.pop_back(); break;
+    case Malformation::kColumnPastEnd: m.indices[3] = m.cols; break;
+    case Malformation::kColumnNegative: m.indices[3] = -1; break;
+  }
+  return m;
+}
+
+/// Names a malformation test instance after its parameter.
+struct MalformationParamName {
+  std::string operator()(
+      const testing::TestParamInfo<Malformation>& info) const {
+    return malformation_name(info.param);
+  }
+};
+
+/// random_csr(rows, cols, density, seed) with each row's entries reversed
+/// (so a row of two or more is unsorted) and its first column repeated at
+/// the row's end with value 0.25: a well-formed operand every kernel must
+/// accept, summing the duplicate.
+inline CsrMatrix unsorted_with_duplicates(index_t rows, index_t cols,
+                                          double density, std::uint64_t seed) {
+  const CsrMatrix base = random_csr(rows, cols, density, seed);
+  CsrMatrix m(rows, cols);
+  for (index_t r = 0; r < rows; ++r) {
+    const auto idx = base.row_indices(r);
+    const auto val = base.row_values(r);
+    for (std::size_t k = idx.size(); k-- > 0;) {
+      m.indices.push_back(idx[k]);
+      m.values.push_back(val[k]);
+    }
+    if (!idx.empty()) {
+      m.indices.push_back(idx.front());
+      m.values.push_back(0.25);
+    }
+    m.indptr[r + 1] = static_cast<offset_t>(m.indices.size());
+  }
+  return m;
+}
+
+/// EXPECT that `got` is the dense-reference product of a and b (within
+/// 1e-9) with every row's columns strictly ascending.
+inline void expect_sorted_reference(const CsrMatrix& a, const CsrMatrix& b,
+                                    const CsrMatrix& got,
+                                    const std::string& label) {
+  expect_matches_reference(a, b, got, label.c_str());
+  EXPECT_NO_THROW(got.validate(/*sorted=*/true)) << label;
 }
 
 }  // namespace hh::test
