@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "spgemm/gustavson.hpp"
 #include "spgemm/spgemm.hpp"
 
 int main() {
@@ -17,6 +18,7 @@ int main() {
   const HeteroPlatform plat = make_scaled_platform(scale);
   const std::int64_t scaled_default = shared_accum_cap();
   const CsrMatrix a = make_dataset(dataset_spec("webbase-1M"), scale);
+  const CsrMatrix c = gustavson_spgemm_parallel(a, a, pool);
 
   std::printf("matrix: webbase-1M analogue (scaled default cap = %lld)\n\n",
               static_cast<long long>(scaled_default));
@@ -28,10 +30,10 @@ int main() {
     set_shared_accum_cap(cap);
     const RunResult gpu = run_gpu_only_hipc_kernel(a, a, plat, pool);
     // Recompute aggregate stats at this cap for the report line.
-    std::vector<index_t> rows(static_cast<std::size_t>(a.rows));
-    for (index_t r = 0; r < a.rows; ++r) rows[r] = r;
     ProductStats stats;
-    partial_product_runs(a, a, rows, {}, true, pool, &stats);
+    for (const ProductStats& row : product_row_stats(a, a, c)) {
+      stats.accumulate(row);
+    }
     std::printf("%10lld %16lld %16lld %14.3f\n", static_cast<long long>(cap),
                 static_cast<long long>(stats.flops_shared),
                 static_cast<long long>(stats.flops_global),

@@ -1,15 +1,18 @@
 // Real wall-clock microbenchmarks of the host kernels (google-benchmark):
 // the two full-product kernels multiply() dispatches (Gustavson's SPA and
-// the row-column formulation of §II-A), the masked run kernel of Phases
-// II-III, the Phase IV run merge, and the power-law generator. These measure
-// the actual C++ implementations on the build machine — unlike the figure
-// benches, nothing here is simulated.
+// the row-column formulation of §II-A), HH-CPU's numeric pass, the Phase IV
+// run merge, and the power-law generator. These measure the actual C++
+// implementations on the build machine — unlike the figure benches,
+// nothing here is simulated.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "gen/powerlaw_gen.hpp"
 #include "primitives/tuple_merge.hpp"
+#include "sparse/convert.hpp"
 #include "sparse/partition.hpp"
 #include "spgemm/gustavson.hpp"
 #include "spgemm/row_column.hpp"
@@ -45,35 +48,33 @@ void BM_RowColumnSpgemm(benchmark::State& state) {
 }
 BENCHMARK(BM_RowColumnSpgemm)->Arg(2000);
 
-std::vector<hh::index_t> all_rows(const hh::CsrMatrix& a) {
-  std::vector<hh::index_t> rows(static_cast<std::size_t>(a.rows));
-  for (hh::index_t r = 0; r < a.rows; ++r) rows[r] = r;
-  return rows;
+// The B rows at or above the mean density are high: the Phase II/III shape.
+hh::RowPartition mean_density_split(const hh::CsrMatrix& a) {
+  return hh::classify_rows(a, a.nnz() / a.rows);
 }
 
-// The masked run kernel on the Phase II/III shape: every A row against the
-// B rows at or above the mean density, then against the rest.
-void BM_PartialProductRuns(benchmark::State& state) {
+// HH-CPU's numeric pass: every A row against its own B side, then the
+// other, into C sized by the symbolic count.
+void BM_NumericInHalves(benchmark::State& state) {
   const hh::CsrMatrix a = bench_matrix(4000);
   hh::ThreadPool pool(0);
-  const std::vector<hh::index_t> rows = all_rows(a);
-  const hh::RowPartition b = hh::classify_rows(a, a.nnz() / a.rows);
+  const hh::RowPartition p = mean_density_split(a);
+  const std::vector<hh::offset_t> sizes = hh::exact_row_nnz(a, a);
   for (auto _ : state) {
-    for (const bool high : {true, false}) {
-      benchmark::DoNotOptimize(hh::partial_product_runs(
-          a, a, rows, b.is_high, high, pool, nullptr));
-    }
+    hh::CsrMatrix c(a.rows, a.cols);
+    std::copy(sizes.begin(), sizes.end(), c.indptr.begin() + 1);
+    hh::numeric_in_halves(a, a, p.is_high, p.is_high, c, pool);
+    benchmark::DoNotOptimize(c);
   }
   state.SetItemsProcessed(state.iterations() * hh::total_flops(a, a));
 }
-BENCHMARK(BM_PartialProductRuns);
+BENCHMARK(BM_NumericInHalves);
 
 // The run merge over one run per row (a full product's runs).
 void BM_RunMerge(benchmark::State& state) {
   const hh::CsrMatrix a = bench_matrix(4000);
   hh::ThreadPool pool(0);
-  const hh::CsrMatrix runs =
-      hh::partial_product_runs(a, a, all_rows(a), {}, true, pool, nullptr);
+  const hh::CsrMatrix runs = hh::gustavson_spgemm_parallel(a, a, pool);
   const hh::CsrMatrix* parts[] = {&runs};
   for (auto _ : state) {
     benchmark::DoNotOptimize(hh::merge_row_runs(parts, pool, nullptr));
@@ -83,18 +84,22 @@ void BM_RunMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_RunMerge);
 
-// The Phase IV shape: the same product split by a B-row mask (rows at or
-// above the mean density are high) into two partial products, so each
-// output row arrives as up to two column-sorted runs in separate stores.
+// The Phase IV shape: the same product split by the B-row mask into two
+// partial products (A's entries on each B side), so each output row
+// arrives as up to two column-sorted runs in separate stores.
 void BM_RunMergeHhCpu(benchmark::State& state) {
   const hh::CsrMatrix a = bench_matrix(4000);
   hh::ThreadPool pool(0);
-  const std::vector<hh::index_t> rows = all_rows(a);
-  const hh::RowPartition b = hh::classify_rows(a, a.nnz() / a.rows);
-  const hh::CsrMatrix high =
-      hh::partial_product_runs(a, a, rows, b.is_high, true, pool, nullptr);
-  const hh::CsrMatrix low =
-      hh::partial_product_runs(a, a, rows, b.is_high, false, pool, nullptr);
+  const std::vector<std::uint8_t>& b_high = mean_density_split(a).is_high;
+  const auto store = [&](bool high) {
+    return hh::gustavson_spgemm_parallel(
+        hh::mask_entries(a, [&](hh::index_t, hh::index_t j) {
+          return (b_high[j] != 0) == high;
+        }),
+        a, pool);
+  };
+  const hh::CsrMatrix high = store(true);
+  const hh::CsrMatrix low = store(false);
   const hh::CsrMatrix* parts[] = {&high, &low};
   for (auto _ : state) {
     benchmark::DoNotOptimize(hh::merge_row_runs(parts, pool, nullptr));

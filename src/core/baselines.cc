@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
-#include <utility>
 
 #include "sched/static_partition.hpp"
+#include "spgemm/gustavson.hpp"
 #include "spgemm/spgemm.hpp"
 
 namespace hh {
@@ -16,18 +16,34 @@ std::vector<index_t> iota_rows(index_t n) {
   return rows;
 }
 
-// C is an unmasked product's run store itself: every row holds its one run,
-// already ascending, so Phase IV's merge would copy it. The clock still
-// charges a merge of its tuples where the algorithm has one.
-void take_output(RunResult& res, CsrMatrix runs) {
-  res.c = std::move(runs);
+// What every baseline computes: C is Gustavson's product, and `row_stats`
+// receives each row's stats, priced from its size in C. The clock still
+// charges a merge of C's tuples where the algorithm has one.
+RunResult stored_product(const char* name, const CsrMatrix& a,
+                         const CsrMatrix& b, ThreadPool& pool,
+                         std::vector<ProductStats>& row_stats) {
+  RunResult res;
+  res.report.algorithm = name;
+  res.c = gustavson_spgemm_parallel(a, b, pool);
+  row_stats = product_row_stats(a, b, res.c);
   res.report.merge.tuples_in = res.c.nnz();
   res.report.merge.tuples_out = res.c.nnz();
   res.report.output_nnz = res.c.nnz();
+  return res;
+}
+
+// Σ of the stats of rows [lo, hi).
+ProductStats sum_rows(std::span<const ProductStats> row_stats, index_t lo,
+                      index_t hi) {
+  ProductStats s;
+  for (index_t i = lo; i < hi; ++i) {
+    s.accumulate(row_stats[static_cast<std::size_t>(i)]);
+  }
+  return s;
 }
 
 // §V-C: one queue over `rows` of A against all of B, CPU from the front
-// and GPU from the back; C is the queue's run store.
+// and GPU from the back, priced from C's per-row stats.
 RunResult run_baseline_workqueue(const char* name, const CsrMatrix& a,
                                  const CsrMatrix& b,
                                  std::span<const index_t> rows,
@@ -35,15 +51,16 @@ RunResult run_baseline_workqueue(const char* name, const CsrMatrix& a,
                                  const HeteroPlatform& platform,
                                  ThreadPool& pool) {
   check_operands(a, b);
+  std::vector<ProductStats> row_stats;
+  RunResult res = stored_product(name, a, b, pool, row_stats);
+  RunReport& rep = res.report;
   const double transfer_in = platform.link().h2d().operands_transfer_time(a, b);
   const QueuePart parts[] = {{{rows, {}, true},
                               12.0 * static_cast<double>(b.nnz())}};
-  WorkQueueResult queue = run_workqueue(a, b, parts, cfg, /*cpu_start=*/0.0,
-                                        /*gpu_start=*/transfer_in, platform,
-                                        pool);
-  RunResult res;
-  RunReport& rep = res.report;
-  rep.algorithm = name;
+  const std::span<const ProductStats> tables[] = {row_stats};
+  const WorkQueueResult queue =
+      schedule_workqueue(parts, tables, cfg, a.rows, /*cpu_start=*/0.0,
+                         /*gpu_start=*/transfer_in, platform);
   rep.transfer_in_s = transfer_in;
   rep.phase3_cpu_s = queue.cpu_busy;
   rep.phase3_gpu_s = queue.gpu_busy;
@@ -54,7 +71,6 @@ RunResult run_baseline_workqueue(const char* name, const CsrMatrix& a,
 
   rep.transfer_out_s =
       platform.link().d2h().tuple_transfer_time(queue.gpu_stats.tuples);
-  take_output(res, std::move(queue.tuples));
   rep.phase4_s = platform.cpu().merge_time(rep.merge.tuples_in);
   rep.total_s = queue.end_time() + rep.transfer_out_s + rep.phase4_s;
   return res;
@@ -65,24 +81,17 @@ RunResult run_baseline_workqueue(const char* name, const CsrMatrix& a,
 RunResult run_hipc2012(const CsrMatrix& a, const CsrMatrix& b,
                        const HeteroPlatform& platform, ThreadPool& pool) {
   check_operands(a, b);
-  RunResult res;
+  std::vector<ProductStats> row_stats;
+  RunResult res = stored_product("HiPC2012", a, b, pool, row_stats);
   RunReport& rep = res.report;
-  rep.algorithm = "HiPC2012";
 
   const StaticSplit split = balance_static_split(a, b, platform);
   const double transfer_in = platform.link().h2d().operands_transfer_time(a, b);
   rep.transfer_in_s = transfer_in;
 
-  // One product over all rows; each device's stats are the sum over its
-  // block of the per-row table.
-  std::vector<ProductStats> row_stats(static_cast<std::size_t>(a.rows));
-  CsrMatrix runs = partial_product_runs(a, b, iota_rows(a.rows), {}, true,
-                                        pool, nullptr, nullptr, row_stats);
-  ProductStats cpu_stats, gpu_stats;
-  for (index_t i = 0; i < a.rows; ++i) {
-    (i < split.split_row ? cpu_stats : gpu_stats)
-        .accumulate(row_stats[static_cast<std::size_t>(i)]);
-  }
+  // Each device's stats are the sum over its row block.
+  const ProductStats cpu_stats = sum_rows(row_stats, 0, split.split_row);
+  const ProductStats gpu_stats = sum_rows(row_stats, split.split_row, a.rows);
 
   const double ws_full = 12.0 * static_cast<double>(b.nnz());
   const double t_cpu = platform.cpu().kernel_time(cpu_stats, ws_full, true);
@@ -96,7 +105,6 @@ RunResult run_hipc2012(const CsrMatrix& a, const CsrMatrix& b,
   // (paper §III-D); still, GPU tuples cross PCIe and the clock charges
   // assembling both blocks into one CSR.
   rep.transfer_out_s = platform.link().d2h().tuple_transfer_time(gpu_stats.tuples);
-  take_output(res, std::move(runs));
   rep.phase4_s = platform.cpu().merge_time(rep.merge.tuples_in);
   rep.total_s = HeteroPlatform::overlap(t_cpu, t_gpu) + rep.transfer_out_s +
                 rep.phase4_s;
@@ -130,12 +138,10 @@ RunResult run_sorted_workqueue(const CsrMatrix& a, const CsrMatrix& b,
 RunResult run_cpu_only_mkl(const CsrMatrix& a, const CsrMatrix& b,
                            const HeteroPlatform& platform, ThreadPool& pool) {
   check_operands(a, b);
-  RunResult res;
+  std::vector<ProductStats> row_stats;
+  RunResult res = stored_product("MKL (CPU only)", a, b, pool, row_stats);
   RunReport& rep = res.report;
-  rep.algorithm = "MKL (CPU only)";
-  ProductStats stats;
-  take_output(res, partial_product_runs(a, b, iota_rows(a.rows), {}, true,
-                                        pool, &stats));
+  const ProductStats stats = sum_rows(row_stats, 0, a.rows);
   const double ws_full = 12.0 * static_cast<double>(b.nnz());
   rep.phase2_cpu_s = platform.cpu().library_time(stats, ws_full);
   rep.phase2_s = rep.phase2_cpu_s;
@@ -148,13 +154,12 @@ RunResult run_gpu_only_cusparse(const CsrMatrix& a, const CsrMatrix& b,
                                 const HeteroPlatform& platform,
                                 ThreadPool& pool) {
   check_operands(a, b);
-  RunResult res;
+  std::vector<ProductStats> row_stats;
+  RunResult res =
+      stored_product("cuSPARSE (GPU only)", a, b, pool, row_stats);
   RunReport& rep = res.report;
-  rep.algorithm = "cuSPARSE (GPU only)";
   rep.transfer_in_s = platform.link().h2d().operands_transfer_time(a, b);
-  ProductStats stats;
-  take_output(res, partial_product_runs(a, b, iota_rows(a.rows), {}, true,
-                                        pool, &stats));
+  const ProductStats stats = sum_rows(row_stats, 0, a.rows);
   rep.phase2_gpu_s = platform.gpu().generic_time(stats);
   rep.phase2_s = rep.phase2_gpu_s;
   rep.flops = stats.flops;
@@ -168,13 +173,12 @@ RunResult run_gpu_only_hipc_kernel(const CsrMatrix& a, const CsrMatrix& b,
                                    const HeteroPlatform& platform,
                                    ThreadPool& pool) {
   check_operands(a, b);
-  RunResult res;
+  std::vector<ProductStats> row_stats;
+  RunResult res = stored_product("HiPC2012 GPU kernel (GPU only)", a, b, pool,
+                                 row_stats);
   RunReport& rep = res.report;
-  rep.algorithm = "HiPC2012 GPU kernel (GPU only)";
   rep.transfer_in_s = platform.link().h2d().operands_transfer_time(a, b);
-  ProductStats stats;
-  take_output(res, partial_product_runs(a, b, iota_rows(a.rows), {}, true,
-                                        pool, &stats));
+  const ProductStats stats = sum_rows(row_stats, 0, a.rows);
   rep.phase2_gpu_s = platform.gpu().kernel_time(stats);
   rep.phase2_s = rep.phase2_gpu_s;
   rep.flops = stats.flops;

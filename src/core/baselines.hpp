@@ -3,7 +3,8 @@
 //    (the "best known heterogeneous algorithm" HH-CPU is measured against)
 //  - Unsorted-Workqueue / Sorted-Workqueue (paper §V-C)
 //  - CPU-only "MKL" and GPU-only "cuSPARSE" library baselines (Fig. 6)
-// All return exact products with simulated-time reports.
+// All return Gustavson's product (spgemm/gustavson.hpp) as C, with a
+// simulated-time report priced from C's own row sizes (product_row_stats).
 #pragma once
 
 #include <vector>

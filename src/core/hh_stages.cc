@@ -2,6 +2,9 @@
 
 #include <vector>
 
+#include "sparse/convert.hpp"
+#include "spgemm/gustavson.hpp"
+
 namespace hh {
 namespace {
 
@@ -42,14 +45,24 @@ std::vector<QueuePart> phase3_parts(const PartitionPlan& plan) {
   return parts;
 }
 
-// Σ of the per-row costs of `rows` against the B side b_mask == mask_value.
-ProductStats sum_rows(const MaskedRowCosts& costs,
-                      std::span<const index_t> rows, bool mask_value) {
+// Σ of the per-row stats of `rows` in a table indexed by A row.
+ProductStats sum_rows(std::span<const ProductStats> table,
+                      std::span<const index_t> rows) {
   ProductStats s;
-  for (const index_t i : rows) {
-    s.accumulate(costs.by_mask[mask_value][static_cast<std::size_t>(i)]);
-  }
+  for (const index_t i : rows) s.accumulate(table[static_cast<std::size_t>(i)]);
   return s;
+}
+
+// A staged product's run store: Gustavson over the copy of A that keeps the
+// entries a(i, j) with keep(i, j), so row i's run sits in row i's slot, and
+// that store's per-row stats.
+template <class Keep>
+CsrMatrix staged_store(const CsrMatrix& a, const CsrMatrix& b, Keep&& keep,
+                       ThreadPool& pool, std::vector<ProductStats>& row_stats) {
+  const CsrMatrix masked = mask_entries(a, keep);
+  CsrMatrix store = gustavson_spgemm_parallel(masked, b, pool);
+  row_stats = product_row_stats(masked, b, store);
+  return store;
 }
 
 }  // namespace
@@ -57,18 +70,25 @@ ProductStats sum_rows(const MaskedRowCosts& costs,
 Phase2Result run_phase2(const CsrMatrix& a, const CsrMatrix& b,
                         const PartitionPlan& plan,
                         const HeteroPlatform& platform, ThreadPool& pool,
-                        WorkspacePool* workspace) {
+                        WorkspacePool* /*workspace*/) {
+  const std::vector<std::uint8_t>& a_high = plan.a.is_high;
+  const std::vector<std::uint8_t>& b_high = plan.b.is_high;
   Phase2Result r;
-  r.hh_tuples = runs_hh(plan)
-                    ? partial_product_runs(a, b, plan.a.high_rows,
-                                           plan.b.is_high, true, pool,
-                                           &r.hh_stats, workspace)
-                    : CsrMatrix(a.rows, b.cols);
-  r.ll_tuples = runs_ll(plan)
-                    ? partial_product_runs(a, b, plan.a.low_rows,
-                                           plan.b.is_high, false, pool,
-                                           &r.ll_stats, workspace)
-                    : CsrMatrix(a.rows, b.cols);
+  std::vector<ProductStats> table;
+  r.hh_tuples = CsrMatrix(a.rows, b.cols);
+  if (runs_hh(plan)) {
+    r.hh_tuples = staged_store(
+        a, b, [&](index_t i, index_t j) { return a_high[i] && b_high[j]; },
+        pool, table);
+    r.hh_stats = sum_rows(table, plan.a.high_rows);
+  }
+  r.ll_tuples = CsrMatrix(a.rows, b.cols);
+  if (runs_ll(plan)) {
+    r.ll_tuples = staged_store(
+        a, b, [&](index_t i, index_t j) { return !a_high[i] && !b_high[j]; },
+        pool, table);
+    r.ll_stats = sum_rows(table, plan.a.low_rows);
+  }
   price_phase2(r, plan, platform);
   return r;
 }
@@ -77,16 +97,28 @@ WorkQueueResult run_phase3(const CsrMatrix& a, const CsrMatrix& b,
                            const PartitionPlan& plan,
                            const WorkQueueConfig& cfg, double cpu_start,
                            double gpu_start, const HeteroPlatform& platform,
-                           ThreadPool& pool, WorkspacePool* workspace) {
-  return run_workqueue(a, b, phase3_parts(plan), cfg, cpu_start, gpu_start,
-                       platform, pool, workspace);
+                           ThreadPool& pool, WorkspacePool* /*workspace*/) {
+  // Each row's queue run is its entries on its other B side; a skipped
+  // part's rows have no such entries, as that B side is empty.
+  const std::vector<std::uint8_t>& a_high = plan.a.is_high;
+  const std::vector<std::uint8_t>& b_high = plan.b.is_high;
+  std::vector<ProductStats> table;
+  CsrMatrix tuples = staged_store(
+      a, b, [&](index_t i, index_t j) { return a_high[i] != b_high[j]; }, pool,
+      table);
+  const std::vector<QueuePart> parts = phase3_parts(plan);
+  const std::vector<std::span<const ProductStats>> tables(parts.size(), table);
+  WorkQueueResult res = schedule_workqueue(parts, tables, cfg, a.rows,
+                                           cpu_start, gpu_start, platform);
+  res.tuples = std::move(tuples);
+  return res;
 }
 
 Phase2Result cost_phase2(const PartitionPlan& plan, const MaskedRowCosts& costs,
                          const HeteroPlatform& platform) {
   Phase2Result r;
-  if (runs_hh(plan)) r.hh_stats = sum_rows(costs, plan.a.high_rows, true);
-  if (runs_ll(plan)) r.ll_stats = sum_rows(costs, plan.a.low_rows, false);
+  if (runs_hh(plan)) r.hh_stats = sum_rows(costs.by_mask[1], plan.a.high_rows);
+  if (runs_ll(plan)) r.ll_stats = sum_rows(costs.by_mask[0], plan.a.low_rows);
   price_phase2(r, plan, platform);
   return r;
 }

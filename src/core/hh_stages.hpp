@@ -14,9 +14,13 @@
 // prices every threshold of a grid from one pass (row_costs_on_grid).
 //
 // Benchmark shim: run_phase2, run_phase3 and run_phase4 execute the four
-// products into run stores (partial_product_runs) and merge them into C
-// (merge_row_runs). Nothing in the library calls them; the benchmark's
-// traced one-shot run times them as stages and checks that they compose to
+// products into run stores and merge them into C (merge_row_runs). Each
+// store is Gustavson's product (spgemm/gustavson.hpp) of a copy of A that
+// keeps only the entries its product reads (mask_entries), so each row's
+// run sits in its row's slot, and is priced from its own row sizes
+// (product_row_stats); Phase III's queue is then schedule_workqueue over
+// those stats. Nothing in the library calls them; the benchmark's traced
+// one-shot run times them as stages and checks that they compose to
 // run_hh_cpu bit for bit, with an equal report.
 //
 // Stage → resource map used by the runtime:
@@ -53,7 +57,8 @@ struct Phase2Result {
 };
 
 /// Benchmark shim: Phase II with both products executed into run stores
-/// (a skipped product leaves an empty one).
+/// (a skipped product leaves an empty one). `workspace` is unused and stays
+/// for the benchmark's calls.
 Phase2Result run_phase2(const CsrMatrix& a, const CsrMatrix& b,
                         const PartitionPlan& plan,
                         const HeteroPlatform& platform, ThreadPool& pool,
@@ -61,8 +66,10 @@ Phase2Result run_phase2(const CsrMatrix& a, const CsrMatrix& b,
 
 /// Benchmark shim: Phase III, the double-ended workqueue over A_L×B_H (CPU
 /// end) and A_H×B_L (GPU end), with the queue executed into one run store
-/// (run_workqueue). Device clocks enter at cpu_start/gpu_start; cross
-/// products whose B side is empty are skipped outright.
+/// (each row against its other B side) and scheduled by schedule_workqueue
+/// over that store's per-row stats. Device clocks enter at
+/// cpu_start/gpu_start; cross products whose B side is empty are skipped
+/// outright. `workspace` is unused and stays for the benchmark's calls.
 WorkQueueResult run_phase3(const CsrMatrix& a, const CsrMatrix& b,
                            const PartitionPlan& plan,
                            const WorkQueueConfig& cfg, double cpu_start,

@@ -75,15 +75,10 @@ class PcieLink {
   const PcieChannel& h2d() const { return h2d_; }
   const PcieChannel& d2h() const { return d2h_; }
 
-  /// Direction-agnostic helpers for callers that charge a transfer without
-  /// scheduling it on a channel timeline (single-request drivers, benches).
-  /// Uploads go H2D; tuple results come back D2H.
-  double transfer_time(double bytes) const { return h2d_.transfer_time(bytes); }
+  /// An upload's time, for callers that charge it without scheduling it on
+  /// a channel timeline (the transfer-model bench): h2d().
   double matrix_transfer_time(const CsrMatrix& m) const {
     return h2d_.matrix_transfer_time(m);
-  }
-  double tuple_transfer_time(std::int64_t n) const {
-    return d2h_.tuple_transfer_time(n);
   }
 
   const PcieCostModel& model() const { return h2d_.model(); }

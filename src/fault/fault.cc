@@ -18,17 +18,6 @@ double uniform_draw(std::uint64_t seed, FaultSite site, std::uint64_t op,
 
 }  // namespace
 
-const char* to_string(FaultSite site) {
-  switch (site) {
-    case FaultSite::kGpuKernel: return "gpu_kernel";
-    case FaultSite::kH2D: return "h2d";
-    case FaultSite::kD2H: return "d2h";
-    case FaultSite::kCpuWorker: return "cpu_worker";
-    case FaultSite::kShard: return "shard";
-  }
-  return "?";
-}
-
 const FaultSpec& FaultPlan::spec(FaultSite site) const {
   switch (site) {
     case FaultSite::kGpuKernel: return gpu_kernel;

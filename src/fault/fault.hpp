@@ -43,8 +43,6 @@ enum class FaultSite {
 };
 inline constexpr int kFaultSiteCount = 5;
 
-const char* to_string(FaultSite site);
-
 /// Per-site fault schedule description.
 struct FaultSpec {
   double rate = 0;  // stationary per-op fault probability in [0, 1]

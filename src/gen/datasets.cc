@@ -2,8 +2,10 @@
 
 #include <array>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 
+#include "fault/checksum.hpp"
 #include "gen/powerlaw_gen.hpp"
 #include "sparse/mm_io.hpp"
 #include "util/check.hpp"
@@ -29,14 +31,6 @@ constexpr std::array<DatasetSpec, 12> kTable1 = {{
     {"cit-Patents", 3774768, 16518948, 3.90},
 }};
 
-std::uint64_t name_seed(const char* name) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char* p = name; *p != '\0'; ++p) {
-    h = (h ^ static_cast<std::uint64_t>(*p)) * 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 std::span<const DatasetSpec> table1_datasets() { return kTable1; }
@@ -57,7 +51,7 @@ CsrMatrix make_dataset(const DatasetSpec& spec, double scale,
   cfg.cols = cfg.rows;
   cfg.target_nnz = std::max<std::int64_t>(
       cfg.rows, static_cast<std::int64_t>(static_cast<double>(spec.nnz) * scale));
-  cfg.seed = name_seed(spec.name) + seed_salt;
+  cfg.seed = fnv1a64(spec.name, std::strlen(spec.name)) + seed_salt;
 
   const double mean_deg = static_cast<double>(cfg.target_nnz) /
                           static_cast<double>(cfg.rows);

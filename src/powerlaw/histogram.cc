@@ -8,24 +8,6 @@
 
 namespace hh {
 
-std::vector<HistogramBin> linear_histogram(std::span<const std::int64_t> data,
-                                           int bins) {
-  HH_CHECK(bins > 0);
-  HH_CHECK(!data.empty());
-  const auto [mn_it, mx_it] = std::minmax_element(data.begin(), data.end());
-  const std::int64_t mn = *mn_it, mx = *mx_it;
-  const std::int64_t span = mx - mn + 1;
-  const std::int64_t width = (span + bins - 1) / bins;
-  std::vector<HistogramBin> out;
-  for (std::int64_t lo = mn; lo <= mx; lo += width) {
-    out.push_back({lo, std::min(mx, lo + width - 1), 0});
-  }
-  for (const std::int64_t x : data) {
-    out[static_cast<std::size_t>((x - mn) / width)].count++;
-  }
-  return out;
-}
-
 std::vector<HistogramBin> log2_histogram(std::span<const std::int64_t> data) {
   std::vector<HistogramBin> out;
   out.push_back({0, 0, 0});  // empty rows get their own bin

@@ -16,10 +16,6 @@ struct HistogramBin {
   std::int64_t count = 0;
 };
 
-/// Fixed-width linear bins over [min, max] of the data.
-std::vector<HistogramBin> linear_histogram(std::span<const std::int64_t> data,
-                                           int bins);
-
 /// Power-of-two bins: [1,1], [2,3], [4,7], ... Natural for heavy tails.
 std::vector<HistogramBin> log2_histogram(std::span<const std::int64_t> data);
 

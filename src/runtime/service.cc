@@ -240,24 +240,26 @@ TuneReport SpgemmService::tune_report() const {
   return {config_.tune.enabled, tuner_.snapshot()};
 }
 
-void validate_spgemm_request(const SpgemmRequest& request) {
+void validate_spgemm_request(const SpgemmRequest& request,
+                             std::unordered_set<const CsrMatrix*>& checked) {
   if (request.a == nullptr) {
     throw InvalidArgumentError("request needs an A operand");
   }
   const CsrMatrix& a = *request.a;
   const CsrMatrix& b = request.b != nullptr ? *request.b : a;
-  auto check_operand = [](const CsrMatrix& m, const char* side) {
+  auto check_operand = [&checked](const CsrMatrix& m, const char* side) {
     if (m.rows <= 0 || m.cols <= 0) {
       std::ostringstream os;
       os << side << " operand is empty (" << m.rows << "x" << m.cols << ")";
       throw InvalidArgumentError(os.str());
     }
-    try {
-      m.validate(/*sorted=*/false);
-    } catch (const CheckError& e) {
+    if (checked.contains(&m)) return;
+    const std::string why = m.defect(/*sorted=*/false);
+    if (!why.empty()) {
       throw InvalidArgumentError(std::string(side) +
-                                 " operand is malformed: " + e.what());
+                                 " operand is malformed: " + why);
     }
+    checked.insert(&m);
   };
   check_operand(a, "A");
   if (request.b != nullptr) check_operand(b, "B");
@@ -276,7 +278,7 @@ void validate_spgemm_request(const SpgemmRequest& request) {
 }
 
 std::size_t SpgemmService::submit(SpgemmRequest request) {
-  validate_spgemm_request(request);
+  validate_spgemm_request(request, checked_);
   if (config_.admission_capacity > 0 &&
       queue_.size() >= config_.admission_capacity) {
     metrics_.counter("service.shed").inc();
@@ -292,6 +294,7 @@ std::size_t SpgemmService::submit(SpgemmRequest request) {
 void SpgemmService::invalidate_inputs() {
   signatures_.clear();
   checksums_.clear();
+  checked_.clear();
   residency_.clear();
 }
 
@@ -458,7 +461,10 @@ SpgemmService::Drain::Drain(SpgemmService& s)
       fi_(s.config_.fault_plan.enabled() ? &s.injector_ : nullptr),
       first_id_(s.next_id_ - s.queue_.size()) {}
 
-BatchResult SpgemmService::drain() { return Drain(*this).run(); }
+BatchResult SpgemmService::drain() {
+  checked_.clear();
+  return Drain(*this).run();
+}
 
 BatchResult SpgemmService::Drain::run() {
   const std::size_t n = s_.queue_.size();

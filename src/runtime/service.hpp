@@ -54,6 +54,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/hh_cpu.hpp"
@@ -94,10 +95,15 @@ struct SpgemmRequest {
 /// The request validation SpgemmService::submit performs, as a free function
 /// so a fronting layer (the shard group, src/shard/) can reject malformed
 /// requests before routing instead of discovering the throw mid-failover.
-/// Each operand is checked in full (validate(/*sorted=*/false), one O(nnz)
-/// walk). Throws InvalidArgumentError; returns normally on a well-formed
-/// request.
-void validate_spgemm_request(const SpgemmRequest& request);
+/// Each operand is checked in full (CsrMatrix::defect(/*sorted=*/false),
+/// one O(nnz) walk) unless it is in `checked`, and goes into `checked` once
+/// it passes. The caller keeps `checked` for one drain window: a submitted
+/// matrix may not change before drain() returns, so a pointer that passed
+/// since the last drain() still holds a well-formed matrix. Throws
+/// InvalidArgumentError naming the operand and its defect; returns normally
+/// on a well-formed request.
+void validate_spgemm_request(const SpgemmRequest& request,
+                             std::unordered_set<const CsrMatrix*>& checked);
 
 /// Per-request fault/recovery accounting.
 struct FaultRecoveryStats {
@@ -270,11 +276,12 @@ class SpgemmService {
       : SpgemmService(platform, pool, Config{}) {}
 
   /// Enqueue; returns the request id (drain-order index). The matrices must
-  /// outlive the next drain() and must not be modified. Throws
-  /// InvalidArgumentError on a malformed request (null/degenerate operands,
-  /// incompatible shapes, negative thresholds or deadline) and
-  /// AdmissionError when the bounded admission queue is full (the shed is
-  /// counted in the next BatchReport).
+  /// outlive the next drain() and must not be modified before it returns.
+  /// Throws InvalidArgumentError on a malformed request (null, degenerate
+  /// or malformed operands, incompatible shapes, negative thresholds or
+  /// deadline; each distinct operand is walked in full once per drain
+  /// window) and AdmissionError when the bounded admission queue is full
+  /// (the shed is counted in the next BatchReport).
   std::size_t submit(SpgemmRequest request);
 
   std::size_t pending() const { return queue_.size(); }
@@ -303,8 +310,9 @@ class SpgemmService {
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Drop device residency and cached host-side signatures and checksums
-  /// (e.g. after the caller mutated or freed previously-submitted matrices).
+  /// Drop device residency and cached host-side signatures, checksums and
+  /// validations (e.g. after the caller mutated or freed previously-submitted
+  /// matrices).
   void invalidate_inputs();
 
  private:
@@ -332,6 +340,9 @@ class SpgemmService {
   // (residency key) of each submitted matrix.
   std::unordered_map<const CsrMatrix*, MatrixSignature> signatures_;
   std::unordered_map<const CsrMatrix*, std::uint64_t> checksums_;
+  // The operands whose full check passed since the last drain(): a later
+  // submit() in the same window skips their walk.
+  std::unordered_set<const CsrMatrix*> checked_;
   // Device residency keyed by operand content, so pointer-distinct but
   // bit-identical operands share one device copy and operands that merely
   // share a signature do not. The value counts the current drain's users

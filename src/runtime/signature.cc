@@ -4,6 +4,7 @@
 #include <sstream>
 #include <vector>
 
+#include "fault/checksum.hpp"
 #include "powerlaw/fit.hpp"
 #include "powerlaw/histogram.hpp"
 #include "sparse/row_stats.hpp"
@@ -11,15 +12,10 @@
 namespace hh {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (x >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
+// The seed of both signature digests: FNV-1a's offset basis with its last
+// decimal digit dropped, as the digests were first written. Plan-cache keys,
+// tune-report keys and every recorded digest depend on it.
+constexpr std::uint64_t kSignatureSeed = 1469598103934665603ull;
 
 }  // namespace
 
@@ -45,11 +41,11 @@ MatrixSignature matrix_signature(const CsrMatrix& m) {
   }
 
   // Digest of the full log2 row-size histogram (bin bounds + counts).
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kSignatureSeed;
   if (!row_sizes.empty()) {
     for (const HistogramBin& bin : log2_histogram(row_sizes)) {
-      fnv_mix(h, static_cast<std::uint64_t>(bin.lo));
-      fnv_mix(h, static_cast<std::uint64_t>(bin.count));
+      checksum_mix_i64(h, bin.lo);
+      checksum_mix_i64(h, bin.count);
     }
   }
   sig.degree_digest = h;
@@ -65,12 +61,12 @@ std::string to_string(const MatrixSignature& s) {
 }
 
 std::size_t MatrixSignatureHash::operator()(const MatrixSignature& s) const {
-  std::uint64_t h = kFnvOffset;
-  fnv_mix(h, static_cast<std::uint64_t>(s.rows));
-  fnv_mix(h, static_cast<std::uint64_t>(s.cols));
-  fnv_mix(h, static_cast<std::uint64_t>(s.nnz));
-  fnv_mix(h, static_cast<std::uint64_t>(s.alpha_milli));
-  fnv_mix(h, s.degree_digest);
+  std::uint64_t h = kSignatureSeed;
+  checksum_mix_i64(h, s.rows);
+  checksum_mix_i64(h, s.cols);
+  checksum_mix_i64(h, s.nnz);
+  checksum_mix_i64(h, s.alpha_milli);
+  checksum_mix(h, s.degree_digest);
   return static_cast<std::size_t>(h);
 }
 

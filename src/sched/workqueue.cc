@@ -125,26 +125,4 @@ WorkQueueResult schedule_workqueue(
   return res;
 }
 
-WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
-                              std::span<const QueuePart> parts,
-                              const WorkQueueConfig& cfg, double cpu_start,
-                              double gpu_start,
-                              const HeteroPlatform& platform,
-                              ThreadPool& pool, WorkspacePool* workspace) {
-  // One kernel call over every part: each row's run goes to its slot of the
-  // store and its stats to its slot of the pricing table, which every part
-  // then reads.
-  std::vector<MaskedRows> products;
-  for (const QueuePart& part : parts) products.push_back(part.product);
-  std::vector<ProductStats> row_stats(static_cast<std::size_t>(a.rows));
-  CsrMatrix tuples =
-      partial_product_runs(a, b, products, pool, nullptr, workspace, row_stats);
-  const std::vector<std::span<const ProductStats>> tables(
-      parts.size(), std::span<const ProductStats>(row_stats));
-  WorkQueueResult res = schedule_workqueue(parts, tables, cfg, a.rows,
-                                           cpu_start, gpu_start, platform);
-  res.tuples = std::move(tuples);
-  return res;
-}
-
 }  // namespace hh

@@ -14,15 +14,12 @@
 // queue is simulated event-wise: whichever device's clock is earlier
 // dequeues next, and each unit's ProductStats, the sum of its rows' stats
 // read in place from per-row tables indexed by A row, are charged on the
-// owning device's model (schedule_workqueue). HH-CPU's cost_phase3 passes
-// the symbolic per-row costs in place. run_workqueue, which the two
-// workqueue baselines run, fills one table by executing the parts on the
-// host in one partial_product_runs call, whose count pass charges each
-// row's stats in that row's slot and whose numeric pass writes each row's
-// run into that row's slot of one run store, whatever the schedule. A
-// queue holds each A row at most once, so every row has at most one queue
-// run. The kernel checks that (a repeated row would have two workers write
-// one slot), and both functions check that every row lies in [0, a_rows).
+// owning device's model (schedule_workqueue, the one entry point). HH-CPU's
+// cost_phase3 passes the symbolic per-row costs in place; the two workqueue
+// baselines and the benchmark's staged Phase III store their product first
+// and pass its per-row stats (product_row_stats), so what is stored does
+// not depend on the schedule. The scheduler checks that every row lies in
+// [0, a_rows).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +28,6 @@
 #include "device/platform.hpp"
 #include "sparse/csr.hpp"
 #include "spgemm/spgemm.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hh {
 
@@ -55,7 +51,9 @@ struct WorkQueueConfig {
 };
 
 struct WorkQueueResult {
-  CsrMatrix tuples;  // run_workqueue's runs, each in its A row's slot
+  // Benchmark shim: run_phase3's run store, each run in its A row's slot
+  // (empty from schedule_workqueue).
+  CsrMatrix tuples;
   ProductStats cpu_stats;
   ProductStats gpu_stats;
   double cpu_busy = 0;  // time the CPU spent on queue units
@@ -80,26 +78,12 @@ WorkQueueConfig resolve_queue_config(WorkQueueConfig cfg, index_t a_rows);
 /// costs row_stats[p][i], each table holding a_rows entries. A unit that
 /// straddles two parts is priced with their flops-weighted working set.
 /// Device clocks start at cpu_start/gpu_start. Unit sizes of 0 are resolved
-/// against `a_rows` via resolve_queue_config(). `tuples` is left empty.
+/// against `a_rows` via resolve_queue_config(). Deterministic. `tuples` is
+/// left empty.
 WorkQueueResult schedule_workqueue(
     std::span<const QueuePart> parts,
     std::span<const std::span<const ProductStats>> row_stats,
     const WorkQueueConfig& cfg, index_t a_rows, double cpu_start,
     double gpu_start, const HeteroPlatform& platform);
-
-/// Run the queue to empty. `parts` are ordered CPU end first and hold each
-/// A row at most once. Device clocks start at cpu_start/gpu_start (they may
-/// differ: a device joins the queue when its Phase II product is done).
-/// Unit sizes of 0 are resolved via resolve_queue_config(). Executes every
-/// part in one partial_product_runs call, whose per-row stats then price
-/// schedule_workqueue(). Deterministic. `workspace` optionally pools the
-/// kernel's accumulators (see spgemm/workspace.hpp).
-WorkQueueResult run_workqueue(const CsrMatrix& a, const CsrMatrix& b,
-                              std::span<const QueuePart> parts,
-                              const WorkQueueConfig& cfg, double cpu_start,
-                              double gpu_start,
-                              const HeteroPlatform& platform,
-                              ThreadPool& pool,
-                              WorkspacePool* workspace = nullptr);
 
 }  // namespace hh

@@ -74,7 +74,7 @@ std::uint64_t ShardedSpgemmService::request_hash(
 }
 
 std::size_t ShardedSpgemmService::submit(SpgemmRequest request) {
-  validate_spgemm_request(request);
+  validate_spgemm_request(request, checked_);
   if (config_.group_capacity > 0 &&
       queue_.size() >= config_.group_capacity) {
     metrics_.counter("shard.shed").inc();
@@ -172,6 +172,7 @@ void ShardedSpgemmService::harvest_quarantines(std::size_t shard) {
 }
 
 GroupResult ShardedSpgemmService::drain() {
+  checked_.clear();
   GroupResult out;
   const std::size_t n = queue_.size();
   const std::size_t first_id = next_id_ - n;

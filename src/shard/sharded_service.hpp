@@ -49,6 +49,7 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -104,9 +105,11 @@ class ShardedSpgemmService {
   ShardedSpgemmService(const HeteroPlatform& platform, ThreadPool& pool,
                        Config config);
 
-  /// Enqueue; returns the group request id. Throws InvalidArgumentError on
-  /// a malformed request and AdmissionError when group_capacity is reached
-  /// (counted as shed in the next GroupBatchReport).
+  /// Enqueue; returns the group request id. The matrices must outlive the
+  /// next drain() and must not be modified before it returns. Throws
+  /// InvalidArgumentError on a malformed request and AdmissionError when
+  /// group_capacity is reached (counted as shed in the next
+  /// GroupBatchReport).
   std::size_t submit(SpgemmRequest request);
 
   std::size_t pending() const { return queue_.size(); }
@@ -186,6 +189,9 @@ class ShardedSpgemmService {
   MetricsRegistry metrics_;
   std::int64_t shed_at_last_drain_ = 0;
   std::unordered_map<const CsrMatrix*, MatrixSignature> signatures_;
+  // The operands whose full check passed since the last drain(), as in
+  // SpgemmService (validate_spgemm_request).
+  std::unordered_set<const CsrMatrix*> checked_;
 };
 
 }  // namespace hh

@@ -1,7 +1,5 @@
 #include "sparse/convert.hpp"
 
-#include "util/check.hpp"
-
 namespace hh {
 
 CsrMatrix transpose(const CsrMatrix& m) {
@@ -22,27 +20,6 @@ CsrMatrix transpose(const CsrMatrix& m) {
     }
   }
   return t;
-}
-
-CsrMatrix mask_rows(const CsrMatrix& m, const std::vector<std::uint8_t>& keep) {
-  HH_CHECK(keep.size() == static_cast<std::size_t>(m.rows));
-  CsrMatrix out(m.rows, m.cols);
-  offset_t total = 0;
-  for (index_t r = 0; r < m.rows; ++r) {
-    if (keep[r]) total += m.row_nnz(r);
-  }
-  out.indices.reserve(static_cast<std::size_t>(total));
-  out.values.reserve(static_cast<std::size_t>(total));
-  for (index_t r = 0; r < m.rows; ++r) {
-    if (keep[r]) {
-      for (offset_t k = m.indptr[r]; k < m.indptr[r + 1]; ++k) {
-        out.indices.push_back(m.indices[k]);
-        out.values.push_back(m.values[k]);
-      }
-    }
-    out.indptr[r + 1] = static_cast<offset_t>(out.indices.size());
-  }
-  return out;
 }
 
 }  // namespace hh

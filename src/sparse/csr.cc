@@ -8,27 +8,56 @@
 
 namespace hh {
 
-void CsrMatrix::validate(bool sorted) const {
-  HH_CHECK(rows >= 0 && cols >= 0);
-  HH_CHECK_MSG(indptr.size() == static_cast<std::size_t>(rows) + 1,
-               "indptr size " << indptr.size() << " for " << rows << " rows");
-  HH_CHECK(indptr.front() == 0);
+namespace {
+
+template <class... Parts>
+std::string words(const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  return os.str();
+}
+
+}  // namespace
+
+std::string CsrMatrix::defect(bool sorted) const {
+  if (rows < 0 || cols < 0) return words("negative shape ", rows, "x", cols);
+  if (indptr.size() != static_cast<std::size_t>(rows) + 1) {
+    return words("indptr has ", indptr.size(), " entries for ", rows,
+                 " rows");
+  }
+  if (indptr.front() != 0) {
+    return words("indptr starts at ", indptr.front(), ", not 0");
+  }
   for (index_t r = 0; r < rows; ++r) {
-    HH_CHECK_MSG(indptr[r] <= indptr[r + 1], "indptr decreasing at row " << r);
+    if (indptr[r] > indptr[r + 1]) {
+      return words("indptr decreasing at row ", r);
+    }
   }
   const auto nz = static_cast<std::size_t>(indptr.back());
-  HH_CHECK_MSG(indices.size() == nz, "indices size mismatch");
-  HH_CHECK_MSG(values.size() == nz, "values size mismatch");
+  if (indices.size() != nz) {
+    return words("indices has ", indices.size(), " entries, indptr ends at ",
+                 nz);
+  }
+  if (values.size() != nz) {
+    return words("values has ", values.size(), " entries, indptr ends at ",
+                 nz);
+  }
   for (index_t r = 0; r < rows; ++r) {
     for (offset_t k = indptr[r]; k < indptr[r + 1]; ++k) {
-      HH_CHECK_MSG(indices[k] >= 0 && indices[k] < cols,
-                   "column " << indices[k] << " out of range in row " << r);
-      if (sorted && k > indptr[r]) {
-        HH_CHECK_MSG(indices[k - 1] < indices[k],
-                     "unsorted/duplicate column in row " << r);
+      if (indices[k] < 0 || indices[k] >= cols) {
+        return words("column ", indices[k], " out of range in row ", r);
+      }
+      if (sorted && k > indptr[r] && indices[k - 1] >= indices[k]) {
+        return words("unsorted/duplicate column in row ", r);
       }
     }
   }
+  return {};
+}
+
+void CsrMatrix::validate(bool sorted) const {
+  const std::string why = defect(sorted);
+  HH_CHECK_MSG(why.empty(), why);
 }
 
 void CsrMatrix::sort_rows() {

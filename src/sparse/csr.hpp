@@ -36,8 +36,13 @@ struct CsrMatrix {
     return {values.data() + indptr[r], static_cast<std::size_t>(row_nnz(r))};
   }
 
-  /// Throws CheckError on any violated invariant. `sorted` additionally
-  /// requires strictly increasing column indices within each row.
+  /// The first violated invariant in words (e.g. "column 4 out of range in
+  /// row 1"), or "" when there is none: one walk over the arrays. `sorted`
+  /// additionally requires strictly increasing column indices within each
+  /// row.
+  std::string defect(bool sorted = true) const;
+
+  /// Throws CheckError naming defect(sorted) when it is not empty.
   void validate(bool sorted = true) const;
 
   /// Sort column indices (and values) within every row.

@@ -24,13 +24,6 @@ RowStats row_stats(const CsrMatrix& m) {
   return s;
 }
 
-std::vector<std::int64_t> row_nnz_histogram(const CsrMatrix& m) {
-  const RowStats s = row_stats(m);
-  std::vector<std::int64_t> hist(static_cast<std::size_t>(s.max) + 1, 0);
-  for (index_t r = 0; r < m.rows; ++r) hist[m.row_nnz(r)]++;
-  return hist;
-}
-
 index_t count_rows_at_least(const CsrMatrix& m, offset_t threshold) {
   index_t n = 0;
   for (index_t r = 0; r < m.rows; ++r) {

@@ -21,9 +21,6 @@ struct RowStats {
 
 RowStats row_stats(const CsrMatrix& m);
 
-/// hist[k] = number of rows with exactly k nonzeros, k in [0, max_row_nnz].
-std::vector<std::int64_t> row_nnz_histogram(const CsrMatrix& m);
-
 /// Number of rows with nnz >= threshold (the "HD" count in Fig. 5 legends).
 index_t count_rows_at_least(const CsrMatrix& m, offset_t threshold);
 

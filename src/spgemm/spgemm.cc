@@ -5,7 +5,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -59,8 +58,9 @@ CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b, SpgemmKind kind,
 
 namespace {
 
-// The counters every kernel, estimate and symbolic pass charges, in one
-// place so numeric and symbolic counts cannot drift apart.
+// The counters product_row_stats, the estimates and the symbolic passes
+// charge, in one place so a stored product's stats and a priced one's
+// cannot drift apart.
 
 // One visited A entry a(i, j), where B row j has `blen` nonzeros. Its
 // multiply-adds are summed per row by the caller and charged by charge_row.
@@ -87,53 +87,13 @@ void charge_row(ProductStats& s, std::int64_t row_flops,
   }
 }
 
-// Calls fn(i, part) for the listed rows i at flat positions [lo, hi) of
-// `parts`, where start[p] is the flat position of parts[p].rows[0].
-template <class Fn>
-void visit_listed(std::span<const MaskedRows> parts,
-                  std::span<const std::size_t> start, std::size_t lo,
-                  std::size_t hi, Fn&& fn) {
-  auto p = static_cast<std::size_t>(
-      std::upper_bound(start.begin(), start.end(), lo) - start.begin() - 1);
-  for (std::size_t k = lo; k < hi; ++k) {
-    while (k >= start[p + 1]) ++p;
-    fn(parts[p].rows[k - start[p]], parts[p]);
-  }
-}
-
 bool masked_out(const MaskedRows& part, index_t j) {
   return !part.b_mask.empty() &&
          (part.b_mask[static_cast<std::size_t>(j)] != 0) != part.b_mask_value;
 }
 
-// Symbolic pass for one row: the distinct columns of row i's product, with
-// the row's stats charged to `row`.
-std::int64_t count_row(const CsrMatrix& a, const CsrMatrix& b, index_t i,
-                       const MaskedRows& part, SpaWorkspace& ws,
-                       ProductStats& row) {
-  const std::int64_t tag = ws.row_tag(i);
-  std::int64_t row_flops = 0;
-  std::int64_t tuples = 0;
-  for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
-    const index_t j = a.indices[k];
-    if (masked_out(part, j)) continue;
-    const offset_t blen = b.indptr[j + 1] - b.indptr[j];
-    charge_a_entry(row, blen);
-    row_flops += blen;
-    for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
-      std::int64_t& m = ws.marker[static_cast<std::size_t>(b.indices[l])];
-      if (m != tag) {
-        m = tag;
-        ++tuples;
-      }
-    }
-  }
-  charge_row(row, row_flops, tuples);
-  return tuples;
-}
-
-// The SPA inner loop of every numeric pass here: adds the products of row
-// i's A entries against part's view of B into acc. A column whose marker is
+// The SPA inner loop of numeric_in_halves: adds the products of row i's A
+// entries against part's view of B into acc. A column whose marker is
 // not yet `tag` takes it, starts from value_t{0} and is appended as
 // cols[n]; returns the row's column count so far.
 std::size_t accumulate_row(const CsrMatrix& a, const CsrMatrix& b, index_t i,
@@ -155,18 +115,6 @@ std::size_t accumulate_row(const CsrMatrix& a, const CsrMatrix& b, index_t i,
     }
   }
   return n;
-}
-
-// Numeric pass for one row: SPA-accumulate row i's product and write its
-// run, columns ascending (by sort or by the workspace's bitmap), to (cols,
-// vals), which count_row sized.
-void fill_row(const CsrMatrix& a, const CsrMatrix& b, index_t i,
-              const MaskedRows& part, SpaWorkspace& ws, index_t* cols,
-              value_t* vals) {
-  const std::size_t n = accumulate_row(a, b, i, part, ws.row_tag(i),
-                                       ws.marker.data(), ws.acc.data(), cols,
-                                       0);
-  order_run(cols, n, ws.acc.data(), ws.bits.data(), vals);
 }
 
 // numeric_in_halves for one row: the first half sums into ws.acc, the
@@ -207,23 +155,6 @@ void on_workers(ThreadPool& pool, std::size_t blocks, Body&& body) {
                     [&](std::int64_t, std::int64_t) {
                       body([&next] { return next++; });
                     });
-}
-
-// on_workers over n positions in blocks of kRowBlock, each worker with one
-// SPA from `spas` begun for `cols` columns: fn(lo, hi, ws) per block.
-template <class Fn>
-void for_each_spa_block(ThreadPool& pool, WorkspacePool& spas, std::size_t n,
-                        index_t cols, bool two_halves, Fn&& fn) {
-  constexpr std::size_t kRowBlock = 64;
-  const std::size_t blocks = (n + kRowBlock - 1) / kRowBlock;
-  on_workers(pool, blocks, [&](auto take) {
-    std::unique_ptr<SpaWorkspace> ws = spas.acquire_spa();
-    ws->begin_product(cols, two_halves);
-    for (std::size_t k; (k = take()) < blocks;) {
-      fn(k * kRowBlock, std::min(n, (k + 1) * kRowBlock), *ws);
-    }
-    spas.release_spa(std::move(ws));
-  });
 }
 
 // Threshold grids. A row length's interval is the number of grid points <=
@@ -383,90 +314,6 @@ std::int64_t row_changes(const CsrMatrix& a, const CsrMatrix& b,
 
 }  // namespace
 
-CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
-                               std::span<const MaskedRows> parts,
-                               ThreadPool& pool, ProductStats* stats,
-                               WorkspacePool* workspace,
-                               std::span<ProductStats> row_stats) {
-  HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
-  std::vector<std::size_t> start{0};
-  for (const MaskedRows& part : parts) {
-    HH_CHECK(part.b_mask.empty() ||
-             part.b_mask.size() == static_cast<std::size_t>(b.rows));
-    start.push_back(start.back() + part.rows.size());
-  }
-  const std::size_t n = start.back();
-  HH_CHECK(row_stats.empty() ||
-           row_stats.size() == static_cast<std::size_t>(a.rows));
-
-  // Every listed row owns its slot, so a row listed twice would have two
-  // workers write one slot. A listed row's count holds -1 until the count
-  // pass fills it in, which is how a second listing shows.
-  CsrMatrix out(a.rows, b.cols);
-  for (const MaskedRows& part : parts) {
-    for (const index_t i : part.rows) {
-      HH_CHECK_MSG(i >= 0 && i < a.rows,
-                   "row " << i << " out of range for " << a.rows << " rows");
-      offset_t& count = out.indptr[static_cast<std::size_t>(i) + 1];
-      HH_CHECK_MSG(count == 0, "row " << i << " listed twice");
-      count = -1;
-    }
-  }
-
-  // Both passes take their SPAs from `workspace` when given, else from a
-  // pool local to the call, so the numeric pass reuses the count pass's.
-  WorkspacePool local;
-  WorkspacePool& spas = workspace != nullptr ? *workspace : local;
-
-  // 1. Count each listed row's columns into its indptr slot, charging its
-  //    stats; the stats are integer sums and maxima, so the blocks can add
-  //    up in any order.
-  std::mutex mu;
-  ProductStats total;
-  for_each_spa_block(pool, spas, n, b.cols, false,
-                     [&](std::size_t lo, std::size_t hi, SpaWorkspace& ws) {
-    ProductStats block;
-    visit_listed(parts, start, lo, hi, [&](index_t i, const MaskedRows& part) {
-      ProductStats row;
-      out.indptr[static_cast<std::size_t>(i) + 1] =
-          count_row(a, b, i, part, ws, row);
-      block.accumulate(row);
-      if (!row_stats.empty()) row_stats[static_cast<std::size_t>(i)] = row;
-    });
-    const std::lock_guard<std::mutex> lock(mu);
-    total.accumulate(block);
-  });
-
-  // 2. Scan the counts into slot offsets.
-  for (index_t r = 0; r < a.rows; ++r) out.indptr[r + 1] += out.indptr[r];
-  out.indices.resize(static_cast<std::size_t>(out.nnz()));
-  out.values.resize(out.indices.size());
-
-  // 3. Write each listed row's run into its slot.
-  for_each_spa_block(pool, spas, n, b.cols, false,
-                     [&](std::size_t lo, std::size_t hi, SpaWorkspace& ws) {
-    visit_listed(parts, start, lo, hi, [&](index_t i, const MaskedRows& part) {
-      const offset_t at = out.indptr[i];
-      fill_row(a, b, i, part, ws, out.indices.data() + at,
-               out.values.data() + at);
-    });
-  });
-
-  if (stats != nullptr) *stats = total;
-  return out;
-}
-
-CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
-                               std::span<const index_t> a_rows,
-                               std::span<const std::uint8_t> b_mask,
-                               bool b_mask_value, ThreadPool& pool,
-                               ProductStats* stats, WorkspacePool* workspace,
-                               std::span<ProductStats> row_stats) {
-  const MaskedRows part{a_rows, b_mask, b_mask_value};
-  return partial_product_runs(a, b, std::span(&part, 1), pool, stats,
-                              workspace, row_stats);
-}
-
 void numeric_in_halves(const CsrMatrix& a, const CsrMatrix& b,
                        std::span<const std::uint8_t> a_side,
                        std::span<const std::uint8_t> b_side, CsrMatrix& c,
@@ -479,23 +326,50 @@ void numeric_in_halves(const CsrMatrix& a, const CsrMatrix& b,
   c.indices.resize(static_cast<std::size_t>(c.nnz()));
   c.values.resize(c.indices.size());
 
+  // Workers draw blocks of kRowBlock rows, each with one SPA.
+  constexpr std::size_t kRowBlock = 64;
+  const auto rows = static_cast<std::size_t>(a.rows);
+  const std::size_t blocks = (rows + kRowBlock - 1) / kRowBlock;
   WorkspacePool local;
-  for_each_spa_block(
-      pool, workspace != nullptr ? *workspace : local,
-      static_cast<std::size_t>(a.rows), b.cols, /*two_halves=*/true,
-      [&](std::size_t lo, std::size_t hi, SpaWorkspace& ws) {
-        for (auto i = static_cast<index_t>(lo); i < static_cast<index_t>(hi);
-             ++i) {
-          const bool own = a_side[static_cast<std::size_t>(i)] != 0;
-          const offset_t at = c.indptr[i];
-          const std::size_t n = fill_row_in_halves(
-              a, b, i, {{}, b_side, own}, {{}, b_side, !own}, ws,
-              c.indices.data() + at, c.values.data() + at);
-          HH_CHECK_MSG(static_cast<offset_t>(n) == c.indptr[i + 1] - at,
-                       "row " << i << " has " << n << " columns, sized for "
-                              << c.indptr[i + 1] - at);
-        }
-      });
+  WorkspacePool& spas = workspace != nullptr ? *workspace : local;
+  on_workers(pool, blocks, [&](auto take) {
+    std::unique_ptr<SpaWorkspace> ws = spas.acquire_spa();
+    ws->begin_product(b.cols);
+    for (std::size_t k; (k = take()) < blocks;) {
+      const auto lo = static_cast<index_t>(k * kRowBlock);
+      const auto hi = static_cast<index_t>(std::min(rows, (k + 1) * kRowBlock));
+      for (index_t i = lo; i < hi; ++i) {
+        const bool own = a_side[static_cast<std::size_t>(i)] != 0;
+        const offset_t at = c.indptr[i];
+        const std::size_t n = fill_row_in_halves(
+            a, b, i, {{}, b_side, own}, {{}, b_side, !own}, *ws,
+            c.indices.data() + at, c.values.data() + at);
+        HH_CHECK_MSG(static_cast<offset_t>(n) == c.indptr[i + 1] - at,
+                     "row " << i << " has " << n << " columns, sized for "
+                            << c.indptr[i + 1] - at);
+      }
+    }
+    spas.release_spa(std::move(ws));
+  });
+}
+
+std::vector<ProductStats> product_row_stats(const CsrMatrix& a,
+                                            const CsrMatrix& b,
+                                            const CsrMatrix& c) {
+  HH_CHECK(a.cols == b.rows && c.rows == a.rows && c.cols == b.cols);
+  std::vector<ProductStats> out(static_cast<std::size_t>(a.rows));
+  for (index_t i = 0; i < a.rows; ++i) {
+    ProductStats& s = out[static_cast<std::size_t>(i)];
+    std::int64_t row_flops = 0;
+    for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
+      const index_t j = a.indices[k];
+      const offset_t blen = b.indptr[j + 1] - b.indptr[j];
+      charge_a_entry(s, blen);
+      row_flops += blen;
+    }
+    charge_row(s, row_flops, c.row_nnz(i));
+  }
+  return out;
 }
 
 ProductStats estimate_partial_product(const CsrMatrix& a, const CsrMatrix& b,

@@ -1,18 +1,21 @@
 // Public SpGEMM entry points: algorithm dispatch for full products, the
-// masked partial-product kernel used by the heterogeneous algorithms to
-// compute A_X × B_Y (X, Y ∈ {H, L}) without physically splitting matrices,
-// the structure-only passes that price it at every threshold of a grid,
-// and HH-CPU's one numeric pass into C.
+// per-row pricing of a stored product, the structure-only passes that price
+// HH-CPU's masked partial products A_X × B_Y (X, Y ∈ {H, L}) at every
+// threshold of a grid without splitting the matrices, and HH-CPU's one
+// numeric pass into C.
 //
 // All run symbolic then numeric (Liu & Vinter, arXiv:1504.05022; KKMEM,
 // arXiv:1801.03065): a structure-only pass sizes every output row, so no
-// buffer grows and no row is copied. HH-CPU prices its four products from
-// row_costs_at and writes C once with numeric_in_halves. The numeric passes
-// order each row by sort when it is short or its columns spread wide, else
-// by one ascending scan of a per-worker column bitmap
-// (spgemm/run_order.hpp); both give the same row. Operands may hold
-// unsorted and duplicate columns: every kernel sums duplicates and emits
-// sorted rows, and every entry point runs check_operands first.
+// buffer grows and no row is copied. Every stored product (multiply(), the
+// baselines, the benchmark's staged calls) is Gustavson's
+// (spgemm/gustavson.hpp), priced from its own row sizes by
+// product_row_stats. HH-CPU prices its four products from row_costs_at and
+// writes C once with numeric_in_halves. Both numeric kernels order each row
+// by sort when it is short or its columns spread wide, else by one
+// ascending scan of a column bitmap (spgemm/run_order.hpp); both give the
+// same row. Operands may hold unsorted and duplicate columns: every kernel
+// sums duplicates and emits sorted rows, and every entry point runs
+// check_operands first.
 #pragma once
 
 #include <algorithm>
@@ -48,9 +51,9 @@ void check_operands(const CsrMatrix& a, const CsrMatrix& b);
 CsrMatrix multiply(const CsrMatrix& a, const CsrMatrix& b, SpgemmKind kind,
                    ThreadPool& pool);
 
-/// Cost-relevant statistics of one partial-product kernel invocation.
-/// The simulated devices (src/device/) convert these into time; they are
-/// exactly the first-order quantities the paper reasons about.
+/// Cost-relevant statistics of a product or partial product, summed over
+/// its rows. The simulated devices (src/device/) convert these into time;
+/// they are exactly the first-order quantities the paper reasons about.
 struct ProductStats {
   std::int64_t rows = 0;           // A rows processed (incl. empty results)
   std::int64_t a_nnz = 0;          // A entries visited (after B-mask filter)
@@ -91,49 +94,31 @@ inline constexpr std::int64_t kSharedAccumCap = 512;
 std::int64_t shared_accum_cap();
 void set_shared_accum_cap(std::int64_t cap);
 
-/// The rows of A one kernel call multiplies against one masked view of B:
-/// each row i in `rows` against the rows j of B with b_mask[j] ==
-/// b_mask_value (empty mask = all of B).
+/// A masked partial product: each row i in `rows` of A against the rows j
+/// of B with b_mask[j] == b_mask_value (empty mask = all of B). A Phase III
+/// queue part prices one (sched/workqueue.hpp).
 struct MaskedRows {
   std::span<const index_t> rows;
   std::span<const std::uint8_t> b_mask;
   bool b_mask_value = true;
 };
 
-/// The masked partial products of `parts` as sorted row runs: a CsrMatrix
-/// of shape a.rows × b.cols whose row i, for every listed i, holds the
-/// distinct columns of A(i, :) × (its part's view of B) ascending, each value
-/// summed from value_t{0} in A-entry then B-entry order; rows no part lists
-/// stay empty. Symbolic then numeric: a structure-only pass counts each
-/// listed row's columns and charges its stats, the counts are scanned into
-/// indptr, and a numeric pass writes each row's run straight into its slot,
-/// ordered by order_run, with one SPA and column bitmap per worker, drawn
-/// from `workspace` when given. Every listed row must lie in [0, a.rows) and
-/// appear once across all parts, or this throws CheckError. `stats` receives the sum of the rows' stats, and
-/// a non-empty `row_stats` (a.rows slots, indexed by A row) each listed
-/// row's own: row_stats[i] is what the call reports for row i alone, and
-/// the slots of unlisted rows are left as they were. Output and stats do
-/// not depend on the pool size.
-CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
-                               std::span<const MaskedRows> parts,
-                               ThreadPool& pool, ProductStats* stats = nullptr,
-                               WorkspacePool* workspace = nullptr,
-                               std::span<ProductStats> row_stats = {});
+/// Each row's stats in a stored product, given c = A × B: row i is the
+/// ProductStats of A(i, :) × B. Every entry a(i, j) is charged with the
+/// length of B row j, and the row with its multiply-adds and c.row_nnz(i)
+/// output columns: one walk over A, with no column markers. An empty row
+/// is still charged as a row, so a caller that sums a product's stats sums
+/// only the rows that product lists.
+std::vector<ProductStats> product_row_stats(const CsrMatrix& a,
+                                            const CsrMatrix& b,
+                                            const CsrMatrix& c);
 
-/// The one-part call: A(rows ∈ a_rows, :) against the view of B with
-/// b_mask[j] == b_mask_value.
-CsrMatrix partial_product_runs(const CsrMatrix& a, const CsrMatrix& b,
-                               std::span<const index_t> a_rows,
-                               std::span<const std::uint8_t> b_mask,
-                               bool b_mask_value, ThreadPool& pool,
-                               ProductStats* stats = nullptr,
-                               WorkspacePool* workspace = nullptr,
-                               std::span<ProductStats> row_stats = {});
-
-/// Structure-only estimate of the same invocation (no numeric work):
-/// flops/a_nnz/warp_alu/max_row_flops are exact; tuples and the shared/global
-/// flops split use the flops upper bound per row. Used by schedulers that
-/// must decide *before* computing (paper §III: a-priori work volume is hard).
+/// Structure-only estimate of A(rows ∈ a_rows, :) against the view of B
+/// with b_mask[j] == b_mask_value (empty mask = all of B), with no numeric
+/// work: flops/a_nnz/warp_alu/max_row_flops are exact; tuples and the
+/// shared/global flops split use the flops upper bound per row. Used by
+/// schedulers that must decide *before* computing (paper §III: a-priori work
+/// volume is hard).
 ProductStats estimate_partial_product(const CsrMatrix& a, const CsrMatrix& b,
                                       std::span<const index_t> a_rows,
                                       std::span<const std::uint8_t> b_mask,
@@ -146,10 +131,11 @@ ProductStats estimate_partial_product(const CsrMatrix& a, const CsrMatrix& b,
 // otherwise. threshold_grid() (core/threshold.hpp) always qualifies.
 inline constexpr std::size_t kMaxGridPoints = 255;
 
-/// Exact per-row costs of partial_product_runs at one threshold t, under
-/// both values of the B mask classify_rows(b, t).is_high: by_mask[v][i] is
-/// the ProductStats partial_product_runs(a, b, {i}, that mask, v) reports,
-/// so summing it over any row set gives that set's stats exactly.
+/// Exact per-row costs at one threshold t, under both values of the B mask
+/// classify_rows(b, t).is_high: by_mask[v][i] is row i of
+/// product_row_stats(a_v, b, a_v × b), where a_v keeps the entries a(i, j)
+/// with is_high[j] == v, so summing it over any row set gives that set's
+/// stats exactly.
 /// output_nnz is the number of distinct (r, c) pairs the tuples of both
 /// masks merge into, Σ_i |columns of (A×B)(i,:)|.
 struct MaskedRowCosts {

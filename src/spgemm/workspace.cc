@@ -5,7 +5,7 @@
 
 namespace hh {
 
-void SpaWorkspace::begin_product(index_t cols, bool two_halves) {
+void SpaWorkspace::begin_product(index_t cols) {
   const auto n = static_cast<std::size_t>(cols);
   // Generation 0 is reserved so row_tag() can never collide with the -1
   // fill of fresh marker entries; wrap long before the 31-bit field packs.
@@ -15,12 +15,10 @@ void SpaWorkspace::begin_product(index_t cols, bool two_halves) {
   }
   if (acc.size() < n) {
     acc.resize(n, value_t{0});
+    acc2.resize(n, value_t{0});
     marker.resize(n, std::int64_t{-1});
     bits.resize((n + 63) / 64, 0);
   }
-  // Every column a row touches starts from value_t{0}, so acc2 needs no
-  // fill of its own.
-  if (two_halves && acc2.size() < n) acc2.resize(n);
 }
 
 std::unique_ptr<SpaWorkspace> WorkspacePool::acquire_spa() {

@@ -1,28 +1,26 @@
 // Reusable kernel workspaces.
 //
-// Every SPA kernel pass needs a dense accumulator per worker (one value, one
-// marker and one bitmap bit per B column): a count pass marks columns, and
-// a numeric pass accumulates values and orders each long row through the
-// bitmap (spgemm/run_order.hpp). HH-CPU's numeric pass sums each row in two
-// halves (spgemm/spgemm.hpp) and keeps the second half's values in `acc2`.
-// A call without a pool allocates its SPAs once and shares them between
-// its passes. A service runtime executing a stream of products over
-// same-shaped matrices passes WorkspacePool, which keeps released SPAs on a
-// free list, so steady-state requests reuse them (paper-adjacent: Liu &
-// Vinter's framework reuses analysis workspaces across products for the
-// same reason). The pool holds SPAs only: a product's output is C itself,
-// sized by the symbolic pass and written once.
+// HH-CPU's numeric pass (numeric_in_halves, spgemm/spgemm.hpp) needs a dense
+// accumulator per worker: one value per B column for each half of a row
+// (`acc`, `acc2`), one marker, and one bitmap bit that orders a long row
+// (spgemm/run_order.hpp). A call without a pool allocates its SPAs for the
+// call. A service runtime executing a stream of products over same-shaped
+// matrices passes WorkspacePool, which keeps released SPAs on a free list,
+// so steady-state requests reuse them (paper-adjacent: Liu & Vinter's
+// framework reuses analysis workspaces across products for the same
+// reason). The pool holds SPAs only: a product's output is C itself, sized
+// by the symbolic pass and written once. Gustavson's kernel
+// (spgemm/gustavson.hpp) keeps its own per-block scratch.
 //
 // Correctness of SPA reuse: the accumulator is only valid for columns whose
 // marker carries the *current* tag. Tags are (generation, row) pairs packed
 // into 64 bits and the generation is bumped on every begin_product(), so a
 // stale marker from an earlier product can never alias a row of the current
-// one. Every pass begins a product, so a numeric pass never takes a
-// count-pass marker for its own. The bitmap carries no tag: it is all clear
-// between rows, because order_run clears every word it scans before the
-// next row starts, so a workspace returns to the pool clear and a stale bit
-// cannot reach a later row or product. Pooled and non-pooled runs execute
-// the identical kernel and produce bit-identical output.
+// one. The bitmap carries no tag: it is all clear between rows, because
+// order_run clears every word it scans before the next row starts, so a
+// workspace returns to the pool clear and a stale bit cannot reach a later
+// row or product. Pooled and non-pooled runs execute the identical kernel
+// and produce bit-identical output.
 #pragma once
 
 #include <cstddef>
@@ -39,9 +37,9 @@ namespace hh {
 class SpaWorkspace {
  public:
   /// Start a new product over a B with `cols` columns: grows the arrays if
-  /// needed (new bitmap words clear; acc2 only when `two_halves`) and
-  /// invalidates all markers by bumping the generation.
-  void begin_product(index_t cols, bool two_halves = false);
+  /// needed (new bitmap words clear) and invalidates all markers by bumping
+  /// the generation.
+  void begin_product(index_t cols);
 
   /// Marker tag for row `i` of the current product.
   std::int64_t row_tag(index_t i) const {

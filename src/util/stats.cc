@@ -36,24 +36,6 @@ double median(std::vector<double> xs) {
   return 0.5 * (lo + hi);
 }
 
-double stddev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0;
-  const double m = mean(xs);
-  double acc = 0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs.size() - 1));
-}
-
-double min_of(std::span<const double> xs) {
-  if (xs.empty()) return 0;
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(std::span<const double> xs) {
-  if (xs.empty()) return 0;
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 double percentile_sorted(std::span<const double> xs, double q) {
   HH_CHECK_MSG(q > 0 && q <= 1, "percentile requires q in (0, 1]");
   if (xs.empty()) return 0;
@@ -65,22 +47,6 @@ double percentile_sorted(std::span<const double> xs, double q) {
 double percentile(std::vector<double> xs, double q) {
   std::sort(xs.begin(), xs.end());
   return percentile_sorted(xs, q);
-}
-
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  s.n = xs.size();
-  if (xs.empty()) return s;
-  s.mean = mean(xs);
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  s.median = median(sorted);
-  s.min = sorted.front();
-  s.max = sorted.back();
-  s.stddev = xs.size() >= 2 ? stddev(xs) : 0.0;
-  s.p95 = percentile_sorted(sorted, 0.95);
-  s.p99 = percentile_sorted(sorted, 0.99);
-  return s;
 }
 
 }  // namespace hh

@@ -7,18 +7,14 @@
 
 namespace hh {
 
-// The percentile/Summary ingredients — median, stddev, min_of, max_of,
-// percentile* and summarize — are total over empty samples and return 0:
-// a merged group report legitimately includes shards that contributed zero
+// median and percentile* are total over empty samples and return 0: a
+// merged group report legitimately includes shards that contributed zero
 // samples (e.g. a shard that shed every request), and callers should not
 // have to pre-filter. mean/geomean keep their non-empty contract (an
 // average of nothing is a caller bug, not a degenerate sample).
 double mean(std::span<const double> xs);
 double geomean(std::span<const double> xs);  // xs must be positive
 double median(std::vector<double> xs);       // by value: needs to sort
-double stddev(std::span<const double> xs);   // sample stddev; 0 when n < 2
-double min_of(std::span<const double> xs);
-double max_of(std::span<const double> xs);
 
 /// Nearest-rank percentile of an unsorted sample (by value: needs to sort);
 /// q must be in (0, 1]. The element at 1-based rank ceil(q * n): p50 of
@@ -28,14 +24,5 @@ double percentile(std::vector<double> xs, double q);
 
 /// Same, over a sample already sorted ascending.
 double percentile_sorted(std::span<const double> xs, double q);
-
-/// Summary of a sample, convenient for printing benchmark tables.
-struct Summary {
-  std::size_t n = 0;
-  double mean = 0, median = 0, stddev = 0, min = 0, max = 0;
-  double p95 = 0, p99 = 0;  // nearest-rank
-};
-
-Summary summarize(std::span<const double> xs);
 
 }  // namespace hh

@@ -3,7 +3,6 @@
 #include "sparse/convert.hpp"
 #include "sparse/equality.hpp"
 #include "test_util.hpp"
-#include "util/check.hpp"
 
 namespace hh {
 namespace {
@@ -34,21 +33,32 @@ TEST(Convert, TransposeRowsSorted) {
   transpose(m).validate(true);
 }
 
-TEST(Convert, MaskRowsKeepsSelected) {
+TEST(Convert, MaskEntriesKeepsSelectedRows) {
   const CsrMatrix m = test::random_csr(5, 5, 0.5, 3);
   const std::vector<std::uint8_t> keep{1, 0, 1, 0, 0};
-  const CsrMatrix masked = mask_rows(m, keep);
+  const CsrMatrix masked =
+      mask_entries(m, [&](index_t r, index_t) { return keep[r] != 0; });
   masked.validate();
+  EXPECT_EQ(masked.rows, m.rows);
+  EXPECT_EQ(masked.cols, m.cols);
   EXPECT_EQ(masked.row_nnz(0), m.row_nnz(0));
   EXPECT_EQ(masked.row_nnz(1), 0);
   EXPECT_EQ(masked.row_nnz(2), m.row_nnz(2));
   EXPECT_EQ(masked.row_nnz(3), 0);
 }
 
-TEST(Convert, MaskRowsRequiresMatchingSize) {
-  const CsrMatrix m = test::random_csr(5, 5, 0.5, 3);
-  const std::vector<std::uint8_t> keep{1, 0};
-  EXPECT_THROW(mask_rows(m, keep), CheckError);
+// Entries are kept by (row, column), each row in its own order, values
+// with them.
+TEST(Convert, MaskEntriesKeepsEntriesInRowOrder) {
+  CsrMatrix m(2, 6);
+  m.indptr = {0, 4, 6};
+  m.indices = {5, 1, 4, 2, 3, 0};
+  m.values = {1, 2, 3, 4, 5, 6};
+  const CsrMatrix masked = mask_entries(
+      m, [](index_t r, index_t c) { return r == 1 || c % 2 == 0; });
+  EXPECT_EQ(masked.indptr, (std::vector<offset_t>{0, 2, 4}));
+  EXPECT_EQ(masked.indices, (std::vector<index_t>{4, 2, 3, 0}));
+  EXPECT_EQ(masked.values, (std::vector<value_t>{3, 4, 5, 6}));
 }
 
 }  // namespace

@@ -118,14 +118,15 @@ TEST_F(DeviceTest, PcieCalibrationMatchesPaper) {
 }
 
 TEST_F(DeviceTest, PcieLatencyFloor) {
-  EXPECT_GE(plat_.link().transfer_time(1.0),
-            plat_.cost_model().pcie.latency_s);
-  EXPECT_DOUBLE_EQ(plat_.link().transfer_time(0.0), 0.0);
+  for (const PcieChannel* ch : {&plat_.link().h2d(), &plat_.link().d2h()}) {
+    EXPECT_GE(ch->transfer_time(1.0), plat_.cost_model().pcie.latency_s);
+    EXPECT_DOUBLE_EQ(ch->transfer_time(0.0), 0.0);
+  }
 }
 
 TEST_F(DeviceTest, TupleTransferLinearInCount) {
-  const double t1 = plat_.link().tuple_transfer_time(1000000);
-  const double t2 = plat_.link().tuple_transfer_time(2000000);
+  const double t1 = plat_.link().d2h().tuple_transfer_time(1000000);
+  const double t2 = plat_.link().d2h().tuple_transfer_time(2000000);
   EXPECT_NEAR(t2 - plat_.cost_model().pcie.latency_s,
               2 * (t1 - plat_.cost_model().pcie.latency_s), 1e-9);
 }

@@ -91,9 +91,8 @@ TEST_F(HhCpuTest, IdentityAndEmpty) {
 TEST_F(HhCpuTest, MatrixWithEmptyRows) {
   CsrMatrix a = test::random_csr(50, 50, 0.1, 208);
   // Blank out a band of rows.
-  std::vector<std::uint8_t> keep(50, 1);
-  for (index_t r = 10; r < 20; ++r) keep[r] = 0;
-  const CsrMatrix b = mask_rows(a, keep);
+  const CsrMatrix b =
+      mask_entries(a, [](index_t r, index_t) { return r < 10 || r >= 20; });
   expect_correct(b, b);
 }
 

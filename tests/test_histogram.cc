@@ -7,24 +7,6 @@
 namespace hh {
 namespace {
 
-TEST(Histogram, LinearCoversAllSamples) {
-  const std::vector<std::int64_t> data{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  const auto bins = linear_histogram(data, 5);
-  std::int64_t total = 0;
-  for (const auto& b : bins) total += b.count;
-  EXPECT_EQ(total, 10);
-  EXPECT_EQ(bins.front().lo, 1);
-  EXPECT_EQ(bins.back().hi, 10);
-}
-
-TEST(Histogram, LinearSingleValue) {
-  const std::vector<std::int64_t> data{7, 7, 7};
-  const auto bins = linear_histogram(data, 3);
-  std::int64_t total = 0;
-  for (const auto& b : bins) total += b.count;
-  EXPECT_EQ(total, 3);
-}
-
 TEST(Histogram, Log2BinsArePowersOfTwo) {
   const std::vector<std::int64_t> data{0, 1, 2, 3, 4, 7, 8, 100};
   const auto bins = log2_histogram(data);
@@ -51,11 +33,6 @@ TEST(Histogram, RenderWithoutThresholdHasNoHdTag) {
   const std::vector<std::int64_t> data{1, 2, 3};
   const std::string s = render_histogram(log2_histogram(data), -1);
   EXPECT_EQ(s.find("(HD)"), std::string::npos);
-}
-
-TEST(Histogram, LinearRejectsBadBins) {
-  const std::vector<std::int64_t> data{1};
-  EXPECT_THROW(linear_histogram(data, 0), CheckError);
 }
 
 }  // namespace

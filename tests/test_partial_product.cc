@@ -1,17 +1,22 @@
-// The masked partial-product kernel is the numeric heart of HH-CPU: these
-// tests pin down the decomposition identity (the four partial products merge
-// to the full product), the run store it writes (one sorted run per listed
-// row, in that row's slot), its row checks, and the statistics the device
-// models consume.
+// HH-CPU's partial products and their pricing: the decomposition identity
+// (the four partial products merge to the full product), HH-CPU's numeric
+// pass, the statistics the device models consume, and the symbolic passes
+// that price the products without storing them. The reference for every
+// per-row stat is a stored product's own: product_row_stats over
+// Gustavson's product of A with only the product's entries kept.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "core/threshold.hpp"
+#include "gen/datasets.hpp"
 #include "gen/powerlaw_gen.hpp"
 #include "primitives/tuple_merge.hpp"
+#include "sparse/convert.hpp"
 #include "sparse/partition.hpp"
 #include "spgemm/gustavson.hpp"
 #include "spgemm/spgemm.hpp"
@@ -22,104 +27,47 @@
 namespace hh {
 namespace {
 
+using test::stat_fields;
+using test::stored_row_stats;
+using test::sum_stats;
+
 std::vector<index_t> all_rows(index_t n) {
   std::vector<index_t> rows(static_cast<std::size_t>(n));
   std::iota(rows.begin(), rows.end(), index_t{0});
   return rows;
 }
 
-TEST(PartialProduct, UnmaskedEqualsFullProduct) {
+// A's entries a(i, j) with b_side[j] == v: the operand whose product with B
+// is A × (B's side v).
+CsrMatrix on_b_side(const CsrMatrix& a, const std::vector<std::uint8_t>& b_side,
+                    bool v) {
+  return mask_entries(
+      a, [&](index_t, index_t j) { return (b_side[j] != 0) == v; });
+}
+
+// Each row of a stored product is priced from its A entries and its size in
+// C alone: the rows sum to the full product's counts.
+TEST(ProductRowStats, SumToTheFullProduct) {
   const CsrMatrix a = test::random_csr(25, 20, 0.25, 301);
   const CsrMatrix b = test::random_csr(20, 22, 0.3, 302);
   ThreadPool pool(2);
-  ProductStats stats;
-  const CsrMatrix runs =
-      partial_product_runs(a, b, all_rows(a.rows), {}, true, pool, &stats);
-  runs.validate(true);
-  const CsrMatrix want = gustavson_spgemm(a, b);
-  std::string why;
-  EXPECT_TRUE(approx_equal(want, runs, 1e-9, &why)) << why;
+  const CsrMatrix c = gustavson_spgemm_parallel(a, b, pool);
+  const std::vector<ProductStats> rows = product_row_stats(a, b, c);
+  ASSERT_EQ(rows.size(), static_cast<std::size_t>(a.rows));
+  const std::vector<offset_t> flops = row_flops(a, b);
+  for (index_t i = 0; i < a.rows; ++i) {
+    const ProductStats& s = rows[static_cast<std::size_t>(i)];
+    EXPECT_EQ(s.rows, 1) << "row " << i;
+    EXPECT_EQ(s.flops, flops[static_cast<std::size_t>(i)]) << "row " << i;
+    EXPECT_EQ(s.tuples, c.row_nnz(i)) << "row " << i;
+  }
+  const ProductStats stats = sum_stats(rows);
   EXPECT_EQ(stats.flops, total_flops(a, b));
   EXPECT_EQ(stats.rows, a.rows);
   EXPECT_EQ(stats.a_nnz, a.nnz());
-  EXPECT_EQ(stats.tuples, runs.nnz());
-}
-
-// Each listed row's run sits in its own slot whatever the list order; rows
-// the list leaves out stay empty.
-TEST(PartialProduct, RunsFillOnlyTheListedRowSlots) {
-  const CsrMatrix a = test::random_csr(30, 20, 0.3, 313);
-  const CsrMatrix b = test::random_csr(20, 25, 0.3, 314);
-  const CsrMatrix full = gustavson_spgemm(a, b);
-  const std::vector<index_t> rows = {17, 3, 29, 0, 8};
-  ThreadPool pool(3);
-  const CsrMatrix runs = partial_product_runs(a, b, rows, {}, true, pool);
-  runs.validate(true);
-  ASSERT_EQ(runs.rows, a.rows);
-  ASSERT_EQ(runs.cols, b.cols);
-  for (index_t i = 0; i < a.rows; ++i) {
-    const bool listed = std::find(rows.begin(), rows.end(), i) != rows.end();
-    if (!listed) {
-      EXPECT_EQ(runs.row_nnz(i), 0) << "row " << i;
-      continue;
-    }
-    ASSERT_EQ(runs.row_nnz(i), full.row_nnz(i)) << "row " << i;
-    for (offset_t k = 0; k < runs.row_nnz(i); ++k) {
-      EXPECT_EQ(runs.row_indices(i)[k], full.row_indices(i)[k]);
-      EXPECT_DOUBLE_EQ(runs.row_values(i)[k], full.row_values(i)[k]);
-    }
-  }
-}
-
-// Parts with different masks share one store: each part's rows get their
-// own view of B, and the result equals one call per part.
-TEST(PartialProduct, PartsShareOneStore) {
-  const CsrMatrix a = test::random_csr(400, 400, 0.02, 315);
-  const RowPartition p = classify_rows(a, 9);
-  ASSERT_GT(p.high_count(), 0);
-  ASSERT_GT(p.low_count(), 0);
-  ThreadPool pool(4);
-  const MaskedRows parts[] = {{p.low_rows, p.is_high, true},
-                              {p.high_rows, p.is_high, false}};
-  std::vector<ProductStats> per_row(static_cast<std::size_t>(a.rows));
-  ProductStats total;
-  const CsrMatrix both =
-      partial_product_runs(a, a, parts, pool, &total, nullptr, per_row);
-  const CsrMatrix lh =
-      partial_product_runs(a, a, p.low_rows, p.is_high, true, pool);
-  const CsrMatrix hl =
-      partial_product_runs(a, a, p.high_rows, p.is_high, false, pool);
-  for (index_t i = 0; i < a.rows; ++i) {
-    const CsrMatrix& one = p.is_high[i] != 0 ? hl : lh;
-    ASSERT_EQ(both.row_nnz(i), one.row_nnz(i)) << "row " << i;
-    for (offset_t k = 0; k < one.row_nnz(i); ++k) {
-      EXPECT_EQ(both.row_indices(i)[k], one.row_indices(i)[k]);
-      EXPECT_EQ(both.row_values(i)[k], one.row_values(i)[k]);
-    }
-  }
-  EXPECT_EQ(total.tuples, both.nnz());
-  EXPECT_EQ(total.rows, a.rows);
-  for (index_t i = 0; i < a.rows; ++i) {
-    EXPECT_EQ(per_row[static_cast<std::size_t>(i)].tuples, both.row_nnz(i))
-        << "row " << i;
-  }
-}
-
-TEST(PartialProduct, RejectsOutOfRangeAndRepeatedRows) {
-  const CsrMatrix a = test::random_csr(12, 12, 0.3, 316);
-  ThreadPool pool(2);
-  const std::vector<index_t> valid = {11, 0, 4};
-  EXPECT_NO_THROW(partial_product_runs(a, a, valid, {}, true, pool));
-  for (const std::vector<index_t>& rows :
-       {std::vector<index_t>{0, 12}, std::vector<index_t>{-1, 3},
-        std::vector<index_t>{4, 7, 4}}) {
-    EXPECT_THROW(partial_product_runs(a, a, rows, {}, true, pool), CheckError)
-        << rows.back();
-  }
-  // A row listed once in each of two parts is listed twice.
-  const std::vector<index_t> first = {1, 5}, second = {6, 5};
-  const MaskedRows parts[] = {{first, {}, true}, {second, {}, true}};
-  EXPECT_THROW(partial_product_runs(a, a, parts, pool), CheckError);
+  EXPECT_EQ(stats.tuples, c.nnz());
+  const CsrMatrix short_c(a.rows - 1, b.cols);
+  EXPECT_THROW(product_row_stats(a, b, short_c), CheckError);
 }
 
 class DecompositionTest : public testing::TestWithParam<offset_t> {};
@@ -136,9 +84,13 @@ TEST_P(DecompositionTest, FourPartialProductsMergeToFullProduct) {
   std::vector<CsrMatrix> stores;
   for (const bool a_high : {true, false}) {
     for (const bool b_high : {true, false}) {
-      const auto& rows = a_high ? p.high_rows : p.low_rows;
-      stores.push_back(
-          partial_product_runs(a, a, rows, p.is_high, b_high, pool, nullptr));
+      stores.push_back(gustavson_spgemm_parallel(
+          mask_entries(a,
+                       [&](index_t i, index_t j) {
+                         return (p.is_high[i] != 0) == a_high &&
+                                (p.is_high[j] != 0) == b_high;
+                       }),
+          a, pool));
     }
   }
   const CsrMatrix* parts[] = {&stores[0], &stores[1], &stores[2], &stores[3]};
@@ -157,13 +109,15 @@ TEST_P(DecompositionTest, NumericInHalvesEqualsMergedRuns) {
   const CsrMatrix a = test::random_csr(120, 120, 0.08, 402);
   ThreadPool pool1(1), pool4(4);
   const RowPartition p = classify_rows(a, t);
+  const auto store = [&](auto keep) {
+    return gustavson_spgemm_parallel(mask_entries(a, keep), a, pool4);
+  };
   const CsrMatrix hh =
-      partial_product_runs(a, a, p.high_rows, p.is_high, true, pool4);
-  const CsrMatrix ll =
-      partial_product_runs(a, a, p.low_rows, p.is_high, false, pool4);
-  const MaskedRows cross[] = {{p.low_rows, p.is_high, true},
-                              {p.high_rows, p.is_high, false}};
-  const CsrMatrix queue = partial_product_runs(a, a, cross, pool4);
+      store([&](index_t i, index_t j) { return p.is_high[i] && p.is_high[j]; });
+  const CsrMatrix ll = store(
+      [&](index_t i, index_t j) { return !p.is_high[i] && !p.is_high[j]; });
+  const CsrMatrix queue = store(
+      [&](index_t i, index_t j) { return p.is_high[i] != p.is_high[j]; });
   const CsrMatrix* parts[] = {&hh, &ll, &queue};
   const CsrMatrix want = merge_row_runs(parts, pool4);
   WorkspacePool spas;
@@ -201,8 +155,7 @@ TEST(PartialProduct, NumericInHalvesChecksRowSizes) {
 TEST(PartialProduct, StatsSplitConsistent) {
   const CsrMatrix a = test::random_csr(40, 40, 0.15, 402);
   ThreadPool pool(2);
-  ProductStats stats;
-  partial_product_runs(a, a, all_rows(a.rows), {}, true, pool, &stats);
+  const ProductStats stats = sum_stats(stored_row_stats(a, a, pool));
   EXPECT_EQ(stats.flops_shared + stats.flops_global, stats.flops);
   EXPECT_LE(stats.max_row_flops, stats.flops);
   EXPECT_GE(stats.warp_alu, stats.flops / 32);
@@ -213,32 +166,33 @@ TEST(PartialProduct, MaskedStatsAddUpToUnmasked) {
   const CsrMatrix a = test::random_csr(30, 30, 0.2, 403);
   ThreadPool pool(2);
   const RowPartition p = classify_rows(a, 5);
-  ProductStats hi, lo, full;
-  partial_product_runs(a, a, all_rows(a.rows), p.is_high, true, pool, &hi);
-  partial_product_runs(a, a, all_rows(a.rows), p.is_high, false, pool, &lo);
-  partial_product_runs(a, a, all_rows(a.rows), {}, true, pool, &full);
+  const ProductStats hi =
+      sum_stats(stored_row_stats(on_b_side(a, p.is_high, true), a, pool));
+  const ProductStats lo =
+      sum_stats(stored_row_stats(on_b_side(a, p.is_high, false), a, pool));
+  const ProductStats full = sum_stats(stored_row_stats(a, a, pool));
   EXPECT_EQ(hi.flops + lo.flops, full.flops);
   EXPECT_EQ(hi.a_nnz + lo.a_nnz, full.a_nnz);
 }
 
-TEST(PartialProduct, DeterministicAcrossPoolSizes) {
-  // Several of the kernel's row blocks, so the workers share the rows.
+TEST(PartialProduct, StoredProductDeterministicAcrossPoolSizes) {
+  // Several of Gustavson's row blocks, so the workers share the rows.
   const CsrMatrix a = test::random_csr(400, 400, 0.02, 404);
   ThreadPool pool1(1), pool4(4);
-  const CsrMatrix x =
-      partial_product_runs(a, a, all_rows(a.rows), {}, true, pool1, nullptr);
-  const CsrMatrix y =
-      partial_product_runs(a, a, all_rows(a.rows), {}, true, pool4, nullptr);
-  EXPECT_EQ(x.indptr, y.indptr);
-  EXPECT_EQ(x.indices, y.indices);
-  EXPECT_EQ(x.values, y.values);
+  const CsrMatrix x = gustavson_spgemm_parallel(a, a, pool1);
+  const CsrMatrix y = gustavson_spgemm_parallel(a, a, pool4);
+  test::expect_same_bits(x, y);
+  const std::vector<ProductStats> sx = product_row_stats(a, a, x);
+  const std::vector<ProductStats> sy = product_row_stats(a, a, y);
+  for (std::size_t i = 0; i < sx.size(); ++i) {
+    EXPECT_EQ(stat_fields(sx[i]), stat_fields(sy[i])) << "row " << i;
+  }
 }
 
 TEST(PartialProduct, EstimateIsExactOnFlopsAndUpperBoundOnTuples) {
   const CsrMatrix a = test::random_csr(30, 30, 0.25, 405);
   ThreadPool pool(2);
-  ProductStats actual;
-  partial_product_runs(a, a, all_rows(a.rows), {}, true, pool, &actual);
+  const ProductStats actual = sum_stats(stored_row_stats(a, a, pool));
   const ProductStats est =
       estimate_partial_product(a, a, all_rows(a.rows), {}, true);
   EXPECT_EQ(est.flops, actual.flops);
@@ -249,21 +203,9 @@ TEST(PartialProduct, EstimateIsExactOnFlopsAndUpperBoundOnTuples) {
   EXPECT_GE(est.tuples, actual.tuples);
 }
 
-TEST(PartialProduct, EmptyRowList) {
-  const CsrMatrix a = test::random_csr(10, 10, 0.3, 406);
-  ThreadPool pool(2);
-  ProductStats stats;
-  const CsrMatrix runs =
-      partial_product_runs(a, a, {}, {}, true, pool, &stats);
-  EXPECT_EQ(runs.rows, a.rows);
-  EXPECT_EQ(runs.nnz(), 0);
-  EXPECT_EQ(stats.rows, 0);
-  EXPECT_EQ(stats.flops, 0);
-}
-
-// The one-point pass is the kernel's accounting without the kernel: each
-// row's stats under either mask value, the distinct output count, and each
-// row's size in C.
+// The one-point pass is the stored products' accounting without the
+// products: each row's stats under either mask value, the distinct output
+// count, and each row's size in C.
 TEST(MaskedRowCosts, EqualKernelStatsRowByRow) {
   const CsrMatrix a = test::random_csr(40, 30, 0.2, 408);
   const CsrMatrix b = test::random_csr(30, 45, 0.25, 409);
@@ -276,11 +218,11 @@ TEST(MaskedRowCosts, EqualKernelStatsRowByRow) {
   const MaskedRowCosts costs1 = row_costs_at(a, b, 8, pool1);
   EXPECT_EQ(row_nnz, exact_row_nnz(a, b));
   for (const bool v : {false, true}) {
+    const CsrMatrix a_v = on_b_side(a, p.is_high, v);
+    const std::vector<ProductStats> table = stored_row_stats(a_v, b, pool1);
     ProductStats sum;
     for (index_t i = 0; i < a.rows; ++i) {
-      const index_t row[1] = {i};
-      ProductStats want;
-      partial_product_runs(a, b, row, p.is_high, v, pool1, &want);
+      const ProductStats& want = table[static_cast<std::size_t>(i)];
       const ProductStats& got = costs.by_mask[v][static_cast<std::size_t>(i)];
       EXPECT_EQ(got.rows, want.rows) << "row " << i;
       EXPECT_EQ(got.a_nnz, want.a_nnz) << "row " << i;
@@ -295,8 +237,7 @@ TEST(MaskedRowCosts, EqualKernelStatsRowByRow) {
                 got.tuples);
       sum.accumulate(got);
     }
-    ProductStats all;
-    partial_product_runs(a, b, all_rows(a.rows), p.is_high, v, pool4, &all);
+    const ProductStats all = sum_stats(stored_row_stats(a_v, b, pool4));
     EXPECT_EQ(sum.flops_global, all.flops_global);
     EXPECT_EQ(sum.max_row_flops, all.max_row_flops);
   }
@@ -311,7 +252,8 @@ TEST(MaskedRowCosts, EqualKernelStatsRowByRow) {
 }
 
 // Every point of a multi-point grid, over more rows than one block of the
-// pass: each row's costs equal the kernel's own per-row stats there.
+// pass: each row's costs equal the stored products' own per-row stats
+// there.
 TEST(MaskedRowCosts, EqualKernelStatsAtEveryGridPoint) {
   PowerLawGenConfig cfg;
   cfg.rows = 2500;
@@ -323,26 +265,18 @@ TEST(MaskedRowCosts, EqualKernelStatsAtEveryGridPoint) {
   const std::int64_t original = shared_accum_cap();
   set_shared_accum_cap(6);
   ThreadPool pool(4);
-  const std::vector<index_t> rows = all_rows(a.rows);
   std::size_t visited = 0;
   row_costs_on_grid(a, a, grid, pool, [&](std::size_t g,
                                           const MaskedRowCosts& costs) {
     EXPECT_EQ(g, visited++);
     const RowPartition p = classify_rows(a, grid[g]);
     for (const bool v : {false, true}) {
-      std::vector<ProductStats> want(rows.size());
-      partial_product_runs(a, a, rows, p.is_high, v, pool, nullptr, nullptr,
-                             want);
+      const std::vector<ProductStats> want =
+          stored_row_stats(on_b_side(a, p.is_high, v), a, pool);
       for (index_t i = 0; i < a.rows; ++i) {
         const ProductStats& got = costs.by_mask[v][static_cast<std::size_t>(i)];
-        const ProductStats& w = want[static_cast<std::size_t>(i)];
-        const auto fields = [](const ProductStats& s) {
-          return std::vector<std::int64_t>{
-              s.rows,     s.a_nnz,        s.flops,
-              s.tuples,   s.max_row_flops, s.warp_alu,
-              s.flops_shared, s.flops_global, s.b_read_bytes};
-        };
-        EXPECT_EQ(fields(got), fields(w))
+        EXPECT_EQ(stat_fields(got),
+                  stat_fields(want[static_cast<std::size_t>(i)]))
             << "t=" << grid[g] << " side=" << v << " row " << i;
       }
     }
@@ -351,87 +285,62 @@ TEST(MaskedRowCosts, EqualKernelStatsAtEveryGridPoint) {
   set_shared_accum_cap(original);
 }
 
-std::vector<std::int64_t> stat_fields(const ProductStats& s) {
-  return {s.rows,         s.a_nnz,        s.flops,
-          s.tuples,       s.max_row_flops, s.warp_alu,
-          s.flops_shared, s.flops_global, s.b_read_bytes};
-}
-
-// row_stats is filled by the pool workers, one disjoint slot per row and
-// indexed by A row: each slot equals a one-row call, whatever the pool size
-// and row order, over several of the kernel's row blocks.
-TEST(PartialProduct, RowStatsEqualOneRowCalls) {
-  const CsrMatrix a = test::random_csr(300, 30, 0.2, 411);
-  const CsrMatrix b = test::random_csr(30, 45, 0.25, 412);
-  const RowPartition p = classify_rows(b, 8);
-  std::vector<index_t> rows = all_rows(a.rows);
-  std::reverse(rows.begin(), rows.end());
-  ThreadPool pool1(1), pool4(4);
-  for (const bool v : {false, true}) {
-    std::vector<ProductStats> per_row(rows.size());
-    ProductStats total;
-    const CsrMatrix runs = partial_product_runs(a, b, rows, p.is_high, v,
-                                                pool4, &total, nullptr, per_row);
-    ProductStats sum;
-    for (const index_t i : rows) {
-      ProductStats want;
-      partial_product_runs(a, b, std::span(&i, 1), p.is_high, v, pool1,
-                           &want);
-      const ProductStats& got = per_row[static_cast<std::size_t>(i)];
-      EXPECT_EQ(stat_fields(got), stat_fields(want)) << "row " << i;
-      sum.accumulate(got);
+// The benchmark's three staged run stores (A_H×B_H, A_L×B_L and the queue,
+// each row against its other B side), priced from their own row sizes,
+// equal the symbolic pass row by row on every row each store lists, at the
+// analytic t and at both ends of the threshold grid; and the full stored
+// product sums to the estimate's exact fields, with C's nnz as its tuples.
+TEST(StoredProducts, PricedAsTheSymbolicPassOnTableOneAnalogues) {
+  // A scaled platform shrinks the shared-accumulator cap, so rows land on
+  // both sides of the shared/global flops split.
+  constexpr double kScale = 0.04;
+  const HeteroPlatform plat = make_scaled_platform(kScale);
+  ThreadPool pool(2);
+  for (const DatasetSpec& spec : table1_datasets()) {
+    const CsrMatrix a = make_dataset(spec, kScale);
+    const std::vector<offset_t> grid = threshold_grid(a, a);
+    const offset_t analytic = pick_threshold_analytic(a, a, plat).t;
+    for (const offset_t t : {analytic, grid.front(), grid.back()}) {
+      const RowPartition p = classify_rows(a, t);
+      const std::vector<std::uint8_t>& high = p.is_high;
+      const MaskedRowCosts costs = row_costs_at(a, a, t, pool);
+      const auto expect_store = [&](const char* store, auto keep,
+                                    auto listed, auto side) {
+        const std::vector<ProductStats> table =
+            stored_row_stats(mask_entries(a, keep), a, pool);
+        for (index_t i = 0; i < a.rows; ++i) {
+          if (!listed(i)) continue;
+          const auto& by_side = costs.by_mask[side(i) ? 1 : 0];
+          EXPECT_EQ(stat_fields(table[static_cast<std::size_t>(i)]),
+                    stat_fields(by_side[static_cast<std::size_t>(i)]))
+              << spec.name << " t=" << t << " " << store << " row " << i;
+        }
+      };
+      const auto on_h = [&](index_t i) { return high[i] != 0; };
+      const auto on_l = [&](index_t i) { return high[i] == 0; };
+      expect_store(
+          "hh", [&](index_t i, index_t j) { return high[i] && high[j]; },
+          on_h, [](index_t) { return true; });
+      expect_store(
+          "ll", [&](index_t i, index_t j) { return !high[i] && !high[j]; },
+          on_l, [](index_t) { return false; });
+      expect_store(
+          "queue", [&](index_t i, index_t j) { return high[i] != high[j]; },
+          [](index_t) { return true; }, on_l);
     }
-    EXPECT_EQ(sum.tuples, runs.nnz());
-    EXPECT_EQ(sum.tuples, total.tuples);
-    EXPECT_EQ(sum.flops, total.flops);
-    EXPECT_EQ(sum.max_row_flops, total.max_row_flops);
+    const CsrMatrix c = gustavson_spgemm_parallel(a, a, pool);
+    const ProductStats got = sum_stats(product_row_stats(a, a, c));
+    const ProductStats est =
+        estimate_partial_product(a, a, all_rows(a.rows), {}, true);
+    EXPECT_EQ(got.rows, est.rows) << spec.name;
+    EXPECT_EQ(got.a_nnz, est.a_nnz) << spec.name;
+    EXPECT_EQ(got.flops, est.flops) << spec.name;
+    EXPECT_EQ(got.max_row_flops, est.max_row_flops) << spec.name;
+    EXPECT_EQ(got.warp_alu, est.warp_alu) << spec.name;
+    EXPECT_EQ(got.b_read_bytes, est.b_read_bytes) << spec.name;
+    EXPECT_EQ(got.tuples, c.nnz()) << spec.name;
   }
-  std::vector<ProductStats> short_table(rows.size() - 1);
-  EXPECT_THROW(partial_product_runs(a, b, rows, p.is_high, true, pool1,
-                                      nullptr, nullptr, short_table),
-               CheckError);
-}
-
-// A call that lists some rows, over two parts, fills only their slots of
-// the by-row table: each listed row's slot equals the one-row call against
-// its part's view of B, and every other slot keeps what it held.
-TEST(PartialProduct, RowStatsLeaveUnlistedRowsUntouched) {
-  const CsrMatrix a = test::random_csr(300, 30, 0.2, 413);
-  const CsrMatrix b = test::random_csr(30, 45, 0.25, 414);
-  const RowPartition p = classify_rows(b, 8);
-  std::vector<index_t> front, back;
-  for (index_t i = a.rows - 1; i >= 0; --i) {
-    if (i % 3 == 0) front.push_back(i);
-    if (i % 3 == 1 && i % 2 == 0) back.push_back(i);
-  }
-  const MaskedRows parts[] = {{front, p.is_high, true},
-                              {back, p.is_high, false}};
-  ProductStats marker;
-  marker.rows = -7;
-  marker.flops = -1;
-  for (const std::size_t threads : {1u, 4u}) {
-    ThreadPool pool(threads);
-    std::vector<ProductStats> table(static_cast<std::size_t>(a.rows), marker);
-    partial_product_runs(a, b, parts, pool, nullptr, nullptr, table);
-    std::vector<bool> listed(static_cast<std::size_t>(a.rows), false);
-    for (const MaskedRows& part : parts) {
-      for (const index_t i : part.rows) {
-        listed[static_cast<std::size_t>(i)] = true;
-        ProductStats want;
-        partial_product_runs(a, b, std::span(&i, 1), part.b_mask,
-                             part.b_mask_value, pool, &want);
-        EXPECT_EQ(stat_fields(table[static_cast<std::size_t>(i)]),
-                  stat_fields(want))
-            << "row " << i << ", " << threads << " threads";
-      }
-    }
-    for (index_t i = 0; i < a.rows; ++i) {
-      if (listed[static_cast<std::size_t>(i)]) continue;
-      EXPECT_EQ(stat_fields(table[static_cast<std::size_t>(i)]),
-                stat_fields(marker))
-          << "unlisted row " << i << ", " << threads << " threads";
-    }
-  }
+  set_shared_accum_cap(kSharedAccumCap);
 }
 
 TEST(PartialProduct, SharedAccumCapKnob) {
@@ -440,8 +349,7 @@ TEST(PartialProduct, SharedAccumCapKnob) {
   EXPECT_EQ(shared_accum_cap(), 1);
   const CsrMatrix a = test::random_csr(20, 20, 0.4, 407);
   ThreadPool pool(2);
-  ProductStats stats;
-  partial_product_runs(a, a, all_rows(a.rows), {}, true, pool, &stats);
+  const ProductStats stats = sum_stats(stored_row_stats(a, a, pool));
   // With cap 1 nearly everything lands on the global path.
   EXPECT_GT(stats.flops_global, stats.flops_shared);
   set_shared_accum_cap(original);

@@ -29,6 +29,16 @@ TEST(MatrixSignature, DeterministicAcrossCalls) {
   EXPECT_EQ(a.nnz, m.nnz());
 }
 
+// The digests key the plan cache, the tuner's report and every recorded
+// workload, so their values are pinned, not only their determinism.
+TEST(MatrixSignature, DigestValuesArePinned) {
+  const MatrixSignature s =
+      matrix_signature(test::random_csr(300, 300, 0.03, 7));
+  EXPECT_EQ(s.degree_digest, 0x666146dfe9b554c2ull);
+  EXPECT_EQ(static_cast<std::uint64_t>(MatrixSignatureHash{}(s)),
+            0x30bf66d782ab5be9ull);
+}
+
 TEST(MatrixSignature, StableUnderCopy) {
   const CsrMatrix m = test::random_csr(120, 80, 0.05, 11);
   CsrMatrix copy = m;

@@ -37,13 +37,6 @@ TEST(RowStats, StatsFields) {
   EXPECT_DOUBLE_EQ(s.mean, 2.0);
 }
 
-TEST(RowStats, HistogramCountsEveryRow) {
-  const CsrMatrix m = ladder_matrix();
-  const auto h = row_nnz_histogram(m);
-  ASSERT_EQ(h.size(), 5u);
-  for (std::size_t k = 0; k < h.size(); ++k) EXPECT_EQ(h[k], 1);
-}
-
 TEST(RowStats, CountRowsAtLeast) {
   const CsrMatrix m = ladder_matrix();
   EXPECT_EQ(count_rows_at_least(m, 0), 5);

@@ -444,16 +444,54 @@ TEST_P(MalformedSubmitTest, ThrowsInvalidArgument) {
   const CsrMatrix bad = test::malformed_4x4(GetParam());
   const CsrMatrix good = test::well_formed_4x4();
   SpgemmService service(plat_, pool_);
-  EXPECT_THROW(service.submit({&bad, nullptr, 0, 0, ""}),
-               InvalidArgumentError);
-  EXPECT_THROW(service.submit({&bad, &good, 0, 0, ""}), InvalidArgumentError);
-  EXPECT_THROW(service.submit({&good, &bad, 0, 0, ""}), InvalidArgumentError);
+  // Every submit walks a malformed operand again: only a pass is
+  // remembered.
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_THROW(service.submit({&bad, nullptr, 0, 0, ""}),
+                 InvalidArgumentError);
+    EXPECT_THROW(service.submit({&bad, &good, 0, 0, ""}),
+                 InvalidArgumentError);
+    EXPECT_THROW(service.submit({&good, &bad, 0, 0, ""}),
+                 InvalidArgumentError);
+  }
   EXPECT_EQ(service.pending(), 0u);
 }
 
+// The error names the operand and its defect in words, with no checked
+// expression and no source path.
+TEST_P(MalformedSubmitTest, MessageNamesTheDefect) {
+  const CsrMatrix bad = test::malformed_4x4(GetParam());
+  const CsrMatrix good = test::well_formed_4x4();
+  SpgemmService service(plat_, pool_);
+  test::expect_malformed_message(
+      [&] { service.submit({&bad, nullptr, 0, 0, ""}); }, "A", GetParam());
+  test::expect_malformed_message(
+      [&] { service.submit({&good, &bad, 0, 0, ""}); }, "B", GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Malformations, MalformedSubmitTest,
-                         testing::ValuesIn(test::kIndexMalformations),
+                         testing::ValuesIn(test::kAllMalformations),
                          test::MalformationParamName());
+
+// An operand's full check is remembered until the next drain(), or until
+// invalidate_inputs(): an operand changed after either is walked again at
+// its next submit.
+TEST_F(ServiceTest, OperandCheckLastsOneDrainWindow) {
+  CsrMatrix m = test::well_formed_4x4();
+  SpgemmService service(plat_, pool_);
+  service.submit({&m, nullptr, 0, 0, ""});
+  service.submit({&m, nullptr, 0, 0, ""});
+  EXPECT_EQ(service.drain().results.size(), 2u);
+  m.indices[3] = m.cols;
+  EXPECT_THROW(service.submit({&m, nullptr, 0, 0, ""}), InvalidArgumentError);
+  m = test::well_formed_4x4();
+  service.submit({&m, nullptr, 0, 0, ""});
+  m.indices[3] = -1;
+  service.invalidate_inputs();
+  EXPECT_THROW(service.submit({&m, nullptr, 0, 0, ""}), InvalidArgumentError);
+  m = test::well_formed_4x4();
+  EXPECT_EQ(service.drain().results.size(), 1u);
+}
 
 TEST_F(ServiceTest, WorkspacePoolingPreservesResults) {
   // The service always pools its numeric pass's SPAs; run_hh_cpu without

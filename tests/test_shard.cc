@@ -175,14 +175,40 @@ TEST_P(MalformedGroupSubmitTest, ThrowsInvalidArgument) {
   const CsrMatrix bad = test::malformed_4x4(GetParam());
   const CsrMatrix good = test::well_formed_4x4();
   ShardedSpgemmService group(plat_, pool_, {});
-  EXPECT_THROW(group.submit({&bad, nullptr, 0, 0, ""}), InvalidArgumentError);
-  EXPECT_THROW(group.submit({&good, &bad, 0, 0, ""}), InvalidArgumentError);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_THROW(group.submit({&bad, nullptr, 0, 0, ""}),
+                 InvalidArgumentError);
+    EXPECT_THROW(group.submit({&good, &bad, 0, 0, ""}), InvalidArgumentError);
+  }
   EXPECT_EQ(group.pending(), 0u);
 }
 
+TEST_P(MalformedGroupSubmitTest, MessageNamesTheDefect) {
+  const CsrMatrix bad = test::malformed_4x4(GetParam());
+  const CsrMatrix good = test::well_formed_4x4();
+  ShardedSpgemmService group(plat_, pool_, {});
+  test::expect_malformed_message(
+      [&] { group.submit({&bad, nullptr, 0, 0, ""}); }, "A", GetParam());
+  test::expect_malformed_message(
+      [&] { group.submit({&good, &bad, 0, 0, ""}); }, "B", GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(Malformations, MalformedGroupSubmitTest,
-                         testing::ValuesIn(test::kIndexMalformations),
+                         testing::ValuesIn(test::kAllMalformations),
                          test::MalformationParamName());
+
+// The group remembers an operand's full check until its next drain(): an
+// operand changed after the drain is walked again at its next submit.
+TEST_F(ShardGroupTest, OperandCheckLastsOneDrainWindow) {
+  CsrMatrix m = test::well_formed_4x4();
+  ShardedSpgemmService group(plat_, pool_, {});
+  group.submit(req(m));
+  group.submit(req(m));
+  EXPECT_EQ(group.drain().group.completed, 2u);
+  m.indices[3] = m.cols;
+  EXPECT_THROW(group.submit(req(m)), InvalidArgumentError);
+  EXPECT_EQ(group.pending(), 0u);
+}
 
 TEST_F(ShardGroupTest, GroupCapacityShedsWithTypedError) {
   ShardedSpgemmService::Config cfg;

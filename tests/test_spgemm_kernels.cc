@@ -13,6 +13,7 @@
 #include "spgemm/row_column.hpp"
 #include "spgemm/run_order.hpp"
 #include "spgemm/spgemm.hpp"
+#include "spgemm/symbolic.hpp"
 #include "test_util.hpp"
 #include "util/check.hpp"
 
@@ -179,6 +180,21 @@ CraftedProduct crafted_product() {
           from_rows(kWideCols, b_rows)};
 }
 
+// numeric_in_halves with every row on one side, so each row's second half
+// is empty and each value is (0 + sum) + 0, the sum's own bits: C = A × B
+// in the rows the symbolic count sized.
+CsrMatrix numeric_in_one_half(const CsrMatrix& a, const CsrMatrix& b,
+                              ThreadPool& pool,
+                              WorkspacePool* workspace = nullptr) {
+  CsrMatrix c(a.rows, b.cols);
+  const std::vector<offset_t> sizes = exact_row_nnz(a, b);
+  std::copy(sizes.begin(), sizes.end(), c.indptr.begin() + 1);
+  const std::vector<std::uint8_t> a_side(static_cast<std::size_t>(a.rows), 1);
+  const std::vector<std::uint8_t> b_side(static_cast<std::size_t>(b.rows), 1);
+  numeric_in_halves(a, b, a_side, b_side, c, pool, workspace);
+  return c;
+}
+
 TEST(RunOrderSwitch, EveryKernelMatchesTheDenseReferenceBitForBit) {
   const CraftedProduct p = crafted_product();
   const CsrMatrix want = reference_multiply_dense(p.a, p.b);
@@ -189,22 +205,17 @@ TEST(RunOrderSwitch, EveryKernelMatchesTheDenseReferenceBitForBit) {
     ASSERT_FALSE(std::signbit(v));
   }
   test::expect_same_bits(want, gustavson_spgemm(p.a, p.b), "gustavson");
-  std::vector<index_t> rows(static_cast<std::size_t>(p.a.rows));
-  std::iota(rows.begin(), rows.end(), index_t{0});
   for (const std::size_t threads : {1, 4}) {
     ThreadPool pool(threads);
     const std::string at = " pool " + std::to_string(threads);
     test::expect_same_bits(want, gustavson_spgemm_parallel(p.a, p.b, pool),
                            "gustavson_spgemm_parallel" + at);
-    test::expect_same_bits(
-        want, partial_product_runs(p.a, p.b, rows, {}, true, pool),
-        "partial_product_runs" + at);
+    test::expect_same_bits(want, numeric_in_one_half(p.a, p.b, pool),
+                           "numeric_in_halves" + at);
     WorkspacePool spas;
     for (int round = 0; round < 2; ++round) {
-      test::expect_same_bits(
-          want,
-          partial_product_runs(p.a, p.b, rows, {}, true, pool, nullptr, &spas),
-          "partial_product_runs with a WorkspacePool" + at);
+      test::expect_same_bits(want, numeric_in_one_half(p.a, p.b, pool, &spas),
+                             "numeric_in_halves with a WorkspacePool" + at);
     }
   }
 }
@@ -229,12 +240,8 @@ TEST(RunOrderSwitch, PooledBitmapStaysClearAcrossProducts) {
   ThreadPool pool(4);
   WorkspacePool spas;
   for (const auto& p : products) {
-    std::vector<index_t> rows(static_cast<std::size_t>(p.a.rows));
-    std::iota(rows.begin(), rows.end(), index_t{0});
-    test::expect_same_bits(
-        reference_multiply_dense(p.a, p.b),
-        partial_product_runs(p.a, p.b, rows, {}, true, pool, nullptr, &spas),
-        p.name);
+    test::expect_same_bits(reference_multiply_dense(p.a, p.b),
+                           numeric_in_one_half(p.a, p.b, pool, &spas), p.name);
   }
   const WorkspacePool::Stats st = spas.stats();
   ASSERT_GT(st.spa_reuses, 0);
@@ -377,11 +384,8 @@ TEST(SpgemmKernels, UnsortedAndDuplicateColumnsAreSummed) {
     test::expect_sorted_reference(a, b, multiply(a, b, kind, pool),
                                   to_string(kind));
   }
-  std::vector<index_t> rows(static_cast<std::size_t>(a.rows));
-  std::iota(rows.begin(), rows.end(), index_t{0});
-  test::expect_sorted_reference(
-      a, b, partial_product_runs(a, b, rows, {}, true, pool),
-      "partial_product_runs");
+  test::expect_sorted_reference(a, b, numeric_in_one_half(a, b, pool),
+                                "numeric_in_halves");
 }
 
 }  // namespace

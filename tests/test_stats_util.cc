@@ -22,31 +22,14 @@ TEST(Stats, MeanEmptyThrows) {
   EXPECT_THROW(mean(xs), CheckError);
 }
 
-// The Summary ingredients are total over empty samples (a merged group
+// median and the percentiles are total over empty samples (a merged group
 // report can legitimately aggregate a shard that contributed zero samples);
 // mean/geomean above keep their throwing contract.
-TEST(Stats, SummaryIngredientsAreTotalOverEmptySamples) {
+TEST(Stats, MedianAndPercentilesAreTotalOverEmptySamples) {
   const std::vector<double> none;
   EXPECT_DOUBLE_EQ(median(none), 0.0);
-  EXPECT_DOUBLE_EQ(stddev(none), 0.0);
-  EXPECT_DOUBLE_EQ(min_of(none), 0.0);
-  EXPECT_DOUBLE_EQ(max_of(none), 0.0);
   EXPECT_DOUBLE_EQ(percentile(none, 0.5), 0.0);
   EXPECT_DOUBLE_EQ(percentile_sorted(none, 0.99), 0.0);
-  const Summary s = summarize(none);
-  EXPECT_EQ(s.n, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-  EXPECT_DOUBLE_EQ(s.median, 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
-  EXPECT_DOUBLE_EQ(s.min, 0.0);
-  EXPECT_DOUBLE_EQ(s.max, 0.0);
-  EXPECT_DOUBLE_EQ(s.p95, 0.0);
-  EXPECT_DOUBLE_EQ(s.p99, 0.0);
-}
-
-TEST(Stats, StddevOfSingleSampleIsZero) {
-  const std::vector<double> one{5.0};
-  EXPECT_DOUBLE_EQ(stddev(one), 0.0);
 }
 
 TEST(Stats, Geomean) {
@@ -65,37 +48,6 @@ TEST(Stats, MedianOdd) {
 
 TEST(Stats, MedianEven) {
   EXPECT_DOUBLE_EQ(median({4, 1, 3, 2}), 2.5);
-}
-
-TEST(Stats, Stddev) {
-  const std::vector<double> xs{2, 4, 4, 4, 5, 5, 7, 9};
-  EXPECT_NEAR(stddev(xs), 2.138, 1e-3);
-}
-
-TEST(Stats, MinMax) {
-  const std::vector<double> xs{3, -1, 9, 2};
-  EXPECT_DOUBLE_EQ(min_of(xs), -1.0);
-  EXPECT_DOUBLE_EQ(max_of(xs), 9.0);
-}
-
-TEST(Stats, SummaryFields) {
-  const std::vector<double> xs{1, 2, 3, 4, 5};
-  const Summary s = summarize(xs);
-  EXPECT_EQ(s.n, 5u);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
-  EXPECT_GT(s.stddev, 0.0);
-}
-
-TEST(Stats, SummaryEmptyIsZero) {
-  const std::vector<double> xs;
-  const Summary s = summarize(xs);
-  EXPECT_EQ(s.n, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-  EXPECT_DOUBLE_EQ(s.p95, 0.0);
-  EXPECT_DOUBLE_EQ(s.p99, 0.0);
 }
 
 // ------------------------------------------------- nearest-rank percentile
@@ -142,17 +94,6 @@ TEST(Stats, PercentileSortedAgreesWithPercentile) {
   for (const double q : {0.25, 0.5, 0.75, 0.95, 1.0}) {
     EXPECT_DOUBLE_EQ(percentile_sorted(sorted, q), percentile(sorted, q));
   }
-}
-
-TEST(Stats, SummaryPercentiles) {
-  std::vector<double> xs;
-  for (int i = 1; i <= 100; ++i) xs.push_back(i);
-  const Summary s = summarize(xs);
-  EXPECT_DOUBLE_EQ(s.p95, 95.0);
-  EXPECT_DOUBLE_EQ(s.p99, 99.0);
-  EXPECT_LE(s.median, s.p95);
-  EXPECT_LE(s.p95, s.p99);
-  EXPECT_LE(s.p99, s.max);
 }
 
 }  // namespace

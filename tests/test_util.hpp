@@ -1,22 +1,29 @@
 // Shared helpers for the test suite: small deterministic random matrices, a
 // dense-reference comparison that tolerates explicit zeros, a bit-for-bit
-// comparison, the Phase IV merge contract spelled out over free-form
-// tuples, and operands that break or stretch the CSR invariants.
+// comparison, a stored product's per-row stats, the Phase IV merge contract
+// spelled out over free-form tuples, and operands that break or stretch the
+// CSR invariants.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sparse/csr.hpp"
 #include "sparse/equality.hpp"
+#include "spgemm/gustavson.hpp"
 #include "spgemm/reference.hpp"
+#include "spgemm/spgemm.hpp"
 #include "util/prng.hpp"
+#include "util/status.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hh::test {
 
@@ -65,6 +72,30 @@ inline void expect_same_bits(const CsrMatrix& want, const CsrMatrix& got,
   EXPECT_TRUE(same_bytes(want.indptr, got.indptr)) << label;
   EXPECT_TRUE(same_bytes(want.indices, got.indices)) << label;
   EXPECT_TRUE(same_bytes(want.values, got.values)) << label;
+}
+
+/// Each row's stats in the stored product a × b: Gustavson's C priced from
+/// its row sizes by product_row_stats, the reference the symbolic passes
+/// are checked against. Mask A's entries (mask_entries) to price a partial
+/// product.
+inline std::vector<ProductStats> stored_row_stats(const CsrMatrix& a,
+                                                  const CsrMatrix& b,
+                                                  ThreadPool& pool) {
+  return product_row_stats(a, b, gustavson_spgemm_parallel(a, b, pool));
+}
+
+/// Σ of the stats of `rows`.
+inline ProductStats sum_stats(std::span<const ProductStats> rows) {
+  ProductStats s;
+  for (const ProductStats& r : rows) s.accumulate(r);
+  return s;
+}
+
+/// Every field of `s`, for one EXPECT_EQ per row.
+inline std::array<std::int64_t, 9> stat_fields(const ProductStats& s) {
+  return {s.rows,         s.a_nnz,        s.flops,
+          s.tuples,       s.max_row_flops, s.warp_alu,
+          s.flops_shared, s.flops_global, s.b_read_bytes};
 }
 
 /// One ⟨r, c, v⟩ tuple of a partial product.
@@ -126,16 +157,27 @@ inline std::string malformation_name(Malformation how) {
   return "unknown";
 }
 
-/// Every malformation, and those an O(1) check of the array sizes lets
-/// through (the service checked only the sizes before it checked every
-/// index).
+/// Every malformation.
 inline constexpr Malformation kAllMalformations[] = {
     Malformation::kIndptrNotFromZero, Malformation::kIndptrDecreasing,
     Malformation::kIndicesShort,      Malformation::kValuesShort,
     Malformation::kColumnPastEnd,     Malformation::kColumnNegative};
-inline constexpr Malformation kIndexMalformations[] = {
-    Malformation::kIndptrNotFromZero, Malformation::kIndptrDecreasing,
-    Malformation::kColumnPastEnd, Malformation::kColumnNegative};
+
+/// The words CsrMatrix::defect uses for malformed_4x4(how).
+inline std::string malformation_phrase(Malformation how) {
+  switch (how) {
+    case Malformation::kIndptrNotFromZero: return "indptr starts at 1, not 0";
+    case Malformation::kIndptrDecreasing: return "indptr decreasing at row 1";
+    case Malformation::kIndicesShort:
+      return "indices has 7 entries, indptr ends at 8";
+    case Malformation::kValuesShort:
+      return "values has 7 entries, indptr ends at 8";
+    case Malformation::kColumnPastEnd: return "column 4 out of range in row 1";
+    case Malformation::kColumnNegative:
+      return "column -1 out of range in row 1";
+  }
+  return "unknown";
+}
 
 /// A well-formed 4×4 operand with two entries in every row.
 inline CsrMatrix well_formed_4x4() {
@@ -158,6 +200,25 @@ inline CsrMatrix malformed_4x4(Malformation how) {
     case Malformation::kColumnNegative: m.indices[3] = -1; break;
   }
   return m;
+}
+
+/// EXPECT that submit() throws InvalidArgumentError naming `side`'s operand
+/// and the defect `how` made, in words: no checked expression and no path.
+template <class Submit>
+void expect_malformed_message(Submit&& submit, const std::string& side,
+                              Malformation how) {
+  try {
+    submit();
+    ADD_FAILURE() << "no InvalidArgumentError for " << malformation_name(how);
+  } catch (const InvalidArgumentError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(side + " operand is malformed: " +
+                        malformation_phrase(how)),
+              std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+    EXPECT_EQ(what.find('/'), std::string::npos) << what;
+  }
 }
 
 /// Names a malformation test instance after its parameter.

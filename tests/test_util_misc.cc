@@ -1,9 +1,9 @@
-// Coverage for the small utilities: checked assertions, logger, wall timer.
+// Coverage for the small utilities: checked assertions and the logger.
 #include <gtest/gtest.h>
 
+#include "sparse/csr.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
-#include "util/timer.hpp"
 
 namespace hh {
 namespace {
@@ -21,6 +21,24 @@ TEST(Check, FailingCheckThrowsWithLocation) {
     const std::string what = e.what();
     EXPECT_NE(what.find("2 + 2 == 5"), std::string::npos);
     EXPECT_NE(what.find("test_util_misc.cc"), std::string::npos);
+  }
+}
+
+// A library check names its file from the source tree, not by the build
+// machine's absolute path.
+TEST(Check, LibraryCheckNamesItsFileFromTheSourceTree) {
+  CsrMatrix m(1, 2);
+  m.indptr = {0, 1};
+  m.indices = {5};
+  m.values = {1};
+  try {
+    m.validate();
+    FAIL() << "should have thrown";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(" at src/sparse/csr.cc:"), std::string::npos) << what;
+    EXPECT_NE(what.find("column 5 out of range in row 0"), std::string::npos)
+        << what;
   }
 }
 
@@ -48,17 +66,6 @@ TEST(Log, LevelRoundTrip) {
   HH_LOG_INFO << "suppressed";
   HH_LOG_DEBUG << "suppressed too";
   set_log_level(before);
-}
-
-TEST(Timer, MeasuresElapsedTime) {
-  WallTimer t;
-  volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink = sink + i;
-  const double s = t.seconds();
-  EXPECT_GE(s, 0.0);
-  EXPECT_GE(t.millis(), s * 1e3);  // monotone: later read, larger value
-  t.reset();
-  EXPECT_GE(t.seconds(), 0.0);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "core/baselines.hpp"
+#include "sparse/convert.hpp"
 #include "sparse/partition.hpp"
 #include "spgemm/gustavson.hpp"
 #include "test_util.hpp"
@@ -26,6 +27,33 @@ std::array<QueuePart, 2> two_part_queue(const RowPartition& p) {
           QueuePart{{p.high_rows, p.is_high, false}, 1e9, false}};
 }
 
+// The queue as the workqueue baselines and the staged Phase III run it: the
+// parts' product stored first, by Gustavson over the copy of `a` that keeps
+// each listed row's entries on its part's side of B, then schedule_workqueue
+// over that store's product_row_stats. The store goes to `tuples`.
+WorkQueueResult run_queue(const CsrMatrix& a, std::span<const QueuePart> parts,
+                          const WorkQueueConfig& cfg, double cpu_start,
+                          double gpu_start, const HeteroPlatform& plat,
+                          ThreadPool& pool) {
+  std::vector<const QueuePart*> part_of(static_cast<std::size_t>(a.rows));
+  for (const QueuePart& part : parts) {
+    for (const index_t i : part.product.rows) part_of[i] = &part;
+  }
+  const CsrMatrix masked = mask_entries(a, [&](index_t i, index_t j) {
+    const QueuePart* part = part_of[i];
+    return part != nullptr &&
+           (part->product.b_mask.empty() ||
+            (part->product.b_mask[j] != 0) == part->product.b_mask_value);
+  });
+  CsrMatrix store = gustavson_spgemm_parallel(masked, a, pool);
+  const std::vector<ProductStats> table = product_row_stats(masked, a, store);
+  const std::vector<std::span<const ProductStats>> tables(parts.size(), table);
+  WorkQueueResult r = schedule_workqueue(parts, tables, cfg, a.rows, cpu_start,
+                                         gpu_start, plat);
+  r.tuples = std::move(store);
+  return r;
+}
+
 class WorkQueueTest : public testing::Test {
  protected:
   WorkQueueTest()
@@ -33,6 +61,36 @@ class WorkQueueTest : public testing::Test {
         rows_(all_rows(a_)),
         natural_{QueuePart{{rows_, {}, true}, 0.0, false}},
         pool_(2) {}
+  WorkQueueResult run(std::span<const QueuePart> parts,
+                      const WorkQueueConfig& cfg, double cpu_start,
+                      double gpu_start, ThreadPool& pool) {
+    return run_queue(a_, parts, cfg, cpu_start, gpu_start, plat_, pool);
+  }
+  WorkQueueResult run(std::span<const QueuePart> parts,
+                      const WorkQueueConfig& cfg, double cpu_start,
+                      double gpu_start) {
+    return run(parts, cfg, cpu_start, gpu_start, pool_);
+  }
+  // Gustavson's product of the HH-CPU queue's front part (A_L×B_H, when
+  // `front`) or its back part (A_H×B_L), and that product's summed stats
+  // over the part's rows.
+  CsrMatrix part_store(const RowPartition& p, bool front) {
+    return gustavson_spgemm_parallel(part_operand(p, front), a_, pool_);
+  }
+  ProductStats part_stats(const RowPartition& p, bool front) {
+    const std::vector<ProductStats> table =
+        test::stored_row_stats(part_operand(p, front), a_, pool_);
+    ProductStats s;
+    for (const index_t i : front ? p.low_rows : p.high_rows) {
+      s.accumulate(table[static_cast<std::size_t>(i)]);
+    }
+    return s;
+  }
+  CsrMatrix part_operand(const RowPartition& p, bool front) {
+    return mask_entries(a_, [&](index_t i, index_t j) {
+      return p.is_high[i] != front && p.is_high[j] == front;
+    });
+  }
   CsrMatrix a_;
   std::vector<index_t> rows_;
   QueuePart natural_[1];  // every row of A in natural order, all of B
@@ -44,8 +102,7 @@ TEST_F(WorkQueueTest, ProcessesEveryRowExactlyOnce) {
   WorkQueueConfig cfg;
   cfg.cpu_rows = 16;
   cfg.gpu_rows = 64;
-  const WorkQueueResult r =
-      run_workqueue(a_, a_, natural_, cfg, 0, 0, plat_, pool_);
+  const WorkQueueResult r = run(natural_, cfg, 0, 0);
   EXPECT_EQ(r.cpu_stats.rows + r.gpu_stats.rows, a_.rows);
   r.tuples.validate(true);
   const CsrMatrix want = gustavson_spgemm(a_, a_);
@@ -57,8 +114,7 @@ TEST_F(WorkQueueTest, BothDevicesParticipate) {
   WorkQueueConfig cfg;
   cfg.cpu_rows = 16;
   cfg.gpu_rows = 16;
-  const WorkQueueResult r =
-      run_workqueue(a_, a_, natural_, cfg, 0, 0, plat_, pool_);
+  const WorkQueueResult r = run(natural_, cfg, 0, 0);
   EXPECT_GT(r.cpu_units, 0);
   EXPECT_GT(r.gpu_units, 0);
   EXPECT_GT(r.cpu_busy, 0);
@@ -69,10 +125,8 @@ TEST_F(WorkQueueTest, LateDeviceGetsLessWork) {
   WorkQueueConfig cfg;
   cfg.cpu_rows = 16;
   cfg.gpu_rows = 16;
-  const WorkQueueResult balanced =
-      run_workqueue(a_, a_, natural_, cfg, 0, 0, plat_, pool_);
-  const WorkQueueResult gpu_late =
-      run_workqueue(a_, a_, natural_, cfg, 0, 1.0, plat_, pool_);
+  const WorkQueueResult balanced = run(natural_, cfg, 0, 0);
+  const WorkQueueResult gpu_late = run(natural_, cfg, 0, 1.0);
   EXPECT_LT(gpu_late.gpu_units, balanced.gpu_units);
   EXPECT_GT(gpu_late.cpu_units, balanced.cpu_units);
 }
@@ -81,8 +135,7 @@ TEST_F(WorkQueueTest, VeryLateGpuMeansCpuDoesEverything) {
   WorkQueueConfig cfg;
   cfg.cpu_rows = 50;
   cfg.gpu_rows = 50;
-  const WorkQueueResult r =
-      run_workqueue(a_, a_, natural_, cfg, 0, 1e9, plat_, pool_);
+  const WorkQueueResult r = run(natural_, cfg, 0, 1e9);
   EXPECT_EQ(r.gpu_units, 0);
   EXPECT_EQ(r.cpu_stats.rows, a_.rows);
 }
@@ -92,10 +145,8 @@ TEST_F(WorkQueueTest, DeterministicAcrossPoolSizes) {
   cfg.cpu_rows = 10;
   cfg.gpu_rows = 30;
   ThreadPool pool1(1), pool4(4);
-  const WorkQueueResult x =
-      run_workqueue(a_, a_, natural_, cfg, 0, 0, plat_, pool1);
-  const WorkQueueResult y =
-      run_workqueue(a_, a_, natural_, cfg, 0, 0, plat_, pool4);
+  const WorkQueueResult x = run(natural_, cfg, 0, 0, pool1);
+  const WorkQueueResult y = run(natural_, cfg, 0, 0, pool4);
   EXPECT_EQ(x.cpu_units, y.cpu_units);
   EXPECT_DOUBLE_EQ(x.cpu_busy, y.cpu_busy);
   EXPECT_EQ(x.tuples.indptr, y.tuples.indptr);
@@ -111,30 +162,27 @@ TEST_F(WorkQueueTest, TwoPartQueueUsesMasks) {
   WorkQueueConfig cfg;
   cfg.cpu_rows = 20;
   cfg.gpu_rows = 40;
-  const WorkQueueResult r =
-      run_workqueue(a_, a_, parts, cfg, 0, 0, plat_, pool_);
+  const WorkQueueResult r = run(parts, cfg, 0, 0);
   EXPECT_EQ(r.cpu_stats.rows + r.gpu_stats.rows,
             static_cast<std::int64_t>(p.low_rows.size() + p.high_rows.size()));
-  ProductStats hh, hl;
-  const CsrMatrix high = partial_product_runs(a_, a_, p.low_rows, p.is_high,
-                                              true, pool_, &hh);
-  const CsrMatrix low = partial_product_runs(a_, a_, p.high_rows, p.is_high,
-                                             false, pool_, &hl);
-  EXPECT_EQ(r.cpu_stats.flops + r.gpu_stats.flops, hh.flops + hl.flops);
-  EXPECT_EQ(r.tuples.nnz(), high.nnz() + low.nnz());
+  const CsrMatrix lh = part_store(p, true);
+  const CsrMatrix hl = part_store(p, false);
+  const ProductStats front = part_stats(p, true);
+  const ProductStats back = part_stats(p, false);
+  EXPECT_EQ(r.cpu_stats.flops + r.gpu_stats.flops, front.flops + back.flops);
+  EXPECT_EQ(r.tuples.nnz(), lh.nnz() + hl.nnz());
 }
 
 TEST_F(WorkQueueTest, ScheduleWithPrecomputedCostsMatchesRun) {
   // The dequeue loop priced in place from per-row symbolic costs, each part
-  // reading the table of its own B side, reproduces the executed queue's
+  // reading the table of its own B side, reproduces the stored queue's
   // clocks, units and stats exactly, with no tuples.
   const RowPartition p = classify_rows(a_, 12);
   const auto parts = two_part_queue(p);
   WorkQueueConfig cfg;
   cfg.cpu_rows = 7;
   cfg.gpu_rows = 30;
-  const WorkQueueResult run =
-      run_workqueue(a_, a_, parts, cfg, 0, 2e-5, plat_, pool_);
+  const WorkQueueResult stored = run(parts, cfg, 0, 2e-5);
   const offset_t grid[] = {12};
   MaskedRowCosts costs;
   row_costs_on_grid(a_, a_, grid, pool_,
@@ -143,38 +191,41 @@ TEST_F(WorkQueueTest, ScheduleWithPrecomputedCostsMatchesRun) {
                                                   costs.by_mask[false]};
   const WorkQueueResult dry =
       schedule_workqueue(parts, tables, cfg, a_.rows, 0, 2e-5, plat_);
-  EXPECT_GT(run.cpu_units, 0);
-  EXPECT_GT(run.gpu_units, 0);
-  EXPECT_EQ(dry.cpu_units, run.cpu_units);
-  EXPECT_EQ(dry.gpu_units, run.gpu_units);
-  EXPECT_EQ(dry.cpu_busy, run.cpu_busy);
-  EXPECT_EQ(dry.gpu_busy, run.gpu_busy);
-  EXPECT_EQ(dry.cpu_end, run.cpu_end);
-  EXPECT_EQ(dry.gpu_end, run.gpu_end);
-  EXPECT_EQ(dry.cpu_stats.tuples + dry.gpu_stats.tuples, run.tuples.nnz());
-  EXPECT_EQ(dry.cpu_stats.flops, run.cpu_stats.flops);
-  EXPECT_EQ(dry.gpu_stats.max_row_flops, run.gpu_stats.max_row_flops);
+  EXPECT_GT(stored.cpu_units, 0);
+  EXPECT_GT(stored.gpu_units, 0);
+  EXPECT_EQ(dry.cpu_units, stored.cpu_units);
+  EXPECT_EQ(dry.gpu_units, stored.gpu_units);
+  EXPECT_EQ(dry.cpu_busy, stored.cpu_busy);
+  EXPECT_EQ(dry.gpu_busy, stored.gpu_busy);
+  EXPECT_EQ(dry.cpu_end, stored.cpu_end);
+  EXPECT_EQ(dry.gpu_end, stored.gpu_end);
+  EXPECT_EQ(dry.cpu_stats.tuples + dry.gpu_stats.tuples, stored.tuples.nnz());
+  EXPECT_EQ(dry.cpu_stats.flops, stored.cpu_stats.flops);
+  EXPECT_EQ(dry.gpu_stats.max_row_flops, stored.gpu_stats.max_row_flops);
   EXPECT_EQ(dry.tuples.nnz(), 0);
 }
 
 TEST_F(WorkQueueTest, RunsDoNotDependOnTheSchedule) {
   // A GPU that joins at once takes units from the back; one that joins at
-  // 1e9 takes none. Every row's run lands in its row's slot either way.
+  // 1e9 takes none. Every row's run lands in its row's slot either way, and
+  // the queue's stats sum to the same totals.
   const RowPartition p = classify_rows(a_, 12);
   const auto parts = two_part_queue(p);
   WorkQueueConfig cfg;
   cfg.cpu_rows = 7;
   cfg.gpu_rows = 30;
-  const WorkQueueResult shared =
-      run_workqueue(a_, a_, parts, cfg, 0, 0, plat_, pool_);
-  const WorkQueueResult cpu_only =
-      run_workqueue(a_, a_, parts, cfg, 0, 1e9, plat_, pool_);
+  const WorkQueueResult shared = run(parts, cfg, 0, 0);
+  const WorkQueueResult cpu_only = run(parts, cfg, 0, 1e9);
   ASSERT_GT(shared.gpu_units, 0);
   ASSERT_EQ(cpu_only.gpu_units, 0);
   ASSERT_GT(shared.tuples.nnz(), 0);
   EXPECT_EQ(shared.tuples.indptr, cpu_only.tuples.indptr);
   EXPECT_EQ(shared.tuples.indices, cpu_only.tuples.indices);
   EXPECT_EQ(shared.tuples.values, cpu_only.tuples.values);
+  // The schedule splits the stats between the devices, and their sums stay.
+  ProductStats split = shared.cpu_stats;
+  split.accumulate(shared.gpu_stats);
+  EXPECT_EQ(test::stat_fields(split), test::stat_fields(cpu_only.cpu_stats));
 }
 
 TEST_F(WorkQueueTest, StraddlingUnitIsPricedWithFlopsWeightedShape) {
@@ -185,12 +236,10 @@ TEST_F(WorkQueueTest, StraddlingUnitIsPricedWithFlopsWeightedShape) {
   const auto parts = two_part_queue(p);
   WorkQueueConfig cfg;
   cfg.cpu_rows = a_.rows;
-  const WorkQueueResult r =
-      run_workqueue(a_, a_, parts, cfg, 0, 1e9, plat_, pool_);
+  const WorkQueueResult r = run(parts, cfg, 0, 1e9);
   ASSERT_EQ(r.cpu_units, 1);
-  ProductStats front, back;
-  partial_product_runs(a_, a_, p.low_rows, p.is_high, true, pool_, &front);
-  partial_product_runs(a_, a_, p.high_rows, p.is_high, false, pool_, &back);
+  const ProductStats front = part_stats(p, true);
+  const ProductStats back = part_stats(p, false);
   ASSERT_GT(front.flops, 0);
   ASSERT_GT(back.flops, 0);
   ProductStats both = front;
@@ -209,8 +258,7 @@ TEST_F(WorkQueueTest, EmptyQueueReturnsImmediately) {
   const QueuePart empty[] = {{{{}, {}, true}, 0.0, false}};
   for (const std::span<const QueuePart> parts :
        {std::span<const QueuePart>{}, std::span<const QueuePart>(empty)}) {
-    const WorkQueueResult r =
-        run_workqueue(a_, a_, parts, cfg, 3.0, 5.0, plat_, pool_);
+    const WorkQueueResult r = run(parts, cfg, 3.0, 5.0);
     EXPECT_EQ(r.cpu_units + r.gpu_units, 0);
     EXPECT_DOUBLE_EQ(r.end_time(), 5.0);
     EXPECT_EQ(r.tuples.nnz(), 0);
@@ -224,9 +272,6 @@ TEST_F(WorkQueueTest, RejectsOutOfRangeRow) {
   for (const index_t bad : {a_.rows, index_t{-1}}) {
     const index_t rows[] = {3, bad};
     const QueuePart parts[] = {{{rows, {}, true}, 0.0, false}};
-    EXPECT_THROW(run_workqueue(a_, a_, parts, cfg, 0, 0, plat_, pool_),
-                 CheckError)
-        << bad;
     EXPECT_THROW(
         schedule_workqueue(parts, tables, cfg, a_.rows, 0, 0, plat_),
         CheckError)
@@ -240,25 +285,6 @@ TEST_F(WorkQueueTest, RejectsOutOfRangeRow) {
   EXPECT_THROW(
       schedule_workqueue(parts, short_tables, cfg, a_.rows, 0, 0, plat_),
       CheckError);
-}
-
-TEST_F(WorkQueueTest, RejectsRepeatedRow) {
-  // Row 5 in both parts: each run would claim the same slot of the store.
-  const RowPartition p = classify_rows(a_, 12);
-  const index_t front[] = {1, 5};
-  const index_t twice[] = {9, 5};
-  const index_t once[] = {9};
-  const auto queue = [&](std::span<const index_t> back) {
-    return std::array<QueuePart, 2>{
-        QueuePart{{front, p.is_high, true}, 100.0, true},
-        QueuePart{{back, p.is_high, false}, 1e9, false}};
-  };
-  WorkQueueConfig cfg;
-  EXPECT_THROW(
-      run_workqueue(a_, a_, queue(twice), cfg, 0, 0, plat_, pool_),
-      CheckError);
-  EXPECT_NO_THROW(
-      run_workqueue(a_, a_, queue(once), cfg, 0, 0, plat_, pool_));
 }
 
 TEST(WorkQueueConfigTest, AutoScalesWithInstance) {
@@ -303,7 +329,7 @@ TEST(WorkQueueConfigTest, TinyMatrixQueueRunsToCompletion) {
   HeteroPlatform plat;
   ThreadPool pool(2);
   const WorkQueueResult r =
-      run_workqueue(m, m, parts, WorkQueueConfig{}, 0, 0, plat, pool);
+      run_queue(m, parts, WorkQueueConfig{}, 0, 0, plat, pool);
   EXPECT_EQ(r.cpu_stats.rows + r.gpu_stats.rows, m.rows);
   const CsrMatrix want = gustavson_spgemm(m, m);
   std::string why;
