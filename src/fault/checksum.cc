@@ -5,9 +5,9 @@ namespace {
 
 constexpr std::uint64_t kFnv1aPrime = 0x100000001b3ULL;
 
-template <typename T>
-std::uint64_t chain(const std::vector<T>& v, std::uint64_t seed) {
-  return fnv1a64(v.data(), v.size() * sizeof(T), seed);
+template <typename Vector>
+std::uint64_t chain(const Vector& v, std::uint64_t seed) {
+  return fnv1a64(v.data(), v.size() * sizeof(v[0]), seed);
 }
 
 std::uint64_t chain_scalar(std::uint64_t x, std::uint64_t seed) {
@@ -27,14 +27,16 @@ std::uint64_t fnv1a64(const void* data, std::size_t bytes,
   return h;
 }
 
-std::uint64_t matrix_checksum(const CsrMatrix& m) {
+std::uint64_t structure_checksum(const CsrMatrix& m) {
   std::uint64_t h = kFnv1aOffset;
   h = chain_scalar(static_cast<std::uint64_t>(m.rows), h);
   h = chain_scalar(static_cast<std::uint64_t>(m.cols), h);
   h = chain(m.indptr, h);
-  h = chain(m.indices, h);
-  h = chain(m.values, h);
-  return h;
+  return chain(m.indices, h);
+}
+
+std::uint64_t matrix_checksum(const CsrMatrix& m) {
+  return chain(m.values, structure_checksum(m));
 }
 
 }  // namespace hh

@@ -2,10 +2,12 @@
 //
 // matrix_checksum digests a CSR operand: the service keys device residency
 // by it (one device copy per distinct content), and the replay harness
-// digests outputs with it. No transfer is digested: the PCIe transfers are
-// simulated, and a corrupted one is the fault injector's decision
-// (fault/fault.hpp). The service re-sends it, and only a clean upload
-// enters the residency map, so no later request reuses a damaged operand.
+// digests outputs with it. structure_checksum digests the structure alone:
+// the service picks a cached symbolic result by it (runtime/service.hpp).
+// No transfer is digested: the PCIe transfers are simulated, and a
+// corrupted one is the fault injector's decision (fault/fault.hpp). The
+// service re-sends it, and only a clean upload enters the residency map, so
+// no later request reuses a damaged operand.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +41,12 @@ inline void checksum_mix_f64(std::uint64_t& h, double v) {
   checksum_mix(h, bits);
 }
 
-/// Digest of a CSR operand (indptr ‖ indices ‖ values + shape).
+/// Digest of a CSR operand's structure (shape + indptr ‖ indices), without
+/// its values.
+std::uint64_t structure_checksum(const CsrMatrix& m);
+
+/// Digest of a CSR operand (indptr ‖ indices ‖ values + shape): the
+/// structure digest chained with the values.
 std::uint64_t matrix_checksum(const CsrMatrix& m);
 
 }  // namespace hh

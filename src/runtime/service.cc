@@ -3,9 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
+#include <mutex>
 #include <span>
 #include <sstream>
 #include <utility>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "core/hh_stages.hpp"
 #include "core/partition_plan.hpp"
@@ -53,6 +59,28 @@ TraceRecorder& event_log(TraceRecorder* user, TraceRecorder& own) {
   if (user != nullptr && user->enabled()) return *user;
   own.enable();
   return own;
+}
+
+// A drain hands its caller every request's C (~380 MiB for perfbench's
+// 64-request drains), and a caller in a loop frees them before the next
+// drain. glibc gives a freed heap top back to the OS once it passes a trim
+// threshold that moves with the sizes of earlier freed blocks, so whether
+// the next drain reused those pages or faulted all of them in again hung on
+// whatever else last landed at the top of the heap: at one seed, perfbench's
+// service_faulted drains took either ~0 or ~87k minor faults (~98 or
+// ~145 ms on a 4-core host with a 2-thread pool), switching between runs
+// and within one. Fixing both thresholds
+// (mmap at its dynamic ceiling, trim out of reach) keeps every block under
+// 32 MiB in the heap, so each drain reuses the freed outputs of the last.
+// Process-wide, set once by the first service.
+void keep_freed_heap() {
+#if defined(__GLIBC__)
+  static std::once_flag once;
+  std::call_once(once, [] {
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, std::numeric_limits<int>::max());
+  });
+#endif
 }
 
 }  // namespace
@@ -234,6 +262,7 @@ SpgemmService::SpgemmService(const HeteroPlatform& platform, ThreadPool& pool,
       tuner_(config.tune),
       jitter_rng_(config.recovery.jitter_seed) {
   plan_cache_.bind_metrics(&metrics_);
+  keep_freed_heap();
 }
 
 TuneReport SpgemmService::tune_report() const {
@@ -294,6 +323,7 @@ std::size_t SpgemmService::submit(SpgemmRequest request) {
 void SpgemmService::invalidate_inputs() {
   signatures_.clear();
   checksums_.clear();
+  structures_.clear();
   checked_.clear();
   residency_.clear();
 }
@@ -312,6 +342,60 @@ std::uint64_t SpgemmService::content_key(const CsrMatrix* m) {
     it = checksums_.emplace(m, matrix_checksum(*m)).first;
   }
   return it->second;
+}
+
+std::uint64_t SpgemmService::structure_key(const CsrMatrix* m) {
+  auto it = structures_.find(m);
+  if (it == structures_.end()) {
+    it = structures_.emplace(m, structure_checksum(*m)).first;
+  }
+  return it->second;
+}
+
+// ---- Symbolic results.
+
+std::shared_ptr<const SymbolicResult> SymbolicCache::lookup(
+    const CsrMatrix& a, const CsrMatrix& b, std::uint64_t a_key,
+    std::uint64_t b_key, offset_t t, ThreadPool& pool) {
+  const bool self = &b == &a;
+  const std::int64_t cap = shared_accum_cap();
+  std::uint64_t key = a_key;
+  checksum_mix(key, b_key);
+  checksum_mix_i64(key, t);
+  checksum_mix_i64(key, cap);
+  const auto [first, last] = entries_.equal_range(key);
+  for (auto it = first; it != last; ++it) {
+    Entry& e = it->second;
+    if (e.t == t && e.shared_cap == cap && e.self == self && e.a.matches(a) &&
+        (self || e.b.matches(b))) {
+      ++stats_.hits;
+      e.used = true;
+      return e.result;
+    }
+  }
+  ++stats_.misses;
+  auto result = std::make_shared<SymbolicResult>();
+  result->row_nnz.resize(static_cast<std::size_t>(a.rows));
+  result->costs = row_costs_at(a, b, t, pool, result->row_nnz);
+  Entry e;
+  e.t = t;
+  e.shared_cap = cap;
+  e.self = self;
+  e.a = {a.cols, a.indptr, a.indices};
+  if (!self) e.b = {b.cols, b.indptr, b.indices};
+  e.result = std::move(result);
+  return entries_.emplace(key, std::move(e))->second.result;
+}
+
+void SymbolicCache::end_drain() {
+  std::erase_if(entries_, [](const auto& kv) { return !kv.second.used; });
+  for (auto& [key, e] : entries_) e.used = false;
+}
+
+SymbolicCache::Stats SymbolicCache::stats() const {
+  Stats s = stats_;
+  s.entries = entries_.size();
+  return s;
 }
 
 // One drain() pass. The queue is cut into waves (runtime/wave.hpp); each
@@ -362,9 +446,10 @@ class SpgemmService::Drain {
     bool degraded = false;
     double degrade_at = 0;  // clock where the degrade decision landed
     double tx_gate = 0;     // operands usable on the device from here on
-    // Phases II–III: the row costs at the plan's B threshold, priced; C
-    // holds each row's size until the numeric pass writes it.
-    MaskedRowCosts costs;
+    // Phases II–IV: the symbolic result at the plan's B threshold, shared
+    // read-only with every request of the same structure; C from the
+    // numeric pass into its row sizes.
+    std::shared_ptr<const SymbolicResult> sym;
     CsrMatrix c;
     Phase2Result p2;
     WorkQueueResult q;
@@ -463,7 +548,9 @@ SpgemmService::Drain::Drain(SpgemmService& s)
 
 BatchResult SpgemmService::drain() {
   checked_.clear();
-  return Drain(*this).run();
+  BatchResult out = Drain(*this).run();
+  symbolic_.end_drain();
+  return out;
 }
 
 BatchResult SpgemmService::Drain::run() {
@@ -839,16 +926,17 @@ void SpgemmService::Drain::gate_uploads(Request& r) {
   r.rr.run.transfer_in_s = tx_in_total;
 }
 
-// Phase II pricing + scheduling, from the request's one symbolic pass. The
-// numeric work (merge()) always executes host-side with the same
+// Phase II pricing + scheduling, from the symbolic result of the request's
+// structure and B threshold: cached, or built here by the one symbolic pass.
+// The numeric work (merge()) always executes host-side with the same
 // decomposition, so retries and degradation cannot change the output bits.
 void SpgemmService::Drain::phase2(Request& r) {
   if (r.cancelled) return;
   RunReport& rep = r.rr.run;
-  r.c = CsrMatrix(r.a.rows, r.b.cols);
-  r.costs = row_costs_at(r.a, r.b, r.plan.b.threshold, s_.pool_,
-                         std::span(r.c.indptr).subspan(1));
-  r.p2 = cost_phase2(r.plan, r.costs, platform_);
+  r.sym = s_.symbolic_.lookup(r.a, r.b, s_.structure_key(&r.a),
+                              s_.structure_key(&r.b), r.plan.b.threshold,
+                              s_.pool_);
+  r.p2 = cost_phase2(r.plan, r.sym->costs, platform_);
   rep.phase2_cpu_s = r.p2.cpu_s;
   rep.phase2_gpu_s = r.p2.gpu_s;
   rep.phase2_s = HeteroPlatform::overlap(r.p2.cpu_s, r.p2.gpu_s);
@@ -890,7 +978,7 @@ void SpgemmService::Drain::phase3(Request& r) {
       r.degraded ? kGpuNeverJoins
                  : std::max({gpu_.now(), r.analyze.end_s, r.tx_gate,
                              r.gpu2.end_s});
-  r.q = cost_phase3(r.plan, r.costs, WorkQueueConfig{}, cpu_q_start,
+  r.q = cost_phase3(r.plan, r.sym->costs, WorkQueueConfig{}, cpu_q_start,
                     gpu_q_start, platform_);
   r.q_ran = true;
   rep.phase3_cpu_s = r.q.cpu_busy;
@@ -967,15 +1055,17 @@ void SpgemmService::Drain::merge(Request& r) {
   if (!r.q_ran) return;
   rep.merge.tuples_in = r.p2.hh_stats.tuples + r.p2.ll_stats.tuples +
                         r.q.cpu_stats.tuples + r.q.gpu_stats.tuples;
-  rep.merge.tuples_out = r.costs.output_nnz;
+  rep.merge.tuples_out = r.sym->costs.output_nnz;
   rep.phase4_s = platform_.cpu().merge_time(rep.merge.tuples_in);
-  r.costs = {};  // priced; the numeric pass needs only C's row sizes
   if (r.cancelled) return;
   const double ready =
       std::max({r.q_cpu.end_s, r.tx_out.end_s, r.deg.end_s, r.cpu2.end_s});
   cpu_stage(r, "merge", ready, rep.phase4_s);
   r.have_output = !r.cancelled;
   if (r.have_output) {
+    r.c = CsrMatrix(r.a.rows, r.b.cols);
+    std::copy(r.sym->row_nnz.begin(), r.sym->row_nnz.end(),
+              r.c.indptr.begin() + 1);
     numeric_in_halves(r.a, r.b, r.plan.a.is_high, r.plan.b.is_high, r.c,
                       s_.pool_, &s_.workspace_);
   }

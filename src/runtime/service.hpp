@@ -13,8 +13,9 @@
 // the wave uploads its distinct operands once, then each member request
 // plans (Phase I), waits on its uploads, runs Phase II and the Phase III
 // queue (shipping GPU tuples back, or degrading to the CPU), and merges.
-// Phases II–IV are priced from one symbolic pass per request, and a request
-// that returns output gets its C from one numeric pass.
+// Phases II–IV are priced from one symbolic result per request, which
+// requests of the same operand structure and threshold share, and a
+// request that returns output gets its C from one numeric pass.
 //
 // Each drain keeps one event log (trace/trace.hpp): Config::trace when it is
 // attached and enabled, else a recorder of the drain's own. The timelines
@@ -25,10 +26,17 @@
 // Steady-state accelerators, all output-preserving:
 //  - partition-plan cache keyed by sparsity signatures (runtime/plan_cache)
 //    — a hit skips threshold identification;
+//  - symbolic-result cache keyed by operand structure, B threshold and
+//    shared_accum_cap() (SymbolicCache) — a hit skips the symbolic pass, so
+//    a repeated request costs its pricing and one numeric pass;
 //  - operand residency keyed by content (fault/checksum.hpp) — an operand
 //    already on the device is not re-shipped, whichever pointer submits it;
 //  - workspace pooling (spgemm/workspace.hpp) — the numeric pass's SPA
-//    accumulators are recycled instead of reallocated per request.
+//    accumulators are recycled instead of reallocated per request;
+//  - heap retention (glibc) — the first service fixes malloc's mmap and trim
+//    thresholds, so the next drain reuses the pages of outputs its caller
+//    freed instead of faulting them in again (process-wide; see
+//    keep_freed_heap in service.cc).
 //
 // Fault tolerance (docs/robustness.md): when Config::fault_plan injects
 // faults (fault/fault.hpp), the service recovers per request —
@@ -52,6 +60,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -66,6 +75,7 @@
 #include "runtime/timeline.hpp"
 #include "runtime/wave.hpp"
 #include "sparse/csr.hpp"
+#include "spgemm/spgemm.hpp"
 #include "spgemm/workspace.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -226,6 +236,73 @@ struct RecoveryPolicy {
   std::uint64_t jitter_seed = 0x6a17ULL;
 };
 
+/// One product's symbolic result: row_costs_at's per-row costs at a B
+/// threshold and each row's size in C, all Phases II–IV need besides the
+/// numeric pass.
+struct SymbolicResult {
+  MaskedRowCosts costs;
+  std::vector<offset_t> row_nnz;  // a.rows entries
+};
+
+/// The service's symbolic results, one per (operand structure, B threshold,
+/// shared_accum_cap()), after KKMEM (arXiv:1801.03065), which reuses one
+/// symbolic result across products of the same structure. An entry keeps
+/// copies of its operands' indptr and indices, and a lookup proves a hit by
+/// comparing them with the operands byte for byte, so neither a digest
+/// collision nor an operand mutated in place can hand out another
+/// structure's row sizes. Values take no part: a values-only change hits.
+/// end_drain() drops every entry no lookup used since the last call, so the
+/// cache holds at most one drain's distinct set. Touched only by the
+/// draining thread; a result is immutable once built and shared read-only.
+class SymbolicCache {
+ public:
+  struct Stats {
+    std::int64_t hits = 0;
+    std::int64_t misses = 0;
+    std::size_t entries = 0;  // held now
+  };
+
+  /// The symbolic result of A × B at B threshold t under the current
+  /// shared_accum_cap(): a held entry whose operands match A's and B's
+  /// structure, else a new one from row_costs_at. a_key and b_key are the
+  /// operands' structure_checksum (fault/checksum.hpp); they only pick the
+  /// candidates. B is A for a self product (&b == &a).
+  std::shared_ptr<const SymbolicResult> lookup(const CsrMatrix& a,
+                                               const CsrMatrix& b,
+                                               std::uint64_t a_key,
+                                               std::uint64_t b_key, offset_t t,
+                                               ThreadPool& pool);
+
+  /// Drops every entry no lookup used since the last call.
+  void end_drain();
+
+  Stats stats() const;
+
+ private:
+  // An operand's structure, copied.
+  struct Structure {
+    index_t cols = 0;
+    std::vector<offset_t> indptr;
+    DefaultInitVector<index_t> indices;
+
+    bool matches(const CsrMatrix& m) const {
+      return m.cols == cols && m.indptr == indptr && m.indices == indices;
+    }
+  };
+  struct Entry {
+    offset_t t = 0;
+    std::int64_t shared_cap = 0;
+    bool self = false;  // B is A; `b` stays empty
+    Structure a;
+    Structure b;
+    std::shared_ptr<const SymbolicResult> result;
+    bool used = true;  // looked up since the last end_drain()
+  };
+
+  std::unordered_multimap<std::uint64_t, Entry> entries_;
+  Stats stats_;
+};
+
 class SpgemmService {
  public:
   // Plans the partition-plan cache holds before it evicts.
@@ -292,6 +369,7 @@ class SpgemmService {
 
   PlanCache& plan_cache() { return plan_cache_; }
   const PlanCache& plan_cache() const { return plan_cache_; }
+  const SymbolicCache& symbolic_cache() const { return symbolic_; }
   WorkspacePool& workspace_pool() { return workspace_; }
   const FaultInjector& fault_injector() const { return injector_; }
   const ThresholdTuner& tuner() const { return tuner_; }
@@ -310,9 +388,10 @@ class SpgemmService {
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Drop device residency and cached host-side signatures, checksums and
-  /// validations (e.g. after the caller mutated or freed previously-submitted
-  /// matrices).
+  /// Drop device residency and cached host-side signatures, checksums,
+  /// structure digests and validations (e.g. after the caller mutated or
+  /// freed previously-submitted matrices). Symbolic results stay: each
+  /// lookup proves its entry against the operands themselves.
   void invalidate_inputs();
 
  private:
@@ -320,11 +399,13 @@ class SpgemmService {
 
   const MatrixSignature& signature_of(const CsrMatrix* m);
   std::uint64_t content_key(const CsrMatrix* m);
+  std::uint64_t structure_key(const CsrMatrix* m);
 
   const HeteroPlatform& platform_;
   ThreadPool& pool_;
   Config config_;
   PlanCache plan_cache_;
+  SymbolicCache symbolic_;
   WorkspacePool workspace_;
   FaultInjector injector_;
   ThresholdTuner tuner_;
@@ -336,10 +417,13 @@ class SpgemmService {
   // "service.shed" counter; this is the counter's value at the last drain.
   std::int64_t shed_at_last_drain_ = 0;
   // Host-side memos, keyed by operand identity (see submit() contract):
-  // the sparsity signature (plan-cache key) and the content checksum
-  // (residency key) of each submitted matrix.
+  // the sparsity signature (plan-cache key), the content checksum
+  // (residency key) and the structure digest (symbolic-cache candidate key)
+  // of each submitted matrix. A stale structure digest costs at most a
+  // miss: the symbolic cache checks each hit against the operand itself.
   std::unordered_map<const CsrMatrix*, MatrixSignature> signatures_;
   std::unordered_map<const CsrMatrix*, std::uint64_t> checksums_;
+  std::unordered_map<const CsrMatrix*, std::uint64_t> structures_;
   // The operands whose full check passed since the last drain(): a later
   // submit() in the same window skips their walk.
   std::unordered_set<const CsrMatrix*> checked_;

@@ -1,24 +1,51 @@
 // Compressed Sparse Row matrix — the library's primary format.
 #pragma once
 
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sparse/types.hpp"
 
 namespace hh {
 
+/// std::allocator that default-initialises on a bare construct: resize()
+/// leaves new elements of a trivial type unwritten instead of zeroing them,
+/// so a kernel that sizes its output once and writes every slot from the
+/// pool's workers pays no serial fill, and each page is first touched by
+/// the worker that writes it. Copies and fills (resize(n, v), assign) are
+/// unchanged: a construct with arguments is allocator_traits' default.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  DefaultInitAllocator() = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+/// A vector whose resize() does not value-initialise (DefaultInitAllocator).
+template <class T>
+using DefaultInitVector = std::vector<T, DefaultInitAllocator<T>>;
+
 /// CSR matrix. Invariants (checked by validate()):
 ///  - indptr.size() == rows + 1, indptr[0] == 0, non-decreasing
 ///  - indices/values have indptr[rows] entries, indices in [0, cols)
 /// Column indices within a row are kept sorted by all library kernels.
+/// indices and values are not value-initialised on resize(): a writer that
+/// sizes them must write every slot (each kernel that does so checks it).
 struct CsrMatrix {
   index_t rows = 0;
   index_t cols = 0;
-  std::vector<offset_t> indptr;  // size rows+1
-  std::vector<index_t> indices;  // size nnz
-  std::vector<value_t> values;   // size nnz
+  std::vector<offset_t> indptr;        // size rows+1
+  DefaultInitVector<index_t> indices;  // size nnz
+  DefaultInitVector<value_t> values;   // size nnz
 
   CsrMatrix() : indptr(1, 0) {}
   CsrMatrix(index_t rows, index_t cols)

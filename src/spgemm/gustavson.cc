@@ -1,5 +1,6 @@
 #include "spgemm/gustavson.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -10,8 +11,26 @@
 namespace hh {
 namespace {
 
+// Rows a worker takes at a time in each pass.
+constexpr std::size_t kRowBlock = 64;
+
+// One worker's numeric scratch, b.cols entries each, kept across its
+// blocks: the accumulator, the last row that reached each column (no row
+// is visited twice, so an earlier row's mark never matches), and the
+// column bitmap order_run leaves all clear.
+struct NumericScratch {
+  explicit NumericScratch(index_t cols)
+      : acc(static_cast<std::size_t>(cols)),
+        marker(static_cast<std::size_t>(cols), -1),
+        bits((static_cast<std::size_t>(cols) + 63) / 64) {}
+
+  std::vector<value_t> acc;
+  std::vector<index_t> marker;
+  std::vector<std::uint64_t> bits;
+};
+
 // Scans the row counts that c.indptr[i + 1] holds for each row i into row
-// offsets, and sizes C's arrays to match.
+// offsets, and sizes C's arrays to match, unwritten (sparse/csr.hpp).
 void size_output(CsrMatrix& c) {
   for (index_t i = 0; i < c.rows; ++i) c.indptr[i + 1] += c.indptr[i];
   c.indices.resize(static_cast<std::size_t>(c.nnz()));
@@ -20,14 +39,10 @@ void size_output(CsrMatrix& c) {
 
 // Numeric pass for rows [r0, r1): SPA accumulate, write each row's columns
 // in first-touch order at its final offset, then order them in place (by
-// sort or by a column bitmap local to the call). indptr must already hold
-// the exact row offsets.
+// sort or by the scratch's column bitmap). indptr must already hold the
+// exact row offsets; a row that does not fill its slot throws CheckError.
 void numeric_rows(const CsrMatrix& a, const CsrMatrix& b, CsrMatrix& c,
-                  index_t r0, index_t r1) {
-  std::vector<value_t> acc(static_cast<std::size_t>(b.cols), value_t{0});
-  std::vector<index_t> marker(static_cast<std::size_t>(b.cols), -1);
-  std::vector<std::uint64_t> bits((static_cast<std::size_t>(b.cols) + 63) /
-                                  64);
+                  index_t r0, index_t r1, NumericScratch& s) {
   for (index_t i = r0; i < r1; ++i) {
     index_t* cols = c.indices.data() + c.indptr[i];
     std::size_t n = 0;
@@ -36,16 +51,18 @@ void numeric_rows(const CsrMatrix& a, const CsrMatrix& b, CsrMatrix& c,
       const value_t av = a.values[k];
       for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
         const index_t col = b.indices[l];
-        if (marker[col] != i) {
-          marker[col] = i;
-          acc[col] = value_t{0};
+        if (s.marker[col] != i) {
+          s.marker[col] = i;
+          s.acc[col] = value_t{0};
           cols[n++] = col;
         }
-        acc[col] += av * b.values[l];
+        s.acc[col] += av * b.values[l];
       }
     }
-    HH_DCHECK(static_cast<offset_t>(n) == c.indptr[i + 1] - c.indptr[i]);
-    order_run(cols, n, acc.data(), bits.data(),
+    HH_CHECK_MSG(static_cast<offset_t>(n) == c.indptr[i + 1] - c.indptr[i],
+                 "row " << i << " has " << n << " columns, sized for "
+                        << c.indptr[i + 1] - c.indptr[i]);
+    order_run(cols, n, s.acc.data(), s.bits.data(),
               c.values.data() + c.indptr[i]);
   }
 }
@@ -55,9 +72,11 @@ void numeric_rows(const CsrMatrix& a, const CsrMatrix& b, CsrMatrix& c,
 CsrMatrix gustavson_spgemm(const CsrMatrix& a, const CsrMatrix& b) {
   HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
   CsrMatrix c(a.rows, b.cols);
-  exact_row_nnz(a, b, 0, a.rows, c.indptr.data() + 1);
+  NumericScratch s(b.cols);
+  exact_row_nnz(a, b, 0, a.rows, s.marker, c.indptr.data() + 1);
   size_output(c);
-  numeric_rows(a, b, c, 0, a.rows);
+  std::fill(s.marker.begin(), s.marker.end(), -1);
+  numeric_rows(a, b, c, 0, a.rows, s);
   return c;
 }
 
@@ -65,13 +84,26 @@ CsrMatrix gustavson_spgemm_parallel(const CsrMatrix& a, const CsrMatrix& b,
                                     ThreadPool& pool) {
   HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
   CsrMatrix c(a.rows, b.cols);
-  pool.parallel_for(a.rows, [&](std::int64_t lo, std::int64_t hi) {
-    exact_row_nnz(a, b, static_cast<index_t>(lo), static_cast<index_t>(hi),
-                  c.indptr.data() + 1);
+  const auto rows = static_cast<std::size_t>(a.rows);
+  const std::size_t blocks = (rows + kRowBlock - 1) / kRowBlock;
+  const auto lo = [](std::size_t k) {
+    return static_cast<index_t>(k * kRowBlock);
+  };
+  const auto hi = [rows](std::size_t k) {
+    return static_cast<index_t>(std::min(rows, (k + 1) * kRowBlock));
+  };
+  on_workers(pool, blocks, [&](auto take) {
+    std::vector<index_t> marker(static_cast<std::size_t>(b.cols), -1);
+    for (std::size_t k; (k = take()) < blocks;) {
+      exact_row_nnz(a, b, lo(k), hi(k), marker, c.indptr.data() + 1);
+    }
   });
   size_output(c);
-  pool.parallel_for(a.rows, [&](std::int64_t lo, std::int64_t hi) {
-    numeric_rows(a, b, c, static_cast<index_t>(lo), static_cast<index_t>(hi));
+  on_workers(pool, blocks, [&](auto take) {
+    NumericScratch s(b.cols);
+    for (std::size_t k; (k = take()) < blocks;) {
+      numeric_rows(a, b, c, lo(k), hi(k), s);
+    }
   });
   return c;
 }

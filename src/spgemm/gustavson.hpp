@@ -7,12 +7,15 @@
 // C with numeric_in_halves.
 //
 // Two passes: exact_row_nnz (spgemm/symbolic.hpp) counts each row of C, the
-// counts are scanned into indptr, and a numeric pass writes each row's
-// columns at its offset, each value summed from value_t{0} in A-entry then
-// B-entry order, and orders them in place with order_run
-// (spgemm/run_order.hpp): by sort when the row is short or its columns
-// spread wide, else by one ascending scan of a column bitmap local to each
-// block of rows.
+// counts are scanned into indptr, C's arrays are sized without a fill
+// (sparse/csr.hpp), and a numeric pass writes each row's columns at its
+// offset, each value summed from value_t{0} in A-entry then B-entry order,
+// and orders them in place with order_run (spgemm/run_order.hpp): by sort
+// when the row is short or its columns spread wide, else by one ascending
+// scan of a column bitmap local to each worker. Both passes hand 64-row
+// blocks out to the pool's workers as they free up; each worker keeps one
+// set of B.cols-sized scratch for all its blocks, and writes the rows of C
+// it takes, so their pages are first touched there.
 #pragma once
 
 #include "sparse/csr.hpp"
@@ -23,9 +26,10 @@ namespace hh {
 /// Sequential two-phase (symbolic + numeric) Gustavson. Output rows sorted.
 CsrMatrix gustavson_spgemm(const CsrMatrix& a, const CsrMatrix& b);
 
-/// Row-parallel Gustavson over the given pool: both passes run over the
-/// pool's row blocks. Deterministic: identical output to the sequential
-/// version.
+/// Row-parallel Gustavson over the given pool: both passes run over 64-row
+/// blocks drawn by the pool's workers. Deterministic: identical output to
+/// the sequential version. A row that does not fill its counted slot throws
+/// CheckError.
 CsrMatrix gustavson_spgemm_parallel(const CsrMatrix& a, const CsrMatrix& b,
                                     ThreadPool& pool);
 

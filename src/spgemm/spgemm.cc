@@ -142,21 +142,6 @@ std::size_t fill_row_in_halves(const CsrMatrix& a, const CsrMatrix& b,
   return n;
 }
 
-// Hands blocks 0, 1, ..., blocks - 1 out to the pool's workers as they free
-// up, so a stretch of heavy rows does not leave one worker with most of the
-// work. body(take) runs once on each of up to pool.size() + 1 workers
-// (parallel_for's caller works too), sets up the worker's scratch, and
-// calls take() for each next block until it returns `blocks`.
-template <class Body>
-void on_workers(ThreadPool& pool, std::size_t blocks, Body&& body) {
-  std::atomic<std::size_t> next{0};
-  const std::size_t workers = std::min(blocks, pool.size() + 1);
-  pool.parallel_for(static_cast<std::int64_t>(workers),
-                    [&](std::int64_t, std::int64_t) {
-                      body([&next] { return next++; });
-                    });
-}
-
 // Threshold grids. A row length's interval is the number of grid points <=
 // it, so the row is H at grid[g] exactly when g < its interval. With at most
 // kMaxGridPoints points an interval fits in kIntervalBits bits.

@@ -167,12 +167,14 @@ MaskedRowCosts row_costs_at(const CsrMatrix& a, const CsrMatrix& b, offset_t t,
 
 /// HH-CPU's numeric pass: C = A × B into `c` (a.rows × b.cols, no entries
 /// yet), whose c.indptr[i + 1] holds row i's size on entry, as row_costs_at
-/// leaves it. Each row is written once, into its slot, in two halves: A(i,
-/// :) against the B rows j with b_side[j] == a_side[i], then against the
-/// rest, each summed from value_t{0} in A-entry then B-entry order, and each
-/// value is (value_t{0} + first) + second, what merge_row_runs gives the
-/// halves' runs. SPAs come from `workspace` when given. A row that does not
-/// fill its slot throws CheckError. Output does not depend on the pool size.
+/// leaves it. C's arrays are sized without a fill (sparse/csr.hpp). Each
+/// row is written once, into its slot, by the worker that computes it, in
+/// two halves: A(i, :) against the B rows j with b_side[j] == a_side[i],
+/// then against the rest, each summed from value_t{0} in A-entry then
+/// B-entry order, and each value is (value_t{0} + first) + second, what
+/// merge_row_runs gives the halves' runs. SPAs come from `workspace` when
+/// given. A row that does not fill its slot throws CheckError. Output does
+/// not depend on the pool size.
 void numeric_in_halves(const CsrMatrix& a, const CsrMatrix& b,
                        std::span<const std::uint8_t> a_side,
                        std::span<const std::uint8_t> b_side, CsrMatrix& c,

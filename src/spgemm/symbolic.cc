@@ -27,14 +27,15 @@ std::int64_t total_flops(const CsrMatrix& a, const CsrMatrix& b) {
 
 std::vector<offset_t> exact_row_nnz(const CsrMatrix& a, const CsrMatrix& b) {
   std::vector<offset_t> out(static_cast<std::size_t>(a.rows), 0);
-  exact_row_nnz(a, b, 0, a.rows, out.data());
+  std::vector<index_t> marker(static_cast<std::size_t>(b.cols), -1);
+  exact_row_nnz(a, b, 0, a.rows, marker, out.data());
   return out;
 }
 
 void exact_row_nnz(const CsrMatrix& a, const CsrMatrix& b, index_t r0,
-                   index_t r1, offset_t* out) {
+                   index_t r1, std::span<index_t> marker, offset_t* out) {
   HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
-  std::vector<index_t> marker(static_cast<std::size_t>(b.cols), -1);
+  HH_CHECK(marker.size() == static_cast<std::size_t>(b.cols));
   for (index_t i = r0; i < r1; ++i) {
     offset_t count = 0;
     for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -25,9 +26,13 @@ std::int64_t total_flops(const CsrMatrix& a, const CsrMatrix& b);
 /// Exact nnz per row of C (runs a structure-only SPA pass; costs ~ flops).
 std::vector<offset_t> exact_row_nnz(const CsrMatrix& a, const CsrMatrix& b);
 
-/// The same count for rows [r0, r1) of C only, into out[r0, r1), with its
-/// own column markers: calls over disjoint row ranges may run concurrently.
+/// The same count for rows [r0, r1) of C only, into out[r0, r1), with the
+/// caller's column markers: `marker` has b.cols entries, none holding a row
+/// of [r0, r1) on entry (all -1 when fresh), and each column keeps the last
+/// row that reached it. One array therefore serves every call a thread
+/// makes over disjoint row ranges; calls with their own arrays may run
+/// concurrently.
 void exact_row_nnz(const CsrMatrix& a, const CsrMatrix& b, index_t r0,
-                   index_t r1, offset_t* out);
+                   index_t r1, std::span<index_t> marker, offset_t* out);
 
 }  // namespace hh

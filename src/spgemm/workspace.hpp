@@ -10,7 +10,7 @@
 // framework reuses analysis workspaces across products for the same
 // reason). The pool holds SPAs only: a product's output is C itself, sized
 // by the symbolic pass and written once. Gustavson's kernel
-// (spgemm/gustavson.hpp) keeps its own per-block scratch.
+// (spgemm/gustavson.hpp) keeps its own scratch, one set per worker.
 //
 // Correctness of SPA reuse: the accumulator is only valid for columns whose
 // marker carries the *current* tag. Tags are (generation, row) pairs packed

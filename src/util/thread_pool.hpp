@@ -1,4 +1,5 @@
-// Fixed-size thread pool with a blocked-range parallel_for.
+// Fixed-size thread pool with a blocked-range parallel_for, and on_workers,
+// which runs one body per worker that draws blocks from a shared counter.
 //
 // Host kernels (the "real" numeric computation) run through this pool; the
 // simulated devices charge time from their own cost models independently of
@@ -16,6 +17,8 @@
 //    preserved, once all of its blocks are done.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -58,5 +61,20 @@ class ThreadPool {
   std::condition_variable cv_task_;
   bool stop_ = false;
 };
+
+/// Hands blocks 0, 1, ..., blocks - 1 out to the pool's workers as they free
+/// up, so a stretch of heavy blocks does not leave one worker with most of
+/// the work. body(take) runs once on each of up to pool.size() + 1 workers
+/// (parallel_for's caller works too), sets up the worker's scratch, and
+/// calls take() for each next block until it returns `blocks`.
+template <class Body>
+void on_workers(ThreadPool& pool, std::size_t blocks, Body&& body) {
+  std::atomic<std::size_t> next{0};
+  const std::size_t workers = std::min(blocks, pool.size() + 1);
+  pool.parallel_for(static_cast<std::int64_t>(workers),
+                    [&](std::int64_t, std::int64_t) {
+                      body([&next] { return next++; });
+                    });
+}
 
 }  // namespace hh

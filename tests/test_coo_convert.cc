@@ -57,8 +57,8 @@ TEST(Convert, MaskEntriesKeepsEntriesInRowOrder) {
   const CsrMatrix masked = mask_entries(
       m, [](index_t r, index_t c) { return r == 1 || c % 2 == 0; });
   EXPECT_EQ(masked.indptr, (std::vector<offset_t>{0, 2, 4}));
-  EXPECT_EQ(masked.indices, (std::vector<index_t>{4, 2, 3, 0}));
-  EXPECT_EQ(masked.values, (std::vector<value_t>{3, 4, 5, 6}));
+  EXPECT_EQ(masked.indices, (DefaultInitVector<index_t>{4, 2, 3, 0}));
+  EXPECT_EQ(masked.values, (DefaultInitVector<value_t>{3, 4, 5, 6}));
 }
 
 }  // namespace

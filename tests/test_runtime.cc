@@ -510,6 +510,144 @@ TEST_F(ServiceTest, WorkspacePoolingPreservesResults) {
   EXPECT_GT(pooled.workspace_pool().stats().spa_reuses, 0);
 }
 
+// ---------------------------------------------------- symbolic-result cache
+
+// The same matrix with column c moved to cols - 1 - c: every row keeps its
+// size, so the plan-cache signature is unchanged, but the product's
+// structure is not.
+CsrMatrix mirrored_columns(CsrMatrix m) {
+  for (index_t& c : m.indices) c = m.cols - 1 - c;
+  m.sort_rows();
+  return m;
+}
+
+// EXPECT that each request's C is run_hh_cpu's at the thresholds the service
+// chose for it.
+void expect_serial_bits(const BatchResult& batch,
+                        const std::vector<const CsrMatrix*>& mats,
+                        const HeteroPlatform& plat, ThreadPool& pool,
+                        const std::string& label) {
+  ASSERT_EQ(batch.results.size(), mats.size()) << label;
+  for (std::size_t i = 0; i < mats.size(); ++i) {
+    HhCpuOptions opt;
+    opt.threshold_a = batch.results[i].report.threshold_a;
+    opt.threshold_b = batch.results[i].report.threshold_b;
+    expect_bit_identical(run_hh_cpu(*mats[i], *mats[i], opt, plat, pool).c,
+                         batch.results[i].c,
+                         label + " request " + std::to_string(i));
+  }
+}
+
+// Hits and misses since `before`.
+std::array<std::int64_t, 2> lookups_since(const SpgemmService& s,
+                                          const SymbolicCache::Stats& before) {
+  const SymbolicCache::Stats now = s.symbolic_cache().stats();
+  return {now.hits - before.hits, now.misses - before.misses};
+}
+
+// A repeated drain runs on the first drain's symbolic results. Its reports
+// are those of a service that had to rebuild every entry: `cold` drained
+// same-signature operands of another structure in between, which evicts
+// the entries and leaves the plan cache, residency and request ids as
+// `warm` has them.
+TEST_F(ServiceTest, RepeatedDrainHitsEverySymbolicResult) {
+  const CsrMatrix wiki_z = mirrored_columns(wiki_);
+  const CsrMatrix enron_z = mirrored_columns(enron_);
+  const std::vector<const CsrMatrix*> mats = {&wiki_, &enron_, &wiki_};
+  const std::vector<const CsrMatrix*> others = {&wiki_z, &enron_z, &wiki_z};
+  const auto drain = [](SpgemmService& s,
+                        const std::vector<const CsrMatrix*>& ms) {
+    for (const CsrMatrix* m : ms) s.submit({m, nullptr, 0, 0, "r"});
+    return s.drain();
+  };
+  SpgemmService warm(plat_, pool_);
+  SpgemmService cold(plat_, pool_);
+  drain(warm, mats);
+  drain(cold, mats);
+  EXPECT_EQ(lookups_since(warm, {}), (std::array<std::int64_t, 2>{1, 2}));
+
+  SymbolicCache::Stats before = warm.symbolic_cache().stats();
+  expect_serial_bits(drain(warm, mats), mats, plat_, pool_, "second drain");
+  EXPECT_EQ(lookups_since(warm, before), (std::array<std::int64_t, 2>{3, 0}));
+  before = cold.symbolic_cache().stats();
+  const BatchResult moved = drain(cold, others);
+  EXPECT_EQ(lookups_since(cold, before), (std::array<std::int64_t, 2>{1, 2}));
+  for (const RequestReport& rr : moved.requests) EXPECT_TRUE(rr.plan_cache_hit);
+
+  before = warm.symbolic_cache().stats();
+  const BatchResult hit = drain(warm, mats);
+  EXPECT_EQ(lookups_since(warm, before), (std::array<std::int64_t, 2>{3, 0}));
+  before = cold.symbolic_cache().stats();
+  const BatchResult miss = drain(cold, mats);
+  EXPECT_EQ(lookups_since(cold, before), (std::array<std::int64_t, 2>{1, 2}));
+  expect_serial_bits(hit, mats, plat_, pool_, "third drain");
+  EXPECT_EQ(hit.batch.to_json(), miss.batch.to_json());
+  for (std::size_t i = 0; i < mats.size(); ++i) {
+    EXPECT_EQ(hit.requests[i].to_json(), miss.requests[i].to_json()) << i;
+    expect_bit_identical(miss.results[i].c, hit.results[i].c, "cold vs warm");
+  }
+}
+
+// An entry is keyed by structure: new values hit, a new structure misses,
+// and a structure changed in place behind the service's per-pointer memos
+// is caught by the byte check. Every C is run_hh_cpu's.
+TEST_F(ServiceTest, SymbolicCacheHitsOnValuesAndProvesStructure) {
+  CsrMatrix m = wiki_;
+  SpgemmService service(plat_, pool_);
+  const auto drain_once = [&](const std::string& label) {
+    const SymbolicCache::Stats before = service.symbolic_cache().stats();
+    service.submit({&m, nullptr, 0, 0, label});
+    expect_serial_bits(service.drain(), {&m}, plat_, pool_, label);
+    return lookups_since(service, before);
+  };
+  using Lookups = std::array<std::int64_t, 2>;
+  EXPECT_EQ(drain_once("cold"), (Lookups{0, 1}));
+  for (value_t& v : m.values) v = 2 * v - 0.25;
+  service.invalidate_inputs();
+  EXPECT_EQ(drain_once("new values"), (Lookups{1, 0}));
+  m = mirrored_columns(m);
+  service.invalidate_inputs();
+  EXPECT_EQ(drain_once("new structure"), (Lookups{0, 1}));
+  // In place, without invalidate_inputs(): the structure digest memoised
+  // for &m is stale, and only the byte check keeps the old row sizes out.
+  m = mirrored_columns(m);
+  EXPECT_EQ(drain_once("mutated in place"), (Lookups{0, 1}));
+  EXPECT_EQ(drain_once("again"), (Lookups{1, 0}));
+}
+
+TEST_F(ServiceTest, SymbolicCacheKeysOnTheSharedAccumulatorCap) {
+  const std::int64_t original = shared_accum_cap();
+  SpgemmService service(plat_, pool_);
+  service.submit({&wiki_, nullptr, 0, 0, ""});
+  service.drain();
+  const SymbolicCache::Stats before = service.symbolic_cache().stats();
+  set_shared_accum_cap(8);  // rows on both sides of the shared/global split
+  service.submit({&wiki_, nullptr, 0, 0, ""});
+  const BatchResult batch = service.drain();
+  const std::array<std::int64_t, 2> lookups = lookups_since(service, before);
+  expect_serial_bits(batch, {&wiki_}, plat_, pool_, "cap 8");
+  set_shared_accum_cap(original);
+  EXPECT_EQ(lookups, (std::array<std::int64_t, 2>{0, 1}));
+}
+
+// A drain drops the entries none of its requests used: the cache holds at
+// most one drain's distinct set, and an entry skipped for a drain is
+// rebuilt in the next.
+TEST_F(ServiceTest, SymbolicEntryUnusedForADrainIsEvicted) {
+  SpgemmService service(plat_, pool_);
+  const auto drain_one = [&](const CsrMatrix& m) {
+    service.submit({&m, nullptr, 0, 0, ""});
+    service.drain();
+    return service.symbolic_cache().stats();
+  };
+  EXPECT_EQ(drain_one(wiki_).entries, 1u);
+  EXPECT_EQ(drain_one(enron_).entries, 1u);
+  const SymbolicCache::Stats s = drain_one(wiki_);
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.hits, 0);
+  EXPECT_EQ(s.misses, 3);
+}
+
 // ------------------------------------------------------------ wave executor
 
 TEST_F(ServiceTest, WaveOutputsBitIdenticalAndUploadsDeduped) {

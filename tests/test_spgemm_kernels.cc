@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "gen/datasets.hpp"
 #include "spgemm/gustavson.hpp"
 #include "spgemm/row_column.hpp"
 #include "spgemm/run_order.hpp"
@@ -253,6 +254,34 @@ TEST(RunOrderSwitch, PooledBitmapStaysClearAcrossProducts) {
         << "workspace " << k;
   }
   for (auto& ws : held) spas.release_spa(std::move(ws));
+}
+
+// C's arrays are not value-initialised on resize (sparse/csr.hpp), so a slot
+// numeric_in_halves failed to write would keep what its memory held. Here
+// that is a sentinel: C's capacity is filled with it, then cleared, so the
+// pass sizes C into the sentinel and must overwrite every slot. Every row
+// sits on one side, as in numeric_in_one_half, so C is Gustavson's bits.
+TEST(NumericInHalves, OverwritesEverySlotOfAnUnfilledC) {
+  for (const char* name : {"wiki-Vote", "ca-CondMat", "email-Enron"}) {
+    const CsrMatrix a = make_dataset(dataset_spec(name), 0.04);
+    const CsrMatrix want = gustavson_spgemm(a, a);
+    const std::vector<std::uint8_t> a_side(static_cast<std::size_t>(a.rows), 1);
+    for (const std::size_t threads : {1, 4}) {
+      ThreadPool pool(threads);
+      CsrMatrix c(a.rows, a.cols);
+      c.indices.assign(want.indices.size(), -7);
+      c.values.assign(want.values.size(), -0.0);
+      c.indices.clear();
+      c.values.clear();
+      std::copy(want.indptr.begin() + 1, want.indptr.end(),
+                c.indptr.begin() + 1);
+      for (index_t i = a.rows; i > 0; --i) c.indptr[i] -= c.indptr[i - 1];
+      numeric_in_halves(a, a, a_side, a_side, c, pool);
+      test::expect_same_bits(want, c,
+                             std::string(name) + " pool " +
+                                 std::to_string(threads));
+    }
+  }
 }
 
 TEST(SpgemmKernels, GustavsonMatchesReference) {

@@ -133,8 +133,8 @@ TEST(RunMerge, KeepsEmptyAndTrailingRows) {
   EXPECT_EQ(m.rows, 4);
   EXPECT_EQ(m.cols, 10);
   EXPECT_EQ(m.indptr, (std::vector<offset_t>{0, 0, 2, 2, 2}));
-  EXPECT_EQ(m.indices, (std::vector<index_t>{1, 4}));
-  EXPECT_EQ(m.values, (std::vector<value_t>{2.0, 4.0}));
+  EXPECT_EQ(m.indices, (DefaultInitVector<index_t>{1, 4}));
+  EXPECT_EQ(m.values, (DefaultInitVector<value_t>{2.0, 4.0}));
   EXPECT_EQ(stats.tuples_in, 3);
   EXPECT_EQ(stats.tuples_out, 2);
   const std::vector<CsrMatrix> none = {CsrMatrix(5, 5)};

@@ -56,11 +56,11 @@ inline void expect_matches_reference(const CsrMatrix& a, const CsrMatrix& b,
 
 /// True when x and y hold the same bytes: memcmp, not ==, so -0.0 and 0.0
 /// differ.
-template <class T>
-bool same_bytes(const std::vector<T>& x, const std::vector<T>& y) {
+template <class Vector>
+bool same_bytes(const Vector& x, const Vector& y) {
   return x.size() == y.size() &&
          (x.empty() ||
-          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(x[0])) == 0);
 }
 
 /// EXPECT that `got` is `want` bit for bit: shape, indptr, indices and value
