@@ -4,8 +4,8 @@
 // (spgemm/spgemm.hpp) writes C with this merge's bits on the host.
 //
 // Benchmark shim: merge_row_runs is run_phase4's merge (core/hh_stages.hpp).
-// It reads the run stores the partial-product kernel writes
-// (spgemm/spgemm.hpp): CsrMatrix parts of one shape, each row a strictly
+// It reads the run stores Gustavson's kernel writes
+// (spgemm/gustavson.hpp): CsrMatrix parts of one shape, each row a strictly
 // ascending run of columns. Every output row takes at most kMaxRunsPerRow
 // non-empty runs (HH-CPU gives each A row one Phase II run and one Phase III
 // run, on opposite B sides), so it merges in one linear walk, in parallel

@@ -31,6 +31,14 @@
 
 namespace hh {
 
+/// A masked partial product: each row i in `rows` of A against the rows j
+/// of B with b_mask[j] == b_mask_value (empty mask = all of B).
+struct MaskedRows {
+  std::span<const index_t> rows;
+  std::span<const std::uint8_t> b_mask;
+  bool b_mask_value = true;
+};
+
 /// One part of a queue: its A rows against its masked view of B, and how
 /// the CPU prices that product.
 struct QueuePart {

@@ -2,34 +2,33 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "spgemm/run_order.hpp"
+#include "spgemm/spgemm.hpp"
 #include "spgemm/symbolic.hpp"
+#include "spgemm/workspace.hpp"
 #include "util/check.hpp"
 
 namespace hh {
 namespace {
 
-// Rows a worker takes at a time in each pass.
+// Rows a worker takes at a time in each pass: block k holds rows
+// [block_row(k), block_row(k + 1)).
 constexpr std::size_t kRowBlock = 64;
 
-// One worker's numeric scratch, b.cols entries each, kept across its
-// blocks: the accumulator, the last row that reached each column (no row
-// is visited twice, so an earlier row's mark never matches), and the
-// column bitmap order_run leaves all clear.
-struct NumericScratch {
-  explicit NumericScratch(index_t cols)
-      : acc(static_cast<std::size_t>(cols)),
-        marker(static_cast<std::size_t>(cols), -1),
-        bits((static_cast<std::size_t>(cols) + 63) / 64) {}
+std::size_t row_blocks(index_t rows) {
+  return (static_cast<std::size_t>(rows) + kRowBlock - 1) / kRowBlock;
+}
 
-  std::vector<value_t> acc;
-  std::vector<index_t> marker;
-  std::vector<std::uint64_t> bits;
-};
+index_t block_row(std::size_t k, index_t rows) {
+  return static_cast<index_t>(
+      std::min(static_cast<std::size_t>(rows), k * kRowBlock));
+}
 
-// Scans the row counts that c.indptr[i + 1] holds for each row i into row
+// Scans the row sizes that c.indptr[i + 1] holds for each row i into row
 // offsets, and sizes C's arrays to match, unwritten (sparse/csr.hpp).
 void size_output(CsrMatrix& c) {
   for (index_t i = 0; i < c.rows; ++i) c.indptr[i + 1] += c.indptr[i];
@@ -37,34 +36,92 @@ void size_output(CsrMatrix& c) {
   c.values.resize(static_cast<std::size_t>(c.nnz()));
 }
 
-// Numeric pass for rows [r0, r1): SPA accumulate, write each row's columns
-// in first-touch order at its final offset, then order them in place (by
-// sort or by the scratch's column bitmap). indptr must already hold the
-// exact row offsets; a row that does not fill its slot throws CheckError.
-void numeric_rows(const CsrMatrix& a, const CsrMatrix& b, CsrMatrix& c,
-                  index_t r0, index_t r1, NumericScratch& s) {
-  for (index_t i = r0; i < r1; ++i) {
-    index_t* cols = c.indices.data() + c.indptr[i];
-    std::size_t n = 0;
-    for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
-      const index_t j = a.indices[k];
-      const value_t av = a.values[k];
-      for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
-        const index_t col = b.indices[l];
-        if (s.marker[col] != i) {
-          s.marker[col] = i;
-          s.acc[col] = value_t{0};
-          cols[n++] = col;
-        }
-        s.acc[col] += av * b.values[l];
+// The SPA inner loop: adds the products of row i's A entries into acc, in
+// the sided instantiation only those whose B row j has
+// (b_side[j] != 0) == side. A column whose marker is not yet i takes it,
+// starts from value_t{0} and is appended as cols[n]; returns the row's
+// column count so far.
+template <bool kSided>
+std::size_t accumulate_row(const CsrMatrix& a, const CsrMatrix& b, index_t i,
+                           const std::uint8_t* b_side, bool side,
+                           index_t* marker, value_t* acc, index_t* cols,
+                           std::size_t n) {
+  for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
+    const index_t j = a.indices[k];
+    if constexpr (kSided) {
+      if ((b_side[j] != 0) != side) continue;
+    }
+    const value_t av = a.values[k];
+    for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
+      const index_t col = b.indices[l];
+      if (marker[col] != i) {
+        marker[col] = i;
+        acc[col] = value_t{0};
+        cols[n++] = col;
+      }
+      acc[col] += av * b.values[l];
+    }
+  }
+  return n;
+}
+
+// Writes row i of C into its slot, which c.indptr sized; a row that does
+// not fill it throws CheckError. One-sided, each value is the sum over all
+// of A(i, :). Sided, the B rows j with b_side[j] == a_side[i] sum into
+// ws.acc and the rest into ws.acc2, where the first half's columns enter at
+// +0.0, and each value is (0 + first) + second, with first = 0 where only
+// the second half reaches the column: merge_row_runs' bits, as
+// (0 + 0) + y == 0 + y and (0 + x) + 0 == 0 + x (0 + x is never -0.0).
+template <bool kSided>
+void fill_row(const CsrMatrix& a, const CsrMatrix& b,
+              const std::uint8_t* a_side, const std::uint8_t* b_side,
+              index_t i, SpaWorkspace& ws, CsrMatrix& c) {
+  const offset_t at = c.indptr[i];
+  index_t* cols = c.indices.data() + at;
+  value_t* acc = ws.acc.data();
+  const bool own = kSided && a_side[i] != 0;
+  std::size_t n = accumulate_row<kSided>(a, b, i, b_side, own,
+                                         ws.marker.data(), acc, cols, 0);
+  if constexpr (kSided) {
+    value_t* acc2 = ws.acc2.data();
+    const std::size_t n1 = n;
+    for (std::size_t m = 0; m < n1; ++m) acc2[cols[m]] = value_t{0};
+    n = accumulate_row<true>(a, b, i, b_side, !own, ws.marker.data(), acc2,
+                             cols, n1);
+    for (std::size_t m = 0; m < n; ++m) {
+      const index_t col = cols[m];
+      acc[col] = (value_t{0} + (m < n1 ? acc[col] : value_t{0})) + acc2[col];
+    }
+  }
+  HH_CHECK_MSG(static_cast<offset_t>(n) == c.indptr[i + 1] - at,
+               "row " << i << " has " << n << " columns, sized for "
+                      << c.indptr[i + 1] - at);
+  order_run(cols, n, acc, ws.bits.data(), c.values.data() + at);
+}
+
+// The numeric pass: sizes C from the row sizes c.indptr holds, then the
+// pool's workers draw blocks of rows, each worker with one SPA from
+// `workspace` (a local pool when null) for all its blocks, and fill the
+// rows they take, so C's pages are first touched there.
+template <bool kSided>
+void numeric_pass(const CsrMatrix& a, const CsrMatrix& b,
+                  const std::uint8_t* a_side, const std::uint8_t* b_side,
+                  CsrMatrix& c, ThreadPool& pool, WorkspacePool* workspace) {
+  size_output(c);
+  WorkspacePool local;
+  WorkspacePool& spas = workspace != nullptr ? *workspace : local;
+  const std::size_t blocks = row_blocks(a.rows);
+  on_workers(pool, blocks, [&](auto take) {
+    std::unique_ptr<SpaWorkspace> ws = spas.acquire_spa();
+    ws->begin_product(b.cols);
+    for (std::size_t k; (k = take()) < blocks;) {
+      const index_t hi = block_row(k + 1, a.rows);
+      for (index_t i = block_row(k, a.rows); i < hi; ++i) {
+        fill_row<kSided>(a, b, a_side, b_side, i, *ws, c);
       }
     }
-    HH_CHECK_MSG(static_cast<offset_t>(n) == c.indptr[i + 1] - c.indptr[i],
-                 "row " << i << " has " << n << " columns, sized for "
-                        << c.indptr[i + 1] - c.indptr[i]);
-    order_run(cols, n, s.acc.data(), s.bits.data(),
-              c.values.data() + c.indptr[i]);
-  }
+    spas.release_spa(std::move(ws));
+  });
 }
 
 }  // namespace
@@ -72,11 +129,15 @@ void numeric_rows(const CsrMatrix& a, const CsrMatrix& b, CsrMatrix& c,
 CsrMatrix gustavson_spgemm(const CsrMatrix& a, const CsrMatrix& b) {
   HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
   CsrMatrix c(a.rows, b.cols);
-  NumericScratch s(b.cols);
-  exact_row_nnz(a, b, 0, a.rows, s.marker, c.indptr.data() + 1);
+  // The count pass borrows the SPA's markers; begin_product resets them.
+  SpaWorkspace ws;
+  ws.begin_product(b.cols);
+  exact_row_nnz(a, b, 0, a.rows, ws.marker, c.indptr.data() + 1);
   size_output(c);
-  std::fill(s.marker.begin(), s.marker.end(), -1);
-  numeric_rows(a, b, c, 0, a.rows, s);
+  ws.begin_product(b.cols);
+  for (index_t i = 0; i < a.rows; ++i) {
+    fill_row<false>(a, b, nullptr, nullptr, i, ws, c);
+  }
   return c;
 }
 
@@ -84,28 +145,27 @@ CsrMatrix gustavson_spgemm_parallel(const CsrMatrix& a, const CsrMatrix& b,
                                     ThreadPool& pool) {
   HH_CHECK_MSG(a.cols == b.rows, "incompatible shapes for product");
   CsrMatrix c(a.rows, b.cols);
-  const auto rows = static_cast<std::size_t>(a.rows);
-  const std::size_t blocks = (rows + kRowBlock - 1) / kRowBlock;
-  const auto lo = [](std::size_t k) {
-    return static_cast<index_t>(k * kRowBlock);
-  };
-  const auto hi = [rows](std::size_t k) {
-    return static_cast<index_t>(std::min(rows, (k + 1) * kRowBlock));
-  };
+  const std::size_t blocks = row_blocks(a.rows);
   on_workers(pool, blocks, [&](auto take) {
     std::vector<index_t> marker(static_cast<std::size_t>(b.cols), -1);
     for (std::size_t k; (k = take()) < blocks;) {
-      exact_row_nnz(a, b, lo(k), hi(k), marker, c.indptr.data() + 1);
+      exact_row_nnz(a, b, block_row(k, a.rows), block_row(k + 1, a.rows),
+                    marker, c.indptr.data() + 1);
     }
   });
-  size_output(c);
-  on_workers(pool, blocks, [&](auto take) {
-    NumericScratch s(b.cols);
-    for (std::size_t k; (k = take()) < blocks;) {
-      numeric_rows(a, b, c, lo(k), hi(k), s);
-    }
-  });
+  numeric_pass<false>(a, b, nullptr, nullptr, c, pool, nullptr);
   return c;
+}
+
+void numeric_in_halves(const CsrMatrix& a, const CsrMatrix& b,
+                       std::span<const std::uint8_t> a_side,
+                       std::span<const std::uint8_t> b_side, CsrMatrix& c,
+                       ThreadPool& pool, WorkspacePool* workspace) {
+  HH_CHECK(a.cols == b.rows && c.rows == a.rows && c.cols == b.cols &&
+           a_side.size() == static_cast<std::size_t>(a.rows) &&
+           b_side.size() == static_cast<std::size_t>(b.rows) &&
+           c.indptr.size() == a_side.size() + 1 && c.indices.empty());
+  numeric_pass<true>(a, b, a_side.data(), b_side.data(), c, pool, workspace);
 }
 
 }  // namespace hh

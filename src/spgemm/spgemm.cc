@@ -4,13 +4,11 @@
 #include <array>
 #include <atomic>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "spgemm/gustavson.hpp"
 #include "spgemm/row_column.hpp"
-#include "spgemm/run_order.hpp"
 #include "util/check.hpp"
 
 namespace hh {
@@ -85,61 +83,6 @@ void charge_row(ProductStats& s, std::int64_t row_flops,
   } else {
     s.flops_global += row_flops;
   }
-}
-
-bool masked_out(const MaskedRows& part, index_t j) {
-  return !part.b_mask.empty() &&
-         (part.b_mask[static_cast<std::size_t>(j)] != 0) != part.b_mask_value;
-}
-
-// The SPA inner loop of numeric_in_halves: adds the products of row i's A
-// entries against part's view of B into acc. A column whose marker is
-// not yet `tag` takes it, starts from value_t{0} and is appended as
-// cols[n]; returns the row's column count so far.
-std::size_t accumulate_row(const CsrMatrix& a, const CsrMatrix& b, index_t i,
-                           const MaskedRows& part, std::int64_t tag,
-                           std::int64_t* marker, value_t* acc, index_t* cols,
-                           std::size_t n) {
-  for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
-    const index_t j = a.indices[k];
-    if (masked_out(part, j)) continue;
-    const value_t av = a.values[k];
-    for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
-      const index_t col = b.indices[l];
-      if (marker[col] != tag) {
-        marker[col] = tag;
-        acc[col] = value_t{0};
-        cols[n++] = col;
-      }
-      acc[col] += av * b.values[l];
-    }
-  }
-  return n;
-}
-
-// numeric_in_halves for one row: the first half sums into ws.acc, the
-// second into ws.acc2, where the first half's columns enter at +0.0. Each
-// value is (0 + first) + second, with first = 0 where only the second half
-// reaches the column: merge_row_runs' bits, as (0 + 0) + y == 0 + y and
-// (0 + x) + 0 == 0 + x (0 + x is never -0.0). Returns the column count.
-std::size_t fill_row_in_halves(const CsrMatrix& a, const CsrMatrix& b,
-                               index_t i, const MaskedRows& first,
-                               const MaskedRows& second, SpaWorkspace& ws,
-                               index_t* cols, value_t* vals) {
-  const std::int64_t tag = ws.row_tag(i);
-  value_t* acc = ws.acc.data();
-  value_t* acc2 = ws.acc2.data();
-  const std::size_t n1 =
-      accumulate_row(a, b, i, first, tag, ws.marker.data(), acc, cols, 0);
-  for (std::size_t m = 0; m < n1; ++m) acc2[cols[m]] = value_t{0};
-  const std::size_t n =
-      accumulate_row(a, b, i, second, tag, ws.marker.data(), acc2, cols, n1);
-  for (std::size_t m = 0; m < n; ++m) {
-    const index_t c = cols[m];
-    acc[c] = (value_t{0} + (m < n1 ? acc[c] : value_t{0})) + acc2[c];
-  }
-  order_run(cols, n, acc, ws.bits.data(), vals);
-  return n;
 }
 
 // Threshold grids. A row length's interval is the number of grid points <=
@@ -298,45 +241,6 @@ std::int64_t row_changes(const CsrMatrix& a, const CsrMatrix& b,
 }
 
 }  // namespace
-
-void numeric_in_halves(const CsrMatrix& a, const CsrMatrix& b,
-                       std::span<const std::uint8_t> a_side,
-                       std::span<const std::uint8_t> b_side, CsrMatrix& c,
-                       ThreadPool& pool, WorkspacePool* workspace) {
-  HH_CHECK(a.cols == b.rows && c.rows == a.rows && c.cols == b.cols &&
-           a_side.size() == static_cast<std::size_t>(a.rows) &&
-           b_side.size() == static_cast<std::size_t>(b.rows) &&
-           c.indptr.size() == a_side.size() + 1 && c.indices.empty());
-  for (index_t r = 0; r < a.rows; ++r) c.indptr[r + 1] += c.indptr[r];
-  c.indices.resize(static_cast<std::size_t>(c.nnz()));
-  c.values.resize(c.indices.size());
-
-  // Workers draw blocks of kRowBlock rows, each with one SPA.
-  constexpr std::size_t kRowBlock = 64;
-  const auto rows = static_cast<std::size_t>(a.rows);
-  const std::size_t blocks = (rows + kRowBlock - 1) / kRowBlock;
-  WorkspacePool local;
-  WorkspacePool& spas = workspace != nullptr ? *workspace : local;
-  on_workers(pool, blocks, [&](auto take) {
-    std::unique_ptr<SpaWorkspace> ws = spas.acquire_spa();
-    ws->begin_product(b.cols);
-    for (std::size_t k; (k = take()) < blocks;) {
-      const auto lo = static_cast<index_t>(k * kRowBlock);
-      const auto hi = static_cast<index_t>(std::min(rows, (k + 1) * kRowBlock));
-      for (index_t i = lo; i < hi; ++i) {
-        const bool own = a_side[static_cast<std::size_t>(i)] != 0;
-        const offset_t at = c.indptr[i];
-        const std::size_t n = fill_row_in_halves(
-            a, b, i, {{}, b_side, own}, {{}, b_side, !own}, *ws,
-            c.indices.data() + at, c.values.data() + at);
-        HH_CHECK_MSG(static_cast<offset_t>(n) == c.indptr[i + 1] - at,
-                     "row " << i << " has " << n << " columns, sized for "
-                            << c.indptr[i + 1] - at);
-      }
-    }
-    spas.release_spa(std::move(ws));
-  });
-}
 
 std::vector<ProductStats> product_row_stats(const CsrMatrix& a,
                                             const CsrMatrix& b,

@@ -1,21 +1,22 @@
 // Public SpGEMM entry points: algorithm dispatch for full products, the
 // per-row pricing of a stored product, the structure-only passes that price
 // HH-CPU's masked partial products A_X × B_Y (X, Y ∈ {H, L}) at every
-// threshold of a grid without splitting the matrices, and HH-CPU's one
-// numeric pass into C.
+// threshold of a grid without splitting the matrices, and HH-CPU's numeric
+// pass into C.
 //
 // All run symbolic then numeric (Liu & Vinter, arXiv:1504.05022; KKMEM,
 // arXiv:1801.03065): a structure-only pass sizes every output row, so no
-// buffer grows and no row is copied. Every stored product (multiply(), the
-// baselines, the benchmark's staged calls) is Gustavson's
-// (spgemm/gustavson.hpp), priced from its own row sizes by
+// buffer grows and no row is copied. One SPA numeric pass writes every C
+// (spgemm/gustavson.cc). Every stored product (multiply(), the baselines,
+// the benchmark's staged calls) is Gustavson's (spgemm/gustavson.hpp), its
+// one-sided instantiation, priced from its own row sizes by
 // product_row_stats. HH-CPU prices its four products from row_costs_at and
-// writes C once with numeric_in_halves. Both numeric kernels order each row
-// by sort when it is short or its columns spread wide, else by one
-// ascending scan of a column bitmap (spgemm/run_order.hpp); both give the
-// same row. Operands may hold unsorted and duplicate columns: every kernel
-// sums duplicates and emits sorted rows, and every entry point runs
-// check_operands first.
+// writes C once with numeric_in_halves, the sided instantiation. The pass
+// orders each row by sort when it is short or its columns spread wide, else
+// by one ascending scan of a column bitmap (spgemm/run_order.hpp); both
+// give the same row. Operands may hold unsorted and duplicate columns:
+// every kernel sums duplicates and emits sorted rows, and every entry point
+// runs check_operands first.
 #pragma once
 
 #include <algorithm>
@@ -94,15 +95,6 @@ inline constexpr std::int64_t kSharedAccumCap = 512;
 std::int64_t shared_accum_cap();
 void set_shared_accum_cap(std::int64_t cap);
 
-/// A masked partial product: each row i in `rows` of A against the rows j
-/// of B with b_mask[j] == b_mask_value (empty mask = all of B). A Phase III
-/// queue part prices one (sched/workqueue.hpp).
-struct MaskedRows {
-  std::span<const index_t> rows;
-  std::span<const std::uint8_t> b_mask;
-  bool b_mask_value = true;
-};
-
 /// Each row's stats in a stored product, given c = A × B: row i is the
 /// ProductStats of A(i, :) × B. Every entry a(i, j) is charged with the
 /// length of B row j, and the row with its multiply-adds and c.row_nnz(i)
@@ -165,7 +157,8 @@ MaskedRowCosts row_costs_at(const CsrMatrix& a, const CsrMatrix& b, offset_t t,
                             ThreadPool& pool,
                             std::span<offset_t> row_nnz = {});
 
-/// HH-CPU's numeric pass: C = A × B into `c` (a.rows × b.cols, no entries
+/// HH-CPU's numeric pass, the sided instantiation of the one SPA pass
+/// (spgemm/gustavson.cc): C = A × B into `c` (a.rows × b.cols, no entries
 /// yet), whose c.indptr[i + 1] holds row i's size on entry, as row_costs_at
 /// leaves it. C's arrays are sized without a fill (sparse/csr.hpp). Each
 /// row is written once, into its slot, by the worker that computes it, in

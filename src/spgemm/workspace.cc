@@ -1,24 +1,17 @@
 #include "spgemm/workspace.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace hh {
 
 void SpaWorkspace::begin_product(index_t cols) {
   const auto n = static_cast<std::size_t>(cols);
-  // Generation 0 is reserved so row_tag() can never collide with the -1
-  // fill of fresh marker entries; wrap long before the 31-bit field packs.
-  if (++generation_ >= (std::int64_t{1} << 30)) {
-    generation_ = 1;
-    std::fill(marker.begin(), marker.end(), std::int64_t{-1});
-  }
   if (acc.size() < n) {
-    acc.resize(n, value_t{0});
-    acc2.resize(n, value_t{0});
-    marker.resize(n, std::int64_t{-1});
+    acc.resize(n);
+    acc2.resize(n);
     bits.resize((n + 63) / 64, 0);
   }
+  marker.assign(n, index_t{-1});
 }
 
 std::unique_ptr<SpaWorkspace> WorkspacePool::acquire_spa() {

@@ -1,22 +1,24 @@
 // Reusable kernel workspaces.
 //
-// HH-CPU's numeric pass (numeric_in_halves, spgemm/spgemm.hpp) needs a dense
-// accumulator per worker: one value per B column for each half of a row
-// (`acc`, `acc2`), one marker, and one bitmap bit that orders a long row
-// (spgemm/run_order.hpp). A call without a pool allocates its SPAs for the
-// call. A service runtime executing a stream of products over same-shaped
-// matrices passes WorkspacePool, which keeps released SPAs on a free list,
-// so steady-state requests reuse them (paper-adjacent: Liu & Vinter's
-// framework reuses analysis workspaces across products for the same
-// reason). The pool holds SPAs only: a product's output is C itself, sized
-// by the symbolic pass and written once. Gustavson's kernel
-// (spgemm/gustavson.hpp) keeps its own scratch, one set per worker.
+// The one SPA numeric pass (spgemm/gustavson.hpp) needs a dense
+// accumulator per worker: one value per B column for a row (`acc`), the
+// same for a sided row's second half (`acc2`), one marker, and one bitmap
+// bit that orders a long row (spgemm/run_order.hpp). A call without a pool
+// allocates its SPAs for the call. A service runtime executing a stream of
+// products over same-shaped matrices passes WorkspacePool, which keeps
+// released SPAs on a free list, so steady-state requests reuse them
+// (paper-adjacent: Liu & Vinter's framework reuses analysis workspaces
+// across products for the same reason). The pool holds SPAs only: a
+// product's output is C itself, sized by the symbolic pass and written
+// once.
 //
-// Correctness of SPA reuse: the accumulator is only valid for columns whose
-// marker carries the *current* tag. Tags are (generation, row) pairs packed
-// into 64 bits and the generation is bumped on every begin_product(), so a
-// stale marker from an earlier product can never alias a row of the current
-// one. The bitmap carries no tag: it is all clear between rows, because
+// Correctness of SPA reuse: an accumulator slot is only valid for a column
+// whose marker holds the current row. Each column's marker keeps the last
+// row that reached it, and no product visits a row twice, so an earlier
+// row of the same product never matches; begin_product() sets the markers
+// of every column of the new B to -1, so no row of an earlier product can
+// match either. The accumulators are never cleared: a column's first entry
+// in a row writes its slot. The bitmap is all clear between rows, because
 // order_run clears every word it scans before the next row starts, so a
 // workspace returns to the pool clear and a stale bit cannot reach a later
 // row or product. Pooled and non-pooled runs execute the identical kernel
@@ -29,31 +31,23 @@
 #include <mutex>
 #include <vector>
 
+#include "sparse/csr.hpp"
 #include "sparse/types.hpp"
 
 namespace hh {
 
 /// Dense-accumulator workspace for the row-row SPA kernel.
-class SpaWorkspace {
- public:
+struct SpaWorkspace {
   /// Start a new product over a B with `cols` columns: grows the arrays if
-  /// needed (new bitmap words clear) and invalidates all markers by bumping
-  /// the generation.
+  /// needed (new accumulator slots unwritten, new bitmap words clear) and
+  /// sets the first `cols` markers to -1.
   void begin_product(index_t cols);
 
-  /// Marker tag for row `i` of the current product.
-  std::int64_t row_tag(index_t i) const {
-    return (generation_ << 32) | static_cast<std::uint32_t>(i);
-  }
-
-  std::vector<value_t> acc;          // per-column partial values
-  std::vector<value_t> acc2;         // the same for a row's second half
-  std::vector<std::int64_t> marker;  // per-column tag of the owning row
-  std::vector<std::uint64_t> bits;   // one bit per column, all clear
-                                     // between rows
-
- private:
-  std::int64_t generation_ = 0;
+  DefaultInitVector<value_t> acc;   // per-column partial values
+  DefaultInitVector<value_t> acc2;  // the same for a row's second half
+  std::vector<index_t> marker;      // per column, the last row to reach it
+  std::vector<std::uint64_t> bits;  // one bit per column, all clear
+                                    // between rows
 };
 
 /// Thread-safe pool of SPA workspaces. Acquire hands out a recycled one

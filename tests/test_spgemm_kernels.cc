@@ -122,7 +122,7 @@ TEST(OrderRun, SortsOrScansByRowSizeAndSpan) {
 // against the dense reference, which orders each row by a scan over all of
 // B's columns. Product row k is a run case: A(k, :) = 1.5·B(2k, :) +
 // 0.75·B(2k + 1, :), with B(2k, :) the case's upper half and B(2k + 1, :) its
-// lower half, so the kernels see the columns upper half first. The even and
+// lower half, so the SPA pass sees the columns upper half first. The even and
 // odd cases are consecutive bitmap rows on the same words. Three more rows:
 // a bitmap row whose 40 columns cancel to +0.0 and whose last column is the
 // lone product -1 × 0.0 = -0.0 (summed from +0.0: +0.0), the same in a
@@ -181,9 +181,10 @@ CraftedProduct crafted_product() {
           from_rows(kWideCols, b_rows)};
 }
 
-// numeric_in_halves with every row on one side, so each row's second half
-// is empty and each value is (0 + sum) + 0, the sum's own bits: C = A × B
-// in the rows the symbolic count sized.
+// The one SPA pass's sided instantiation (numeric_in_halves) with every row
+// on one side, so each row's second half is empty and each value is
+// (0 + sum) + 0, the sum's own bits: C = A × B in the rows the symbolic
+// count sized, the bits its one-sided instantiation (Gustavson) writes.
 CsrMatrix numeric_in_one_half(const CsrMatrix& a, const CsrMatrix& b,
                               ThreadPool& pool,
                               WorkspacePool* workspace = nullptr) {
@@ -196,6 +197,10 @@ CsrMatrix numeric_in_one_half(const CsrMatrix& a, const CsrMatrix& b,
   return c;
 }
 
+// Both instantiations of the one SPA pass: one-sided as Gustavson
+// (sequential, and over pools of 1 and 4), and sided with every row on one
+// side. The sided pass runs twice through one WorkspacePool, so the second
+// round's rows meet SPAs whose markers hold the first round's same rows.
 TEST(RunOrderSwitch, EveryKernelMatchesTheDenseReferenceBitForBit) {
   const CraftedProduct p = crafted_product();
   const CsrMatrix want = reference_multiply_dense(p.a, p.b);
