@@ -74,6 +74,24 @@ void BM_NumericInHalves(benchmark::State& state) {
 }
 BENCHMARK(BM_NumericInHalves);
 
+// The known-pattern pass on the same product and split: C's pattern, kept
+// from one full pass, takes the columns, and only the values are summed,
+// as a repeated service request writes C.
+void BM_NumericInHalvesKnownPattern(benchmark::State& state) {
+  const hh::CsrMatrix a = bench_matrix(4000);
+  hh::ThreadPool pool(0);
+  const hh::RowPartition p = mean_density_split(a);
+  const hh::CsrPattern pattern =
+      hh::CsrPattern::of(hh::gustavson_spgemm_parallel(a, a, pool));
+  for (auto _ : state) {
+    hh::CsrMatrix c(a.rows, a.cols);
+    hh::numeric_in_halves(a, a, p.is_high, p.is_high, pattern, c, pool);
+    benchmark::DoNotOptimize(c);
+  }
+  state.SetItemsProcessed(state.iterations() * hh::total_flops(a, a));
+}
+BENCHMARK(BM_NumericInHalvesKnownPattern);
+
 // The run merge over one run per row (a full product's runs).
 void BM_RunMerge(benchmark::State& state) {
   const hh::CsrMatrix a = bench_matrix(4000);

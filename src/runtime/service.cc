@@ -354,47 +354,83 @@ std::uint64_t SpgemmService::structure_key(const CsrMatrix* m) {
 
 // ---- Symbolic results.
 
-std::shared_ptr<const SymbolicResult> SymbolicCache::lookup(
+SymbolicCache::Result SymbolicCache::lookup(
     const CsrMatrix& a, const CsrMatrix& b, std::uint64_t a_key,
-    std::uint64_t b_key, offset_t t, ThreadPool& pool) {
+    std::uint64_t b_key, offset_t t, ThreadPool& pool,
+    std::span<offset_t> row_nnz) {
   const bool self = &b == &a;
-  const std::int64_t cap = shared_accum_cap();
   std::uint64_t key = a_key;
   checksum_mix(key, b_key);
-  checksum_mix_i64(key, t);
-  checksum_mix_i64(key, cap);
-  const auto [first, last] = entries_.equal_range(key);
-  for (auto it = first; it != last; ++it) {
-    Entry& e = it->second;
-    if (e.t == t && e.shared_cap == cap && e.self == self && e.a.matches(a) &&
-        (self || e.b.matches(b))) {
-      ++stats_.hits;
-      e.used = true;
-      return e.result;
+  Pair* pair = nullptr;
+  const auto [first, last] = pairs_.equal_range(key);
+  for (auto it = first; it != last && pair == nullptr; ++it) {
+    Pair& p = it->second;
+    if (p.self == self && p.a.matches(a) && (self || p.b.matches(b))) {
+      pair = &p;
     }
   }
+  if (pair == nullptr) {
+    Pair p;
+    p.self = self;
+    p.a = CsrPattern::of(a);
+    if (!self) p.b = CsrPattern::of(b);
+    pair = &pairs_.emplace(key, std::move(p))->second;
+  }
+  pair->used = true;
+  const std::int64_t cap = shared_accum_cap();
+  const auto held =
+      std::find_if(pair->costs.begin(), pair->costs.end(), [&](const Costs& c) {
+        return c.t == t && c.shared_cap == cap;
+      });
+  if (held != pair->costs.end() && pair->c != nullptr) {
+    ++stats_.hits;
+    held->used = true;
+    return {held->costs, pair};
+  }
   ++stats_.misses;
-  auto result = std::make_shared<SymbolicResult>();
-  result->row_nnz.resize(static_cast<std::size_t>(a.rows));
-  result->costs = row_costs_at(a, b, t, pool, result->row_nnz);
-  Entry e;
-  e.t = t;
-  e.shared_cap = cap;
-  e.self = self;
-  e.a = {a.cols, a.indptr, a.indices};
-  if (!self) e.b = {b.cols, b.indptr, b.indices};
-  e.result = std::move(result);
-  return entries_.emplace(key, std::move(e))->second.result;
+  auto costs = std::make_shared<const MaskedRowCosts>(row_costs_at(
+      a, b, t, pool, pair->c != nullptr ? std::span<offset_t>{} : row_nnz));
+  if (held == pair->costs.end()) {
+    pair->costs.push_back({t, cap, costs});
+  } else {
+    held->used = true;  // the pass ran for C's row sizes; same costs
+  }
+  return {std::move(costs), pair};
+}
+
+void SymbolicCache::numeric_pass(const Result& found, const CsrMatrix& a,
+                                 const CsrMatrix& b,
+                                 std::span<const std::uint8_t> a_side,
+                                 std::span<const std::uint8_t> b_side,
+                                 CsrMatrix& c, ThreadPool& pool,
+                                 WorkspacePool* workspace) {
+  Pair& pair = *found.pair;
+  if (pair.c != nullptr) {
+    numeric_in_halves(a, b, a_side, b_side, *pair.c, c, pool, workspace);
+    ++stats_.pattern_passes;
+  } else {
+    numeric_in_halves(a, b, a_side, b_side, c, pool, workspace);
+  }
+  HH_CHECK_MSG(c.nnz() == found.costs->output_nnz,
+               "C has " << c.nnz() << " entries, its symbolic result "
+                        << found.costs->output_nnz);
+  if (pair.c == nullptr) {
+    pair.c = std::make_unique<const CsrPattern>(CsrPattern::of(c));
+  }
 }
 
 void SymbolicCache::end_drain() {
-  std::erase_if(entries_, [](const auto& kv) { return !kv.second.used; });
-  for (auto& [key, e] : entries_) e.used = false;
+  std::erase_if(pairs_, [](const auto& kv) { return !kv.second.used; });
+  for (auto& [key, p] : pairs_) {
+    std::erase_if(p.costs, [](const Costs& c) { return !c.used; });
+    for (Costs& c : p.costs) c.used = false;
+    p.used = false;
+  }
 }
 
 SymbolicCache::Stats SymbolicCache::stats() const {
   Stats s = stats_;
-  s.entries = entries_.size();
+  s.entries = pairs_.size();
   return s;
 }
 
@@ -448,8 +484,9 @@ class SpgemmService::Drain {
     double tx_gate = 0;     // operands usable on the device from here on
     // Phases II–IV: the symbolic result at the plan's B threshold, shared
     // read-only with every request of the same structure; C from the
-    // numeric pass into its row sizes.
-    std::shared_ptr<const SymbolicResult> sym;
+    // numeric pass, into the pair's pattern when it holds one, else into
+    // the row sizes the lookup wrote into c.indptr.
+    SymbolicCache::Result sym;
     CsrMatrix c;
     Phase2Result p2;
     WorkQueueResult q;
@@ -927,16 +964,18 @@ void SpgemmService::Drain::gate_uploads(Request& r) {
 }
 
 // Phase II pricing + scheduling, from the symbolic result of the request's
-// structure and B threshold: cached, or built here by the one symbolic pass.
+// structure and B threshold: cached, or built here by the one symbolic pass,
+// which also writes C's row sizes while the pair has no pattern.
 // The numeric work (merge()) always executes host-side with the same
 // decomposition, so retries and degradation cannot change the output bits.
 void SpgemmService::Drain::phase2(Request& r) {
   if (r.cancelled) return;
   RunReport& rep = r.rr.run;
+  r.c = CsrMatrix(r.a.rows, r.b.cols);
   r.sym = s_.symbolic_.lookup(r.a, r.b, s_.structure_key(&r.a),
                               s_.structure_key(&r.b), r.plan.b.threshold,
-                              s_.pool_);
-  r.p2 = cost_phase2(r.plan, r.sym->costs, platform_);
+                              s_.pool_, std::span(r.c.indptr).subspan(1));
+  r.p2 = cost_phase2(r.plan, *r.sym.costs, platform_);
   rep.phase2_cpu_s = r.p2.cpu_s;
   rep.phase2_gpu_s = r.p2.gpu_s;
   rep.phase2_s = HeteroPlatform::overlap(r.p2.cpu_s, r.p2.gpu_s);
@@ -978,7 +1017,7 @@ void SpgemmService::Drain::phase3(Request& r) {
       r.degraded ? kGpuNeverJoins
                  : std::max({gpu_.now(), r.analyze.end_s, r.tx_gate,
                              r.gpu2.end_s});
-  r.q = cost_phase3(r.plan, r.sym->costs, WorkQueueConfig{}, cpu_q_start,
+  r.q = cost_phase3(r.plan, *r.sym.costs, WorkQueueConfig{}, cpu_q_start,
                     gpu_q_start, platform_);
   r.q_ran = true;
   rep.phase3_cpu_s = r.q.cpu_busy;
@@ -1047,7 +1086,9 @@ void SpgemmService::Drain::replan_degraded(Request& r) {
 
 // Phase IV merge. It is priced whenever Phase III ran, even for a request
 // already past its deadline, so that request still reports its merge; C's
-// numeric pass runs only for a request that returns it.
+// numeric pass runs only for a request that returns it: the known-pattern
+// pass when the request's operand pair holds C's pattern, which writes only
+// values, else the full pass, whose C gives the pair its pattern.
 void SpgemmService::Drain::merge(Request& r) {
   RunReport& rep = r.rr.run;
   rep.flops = r.p2.hh_stats.flops + r.p2.ll_stats.flops +
@@ -1055,7 +1096,7 @@ void SpgemmService::Drain::merge(Request& r) {
   if (!r.q_ran) return;
   rep.merge.tuples_in = r.p2.hh_stats.tuples + r.p2.ll_stats.tuples +
                         r.q.cpu_stats.tuples + r.q.gpu_stats.tuples;
-  rep.merge.tuples_out = r.sym->costs.output_nnz;
+  rep.merge.tuples_out = r.sym.costs->output_nnz;
   rep.phase4_s = platform_.cpu().merge_time(rep.merge.tuples_in);
   if (r.cancelled) return;
   const double ready =
@@ -1063,11 +1104,8 @@ void SpgemmService::Drain::merge(Request& r) {
   cpu_stage(r, "merge", ready, rep.phase4_s);
   r.have_output = !r.cancelled;
   if (r.have_output) {
-    r.c = CsrMatrix(r.a.rows, r.b.cols);
-    std::copy(r.sym->row_nnz.begin(), r.sym->row_nnz.end(),
-              r.c.indptr.begin() + 1);
-    numeric_in_halves(r.a, r.b, r.plan.a.is_high, r.plan.b.is_high, r.c,
-                      s_.pool_, &s_.workspace_);
+    s_.symbolic_.numeric_pass(r.sym, r.a, r.b, r.plan.a.is_high,
+                              r.plan.b.is_high, r.c, s_.pool_, &s_.workspace_);
   }
 }
 

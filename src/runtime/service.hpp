@@ -15,7 +15,8 @@
 // queue (shipping GPU tuples back, or degrading to the CPU), and merges.
 // Phases II–IV are priced from one symbolic result per request, which
 // requests of the same operand structure and threshold share, and a
-// request that returns output gets its C from one numeric pass.
+// request that returns output gets its C from one numeric pass, which
+// writes only values once its operand structure's C pattern is known.
 //
 // Each drain keeps one event log (trace/trace.hpp): Config::trace when it is
 // attached and enabled, else a recorder of the drain's own. The timelines
@@ -26,9 +27,11 @@
 // Steady-state accelerators, all output-preserving:
 //  - partition-plan cache keyed by sparsity signatures (runtime/plan_cache)
 //    — a hit skips threshold identification;
-//  - symbolic-result cache keyed by operand structure, B threshold and
-//    shared_accum_cap() (SymbolicCache) — a hit skips the symbolic pass, so
-//    a repeated request costs its pricing and one numeric pass;
+//  - symbolic-result cache keyed by operand structure (SymbolicCache), with
+//    costs per B threshold and shared_accum_cap() and C's column pattern —
+//    a hit skips the symbolic pass and writes only C's values into the
+//    pattern the cache proved, so a repeated request costs its pricing and
+//    a values-only numeric pass;
 //  - operand residency keyed by content (fault/checksum.hpp) — an operand
 //    already on the device is not re-shipped, whichever pointer submits it;
 //  - workspace pooling (spgemm/workspace.hpp) — the numeric pass's SPA
@@ -61,6 +64,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -236,70 +240,88 @@ struct RecoveryPolicy {
   std::uint64_t jitter_seed = 0x6a17ULL;
 };
 
-/// One product's symbolic result: row_costs_at's per-row costs at a B
-/// threshold and each row's size in C, all Phases II–IV need besides the
-/// numeric pass.
-struct SymbolicResult {
-  MaskedRowCosts costs;
-  std::vector<offset_t> row_nnz;  // a.rows entries
-};
-
-/// The service's symbolic results, one per (operand structure, B threshold,
-/// shared_accum_cap()), after KKMEM (arXiv:1801.03065), which reuses one
-/// symbolic result across products of the same structure. An entry keeps
-/// copies of its operands' indptr and indices, and a lookup proves a hit by
-/// comparing them with the operands byte for byte, so neither a digest
-/// collision nor an operand mutated in place can hand out another
-/// structure's row sizes. Values take no part: a values-only change hits.
-/// end_drain() drops every entry no lookup used since the last call, so the
-/// cache holds at most one drain's distinct set. Touched only by the
-/// draining thread; a result is immutable once built and shared read-only.
+/// The service's symbolic results, after KKMEM (arXiv:1801.03065), which
+/// reuses one symbolic result across products of the same structure. One
+/// entry per operand-structure pair holds copies of the operands' patterns,
+/// C's column pattern once a numeric pass has written a C for the pair, and
+/// row_costs_at's costs per (B threshold, shared_accum_cap()); neither
+/// value changes C's pattern, so every threshold shares it. A lookup proves
+/// its pair by comparing the copies with the operands byte for byte, so
+/// neither a digest collision nor an operand mutated in place can hand out
+/// another structure's costs or pattern. Values take no part: a values-only
+/// change hits. end_drain() drops every pair, and every pair's costs, that
+/// no lookup used since the last call, so the cache holds at most one
+/// drain's distinct set. Touched only by the draining thread: a pattern is
+/// copied there, after the numeric pass that wrote its C, and the workers
+/// of a later pass only read it; costs are immutable once built.
 class SymbolicCache {
+  struct Pair;
+
  public:
   struct Stats {
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-    std::size_t entries = 0;  // held now
+    std::int64_t hits = 0;    // lookups that skipped the symbolic pass
+    std::int64_t misses = 0;  // lookups that ran it
+    // Numeric passes that wrote only C's values into a held pattern.
+    std::int64_t pattern_passes = 0;
+    std::size_t entries = 0;  // operand-structure pairs held now
+  };
+
+  /// One request's symbolic result: row_costs_at's per-row costs at its B
+  /// threshold, all Phases II–IV need besides the numeric pass, and the
+  /// operand pair whose C pattern numeric_pass() reads or keeps. Valid
+  /// until the next end_drain().
+  struct Result {
+    std::shared_ptr<const MaskedRowCosts> costs;
+    Pair* pair = nullptr;
   };
 
   /// The symbolic result of A × B at B threshold t under the current
-  /// shared_accum_cap(): a held entry whose operands match A's and B's
-  /// structure, else a new one from row_costs_at. a_key and b_key are the
+  /// shared_accum_cap(). The symbolic pass (row_costs_at) runs unless the
+  /// pair holds both the costs at (t, cap) and C's pattern. While the pair
+  /// has no pattern (its first use, or each earlier user was cancelled
+  /// before its numeric pass) the pass also writes C's row sizes into
+  /// `row_nnz` (a.rows slots) for numeric_pass(). a_key and b_key are the
   /// operands' structure_checksum (fault/checksum.hpp); they only pick the
   /// candidates. B is A for a self product (&b == &a).
-  std::shared_ptr<const SymbolicResult> lookup(const CsrMatrix& a,
-                                               const CsrMatrix& b,
-                                               std::uint64_t a_key,
-                                               std::uint64_t b_key, offset_t t,
-                                               ThreadPool& pool);
+  Result lookup(const CsrMatrix& a, const CsrMatrix& b, std::uint64_t a_key,
+                std::uint64_t b_key, offset_t t, ThreadPool& pool,
+                std::span<offset_t> row_nnz);
 
-  /// Drops every entry no lookup used since the last call.
+  /// C = A × B for a looked-up request, by numeric_in_halves
+  /// (spgemm/spgemm.hpp) at the given sides. When the pair holds C's
+  /// pattern, the known-pattern pass writes only C's values into it;
+  /// otherwise the full pass writes C into the row sizes lookup() left in
+  /// c.indptr (c is a.rows × b.cols with no entries), and the pair keeps
+  /// C's pattern. Throws CheckError unless C's nnz is the costs'
+  /// output_nnz.
+  void numeric_pass(const Result& found, const CsrMatrix& a,
+                    const CsrMatrix& b, std::span<const std::uint8_t> a_side,
+                    std::span<const std::uint8_t> b_side, CsrMatrix& c,
+                    ThreadPool& pool, WorkspacePool* workspace);
+
+  /// Drops every pair, and every pair's costs, that no lookup used since
+  /// the last call.
   void end_drain();
 
   Stats stats() const;
 
  private:
-  // An operand's structure, copied.
-  struct Structure {
-    index_t cols = 0;
-    std::vector<offset_t> indptr;
-    DefaultInitVector<index_t> indices;
-
-    bool matches(const CsrMatrix& m) const {
-      return m.cols == cols && m.indptr == indptr && m.indices == indices;
-    }
-  };
-  struct Entry {
+  struct Costs {
     offset_t t = 0;
     std::int64_t shared_cap = 0;
-    bool self = false;  // B is A; `b` stays empty
-    Structure a;
-    Structure b;
-    std::shared_ptr<const SymbolicResult> result;
+    std::shared_ptr<const MaskedRowCosts> costs;
     bool used = true;  // looked up since the last end_drain()
   };
+  struct Pair {
+    bool self = false;  // B is A; `b` stays empty
+    CsrPattern a;
+    CsrPattern b;
+    std::unique_ptr<const CsrPattern> c;  // null until a C is written
+    std::vector<Costs> costs;             // one per (t, shared_cap)
+    bool used = true;
+  };
 
-  std::unordered_multimap<std::uint64_t, Entry> entries_;
+  std::unordered_multimap<std::uint64_t, Pair> pairs_;
   Stats stats_;
 };
 

@@ -85,6 +85,26 @@ struct CsrMatrix {
   std::string summary() const;
 };
 
+/// A CSR matrix's sparsity pattern, copied without its values: column
+/// count, row offsets and column indices. The service's symbolic cache
+/// (runtime/service.hpp) keeps its operands' patterns, to prove a hit byte
+/// for byte, and C's, into which a repeated product writes only values
+/// (numeric_in_halves, spgemm/spgemm.hpp).
+struct CsrPattern {
+  index_t cols = 0;
+  std::vector<offset_t> indptr;
+  DefaultInitVector<index_t> indices;
+
+  static CsrPattern of(const CsrMatrix& m) {
+    return {m.cols, m.indptr, m.indices};
+  }
+  offset_t nnz() const { return indptr.empty() ? 0 : indptr.back(); }
+  /// Whether m has this pattern, compared byte for byte.
+  bool matches(const CsrMatrix& m) const {
+    return m.cols == cols && m.indptr == indptr && m.indices == indices;
+  }
+};
+
 /// Build a CSR matrix from (row, col, value) triplets; duplicates are summed.
 CsrMatrix csr_from_triplets(index_t rows, index_t cols,
                             std::span<const index_t> tr,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -28,10 +29,15 @@ index_t block_row(std::size_t k, index_t rows) {
       std::min(static_cast<std::size_t>(rows), k * kRowBlock));
 }
 
-// Scans the row sizes that c.indptr[i + 1] holds for each row i into row
-// offsets, and sizes C's arrays to match, unwritten (sparse/csr.hpp).
-void size_output(CsrMatrix& c) {
-  for (index_t i = 0; i < c.rows; ++i) c.indptr[i + 1] += c.indptr[i];
+// Sets C's row offsets, to the pattern's when one is given, else to the
+// scan of the row sizes c.indptr[i + 1] holds for each row i, and sizes C's
+// arrays to match, unwritten (sparse/csr.hpp).
+void size_output(CsrMatrix& c, const CsrPattern* pattern) {
+  if (pattern != nullptr) {
+    std::copy(pattern->indptr.begin(), pattern->indptr.end(), c.indptr.begin());
+  } else {
+    for (index_t i = 0; i < c.rows; ++i) c.indptr[i + 1] += c.indptr[i];
+  }
   c.indices.resize(static_cast<std::size_t>(c.nnz()));
   c.values.resize(static_cast<std::size_t>(c.nnz()));
 }
@@ -99,29 +105,87 @@ void fill_row(const CsrMatrix& a, const CsrMatrix& b,
   order_run(cols, n, acc, ws.bits.data(), c.values.data() + at);
 }
 
-// The numeric pass: sizes C from the row sizes c.indptr holds, then the
-// pool's workers draw blocks of rows, each worker with one SPA from
-// `workspace` (a local pool when null) for all its blocks, and fill the
-// rows they take, so C's pages are first touched there.
-template <bool kSided>
+// Writes row i of C, split by B side, into its slot, which size_output set
+// from `pattern`, whose slot holds the row's columns in order: no marker
+// test and no ordering. The row's columns take value_t{0} in ws.acc and
+// ws.acc2; every A entry adds its B row into its side's accumulator, in
+// A-entry then B-entry order; and each value is (0 + first) + second.
+// These are fill_row<true>'s bits: each half sums the same products from
+// +0.0 in the same order, and a column that a half does not reach reads
+// +0.0 there, as fill_row's (0 + 0) + y and (0 + x) + 0.
+void fill_known_row(const CsrMatrix& a, const CsrMatrix& b,
+                    const std::uint8_t* a_side, const std::uint8_t* b_side,
+                    index_t i, const CsrPattern& pattern, SpaWorkspace& ws,
+                    CsrMatrix& c) {
+  const offset_t at = c.indptr[i];
+  const auto n = static_cast<std::size_t>(c.indptr[i + 1] - at);
+  index_t* cols = c.indices.data() + at;
+  std::copy_n(pattern.indices.data() + at, n, cols);
+  value_t* acc = ws.acc.data();
+  value_t* acc2 = ws.acc2.data();
+  for (std::size_t m = 0; m < n; ++m) {
+    acc[cols[m]] = value_t{0};
+    acc2[cols[m]] = value_t{0};
+  }
+  const bool own = a_side[i] != 0;
+  for (offset_t k = a.indptr[i]; k < a.indptr[i + 1]; ++k) {
+    const index_t j = a.indices[k];
+    value_t* sum = (b_side[j] != 0) == own ? acc : acc2;
+    const value_t av = a.values[k];
+    for (offset_t l = b.indptr[j]; l < b.indptr[j + 1]; ++l) {
+      sum[b.indices[l]] += av * b.values[l];
+    }
+  }
+  value_t* vals = c.values.data() + at;
+  for (std::size_t m = 0; m < n; ++m) {
+    vals[m] = (value_t{0} + acc[cols[m]]) + acc2[cols[m]];
+  }
+}
+
+// The numeric pass: sizes C (size_output), then the pool's workers draw
+// blocks of rows, each worker with one SPA from `workspace` (a local pool
+// when null) for all its blocks, and fill the rows they take, so C's pages
+// are first touched there. The known-pattern instantiation (kKnown, sided
+// only) takes each row's columns from `pattern` and never touches the
+// markers; the others discover each row's columns.
+template <bool kSided, bool kKnown = false>
 void numeric_pass(const CsrMatrix& a, const CsrMatrix& b,
                   const std::uint8_t* a_side, const std::uint8_t* b_side,
-                  CsrMatrix& c, ThreadPool& pool, WorkspacePool* workspace) {
-  size_output(c);
+                  const CsrPattern* pattern, CsrMatrix& c, ThreadPool& pool,
+                  WorkspacePool* workspace) {
+  size_output(c, pattern);
   WorkspacePool local;
   WorkspacePool& spas = workspace != nullptr ? *workspace : local;
   const std::size_t blocks = row_blocks(a.rows);
   on_workers(pool, blocks, [&](auto take) {
     std::unique_ptr<SpaWorkspace> ws = spas.acquire_spa();
-    ws->begin_product(b.cols);
+    if constexpr (kKnown) {
+      ws->fit(b.cols);
+    } else {
+      ws->begin_product(b.cols);
+    }
     for (std::size_t k; (k = take()) < blocks;) {
       const index_t hi = block_row(k + 1, a.rows);
       for (index_t i = block_row(k, a.rows); i < hi; ++i) {
-        fill_row<kSided>(a, b, a_side, b_side, i, *ws, c);
+        if constexpr (kKnown) {
+          fill_known_row(a, b, a_side, b_side, i, *pattern, *ws, c);
+        } else {
+          fill_row<kSided>(a, b, a_side, b_side, i, *ws, c);
+        }
       }
     }
     spas.release_spa(std::move(ws));
   });
+}
+
+// numeric_in_halves' operand, side and output shapes.
+void check_halves(const CsrMatrix& a, const CsrMatrix& b,
+                  std::span<const std::uint8_t> a_side,
+                  std::span<const std::uint8_t> b_side, const CsrMatrix& c) {
+  HH_CHECK(a.cols == b.rows && c.rows == a.rows && c.cols == b.cols &&
+           a_side.size() == static_cast<std::size_t>(a.rows) &&
+           b_side.size() == static_cast<std::size_t>(b.rows) &&
+           c.indptr.size() == a_side.size() + 1 && c.indices.empty());
 }
 
 }  // namespace
@@ -133,7 +197,7 @@ CsrMatrix gustavson_spgemm(const CsrMatrix& a, const CsrMatrix& b) {
   SpaWorkspace ws;
   ws.begin_product(b.cols);
   exact_row_nnz(a, b, 0, a.rows, ws.marker, c.indptr.data() + 1);
-  size_output(c);
+  size_output(c, nullptr);
   ws.begin_product(b.cols);
   for (index_t i = 0; i < a.rows; ++i) {
     fill_row<false>(a, b, nullptr, nullptr, i, ws, c);
@@ -153,7 +217,7 @@ CsrMatrix gustavson_spgemm_parallel(const CsrMatrix& a, const CsrMatrix& b,
                     marker, c.indptr.data() + 1);
     }
   });
-  numeric_pass<false>(a, b, nullptr, nullptr, c, pool, nullptr);
+  numeric_pass<false>(a, b, nullptr, nullptr, nullptr, c, pool, nullptr);
   return c;
 }
 
@@ -161,11 +225,21 @@ void numeric_in_halves(const CsrMatrix& a, const CsrMatrix& b,
                        std::span<const std::uint8_t> a_side,
                        std::span<const std::uint8_t> b_side, CsrMatrix& c,
                        ThreadPool& pool, WorkspacePool* workspace) {
-  HH_CHECK(a.cols == b.rows && c.rows == a.rows && c.cols == b.cols &&
-           a_side.size() == static_cast<std::size_t>(a.rows) &&
-           b_side.size() == static_cast<std::size_t>(b.rows) &&
-           c.indptr.size() == a_side.size() + 1 && c.indices.empty());
-  numeric_pass<true>(a, b, a_side.data(), b_side.data(), c, pool, workspace);
+  check_halves(a, b, a_side, b_side, c);
+  numeric_pass<true>(a, b, a_side.data(), b_side.data(), nullptr, c, pool,
+                     workspace);
+}
+
+void numeric_in_halves(const CsrMatrix& a, const CsrMatrix& b,
+                       std::span<const std::uint8_t> a_side,
+                       std::span<const std::uint8_t> b_side,
+                       const CsrPattern& pattern, CsrMatrix& c,
+                       ThreadPool& pool, WorkspacePool* workspace) {
+  check_halves(a, b, a_side, b_side, c);
+  HH_CHECK(pattern.cols == b.cols && pattern.indptr.size() == c.indptr.size() &&
+           pattern.indices.size() == static_cast<std::size_t>(pattern.nnz()));
+  numeric_pass<true, true>(a, b, a_side.data(), b_side.data(), &pattern, c,
+                           pool, workspace);
 }
 
 }  // namespace hh

@@ -18,7 +18,12 @@
 // the pool's workers as they free up; each worker keeps one B.cols-sized
 // marker array for all its blocks in the count pass and one SpaWorkspace
 // (spgemm/workspace.hpp) in the numeric pass, and writes the rows of C it
-// takes, so their pages are first touched there.
+// takes, so their pages are first touched there. The sided instantiation
+// has a known-pattern form, under the same blocks, workspaces and sizing:
+// given C's column pattern (a CsrPattern), each worker copies a row's
+// columns into C and sums into the accumulators at those columns with no
+// marker test, then writes the values in pattern order, so a repeated
+// service request skips column discovery and run ordering.
 #pragma once
 
 #include "sparse/csr.hpp"

@@ -14,9 +14,11 @@
 // writes C once with numeric_in_halves, the sided instantiation. The pass
 // orders each row by sort when it is short or its columns spread wide, else
 // by one ascending scan of a column bitmap (spgemm/run_order.hpp); both
-// give the same row. Operands may hold unsorted and duplicate columns:
-// every kernel sums duplicates and emits sorted rows, and every entry point
-// runs check_operands first.
+// give the same row. Given C's column pattern, which the service keeps per
+// proven operand structure, the known-pattern pass writes only C's values
+// into it, with the same bits. Operands may hold unsorted and duplicate
+// columns: every kernel sums duplicates and emits sorted rows, and every
+// entry point runs check_operands first.
 #pragma once
 
 #include <algorithm>
@@ -171,6 +173,20 @@ MaskedRowCosts row_costs_at(const CsrMatrix& a, const CsrMatrix& b, offset_t t,
 void numeric_in_halves(const CsrMatrix& a, const CsrMatrix& b,
                        std::span<const std::uint8_t> a_side,
                        std::span<const std::uint8_t> b_side, CsrMatrix& c,
+                       ThreadPool& pool, WorkspacePool* workspace = nullptr);
+
+/// The known-pattern pass: numeric_in_halves into C's column pattern,
+/// already known, e.g. CsrPattern::of a C that numeric_in_halves wrote for
+/// operands of the same structure at any sides. C (a.rows × b.cols, no
+/// entries yet) takes the pattern's row offsets and columns, and only its
+/// values are computed: no column discovery, no run ordering. Each row's
+/// halves still sum from value_t{0} in A-entry then B-entry order, so C
+/// has numeric_in_halves' bits. The pattern is only read: the service
+/// shares one among its requests (runtime/service.hpp).
+void numeric_in_halves(const CsrMatrix& a, const CsrMatrix& b,
+                       std::span<const std::uint8_t> a_side,
+                       std::span<const std::uint8_t> b_side,
+                       const CsrPattern& pattern, CsrMatrix& c,
                        ThreadPool& pool, WorkspacePool* workspace = nullptr);
 
 /// The four products of the HH-CPU split at one threshold t, estimated:

@@ -4,14 +4,18 @@
 
 namespace hh {
 
-void SpaWorkspace::begin_product(index_t cols) {
+void SpaWorkspace::fit(index_t cols) {
   const auto n = static_cast<std::size_t>(cols);
   if (acc.size() < n) {
     acc.resize(n);
     acc2.resize(n);
     bits.resize((n + 63) / 64, 0);
   }
-  marker.assign(n, index_t{-1});
+}
+
+void SpaWorkspace::begin_product(index_t cols) {
+  fit(cols);
+  marker.assign(static_cast<std::size_t>(cols), index_t{-1});
 }
 
 std::unique_ptr<SpaWorkspace> WorkspacePool::acquire_spa() {

@@ -9,8 +9,8 @@
 // released SPAs on a free list, so steady-state requests reuse them
 // (paper-adjacent: Liu & Vinter's framework reuses analysis workspaces
 // across products for the same reason). The pool holds SPAs only: a
-// product's output is C itself, sized by the symbolic pass and written
-// once.
+// product's output is C itself, sized by the symbolic pass, or copied from
+// a known pattern, and written once.
 //
 // Correctness of SPA reuse: an accumulator slot is only valid for a column
 // whose marker holds the current row. Each column's marker keeps the last
@@ -21,7 +21,11 @@
 // in a row writes its slot. The bitmap is all clear between rows, because
 // order_run clears every word it scans before the next row starts, so a
 // workspace returns to the pool clear and a stale bit cannot reach a later
-// row or product. Pooled and non-pooled runs execute the identical kernel
+// row or product. The known-pattern pass (numeric_in_halves into a
+// CsrPattern) leaves the markers and the bitmap untouched: it only fit()s
+// the arrays, whose new bitmap words are clear, and sets a row's pattern
+// columns to value_t{0} in `acc` and `acc2` before adding into them, so
+// the invariants above hold for whichever pass takes the workspace next. Pooled and non-pooled runs execute the identical kernel
 // and produce bit-identical output.
 #pragma once
 
@@ -38,9 +42,13 @@ namespace hh {
 
 /// Dense-accumulator workspace for the row-row SPA kernel.
 struct SpaWorkspace {
-  /// Start a new product over a B with `cols` columns: grows the arrays if
-  /// needed (new accumulator slots unwritten, new bitmap words clear) and
-  /// sets the first `cols` markers to -1.
+  /// Grows the arrays to hold a B with `cols` columns if needed (new
+  /// accumulator slots unwritten, new bitmap words clear); the markers are
+  /// left as they are.
+  void fit(index_t cols);
+
+  /// Start a new product over a B with `cols` columns: fit(cols), then set
+  /// the first `cols` markers to -1.
   void begin_product(index_t cols);
 
   DefaultInitVector<value_t> acc;   // per-column partial values

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <string>
 
 #include "core/hh_cpu.hpp"
 #include "core/threshold.hpp"
@@ -538,15 +540,18 @@ void expect_serial_bits(const BatchResult& batch,
   }
 }
 
-// Hits and misses since `before`.
-std::array<std::int64_t, 2> lookups_since(const SpgemmService& s,
-                                          const SymbolicCache::Stats& before) {
+// Hits, misses and known-pattern passes since `before`.
+using Lookups = std::array<std::int64_t, 3>;
+Lookups lookups_since(const SpgemmService& s,
+                      const SymbolicCache::Stats& before) {
   const SymbolicCache::Stats now = s.symbolic_cache().stats();
-  return {now.hits - before.hits, now.misses - before.misses};
+  return {now.hits - before.hits, now.misses - before.misses,
+          now.pattern_passes - before.pattern_passes};
 }
 
-// A repeated drain runs on the first drain's symbolic results. Its reports
-// are those of a service that had to rebuild every entry: `cold` drained
+// A repeated drain runs on the first drain's symbolic results, and each
+// hit writes only C's values into its pair's pattern. Its reports are
+// those of a service that had to rebuild every entry: `cold` drained
 // same-signature operands of another structure in between, which evicts
 // the entries and leaves the plan cache, residency and request ids as
 // `warm` has them.
@@ -564,22 +569,22 @@ TEST_F(ServiceTest, RepeatedDrainHitsEverySymbolicResult) {
   SpgemmService cold(plat_, pool_);
   drain(warm, mats);
   drain(cold, mats);
-  EXPECT_EQ(lookups_since(warm, {}), (std::array<std::int64_t, 2>{1, 2}));
+  EXPECT_EQ(lookups_since(warm, {}), (Lookups{1, 2, 1}));
 
   SymbolicCache::Stats before = warm.symbolic_cache().stats();
   expect_serial_bits(drain(warm, mats), mats, plat_, pool_, "second drain");
-  EXPECT_EQ(lookups_since(warm, before), (std::array<std::int64_t, 2>{3, 0}));
+  EXPECT_EQ(lookups_since(warm, before), (Lookups{3, 0, 3}));
   before = cold.symbolic_cache().stats();
   const BatchResult moved = drain(cold, others);
-  EXPECT_EQ(lookups_since(cold, before), (std::array<std::int64_t, 2>{1, 2}));
+  EXPECT_EQ(lookups_since(cold, before), (Lookups{1, 2, 1}));
   for (const RequestReport& rr : moved.requests) EXPECT_TRUE(rr.plan_cache_hit);
 
   before = warm.symbolic_cache().stats();
   const BatchResult hit = drain(warm, mats);
-  EXPECT_EQ(lookups_since(warm, before), (std::array<std::int64_t, 2>{3, 0}));
+  EXPECT_EQ(lookups_since(warm, before), (Lookups{3, 0, 3}));
   before = cold.symbolic_cache().stats();
   const BatchResult miss = drain(cold, mats);
-  EXPECT_EQ(lookups_since(cold, before), (std::array<std::int64_t, 2>{1, 2}));
+  EXPECT_EQ(lookups_since(cold, before), (Lookups{1, 2, 1}));
   expect_serial_bits(hit, mats, plat_, pool_, "third drain");
   EXPECT_EQ(hit.batch.to_json(), miss.batch.to_json());
   for (std::size_t i = 0; i < mats.size(); ++i) {
@@ -588,9 +593,10 @@ TEST_F(ServiceTest, RepeatedDrainHitsEverySymbolicResult) {
   }
 }
 
-// An entry is keyed by structure: new values hit, a new structure misses,
-// and a structure changed in place behind the service's per-pointer memos
-// is caught by the byte check. Every C is run_hh_cpu's.
+// An entry is keyed by structure: new values hit and write only C's
+// values into the held pattern, a new structure misses, and a structure
+// changed in place behind the service's per-pointer memos is caught by the
+// byte check. Every C is run_hh_cpu's.
 TEST_F(ServiceTest, SymbolicCacheHitsOnValuesAndProvesStructure) {
   CsrMatrix m = wiki_;
   SpgemmService service(plat_, pool_);
@@ -600,19 +606,76 @@ TEST_F(ServiceTest, SymbolicCacheHitsOnValuesAndProvesStructure) {
     expect_serial_bits(service.drain(), {&m}, plat_, pool_, label);
     return lookups_since(service, before);
   };
-  using Lookups = std::array<std::int64_t, 2>;
-  EXPECT_EQ(drain_once("cold"), (Lookups{0, 1}));
+  EXPECT_EQ(drain_once("cold"), (Lookups{0, 1, 0}));
   for (value_t& v : m.values) v = 2 * v - 0.25;
   service.invalidate_inputs();
-  EXPECT_EQ(drain_once("new values"), (Lookups{1, 0}));
+  EXPECT_EQ(drain_once("new values"), (Lookups{1, 0, 1}));
   m = mirrored_columns(m);
   service.invalidate_inputs();
-  EXPECT_EQ(drain_once("new structure"), (Lookups{0, 1}));
+  EXPECT_EQ(drain_once("new structure"), (Lookups{0, 1, 0}));
   // In place, without invalidate_inputs(): the structure digest memoised
-  // for &m is stale, and only the byte check keeps the old row sizes out.
+  // for &m is stale, and only the byte check keeps the old costs and
+  // pattern out.
   m = mirrored_columns(m);
-  EXPECT_EQ(drain_once("mutated in place"), (Lookups{0, 1}));
-  EXPECT_EQ(drain_once("again"), (Lookups{1, 0}));
+  EXPECT_EQ(drain_once("mutated in place"), (Lookups{0, 1, 0}));
+  EXPECT_EQ(drain_once("again"), (Lookups{1, 0, 1}));
+}
+
+// A request cancelled at its deadline after its lookup, before its numeric
+// pass, leaves its pair without a pattern. The next drain's request on the
+// same operands runs the symbolic pass again for C's row sizes and the full
+// pass, and returns run_hh_cpu's bits; the drain after that hits and takes
+// the known-pattern pass.
+TEST_F(ServiceTest, RequestCancelledBeforeItsNumericPassLeavesNoPattern) {
+  // The same request on a fresh service, undeadlined, times the stages:
+  // the deadline falls inside its phase2-cpu span, after the lookup.
+  SpgemmService probe(plat_, pool_);
+  probe.submit({&wiki_, nullptr, 0, 0, "probe"});
+  const BatchResult timed = probe.drain();
+  const auto& spans = timed.requests[0].spans;
+  const auto p2 = std::find_if(spans.begin(), spans.end(), [](const auto& s) {
+    return std::string(s.stage) == "phase2-cpu";
+  });
+  ASSERT_NE(p2, spans.end());
+  ASSERT_GT(p2->duration_s(), 0);
+
+  SpgemmService service(plat_, pool_);
+  SpgemmRequest doomed{&wiki_, nullptr, 0, 0, "doomed"};
+  doomed.deadline_s = (p2->start_s + p2->end_s) / 2;
+  service.submit(doomed);
+  const BatchResult cut = service.drain();
+  ASSERT_TRUE(cut.requests[0].deadline_missed);
+  EXPECT_EQ(cut.results[0].c.nnz(), 0);
+  EXPECT_EQ(lookups_since(service, {}), (Lookups{0, 1, 0}));
+  EXPECT_EQ(service.symbolic_cache().stats().entries, 1u);
+
+  const auto drain_once = [&](const std::string& label) {
+    const SymbolicCache::Stats before = service.symbolic_cache().stats();
+    service.submit({&wiki_, nullptr, 0, 0, label});
+    expect_serial_bits(service.drain(), {&wiki_}, plat_, pool_, label);
+    return lookups_since(service, before);
+  };
+  EXPECT_EQ(drain_once("after the cancel"), (Lookups{0, 1, 0}));
+  EXPECT_EQ(drain_once("again"), (Lookups{1, 0, 1}));
+}
+
+// C's pattern depends on the operands' structure only: a request pinned to
+// another threshold on the same operands misses the costs at its t, reuses
+// the pair's pattern, and returns run_hh_cpu's bits at the pinned
+// thresholds. The pair is held once.
+TEST_F(ServiceTest, RequestAtASecondThresholdReusesThePattern) {
+  SpgemmService service(plat_, pool_);
+  service.submit({&enron_, nullptr, 0, 0, "planned"});
+  const offset_t planned = service.drain().results[0].report.threshold_b;
+  const offset_t t = 2 * planned + 1;
+  const SymbolicCache::Stats before = service.symbolic_cache().stats();
+  service.submit({&enron_, nullptr, t, t, "pinned"});
+  const BatchResult pinned = service.drain();
+  ASSERT_EQ(pinned.results[0].report.threshold_a, t);
+  ASSERT_EQ(pinned.results[0].report.threshold_b, t);
+  expect_serial_bits(pinned, {&enron_}, plat_, pool_, "pinned");
+  EXPECT_EQ(lookups_since(service, before), (Lookups{0, 1, 1}));
+  EXPECT_EQ(service.symbolic_cache().stats().entries, 1u);
 }
 
 TEST_F(ServiceTest, SymbolicCacheKeysOnTheSharedAccumulatorCap) {
@@ -624,10 +687,11 @@ TEST_F(ServiceTest, SymbolicCacheKeysOnTheSharedAccumulatorCap) {
   set_shared_accum_cap(8);  // rows on both sides of the shared/global split
   service.submit({&wiki_, nullptr, 0, 0, ""});
   const BatchResult batch = service.drain();
-  const std::array<std::int64_t, 2> lookups = lookups_since(service, before);
+  const Lookups lookups = lookups_since(service, before);
   expect_serial_bits(batch, {&wiki_}, plat_, pool_, "cap 8");
   set_shared_accum_cap(original);
-  EXPECT_EQ(lookups, (std::array<std::int64_t, 2>{0, 1}));
+  // The cap moves the costs, not C's pattern.
+  EXPECT_EQ(lookups, (Lookups{0, 1, 1}));
 }
 
 // A drain drops the entries none of its requests used: the cache holds at

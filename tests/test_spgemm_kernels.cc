@@ -5,11 +5,13 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "gen/datasets.hpp"
+#include "sparse/partition.hpp"
 #include "spgemm/gustavson.hpp"
 #include "spgemm/row_column.hpp"
 #include "spgemm/run_order.hpp"
@@ -181,26 +183,56 @@ CraftedProduct crafted_product() {
           from_rows(kWideCols, b_rows)};
 }
 
-// The one SPA pass's sided instantiation (numeric_in_halves) with every row
-// on one side, so each row's second half is empty and each value is
-// (0 + sum) + 0, the sum's own bits: C = A × B in the rows the symbolic
-// count sized, the bits its one-sided instantiation (Gustavson) writes.
+// C = A × B by the one SPA pass's sided instantiation (numeric_in_halves):
+// the full pass into the row sizes the symbolic count gives, or, given C's
+// pattern, the known-pattern pass. C's arrays are not value-initialised on
+// resize (sparse/csr.hpp), so a slot the pass failed to write would keep
+// what its memory held. Here that is a sentinel: C's capacity is filled
+// with it, then cleared, so the pass sizes C into the sentinel and must
+// overwrite every slot (a sum from +0.0 is never -0.0).
+CsrMatrix in_halves(const CsrMatrix& a, const CsrMatrix& b,
+                    std::span<const std::uint8_t> a_side,
+                    std::span<const std::uint8_t> b_side, ThreadPool& pool,
+                    WorkspacePool* workspace = nullptr,
+                    const CsrPattern* pattern = nullptr) {
+  const std::vector<offset_t> sizes = exact_row_nnz(a, b);
+  const auto nnz = static_cast<std::size_t>(
+      std::accumulate(sizes.begin(), sizes.end(), offset_t{0}));
+  CsrMatrix c(a.rows, b.cols);
+  c.indices.assign(nnz, -7);
+  c.values.assign(nnz, -0.0);
+  c.indices.clear();
+  c.values.clear();
+  if (pattern != nullptr) {
+    numeric_in_halves(a, b, a_side, b_side, *pattern, c, pool, workspace);
+  } else {
+    std::copy(sizes.begin(), sizes.end(), c.indptr.begin() + 1);
+    numeric_in_halves(a, b, a_side, b_side, c, pool, workspace);
+  }
+  return c;
+}
+
+// in_halves with every row on one side, so each row's second half is empty
+// and each value is (0 + sum) + 0, the sum's own bits: the bits the one
+// SPA pass's one-sided instantiation (Gustavson) writes.
 CsrMatrix numeric_in_one_half(const CsrMatrix& a, const CsrMatrix& b,
                               ThreadPool& pool,
-                              WorkspacePool* workspace = nullptr) {
-  CsrMatrix c(a.rows, b.cols);
-  const std::vector<offset_t> sizes = exact_row_nnz(a, b);
-  std::copy(sizes.begin(), sizes.end(), c.indptr.begin() + 1);
+                              WorkspacePool* workspace = nullptr,
+                              const CsrPattern* pattern = nullptr) {
   const std::vector<std::uint8_t> a_side(static_cast<std::size_t>(a.rows), 1);
   const std::vector<std::uint8_t> b_side(static_cast<std::size_t>(b.rows), 1);
-  numeric_in_halves(a, b, a_side, b_side, c, pool, workspace);
-  return c;
+  return in_halves(a, b, a_side, b_side, pool, workspace, pattern);
 }
 
 // Both instantiations of the one SPA pass: one-sided as Gustavson
 // (sequential, and over pools of 1 and 4), and sided with every row on one
-// side. The sided pass runs twice through one WorkspacePool, so the second
-// round's rows meet SPAs whose markers hold the first round's same rows.
+// side, by the full pass and by the known-pattern pass into Gustavson's
+// pattern. The sided passes run twice through one WorkspacePool, so the
+// second round's rows meet SPAs whose markers hold the first round's same
+// rows. With B's rows split by parity, consecutive B rows fall on opposite
+// sides, so every crafted row sums in two halves (the cancelling rows'
+// equal and opposite terms in different halves), and the known-pattern
+// pass must give the full pass's bits.
 TEST(RunOrderSwitch, EveryKernelMatchesTheDenseReferenceBitForBit) {
   const CraftedProduct p = crafted_product();
   const CsrMatrix want = reference_multiply_dense(p.a, p.b);
@@ -211,6 +243,10 @@ TEST(RunOrderSwitch, EveryKernelMatchesTheDenseReferenceBitForBit) {
     ASSERT_FALSE(std::signbit(v));
   }
   test::expect_same_bits(want, gustavson_spgemm(p.a, p.b), "gustavson");
+  const CsrPattern pattern = CsrPattern::of(gustavson_spgemm(p.a, p.b));
+  const std::vector<std::uint8_t> a_side(static_cast<std::size_t>(p.a.rows), 1);
+  std::vector<std::uint8_t> parity(static_cast<std::size_t>(p.b.rows));
+  for (std::size_t j = 0; j < parity.size(); ++j) parity[j] = j % 2;
   for (const std::size_t threads : {1, 4}) {
     ThreadPool pool(threads);
     const std::string at = " pool " + std::to_string(threads);
@@ -218,10 +254,20 @@ TEST(RunOrderSwitch, EveryKernelMatchesTheDenseReferenceBitForBit) {
                            "gustavson_spgemm_parallel" + at);
     test::expect_same_bits(want, numeric_in_one_half(p.a, p.b, pool),
                            "numeric_in_halves" + at);
+    test::expect_same_bits(
+        want, numeric_in_one_half(p.a, p.b, pool, nullptr, &pattern),
+        "known-pattern pass" + at);
+    test::expect_same_bits(
+        in_halves(p.a, p.b, a_side, parity, pool),
+        in_halves(p.a, p.b, a_side, parity, pool, nullptr, &pattern),
+        "known-pattern pass, B split by parity" + at);
     WorkspacePool spas;
     for (int round = 0; round < 2; ++round) {
       test::expect_same_bits(want, numeric_in_one_half(p.a, p.b, pool, &spas),
                              "numeric_in_halves with a WorkspacePool" + at);
+      test::expect_same_bits(
+          want, numeric_in_one_half(p.a, p.b, pool, &spas, &pattern),
+          "known-pattern pass with a WorkspacePool" + at);
     }
   }
 }
@@ -246,8 +292,12 @@ TEST(RunOrderSwitch, PooledBitmapStaysClearAcrossProducts) {
   ThreadPool pool(4);
   WorkspacePool spas;
   for (const auto& p : products) {
-    test::expect_same_bits(reference_multiply_dense(p.a, p.b),
-                           numeric_in_one_half(p.a, p.b, pool, &spas), p.name);
+    const CsrMatrix want = reference_multiply_dense(p.a, p.b);
+    test::expect_same_bits(want, numeric_in_one_half(p.a, p.b, pool, &spas),
+                           p.name);
+    const CsrPattern pattern = CsrPattern::of(want);
+    test::expect_same_bits(
+        want, numeric_in_one_half(p.a, p.b, pool, &spas, &pattern), p.name);
   }
   const WorkspacePool::Stats st = spas.stats();
   ASSERT_GT(st.spa_reuses, 0);
@@ -261,30 +311,38 @@ TEST(RunOrderSwitch, PooledBitmapStaysClearAcrossProducts) {
   for (auto& ws : held) spas.release_spa(std::move(ws));
 }
 
-// C's arrays are not value-initialised on resize (sparse/csr.hpp), so a slot
-// numeric_in_halves failed to write would keep what its memory held. Here
-// that is a sentinel: C's capacity is filled with it, then cleared, so the
-// pass sizes C into the sentinel and must overwrite every slot. Every row
-// sits on one side, as in numeric_in_one_half, so C is Gustavson's bits.
+// Both passes into a sentinel-filled C (in_halves) on three Table I
+// analogues. With every row on one side the full pass must give
+// Gustavson's bits. The known-pattern pass takes the pattern of a full pass
+// at one threshold and the sides of another, and must give the full pass's
+// bits at those sides, with and without a WorkspacePool.
 TEST(NumericInHalves, OverwritesEverySlotOfAnUnfilledC) {
   for (const char* name : {"wiki-Vote", "ca-CondMat", "email-Enron"}) {
     const CsrMatrix a = make_dataset(dataset_spec(name), 0.04);
     const CsrMatrix want = gustavson_spgemm(a, a);
-    const std::vector<std::uint8_t> a_side(static_cast<std::size_t>(a.rows), 1);
+    const offset_t mean = std::max<offset_t>(1, a.nnz() / a.rows);
+    const RowPartition low = classify_rows(a, mean);
+    const RowPartition high = classify_rows(a, 3 * mean);
+    ASSERT_GT(high.high_rows.size(), 0u) << name;
+    ASSERT_GT(high.low_rows.size(), 0u) << name;
     for (const std::size_t threads : {1, 4}) {
       ThreadPool pool(threads);
-      CsrMatrix c(a.rows, a.cols);
-      c.indices.assign(want.indices.size(), -7);
-      c.values.assign(want.values.size(), -0.0);
-      c.indices.clear();
-      c.values.clear();
-      std::copy(want.indptr.begin() + 1, want.indptr.end(),
-                c.indptr.begin() + 1);
-      for (index_t i = a.rows; i > 0; --i) c.indptr[i] -= c.indptr[i - 1];
-      numeric_in_halves(a, a, a_side, a_side, c, pool);
-      test::expect_same_bits(want, c,
-                             std::string(name) + " pool " +
-                                 std::to_string(threads));
+      const std::string at =
+          std::string(name) + " pool " + std::to_string(threads);
+      test::expect_same_bits(want, numeric_in_one_half(a, a, pool), at);
+      const CsrPattern pattern =
+          CsrPattern::of(in_halves(a, a, low.is_high, low.is_high, pool));
+      const CsrMatrix halves =
+          in_halves(a, a, high.is_high, high.is_high, pool);
+      WorkspacePool spas;
+      for (WorkspacePool* ws : {static_cast<WorkspacePool*>(nullptr), &spas,
+                                &spas}) {
+        test::expect_same_bits(halves,
+                               in_halves(a, a, high.is_high, high.is_high,
+                                         pool, ws, &pattern),
+                               at + " known pattern" +
+                                   (ws != nullptr ? " pooled" : ""));
+      }
     }
   }
 }
@@ -420,6 +478,10 @@ TEST(SpgemmKernels, UnsortedAndDuplicateColumnsAreSummed) {
   }
   test::expect_sorted_reference(a, b, numeric_in_one_half(a, b, pool),
                                 "numeric_in_halves");
+  const CsrPattern pattern = CsrPattern::of(gustavson_spgemm(a, b));
+  test::expect_sorted_reference(
+      a, b, numeric_in_one_half(a, b, pool, nullptr, &pattern),
+      "known-pattern pass");
 }
 
 }  // namespace
